@@ -3,11 +3,11 @@
 Two measurements, both against the serial no-cache path over the same
 grid of simulation cells:
 
-* ``parallel_speedup`` -- ``jobs=4`` vs serial.  The floor is set far
-  below 1x on purpose: CI boxes may expose a single core, where four
-  spawn workers (each paying a fresh interpreter + numpy import) can
-  only lose.  The gate exists to catch the pool *collapsing* (workers
-  serializing behind a lock, per-cell respawns), not to demand cores.
+* ``parallel_speedup`` -- ``jobs=4`` vs serial.  Skipped on a box with
+  fewer than four cores, where four spawn workers (each paying a fresh
+  interpreter + numpy import) can only lose and the number measures the
+  OS scheduler.  The floor still sits far below 1x: it catches the pool
+  *collapsing* (workers serializing behind a lock, per-cell respawns).
 * ``cache_speedup`` -- a warm second sweep vs the cold first one.  A
   warm sweep does zero simulations, so this floor is meaningfully above
   1x everywhere.
@@ -61,7 +61,7 @@ def _record(name, base_seconds, fast_seconds, cells):
     return RESULTS[name]["speedup"]
 
 
-def test_parallel_sweep_speedup():
+def test_parallel_sweep_speedup(four_cores):
     """jobs=4 vs serial over the same grid; identical results required."""
     configs = _grid()
     serial, serial_seconds = _timed(lambda: run_configs(configs, jobs=1))

@@ -3,13 +3,13 @@
 One measurement: a 20-node full-window DFTT run, serial vs ``shards=4``,
 with byte-identical results required before the clock is read.  On a
 multi-core box the sharded run wins once per-round node work dominates
-the barrier cost; on a single-core CI box four spawn workers (each
+the barrier cost; with fewer cores than shards four spawn workers (each
 paying a fresh interpreter + numpy import and replaying replicated
-construction) can only lose.  The committed floor therefore sits far
-below 1x -- the gate catches the engine *collapsing* (rounds
-serializing, per-round respawns, runaway merge cost), not core
-starvation.  ``BENCH_shard.json`` records the measured speedup either
-way; read it on real hardware to see when sharding pays off.
+construction) can only lose and the number measures the OS scheduler,
+so the file skips there.  The committed floor still sits far below 1x
+-- the gate catches the engine *collapsing* (rounds serializing,
+per-round respawns, runaway merge cost).  ``BENCH_shard.json`` records
+the measured speedup; read it to see when sharding pays off.
 """
 
 import json
@@ -49,7 +49,7 @@ def _timed(fn):
     return value, max(watch.wall_seconds, 1e-9)
 
 
-def test_sharded_twenty_node_run_speedup():
+def test_sharded_twenty_node_run_speedup(four_cores):
     """serial vs shards=4 on the same 20-node config; identity first."""
     config = _config()
     serial, serial_seconds = _timed(lambda: run_experiment(config))
@@ -73,7 +73,7 @@ def test_sharded_twenty_node_run_speedup():
     )
 
 
-def test_zz_write_report_and_gate_regressions():
+def test_zz_write_report_and_gate_regressions(four_cores):
     """Write BENCH_shard.json; fail on >2x regression vs the baseline.
 
     (Named ``zz`` so pytest's file order runs it after the measurement.)

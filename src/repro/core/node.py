@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -321,32 +321,6 @@ class JoinProcessingNode:
             return
         self._enqueue(("local", item))
 
-    def on_local_arrivals(self, items: Sequence[StreamTuple]) -> None:
-        """A coalesced block of same-timestamp local arrivals.
-
-        Simultaneous arrivals have no defined relative order, so the node
-        ingests the whole block into windows and summaries first (one
-        vectorized pass through the batched kernels) and then makes the
-        per-tuple forwarding decisions against the post-block summary
-        state.  A single-element block takes the identical path (and cost
-        model) as :meth:`on_local_arrival`.
-        """
-        if not items:
-            return
-        if len(items) == 1:
-            self.on_local_arrival(items[0])
-            return
-        if self._should_log_for_replay():
-            for item in items:
-                self._log_for_replay(item)
-            return
-        if self.fault_injector is not None and self.fault_injector.node_down(
-            self.node_id
-        ):
-            self.local_arrivals_dropped += len(items)
-            return
-        self._enqueue(("local_batch", tuple(items)))
-
     def _should_log_for_replay(self) -> bool:
         """Whether local arrivals currently go to the replay log.
 
@@ -486,15 +460,11 @@ class JoinProcessingNode:
         kind, payload = work
         now = self.scheduler.now
         if kind == "local":
-            self._shed_local(payload, now)
-            count = 1
-        elif kind == "local_batch":
-            for raw_item in payload:
-                self._shed_local(raw_item, now)
-            count = len(payload)
+            item = payload.with_timestamp(now)
+            self.shed_tuples += 1
+            self._log_op(self._queries[item.query_id], now, "shed", (item,))
         else:
             self.shed_messages += 1
-            count = 1
         if self.telemetry is not None:
             self.telemetry.emit(
                 "overload.shed",
@@ -502,14 +472,8 @@ class JoinProcessingNode:
                 node=self.node_id,
                 time=now,
                 kind=kind,
-                count=count,
+                count=1,
             )
-
-    def _shed_local(self, raw_item: StreamTuple, now: float) -> None:
-        item = raw_item.with_timestamp(now)
-        runtime = self._queries[item.query_id]
-        self.shed_tuples += 1
-        self._log_op(runtime, now, "shed", (item,))
 
     def _observe_overload(self, queue_depth: int) -> None:
         now = self.scheduler.now
@@ -546,8 +510,7 @@ class JoinProcessingNode:
         if self.profiler is None:
             service_time = self._dispatch(kind, payload)
         else:
-            items = len(payload) if kind == "local_batch" else 1
-            with self.profiler.section("node.%s" % kind, items=items):
+            with self.profiler.section("node.%s" % kind):
                 service_time = self._dispatch(kind, payload)
         if self.fault_injector is not None:
             # An active OVERLOAD fault stretches this node's service times
@@ -578,8 +541,6 @@ class JoinProcessingNode:
     def _dispatch(self, kind: str, payload: object) -> float:
         if kind == "local":
             return self._process_local(payload)
-        if kind == "local_batch":
-            return self._process_local_batch(payload)
         return self._process_message(payload)
 
     def _finish_service(self) -> None:
@@ -670,56 +631,6 @@ class JoinProcessingNode:
 
         self.tuples_processed += 1
         return self.config.cpu_seconds_per_tuple + transmission_seconds
-
-    def _process_local_batch(self, raw_items: Tuple[StreamTuple, ...]) -> float:
-        """Service a coalesced block of simultaneous local arrivals.
-
-        Mirrors :meth:`_process_local` tuple-for-tuple, except that the
-        summary maintenance runs once per block through the policies'
-        vectorized :meth:`on_local_insert_batch` hook and the time-window
-        refresh / stale-summary flush run once instead of per tuple.
-        Service time stays per-tuple (the block is workload, not a free
-        lunch): ``B * cpu_seconds_per_tuple`` plus every transmission
-        pause the block's results and forwards incur.
-        """
-        now = self.scheduler.now
-        transmission_seconds = 0.0
-        by_query: Dict[int, List[StreamTuple]] = {}
-        for raw_item in raw_items:
-            by_query.setdefault(raw_item.query_id, []).append(raw_item)
-        for query_id, raw_batch in by_query.items():
-            runtime = self._queries[query_id]
-            self._refresh_time_windows(runtime, now)
-            items = [raw.with_timestamp(now) for raw in raw_batch]
-            for _ in items:
-                self._note_arrival(now)
-
-            # Phase 1: ingest the whole block -- windows, oracle, probes.
-            batch_results: List[List[JoinResult]] = []
-            batch_evictions: List[List[StreamTuple]] = []
-            for item in items:
-                results, evicted = runtime.join.insert_local(item, now)
-                results.extend(self._probe_shadow(runtime, item, now))
-                self._log_op(runtime, now, "arrival", (item, tuple(evicted)))
-                batch_results.append(results)
-                batch_evictions.append(evicted)
-            runtime.policy.on_local_insert_batch(items, batch_evictions)
-
-            # Phase 2: per-tuple reporting and forwarding decisions.
-            runtime.policy.observe_congestion(len(self._queue))
-            for item, results in zip(items, batch_results):
-                transmission_seconds += self._report_results(runtime, results, now)
-                destinations = runtime.policy.choose_destinations(item)
-                destinations = self._apply_degradation(runtime, destinations, now)
-                if self._fanout_histogram is not None:
-                    self._fanout_histogram.observe(float(len(destinations)))
-                for destination in destinations:
-                    transmission_seconds += self._send_tuple(item, destination, now)
-        transmission_seconds += self._flush_stale_summaries(now)
-        self.tuples_processed += len(raw_items)
-        return (
-            len(raw_items) * self.config.cpu_seconds_per_tuple + transmission_seconds
-        )
 
     def _apply_degradation(
         self, runtime: QueryRuntime, destinations: List[int], now: float
@@ -1593,27 +1504,12 @@ class JoinProcessingNode:
             "node_id": self.node_id,
             "diagnostics": self.diagnostics(),
             "accounting_ops": self.accounting_ops,
-            "local_arrivals_dropped": self.local_arrivals_dropped,
             "transport": (
                 self.transport.counters() if self.transport is not None else None
             ),
             "health": (
                 self.health.counters() if self.health is not None else None
             ),
-            "forced_broadcast_sends": self.forced_broadcast_sends,
-            "suppressed_sends": self.suppressed_sends,
-            "resyncs": self.resyncs,
-            "restarts": self.restarts,
-            "checkpoints_taken": self.checkpoints_taken,
-            "checkpoint_bytes": self.checkpoint_bytes,
-            "tuples_logged": self.tuples_logged,
-            "tuples_replayed": self.tuples_replayed,
-            "replay_dropped": self.replay_dropped,
-            "state_transfer_bytes": self.state_transfer_bytes,
-            "state_transfer_delta_bytes": self.state_transfer_delta_bytes,
-            "state_transfer_full_bytes": self.state_transfer_full_bytes,
-            "state_transfer_bytes_saved": self.state_transfer_bytes_saved,
-            "state_transfer_fallbacks": self.state_transfer_fallbacks,
             "rejoin_latencies": (
                 list(self.recovery_machine.rejoin_latencies)
                 if self.recovery_machine is not None
@@ -1622,24 +1518,6 @@ class JoinProcessingNode:
             "recovery_triggers": (
                 [trigger for _, trigger, _ in self.recovery_machine.history]
                 if self.recovery_machine is not None
-                else None
-            ),
-            "shed_tuples": self.shed_tuples,
-            "shed_messages": self.shed_messages,
-            "suppressed_flushes": self.suppressed_flushes,
-            "degradation_mode": (
-                self.degradation_ladder.mode.value
-                if self.degradation_ladder is not None
-                else None
-            ),
-            "overload_residency": (
-                self.degradation_ladder.residency_seconds(self.scheduler.now)
-                if self.degradation_ladder is not None
-                else None
-            ),
-            "overload_transitions": (
-                len(self.degradation_ladder.history)
-                if self.degradation_ladder is not None
                 else None
             ),
         }

@@ -98,23 +98,6 @@ class ForwardingPolicy(abc.ABC):
         """A tuple entered the local window (default: nothing to maintain)."""
         self.tuples_seen += 1
 
-    def on_local_insert_batch(
-        self,
-        items: Sequence[StreamTuple],
-        evictions: Sequence[Sequence[StreamTuple]],
-    ) -> None:
-        """A coalesced block of same-timestamp tuples entered the window.
-
-        ``evictions[i]`` holds the tuples evicted by ``items[i]``.  The
-        default simply replays the scalar hook; summary-bearing policies
-        override this to run their kernels vectorized (batched sketch
-        updates, block DFT maintenance).  Must be equivalent to the
-        scalar loop in everything except intra-batch cache-invalidation
-        timing, which is unobservable until the next decision point.
-        """
-        for item, evicted in zip(items, evictions):
-            self.on_local_insert(item, evicted)
-
     def observe_congestion(self, queue_depth: int) -> None:
         """The node reports its service-queue depth before each decision.
 

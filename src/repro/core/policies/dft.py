@@ -78,31 +78,6 @@ class DftPolicy(ForwardingPolicy):
         ):
             self._invalidate_probabilities()
 
-    def on_local_insert_batch(
-        self,
-        items: Sequence[StreamTuple],
-        evictions: Sequence[Sequence[StreamTuple]],
-    ) -> None:
-        """Vectorized insert: contiguous same-stream runs feed the block
-        DFT path (:meth:`DftSummaryManager.observe_batch`)."""
-        self.tuples_seen += len(items)
-        index = 0
-        while index < len(items):
-            stream = items[index].stream
-            end = index + 1
-            while end < len(items) and items[end].stream is stream:
-                end += 1
-            self.managers[stream].observe_batch(
-                [item.key for item in items[index:end]]
-            )
-            index = end
-        interval = self.context.config.summary_refresh_interval
-        self._arrivals_since_probability_refresh += len(items)
-        if self._arrivals_since_probability_refresh >= interval:
-            remainder = self._arrivals_since_probability_refresh % interval
-            self._invalidate_probabilities()
-            self._arrivals_since_probability_refresh = remainder
-
     def on_remote_summary(self, source: int, update: SummaryUpdate) -> None:
         if update.algorithm != DftSummaryManager.ALGORITHM:
             return

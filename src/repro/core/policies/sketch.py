@@ -123,38 +123,6 @@ class SketchPolicy(ForwardingPolicy):
             self._cached_probabilities.clear()
             self._arrivals_since_refresh = 0
 
-    def on_local_insert_batch(
-        self,
-        items: Sequence[StreamTuple],
-        evictions: Sequence[Sequence[StreamTuple]],
-    ) -> None:
-        """Vectorized insert: per-stream signed update blocks.
-
-        Arrivals (+1) and their evictions (-1) are grouped per stream and
-        applied through :meth:`~repro.sketches.agms.AgmsSketch.update_batch`,
-        which nets duplicate keys before touching counters.  Counter state
-        is bit-identical to the scalar loop (exact integer arithmetic);
-        snapshot broadcasts keep their per-arrival cadence.
-        """
-        self.tuples_seen += len(items)
-        per_stream: Dict[StreamId, Tuple[List[int], List[int]]] = {}
-        for item, evicted in zip(items, evictions):
-            keys, deltas = per_stream.setdefault(item.stream, ([], []))
-            keys.append(item.key)
-            deltas.append(+1)
-            for old in evicted:
-                keys.append(old.key)
-                deltas.append(-1)
-        for stream, (keys, deltas) in per_stream.items():
-            self.sketches[stream].update_batch(keys, deltas)
-        for item in items:
-            self.managers[item.stream].tick()
-        interval = self.context.config.summary_refresh_interval
-        self._arrivals_since_refresh += len(items)
-        if self._arrivals_since_refresh >= interval:
-            self._cached_probabilities.clear()
-            self._arrivals_since_refresh %= interval
-
     def on_evictions(self, stream: StreamId, evicted: Sequence[StreamTuple]) -> None:
         sketch = self.sketches[stream]
         if len(evicted) > 1:

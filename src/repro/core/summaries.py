@@ -20,7 +20,7 @@ same for all of them:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -260,30 +260,6 @@ class DftSummaryManager:
             self._updates_since_refresh = 0
             self.refresh()
 
-    def observe_batch(self, keys: Sequence[float]) -> None:
-        """Feed a block of attribute values through the summary.
-
-        Equivalent to calling :meth:`observe` per key -- the block is
-        split at refresh-cadence boundaries so every broadcast fires
-        after exactly the arrival it would have in the scalar loop,
-        while the DFT maintenance between broadcasts runs through the
-        vectorized :meth:`~repro.dft.sliding.SlidingDFT.extend` path.
-        """
-        values = np.asarray(keys, dtype=np.float64).reshape(-1)
-        start = 0
-        cadence = self.refresh_interval * self.cadence_stretch
-        while start < values.size:
-            take = min(
-                values.size - start,
-                cadence - self._updates_since_refresh,
-            )
-            self.dft.extend(values[start : start + take])
-            self._updates_since_refresh += take
-            start += take
-            if self._updates_since_refresh >= cadence:
-                self._updates_since_refresh = 0
-                self.refresh()
-
     def refresh(self) -> Optional[SummaryUpdate]:
         """Broadcast the coefficients that changed materially, if any."""
         bins, current = self.dft.coefficient_view()
@@ -479,9 +455,3 @@ class SnapshotSummaryManager:
             payload=self._snapshot_fn(),
             full_state=True,
         )
-
-
-def _materially_different(previous: complex, current: complex, tolerance: float) -> bool:
-    """Relative-change test used for coefficient-delta extraction."""
-    scale = max(abs(previous), abs(current), 1.0)
-    return abs(current - previous) > tolerance * scale

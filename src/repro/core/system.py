@@ -306,49 +306,21 @@ class DistributedJoinSystem:
             key_batch = list(itertools.islice(keys, count))
             nodes = self.partitioner.assign(key_batch)
             streams = schedule_rngs[query_id].random(count) < 0.5
-            # Consecutive arrivals that collide on both timestamp and
-            # origin node coalesce into one batch delivery, so the node
-            # runs its vectorized kernels over the block.  Continuous
-            # Poisson gaps essentially never collide (every such run is a
-            # singleton and takes the exact scalar path), but quantized
-            # replay traces and burst generators do.
-            index = 0
-            while index < count:
-                when = float(times[index])
+            for index in range(count):
                 origin = int(nodes[index])
-                end = index + 1
-                while (
-                    end < count
-                    and float(times[end]) == when
-                    and int(nodes[end]) == origin
-                ):
-                    end += 1
-                batch = []
-                for position in range(index, end):
-                    batch.append(
-                        StreamTuple(
-                            stream=StreamId.R if streams[position] else StreamId.S,
-                            key=int(key_batch[position]),
-                            origin_node=origin,
-                            arrival_index=arrival_index,
-                            query_id=query_id,
-                        )
-                    )
-                    arrival_index += 1
-                node = self.nodes[origin]
-                if len(batch) == 1:
-                    self.scheduler.schedule_at(
-                        when,
-                        lambda n=node, t=batch[0]: n.on_local_arrival(t),
-                        home=origin,
-                    )
-                else:
-                    self.scheduler.schedule_at(
-                        when,
-                        lambda n=node, b=tuple(batch): n.on_local_arrivals(b),
-                        home=origin,
-                    )
-                index = end
+                item = StreamTuple(
+                    stream=StreamId.R if streams[index] else StreamId.S,
+                    key=int(key_batch[index]),
+                    origin_node=origin,
+                    arrival_index=arrival_index,
+                    query_id=query_id,
+                )
+                arrival_index += 1
+                self.scheduler.schedule_at(
+                    float(times[index]),
+                    lambda n=self.nodes[origin], t=item: n.on_local_arrival(t),
+                    home=origin,
+                )
             last_time = max(last_time, float(times[-1]))
         self._tuples_scheduled = workload.total_tuples
         self._arrival_span = last_time
@@ -543,6 +515,15 @@ class DistributedJoinSystem:
             # global end time, so this deduplicates to a no-op.)
             self.telemetry.sample_tick()
         records = self._runtime_records()
+
+        def total(key: str) -> float:
+            """One per-node diagnostics counter summed in node order (plain
+            ``+=``: the builtin ``sum`` compensates floats on newer Pythons)."""
+            value = 0.0
+            for record in records:
+                value += record["diagnostics"][key]
+            return value
+
         self._replay_accounting()
         stats = self.network.stats
         merged_series: Dict[int, int] = {}
@@ -586,40 +567,25 @@ class DistributedJoinSystem:
                         reliability[key] = reliability.get(key, 0.0) + value
                     else:
                         reliability[key] = reliability.get(key, 0.0) + value
-                reliability["forced_broadcast_sends"] = (
-                    reliability.get("forced_broadcast_sends", 0.0)
-                    + record["forced_broadcast_sends"]
-                )
-                reliability["suppressed_sends"] = (
-                    reliability.get("suppressed_sends", 0.0)
-                    + record["suppressed_sends"]
-                )
-                reliability["resyncs"] = (
-                    reliability.get("resyncs", 0.0) + record["resyncs"]
-                )
+                for key in ("forced_broadcast_sends", "suppressed_sends", "resyncs"):
+                    reliability[key] = (
+                        reliability.get(key, 0.0) + record["diagnostics"][key]
+                    )
             samples = reliability.pop("_mean_samples", 0.0)
             if samples and "recovery_latency_mean_s" in reliability:
                 reliability["recovery_latency_mean_s"] /= samples
         faults: Dict[str, float] = {}
         if self.fault_injector is not None:
             faults = self.fault_injector.summary()
-            faults["local_arrivals_dropped"] = float(
-                sum(record["local_arrivals_dropped"] for record in records)
-            )
+            faults["local_arrivals_dropped"] = total("local_arrivals_dropped")
         recovery: Dict[str, float] = {}
         if self.checkpoint_store is not None:
             # Store totals equal the per-node counter sums (every save
             # goes through node.take_checkpoint), and the records survive
             # a sharded run where the parent store never saved anything.
-            recovery = {
-                "checkpoints_taken": float(
-                    sum(record["checkpoints_taken"] for record in records)
-                ),
-                "checkpoint_bytes": float(
-                    sum(record["checkpoint_bytes"] for record in records)
-                ),
-            }
             for key in (
+                "checkpoints_taken",
+                "checkpoint_bytes",
                 "restarts",
                 "tuples_logged",
                 "tuples_replayed",
@@ -630,7 +596,7 @@ class DistributedJoinSystem:
                 "state_transfer_bytes_saved",
                 "state_transfer_fallbacks",
             ):
-                recovery[key] = float(sum(record[key] for record in records))
+                recovery[key] = total(key)
             rejoin_latencies: List[float] = []
             clean = degraded = 0
             for record in records:
@@ -653,27 +619,14 @@ class DistributedJoinSystem:
         overload: Dict[str, float] = {}
         if self.config.overload.enabled:
             overload = {
-                "shed_tuples": float(
-                    sum(record["shed_tuples"] for record in records)
-                ),
-                "shed_messages": float(
-                    sum(record["shed_messages"] for record in records)
-                ),
-                "suppressed_flushes": float(
-                    sum(record["suppressed_flushes"] for record in records)
-                ),
+                "shed_tuples": total("shed_tuples"),
+                "shed_messages": total("shed_messages"),
+                "suppressed_flushes": total("suppressed_flushes"),
                 "link_messages_shed": float(self.network.total_messages_shed()),
-                "mode_transitions": float(
-                    sum(record["overload_transitions"] or 0 for record in records)
-                ),
-                "throttled_seconds": 0.0,
-                "shedding_seconds": 0.0,
+                "mode_transitions": total("overload_transitions"),
+                "throttled_seconds": total("overload_throttled_seconds"),
+                "shedding_seconds": total("overload_shedding_seconds"),
             }
-            for record in records:
-                residency = record["overload_residency"]
-                if residency:
-                    overload["throttled_seconds"] += residency["throttled"]
-                    overload["shedding_seconds"] += residency["shedding"]
         return RunResult(
             config=self.config.as_dict(),
             truth_pairs=sum(o.total_result_pairs for o in self.oracles),

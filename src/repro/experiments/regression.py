@@ -18,7 +18,7 @@ nonzero drift is a real behavioural change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.results import RunResult
 from repro.errors import ConfigurationError
@@ -107,41 +107,44 @@ class RegressionReport:
         return table + footer
 
 
-def compare(
-    baseline: Sequence[RunResult],
-    candidate: Sequence[RunResult],
-    tolerance: float = 0.10,
-    metrics: Sequence[str] = COMPARED_METRICS,
+def _match_and_diff(
+    baseline: Sequence,
+    candidate: Sequence,
+    tolerance: float,
+    metrics: Sequence[str],
+    key_of: Callable[[object], Tuple],
+    values_of: Callable[[object], Mapping[str, object]],
+    what: str,
 ) -> RegressionReport:
-    """Match runs by configuration and diff their headline metrics."""
+    """Match entries by ``key_of`` and diff ``values_of`` on each metric."""
     if tolerance < 0:
         raise ConfigurationError("tolerance must be non-negative")
-    baseline_by_key: Dict[Tuple, RunResult] = {}
-    for result in baseline:
-        key = run_key(result)
+    baseline_by_key: Dict[Tuple, object] = {}
+    for entry in baseline:
+        key = key_of(entry)
         if key in baseline_by_key:
-            raise ConfigurationError("duplicate baseline run %r" % (key,))
-        baseline_by_key[key] = result
+            raise ConfigurationError("duplicate baseline %s %r" % (what, key))
+        baseline_by_key[key] = entry
 
     drifts: List[MetricDrift] = []
     matched = set()
     unmatched_candidate = []
-    for result in candidate:
-        key = run_key(result)
+    for entry in candidate:
+        key = key_of(entry)
         reference = baseline_by_key.get(key)
         if reference is None:
             unmatched_candidate.append(key)
             continue
         matched.add(key)
-        reference_summary = reference.summary()
-        candidate_summary = result.summary()
+        reference_values = values_of(reference)
+        candidate_values = values_of(entry)
         for metric in metrics:
             drifts.append(
                 MetricDrift(
                     key=key,
                     metric=metric,
-                    baseline=float(reference_summary[metric]),
-                    candidate=float(candidate_summary[metric]),
+                    baseline=float(reference_values[metric]),
+                    candidate=float(candidate_values[metric]),
                     tolerance=tolerance,
                 )
             )
@@ -150,6 +153,24 @@ def compare(
         drifts=drifts,
         unmatched_baseline=unmatched_baseline,
         unmatched_candidate=unmatched_candidate,
+    )
+
+
+def compare(
+    baseline: Sequence[RunResult],
+    candidate: Sequence[RunResult],
+    tolerance: float = 0.10,
+    metrics: Sequence[str] = COMPARED_METRICS,
+) -> RegressionReport:
+    """Match runs by configuration and diff their headline metrics."""
+    return _match_and_diff(
+        baseline,
+        candidate,
+        tolerance,
+        metrics,
+        run_key,
+        lambda result: result.summary(),
+        "run",
     )
 
 
@@ -191,40 +212,12 @@ def compare_chaos(
     metrics: Sequence[str] = CHAOS_COMPARED_METRICS,
 ) -> RegressionReport:
     """Match chaos rows by cell identity and diff their headline metrics."""
-    if tolerance < 0:
-        raise ConfigurationError("tolerance must be non-negative")
-    baseline_by_key: Dict[Tuple, object] = {}
-    for row in baseline:
-        key = chaos_key(row)
-        if key in baseline_by_key:
-            raise ConfigurationError("duplicate baseline chaos cell %r" % (key,))
-        baseline_by_key[key] = row
-
-    drifts: List[MetricDrift] = []
-    matched = set()
-    unmatched_candidate = []
-    for row in candidate:
-        key = chaos_key(row)
-        reference = baseline_by_key.get(key)
-        if reference is None:
-            unmatched_candidate.append(key)
-            continue
-        matched.add(key)
-        reference_payload = reference.as_dict()
-        candidate_payload = row.as_dict()
-        for metric in metrics:
-            drifts.append(
-                MetricDrift(
-                    key=key,
-                    metric=metric,
-                    baseline=float(reference_payload[metric]),
-                    candidate=float(candidate_payload[metric]),
-                    tolerance=tolerance,
-                )
-            )
-    unmatched_baseline = [key for key in baseline_by_key if key not in matched]
-    return RegressionReport(
-        drifts=drifts,
-        unmatched_baseline=unmatched_baseline,
-        unmatched_candidate=unmatched_candidate,
+    return _match_and_diff(
+        baseline,
+        candidate,
+        tolerance,
+        metrics,
+        chaos_key,
+        lambda row: row.as_dict(),
+        "chaos cell",
     )

@@ -461,10 +461,6 @@ class FaultInjector:
     # point queries (called from Link.send / delivery / the node runtime)
     # ------------------------------------------------------------------
 
-    @property
-    def active_events(self) -> Tuple[FaultEvent, ...]:
-        return tuple(self._active)
-
     def node_down(self, node_id: int) -> bool:
         """Whether ``node_id`` is currently crashed."""
         return any(

@@ -112,10 +112,6 @@ class TelemetryHub:
 
     # -- clock ---------------------------------------------------------
 
-    def set_clock(self, clock: Callable[[], float]) -> None:
-        """Attach the simulated clock (the system wires the scheduler's)."""
-        self._clock = clock
-
     @property
     def now(self) -> float:
         return self._clock()

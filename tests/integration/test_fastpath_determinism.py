@@ -1,10 +1,10 @@
 """End-to-end determinism: the fast kernels change nothing observable.
 
 A chaos-free reference run executed with the vectorized fast paths
-(twiddle tables, batched sketch updates, sign caches, coalesced
-deliveries) must produce a :class:`~repro.core.results.RunResult` that is
-byte-identical to the same run forced onto the historical scalar kernels
-via ``REPRO_NAIVE_KERNELS``.  This is the system-level counterpart of the
+(twiddle tables, batched sketch updates, sign caches) must produce a
+:class:`~repro.core.results.RunResult` that is byte-identical to the same
+run forced onto the historical scalar kernels via
+``REPRO_NAIVE_KERNELS``.  This is the system-level counterpart of the
 bit-level kernel equivalence suite.
 """
 

@@ -2,6 +2,8 @@
 
 import json
 
+from repro.config import Algorithm, PolicyConfig, SystemConfig, WorkloadConfig
+from repro.core.system import run_experiment
 from repro.profiling import (
     KernelProfiler,
     KernelTimer,
@@ -93,3 +95,19 @@ def test_profile_call_returns_result_and_report():
 def test_profiler_if():
     assert profiler_if(False) is None
     assert isinstance(profiler_if(True), KernelProfiler)
+
+
+def test_profiled_run_populates_result_profile():
+    config = SystemConfig(
+        num_nodes=3,
+        window_size=64,
+        policy=PolicyConfig(algorithm=Algorithm.DFTT, kappa=4.0),
+        workload=WorkloadConfig(total_tuples=600, domain=256, arrival_rate=200.0),
+        seed=5,
+    )
+    result = run_experiment(config, profiler=KernelProfiler())
+    assert "system.run" in result.profile
+    assert "node.local" in result.profile
+    assert result.profile["node.local"]["items"] > 0
+    # Unprofiled runs carry no accounting at all.
+    assert run_experiment(config).profile == {}

@@ -1,0 +1,101 @@
+"""Unit tests for local arrivals that share one simulated instant.
+
+Nothing coalesces them: each is its own ``on_local_arrival`` delivery and
+the node services them one after the other, in delivery order.
+"""
+
+import pytest
+
+from repro.config import Algorithm, PolicyConfig, SystemConfig, WorkloadConfig
+from repro.core.system import DistributedJoinSystem
+from repro.streams.tuples import StreamId, StreamTuple
+
+
+def small_config(algorithm=Algorithm.DFTT, **overrides):
+    defaults = dict(
+        num_nodes=3,
+        window_size=64,
+        policy=PolicyConfig(algorithm=algorithm, kappa=4.0),
+        workload=WorkloadConfig(total_tuples=600, domain=256, arrival_rate=200.0),
+        seed=5,
+    )
+    defaults.update(overrides)
+    return SystemConfig(**defaults)
+
+
+def make_tuples(node_id, keys, stream=StreamId.R, start_index=0):
+    return tuple(
+        StreamTuple(
+            stream=stream,
+            key=int(key),
+            origin_node=node_id,
+            arrival_index=start_index + offset,
+        )
+        for offset, key in enumerate(keys)
+    )
+
+
+def deliver_at_one_instant(system, node, items):
+    """Hand every tuple to the node before the simulated clock moves."""
+    start = system.scheduler.now
+    for item in items:
+        node.on_local_arrival(item)
+    assert system.scheduler.now == start
+    system.scheduler.run()
+
+
+def test_same_instant_arrivals_are_ingested_and_serviced():
+    system = DistributedJoinSystem(small_config())
+    node = system.nodes[0]
+    items = make_tuples(0, [3, 7, 3, 11, 7])
+    deliver_at_one_instant(system, node, items)
+    assert node.tuples_processed == len(items)
+    assert node.policy.tuples_seen == len(items)
+    window = node.join.window(StreamId.R)
+    assert sorted(t.key for t in window) == [3, 3, 7, 7, 11]
+    assert [t.arrival_index for t in window] == [0, 1, 2, 3, 4]
+    system._replay_accounting()
+    assert node.oracle.tuples_observed == len(items)
+
+
+def test_same_instant_service_time_is_per_tuple():
+    config = small_config()
+    system = DistributedJoinSystem(config)
+    node = system.nodes[0]
+    items = make_tuples(0, list(range(8)))
+    deliver_at_one_instant(system, node, items)
+    assert node.busy_seconds >= len(items) * config.cpu_seconds_per_tuple
+    # One after the other: each service starts when the previous one ends.
+    stamps = [t.timestamp for t in node.join.window(StreamId.R)]
+    for position, stamp in enumerate(stamps):
+        assert stamp >= position * config.cpu_seconds_per_tuple
+    assert stamps == sorted(set(stamps))
+
+
+def test_same_instant_matches_produce_results():
+    """An R and an S tuple with the same key arriving together join."""
+    system = DistributedJoinSystem(small_config(algorithm=Algorithm.BASE))
+    node = system.nodes[0]
+    r = make_tuples(0, [42], stream=StreamId.R, start_index=0)
+    s = make_tuples(0, [42], stream=StreamId.S, start_index=1)
+    deliver_at_one_instant(system, node, r + s)
+    system._replay_accounting()
+    assert node.collector.reported_pairs == 1
+
+
+@pytest.mark.parametrize("num_queries", [1, 2])
+def test_schedule_workload_enqueues_one_event_per_tuple(num_queries):
+    config = small_config(algorithm=Algorithm.BASE, num_queries=num_queries)
+    total = config.workload.total_tuples
+    system = DistributedJoinSystem(config)
+    # Arrivals are then the only events this plain BASE run schedules.
+    system.disseminate_query = lambda: None
+    delivered = []
+    for node in system.nodes:
+        node.on_local_arrival = delivered.append
+    before = system.scheduler.pending
+    system.schedule_workload()
+    assert system.scheduler.pending - before == total
+    system.scheduler.run()
+    assert sorted(t.arrival_index for t in delivered) == list(range(total))
+    assert {t.query_id for t in delivered} == set(range(num_queries))
