@@ -142,37 +142,77 @@ def max_lag_correlation(
     return float(np.clip(peak, 0.0, 1.0))
 
 
-def distribution_similarity(
-    x_map: Dict[int, complex],
-    y_map: Dict[int, complex],
-    window_size: int,
-    domain: int,
-    num_bins: int = 64,
-) -> float:
-    """Cosine similarity of reconstructed attribute-value histograms.
+DISTRIBUTION_BINS = 64
+"""Value bins of the ``DISTRIBUTION`` measure's histograms."""
 
-    Both windows are rebuilt with the truncated inverse DFT (Section 5.3),
-    their values bucketed into ``num_bins`` equal-width ranges over
-    ``[1, domain]``, and the two histograms compared by cosine similarity.
-    Values reconstructed outside the domain (ringing) are clamped to its
-    edges.  Returns 0 when either reconstruction is empty.
+
+def histogram_edges(domain: int, num_bins: int = DISTRIBUTION_BINS) -> np.ndarray:
+    """The ``num_bins + 1`` edges of equal-width value bins over ``[1, domain]``.
+
+    The top edge is ``domain + 1`` so every integer key falls strictly
+    inside a bin.  A caller that buckets many windows builds these once.
     """
     if domain < 1:
         raise SummaryError("domain must be >= 1")
     if num_bins < 1:
         raise SummaryError("num_bins must be >= 1")
-    histograms = []
-    for coefficient_map in (x_map, y_map):
-        values = reconstruct_values(coefficient_map, window_size, round_to_int=False)
-        clamped = np.clip(values, 1, domain)
-        histogram, _ = np.histogram(clamped, bins=num_bins, range=(1, domain + 1))
-        histograms.append(histogram.astype(np.float64))
-    x_hist, y_hist = histograms
-    x_norm = np.linalg.norm(x_hist)
-    y_norm = np.linalg.norm(y_hist)
-    if x_norm == 0.0 or y_norm == 0.0:
-        return 0.0
-    return float(np.clip(np.dot(x_hist, y_hist) / (x_norm * y_norm), 0.0, 1.0))
+    return np.linspace(1, domain + 1, num_bins + 1)
+
+
+def bucket_values(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Count reconstructed ``values`` per bin of :func:`histogram_edges`.
+
+    Values reconstructed outside ``[1, domain]`` (ringing) are clamped to
+    it; the outer edges carry the domain.  Bin ``i`` then holds
+    ``edges[i] <= v < edges[i + 1]``, which is what
+    ``np.histogram(clamped, bins, range=(1, domain + 1))`` resolves to.
+    """
+    clamped = np.clip(values, edges[0], edges[-1] - 1)
+    indices = np.searchsorted(edges, clamped, side="right") - 1
+    return np.bincount(indices, minlength=edges.size - 1).astype(np.float64)
+
+
+def histogram_cosines(histogram: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Cosine similarity of ``histogram`` to every row of ``stack``.
+
+    ``stack`` is (rows x bins).  A cosine is 0 where either side is all
+    zero.  Histogram counts are integers, so the dot products and squared
+    norms are exact whatever order they are summed in: the batched form
+    returns, row for row, the floats the pairwise form does.
+    """
+    norms = np.sqrt(histogram @ histogram) * np.sqrt((stack * stack).sum(axis=1))
+    cosines = np.zeros(stack.shape[0])
+    np.divide(stack @ histogram, norms, out=cosines, where=norms > 0.0)
+    return np.clip(cosines, 0.0, 1.0)
+
+
+def window_histogram(
+    coefficient_map: Dict[int, complex], window_size: int, edges: np.ndarray
+) -> np.ndarray:
+    """Value histogram of the window rebuilt from ``coefficient_map`` with
+    the truncated inverse DFT (Section 5.3)."""
+    values = reconstruct_values(coefficient_map, window_size, round_to_int=False)
+    return bucket_values(values, edges)
+
+
+def distribution_similarity(
+    x_map: Dict[int, complex],
+    y_map: Dict[int, complex],
+    window_size: int,
+    domain: int,
+    num_bins: int = DISTRIBUTION_BINS,
+) -> float:
+    """Cosine similarity of reconstructed attribute-value histograms.
+
+    Both windows are rebuilt and bucketed into ``num_bins`` equal-width
+    ranges over ``[1, domain]`` (:func:`window_histogram`), and the two
+    histograms compared by cosine similarity (:func:`histogram_cosines`).
+    Returns 0 when either reconstruction is empty.
+    """
+    edges = histogram_edges(domain, num_bins)
+    x_hist = window_histogram(x_map, window_size, edges)
+    y_hist = window_histogram(y_map, window_size, edges)
+    return float(histogram_cosines(x_hist, y_hist[np.newaxis])[0])
 
 
 def similarity(

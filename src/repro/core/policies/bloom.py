@@ -128,7 +128,6 @@ class BloomPolicy(ForwardingPolicy):
             if key not in self._remote_filters:
                 self._remote_filters[key] = self.filters[update.stream].spawn_compatible()
             self._remote_filters[key].load_snapshot(update.payload)
-            self.remote.clear_dirty(source, update.stream)
 
     def remote_filter(
         self, peer: int, stream: StreamId

@@ -16,9 +16,19 @@ Section 5.2.2 prescribes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import functools
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
-from repro.core.correlation import SimilarityMeasure, similarity
+import numpy as np
+
+from repro.core.correlation import (
+    DISTRIBUTION_BINS,
+    SimilarityMeasure,
+    histogram_cosines,
+    histogram_edges,
+    similarity,
+    window_histogram,
+)
 from repro.core.flow import FlowController
 from repro.core.policies.base import ForwardingPolicy, PolicyContext
 from repro.core.policies.round_robin import RoundRobinPolicy
@@ -32,6 +42,60 @@ from repro.streams.tuples import StreamId, StreamTuple
 UNKNOWN_PEER_SIMILARITY = 0.5
 """Prior similarity for peers whose summary has not arrived yet: neither
 trusted nor written off, so early tuples still explore the mesh."""
+
+
+class SlotRows:
+    """One derived row per remote (peer, stream) slot, kept until the slot
+    changes.
+
+    A summary is a synopsis the receiver keeps until the sender replaces
+    it, so whatever a policy derives from a slot's coefficient map is
+    derived once per change of that map: :meth:`mark` records a change,
+    :meth:`read` re-derives only the marked rows of one stream.  The rows
+    of a stream sit in one (peers x width) array, peers in ``peer_ids``
+    order, so a reader compares against every peer at once.  Nothing is
+    allocated before the first read.
+    """
+
+    def __init__(self, peer_ids: Sequence[int], width: int) -> None:
+        self._positions = {peer: row for row, peer in enumerate(peer_ids)}
+        self._width = width
+        self._tables: Dict[StreamId, Tuple[np.ndarray, np.ndarray]] = {}
+        self._changed: Dict[StreamId, Set[int]] = {}
+
+    def mark(self, peer: int, stream: StreamId) -> None:
+        """``peer``'s ``stream`` slot changed; its row is stale."""
+        if peer in self._positions:
+            self._changed.setdefault(stream, set()).add(peer)
+
+    def clear(self) -> None:
+        """Forget every row (the remote table was cleared)."""
+        self._tables.clear()
+        self._changed.clear()
+
+    def read(
+        self, stream: StreamId, derive: Callable[[int], np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Up-to-date ``(rows, present)`` of every peer's ``stream`` slot.
+
+        ``derive(peer)`` computes the row of a slot marked since the last
+        read.  ``present[row]`` is whether that peer has a summary at all;
+        rows of absent peers are zero.  Both arrays are overwritten by
+        later reads.
+        """
+        table = self._tables.get(stream)
+        if table is None:
+            peers = len(self._positions)
+            table = self._tables[stream] = (
+                np.zeros((peers, self._width)),
+                np.zeros(peers, dtype=bool),
+            )
+        rows, present = table
+        for peer in self._changed.pop(stream, ()):
+            row = self._positions[peer]
+            rows[row] = derive(peer)
+            present[row] = True
+        return table
 
 
 class DftPolicy(ForwardingPolicy):
@@ -55,6 +119,7 @@ class DftPolicy(ForwardingPolicy):
             for stream in (StreamId.R, StreamId.S)
         }
         self.remote = RemoteSummaryTable()
+        self._remote_histograms = SlotRows(context.peer_ids, DISTRIBUTION_BINS)
         self.flow = FlowController(context.num_nodes, config.flow)
         self._round_robin = RoundRobinPolicy(context)
         self._cached_probabilities: Dict[StreamId, Dict[int, float]] = {}
@@ -82,7 +147,12 @@ class DftPolicy(ForwardingPolicy):
         if update.algorithm != DftSummaryManager.ALGORITHM:
             return
         if self.remote.apply(source, update):
+            self._on_slot_changed(source, update.stream)
             self._invalidate_probabilities()
+
+    def _on_slot_changed(self, peer: int, stream: StreamId) -> None:
+        """``peer``'s ``stream`` coefficient map was replaced or merged into."""
+        self._remote_histograms.mark(peer, stream)
 
     def _invalidate_probabilities(self) -> None:
         self._cached_probabilities.clear()
@@ -140,12 +210,22 @@ class DftPolicy(ForwardingPolicy):
         # Soft state: remote summaries and the decision caches derived
         # from them died with the process; the resync refills them.
         self.remote.clear()
+        self._remote_histograms.clear()
         self._cached_probabilities.clear()
         self._cached_similarities.clear()
 
     # ------------------------------------------------------------------
     # similarity and probabilities
     # ------------------------------------------------------------------
+
+    @functools.cached_property
+    def _histogram_edges(self) -> np.ndarray:
+        return histogram_edges(self.context.domain)
+
+    def _histogram(self, coefficient_map: Dict[int, complex]) -> np.ndarray:
+        return window_histogram(
+            coefficient_map, self.context.window_size, self._histogram_edges
+        )
 
     def peer_similarities(self, stream: StreamId) -> Dict[int, float]:
         """Similarity of the local ``stream`` signal to each peer's
@@ -155,19 +235,34 @@ class DftPolicy(ForwardingPolicy):
             return cached
         local_map = self.managers[stream].local_coefficients()
         other = stream.other
-        similarities: Dict[int, float] = {}
-        for peer in self.peer_ids:
-            remote_map = self.remote.get(peer, other)
-            if remote_map is None or not local_map:
-                similarities[peer] = UNKNOWN_PEER_SIMILARITY
-                continue
-            similarities[peer] = similarity(
-                self.context.config.similarity,
-                local_map,
-                remote_map,
-                self.context.window_size,
-                domain=self.context.domain,
+        if self.context.config.similarity is SimilarityMeasure.DISTRIBUTION:
+            # One local histogram against the stack of remote ones, whose
+            # rows are re-derived only for slots that changed since the
+            # last rebuild.
+            rows, present = self._remote_histograms.read(
+                other, lambda peer: self._histogram(self.remote.get(peer, other))
             )
+            cosines = histogram_cosines(self._histogram(local_map), rows)
+            similarities = {
+                peer: cosine if known else UNKNOWN_PEER_SIMILARITY
+                for peer, cosine, known in zip(
+                    self.peer_ids, cosines.tolist(), present.tolist()
+                )
+            }
+        else:
+            similarities = {}
+            for peer in self.peer_ids:
+                remote_map = self.remote.get(peer, other)
+                if remote_map is None:
+                    similarities[peer] = UNKNOWN_PEER_SIMILARITY
+                    continue
+                similarities[peer] = similarity(
+                    self.context.config.similarity,
+                    local_map,
+                    remote_map,
+                    self.context.window_size,
+                    domain=self.context.domain,
+                )
         self._cached_similarities[stream] = similarities
         return similarities
 

@@ -30,8 +30,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.policies.base import PolicyContext
-from repro.core.policies.dft import DftPolicy
-from repro.core.summaries import SummaryUpdate
+from repro.core.policies.dft import DftPolicy, SlotRows
 from repro.dft.reconstruction import reconstruct_values
 from repro.streams.tuples import StreamId, StreamTuple
 
@@ -56,7 +55,7 @@ class DfttPolicy(DftPolicy):
 
     def __init__(self, context: PolicyContext) -> None:
         super().__init__(context)
-        self._reconstructions: Dict[Tuple[int, StreamId], np.ndarray] = {}
+        self._reconstructions = SlotRows(context.peer_ids, context.window_size)
         self._tolerances: Dict[StreamId, float] = {}
         self.reconstruction_refreshes = 0
         self.estimate_hits = 0
@@ -98,41 +97,62 @@ class DfttPolicy(DftPolicy):
     # reconstruction table (Figure 7's inverse-DFT lookup table)
     # ------------------------------------------------------------------
 
+    def _on_slot_changed(self, peer: int, stream: StreamId) -> None:
+        super()._on_slot_changed(peer, stream)
+        self._reconstructions.mark(peer, stream)
+
+    def _reconstructed_windows(self, stream: StreamId) -> Tuple[np.ndarray, np.ndarray]:
+        """Every peer's estimated ``stream`` window as one sorted row each,
+        plus which peers have one.
+
+        A row is rebuilt lazily when that peer's coefficients changed
+        since the table was last read.
+        """
+
+        def rebuild(peer: int) -> np.ndarray:
+            self.reconstruction_refreshes += 1
+            return np.sort(
+                reconstruct_values(
+                    self.remote.get(peer, stream),
+                    self.context.window_size,
+                    round_to_int=False,
+                )
+            )
+
+        return self._reconstructions.read(stream, rebuild)
+
     def reconstructed_window(
         self, peer: int, stream: StreamId
     ) -> Optional[np.ndarray]:
-        """Estimated (sorted) attribute values of ``peer``'s ``stream`` window.
-
-        Rebuilt lazily whenever that peer's coefficients changed since the
-        last reconstruction (the dirty bit on the remote table).
-        """
-        coefficient_map = self.remote.get(peer, stream)
-        if coefficient_map is None:
+        """Estimated (sorted) attribute values of ``peer``'s ``stream`` window."""
+        if peer not in self.peer_ids or self.remote.get(peer, stream) is None:
             return None
-        key = (peer, stream)
-        if key not in self._reconstructions or self.remote.is_dirty(peer, stream):
-            values = reconstruct_values(
-                coefficient_map, self.context.window_size, round_to_int=False
-            )
-            self._reconstructions[key] = np.sort(values)
-            self.remote.clear_dirty(peer, stream)
-            self.reconstruction_refreshes += 1
-        return self._reconstructions[key]
+        rows, _ = self._reconstructed_windows(stream)
+        # A copy: the row itself is overwritten by the next rebuild.
+        return rows[self.peer_ids.index(peer)].copy()
 
-    def join_estimate(self, item: StreamTuple, peer: int) -> Optional[int]:
-        """Estimated matches of ``item`` in ``peer``'s opposite window.
+    def join_estimates(self, item: StreamTuple) -> Dict[int, Optional[int]]:
+        """Estimated matches of ``item`` in each peer's opposite window.
 
         ``None`` means the peer's summary has not arrived yet (unknown,
         which is different from an estimated zero).
         """
         opposite = item.stream.other
-        window = self.reconstructed_window(peer, opposite)
-        if window is None:
-            return None
+        rows, present = self._reconstructed_windows(opposite)
+        if not present.any():
+            return dict.fromkeys(self.peer_ids)
         tolerance = self.match_tolerance(opposite)
-        low = np.searchsorted(window, item.key - tolerance, side="left")
-        high = np.searchsorted(window, item.key + tolerance, side="right")
-        return int(high - low)
+        matches = (rows >= item.key - tolerance) & (rows <= item.key + tolerance)
+        return {
+            peer: count if known else None
+            for peer, count, known in zip(
+                self.peer_ids, matches.sum(axis=1).tolist(), present.tolist()
+            )
+        }
+
+    def join_estimate(self, item: StreamTuple, peer: int) -> Optional[int]:
+        """:meth:`join_estimates` for one peer."""
+        return self.join_estimates(item).get(peer)
 
     # ------------------------------------------------------------------
     # forwarding decision (Figure 7, lines 6-10)
@@ -147,14 +167,11 @@ class DfttPolicy(DftPolicy):
             )
             return self._round_robin.take_from_cycle(budget)
 
-        estimates: Dict[int, int] = {}
-        unknown: List[int] = []
-        for peer in self.peer_ids:
-            estimate = self.join_estimate(item, peer)
-            if estimate is None:
-                unknown.append(peer)
-            elif estimate > 0:
-                estimates[peer] = estimate
+        all_estimates = self.join_estimates(item)
+        unknown = None in all_estimates.values()
+        estimates = {
+            peer: estimate for peer, estimate in all_estimates.items() if estimate
+        }
 
         budget = self.flow.budget
         rng = self.context.rng

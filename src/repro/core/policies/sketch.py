@@ -145,7 +145,6 @@ class SketchPolicy(ForwardingPolicy):
             if key not in self._remote_sketches:
                 self._remote_sketches[key] = self.sketches[update.stream].spawn_compatible()
             self._remote_sketches[key].load_counters(update.payload)
-            self.remote.clear_dirty(source, update.stream)
             self._cached_probabilities.clear()
 
     def remote_sketch(self, peer: int, stream: StreamId) -> Optional[AgmsSketch]:

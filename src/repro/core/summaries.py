@@ -104,7 +104,6 @@ class RemoteSummaryTable:
     def __init__(self) -> None:
         self._state: Dict[Tuple[int, StreamId], Any] = {}
         self._versions: Dict[Tuple[int, StreamId], int] = {}
-        self._dirty: Dict[Tuple[int, StreamId], bool] = {}
 
     def apply(self, source: int, update: SummaryUpdate) -> bool:
         """Merge an incoming update; returns whether state changed.
@@ -127,21 +126,10 @@ class RemoteSummaryTable:
             merged.update(update.payload)
             self._state[key] = merged
         self._versions[key] = update.version
-        self._dirty[key] = True
         return True
 
     def get(self, source: int, stream: StreamId) -> Optional[Any]:
         return self._state.get((source, stream))
-
-    def version(self, source: int, stream: StreamId) -> int:
-        return self._versions.get((source, stream), -1)
-
-    def is_dirty(self, source: int, stream: StreamId) -> bool:
-        """Whether state changed since the last :meth:`clear_dirty`."""
-        return self._dirty.get((source, stream), False)
-
-    def clear_dirty(self, source: int, stream: StreamId) -> None:
-        self._dirty[(source, stream)] = False
 
     def known_peers(self, stream: StreamId) -> List[int]:
         return [peer for (peer, s) in self._state if s is stream]
@@ -172,7 +160,6 @@ class RemoteSummaryTable:
         cadence rebuild it from live peers)."""
         self._state.clear()
         self._versions.clear()
-        self._dirty.clear()
 
 
 class DftSummaryManager:

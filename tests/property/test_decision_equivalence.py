@@ -1,0 +1,255 @@
+"""The batched, per-slot-cached forwarding decision equals the pairwise one.
+
+PR 19 derives a remote slot's histogram / sorted reconstruction once per
+change of its coefficient map and compares against all peers at once.
+That is only admissible because it changes *nothing* about the numbers:
+every assertion here is ``==`` against ``tests/reference_decision.py``
+(the pre-change pairwise code), never ``approx``.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import Algorithm, PolicyConfig
+from repro.core.correlation import (
+    bucket_values,
+    distribution_similarity,
+    histogram_cosines,
+    histogram_edges,
+)
+from repro.core.policies import DfttPolicy, PolicyContext
+from repro.core.policies.dft import UNKNOWN_PEER_SIMILARITY
+from repro.core.summaries import SummaryUpdate
+from repro.dft.reconstruction import reconstruct_values
+from repro.dft.sliding import low_frequency_bins
+from repro.streams.tuples import StreamId, StreamTuple
+from tests.reference_decision import (
+    reference_distribution_similarity,
+    reference_join_estimate,
+)
+
+STREAMS = (StreamId.R, StreamId.S)
+SHAPES = ("uniform", "constant", "step", "edges", "narrow")
+FILLS = ("full", "half", "wrapped")
+
+
+def make_keys(shape, fill, window, domain, rng):
+    """One window's worth of keys of a named shape.
+
+    ``step`` (half the window at 1, half at ``domain``) rings well outside
+    ``[1, domain]`` once truncated; ``edges`` puts keys on and next to the
+    64-bin edges; ``half`` leaves the window half empty.
+    """
+    count = {"full": window, "half": window // 2, "wrapped": window + window // 3}[fill]
+    if shape == "uniform":
+        keys = rng.integers(1, domain + 1, size=count)
+    elif shape == "constant":
+        keys = np.full(count, int(rng.integers(1, domain + 1)))
+    elif shape == "step":
+        keys = np.where(np.arange(count) < count // 2, 1, domain)
+    elif shape == "edges":
+        edges = histogram_edges(domain)
+        near = np.concatenate([np.floor(edges), np.ceil(edges)])
+        keys = rng.choice(np.clip(near, 1, domain).astype(np.int64), size=count)
+    else:
+        center = int(rng.integers(1, domain + 1))
+        keys = np.clip(center + rng.integers(-3, 4, size=count), 1, domain)
+    return [int(key) for key in keys]
+
+
+def coefficient_map(keys, window, budget):
+    """What a peer holding ``keys`` (newest last) would have broadcast."""
+    values = np.zeros(window)
+    tail = keys[-window:]
+    values[: len(tail)] = tail
+    spectrum = np.fft.fft(values)
+    return {int(k): complex(spectrum[k]) for k in low_frequency_bins(window, budget)}
+
+
+@st.composite
+def scenarios(draw):
+    window = draw(st.integers(8, 256))
+    kappa = draw(st.sampled_from([1.0, 2.0, 4.0, 16.0, float(window)]))
+    domain = draw(st.integers(2, 5000).filter(lambda d: d % 64 != 0))
+    num_peers = draw(st.integers(1, 6))
+    rounds = draw(st.integers(1, 3))
+    window_kinds = st.tuples(st.sampled_from(SHAPES), st.sampled_from(FILLS))
+    script = []
+    for _ in range(rounds):
+        local = {stream: draw(window_kinds) for stream in STREAMS}
+        remote = {
+            (peer, stream): draw(
+                st.one_of(
+                    st.none(),
+                    st.tuples(window_kinds, st.sampled_from(["delta", "full"])),
+                )
+            )
+            for peer in range(1, num_peers + 1)
+            for stream in STREAMS
+        }
+        script.append((local, remote))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return window, kappa, domain, num_peers, script, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=scenarios())
+def test_policy_decision_equals_pairwise_reference(scenario):
+    window, kappa, domain, num_peers, script, seed = scenario
+    rng = np.random.default_rng(seed)
+    config = PolicyConfig(
+        algorithm=Algorithm.DFTT, kappa=kappa, summary_refresh_interval=1
+    )
+    peer_ids = tuple(range(1, num_peers + 1))
+    policy = DfttPolicy(
+        PolicyContext(
+            node_id=0,
+            peer_ids=peer_ids,
+            window_size=window,
+            domain=domain,
+            config=config,
+            rng=np.random.default_rng(seed),
+        )
+    )
+    budget = config.summary_budget(window)
+    versions = {}
+    arrival = 0
+    for local, remote in script:
+        probes = [1, domain]
+        for (peer, stream), plan in remote.items():
+            if plan is None:
+                continue
+            (shape, fill), mode = plan
+            keys = make_keys(shape, fill, window, domain, rng)
+            probes.extend(keys[:2])
+            payload = coefficient_map(keys, window, budget)
+            if mode == "delta":  # a delta re-sends only some of the bins
+                payload = {k: v for k, v in payload.items() if rng.random() < 0.6 or k == 0}
+            version = versions[(peer, stream)] = versions.get((peer, stream), 0) + 1
+            policy.on_remote_summary(
+                peer,
+                SummaryUpdate(
+                    "dft", stream, version, window, len(payload), payload, mode == "full"
+                ),
+            )
+        for stream, (shape, fill) in local.items():
+            keys = make_keys(shape, fill, window, domain, rng)
+            probes.extend(keys[:2])
+            for key in keys:
+                policy.on_local_insert(StreamTuple(stream, key, 0, arrival), [])
+                arrival += 1
+
+        for stream in STREAMS:
+            other = stream.other
+            local_map = policy.managers[stream].local_coefficients()
+            expected = {
+                peer: UNKNOWN_PEER_SIMILARITY
+                if policy.remote.get(peer, other) is None
+                else reference_distribution_similarity(
+                    local_map, policy.remote.get(peer, other), window, domain
+                )
+                for peer in peer_ids
+            }
+            assert policy.peer_similarities(stream) == expected
+            for key in probes:
+                item = StreamTuple(stream, key, 0, arrival)
+                estimates = policy.join_estimates(item)
+                tolerance = policy.match_tolerance(other)
+                assert estimates == {
+                    peer: reference_join_estimate(
+                        policy.remote.get(peer, other), window, key, tolerance
+                    )
+                    for peer in peer_ids
+                }
+                assert all(
+                    policy.join_estimate(item, peer) == estimates[peer]
+                    for peer in peer_ids
+                )
+
+    # A handed-out reconstruction is the caller's: scribbling on it must
+    # not reach the table a later decision reads.
+    for peer, stream in versions:
+        expected = np.sort(
+            reconstruct_values(policy.remote.get(peer, stream), window, round_to_int=False)
+        )
+        handed_out = policy.reconstructed_window(peer, stream)
+        assert np.array_equal(handed_out, expected)
+        handed_out[:] = -1.0
+        assert np.array_equal(policy.reconstructed_window(peer, stream), expected)
+
+
+@st.composite
+def bucketing_cases(draw):
+    domain = draw(st.integers(1, 5000))
+    num_bins = draw(st.integers(1, 100))
+    edges = histogram_edges(domain, num_bins)
+    on_edge = st.sampled_from(edges.tolist())
+    beside_edge = st.builds(
+        lambda edge, up: float(np.nextafter(edge, np.inf if up else -np.inf)),
+        on_edge,
+        st.booleans(),
+    )
+    anywhere = st.floats(min_value=-2.0 * domain, max_value=3.0 * domain)
+    values = draw(st.lists(st.one_of(on_edge, beside_edge, anywhere), max_size=64))
+    return domain, num_bins, np.asarray(values, dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=bucketing_cases())
+def test_bucketing_is_np_histogram(case):
+    domain, num_bins, values = case
+    expected, _ = np.histogram(
+        np.clip(values, 1, domain), bins=num_bins, range=(1, domain + 1)
+    )
+    bucketed = bucket_values(values, histogram_edges(domain, num_bins))
+    assert bucketed.dtype == np.float64
+    assert np.array_equal(bucketed, expected)
+
+
+counts = st.integers(min_value=0, max_value=256)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    local=st.one_of(st.just([0] * 8), st.lists(counts, min_size=8, max_size=8)),
+    stack=st.lists(
+        st.one_of(st.just([0] * 8), st.lists(counts, min_size=8, max_size=8)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_batched_cosines_equal_pairwise_floats(local, stack):
+    """All-zero histograms included: a cosine against nothing is 0."""
+    local = np.asarray(local, dtype=np.float64)
+    stack = np.asarray(stack, dtype=np.float64)
+
+    def pairwise(x_hist, y_hist):  # the tail of the reference, verbatim
+        x_norm = np.linalg.norm(x_hist)
+        y_norm = np.linalg.norm(y_hist)
+        if x_norm == 0.0 or y_norm == 0.0:
+            return 0.0
+        return float(np.clip(np.dot(x_hist, y_hist) / (x_norm * y_norm), 0.0, 1.0))
+
+    assert histogram_cosines(local, stack).tolist() == [
+        pairwise(local, row) for row in stack
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    window=st.integers(8, 128),
+    domain=st.integers(1, 3000),
+    shapes=st.tuples(st.sampled_from(SHAPES), st.sampled_from(SHAPES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_public_pairwise_function_is_unchanged(window, domain, shapes, seed):
+    rng = np.random.default_rng(seed)
+    budget = max(1, window // 4)
+    x_map, y_map = (
+        coefficient_map(make_keys(shape, "full", window, domain, rng), window, budget)
+        for shape in shapes
+    )
+    assert distribution_similarity(
+        x_map, y_map, window, domain
+    ) == reference_distribution_similarity(x_map, y_map, window, domain)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.config import Algorithm, PolicyConfig
-from repro.core.flow import FlowSettings
+from repro.core import correlation
+from repro.core.flow import FlowController, FlowSettings
 from repro.core.policies import (
     BloomPolicy,
     BroadcastPolicy,
@@ -13,11 +14,16 @@ from repro.core.policies import (
     PolicyContext,
     RoundRobinPolicy,
     SketchPolicy,
+    dftt,
     make_policy,
     make_shared_state,
 )
+from repro.core.policies.dft import UNKNOWN_PEER_SIMILARITY
+from repro.core.summaries import DftSummaryManager, SummaryOutbox, SummaryUpdate
+from repro.dft.reconstruction import reconstruct_values
 from repro.errors import ConfigurationError
 from repro.streams.tuples import StreamId, StreamTuple
+from tests.reference_decision import reference_distribution_similarity
 
 WINDOW = 32
 DOMAIN = 1024
@@ -42,6 +48,18 @@ def make_tuple(key, stream=StreamId.R, index=0):
 def feed(policy, keys, stream=StreamId.R):
     for index, key in enumerate(keys):
         policy.on_local_insert(make_tuple(key, stream, index), [])
+
+
+def window_map(center, seed, bins=8):
+    """Coefficients of a remote window of keys within +-5 of ``center``."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(center - 5, center + 5, size=WINDOW).astype(float)
+    spectrum = np.fft.fft(values)
+    return {k: complex(spectrum[k]) for k in range(bins)}
+
+
+def dft_update(payload, version, stream=StreamId.S, full=False):
+    return SummaryUpdate("dft", stream, version, WINDOW, len(payload), payload, full)
 
 
 class TestPolicyContext:
@@ -138,18 +156,8 @@ class TestDftPolicy:
         # Local R window lives around 100.
         feed(policy, [100 + (i % 5) for i in range(WINDOW)], stream=StreamId.R)
 
-        def remote_map(center, seed):
-            rng = np.random.default_rng(seed)
-            values = rng.integers(center - 5, center + 5, size=WINDOW).astype(float)
-            spectrum = np.fft.fft(values)
-            return {k: complex(spectrum[k]) for k in range(8)}
-
-        from repro.core.summaries import SummaryUpdate
-
-        near = SummaryUpdate("dft", StreamId.S, 1, WINDOW, 8, remote_map(100, 1), False)
-        far = SummaryUpdate("dft", StreamId.S, 1, WINDOW, 8, remote_map(900, 2), False)
-        policy.on_remote_summary(1, near)
-        policy.on_remote_summary(2, far)
+        policy.on_remote_summary(1, dft_update(window_map(100, 1), version=1))
+        policy.on_remote_summary(2, dft_update(window_map(900, 2), version=1))
         similarities = policy.peer_similarities(StreamId.R)
         assert similarities[1] > similarities[2]
 
@@ -172,8 +180,6 @@ class TestDfttPolicy:
         context = make_context(Algorithm.DFTT, num_nodes=num_nodes, summary_refresh_interval=4)
         policy = DfttPolicy(context)
         feed(policy, [center + (i % 3) for i in range(WINDOW)], stream=StreamId.R)
-        from repro.core.summaries import SummaryUpdate
-
         values = np.full(WINDOW, float(center))
         spectrum = np.fft.fft(values)
         payload = {k: complex(spectrum[k]) for k in range(8)}
@@ -206,6 +212,215 @@ class TestDfttPolicy:
     def test_match_tolerance_floor(self):
         policy = self._policy_with_remote()
         assert policy.match_tolerance(StreamId.R) >= 0.5
+
+
+def count_calls(monkeypatch, module):
+    """Record the inputs of ``reconstruct_values`` calls made through
+    ``module``'s global (the name ``benchmarks/e2e`` patches too)."""
+    original = module.reconstruct_values
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "reconstruct_values", counting)
+    return calls
+
+
+class TestDerivedRowsFollowTheirSlot:
+    """What DFT/DFTT derive from a remote coefficient map is kept until
+    that map changes -- so the failure mode is staleness."""
+
+    def _policy(self):
+        context = make_context(Algorithm.DFTT, num_nodes=4, summary_refresh_interval=4)
+        policy = DfttPolicy(context)
+        feed(policy, [100 + (i % 5) for i in range(WINDOW)], stream=StreamId.R)
+        policy.on_remote_summary(1, dft_update(window_map(100, 1), version=1))
+        policy.on_remote_summary(2, dft_update(window_map(300, 2), version=1))
+        return policy
+
+    def _expected_similarity(self, policy, peer):
+        return reference_distribution_similarity(
+            policy.managers[StreamId.R].local_coefficients(),
+            policy.remote.get(peer, StreamId.S),
+            WINDOW,
+            DOMAIN,
+        )
+
+    def _expected_window(self, policy, peer):
+        return np.sort(
+            reconstruct_values(
+                policy.remote.get(peer, StreamId.S), WINDOW, round_to_int=False
+            )
+        )
+
+    def test_delta_rederives_only_the_slot_it_changed(self, monkeypatch):
+        policy = self._policy()
+        before = dict(policy.peer_similarities(StreamId.R))
+        window_1 = policy.reconstructed_window(1, StreamId.S)
+        window_2 = policy.reconstructed_window(2, StreamId.S)
+        assert policy.reconstruction_refreshes == 2
+        histogram_inputs = count_calls(monkeypatch, correlation)
+        window_inputs = count_calls(monkeypatch, dftt)
+
+        policy.on_remote_summary(2, dft_update({0: 100.0 * WINDOW + 0j}, version=2))
+
+        after = policy.peer_similarities(StreamId.R)
+        assert after[1] == before[1]
+        assert after[2] != before[2]
+        assert after[2] == self._expected_similarity(policy, 2)
+        assert after[3] == UNKNOWN_PEER_SIMILARITY
+        # The local window and peer 2's: peer 1's histogram was not rebuilt.
+        assert len(histogram_inputs) == 2
+        assert policy.remote.get(1, StreamId.S) not in histogram_inputs
+        assert np.array_equal(policy.reconstructed_window(1, StreamId.S), window_1)
+        changed = policy.reconstructed_window(2, StreamId.S)
+        assert not np.array_equal(changed, window_2)
+        assert np.array_equal(changed, self._expected_window(policy, 2))
+        assert window_inputs == [policy.remote.get(2, StreamId.S)]
+        assert policy.reconstruction_refreshes == 3
+
+    def test_older_version_is_dropped_and_invalidates_nothing(self, monkeypatch):
+        policy = self._policy()
+        policy.on_remote_summary(1, dft_update(window_map(100, 1), version=5))
+        similarities = policy.peer_similarities(StreamId.R)
+        window = policy.reconstructed_window(1, StreamId.S)
+        refreshes = policy.reconstruction_refreshes
+        histogram_inputs = count_calls(monkeypatch, correlation)
+        window_inputs = count_calls(monkeypatch, dftt)
+
+        for stale_version in (5, 2):
+            policy.on_remote_summary(
+                1, dft_update(window_map(900, 9), version=stale_version)
+            )
+
+        assert policy.peer_similarities(StreamId.R) is similarities
+        assert np.array_equal(policy.reconstructed_window(1, StreamId.S), window)
+        assert policy.reconstruction_refreshes == refreshes
+        assert histogram_inputs == [] and window_inputs == []
+
+    def test_full_state_resync_replaces_the_row(self):
+        policy = self._policy()
+        policy.peer_similarities(StreamId.R)
+        policy.reconstructed_window(1, StreamId.S)
+        snapshot = {0: 900.0 * WINDOW + 0j}
+
+        policy.on_remote_summary(1, dft_update(snapshot, version=2, full=True))
+
+        # Derived from the snapshot alone, not merged over the old bins.
+        assert policy.remote.get(1, StreamId.S) == snapshot
+        assert policy.peer_similarities(StreamId.R)[1] == self._expected_similarity(
+            policy, 1
+        )
+        assert np.array_equal(
+            policy.reconstructed_window(1, StreamId.S), np.full(WINDOW, 900.0)
+        )
+
+    def test_restore_forgets_every_derived_row(self):
+        policy = self._policy()
+        item = make_tuple(100, StreamId.R)
+        assert policy.join_estimate(item, 1) > 0
+        assert policy.peer_similarities(StreamId.R)[1] > 0.5
+        state = policy.checkpoint_state()
+
+        policy.restore_state(state)
+
+        assert set(policy.peer_similarities(StreamId.R).values()) == {
+            UNKNOWN_PEER_SIMILARITY
+        }
+        assert policy.join_estimates(item) == {1: None, 2: None, 3: None}
+        assert policy.reconstructed_window(1, StreamId.S) is None
+
+        # The rolled-back sender: peer 1 re-uses version 1 for different
+        # coefficients.  A row remembered by version alone would survive.
+        policy.on_remote_summary(1, dft_update(window_map(900, 3), version=1))
+
+        similarities = policy.peer_similarities(StreamId.R)
+        assert similarities[1] == self._expected_similarity(policy, 1)
+        assert similarities[1] < 0.5
+        assert similarities[2] == similarities[3] == UNKNOWN_PEER_SIMILARITY
+        assert policy.join_estimates(item) == {1: 0, 2: None, 3: None}
+        assert np.array_equal(
+            policy.reconstructed_window(1, StreamId.S),
+            self._expected_window(policy, 1),
+        )
+
+
+def run_dftt_script(num_nodes, inserts, remote_updates, seed=5):
+    """Node 0's DFTT policy through ``inserts`` local arrivals (one decision
+    each) while its peers broadcast ``remote_updates`` coefficient deltas,
+    evenly interleaved.  Keys cluster per node for the first half of the
+    run and are uniform for the second, so estimates hit, then miss, then
+    the worst-case detector fires."""
+    rng = np.random.default_rng(seed)
+    policy = DfttPolicy(
+        make_context(Algorithm.DFTT, num_nodes, seed, summary_refresh_interval=8)
+    )
+    budget = policy.context.config.summary_budget(WINDOW)
+    slots = [
+        (peer, stream) for peer in policy.peer_ids for stream in (StreamId.R, StreamId.S)
+    ]
+    managers = {
+        slot: DftSummaryManager(slot[1], WINDOW, budget, 10**9, 0.05, SummaryOutbox([0]))
+        for slot in slots
+    }
+
+    def keys(node, count, skewed):
+        if skewed:
+            center = 200 * (node % 3 + 1)
+            return np.clip(center + rng.integers(-4, 5, size=count), 1, DOMAIN)
+        return rng.integers(1, DOMAIN + 1, size=count)
+
+    every = inserts // remote_updates
+    sent = 0
+    for index in range(inserts):
+        skewed = index < inserts // 2
+        stream = (StreamId.R, StreamId.S)[index % 2]
+        item = make_tuple(int(keys(0, 1, skewed)[0]), stream, index)
+        policy.on_local_insert(item, [])
+        policy.choose_destinations(item)
+        if index % every == every - 1 and sent < remote_updates:
+            peer, _ = slot = slots[sent % len(slots)]
+            for key in keys(peer, WINDOW // 2, skewed):
+                managers[slot].observe(int(key))
+            update = managers[slot].refresh()
+            assert update is not None
+            policy.on_remote_summary(peer, update)
+            sent += 1
+    assert sent == remote_updates
+    return policy
+
+
+class TestDecisionCost:
+    def test_scripted_diagnostics_match_the_pairwise_implementation(self):
+        """Values recorded by running this script on the commit before the
+        per-slot rows (PR 17): the lazy refresh must count what the dirty
+        bit counted, worst-case stretches that skip the read included."""
+        diagnostics = run_dftt_script(4, 400, 80).diagnostics()
+        assert diagnostics["reconstruction_refreshes"] == 56
+        assert diagnostics["estimate_hits"] == 210
+        assert diagnostics["estimate_misses"] == 24
+        assert diagnostics["uniform_detections"] == 64
+
+    def test_inverse_dfts_scale_with_changes_not_with_peers(self, monkeypatch):
+        """A gate in counts: one histogram + one sorted window per applied
+        remote update, one local histogram + one tolerance calibration per
+        similarity rebuild.  Per-peer recomputation (2 x peers x rebuilds:
+        767 calls on this script before PR 19) trips it on any machine."""
+        calls = count_calls(monkeypatch, correlation)
+        calls_dftt = count_calls(monkeypatch, dftt)
+        rebuilds = []
+        original = FlowController.probabilities
+
+        def counting(controller, similarities):
+            rebuilds.append(1)
+            return original(controller, similarities)
+
+        monkeypatch.setattr(FlowController, "probabilities", counting)
+        run_dftt_script(6, 200, 40)
+        assert len(rebuilds) > 40
+        assert len(calls) + len(calls_dftt) <= 40 * 2 + len(rebuilds) * 2
 
 
 class TestBloomPolicy:

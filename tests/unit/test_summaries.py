@@ -93,15 +93,6 @@ class TestRemoteSummaryTable:
         table.apply(1, make_update(version=2, payload={5: 5j}, full=True))
         assert table.get(1, StreamId.R) == {5: 5j}
 
-    def test_dirty_tracking(self):
-        table = RemoteSummaryTable()
-        table.apply(1, make_update(version=1))
-        assert table.is_dirty(1, StreamId.R)
-        table.clear_dirty(1, StreamId.R)
-        assert not table.is_dirty(1, StreamId.R)
-        table.apply(1, make_update(version=2))
-        assert table.is_dirty(1, StreamId.R)
-
     def test_known_peers_by_stream(self):
         table = RemoteSummaryTable()
         table.apply(1, make_update(stream=StreamId.R))
