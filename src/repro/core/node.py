@@ -244,6 +244,7 @@ class JoinProcessingNode:
             oracle=oracle,
             collector=collector,
         )
+        self._query_order = tuple(sorted(self._queries))
         if getattr(self, "recovery_settings", None) is not None:
             # Query 0 arrives from the constructor before the recovery
             # settings exist; the constructor re-runs the installation.
@@ -274,7 +275,7 @@ class JoinProcessingNode:
 
     @property
     def query_ids(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._queries))
+        return self._query_order
 
     # Single-query conveniences (the common case and the test surface).
 
@@ -1327,7 +1328,7 @@ class JoinProcessingNode:
     def _take_pending_updates(self, destination: int) -> List[Tuple[int, object]]:
         """Drain every query's outbox for ``destination`` (shared channel)."""
         updates: List[Tuple[int, object]] = []
-        for query_id in sorted(self._queries):
+        for query_id in self._query_order:
             for update in self._queries[query_id].policy.outbox.take(destination):
                 updates.append((query_id, update))
         return updates

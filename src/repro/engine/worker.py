@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import os
 import traceback
+from functools import partial
 from typing import Dict
 
 
@@ -64,7 +65,6 @@ def shard_worker(conn, config, shard, shards, env, profile) -> None:
 def _worker_loop(conn, config, shard, shards, env, profile) -> None:
     _sync_env(env)
     from repro.core.system import DistributedJoinSystem
-    from repro.net.simulator import Event
     from repro.net.stats import TrafficStats
     from repro.profiling import KernelProfiler
 
@@ -128,16 +128,11 @@ def _worker_loop(conn, config, shard, shards, env, profile) -> None:
         if tag == "round":
             until, inbound = payload
             for arrival, key, (source, destination), message in inbound:
-                link = network.link(source, destination)
-                scheduler.enqueue_event(
-                    Event(
-                        time=arrival,
-                        phase=1,
-                        rank=key[0],
-                        seq=key[1],
-                        callback=lambda m=message, l=link: l._arrive(m),
-                        home=destination,
-                    )
+                scheduler.schedule_at(
+                    arrival,
+                    partial(network.link(source, destination)._arrive, message),
+                    key=key,
+                    home=destination,
                 )
             scheduler.run_window(until)
             conn.send(

@@ -427,7 +427,8 @@ class FaultInjector:
 
     Activation and deactivation are plain scheduled events, so the whole
     fault timeline participates in the simulator's deterministic ordering.
-    Queries are O(active events) -- plans are small by construction.
+    Queries are O(active events) -- plans are small by construction --
+    and answer the neutral value at once while nothing is active.
     """
 
     def __init__(self, plan: FaultPlan, num_nodes: int) -> None:
@@ -463,6 +464,8 @@ class FaultInjector:
 
     def node_down(self, node_id: int) -> bool:
         """Whether ``node_id`` is currently crashed."""
+        if not self._active:
+            return False
         return any(
             event.kind is FaultKind.NODE_CRASH and node_id in event.nodes
             for event in self._active
@@ -474,12 +477,16 @@ class FaultInjector:
         Restartable crashes (``downtime_s > 0``) take the recovery path:
         local arrivals are logged for replay instead of being discarded.
         """
+        if not self._active:
+            return False
         return any(
             event.restartable and node_id in event.nodes for event in self._active
         )
 
     def link_blocked(self, source: int, destination: int) -> bool:
         """Whether the directed link is severed (outage, partition, crash)."""
+        if not self._active:
+            return False
         for event in self._active:
             if event.kind in (
                 FaultKind.LINK_OUTAGE,
@@ -491,6 +498,8 @@ class FaultInjector:
 
     def extra_loss(self, source: int, destination: int) -> float:
         """Additional drop probability currently applied to the link."""
+        if not self._active:
+            return 0.0
         survival = 1.0
         for event in self._active:
             if event.kind is FaultKind.LOSS_BURST and event.affects_link(
@@ -505,6 +514,8 @@ class FaultInjector:
         The product over active OVERLOAD windows covering the node;
         1.0 when none are active.
         """
+        if not self._active:
+            return 1.0
         factor = 1.0
         for event in self._active:
             if event.kind is FaultKind.OVERLOAD and node_id in event.nodes:
@@ -513,6 +524,8 @@ class FaultInjector:
 
     def extra_latency(self, source: int, destination: int) -> float:
         """Additional propagation delay currently applied to the link."""
+        if not self._active:
+            return 0  # what ``sum`` of nothing returns below
         return sum(
             event.extra_latency_s
             for event in self._active

@@ -41,7 +41,6 @@ and DFT coefficients to be the same").
 
 _message_ids = itertools.count()
 
-
 class MessageKind(enum.Enum):
     """Wire-level message categories, used for traffic accounting."""
 
@@ -72,7 +71,17 @@ class MessageKind(enum.Enum):
     for the full-snapshot size; see repro.recovery.delta)."""
 
 
-@dataclass
+_BODY_BYTES = {
+    MessageKind.TUPLE.value: TUPLE_KEY_BYTES + TUPLE_PAYLOAD_BYTES,
+    MessageKind.RESULT.value: TUPLE_KEY_BYTES + TUPLE_PAYLOAD_BYTES,
+    MessageKind.CONTROL.value: TUPLE_KEY_BYTES,
+}
+"""Tuple/result/control body by kind *value* (a string hashes in C, an
+enum member through a Python ``__hash__``); every other kind is
+header-only apart from its summary entries."""
+
+
+@dataclass(slots=True)
 class Message:
     """A simulated network message.
 
@@ -80,6 +89,10 @@ class Message:
     fragments); their bytes are accounted to the *summary* category even when
     they ride on a TUPLE message, which is how Figure 8 separates overhead
     from net data.
+
+    ``kind`` and ``summary_entries`` are fixed at construction: the wire
+    size and the kind's accounting label are worked out once, there, and
+    every send, statistics record and sender pause reads them back.
     """
 
     kind: MessageKind
@@ -87,20 +100,29 @@ class Message:
     destination: int
     payload: Any = None
     summary_entries: int = 0
-    message_id: int = field(default_factory=lambda: next(_message_ids))
+    message_id: int = field(default_factory=_message_ids.__next__)
     created_at: Optional[float] = None
     seq: Optional[int] = None
     """Reliable-channel sequence number (None for best-effort traffic);
     on ACK messages, the sequence number being acknowledged.  Rides in the
     fixed header, so it adds no modeled bytes."""
+    kind_name: str = field(init=False, repr=False, compare=False)
+    """``kind.value``, the label traffic accounting keys by."""
+    _size_bytes: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # ``_value_`` is the plain attribute behind ``Enum.value``, whose
+        # descriptor costs a Python call per read.
+        self.kind_name = name = self.kind._value_
+        self._size_bytes = (
+            HEADER_BYTES
+            + _BODY_BYTES.get(name, 0)
+            + self.summary_entries * SUMMARY_COEFFICIENT_BYTES
+        )
 
     def tuple_bytes(self) -> int:
         """Bytes attributable to the tuple/result/control body."""
-        if self.kind in (MessageKind.TUPLE, MessageKind.RESULT):
-            return TUPLE_KEY_BYTES + TUPLE_PAYLOAD_BYTES
-        if self.kind == MessageKind.CONTROL:
-            return TUPLE_KEY_BYTES
-        return 0
+        return _BODY_BYTES.get(self.kind_name, 0)
 
     def summary_bytes(self) -> int:
         """Bytes attributable to summary content (piggy-backed or standalone)."""
@@ -108,4 +130,4 @@ class Message:
 
     def size_bytes(self) -> int:
         """Total on-the-wire size."""
-        return HEADER_BYTES + self.tuple_bytes() + self.summary_bytes()
+        return self._size_bytes

@@ -4,7 +4,9 @@ The scheduler is the clock of the simulated WAN.  Components schedule
 callbacks at absolute or relative simulated times; :meth:`EventScheduler.run`
 drains the event queue in time order.
 
-Ordering contract.  Events order by ``(time, phase, rank, seq)``:
+Ordering contract.  Events order by ``(time, phase, rank, seq)``, and two
+events whose four values are all equal fire in the order they were
+scheduled:
 
 * **phase 0** -- events scheduled without an explicit key (all
   construction-time scheduling: workload arrivals, heartbeat ticks,
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -70,35 +72,51 @@ class EventKeySource:
         return key
 
 
-@dataclass(order=True)
-class Event:
-    """A scheduled callback.
+_TIME, _PHASE, _RANK, _SEQ, _TIE, _CALLBACK, _MATERIAL, _HOME, _CANCELLED, _OWNER = range(10)
 
-    Events order by ``(time, phase, rank, seq)`` -- see the module
-    docstring for the phase/rank/seq contract.
+
+class Event(list):
+    """A scheduled callback, and its own entry in the scheduler's heap.
+
+    An event *is* the list ``[time, phase, rank, seq, tie, callback,
+    material, home, cancelled, owner]``, so the heap orders events with
+    the interpreter's C list comparison instead of a Python ``__lt__``
+    (see the module docstring for the phase/rank/seq contract).  ``tie``
+    is the scheduler's insertion counter: it is unique per scheduler, so
+    a comparison is always decided at or before it and never reaches the
+    callback, and events with equal ``(time, phase, rank, seq)`` fire in
+    insertion order.  Only :meth:`EventScheduler.schedule_at` builds
+    events; everyone else reads the fields by name.
     """
 
-    time: float
-    phase: int
-    rank: int
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    material: bool = field(default=True, compare=False)
-    home: Optional[int] = field(default=None, compare=False)
-    owner: Optional["EventScheduler"] = field(default=None, compare=False, repr=False)
+    __slots__ = ()
+
+    time = property(itemgetter(_TIME))
+    phase = property(itemgetter(_PHASE))
+    rank = property(itemgetter(_RANK))
+    seq = property(itemgetter(_SEQ))
+    callback = property(itemgetter(_CALLBACK))
+    material = property(itemgetter(_MATERIAL))
+    home = property(itemgetter(_HOME))
+    cancelled = property(itemgetter(_CANCELLED))
 
     @property
     def sort_key(self) -> Tuple[float, int, int, int]:
-        return (self.time, self.phase, self.rank, self.seq)
+        return tuple(self[:_TIE])
 
     def cancel(self) -> None:
         """Mark the event so the scheduler skips it when its time comes."""
-        if self.cancelled:
+        if self[_CANCELLED]:
             return
-        self.cancelled = True
-        if self.owner is not None:
-            self.owner._note_cancelled()
+        self[_CANCELLED] = True
+        self[_OWNER]._note_cancelled()
+
+    def __repr__(self) -> str:
+        return (
+            "Event(time=%r, phase=%r, rank=%r, seq=%r, callback=%r, "
+            "cancelled=%r, material=%r, home=%r)"
+            % (*self.sort_key, self.callback, self.cancelled, self.material, self.home)
+        )
 
 
 class EventScheduler:
@@ -118,6 +136,10 @@ class EventScheduler:
     def __init__(self) -> None:
         self._queue: list[Event] = []
         self._sequence = itertools.count()
+        """Phase-0 ``seq`` values: counts unkeyed events only, so a
+        sharded worker mints the same ones as the serial engine."""
+        self._insertions = itertools.count()
+        """Every event's ``tie`` (see :class:`Event`)."""
         self._now = 0.0
         self._material_now = 0.0
         self._running = False
@@ -131,10 +153,7 @@ class EventScheduler:
         """Whether ``home=None`` events increment :attr:`events_processed`.
         The sharded engine replicates global events on every shard and
         counts them on shard 0 only, so the merged total matches serial."""
-        self.current_key: Optional[Tuple[float, int, int, int]] = None
-        """Sort key of the currently executing event (``None`` outside the
-        loop).  Telemetry stamps emissions with it to define a canonical
-        cross-shard event order."""
+        self._current: Optional[Event] = None
         self._home_filtered = False
         """Set by :meth:`retain_events`: the queue was pruned to a home
         subset, so :meth:`pending_accountable` must filter rather than
@@ -154,6 +173,13 @@ class EventScheduler:
         run's reported duration is identical with telemetry on or off.
         """
         return self._material_now
+
+    @property
+    def current_key(self) -> Optional[Tuple[float, int, int, int]]:
+        """Sort key of the currently executing event (``None`` outside the
+        loop).  Telemetry stamps emissions with it to define a canonical
+        cross-shard event order."""
+        return None if self._current is None else self._current.sort_key
 
     @property
     def events_processed(self) -> int:
@@ -230,27 +256,14 @@ class EventScheduler:
                 "cannot schedule at t=%g; clock is already at t=%g" % (time, self._now)
             )
         if key is None:
-            event = Event(
-                time=time,
-                phase=0,
-                rank=0,
-                seq=next(self._sequence),
-                callback=callback,
-                material=material,
-                home=home,
-                owner=self,
-            )
+            phase, rank, seq = 0, 0, next(self._sequence)
         else:
-            event = Event(
-                time=time,
-                phase=1,
-                rank=key[0],
-                seq=key[1],
-                callback=callback,
-                material=material,
-                home=home,
-                owner=self,
-            )
+            phase = 1
+            rank, seq = key
+        event = Event(
+            (time, phase, rank, seq, next(self._insertions),
+             callback, material, home, False, self)
+        )
         heapq.heappush(self._queue, event)
         return event
 
@@ -265,21 +278,7 @@ class EventScheduler:
         """Schedule ``callback`` after ``delay`` seconds of simulated time."""
         if delay < 0:
             raise SimulationError("delay must be non-negative, got %g" % delay)
-        return self.schedule_at(
-            self._now + delay, callback, material=material, key=key, home=home
-        )
-
-    def enqueue_event(self, event: Event) -> None:
-        """Insert a fully-formed event (the sharded engine's cross-shard
-        arrival path: the key was minted at the source shard and must be
-        preserved verbatim)."""
-        if event.time < self._now:
-            raise SimulationError(
-                "cannot enqueue at t=%g; clock is already at t=%g"
-                % (event.time, self._now)
-            )
-        event.owner = self
-        heapq.heappush(self._queue, event)
+        return self.schedule_at(self._now + delay, callback, material, key, home)
 
     def retain_events(self, predicate: Callable[[Event], bool]) -> int:
         """Keep only events matching ``predicate``; returns removed count.
@@ -308,44 +307,50 @@ class EventScheduler:
         return self._queue[0].time if self._queue else None
 
     def _execute(self, event: Event) -> None:
-        self._now = event.time
-        if event.material:
-            self._material_now = event.time
-        self.current_key = event.sort_key
-        event.callback()
-        if event.home is not None or self.count_global_events:
+        time, _, _, _, _, callback, material, home, _, _ = event
+        self._now = time
+        if material:
+            self._material_now = time
+        self._current = event
+        callback()
+        if home is not None or self.count_global_events:
             self._events_processed += 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Drain the event queue.
 
-        Runs until the queue is empty, the next event lies beyond ``until``
-        (the clock is then advanced to ``until``), or ``max_events``
-        callbacks have executed.  Returns the simulated time at exit.
+        Runs until the queue is empty or the next event lies beyond
+        ``until`` (either way the clock is then advanced to ``until``), or
+        until ``max_events`` callbacks have executed while events at or
+        before ``until`` remain (the clock then stays at the last one
+        executed).  Returns the simulated time at exit.
         """
         if self._running:
             raise SimulationError("scheduler is not reentrant")
         self._running = True
+        horizon = float("inf") if until is None else until
+        budget = float("inf") if max_events is None else max_events
         executed = 0
         try:
-            while self._queue:
-                if max_events is not None and executed >= max_events:
+            while True:
+                # A callback may compact the heap, which rebinds the list.
+                queue = self._queue
+                if not queue or queue[0][_TIME] > horizon:
+                    if until is not None and self._now < until:
+                        self._now = until
+                        self._material_now = until
                     break
-                event = self._queue[0]
-                if until is not None and event.time > until:
+                if executed >= budget:
                     break
-                heapq.heappop(self._queue)
-                if event.cancelled:
+                event = heapq.heappop(queue)
+                if event[_CANCELLED]:
                     self._cancelled_pending -= 1
                     continue
                 self._execute(event)
                 executed += 1
-            if until is not None and self._now < until:
-                self._now = until
-                self._material_now = until
         finally:
             self._running = False
-            self.current_key = None
+            self._current = None
         return self._now
 
     def run_window(self, until: float) -> int:
@@ -363,19 +368,19 @@ class EventScheduler:
         self._running = True
         executed = 0
         try:
-            while self._queue:
-                event = self._queue[0]
-                if event.time >= until:
+            while True:
+                queue = self._queue
+                if not queue or queue[0][_TIME] >= until:
                     break
-                heapq.heappop(self._queue)
-                if event.cancelled:
+                event = heapq.heappop(queue)
+                if event[_CANCELLED]:
                     self._cancelled_pending -= 1
                     continue
                 self._execute(event)
                 executed += 1
         finally:
             self._running = False
-            self.current_key = None
+            self._current = None
         return executed
 
     def step(self) -> bool:
@@ -389,6 +394,6 @@ class EventScheduler:
                 self._cancelled_pending -= 1
                 continue
             self._execute(event)
-            self.current_key = None
+            self._current = None
             return True
         return False

@@ -31,11 +31,13 @@ class TrafficStats:
 
     def record(self, message: Message) -> None:
         """Account one sent message."""
-        kind = message.kind.value
+        kind = message.kind_name
+        size = message.size_bytes()
+        summary = message.summary_bytes()
         self.messages_by_kind[kind] += 1
-        self.bytes_by_kind[kind] += message.size_bytes()
-        self.summary_bytes += message.summary_bytes()
-        self.net_data_bytes += message.size_bytes() - message.summary_bytes()
+        self.bytes_by_kind[kind] += size
+        self.summary_bytes += summary
+        self.net_data_bytes += size - summary
         self.summary_entries += message.summary_entries
 
     def record_loss(self, message: Message) -> None:
@@ -47,7 +49,7 @@ class TrafficStats:
         """
         self.messages_lost += 1
         self.bytes_lost += message.size_bytes()
-        self.lost_by_kind[message.kind.value] += 1
+        self.lost_by_kind[message.kind_name] += 1
 
     @property
     def total_messages(self) -> int:

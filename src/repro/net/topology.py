@@ -127,7 +127,8 @@ class Network:
     def link(self, source: int, destination: int) -> Link:
         """The (lazily created) unidirectional link ``source -> destination``."""
         key = (source, destination)
-        if key not in self._links:
+        link = self._links.get(key)
+        if link is None:
             if source not in self._endpoints or destination not in self._endpoints:
                 raise SimulationError(
                     "link %d->%d references unregistered endpoint" % key
@@ -159,7 +160,7 @@ class Network:
             if self.link_router_factory is not None:
                 link.router = self.link_router_factory(source, destination)
             self._links[key] = link
-        return self._links[key]
+        return link
 
     _PRE_RUN_KEY = (float("-inf"), -1, -1, -1)
     """Rank for sends outside event execution (construction time), which
@@ -176,7 +177,7 @@ class Network:
         self._send_seq += 1
 
     def _record_loss(self, message: Message) -> None:
-        self._first_seen(self.loss_order, message.kind.value)
+        self._first_seen(self.loss_order, message.kind_name)
         self.stats.record_loss(message)
         sender_stats = self.per_sender_stats.get(message.source)
         if sender_stats is not None:
@@ -198,7 +199,7 @@ class Network:
             raise SimulationError("a node does not message itself")
         link = self.link(message.source, message.destination)
         arrival = link.send(message)
-        self._first_seen(self.kind_order, message.kind.value)
+        self._first_seen(self.kind_order, message.kind_name)
         self.stats.record(message)
         self.per_sender_stats[message.source].record(message)
         if self.trace is not None:

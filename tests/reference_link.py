@@ -1,75 +1,33 @@
-"""Point-to-point links with WAN characteristics.
+"""The pre-PR-20 link, with one scalar RNG call per draw, kept as the tests' oracle.
 
-The paper's testbed imposes 20-100 ms latency per message and pauses the
-sender for one second for every 90 kilobits transmitted, i.e. a 90 kbps
-serialization rate.  :class:`Link` models exactly that: messages serialize
-one after another at ``bandwidth_bps`` (FIFO -- a link busy with a large
-message delays everything behind it) and then propagate with a latency drawn
-uniformly from ``[latency_min_s, latency_max_s]``.
-
-Delivery therefore happens at::
-
-    depart = max(now, link_free_at) + size_bits / bandwidth_bps
-    arrive = depart + latency
-
-Latency is sampled per message, so reordering across *different* links is
-possible while each link itself preserves FIFO order end-to-end when
-``preserve_order`` is set (the default, matching TCP streams between node
-pairs in the prototype).
-
-Faults.  Beyond the static ``loss_probability`` of the spec, a link may be
-wired to a :class:`~repro.net.faults.FaultInjector`, which can sever it
-(outage/partition/crash), add drop probability (loss bursts) or add
-propagation delay (latency spikes / gray failures).  Every dropped
-message -- whatever killed it -- is counted in ``messages_lost`` and
-``bytes_lost`` and reported to the optional ``on_drop`` observer, so the
-loss is visible in traffic accounting instead of silently vanishing.
-The sender always pays the serialization cost: losses happen in transit.
+Until PR 20 ``Link.send`` drew each message's jitter with one
+``rng.uniform(lo, hi)`` and each loss test with one ``rng.random()``;
+since then the link takes its generator's doubles a block at a time and
+does the affine map itself.  The class below is the old ``Link`` moved
+here verbatim (``LinkSpec.sample_latency`` became the function beside
+it), so the block-drawing link under ``src/`` can be held to it arrival
+for arrival and drop for drop with ``==``.
 """
 
-from __future__ import annotations
+from typing import Callable, Optional, Tuple
 
-from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterator, Optional, Tuple
+import numpy as np
 
 from repro._rng import ensure_rng
-from repro.errors import ConfigurationError
+from repro.net.link import LinkSpec
 from repro.net.message import Message
 from repro.net.simulator import EventScheduler
 
 
-@dataclass(frozen=True)
-class LinkSpec:
-    """Static link parameters (paper defaults)."""
-
-    bandwidth_bps: float = 90_000.0
-    latency_min_s: float = 0.020
-    latency_max_s: float = 0.100
-    preserve_order: bool = True
-    loss_probability: float = 0.0
-    """Per-message drop probability (fault injection).  The sender still
-    pays the serialization cost -- the loss happens in transit."""
-
-    def validate(self) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ConfigurationError("bandwidth must be positive")
-        if self.latency_min_s < 0 or self.latency_max_s < self.latency_min_s:
-            raise ConfigurationError(
-                "latency range [%g, %g] is invalid"
-                % (self.latency_min_s, self.latency_max_s)
-            )
-        if not 0.0 <= self.loss_probability < 1.0:
-            raise ConfigurationError("loss_probability must lie in [0, 1)")
+def reference_sample_latency(spec: LinkSpec, rng: np.random.Generator) -> float:
+    """``LinkSpec.sample_latency`` as of PR 19."""
+    if spec.latency_max_s == spec.latency_min_s:
+        return spec.latency_min_s
+    return float(rng.uniform(spec.latency_min_s, spec.latency_max_s))
 
 
-DRAW_BLOCK = 32
-"""Doubles a link takes from its generator at a time: about 1 KB of
-floats per link, 0.4 MB over the 380 links of the N = 20 mesh."""
-
-
-class Link:
-    """A unidirectional link between two endpoints."""
+class ReferenceLink:
+    """``repro.net.link.Link`` as of PR 19."""
 
     def __init__(
         self,
@@ -87,7 +45,6 @@ class Link:
         self._spec = spec
         self._deliver = deliver
         self._rng = ensure_rng(rng)
-        self._doubles: Iterator[float] = iter(())
         self._endpoints = endpoints
         self._injector = fault_injector
         self._on_drop = on_drop
@@ -134,22 +91,6 @@ class Link:
         """Serialization delay for ``message`` at the link bandwidth."""
         return message.size_bytes() * 8.0 / self._spec.bandwidth_bps
 
-    def _next_double(self) -> float:
-        """The next double in ``[0, 1)`` of this link's generator.
-
-        Jitter and both loss tests draw here, in send order.  The doubles
-        come ``DRAW_BLOCK`` at a time: ``rng.random(k)`` is the k values
-        that k scalar ``rng.random()`` calls return, and
-        ``rng.uniform(lo, hi)`` is ``lo + (hi - lo) * rng.random()``, so
-        every draw is bit for bit what one scalar call per draw gave
-        (``tests/reference_link.py`` is that link).  Nothing else may
-        read ``self._rng``.
-        """
-        for value in self._doubles:
-            return value
-        self._doubles = iter(self._rng.random(DRAW_BLOCK).tolist())
-        return next(self._doubles)
-
     def _drop(self, message: Message) -> None:
         self.messages_lost += 1
         self.bytes_lost += message.size_bytes()
@@ -175,18 +116,15 @@ class Link:
             message.created_at = now
             self._drop(message)
             return now
-        spec = self._spec
         tx_time = self.transmission_time(message)
         depart = max(now, self._free_at) + tx_time
         self.busy_seconds += tx_time
         self._free_at = depart
-        latency = spec.latency_min_s
-        if spec.latency_max_s != latency:
-            latency += (spec.latency_max_s - latency) * self._next_double()
+        latency = reference_sample_latency(self._spec, self._rng)
         if self._injector is not None and self._endpoints is not None:
             latency += self._injector.extra_latency(*self._endpoints)
         arrival = depart + latency
-        if spec.preserve_order and arrival < self._last_arrival:
+        if self._spec.preserve_order and arrival < self._last_arrival:
             arrival = self._last_arrival
         self._last_arrival = arrival
         message.created_at = now
@@ -198,11 +136,14 @@ class Link:
                 self._drop(message)
                 return arrival  # serialized, paid for, never delivered
             burst = self._injector.extra_loss(*self._endpoints)
-            if burst > 0.0 and self._next_double() < burst:
+            if burst > 0.0 and self._rng.random() < burst:
                 self._injector.note_blocked()
                 self._drop(message)
                 return arrival
-        if spec.loss_probability > 0.0 and self._next_double() < spec.loss_probability:
+        if (
+            self._spec.loss_probability > 0.0
+            and self._rng.random() < self._spec.loss_probability
+        ):
             self._drop(message)
             return arrival
         key = self.key_source.next_key() if self.key_source is not None else None
@@ -210,7 +151,7 @@ class Link:
             return arrival
         home = self._endpoints[1] if self._endpoints is not None else None
         self._scheduler.schedule_at(
-            arrival, partial(self._arrive, message), key=key, home=home
+            arrival, lambda m=message: self._arrive(m), key=key, home=home
         )
         return arrival
 

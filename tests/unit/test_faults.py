@@ -210,6 +210,32 @@ class TestFaultInjector:
         assert during[0][1] == pytest.approx(0.2)
         assert after == [(0.0, 0.0)]
 
+    def test_idle_answers_equal_unaffected_answers_in_value_and_type(self):
+        """With nothing active every query answers at once; the answer is
+        what the scan over an active-but-unrelated fault gives, type
+        included (``extra_latency`` is the int a ``sum`` of nothing is)."""
+        scheduler = EventScheduler()
+        injector = FaultInjector(FaultPlan.from_events([outage(1.0, 2.0, ((2, 3),))]), 4)
+        injector.install(scheduler)
+
+        def answers():
+            return [
+                injector.node_down(0),
+                injector.restartable_down(0),
+                injector.link_blocked(0, 1),
+                injector.extra_loss(0, 1),
+                injector.extra_latency(0, 1),
+                injector.service_factor(0),
+            ]
+
+        idle = answers()
+        unaffected = []
+        self.probe_at(scheduler, 1.5, answers, unaffected)
+        scheduler.run()
+        assert idle == [False, False, False, 0.0, 0, 1.0]
+        assert idle == unaffected[0] == answers()
+        assert [type(value) for value in idle] == [type(value) for value in unaffected[0]]
+
     def test_summary_counters(self):
         scheduler = EventScheduler()
         injector = FaultInjector(FaultPlan.from_events([outage()]), 4)

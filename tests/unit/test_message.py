@@ -8,6 +8,7 @@ from repro.net.message import (
     Message,
     MessageKind,
 )
+from repro.net.stats import TrafficStats
 
 
 def _msg(kind, entries=0):
@@ -44,3 +45,71 @@ def test_control_message_is_small():
 def test_message_ids_are_unique():
     ids = {_msg(MessageKind.TUPLE).message_id for _ in range(100)}
     assert len(ids) == 100
+
+
+# The size model from first principles: header + body (by kind) + entries.
+BODY_BYTES = {
+    MessageKind.TUPLE: TUPLE_KEY_BYTES + TUPLE_PAYLOAD_BYTES,
+    MessageKind.RESULT: TUPLE_KEY_BYTES + TUPLE_PAYLOAD_BYTES,
+    MessageKind.CONTROL: TUPLE_KEY_BYTES,
+    MessageKind.SUMMARY: 0,
+    MessageKind.ACK: 0,
+    MessageKind.HEARTBEAT: 0,
+    MessageKind.STATE_TRANSFER: 0,
+}
+
+
+def test_size_table_for_every_kind_and_entry_count():
+    assert set(BODY_BYTES) == set(MessageKind)
+    for kind, body in BODY_BYTES.items():
+        for entries in (0, 1, 8):
+            message = _msg(kind, entries)
+            assert message.tuple_bytes() == body
+            assert message.summary_bytes() == entries * SUMMARY_COEFFICIENT_BYTES
+            assert message.size_bytes() == (
+                HEADER_BYTES + body + entries * SUMMARY_COEFFICIENT_BYTES
+            )
+
+
+def test_traffic_stats_totals_equal_the_table_sum():
+    stats = TrafficStats()
+    sequence = [
+        (kind, entries) for entries in (0, 1, 8) for kind in MessageKind
+    ] + [(MessageKind.TUPLE, 8), (MessageKind.SUMMARY, 1)]
+    lost = sequence[::4]
+    for kind, entries in sequence:
+        stats.record(_msg(kind, entries))
+    for kind, entries in lost:
+        stats.record_loss(_msg(kind, entries))
+
+    def size(kind, entries):
+        return HEADER_BYTES + BODY_BYTES[kind] + entries * SUMMARY_COEFFICIENT_BYTES
+
+    for kind in MessageKind:
+        mine = [entries for k, entries in sequence if k is kind]
+        assert stats.messages_by_kind[kind.value] == len(mine)
+        assert stats.bytes_by_kind[kind.value] == sum(size(kind, e) for e in mine)
+        assert stats.lost_by_kind[kind.value] == sum(1 for k, _ in lost if k is kind)
+    assert stats.summary_entries == sum(entries for _, entries in sequence)
+    assert stats.summary_bytes == stats.summary_entries * SUMMARY_COEFFICIENT_BYTES
+    assert stats.net_data_bytes == sum(
+        HEADER_BYTES + BODY_BYTES[kind] for kind, _ in sequence
+    )
+    assert stats.total_bytes == stats.summary_bytes + stats.net_data_bytes
+    assert stats.messages_lost == len(lost)
+    assert stats.bytes_lost == sum(size(kind, entries) for kind, entries in lost)
+
+
+def test_dataclass_surface_survives_the_slots():
+    """``==``, ``repr`` and keyword construction as the plain dataclass
+    gave them; the two derived fields stay out of all three."""
+    first = Message(kind=MessageKind.TUPLE, source=0, destination=1, message_id=5)
+    second = Message(kind=MessageKind.TUPLE, source=0, destination=1, message_id=5)
+    assert first == second
+    second.seq = 3
+    assert first != second
+    assert repr(first) == (
+        "Message(kind=<MessageKind.TUPLE: 'tuple'>, source=0, destination=1, "
+        "payload=None, summary_entries=0, message_id=5, created_at=None, seq=None)"
+    )
+    assert not hasattr(first, "__dict__")

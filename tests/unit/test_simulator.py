@@ -188,3 +188,70 @@ def test_reentrant_run_rejected():
     scheduler.schedule_at(0.0, reenter)
     scheduler.run()
     assert len(errors) == 1
+
+
+def test_max_events_break_leaves_the_clock_at_the_last_event():
+    """``until`` is reached only once nothing at or before it is pending."""
+    scheduler = EventScheduler()
+    fired = []
+    for time in (1.0, 2.0, 3.0):
+        scheduler.schedule_at(time, lambda t=time: fired.append(t))
+    assert scheduler.run(until=10.0, max_events=1) == 1.0
+    assert scheduler.now == 1.0
+    assert scheduler.pending == 2
+    scheduler.schedule_at(2.5, lambda: fired.append(2.5))  # not in the past
+    assert scheduler.run(until=10.0, max_events=2) == 2.5
+    assert scheduler.run(until=10.0, max_events=1) == 10.0  # drained: now at until
+    assert fired == [1.0, 2.0, 2.5, 3.0]
+    assert scheduler.material_now == 10.0
+
+
+class _Uncomparable:
+    """A callback that fails the test if the heap ever compares it."""
+
+    def __init__(self, log, tag):
+        self.log = log
+        self.tag = tag
+
+    def __call__(self):
+        self.log.append(self.tag)
+
+    def __lt__(self, other):
+        raise AssertionError("the heap compared two callbacks")
+
+    __gt__ = __le__ = __ge__ = __lt__
+
+
+def test_equal_full_keys_fire_in_insertion_order():
+    """Same ``(time, phase, rank, seq)`` twice: no error, no look at the
+    callbacks, first scheduled fires first."""
+    scheduler = EventScheduler()
+    log = []
+    for tag in range(6):
+        scheduler.schedule_at(1.0, _Uncomparable(log, tag), key=(3, 7))
+    scheduler.schedule_at(1.0, _Uncomparable(log, "earlier rank"), key=(2, 9))
+    scheduler.run()
+    assert log == ["earlier rank", 0, 1, 2, 3, 4, 5]
+
+
+def test_current_key_names_the_executing_event():
+    scheduler = EventScheduler()
+    seen = []
+    scheduler.schedule_at(1.0, lambda: seen.append(scheduler.current_key))
+    scheduler.schedule_at(2.0, lambda: seen.append(scheduler.current_key), key=(4, 1))
+    assert scheduler.current_key is None
+    scheduler.run()
+    assert seen == [(1.0, 0, 0, 0), (2.0, 1, 4, 1)]
+    assert scheduler.current_key is None
+
+
+def test_event_handle_reads_by_name():
+    scheduler = EventScheduler()
+    event = scheduler.schedule_at(1.5, print, key=(2, 5), home=2)
+    assert (event.time, event.phase, event.rank, event.seq) == (1.5, 1, 2, 5)
+    assert event.sort_key == (1.5, 1, 2, 5)
+    assert event.callback is print
+    assert (event.material, event.home, event.cancelled) == (True, 2, False)
+    event.cancel()
+    assert event.cancelled
+    assert "time=1.5" in repr(event) and "cancelled=True" in repr(event)

@@ -88,3 +88,124 @@ def test_backlog_reporting():
     assert network.total_backlog_seconds() == pytest.approx(network.backlog_seconds(0, 1))
     scheduler.run()
     assert network.total_backlog_seconds() == 0.0
+
+
+def test_send_accounting_matches_the_recorded_script():
+    """Count gate for the send path: 61 sends of every kind over a lossy,
+    prepared 3-node mesh, from inside keyed events.  The expected values
+    were recorded from ``src/`` as of PR 19, before the send path computed
+    a message's size and kind label once; nothing below may move."""
+    scheduler = EventScheduler()
+    network = Network(
+        scheduler, spec=LinkSpec(loss_probability=0.25), rng=np.random.default_rng(11)
+    )
+    endpoints = [Recorder() for _ in range(3)]
+    for node_id, endpoint in enumerate(endpoints):
+        network.register(node_id, endpoint)
+    network.prepare(3)
+    kinds = list(MessageKind)
+    first = Message(kind=MessageKind.CONTROL, source=0, destination=1)
+    network.send(first)
+
+    def burst(step):
+        for index in range(6):
+            source = (step + index) % 3
+            network.send(
+                Message(
+                    kind=kinds[(step * 6 + index) % len(kinds)],
+                    source=source,
+                    destination=(source + 1 + index % 2) % 3,
+                    summary_entries=(step + index) % 4,
+                )
+            )
+
+    for step in range(10):
+        scheduler.schedule_at(0.5 * step, lambda s=step: burst(s), key=(step % 3, step))
+    scheduler.run()
+
+    def flat(stats):
+        # Counter order is first-occurrence order and shows in reports.
+        return (
+            list(stats.messages_by_kind.items()),
+            list(stats.bytes_by_kind.items()),
+            stats.summary_bytes,
+            stats.net_data_bytes,
+            stats.summary_entries,
+            stats.messages_lost,
+            stats.bytes_lost,
+            list(stats.lost_by_kind.items()),
+        )
+
+    assert flat(network.stats) == (
+        [("control", 10), ("tuple", 9), ("summary", 9), ("result", 9), ("ack", 8),
+         ("heartbeat", 8), ("state_transfer", 8)],
+        [("control", 580), ("tuple", 908), ("summary", 476), ("result", 908),
+         ("ack", 472), ("heartbeat", 352), ("state_transfer", 472)],
+        1760, 2408, 88, 16, 864,
+        [("summary", 4), ("result", 2), ("control", 1), ("state_transfer", 1),
+         ("ack", 3), ("heartbeat", 3), ("tuple", 2)],
+    )
+    assert {node: flat(stats) for node, stats in network.per_sender_stats.items()} == {
+        0: (
+            [("control", 4), ("tuple", 3), ("summary", 4), ("ack", 3),
+             ("state_transfer", 2), ("result", 2), ("heartbeat", 3)],
+            [("control", 228), ("tuple", 276), ("summary", 216), ("ack", 192),
+             ("state_transfer", 128), ("result", 204), ("heartbeat", 132)],
+            600, 776, 30, 5, 268,
+            [("heartbeat", 2), ("summary", 1), ("ack", 1), ("tuple", 1)],
+        ),
+        1: (
+            [("summary", 3), ("ack", 3), ("state_transfer", 3), ("result", 3),
+             ("tuple", 3), ("control", 3), ("heartbeat", 2)],
+            [("summary", 192), ("ack", 152), ("state_transfer", 192), ("result", 296),
+             ("tuple", 316), ("control", 196), ("heartbeat", 88)],
+            640, 792, 32, 4, 264,
+            [("summary", 2), ("result", 1), ("ack", 1)],
+        ),
+        2: (
+            [("result", 4), ("heartbeat", 3), ("tuple", 3), ("control", 3),
+             ("summary", 2), ("state_transfer", 3), ("ack", 2)],
+            [("result", 408), ("heartbeat", 132), ("tuple", 316), ("control", 156),
+             ("summary", 68), ("state_transfer", 152), ("ack", 128)],
+            520, 840, 26, 7, 332,
+            [("control", 1), ("state_transfer", 1), ("result", 1), ("ack", 1),
+             ("tuple", 1), ("heartbeat", 1), ("summary", 1)],
+        ),
+    }
+    assert network.link_stats() == {
+        (0, 1): (11, 724, 1, 64, 0),
+        (1, 2): (10, 692, 2, 148, 0),
+        (2, 0): (10, 708, 3, 168, 0),
+        (0, 2): (10, 652, 4, 204, 0),
+        (1, 0): (10, 740, 2, 116, 0),
+        (2, 1): (10, 652, 4, 164, 0),
+    }
+    assert network.kind_order == {
+        "control": ((float("-inf"), -1, -1, -1), 0),
+        "tuple": ((0.0, 1, 0, 0), 1),
+        "summary": ((0.0, 1, 0, 0), 3),
+        "result": ((0.0, 1, 0, 0), 4),
+        "ack": ((0.0, 1, 0, 0), 6),
+        "heartbeat": ((0.0, 1, 0, 0), 7),
+        "state_transfer": ((0.5, 1, 1, 1), 8),
+    }
+    assert network.loss_order == {
+        "summary": ((0.0, 1, 0, 0), 2),
+        "result": ((0.5, 1, 1, 1), 11),
+        "control": ((0.5, 1, 1, 1), 13),
+        "state_transfer": ((1.5, 1, 0, 3), 24),
+        "ack": ((2.0, 1, 1, 4), 31),
+        "heartbeat": ((2.0, 1, 1, 4), 33),
+        "tuple": ((2.0, 1, 1, 4), 36),
+    }
+    # Which messages arrived where, in what order (ids relative to the first).
+    assert [
+        [message.message_id - first.message_id for message in endpoint.received]
+        for endpoint in endpoints
+    ] == [
+        [3, 18, 13, 20, 28, 31, 36, 38, 39, 46, 47, 54, 49, 57, 56],
+        [0, 1, 6, 9, 8, 16, 17, 19, 35, 37, 42, 45, 53, 52, 55, 60],
+        [5, 4, 7, 12, 14, 15, 22, 23, 25, 32, 41, 43, 58, 59],
+    ]
+    assert scheduler.events_processed == 55
+    assert scheduler.now == 4.582685314572364
