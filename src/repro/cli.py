@@ -181,15 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="render the ASCII live dashboard to stderr during the run "
         "(implies --telemetry)",
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="partition the simulated nodes across N worker processes "
-        "with conservative time synchronization; results are "
-        "byte-identical to serial (REPRO_SHARDS; 0 = serial)",
-    )
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parser.add_argument("--verbose", action="store_true", help="per-node diagnostics")
@@ -337,9 +328,8 @@ def experiments_main(argv: Sequence[str]) -> int:
             "usage: repro experiments {%s} [args...]\n\n"
             "  chaos   accuracy-vs-failure-rate sweep under injected faults\n"
             "  report  every table/figure reproduction in one run\n\n"
-            "both accept --jobs N (parallel workers; REPRO_JOBS), --shards N\n"
-            "(sharded engine per cell; REPRO_SHARDS), --no-cache, and\n"
-            "--cache-dir DIR (run-result cache; REPRO_CACHE_DIR)"
+            "both accept --jobs N (parallel workers; REPRO_JOBS), --no-cache,\n"
+            "and --cache-dir DIR (run-result cache; REPRO_CACHE_DIR)"
             % ",".join(EXPERIMENT_COMMANDS),
             file=sys.stdout if help_requested else sys.stderr,
         )
@@ -370,33 +360,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     profile_report = ""
     profiler = None
     try:
-        from repro.engine import resolve_shards
-
-        shards = resolve_shards(args.shards)
-        if shards > 1 and args.dashboard:
-            # The dashboard renders one process's live state; keep
-            # telemetry on but fall back to the post-run exports.
-            print(
-                "warning: --dashboard needs the serial engine; "
-                "disabled under --shards %d" % shards,
-                file=sys.stderr,
-            )
-            args.telemetry = True
-            args.dashboard = False
         config = config_from_args(args)
         config.validate()
         if args.profile > 0:
             from repro.profiling import KernelProfiler
 
             profiler = KernelProfiler()
-        system = DistributedJoinSystem(config, profiler=profiler, shards=shards)
+        system = DistributedJoinSystem(config, profiler=profiler)
         stream_writer = None
-        if shards > 1 and args.telemetry_export:
-            # Worker-side events never pass through parent sinks; the
-            # merged ring is exported wholesale after the run instead
-            # (byte-identical to the streamed file up to ring capacity).
-            pass
-        elif args.telemetry_export and system.telemetry is not None:
+        if args.telemetry_export and system.telemetry is not None:
             # The JSONL log is streamed during the run (the manifest is a
             # pure function of the configuration, so it can head the file
             # before the first event); export_all below skips it.

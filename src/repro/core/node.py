@@ -112,8 +112,9 @@ class JoinProcessingNode:
         self.network = network
         self._event_keys = EventKeySource(node_id)
         """Entity-local event keys for everything this node schedules
-        (service completions, recovery timers, ARQ retransmits) -- the
-        ordering contract the sharded engine depends on."""
+        (service completions, recovery timers, ARQ retransmits), so
+        their order among same-instant events is a function of this
+        node's own history, not of global scheduling order."""
         self.accounting_ops: List[tuple] = []
         """Deferred ground-truth/collector operations, logged in service
         order and replayed in canonical ``(time, node, seq)`` order at
@@ -429,7 +430,7 @@ class JoinProcessingNode:
         among equals (the youngest low-value work loses first).  Incoming
         work that does not outrank the victim is shed itself, so the queue
         never exceeds ``queue_bound`` and admission is a pure function of
-        queue contents -- no RNG, no wall clock, engine-independent.
+        queue contents -- no RNG, no wall clock.
         """
         queue = self._queue
         incoming = self._work_priority(work)
@@ -536,7 +537,6 @@ class JoinProcessingNode:
             service_time,
             self._finish_service,
             key=self._event_keys.next_key(),
-            home=self.node_id,
         )
 
     def _dispatch(self, kind: str, payload: object) -> float:
@@ -897,7 +897,6 @@ class JoinProcessingNode:
             self.recovery_settings.restore_delay_s,
             self._complete_restore,
             key=self._event_keys.next_key(),
-            home=self.node_id,
         )
 
     def _complete_restore(self) -> None:
@@ -946,7 +945,6 @@ class JoinProcessingNode:
             self.recovery_settings.catchup_timeout_s,
             self._on_catchup_deadline,
             key=self._event_keys.next_key(),
-            home=self.node_id,
         )
 
     def _send_transfer_request(self, peer: int) -> None:
@@ -982,7 +980,6 @@ class JoinProcessingNode:
                 delay,
                 lambda p=peer: self._on_transfer_timeout(p),
                 key=self._event_keys.next_key(),
-                home=self.node_id,
             )
 
     def _on_transfer_timeout(self, peer: int) -> None:
@@ -1269,12 +1266,11 @@ class JoinProcessingNode:
 
         The ground-truth oracle and result collector are the only pieces
         of *global* mutable state in the data plane; touching them from
-        inside the event loop would force every execution engine to
-        reproduce the exact global interleaving of node events.  Logging
-        the operations instead -- keyed ``(time, node, per-node seq)`` --
-        lets both the serial and the sharded engine replay them in one
-        canonical order, so accuracy accounting is engine-independent by
-        construction.
+        inside the event loop would make the accuracy numbers depend on
+        the exact global interleaving of node events.  Logging the
+        operations instead -- keyed ``(time, node, per-node seq)`` --
+        and replaying them in that one canonical order makes accuracy
+        accounting a function of the per-node histories alone.
         """
         self.accounting_ops.append(
             (now, self.node_id, self._acct_seq, runtime.query_id, kind, payload)
@@ -1495,11 +1491,9 @@ class JoinProcessingNode:
     def runtime_record(self) -> Dict[str, object]:
         """Everything the collection pass needs from this node, as data.
 
-        The sharded engine ships one record per home node back to the
-        parent process; the serial engine builds identical records from
-        the live nodes, so ``DistributedJoinSystem._collect`` stays
-        engine-agnostic.  Consuming the record drains the accounting
-        log (replay happens exactly once per run either way).
+        ``DistributedJoinSystem._collect`` reads nodes only through
+        these records.  Consuming the record drains the accounting log
+        (replay happens exactly once per run).
         """
         record: Dict[str, object] = {
             "node_id": self.node_id,

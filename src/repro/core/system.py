@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, Iterator, List, Optional
+from contextlib import nullcontext
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -79,27 +80,17 @@ def build_key_stream(workload: WorkloadConfig, rng: np.random.Generator) -> Iter
 class DistributedJoinSystem:
     """End-to-end assembly and execution of one experiment run."""
 
-    def __init__(self, config: SystemConfig, profiler=None, shards=None) -> None:
+    def __init__(self, config: SystemConfig, profiler=None) -> None:
         config.validate()
         reset_tuple_ids()
         self.config = config
         self.profiler = profiler
         """Optional :class:`~repro.profiling.KernelProfiler`; threaded
         into every node's service loop and snapshot into the result."""
-        from repro.engine import make_engine
-
-        self.engine = make_engine(shards, config)
-        """The :class:`~repro.engine.ExecutionEngine` driving :meth:`run`:
-        the serial reference scheduler by default, the sharded
-        multi-process engine when ``shards`` resolves to >= 2."""
         self._node_records = None
         """Per-node collection records (see
-        :meth:`~repro.core.node.JoinProcessingNode.runtime_record`).
-        ``None`` until collection; the sharded engine pre-fills it from
-        worker fragments, the serial path builds it from live nodes."""
-        self._home_filter: Optional[Callable[[int], bool]] = None
-        """Sharded-worker node ownership test for the telemetry sampler;
-        ``None`` (serial) samples everything."""
+        :meth:`~repro.core.node.JoinProcessingNode.runtime_record`);
+        ``None`` until collection snapshots the live nodes."""
         root_rng = ensure_rng(config.seed)
         (
             self._workload_rng,
@@ -123,7 +114,6 @@ class DistributedJoinSystem:
                 config.telemetry, clock=lambda: self.scheduler.now
             )
             self.scheduler.telemetry = self.telemetry
-            self.telemetry.order_source = lambda: self.scheduler.current_key
             self.telemetry.add_sampler(self._sample_telemetry)
             if config.telemetry.dashboard:
                 from repro.telemetry import AsciiDashboard
@@ -145,8 +135,7 @@ class DistributedJoinSystem:
         )
         # Keyed per-link RNG streams + entity-ranked arrival keys: a
         # link's randomness and event ordering become pure functions of
-        # its endpoints, independent of first-use order (and therefore of
-        # execution engine).
+        # its endpoints, independent of first-use order.
         self.network.prepare(config.num_nodes)
         if config.overload.enabled and config.overload.link_backlog_bound_s > 0.0:
             # Wired before any link exists, so every lazily-created link
@@ -319,7 +308,6 @@ class DistributedJoinSystem:
                 self.scheduler.schedule_at(
                     float(times[index]),
                     lambda n=self.nodes[origin], t=item: n.on_local_arrival(t),
-                    home=origin,
                 )
             last_time = max(last_time, float(times[-1]))
         self._tuples_scheduled = workload.total_tuples
@@ -344,12 +332,8 @@ class DistributedJoinSystem:
                 continue
             for target in sorted(set(event.nodes)):
                 node = self.nodes[target]
-                self.scheduler.schedule_at(
-                    event.start_s, lambda n=node: n.on_crash(), home=target
-                )
-                self.scheduler.schedule_at(
-                    event.end_s, lambda n=node: n.on_restart(), home=target
-                )
+                self.scheduler.schedule_at(event.start_s, lambda n=node: n.on_crash())
+                self.scheduler.schedule_at(event.end_s, lambda n=node: n.on_restart())
 
     def _schedule_checkpoints(self) -> None:
         """Pre-schedule every checkpoint tick over the run's span.
@@ -365,9 +349,7 @@ class DistributedJoinSystem:
         for index in range(1, count + 1):
             when = index * interval
             for node in self.nodes:
-                self.scheduler.schedule_at(
-                    when, lambda n=node: n.take_checkpoint(), home=node.node_id
-                )
+                self.scheduler.schedule_at(when, lambda n=node: n.take_checkpoint())
 
     def _schedule_heartbeats(self) -> None:
         """Pre-schedule every heartbeat tick over the run's span.
@@ -386,9 +368,7 @@ class DistributedJoinSystem:
         for index in range(1, count + 1):
             when = index * tick
             for node in self.nodes:
-                self.scheduler.schedule_at(
-                    when, lambda n=node: n.send_heartbeats(), home=node.node_id
-                )
+                self.scheduler.schedule_at(when, lambda n=node: n.send_heartbeats())
 
     def _schedule_telemetry_sampling(self) -> None:
         """Pre-schedule every registry sampling tick over the run's span.
@@ -430,18 +410,9 @@ class DistributedJoinSystem:
         registry.gauge("repro_sched_events_processed").set(
             self.scheduler.events_processed
         )
-        registry.gauge("repro_sched_pending_events").set(
-            self.scheduler.pending_accountable() + self.network.unshipped_count()
-        )
-        # Under sharding each worker samples only its home nodes and the
-        # links they transmit on; every (instrument, label) key then lives
-        # on exactly one shard and the merged series reproduce the serial
-        # ones exactly (replicated construction-time link state would
-        # otherwise be counted once per shard).
+        registry.gauge("repro_sched_pending_events").set(self.scheduler.pending)
         for node in self.nodes:
             node_id = node.node_id
-            if self._home_filter is not None and not self._home_filter(node_id):
-                continue
             registry.gauge("repro_node_queue_depth", node=node_id).set(
                 node.queue_depth
             )
@@ -465,8 +436,6 @@ class DistributedJoinSystem:
         for name, labels, value in self.network.stats.iter_counters():
             registry.counter(name, **labels).value = value
         for (source, destination), link in self.network.iter_links():
-            if self._home_filter is not None and not self._home_filter(source):
-                continue
             registry.gauge(
                 "repro_link_backlog_seconds", src=source, dst=destination
             ).set(link.queue_depth_seconds())
@@ -476,21 +445,25 @@ class DistributedJoinSystem:
     # ------------------------------------------------------------------
 
     def run(self) -> RunResult:
-        """Execute via the configured engine, then aggregate metrics."""
-        if self.profiler is not None:
-            with self.profiler.section("system.run"):
-                self.engine.execute(self)
-        else:
-            self.engine.execute(self)
+        """Drain the event queue, then aggregate metrics.
+
+        The workload is scheduled here unless the caller already did
+        (``benchmarks/e2e`` schedules and steps the scheduler itself and
+        calls this to collect)."""
+        section = (
+            self.profiler.section("system.run")
+            if self.profiler is not None
+            else nullcontext()
+        )
+        with section:
+            if self._tuples_scheduled == 0:
+                self.schedule_workload()
+            self.scheduler.run()
         return self._collect()
 
     def _runtime_records(self) -> List[Dict[str, object]]:
-        """The per-node collection records, built once.
-
-        The sharded engine pre-fills :attr:`_node_records` from worker
-        fragments (ordered by node id, so float reductions sum in serial
-        order); the serial path snapshots the live nodes on first use.
-        """
+        """The per-node collection records, in node order, built once
+        from the live nodes."""
         if self._node_records is None:
             self._node_records = [node.runtime_record() for node in self.nodes]
         return self._node_records
@@ -511,8 +484,6 @@ class DistributedJoinSystem:
     def _collect(self) -> RunResult:
         if self.telemetry is not None:
             # One final tick so the series capture the drained end state.
-            # (After a sharded run the workers already ticked at the
-            # global end time, so this deduplicates to a no-op.)
             self.telemetry.sample_tick()
         records = self._runtime_records()
 
@@ -581,8 +552,7 @@ class DistributedJoinSystem:
         recovery: Dict[str, float] = {}
         if self.checkpoint_store is not None:
             # Store totals equal the per-node counter sums (every save
-            # goes through node.take_checkpoint), and the records survive
-            # a sharded run where the parent store never saved anything.
+            # goes through node.take_checkpoint).
             for key in (
                 "checkpoints_taken",
                 "checkpoint_bytes",
@@ -655,6 +625,6 @@ class DistributedJoinSystem:
         )
 
 
-def run_experiment(config: SystemConfig, profiler=None, shards=None) -> RunResult:
+def run_experiment(config: SystemConfig, profiler=None) -> RunResult:
     """One-call convenience: build, run, and return the result."""
-    return DistributedJoinSystem(config, profiler=profiler, shards=shards).run()
+    return DistributedJoinSystem(config, profiler=profiler).run()

@@ -447,7 +447,6 @@ def run(
     progress: Optional[Callable[[str], None]] = None,
     jobs: int = 0,
     cache: Optional[RunCache] = None,
-    shards: int = 0,
 ) -> List[ChaosRow]:
     """Sweep ``algorithms`` x ``grid`` at one scale; one row per cell.
 
@@ -470,9 +469,7 @@ def run(
 
     ``jobs`` fans the cells over pool workers and ``cache`` skips cells
     already computed; rows come back in grid order either way, so the
-    golden JSON is byte-identical across all three paths.  ``shards``
-    additionally runs each cell under the sharded engine (also
-    byte-identical, and invisible to the cache).
+    golden JSON is byte-identical across all three paths.
     """
     preset = get_scale(scale)
     if not algorithms:
@@ -516,9 +513,7 @@ def run(
                 )
             )
             cells.append((algorithm, level, plan))
-    outcomes = run_many(
-        requests, jobs=jobs, cache=cache, progress=progress, shards=shards
-    )
+    outcomes = run_many(requests, jobs=jobs, cache=cache, progress=progress)
     rows: List[ChaosRow] = []
     for (algorithm, level, plan), request, outcome in zip(
         cells, requests, outcomes
@@ -883,15 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
         "results are byte-identical at any N)",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="run each cell under the sharded engine with N worker "
-        "processes (default: REPRO_SHARDS or serial; byte-identical "
-        "at any N, shards x jobs clamped to the CPU count)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="recompute every cell instead of reusing the run-result cache",
@@ -957,7 +943,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 progress=lambda text: progress(text + " [no-recovery]"),
                 jobs=args.jobs,
                 cache=cache,
-                shards=args.shards,
             )
             recovered_rows = run(
                 scale=args.scale,
@@ -969,7 +954,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 progress=lambda text: progress(text + " [recovery]"),
                 jobs=args.jobs,
                 cache=cache,
-                shards=args.shards,
             )
             comparison = format_recovery_comparison(baseline_rows, recovered_rows)
             rows = baseline_rows + recovered_rows
@@ -984,7 +968,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 progress=progress,
                 jobs=args.jobs,
                 cache=cache,
-                shards=args.shards,
             )
             chart_rows = rows
         if cache is not None:

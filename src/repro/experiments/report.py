@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.experiments.report [scale] [--only table1,fig3,...]
-        [--jobs N] [--shards N] [--no-cache] [--cache-dir DIR]
+        [--jobs N] [--no-cache] [--cache-dir DIR]
 
 ``scale`` is ``smoke``, ``bench``, ``default`` (the default) or ``full``.
 The analytic experiments (Table 1, Figures 3-6) ignore the scale's
@@ -57,37 +57,9 @@ def _banner(title: str) -> None:
     print("=" * 72)
 
 
-def run_report(scale: str, only, jobs: int = 0, cache=None, shards: int = 0) -> None:
-    """Print every selected section; ``shards`` runs each simulation
-    cell under the sharded engine.
-
-    The figure modules reach the pool through several layers (including
-    the calibration bisections' ``map_tasks`` payloads), so the shard
-    count travels as ``REPRO_SHARDS`` for the duration of the report --
-    :func:`repro.parallel.execute_cell` resolves it uniformly in the
-    parent and in every pool worker, clamping per cell to the mesh size.
-    Output is byte-identical at any setting.
-    """
-    import os
-
-    from repro.engine import resolve_shards
-
+def run_report(scale: str, only, jobs: int = 0, cache=None) -> None:
+    """Print every selected section."""
     selected = set(only) if only else set(ALL_EXPERIMENTS)
-    shards = resolve_shards(shards)
-    previous_shards = os.environ.get("REPRO_SHARDS")
-    if shards > 1:
-        os.environ["REPRO_SHARDS"] = str(shards)
-    try:
-        _run_report_sections(scale, selected, jobs, cache)
-    finally:
-        if shards > 1:
-            if previous_shards is None:
-                os.environ.pop("REPRO_SHARDS", None)
-            else:
-                os.environ["REPRO_SHARDS"] = previous_shards
-
-
-def _run_report_sections(scale: str, selected, jobs: int, cache) -> None:
     started = time.time()
 
     if "table1" in selected:
@@ -214,15 +186,6 @@ def main(argv=None) -> int:
         help="pool workers for simulation sweeps (default: REPRO_JOBS or 1)",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="run each simulation cell under the sharded engine with N "
-        "worker processes (default: REPRO_SHARDS or serial; "
-        "byte-identical at any N, clamped per cell to the mesh size)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="recompute every cell instead of reusing the run-result cache",
@@ -241,7 +204,7 @@ def main(argv=None) -> int:
         if unknown:
             parser.error("unknown experiments: %s" % ", ".join(sorted(unknown)))
     cache = resolve_cache(args.no_cache, args.cache_dir)
-    run_report(args.scale, only, jobs=args.jobs, cache=cache, shards=args.shards)
+    run_report(args.scale, only, jobs=args.jobs, cache=cache)
     return 0
 
 

@@ -81,9 +81,9 @@ def replay_accounting(ops, oracles, collectors) -> None:
     by ``(time, node, seq)`` -- a total order, since ``seq`` is a
     per-node monotone counter -- and applied to the per-query oracles and
     collectors.  Replaying instead of mutating mid-run makes the accuracy
-    numbers a pure function of the op multiset, so any execution engine
-    that produces the same per-node histories (the sharded engine's
-    contract) produces byte-identical accounting.
+    numbers a pure function of the op multiset: the same per-node
+    histories give byte-identical accounting, however the nodes' events
+    interleaved globally.
 
     Op kinds:
 

@@ -111,11 +111,6 @@ class Link:
         """Optional :class:`~repro.net.simulator.EventKeySource` minting
         deterministic arrival-event keys (the Network assigns one per
         link; bare test links fall back to insertion-order keys)."""
-        self.router = None
-        """Optional arrival router ``fn(arrival_time, key, message) ->
-        bool``: the sharded engine intercepts arrivals whose destination
-        lives in another shard.  Returning ``True`` means the router took
-        the message; ``False`` falls through to local scheduling."""
 
     @property
     def spec(self) -> LinkSpec:
@@ -206,12 +201,7 @@ class Link:
             self._drop(message)
             return arrival
         key = self.key_source.next_key() if self.key_source is not None else None
-        if self.router is not None and self.router(arrival, key, message):
-            return arrival
-        home = self._endpoints[1] if self._endpoints is not None else None
-        self._scheduler.schedule_at(
-            arrival, partial(self._arrive, message), key=key, home=home
-        )
+        self._scheduler.schedule_at(arrival, partial(self._arrive, message), key=key)
         return arrival
 
     def _arrive(self, message: Message) -> None:

@@ -153,7 +153,8 @@ class ReliableTransport:
         self.key_source = None
         """Optional :class:`~repro.net.simulator.EventKeySource`; the
         owning node shares its source so retransmit timers get
-        deterministic entity-local event keys (see repro.engine)."""
+        deterministic entity-local event keys (see
+        :mod:`repro.net.simulator`)."""
 
     def _channel(self, peer: int) -> ReliableChannel:
         if peer not in self._channels:
@@ -182,7 +183,6 @@ class ReliableTransport:
             key=(
                 self.key_source.next_key() if self.key_source is not None else None
             ),
-            home=self.node_id,
         )
         # Register the in-flight state *before* handing the message to the
         # wire: a zero-latency send_fn can deliver and ack synchronously.

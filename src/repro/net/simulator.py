@@ -18,18 +18,12 @@ scheduled:
   *entity* (a node, a link) and the seq is that entity's own monotone
   counter, so the key is a pure function of the entity's local history.
 
-The phase-1 keys are what make the sharded execution engine
-(:mod:`repro.engine`) possible: a key derived from global insertion
-order cannot be reproduced when the event population is split across
-processes, but an entity-local key can -- each entity lives in exactly
-one shard and replays exactly its serial history.  The serial engine
-orders by the same keys, so serial and sharded runs execute every
-entity's events in the same order.
-
-Events also carry a ``home``: the node the event belongs to, or ``None``
-for run-global events (telemetry ticks, fault edges).  The serial engine
-ignores it; the sharded engine prunes non-home events after replicated
-construction and counts ``home=None`` events on one shard only.
+Phase-1 keys make the order of run-time events a pure function of each
+entity's own history rather than of the global interleaving in which
+unrelated entities happened to call ``schedule_at``: two events at the
+same instant fire in ``(rank, seq)`` order however the rest of the run
+was scheduled.  Every golden and ``result_digest`` is pinned to that
+order.
 
 The design intentionally avoids coroutine-style processes: the node logic in
 :mod:`repro.core.node` is reactive (it only acts when a tuple or message
@@ -56,8 +50,7 @@ class EventKeySource:
     ``rank`` is the entity's canonical id in the run (node id for nodes;
     ``num_nodes + src * num_nodes + dst`` for links), ``seq`` a monotone
     per-entity counter.  Keys depend only on the entity's own scheduling
-    history, never on global insertion order, which is what keeps them
-    identical between the serial and the sharded engine.
+    history, never on global insertion order.
     """
 
     __slots__ = ("rank", "_next")
@@ -72,14 +65,14 @@ class EventKeySource:
         return key
 
 
-_TIME, _PHASE, _RANK, _SEQ, _TIE, _CALLBACK, _MATERIAL, _HOME, _CANCELLED, _OWNER = range(10)
+_TIME, _PHASE, _RANK, _SEQ, _TIE, _CALLBACK, _MATERIAL, _CANCELLED, _OWNER = range(9)
 
 
 class Event(list):
     """A scheduled callback, and its own entry in the scheduler's heap.
 
     An event *is* the list ``[time, phase, rank, seq, tie, callback,
-    material, home, cancelled, owner]``, so the heap orders events with
+    material, cancelled, owner]``, so the heap orders events with
     the interpreter's C list comparison instead of a Python ``__lt__``
     (see the module docstring for the phase/rank/seq contract).  ``tie``
     is the scheduler's insertion counter: it is unique per scheduler, so
@@ -97,7 +90,6 @@ class Event(list):
     seq = property(itemgetter(_SEQ))
     callback = property(itemgetter(_CALLBACK))
     material = property(itemgetter(_MATERIAL))
-    home = property(itemgetter(_HOME))
     cancelled = property(itemgetter(_CANCELLED))
 
     @property
@@ -114,8 +106,8 @@ class Event(list):
     def __repr__(self) -> str:
         return (
             "Event(time=%r, phase=%r, rank=%r, seq=%r, callback=%r, "
-            "cancelled=%r, material=%r, home=%r)"
-            % (*self.sort_key, self.callback, self.cancelled, self.material, self.home)
+            "cancelled=%r, material=%r)"
+            % (*self.sort_key, self.callback, self.cancelled, self.material)
         )
 
 
@@ -136,8 +128,7 @@ class EventScheduler:
     def __init__(self) -> None:
         self._queue: list[Event] = []
         self._sequence = itertools.count()
-        """Phase-0 ``seq`` values: counts unkeyed events only, so a
-        sharded worker mints the same ones as the serial engine."""
+        """Phase-0 ``seq`` values: counts unkeyed events only."""
         self._insertions = itertools.count()
         """Every event's ``tie`` (see :class:`Event`)."""
         self._now = 0.0
@@ -149,15 +140,6 @@ class EventScheduler:
         self.telemetry = None
         """Optional :class:`repro.telemetry.TelemetryHub`; when set,
         heap compactions are emitted as scheduler events."""
-        self.count_global_events = True
-        """Whether ``home=None`` events increment :attr:`events_processed`.
-        The sharded engine replicates global events on every shard and
-        counts them on shard 0 only, so the merged total matches serial."""
-        self._current: Optional[Event] = None
-        self._home_filtered = False
-        """Set by :meth:`retain_events`: the queue was pruned to a home
-        subset, so :meth:`pending_accountable` must filter rather than
-        shortcut to :attr:`pending`."""
 
     @property
     def now(self) -> float:
@@ -175,13 +157,6 @@ class EventScheduler:
         return self._material_now
 
     @property
-    def current_key(self) -> Optional[Tuple[float, int, int, int]]:
-        """Sort key of the currently executing event (``None`` outside the
-        loop).  Telemetry stamps emissions with it to define a canonical
-        cross-shard event order."""
-        return None if self._current is None else self._current.sort_key
-
-    @property
     def events_processed(self) -> int:
         """Number of callbacks executed so far (cancelled events excluded)."""
         return self._events_processed
@@ -190,24 +165,6 @@ class EventScheduler:
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         return len(self._queue) - self._cancelled_pending
-
-    def pending_accountable(self) -> int:
-        """Live queued events this scheduler is *accountable* for.
-
-        Serial: identical to :attr:`pending`.  Sharded workers: home
-        events plus -- on the one shard with ``count_global_events`` --
-        the replicated run-global events, mirroring how
-        :attr:`events_processed` counts.  Summing the value across
-        shards therefore reproduces the serial pending count exactly.
-        """
-        if not self._home_filtered:
-            return self.pending
-        return sum(
-            1
-            for event in self._queue
-            if not event.cancelled
-            and (event.home is not None or self.count_global_events)
-        )
 
     def _note_cancelled(self) -> None:
         self._cancelled_pending += 1
@@ -239,7 +196,6 @@ class EventScheduler:
         callback: Callable[[], None],
         material: bool = True,
         key: Optional[EventKey] = None,
-        home: Optional[int] = None,
     ) -> Event:
         """Schedule ``callback`` at absolute simulated ``time``.
 
@@ -248,8 +204,7 @@ class EventScheduler:
         sampling) that must not advance :attr:`material_now`.  ``key``
         is an entity-local ``(rank, seq)`` from an
         :class:`EventKeySource` (phase 1); without one the event is
-        phase 0 and ties break by insertion order.  ``home`` names the
-        owning node (``None`` = run-global).
+        phase 0 and ties break by insertion order.
         """
         if time < self._now:
             raise SimulationError(
@@ -262,7 +217,7 @@ class EventScheduler:
             rank, seq = key
         event = Event(
             (time, phase, rank, seq, next(self._insertions),
-             callback, material, home, False, self)
+             callback, material, False, self)
         )
         heapq.heappush(self._queue, event)
         return event
@@ -273,48 +228,19 @@ class EventScheduler:
         callback: Callable[[], None],
         material: bool = True,
         key: Optional[EventKey] = None,
-        home: Optional[int] = None,
     ) -> Event:
         """Schedule ``callback`` after ``delay`` seconds of simulated time."""
         if delay < 0:
             raise SimulationError("delay must be non-negative, got %g" % delay)
-        return self.schedule_at(self._now + delay, callback, material, key, home)
-
-    def retain_events(self, predicate: Callable[[Event], bool]) -> int:
-        """Keep only events matching ``predicate``; returns removed count.
-
-        The sharded engine's pruning step after replicated construction:
-        every shard builds the full event population, then keeps its home
-        nodes' events plus the run-global ones.  Cancelled entries are
-        dropped regardless.
-        """
-        before = len(self._queue)
-        self._queue = [
-            event
-            for event in self._queue
-            if not event.cancelled and predicate(event)
-        ]
-        heapq.heapify(self._queue)
-        self._cancelled_pending = 0
-        self._home_filtered = True
-        return before - len(self._queue)
-
-    def next_event_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` on an empty queue."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-            self._cancelled_pending -= 1
-        return self._queue[0].time if self._queue else None
+        return self.schedule_at(self._now + delay, callback, material, key)
 
     def _execute(self, event: Event) -> None:
-        time, _, _, _, _, callback, material, home, _, _ = event
+        time, _, _, _, _, callback, material, _, _ = event
         self._now = time
         if material:
             self._material_now = time
-        self._current = event
         callback()
-        if home is not None or self.count_global_events:
-            self._events_processed += 1
+        self._events_processed += 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Drain the event queue.
@@ -350,18 +276,18 @@ class EventScheduler:
                 executed += 1
         finally:
             self._running = False
-            self._current = None
         return self._now
 
     def run_window(self, until: float) -> int:
         """Execute every event with ``time < until``; return the count.
 
-        The sharded engine's round body: strictly-less-than keeps round
-        boundaries consistent across shards (an event at exactly the
-        horizon belongs to the next round), and unlike :meth:`run` the
-        clocks are *not* advanced to ``until`` on exhaustion -- the final
-        ``material_now`` must reflect real events only, so the merged
-        run duration equals the serial one.
+        For callers that advance a run in steps and then let it drain
+        (the end-to-end ledger's warmup): strictly-less-than makes
+        consecutive windows ``[a, b)``, ``[b, c)`` partition the events
+        (one at exactly ``until`` belongs to the next window), and unlike
+        :meth:`run` the clocks are *not* advanced to ``until`` on
+        exhaustion -- ``material_now`` reflects executed events only, so
+        the reported run duration is the same as an unstepped run's.
         """
         if self._running:
             raise SimulationError("scheduler is not reentrant")
@@ -380,7 +306,6 @@ class EventScheduler:
                 executed += 1
         finally:
             self._running = False
-            self._current = None
         return executed
 
     def step(self) -> bool:
@@ -394,6 +319,5 @@ class EventScheduler:
                 self._cancelled_pending -= 1
                 continue
             self._execute(event)
-            self._current = None
             return True
         return False

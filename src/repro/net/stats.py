@@ -78,17 +78,6 @@ class TrafficStats:
             return 0.0
         return self.summary_bytes / self.net_data_bytes
 
-    def merge(self, other: "TrafficStats") -> None:
-        """Fold another node's counters into this one (system-wide totals)."""
-        self.messages_by_kind.update(other.messages_by_kind)
-        self.bytes_by_kind.update(other.bytes_by_kind)
-        self.summary_bytes += other.summary_bytes
-        self.net_data_bytes += other.net_data_bytes
-        self.summary_entries += other.summary_entries
-        self.messages_lost += other.messages_lost
-        self.bytes_lost += other.bytes_lost
-        self.lost_by_kind.update(other.lost_by_kind)
-
     def iter_counters(self) -> Iterator[Tuple[str, Dict[str, str], float]]:
         """Yield ``(metric, labels, value)`` for every counter, sorted.
 

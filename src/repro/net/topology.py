@@ -9,7 +9,7 @@ traffic accounting.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Protocol, Tuple
+from typing import Dict, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -65,25 +65,6 @@ class Network:
         assignment (the system wires it before any link exists); 0 keeps
         backlogs unbounded.  See :class:`~repro.overload.OverloadSettings`."""
 
-        self.link_router_factory: Optional[
-            Callable[[int, int], Optional[Callable[..., bool]]]
-        ] = None
-        """Optional ``(source, destination) -> router`` hook consulted for
-        every link (existing and lazily created).  The sharded engine
-        installs one that diverts arrivals bound for off-shard nodes into
-        the round outbox; ``None`` for a pair means deliver locally."""
-        self._shard_outbox: Optional[list] = None
-        """The sharded engine's outbound buffer for the current round;
-        ``None`` on the serial network."""
-        self.kind_order: Dict[str, tuple] = {}
-        """Each message kind's first-send rank ``(event key, send seq)``.
-        Counter key order is first-occurrence order, and it shows in
-        reported dicts (``messages_by_kind``); the sharded merge uses
-        these globally comparable ranks to rebuild serial's order."""
-        self.loss_order: Dict[str, tuple] = {}
-        """First-loss ranks, same scheme, for ``lost_by_kind``."""
-        self._send_seq = 0
-
     def prepare(self, num_nodes: int) -> None:
         """Pre-spawn every directed link's RNG and fix the key-rank space.
 
@@ -91,11 +72,10 @@ class Network:
         the network generator, so a link's jitter/loss stream depended on
         the global order in which links first carried traffic.  Keying the
         children by ``(source, destination)`` up front makes every link's
-        stream a pure function of its endpoints -- a placement-invariant
-        property the sharded engine requires (each shard creates only the
-        links its nodes touch, in its own order) and a determinism
-        improvement in its own right.  The system calls this once at
-        construction; bare test networks keep the legacy lazy spawn.
+        stream a pure function of its endpoints and of the messages it
+        carried, whatever the other links did.  The system calls this
+        once at construction; bare test networks keep the legacy lazy
+        spawn.
         """
         self._num_nodes = num_nodes
         children = spawn(self._rng, num_nodes * num_nodes)
@@ -157,27 +137,10 @@ class Network:
                 link.key_source = EventKeySource(
                     self._num_nodes + source * self._num_nodes + destination
                 )
-            if self.link_router_factory is not None:
-                link.router = self.link_router_factory(source, destination)
             self._links[key] = link
         return link
 
-    _PRE_RUN_KEY = (float("-inf"), -1, -1, -1)
-    """Rank for sends outside event execution (construction time), which
-    precede every scheduled event.  Construction replays identically on
-    every shard, so the shard-local sequence number is a valid tiebreak."""
-
-    def _first_seen(self, orders: Dict[str, tuple], kind: str) -> None:
-        if kind not in orders:
-            key = self._scheduler.current_key
-            orders[kind] = (
-                key if key is not None else self._PRE_RUN_KEY,
-                self._send_seq,
-            )
-        self._send_seq += 1
-
     def _record_loss(self, message: Message) -> None:
-        self._first_seen(self.loss_order, message.kind_name)
         self.stats.record_loss(message)
         sender_stats = self.per_sender_stats.get(message.source)
         if sender_stats is not None:
@@ -199,7 +162,6 @@ class Network:
             raise SimulationError("a node does not message itself")
         link = self.link(message.source, message.destination)
         arrival = link.send(message)
-        self._first_seen(self.kind_order, message.kind_name)
         self.stats.record(message)
         self.per_sender_stats[message.source].record(message)
         if self.trace is not None:
@@ -238,18 +200,6 @@ class Network:
     def total_messages_shed(self) -> int:
         """Messages shed at bounded send backlogs, across all links."""
         return sum(link.messages_shed for link in self._links.values())
-
-    def unshipped_count(self) -> int:
-        """Scheduled deliveries not yet in any event queue.
-
-        Always 0 on the serial network; the sharded engine's network
-        wrapper reports its outbound-round buffer so the pending-events
-        gauge stays byte-identical between engines (a cross-shard message
-        is one future event whether it sits in a heap or an outbox).
-        """
-        if self._shard_outbox is not None:
-            return len(self._shard_outbox)
-        return 0
 
     def backlog_seconds(self, source: int, destination: int) -> float:
         """Current serialization backlog on the given directed link."""

@@ -3,8 +3,8 @@
 The detector watches one node's service-queue depth on the *simulated*
 clock and walks the :class:`~repro.overload.ladder.DegradationLadder`
 one legal rung at a time.  Everything it consults -- queue depth, the
-simulated time, the watermarks -- is identical across execution engines,
-so serial and ``--shards N`` runs take byte-identical mode trajectories.
+simulated time, the watermarks -- is a function of the node's own
+history, so a seed fixes the mode trajectory.
 
 Escalation is immediate (a queue at the shed watermark fires
 ``throttle`` and then ``shed`` in one observation); de-escalation is

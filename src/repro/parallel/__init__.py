@@ -37,7 +37,6 @@ from repro.parallel.pool import (
     execute_cell,
     map_tasks,
     reset_simulation_counter,
-    clamp_jobs,
     resolve_jobs,
     run_configs,
     run_many,
@@ -58,7 +57,6 @@ __all__ = [
     "map_tasks",
     "reset_simulation_counter",
     "resolve_cache",
-    "clamp_jobs",
     "resolve_jobs",
     "run_configs",
     "run_many",

@@ -21,22 +21,14 @@ Three invariants make parallel == serial == cached:
 ``REPRO_JOBS`` environment variable, else 1 (serial, the default --
 ``jobs=1`` never touches multiprocessing at all, so existing callers
 are bit-for-bit unaffected).
-
-``--shards`` composes with ``--jobs``: each cell may itself run under
-the sharded engine (``shards`` worker processes per simulation -- see
-:mod:`repro.engine`).  Because sharded execution is byte-identical to
-serial, cache keys deliberately ignore the shard count: a cell computed
-serially is a cache hit for the same cell at any ``--shards``, and vice
-versa.  :func:`clamp_jobs` keeps ``shards x jobs`` within the machine's
-CPU count.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -83,29 +75,6 @@ def resolve_jobs(jobs: int = 0) -> int:
     return value
 
 
-def clamp_jobs(jobs: int, shards: int) -> int:
-    """Keep ``shards x jobs`` processes within the CPU count.
-
-    Each pool worker running a sharded cell spawns ``shards`` engine
-    workers of its own; oversubscribing the machine only adds scheduler
-    thrash.  When the product exceeds ``os.cpu_count()``, the pool side
-    is clamped (with a warning) -- shards win because they change the
-    latency of every cell, jobs only the throughput of the sweep.
-    """
-    if shards <= 1 or jobs <= 1:
-        return jobs
-    cpus = os.cpu_count() or 1
-    if shards * jobs <= cpus:
-        return jobs
-    clamped = max(1, cpus // shards)
-    print(
-        "warning: clamping --jobs %d to %d (%d shards x %d jobs would "
-        "oversubscribe %d CPUs)" % (jobs, clamped, shards, jobs, cpus),
-        file=sys.stderr,
-    )
-    return clamped
-
-
 @dataclass(frozen=True)
 class RunRequest:
     """One cell of a sweep.
@@ -121,10 +90,6 @@ class RunRequest:
     config: SystemConfig
     extractors: ExtractorSpec = ()
     label: str = ""
-    shards: int = 0
-    """Shard count for the cell's own engine (0 = resolve from
-    ``REPRO_SHARDS``, 1 = serial).  Never part of the cache key --
-    sharded runs are byte-identical to serial."""
 
 
 @dataclass(frozen=True)
@@ -149,7 +114,7 @@ def _resolve_extractor(ref: str):
 
 
 def execute_cell(
-    config: SystemConfig, extractors: ExtractorSpec = (), shards: int = 0
+    config: SystemConfig, extractors: ExtractorSpec = ()
 ) -> Tuple[RunResult, Dict[str, object]]:
     """Run one simulation from clean global state; the pool entrypoint.
 
@@ -159,15 +124,9 @@ def execute_cell(
     function of the seed.  A cached and a freshly computed cell are then
     equal field for field, and every artifact derived from either is
     byte-identical.
-
-    ``shards`` (explicit or via ``REPRO_SHARDS``) runs the cell under
-    the sharded engine.  Sweeps mix mesh sizes, so the count is clamped
-    to the cell's node count rather than rejected -- a 2-node cell in a
-    ``--shards 4`` sweep simply runs at 2 shards, with identical output.
     """
     from repro._rng import ensure_rng
     from repro.core.system import DistributedJoinSystem
-    from repro.engine import resolve_shards
     from repro.streams.tuples import peek_next_tuple_ids, reset_tuple_ids
 
     global _simulations
@@ -183,9 +142,7 @@ def execute_cell(
             "RNG construction is not a pure function of the seed; "
             "worker state would leak between cells"
         )
-    system = DistributedJoinSystem(
-        config, shards=min(resolve_shards(shards), config.num_nodes)
-    )
+    system = DistributedJoinSystem(config)
     result = system.run()
     _simulations += 1
     extras = {
@@ -230,6 +187,22 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     )
 
 
+def _result(future: Future, label: str):
+    """``future.result()``; a pool worker that died is a ``ReproError``.
+
+    A worker killed mid-cell (out of memory, a signal, an extractor
+    calling ``os._exit``) breaks the whole pool: every cell it had not
+    finished raises ``BrokenProcessPool``.  ``label`` is the first of
+    those in submission order.
+    """
+    try:
+        return future.result()
+    except BrokenProcessPool as error:
+        raise SimulationError(
+            "a pool worker process died before %s finished (%s)" % (label, error)
+        ) from error
+
+
 # -- the runner --------------------------------------------------------
 
 
@@ -238,7 +211,6 @@ def run_many(
     jobs: int = 0,
     cache: Optional[RunCache] = None,
     progress: Optional[Progress] = None,
-    shards: int = 0,
 ) -> List[RunOutcome]:
     """Execute every request; outcomes come back in submission order.
 
@@ -246,16 +218,8 @@ def run_many(
     counters stay complete regardless of ``jobs``, workers never race on
     entry files, and a fully warm sweep dispatches zero work -- it does
     not even build a pool.
-
-    ``shards`` is the default shard count for cells that do not carry
-    their own (``RunRequest.shards == 0``); ``shards x jobs`` is clamped
-    to the CPU count.  Cache keys ignore shards entirely.
     """
-    from repro.engine import resolve_shards
-
     jobs = resolve_jobs(jobs)
-    shards = resolve_shards(shards)
-    jobs = clamp_jobs(jobs, shards)
     requests = list(requests)
     outcomes: List[Optional[RunOutcome]] = [None] * len(requests)
     pending: List[Tuple[int, RunRequest, Optional[str]]] = []
@@ -280,9 +244,7 @@ def run_many(
         for index, request, key in pending:
             if progress is not None:
                 progress(request.label or "cell %d" % index)
-            result, extras = execute_cell(
-                request.config, request.extractors, request.shards or shards
-            )
+            result, extras = execute_cell(request.config, request.extractors)
             outcomes[index] = RunOutcome(result=result, extras=extras)
             if cache is not None:
                 cache.store(key, result, extras)
@@ -290,22 +252,15 @@ def run_many(
         with _pool(min(jobs, len(pending))) as pool:
             futures = []
             for index, request, key in pending:
+                label = request.label or "cell %d" % index
                 if progress is not None:
-                    progress(request.label or "cell %d" % index)
-                futures.append(
-                    (
-                        index,
-                        key,
-                        pool.submit(
-                            execute_cell,
-                            request.config,
-                            request.extractors,
-                            request.shards or shards,
-                        ),
-                    )
+                    progress(label)
+                future = pool.submit(
+                    execute_cell, request.config, request.extractors
                 )
-            for index, key, future in futures:
-                result, extras = future.result()
+                futures.append((index, key, label, future))
+            for index, key, label, future in futures:
+                result, extras = _result(future, label)
                 outcomes[index] = RunOutcome(result=result, extras=extras)
                 if cache is not None:
                     cache.store(key, result, extras)
@@ -318,7 +273,6 @@ def run_configs(
     cache: Optional[RunCache] = None,
     progress: Optional[Progress] = None,
     labels: Optional[Sequence[str]] = None,
-    shards: int = 0,
 ) -> List[RunResult]:
     """Plain config grid -> results, in order (the figure-sweep shape)."""
     configs = list(configs)
@@ -332,9 +286,7 @@ def run_configs(
     ]
     return [
         outcome.result
-        for outcome in run_many(
-            requests, jobs=jobs, cache=cache, progress=progress, shards=shards
-        )
+        for outcome in run_many(requests, jobs=jobs, cache=cache, progress=progress)
     ]
 
 
@@ -380,9 +332,11 @@ def map_tasks(
             "got %d labels for %d payloads" % (len(labels), len(payloads))
         )
 
-    def note(index: int) -> None:
+    def note(index: int) -> str:
+        label = labels[index] if labels else "task %d" % index
         if progress is not None:
-            progress(labels[index] if labels else "task %d" % index)
+            progress(label)
+        return label
 
     if jobs == 1 or len(payloads) <= 1:
         results = []
@@ -393,6 +347,6 @@ def map_tasks(
     with _pool(min(jobs, len(payloads))) as pool:
         futures = []
         for index, payload in enumerate(payloads):
-            note(index)
-            futures.append(pool.submit(fn, payload))
-        return [future.result() for future in futures]
+            label = note(index)
+            futures.append((label, pool.submit(fn, payload)))
+        return [_result(future, label) for label, future in futures]

@@ -101,15 +101,6 @@ class KernelProfiler:
         """Per-kernel accounting as plain floats (JSON-friendly)."""
         return {name: timer.as_dict() for name, timer in sorted(self._timers.items())}
 
-    def merge(self, other: "KernelProfiler") -> None:
-        """Fold another profiler's accounting into this one."""
-        for name, timer in other._timers.items():
-            mine = self.timer(name)
-            mine.calls += timer.calls
-            mine.items += timer.items
-            mine.wall_seconds += timer.wall_seconds
-            mine.cpu_seconds += timer.cpu_seconds
-
     def format(self) -> str:
         """Fixed-width table of the accumulated sections."""
         lines = [

@@ -28,7 +28,6 @@ from typing import (
     List,
     Optional,
     Protocol,
-    Tuple,
 )
 
 from repro.net.trace import MessageTrace
@@ -52,10 +51,6 @@ class TelemetryEvent:
     node: Optional[int] = None
     dur_s: Optional[float] = None
     attrs: Dict[str, object] = field(default_factory=dict)
-    order: Optional[Tuple] = None
-    """Causal position ``(event sort key, emission index within that
-    event)``.  Never exported; the sharded engine sorts the union of
-    shard rings by it to reconstruct the serial emission order."""
 
 
 class Emitter(Protocol):
@@ -94,13 +89,6 @@ class TelemetryHub:
         )
         self._sequence = 0
         self.events_emitted = 0
-        self.order_source: Optional[Callable[[], Optional[Tuple]]] = None
-        """When set (the system wires the scheduler's ``current_key``),
-        each event is stamped with the executing scheduler event's sort
-        key plus a within-event emission counter.  Construction-time
-        emissions (no event executing) get a sentinel that sorts first."""
-        self._order_key: Optional[Tuple] = None
-        self._order_index = 0
         self._event_sinks: List[Callable[[TelemetryEvent], None]] = []
         self._samplers: List[Sampler] = []
         self._last_sample_time: Optional[float] = None
@@ -128,16 +116,6 @@ class TelemetryHub:
         **attrs: object,
     ) -> None:
         """Record one structured event (see :class:`Emitter`)."""
-        order = None
-        if self.order_source is not None:
-            key = self.order_source()
-            if key is None:
-                key = (-1.0, 0, 0, 0)
-            if key != self._order_key:
-                self._order_key = key
-                self._order_index = 0
-            order = key + (self._order_index,)
-            self._order_index += 1
         event = TelemetryEvent(
             seq=self._sequence,
             time=self._clock() if time is None else time,
@@ -146,7 +124,6 @@ class TelemetryHub:
             node=node,
             dur_s=dur_s,
             attrs=attrs,
-            order=order,
         )
         self._sequence += 1
         self.events_emitted += 1

@@ -153,10 +153,9 @@ class Histogram(Instrument):
         """Sum of observations.
 
         Accumulated exactly (``Fraction`` of the binary floats), not as
-        a running float: float addition is order-sensitive in the last
-        ulp, and the sharded engine observes values in per-shard order
-        rather than serial order.  Exact accumulation makes the sum
-        associative, so the export is byte-identical either way.
+        a running float, so the sum does not depend on the order of the
+        observations.  The pinned ``metrics.prom`` exports carry this
+        rounding; a running float can differ from it in the last ulp.
         """
         return float(self._total)
 
@@ -236,69 +235,6 @@ class MetricRegistry:
                 instrument.series = TimeSeries(self.series_capacity)
             instrument.series.append(now, instrument.sample_value())
         self.samples_taken += 1
-
-    # -- sharded-engine support ----------------------------------------
-
-    def reset_values(self) -> None:
-        """Zero every instrument in place, keeping the objects alive.
-
-        The sharded engine's worker-side reset: every shard replicates
-        the construction phase (so per-link RNGs and instrument handles
-        line up with serial), then all but the accounting shard wipe the
-        replicated counts.  Call sites cache instrument handles, so the
-        instruments must be zeroed, never replaced.
-        """
-        for instrument in self._instruments.values():
-            if isinstance(instrument, Histogram):
-                instrument.counts = [0] * (len(instrument.edges) + 1)
-                instrument._total = Fraction(0)
-                instrument.count = 0
-            elif isinstance(instrument, (Counter, Gauge)):
-                instrument.value = 0.0
-            instrument.series = None
-        self.samples_taken = 0
-
-    def merge_shard(self, other: "MetricRegistry") -> None:
-        """Fold a worker shard's registry into this one.
-
-        All merges are exact, which is what keeps the merged export
-        byte-identical to serial: counter/gauge values and histogram
-        buckets sum (a frozen replica contributes an exact zero),
-        histogram totals add as ``Fraction``, and time series union
-        their tick times with per-time sums.  ``samples_taken`` and
-        per-series ``total_samples`` take the max, because sampling
-        ticks are replicated on every shard rather than partitioned.
-        """
-        for (name, labels), theirs in other._instruments.items():
-            if isinstance(theirs, Histogram):
-                mine = self._get(Histogram, name, dict(labels), edges=theirs.edges)
-                mine.count += theirs.count
-                mine._total += theirs._total
-                for index, value in enumerate(theirs.counts):
-                    mine.counts[index] += value
-            elif isinstance(theirs, Counter):
-                mine = self._get(Counter, name, dict(labels))
-                mine.value += theirs.value
-            elif isinstance(theirs, Gauge):
-                mine = self._get(Gauge, name, dict(labels))
-                mine.value += theirs.value
-            else:  # pragma: no cover - no other instrument kinds exist
-                continue
-            if theirs.series is not None:
-                merged: Dict[float, float] = {}
-                kept = 0
-                if mine.series is not None:
-                    kept = mine.series.total_samples
-                    for time, value in mine.series:
-                        merged[time] = merged.get(time, 0.0) + value
-                for time, value in theirs.series:
-                    merged[time] = merged.get(time, 0.0) + value
-                series = TimeSeries(self.series_capacity)
-                for time in sorted(merged):
-                    series.append(time, merged[time])
-                series.total_samples = max(kept, theirs.series.total_samples)
-                mine.series = series
-        self.samples_taken = max(self.samples_taken, other.samples_taken)
 
     def series_rows(self) -> Iterator[Tuple[str, str, float, float]]:
         """Flat ``(metric, labels, time, value)`` rows for the CSV export."""

@@ -14,19 +14,26 @@ what is asserted, not speedup.
 import contextlib
 import dataclasses
 import io
+import multiprocessing
+import os
 import pickle
+import time
 
 import pytest
 
 from repro.config import Algorithm
+from repro.errors import SimulationError
 from repro.experiments import chaos, fig8, report
 from repro.experiments.harness import get_scale, system_config
 from repro.parallel import (
     RunCache,
+    RunRequest,
     cached_run,
     execute_cell,
+    map_tasks,
     reset_simulation_counter,
     run_configs,
+    run_many,
     simulations_run,
 )
 from repro.streams.tuples import StreamId, StreamTuple
@@ -134,3 +141,44 @@ class TestWorkerStateReset:
         execute_cell(config)
         execute_cell(config)
         assert simulations_run() == 2
+
+
+def _kill_worker(*_args):
+    """An extractor / task that takes its pool worker down without unwinding."""
+    os._exit(17)
+
+
+class TestWorkerDeath:
+    """A pool worker that dies is a ``ReproError`` in bounded time, with
+    no child process and no cache entry left behind."""
+
+    BOUND_S = 60.0
+
+    def test_dead_worker_fails_the_sweep_cleanly(self, tmp_path):
+        preset = get_scale("smoke")
+        doomed = RunRequest(
+            config=system_config(preset, Algorithm.DFTT, 3),
+            extractors=(("never", __name__ + ":_kill_worker"),),
+            label="doomed cell",
+        )
+        bystanders = [
+            RunRequest(config=system_config(preset, Algorithm.DFTT, 3, seed_offset=i))
+            for i in (1, 2)
+        ]
+        cache = RunCache(str(tmp_path))
+        before = set(multiprocessing.active_children())
+        started = time.monotonic()
+        with pytest.raises(SimulationError, match="doomed cell"):
+            run_many([doomed] + bystanders, jobs=2, cache=cache)
+        assert time.monotonic() - started < self.BOUND_S
+        assert set(multiprocessing.active_children()) <= before
+        assert cache.stats()["stores"] == 0
+        assert cache.lookup(cache.key_for(doomed.config, doomed.extractors)) is None
+
+    def test_dead_worker_fails_map_tasks_cleanly(self):
+        before = set(multiprocessing.active_children())
+        started = time.monotonic()
+        with pytest.raises(SimulationError, match="task 0"):
+            map_tasks(_kill_worker, [0, 1], jobs=2)
+        assert time.monotonic() - started < self.BOUND_S
+        assert set(multiprocessing.active_children()) <= before

@@ -160,15 +160,6 @@ class TestDeltaSavings:
         assert off["state_transfer_fallbacks"] == 0.0
 
 
-class TestShardedIdentity:
-    def test_delta_cell_is_byte_identical_under_shards(self, delta_result):
-        system = DistributedJoinSystem(make_config(delta=True), shards=2)
-        sharded = system.run()
-        first = json.dumps(result_to_dict(delta_result), sort_keys=True)
-        second = json.dumps(result_to_dict(sharded), sort_keys=True)
-        assert first == second
-
-
 class TestFallback:
     @pytest.fixture(scope="class")
     def truncated_result(self):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, config_from_args, main
 from repro.config import Algorithm, WindowKind, WorkloadKind
+from repro.core.system import run_experiment
 
 
 def parse(argv):
@@ -94,6 +95,21 @@ class TestExperimentsDispatch:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["experiments", "mystery"]) == 2
         assert "mystery" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [FAST, ["experiments", "chaos", "smoke"], ["experiments", "report", "smoke"]],
+        ids=["run", "chaos", "report"],
+    )
+    def test_removed_shards_option_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--shards", "2"])
+        assert excinfo.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
+    def test_removed_shards_parameter_is_type_error(self):
+        with pytest.raises(TypeError):
+            run_experiment(config_from_args(parse(FAST)), shards=2)
 
     def test_chaos_subcommand_reaches_its_parser(self, capsys):
         # --help exits 0 from chaos's own argparse; proves dispatch wiring

@@ -58,19 +58,6 @@ def test_snapshot_is_json_serializable_and_sorted():
     json.dumps(snap)
 
 
-def test_merge_folds_timers():
-    first = KernelProfiler()
-    second = KernelProfiler()
-    first.record("k", wall=1.0, cpu=1.0, items=2)
-    second.record("k", wall=2.0, cpu=2.0, items=3)
-    second.record("other", wall=0.5, cpu=0.5)
-    first.merge(second)
-    snap = first.snapshot()
-    assert snap["k"]["wall_seconds"] == 3.0
-    assert snap["k"]["items"] == 5.0
-    assert "other" in snap
-
-
 def test_format_lists_every_kernel():
     profiler = KernelProfiler()
     profiler.record("alpha", wall=0.1, cpu=0.1)

@@ -234,24 +234,13 @@ def test_equal_full_keys_fire_in_insertion_order():
     assert log == ["earlier rank", 0, 1, 2, 3, 4, 5]
 
 
-def test_current_key_names_the_executing_event():
-    scheduler = EventScheduler()
-    seen = []
-    scheduler.schedule_at(1.0, lambda: seen.append(scheduler.current_key))
-    scheduler.schedule_at(2.0, lambda: seen.append(scheduler.current_key), key=(4, 1))
-    assert scheduler.current_key is None
-    scheduler.run()
-    assert seen == [(1.0, 0, 0, 0), (2.0, 1, 4, 1)]
-    assert scheduler.current_key is None
-
-
 def test_event_handle_reads_by_name():
     scheduler = EventScheduler()
-    event = scheduler.schedule_at(1.5, print, key=(2, 5), home=2)
+    event = scheduler.schedule_at(1.5, print, key=(2, 5))
     assert (event.time, event.phase, event.rank, event.seq) == (1.5, 1, 2, 5)
     assert event.sort_key == (1.5, 1, 2, 5)
     assert event.callback is print
-    assert (event.material, event.home, event.cancelled) == (True, 2, False)
+    assert (event.material, event.cancelled) == (True, False)
     event.cancel()
     assert event.cancelled
     assert "time=1.5" in repr(event) and "cancelled=True" in repr(event)

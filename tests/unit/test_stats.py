@@ -45,15 +45,6 @@ def test_data_messages_counts_tuples_and_summaries():
     assert stats.messages(MessageKind.CONTROL) == 1
 
 
-def test_merge_folds_counters():
-    left, right = TrafficStats(), TrafficStats()
-    left.record(_msg(MessageKind.TUPLE, entries=1))
-    right.record(_msg(MessageKind.SUMMARY, entries=3))
-    left.merge(right)
-    assert left.total_messages == 2
-    assert left.summary_entries == 4
-
-
 def test_as_dict_round_trip():
     stats = TrafficStats()
     stats.record(_msg(MessageKind.TUPLE, entries=1))

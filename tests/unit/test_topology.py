@@ -180,24 +180,6 @@ def test_send_accounting_matches_the_recorded_script():
         (1, 0): (10, 740, 2, 116, 0),
         (2, 1): (10, 652, 4, 164, 0),
     }
-    assert network.kind_order == {
-        "control": ((float("-inf"), -1, -1, -1), 0),
-        "tuple": ((0.0, 1, 0, 0), 1),
-        "summary": ((0.0, 1, 0, 0), 3),
-        "result": ((0.0, 1, 0, 0), 4),
-        "ack": ((0.0, 1, 0, 0), 6),
-        "heartbeat": ((0.0, 1, 0, 0), 7),
-        "state_transfer": ((0.5, 1, 1, 1), 8),
-    }
-    assert network.loss_order == {
-        "summary": ((0.0, 1, 0, 0), 2),
-        "result": ((0.5, 1, 1, 1), 11),
-        "control": ((0.5, 1, 1, 1), 13),
-        "state_transfer": ((1.5, 1, 0, 3), 24),
-        "ack": ((2.0, 1, 1, 4), 31),
-        "heartbeat": ((2.0, 1, 1, 4), 33),
-        "tuple": ((2.0, 1, 1, 4), 36),
-    }
     # Which messages arrived where, in what order (ids relative to the first).
     assert [
         [message.message_id - first.message_id for message in endpoint.received]
