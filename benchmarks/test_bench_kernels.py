@@ -1,9 +1,9 @@
 """Microbenchmarks for the vectorized hot-path kernels.
 
 Every benchmark times a fast kernel against the pre-optimization
-reference the ``REPRO_NAIVE_KERNELS`` switch preserves (per-update
-``np.exp`` sliding DFT, uncached scalar sketch updates) over the same
-work, then asserts the contracted speedup floors:
+reference (the per-update ``np.exp`` sliding DFT of
+``tests/reference_kernels.py``, uncached scalar sketch updates) over the
+same work, then asserts the contracted speedup floors:
 
 * ``sliding_dft_extend``  -- >= 5x over the scalar update loop;
 * ``agms_windowed_update`` -- >= 3x over per-tuple update/evict pairs;
@@ -15,7 +15,9 @@ a kernel whose measured speedup fell to less than half its committed
 baseline fails the run (the CI bench smoke job's regression tripwire).
 
 Scale with ``REPRO_BENCH_SCALE``: ``bench`` (default) finishes in
-seconds; ``default``/``full`` use larger windows and streams.
+seconds; ``default``/``full`` use larger windows and streams.  Run as
+``python -m pytest`` from the repository root (the reference is imported
+as ``tests.reference_kernels``).
 """
 
 import json
@@ -32,6 +34,7 @@ from repro.profiling import Stopwatch
 from repro.sketches.agms import AgmsSketch, SketchShape
 from repro.sketches.fast_agms import FastAgmsSketch, FastSketchShape
 from repro.sketches.hashing import FourWiseHashFamily
+from tests.reference_kernels import ReferenceSlidingDFT
 
 REPORT_PATH = Path(__file__).resolve().parent / "BENCH_kernels.json"
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_kernels_baseline.json"
@@ -91,9 +94,8 @@ def test_sliding_dft_extend_speedup():
     stream = rng.normal(scale=100.0, size=scale["stream"])
     bins = low_frequency_bins(scale["window"], scale["bins"])
 
-    naive_dft = SlidingDFT(
-        scale["window"], tracked_bins=bins,
-        control=_no_recompute_control(), mode="naive",
+    naive_dft = ReferenceSlidingDFT(
+        scale["window"], tracked_bins=bins, control=_no_recompute_control()
     )
     fast_dft = SlidingDFT(
         scale["window"], tracked_bins=bins, control=_no_recompute_control()
@@ -101,7 +103,7 @@ def test_sliding_dft_extend_speedup():
     assert fast_dft.mode in ("table", "rotation")
 
     def run_naive():
-        naive_dft.extend(stream)  # naive mode: the historical per-update loop
+        naive_dft.extend(stream)  # the historical per-update loop
 
     def run_fast():
         fast_dft.extend(stream)
@@ -119,10 +121,9 @@ def test_sliding_dft_scalar_update_speedup():
     stream = rng.normal(scale=100.0, size=min(scale["stream"], 20_000))
     bins = low_frequency_bins(scale["window"], scale["bins"])
 
-    def run(mode):
-        dft = SlidingDFT(
-            scale["window"], tracked_bins=bins,
-            control=_no_recompute_control(), mode=mode,
+    def run(kernel):
+        dft = kernel(
+            scale["window"], tracked_bins=bins, control=_no_recompute_control()
         )
 
         def body():
@@ -132,8 +133,8 @@ def test_sliding_dft_scalar_update_speedup():
 
     speedup = _record(
         "sliding_dft_update",
-        _best_of(run("naive")),
-        _best_of(run("table")),
+        _best_of(run(ReferenceSlidingDFT)),
+        _best_of(run(SlidingDFT)),
         stream.size,
     )
     assert speedup >= 1.2, "per-update speedup %.2fx regressed" % speedup

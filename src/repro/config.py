@@ -199,7 +199,7 @@ class SystemConfig:
     for exactly the resources the paper's throughput analysis is about.
     The workload's total_tuples and arrival_rate are split evenly."""
 
-    window_kind: "WindowKind" = None  # type: ignore[assignment]
+    window_kind: WindowKind = WindowKind.COUNT
     """COUNT (default) or TIME windows; see :class:`WindowKind`."""
 
     window_seconds: float = 0.0
@@ -230,10 +230,6 @@ class SystemConfig:
     without bound, the pre-overload semantics; see :mod:`repro.overload`)."""
 
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.window_kind is None:
-            object.__setattr__(self, "window_kind", WindowKind.COUNT)
 
     def validate(self) -> None:
         if self.num_nodes < 2:

@@ -120,8 +120,6 @@ class JoinProcessingNode:
         order and replayed in canonical ``(time, node, seq)`` order at
         collect time (see repro.metrics.accounting.replay_accounting)."""
         self._acct_seq = 0
-        self._queries: Dict[int, QueryRuntime] = {}
-        self.add_query(0, policy, oracle, collector)
         self._queue: Deque[Tuple[str, object]] = deque()
         self._busy = False
         self._last_contact: Dict[int, float] = {}
@@ -160,9 +158,8 @@ class JoinProcessingNode:
         self.recovery_machine: Optional[RecoveryMachine] = None
         if recovery is not None and recovery.enabled:
             self.recovery_machine = RecoveryMachine(node_id)
-        for runtime in self._queries.values():
-            # Query 0 was installed before the recovery settings existed.
-            self._install_delta_history(runtime.policy)
+        self._queries: Dict[int, QueryRuntime] = {}
+        self.add_query(0, policy, oracle, collector)
         self._replay_log: Deque[StreamTuple] = deque()
         self._pending_messages: List[Message] = []
         self._transfer_timers: Dict[int, Event] = {}
@@ -246,10 +243,7 @@ class JoinProcessingNode:
             collector=collector,
         )
         self._query_order = tuple(sorted(self._queries))
-        if getattr(self, "recovery_settings", None) is not None:
-            # Query 0 arrives from the constructor before the recovery
-            # settings exist; the constructor re-runs the installation.
-            self._install_delta_history(policy)
+        self._install_delta_history(policy)
 
     @property
     def _delta_transfer_enabled(self) -> bool:

@@ -33,14 +33,16 @@ Fast paths
 ----------
 
 The per-slot phase rows ``exp(-2j*pi*k*p/W)`` depend only on the slot
-``p``, never on the data, so three evaluation modes are supported:
+``p``, never on the data, so they are never evaluated per tuple.  Two
+evaluation modes, worked out from ``W x K`` at construction:
 
 ``table``
-    Precompute the full ``W x K`` twiddle table once.  Chosen
-    automatically when ``W * K <= TWIDDLE_TABLE_MAX_ENTRIES`` (32 MiB of
-    complex128 at the default cap).  The table is produced by the same
-    vectorized ``np.exp`` the per-tuple path evaluated, so coefficients
-    are bit-identical to the historical per-update formulation.
+    Precompute the full ``W x K`` twiddle table once.  Chosen when
+    ``W * K <= TWIDDLE_TABLE_MAX_ENTRIES`` (32 MiB of complex128 at the
+    default cap).  The table is produced by the same vectorized
+    ``np.exp`` a per-update evaluation would run, so coefficients are
+    bit-identical to that formulation (kept as the test oracle in
+    ``tests/reference_kernels.py``).
 
 ``rotation``
     When the table would exceed the cap, keep only the current phase row
@@ -48,11 +50,6 @@ The per-slot phase rows ``exp(-2j*pi*k*p/W)`` depend only on the slot
     rotation ``exp(-2j*pi*k/W)``, resetting exactly to ones at slot-0
     wraparound so accumulated phase error never exceeds one window's
     worth (well under the control vector's drift budget).
-
-``naive``
-    The historical reference: a fresh ``np.exp`` per update.  Kept for
-    equivalence tests and benchmarks; selected globally by setting the
-    ``REPRO_NAIVE_KERNELS`` environment variable.
 
 :meth:`SlidingDFT.extend` is a true batched path: a block of samples is
 applied as one vectorized outer-product update whose reduction is
@@ -65,7 +62,6 @@ the same update as in the scalar path.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,15 +77,6 @@ EXTEND_BLOCK_ROWS = 1024
 """Row cap on the per-block scratch of :meth:`SlidingDFT.extend`, so a
 huge batch never materializes more than ``EXTEND_BLOCK_ROWS x K``
 temporaries at once."""
-
-NAIVE_KERNELS_ENV = "REPRO_NAIVE_KERNELS"
-"""Set (to anything non-empty) to force every new ``SlidingDFT`` into the
-historical per-update ``np.exp`` path -- the reference the equivalence
-tests and microbenchmarks compare against."""
-
-
-def _naive_kernels_forced() -> bool:
-    return bool(os.environ.get(NAIVE_KERNELS_ENV, ""))
 
 
 def low_frequency_bins(window_size: int, count: int) -> np.ndarray:
@@ -115,10 +102,9 @@ class SlidingDFT:
     is conceptually zero-padded to W); once full, each arrival overwrites
     the oldest slot, applying the O(1) anchored update above.
 
-    ``mode`` selects the phase-row evaluation strategy: ``"auto"``
-    (default) picks ``"table"`` when the ``W x K`` twiddle table fits
-    under :data:`TWIDDLE_TABLE_MAX_ENTRIES` and ``"rotation"`` otherwise;
-    ``"naive"`` forces the historical per-update ``np.exp``.
+    ``mode`` records the phase-row evaluation strategy: ``"table"`` when
+    the ``W x K`` twiddle table fits under
+    :data:`TWIDDLE_TABLE_MAX_ENTRIES` and ``"rotation"`` otherwise.
     """
 
     def __init__(
@@ -126,7 +112,6 @@ class SlidingDFT:
         window_size: int,
         tracked_bins: Optional[Sequence[int]] = None,
         control: Optional[ControlVector] = None,
-        mode: str = "auto",
     ) -> None:
         if window_size < 1:
             raise SummaryError("window_size must be >= 1")
@@ -145,20 +130,15 @@ class SlidingDFT:
         self._position = 0
         self._filled = 0
         self._base_angle = -2j * np.pi * bins / window_size
-        if mode == "auto":
-            if _naive_kernels_forced():
-                mode = "naive"
-            elif window_size * bins.size <= TWIDDLE_TABLE_MAX_ENTRIES:
-                mode = "table"
-            else:
-                mode = "rotation"
-        if mode not in ("table", "rotation", "naive"):
-            raise SummaryError("unknown SlidingDFT mode %r" % mode)
-        self.mode = mode
+        self.mode = (
+            "table"
+            if window_size * bins.size <= TWIDDLE_TABLE_MAX_ENTRIES
+            else "rotation"
+        )
         self._twiddles: Optional[np.ndarray] = None
         self._rotation: Optional[np.ndarray] = None
         self._phase: Optional[np.ndarray] = None
-        if mode == "table":
+        if self.mode == "table":
             # One vectorized exp over the full W x K grid; row p equals
             # exp(base_angle * p) bit-for-bit, i.e. exactly the phase row
             # the per-update path would have produced.
@@ -166,7 +146,7 @@ class SlidingDFT:
                 self._base_angle[None, :]
                 * np.arange(window_size, dtype=np.int64)[:, None]
             )
-        elif mode == "rotation":
+        else:
             self._rotation = np.exp(self._base_angle)
             self._phase = np.ones(bins.size, dtype=np.complex128)
         self.control = control if control is not None else ControlVector.default(window_size)
@@ -194,9 +174,7 @@ class SlidingDFT:
         """Phase row for the current slot (do not mutate)."""
         if self.mode == "table":
             return self._twiddles[self._position]
-        if self.mode == "rotation":
-            return self._phase
-        return np.exp(self._base_angle * self._position)
+        return self._phase
 
     def _advance_position(self) -> None:
         """Move to the next slot, maintaining the rotation-mode phase row."""
@@ -235,10 +213,6 @@ class SlidingDFT:
         in the scalar loop), and each block's coefficient contributions
         are reduced strictly in arrival order via ``np.add.accumulate``.
         """
-        if self.mode == "naive":
-            for value in values:
-                self.update(value)
-            return
         if isinstance(values, np.ndarray):
             samples = values.astype(np.float64, copy=False).reshape(-1)
         else:

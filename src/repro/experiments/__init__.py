@@ -27,13 +27,6 @@ module                reproduces
 from repro.experiments.ascii_plot import bar_chart, line_chart
 from repro.experiments.calibrate import calibrate_budget
 from repro.experiments.harness import ExperimentScale, get_scale
-from repro.experiments.persistence import (
-    load_chaos_rows,
-    load_results,
-    save_chaos_rows,
-    save_results,
-)
-from repro.experiments.regression import compare as compare_results
 from repro.experiments.regression import compare_chaos
 from repro.experiments.reporting import format_series, format_table
 
@@ -45,10 +38,6 @@ __all__ = [
     "format_series",
     "bar_chart",
     "line_chart",
-    "save_results",
-    "load_results",
-    "save_chaos_rows",
-    "load_chaos_rows",
-    "compare_results",
     "compare_chaos",
 ]
+

@@ -40,6 +40,7 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import Algorithm
@@ -622,7 +623,10 @@ def rows_from_payload(payload: Dict[str, object]) -> List[ChaosRow]:
             "chaos payload has unknown keys %s (stale file format?)"
             % ", ".join(sorted(unknown))
         )
-    return [ChaosRow.from_dict(entry) for entry in payload.get("rows", [])]
+    rows = payload.get("rows", [])
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ConfigurationError("chaos payload 'rows' must be a list of objects")
+    return [ChaosRow.from_dict(row) for row in rows]
 
 
 def rows_to_json(rows: Sequence[ChaosRow]) -> str:
@@ -638,6 +642,23 @@ def rows_from_json(text: str) -> List[ChaosRow]:
     if not isinstance(payload, dict):
         raise ConfigurationError("chaos results must be a JSON object")
     return rows_from_payload(payload)
+
+
+def save_chaos_rows(rows: Sequence[ChaosRow], path: str | Path) -> None:
+    """Write a chaos sweep's rows in the canonical (golden-diffable) form."""
+    Path(path).write_text(rows_to_json(rows))
+
+
+def load_chaos_rows(path: str | Path) -> List[ChaosRow]:
+    """Read rows previously written by :func:`save_chaos_rows`.
+
+    Strict: unknown row fields or a version mismatch raise
+    :class:`ConfigurationError`.
+    """
+    file_path = Path(path)
+    if not file_path.exists():
+        raise ConfigurationError("no chaos results file at %s" % file_path)
+    return rows_from_json(file_path.read_text())
 
 
 # ----------------------------------------------------------------------
@@ -905,7 +926,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.errors import ReproError
-    from repro.experiments.persistence import load_chaos_rows, save_chaos_rows
     from repro.experiments.regression import compare_chaos
 
     args = build_parser().parse_args(argv)

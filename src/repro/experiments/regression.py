@@ -1,16 +1,11 @@
-"""Regression comparison between two result sets.
+"""Regression comparison between two chaos sweeps.
 
-Workflow: save a sweep's results with
-:func:`repro.experiments.persistence.save_results` as the baseline; after
-changing the code, rerun the sweep and diff against the baseline.  Runs
-are matched by their configuration echo (minus the fields expected to
-vary), and each headline metric's drift is reported against a relative
-tolerance.
-
-Chaos sweeps gate the same way through :func:`compare_chaos`: rows are
-matched on (scale, algorithm, mesh, fault level, seed) and the chaos
-headline metrics -- epsilon, bytes on the wire, recovery latency, time in
-worst-case mode -- are diffed.  Because chaos runs are byte-deterministic
+Workflow: save a sweep's rows with ``experiments chaos --out`` as the
+baseline; after changing the code, rerun the sweep with ``--baseline``.
+:func:`compare_chaos` matches rows on (scale, algorithm, mesh, fault
+level, seed, recovery on/off) and diffs the chaos headline metrics --
+epsilon, bytes on the wire, recovery latency, time in worst-case mode --
+against a relative tolerance.  Because chaos runs are byte-deterministic
 per seed + plan, a same-code comparison shows exactly zero drift; any
 nonzero drift is a real behavioural change.
 """
@@ -20,33 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.results import RunResult
 from repro.errors import ConfigurationError
 from repro.experiments.reporting import format_table
-
-MATCH_FIELDS = (
-    "algorithm",
-    "num_nodes",
-    "window_size",
-    "kappa",
-    "workload",
-    "total_tuples",
-    "seed",
-)
-"""Config fields that identify 'the same run' across code versions."""
-
-COMPARED_METRICS = (
-    "epsilon",
-    "messages_per_result_tuple",
-    "messages_per_arrival",
-    "throughput",
-    "summary_overhead_fraction",
-)
-
-
-def run_key(result: RunResult) -> Tuple:
-    """The identity of a run for baseline matching."""
-    return tuple(result.config.get(field) for field in MATCH_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -153,24 +123,6 @@ def _match_and_diff(
         drifts=drifts,
         unmatched_baseline=unmatched_baseline,
         unmatched_candidate=unmatched_candidate,
-    )
-
-
-def compare(
-    baseline: Sequence[RunResult],
-    candidate: Sequence[RunResult],
-    tolerance: float = 0.10,
-    metrics: Sequence[str] = COMPARED_METRICS,
-) -> RegressionReport:
-    """Match runs by configuration and diff their headline metrics."""
-    return _match_and_diff(
-        baseline,
-        candidate,
-        tolerance,
-        metrics,
-        run_key,
-        lambda result: result.summary(),
-        "run",
     )
 
 

@@ -168,9 +168,7 @@ def run_report(scale: str, only, jobs: int = 0, cache=None) -> None:
         cache.write_manifest({"sweep": "report", "scale": scale})
 
 
-def main(argv=None) -> int:
-    from repro.parallel import resolve_cache
-
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("scale", nargs="?", default="bench",
                         choices=["smoke", "bench", "default", "full"])
@@ -196,6 +194,13 @@ def main(argv=None) -> int:
         metavar="DIR",
         help="run-result cache location (default: REPRO_CACHE_DIR or .repro-cache)",
     )
+    return parser
+
+
+def main(argv=None) -> int:
+    from repro.parallel import resolve_cache
+
+    parser = build_parser()
     args = parser.parse_args(argv)
     only = None
     if args.only:

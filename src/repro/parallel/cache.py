@@ -18,15 +18,18 @@ Two conventions keep the key honest:
   byte-stable blobs.
 * **Code-version salt.**  ``repro.__version__`` is static between
   releases, so the salt instead hashes every ``.py`` source file in the
-  package (plus the kernel mode, since ``REPRO_NAIVE_KERNELS`` changes
-  which code runs).  Any source edit therefore invalidates the whole
-  cache -- conservative by design: a stale hit would silently mask a
-  regression in the golden-pinned sweeps.  ``REPRO_CACHE_SALT`` appends
-  an operator-chosen token for manual invalidation.
+  package.  Any source edit therefore invalidates the whole cache --
+  conservative by design: a stale hit would silently mask a regression
+  in the golden-pinned sweeps.  ``REPRO_CACHE_SALT`` appends an
+  operator-chosen token for manual invalidation.
 
 Cache entries are written atomically (temp file + ``os.replace``) so
-concurrent workers and interrupted runs can never leave a torn entry;
-anything unreadable is treated as a miss and deleted.
+concurrent workers and interrupted runs can never leave a torn entry.
+An entry file is the sha256 of its pickle bytes followed by those bytes;
+:meth:`RunCache.lookup` verifies the digest *before* unpickling, so a
+truncated or bit-flipped file (a flipped bit inside a pickled float
+unpickles without complaint) is never served: anything that fails to
+read, verify or unpickle is deleted and treated as a miss.
 """
 
 from __future__ import annotations
@@ -42,8 +45,11 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
-CACHE_SCHEMA_VERSION = 1
-"""Bump when the entry payload layout changes; old entries become misses."""
+CACHE_SCHEMA_VERSION = 2
+"""Bump when the entry payload layout changes; old entries become misses.
+Version 2 prefixed the pickle with its sha256."""
+
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 """Where entries live unless ``REPRO_CACHE_DIR`` or ``--cache-dir`` says
@@ -119,13 +125,10 @@ def code_version() -> str:
 
 def config_fingerprint(config, extractors: ExtractorSpec = ()) -> str:
     """The cache key for one cell: sha256 over the canonical payload."""
-    from repro.telemetry.manifest import kernel_mode
-
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
         "code": code_version(),
         "salt": os.environ.get("REPRO_CACHE_SALT", ""),
-        "kernel_mode": kernel_mode(),
         "config": canonical_config_dict(config),
         "extractors": [[name, ref] for name, ref in extractors],
     }
@@ -162,24 +165,28 @@ class RunCache:
     def lookup(self, key: str) -> Optional[Dict[str, object]]:
         """The stored entry for ``key``, or ``None`` (counted as a miss).
 
-        A torn or stale-format entry is deleted and reported as a miss:
-        recomputing a cell is always safe, serving bad bytes never is.
+        A torn, corrupted or stale-format entry is deleted and reported
+        as a miss: recomputing a cell is always safe, serving bad bytes
+        never is.
         """
         path = self._path(key)
         try:
             with open(path, "rb") as handle:
-                entry = pickle.load(handle)
+                data = handle.read()
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
+        except OSError:
+            data = b""
+        entry = None
+        digest, payload = data[:_DIGEST_BYTES], data[_DIGEST_BYTES:]
+        if hashlib.sha256(payload).digest() == digest:
             try:
-                os.remove(path)
-            except OSError:
+                entry = pickle.loads(payload)
+            except Exception:
+                # Verified bytes that still do not load were written by
+                # other code (a class moved, a foreign file): recompute.
                 pass
-            self.misses += 1
-            return None
         if not isinstance(entry, dict) or "result" not in entry:
             try:
                 os.remove(path)
@@ -195,14 +202,15 @@ class RunCache:
         path = self._path(key)
         parent = os.path.dirname(path)
         os.makedirs(parent, exist_ok=True)
+        payload = pickle.dumps(
+            {"result": result, "extras": dict(extras)},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
         descriptor, temp_path = tempfile.mkstemp(dir=parent, suffix=".tmp")
         try:
             with os.fdopen(descriptor, "wb") as handle:
-                pickle.dump(
-                    {"result": result, "extras": dict(extras)},
-                    handle,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
+                handle.write(hashlib.sha256(payload).digest())
+                handle.write(payload)
             os.replace(temp_path, path)
         except BaseException:
             try:

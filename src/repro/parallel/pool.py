@@ -167,10 +167,10 @@ def _worker_init(env: Dict[str, str]) -> None:
     """Mirror the parent's ``REPRO_*`` environment exactly.
 
     Spawned workers inherit the environment at fork-server/spawn time,
-    which can predate parent-side changes (tests monkeypatching
-    ``REPRO_NAIVE_KERNELS``, a harness exporting ``REPRO_CACHE_SALT``);
-    the initializer re-synchronizes so worker cells resolve the same
-    knobs the parent would.
+    which can predate parent-side changes (a harness exporting
+    ``REPRO_CACHE_SALT``, a test monkeypatching it); the initializer
+    re-synchronizes so worker cells resolve the same knobs the parent
+    would.
     """
     for key in [key for key in os.environ if key.startswith("REPRO_")]:
         if key not in env:

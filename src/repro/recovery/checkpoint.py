@@ -16,6 +16,7 @@ assembles them into one blob per node.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -43,11 +44,23 @@ def encode_array(array: np.ndarray) -> Dict[str, object]:
 
 
 def decode_array(payload: Dict[str, object]) -> np.ndarray:
-    """Inverse of :func:`encode_array` (returns a fresh writable array)."""
-    flat = np.frombuffer(
-        bytes.fromhex(payload["data"]), dtype=np.dtype(payload["dtype"])
-    )
-    return flat.reshape(tuple(payload["shape"])).copy()
+    """Inverse of :func:`encode_array` (returns a fresh writable array).
+
+    Raises :class:`SimulationError` unless the buffer is exactly
+    ``prod(shape)`` items of the named dtype."""
+    try:
+        dtype = np.dtype(payload["dtype"])
+        shape = tuple(payload["shape"])
+        data = bytes.fromhex(payload["data"])
+        if str(dtype) != payload["dtype"]:
+            raise ValueError("dtype %r" % (payload["dtype"],))
+        if any(type(extent) is not int or extent < 0 for extent in shape):
+            raise ValueError("shape %r" % (shape,))
+        if len(data) != math.prod(shape) * dtype.itemsize:
+            raise ValueError("%d bytes for %s%r" % (len(data), dtype, shape))
+        return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+    except (KeyError, TypeError, ValueError) as error:
+        raise SimulationError("malformed encoded array: %s" % error)
 
 
 def encode_tuple(item: StreamTuple) -> List[object]:
@@ -107,7 +120,12 @@ def encode_blob(state: Dict[str, object]) -> bytes:
 
 def decode_blob(blob: bytes) -> Dict[str, object]:
     """Inverse of :func:`encode_blob`, checking the format version."""
-    state = json.loads(blob.decode("ascii"))
+    try:
+        state = json.loads(blob.decode("ascii"))
+    except ValueError as error:  # not ASCII, or not JSON
+        raise SimulationError("checkpoint blob is not valid JSON: %s" % error)
+    if not isinstance(state, dict):
+        raise SimulationError("checkpoint blob must encode a JSON object")
     version = state.get("version")
     if version != CHECKPOINT_VERSION:
         raise SimulationError(

@@ -45,9 +45,6 @@ from repro.net.message import SUMMARY_COEFFICIENT_BYTES
 DELTA_FORMAT_VERSION = 1
 """Bump on any change to the delta blob layout; apply refuses mismatches."""
 
-_INDEX_BYTES = 4
-"""Wire cost of one changed-cell index / removed-key reference."""
-
 
 # ----------------------------------------------------------------------
 # canonical payload encoding (shared by checkpoints and digests)
@@ -96,7 +93,10 @@ def decode_payload(encoded: List[object]) -> Any:
 
         return decode_array(body)
     if kind == "map":
-        return {int(key): _unpack_complex(value) for key, value in body}
+        try:
+            return {int(key): _unpack_complex(value) for key, value in body}
+        except (TypeError, ValueError, struct.error) as error:
+            raise ConfigurationError("malformed encoded coefficient map: %s" % error)
     raise ConfigurationError("unknown encoded summary payload kind %r" % (kind,))
 
 
@@ -134,41 +134,32 @@ def _bitwise_changed(base: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def encode_delta(base: Any, target: Any) -> Optional[Dict[str, object]]:
     """Encode the change from ``base`` to ``target``; ``None`` when the
-    two states are not delta-compatible (different types, dtypes, or
-    shapes) and the caller must ship the full snapshot instead."""
-    if isinstance(base, np.ndarray) and isinstance(target, np.ndarray):
-        if base.dtype != target.dtype or base.shape != target.shape:
-            return None
-        changed = _bitwise_changed(base, target)
-        values = np.ascontiguousarray(target).reshape(-1)[changed]
-        return {
-            "version": DELTA_FORMAT_VERSION,
-            "kind": "array",
-            "dtype": str(target.dtype),
-            "shape": list(target.shape),
-            "changed": [int(index) for index in changed],
-            "values": values.tobytes().hex(),
-        }
-    if isinstance(base, dict) and isinstance(target, dict):
-        changed = []
-        for key in sorted(target):
-            packed = _pack_complex(complex(target[key]))
-            if key not in base or _pack_complex(complex(base[key])) != packed:
-                changed.append([int(key), packed])
-        removed = sorted(int(key) for key in base if key not in target)
-        return {
-            "version": DELTA_FORMAT_VERSION,
-            "kind": "map",
-            "changed": changed,
-            "removed": removed,
-        }
-    return None
+    two states are not delta-compatible (anything but two arrays of one
+    dtype and shape) and the caller must ship the full snapshot instead."""
+    if not (isinstance(base, np.ndarray) and isinstance(target, np.ndarray)):
+        return None
+    if base.dtype != target.dtype or base.shape != target.shape:
+        return None
+    changed = _bitwise_changed(base, target)
+    values = np.ascontiguousarray(target).reshape(-1)[changed]
+    return {
+        "version": DELTA_FORMAT_VERSION,
+        "kind": "array",
+        "dtype": str(target.dtype),
+        "shape": list(target.shape),
+        "changed": [int(index) for index in changed],
+        "values": values.tobytes().hex(),
+    }
 
 
 def apply_delta(base: Any, blob: Dict[str, object]) -> Any:
     """Reconstruct the target state: ``apply_delta(b, encode_delta(b, t))``
     equals ``t`` bit for bit.  Raises :class:`ConfigurationError` on an
-    unknown blob version/kind or a base that does not match the blob."""
+    unknown blob version/kind, a base that does not match the blob, or a
+    blob that is not what :func:`encode_delta` writes (indices strictly
+    increasing inside the array, one value per index)."""
+    if not isinstance(blob, dict):
+        raise ConfigurationError("state-transfer delta must be a mapping")
     version = blob.get("version")
     if version != DELTA_FORMAT_VERSION:
         raise ConfigurationError(
@@ -176,58 +167,58 @@ def apply_delta(base: Any, blob: Dict[str, object]) -> Any:
             % (version, DELTA_FORMAT_VERSION)
         )
     kind = blob.get("kind")
-    if kind == "array":
-        if not isinstance(base, np.ndarray):
-            raise ConfigurationError("array delta applied to non-array base")
-        if str(base.dtype) != blob["dtype"] or list(base.shape) != list(blob["shape"]):
-            raise ConfigurationError(
-                "array delta (%s%r) does not match base (%s%r)"
-                % (blob["dtype"], tuple(blob["shape"]), base.dtype, base.shape)
-            )
-        result = np.ascontiguousarray(base).reshape(-1).copy()
-        changed = np.asarray(blob["changed"], dtype=np.int64)
-        if changed.size:
-            values = np.frombuffer(bytes.fromhex(blob["values"]), dtype=result.dtype)
-            result[changed] = values
-        return result.reshape(tuple(blob["shape"]))
-    if kind == "map":
-        if not isinstance(base, dict):
-            raise ConfigurationError("map delta applied to non-map base")
-        merged = dict(base)
-        for key in blob["removed"]:
-            merged.pop(int(key), None)
-        for key, packed in blob["changed"]:
-            merged[int(key)] = _unpack_complex(packed)
-        return {key: merged[key] for key in sorted(merged)}
-    raise ConfigurationError("unknown state-transfer delta kind %r" % (kind,))
+    if kind != "array":
+        raise ConfigurationError("unknown state-transfer delta kind %r" % (kind,))
+    if not isinstance(base, np.ndarray):
+        raise ConfigurationError("array delta applied to non-array base")
+    try:
+        described = (blob["dtype"], list(blob["shape"]))
+        indices = blob["changed"]
+        if not isinstance(indices, list) or any(type(i) is not int for i in indices):
+            raise ValueError("changed must be a list of integers")
+        changed = np.asarray(indices, dtype=np.int64)
+        values = np.frombuffer(bytes.fromhex(blob["values"]), dtype=base.dtype)
+    except (KeyError, TypeError, ValueError, OverflowError) as error:
+        raise ConfigurationError("malformed state-transfer delta: %s" % error)
+    if described != (str(base.dtype), list(base.shape)):
+        raise ConfigurationError(
+            "array delta (%s%r) does not match base (%s%r)"
+            % (described[0], tuple(described[1]), base.dtype, base.shape)
+        )
+    if values.size != changed.size:
+        raise ConfigurationError(
+            "array delta carries %d values for %d changed cells"
+            % (values.size, changed.size)
+        )
+    if changed.size and (
+        changed[0] < 0 or changed[-1] >= base.size or (np.diff(changed) <= 0).any()
+    ):
+        raise ConfigurationError(
+            "array delta indices must be strictly increasing in [0, %d)" % base.size
+        )
+    result = np.ascontiguousarray(base).reshape(-1).copy()
+    result[changed] = values
+    return result.reshape(base.shape)
 
 
 def delta_wire_entries(blob: Dict[str, object], full_entries: int) -> int:
     """Honest wire size of a delta, in 20-byte summary entries.
 
-    Arrays ship a changed-cell presence bitmap (one bit per cell) plus
+    A delta ships a changed-cell presence bitmap (one bit per cell) plus
     the changed cells at their pro-rata share of the full snapshot's
-    wire bytes; maps ship changed coefficients as ordinary 20-byte
-    entries plus 4-byte removed-key references.  Clamped to the full
-    snapshot's cost: a delta never models *more* bytes than simply
-    resending everything, because a real implementation would do exactly
-    that instead.
+    wire bytes.  Clamped to the full snapshot's cost: a delta never
+    models *more* bytes than simply resending everything, because a real
+    implementation would do exactly that instead.
     """
-    if blob["kind"] == "array":
-        total_cells = 1
-        for extent in blob["shape"]:
-            total_cells *= int(extent)
-        if total_cells == 0 or full_entries == 0:
-            return 0
-        bytes_per_cell = full_entries * SUMMARY_COEFFICIENT_BYTES / total_cells
-        wire_bytes = math.ceil(total_cells / 8.0) + len(blob["changed"]) * bytes_per_cell
-    elif blob["kind"] == "map":
-        wire_bytes = (
-            len(blob["changed"]) * SUMMARY_COEFFICIENT_BYTES
-            + len(blob["removed"]) * _INDEX_BYTES
-        )
-    else:
+    if blob["kind"] != "array":
         raise ConfigurationError("unknown state-transfer delta kind %r" % blob["kind"])
+    total_cells = 1
+    for extent in blob["shape"]:
+        total_cells *= int(extent)
+    if total_cells == 0 or full_entries == 0:
+        return 0
+    bytes_per_cell = full_entries * SUMMARY_COEFFICIENT_BYTES / total_cells
+    wire_bytes = math.ceil(total_cells / 8.0) + len(blob["changed"]) * bytes_per_cell
     entries = int(math.ceil(wire_bytes / float(SUMMARY_COEFFICIENT_BYTES)))
     return min(full_entries, entries)
 

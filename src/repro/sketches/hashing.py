@@ -17,16 +17,14 @@ key is hashed at least twice (arrival and eviction) and usually many more
 times under skew, so the family keeps a small LRU cache of sign vectors:
 a hit replaces the three modular Horner steps with one dict lookup.  The
 cache is capacity-bounded (:data:`DEFAULT_SIGN_CACHE_SIZE` entries) and
-can be disabled outright with ``cache_size=0`` or globally via the
-``REPRO_NAIVE_KERNELS`` environment variable (the reference configuration
-the equivalence tests and microbenchmarks compare against).  Cached
-vectors are produced by the identical arithmetic, so hits and misses are
+can be disabled with ``cache_size=0`` (the reference configuration the
+equivalence tests and microbenchmarks compare against).  Cached vectors
+are produced by the identical arithmetic, so hits and misses are
 bit-indistinguishable.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Optional
 
@@ -63,9 +61,7 @@ class FourWiseHashFamily:
         # Shape (rows, 4): highest-degree coefficient first (Horner order).
         self._coefficients = generator.integers(0, prime, size=(rows, 4), dtype=np.int64)
         if cache_size is None:
-            cache_size = 0 if os.environ.get("REPRO_NAIVE_KERNELS", "") else (
-                DEFAULT_SIGN_CACHE_SIZE
-            )
+            cache_size = DEFAULT_SIGN_CACHE_SIZE
         if cache_size < 0:
             raise SummaryError("cache_size must be non-negative")
         self.cache_size = cache_size

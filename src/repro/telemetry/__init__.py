@@ -38,7 +38,7 @@ from repro.telemetry.exporters import (
     export_prometheus,
     validate_chrome_trace,
 )
-from repro.telemetry.manifest import build_manifest, kernel_mode
+from repro.telemetry.manifest import build_manifest
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -69,6 +69,5 @@ __all__ = [
     "export_jsonl",
     "export_prometheus",
     "hub_if",
-    "kernel_mode",
     "validate_chrome_trace",
 ]

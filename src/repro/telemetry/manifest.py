@@ -2,8 +2,7 @@
 
 A result without its provenance is half a measurement.  The manifest
 pins everything needed to reproduce or audit a run -- configuration
-echo, seed, package version, kernel mode, interpreter and numpy
-versions -- and is attached to every :class:`~repro.core.results.RunResult`
+echo, seed, package version, interpreter and numpy versions -- and is attached to every :class:`~repro.core.results.RunResult`
 (telemetry enabled or not; building it costs microseconds).
 
 Determinism contract: the manifest contains no wall-clock timestamps,
@@ -14,18 +13,12 @@ the JSONL export embed it and still diff clean across runs.
 
 from __future__ import annotations
 
-import os
 import platform
 from typing import Dict
 
 import numpy as np
 
 MANIFEST_SCHEMA_VERSION = 1
-
-
-def kernel_mode() -> str:
-    """Which hot-path kernels a run uses (the REPRO_NAIVE_KERNELS switch)."""
-    return "naive" if os.environ.get("REPRO_NAIVE_KERNELS") else "fast"
 
 
 def build_manifest(config) -> Dict[str, object]:
@@ -42,7 +35,9 @@ def build_manifest(config) -> Dict[str, object]:
         "package": "repro",
         "version": repro.__version__,
         "seed": int(getattr(config, "seed", 0)),
-        "kernel_mode": kernel_mode(),
+        # Constant since the naive-kernel switch was deleted; schema 1
+        # keeps the field so every export and digest keeps its bytes.
+        "kernel_mode": "fast",
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         "config": config.as_dict(),

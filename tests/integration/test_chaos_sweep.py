@@ -12,7 +12,7 @@ import pytest
 
 from repro.config import Algorithm
 from repro.experiments import chaos
-from repro.experiments.persistence import load_chaos_rows, save_chaos_rows
+from repro.experiments.chaos import load_chaos_rows, save_chaos_rows
 from repro.experiments.regression import compare_chaos
 
 GRID = chaos.parse_grid("clean; squall@loss=0.25; storm@loss=0.5,part=2s,crash=1")

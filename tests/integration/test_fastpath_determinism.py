@@ -3,9 +3,10 @@
 A chaos-free reference run executed with the vectorized fast paths
 (twiddle tables, batched sketch updates, sign caches) must produce a
 :class:`~repro.core.results.RunResult` that is byte-identical to the same
-run forced onto the historical scalar kernels via
-``REPRO_NAIVE_KERNELS``.  This is the system-level counterpart of the
-bit-level kernel equivalence suite.
+run on the historical scalar kernels: the per-update ``np.exp`` sliding
+DFT of ``tests/reference_kernels.py`` patched in where the summary
+manager builds its DFT, and the sign cache sized 0.  This is the
+system-level counterpart of the bit-level kernel equivalence suite.
 """
 
 import dataclasses
@@ -20,8 +21,9 @@ from repro.config import (
     WorkloadConfig,
     WorkloadKind,
 )
-from repro.core.system import run_experiment
-from repro.dft.sliding import NAIVE_KERNELS_ENV
+from repro.core.system import DistributedJoinSystem, run_experiment
+from repro.streams.tuples import StreamId
+from tests.reference_kernels import ReferenceSlidingDFT
 
 
 def reference_config(algorithm):
@@ -39,32 +41,48 @@ def reference_config(algorithm):
     )
 
 
-def _without_manifest(result):
-    return dataclasses.replace(result, manifest={})
+def build_on_reference_kernels(config, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.core.summaries.SlidingDFT", ReferenceSlidingDFT)
+        patch.setattr("repro.sketches.hashing.DEFAULT_SIGN_CACHE_SIZE", 0)
+        return DistributedJoinSystem(config)
+
+
+def run_on_reference_kernels(config, monkeypatch):
+    return build_on_reference_kernels(config, monkeypatch).run()
+
+
+def test_reference_patches_reach_the_kernels(monkeypatch):
+    """The comparisons below mean something only while the two patched
+    names are where a system takes its kernels from."""
+    for node in build_on_reference_kernels(
+        reference_config(Algorithm.DFTT), monkeypatch
+    ).nodes:
+        managers = node.query().policy.managers
+        assert type(managers[StreamId.R].dft) is ReferenceSlidingDFT
+    for node in build_on_reference_kernels(
+        reference_config(Algorithm.SKCH), monkeypatch
+    ).nodes:
+        assert node.query().policy.sketches[StreamId.R].hashes.cache_size == 0
+    fast = DistributedJoinSystem(reference_config(Algorithm.DFTT)).nodes[0]
+    assert fast.query().policy.managers[StreamId.R].dft.mode == "table"
 
 
 @pytest.mark.parametrize(
     "algorithm", [Algorithm.DFTT, Algorithm.SKCH, Algorithm.BLOOM]
 )
 def test_fast_kernels_reproduce_naive_run_exactly(algorithm, monkeypatch):
-    monkeypatch.delenv(NAIVE_KERNELS_ENV, raising=False)
     fast = run_experiment(reference_config(algorithm))
-    monkeypatch.setenv(NAIVE_KERNELS_ENV, "1")
-    naive = run_experiment(reference_config(algorithm))
+    naive = run_on_reference_kernels(reference_config(algorithm), monkeypatch)
 
     assert fast.summary() == naive.summary()
     assert fast.messages_by_kind == naive.messages_by_kind
     assert fast.traffic == naive.traffic
     assert fast.node_diagnostics == naive.node_diagnostics
     assert fast.throughput_series == naive.throughput_series
-    # The whole result object, serialized, is byte-identical -- except
-    # the run manifest, whose kernel_mode field records (correctly) that
-    # one run used the naive kernels.
-    assert fast.manifest["kernel_mode"] == "fast"
-    assert naive.manifest["kernel_mode"] == "naive"
-    assert pickle.dumps(_without_manifest(fast)) == pickle.dumps(
-        _without_manifest(naive)
-    )
+    # The whole result object, manifest included, is byte-identical.
+    assert fast.manifest == naive.manifest
+    assert pickle.dumps(fast) == pickle.dumps(naive)
 
 
 def test_fast_kernels_reproduce_naive_run_with_reliability(monkeypatch):
@@ -79,10 +97,6 @@ def test_fast_kernels_reproduce_naive_run_with_reliability(monkeypatch):
             reliability=dataclasses.replace(ReliabilitySettings(), enabled=True),
         )
 
-    monkeypatch.delenv(NAIVE_KERNELS_ENV, raising=False)
     fast = run_experiment(config())
-    monkeypatch.setenv(NAIVE_KERNELS_ENV, "1")
-    naive = run_experiment(config())
-    assert pickle.dumps(_without_manifest(fast)) == pickle.dumps(
-        _without_manifest(naive)
-    )
+    naive = run_on_reference_kernels(config(), monkeypatch)
+    assert pickle.dumps(fast) == pickle.dumps(naive)

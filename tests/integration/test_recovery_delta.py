@@ -19,7 +19,6 @@ import pytest
 from repro.config import Algorithm
 from repro.core.system import DistributedJoinSystem, run_experiment
 from repro.experiments.harness import get_scale, system_config
-from repro.experiments.persistence import result_to_dict
 from repro.net.faults import FaultPlan
 from repro.net.reliable import ReliabilitySettings
 from repro.recovery import RecoverySettings
@@ -60,12 +59,14 @@ def normalized(result) -> str:
 
     Only the transfer byte counters (recovery section, per-node
     diagnostics, traffic totals that include the smaller responses) and
-    the config echo of the knob itself may differ between modes;
-    everything else -- epsilon, pair counts, durations, per-query stats,
-    message counts -- must match byte for byte.
+    the config echo of the knob itself (in ``config`` and again in the
+    manifest) may differ between modes; everything else -- epsilon, pair
+    counts, durations, per-query stats, message counts -- must match
+    byte for byte.
     """
-    payload = json.loads(json.dumps(result_to_dict(result)))
+    payload = json.loads(json.dumps(dataclasses.asdict(result)))
     payload["config"].pop("delta_state_transfer")
+    payload["manifest"]["config"].pop("delta_state_transfer")
     for key in list(payload["recovery"]):
         if key.startswith("state_transfer"):
             payload["recovery"].pop(key)

@@ -17,7 +17,6 @@ import pytest
 from repro.config import Algorithm
 from repro.core.system import run_experiment
 from repro.experiments.harness import get_scale, system_config
-from repro.experiments.persistence import result_to_dict
 from repro.net.faults import FaultPlan
 from repro.net.reliable import ReliabilitySettings
 from repro.recovery import RecoveryPhase, RecoverySettings
@@ -115,28 +114,19 @@ class TestAccuracyReclaimed:
         assert eps_on < eps_off
 
 
+def canonical_json(result) -> str:
+    """Every field of the result (all 22), as sorted-keys JSON."""
+    return json.dumps(dataclasses.asdict(result), sort_keys=True)
+
+
 class TestRerunIdentity:
     def test_recovered_run_is_byte_identical(self, recovered_result):
         rerun = run_experiment(make_config(recovery=RECOVERY))
-        first = json.dumps(result_to_dict(recovered_result), sort_keys=True)
-        second = json.dumps(result_to_dict(rerun), sort_keys=True)
-        assert first == second
+        assert canonical_json(recovered_result) == canonical_json(rerun)
 
     def test_legacy_run_is_byte_identical(self, legacy_result):
         rerun = run_experiment(make_config(recovery=None))
-        first = json.dumps(result_to_dict(legacy_result), sort_keys=True)
-        second = json.dumps(result_to_dict(rerun), sort_keys=True)
-        assert first == second
-
-
-class TestResultSerialization:
-    def test_recovery_section_round_trips(self, recovered_result):
-        from repro.experiments.persistence import result_from_dict
-
-        payload = result_to_dict(recovered_result)
-        assert payload["recovery"] == recovered_result.recovery
-        restored = result_from_dict(json.loads(json.dumps(payload)))
-        assert restored.recovery == recovered_result.recovery
+        assert canonical_json(legacy_result) == canonical_json(rerun)
 
 
 class TestStreamedTelemetry:

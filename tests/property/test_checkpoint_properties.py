@@ -9,22 +9,34 @@ the *same canonical bytes* when restored onto a freshly built twin.
 Byte equality of :func:`~repro.recovery.checkpoint.encode_blob` is the
 strongest form of the property -- it is exactly what the seed-pinned
 integration reruns compare.
+
+The decoders owe one more thing: damaged input (a truncated blob, a
+flipped bit, a buffer that does not fit its shape) is a
+``SimulationError``, never a bare ``ValueError`` / ``TypeError`` /
+``AttributeError`` and never an array other than the one encoded.
 """
 
+import json
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import Algorithm, PolicyConfig
 from repro.core.policies import PolicyContext, make_policy, make_shared_state
+from repro.errors import ReproError, SimulationError
 from repro.recovery.checkpoint import (
+    CHECKPOINT_VERSION,
     decode_array,
+    decode_blob,
     decode_tuple,
     encode_array,
     encode_blob,
     encode_tuple,
 )
 from repro.streams.tuples import StreamId, StreamTuple
+from tests.damage import bit_flips, damaged, truncations
 
 WINDOW = 32
 DOMAIN = 256
@@ -79,6 +91,96 @@ class TestCodec:
     @given(item=stream_tuples())
     def test_tuple_encoding_is_json_safe(self, item):
         assert encode_blob({"version": 1, "t": encode_tuple(item)})
+
+
+class TestDamagedInput:
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param({"data": "00" * 31}, id="truncated-hex"),
+            pytest.param({"data": "00" * 31 + "0"}, id="half-a-byte"),
+            pytest.param({"data": "zz" * 32}, id="not-hex"),
+            pytest.param({"shape": [5]}, id="shape-larger-than-data"),
+            pytest.param({"shape": [2, 2, 2]}, id="shape-of-other-rank"),
+            pytest.param({"shape": [-4]}, id="negative-extent"),
+            pytest.param({"shape": [4.0]}, id="float-extent"),
+            pytest.param({"shape": 4}, id="scalar-shape"),
+            pytest.param({"dtype": "float65"}, id="unknown-dtype"),
+            pytest.param({"dtype": "f8"}, id="non-canonical-dtype"),
+            pytest.param({"dtype": None}, id="null-dtype"),
+            pytest.param({"dtype": "object"}, id="object-dtype"),
+        ],
+    )
+    def test_malformed_array_raises_simulation_error(self, damage):
+        payload = encode_array(np.arange(4, dtype=np.float64))
+        payload.update(damage)
+        with pytest.raises(SimulationError):
+            decode_array(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [None, [], "array", {"dtype": "float64"}],
+        ids=["null", "list", "string", "dtype-only"],
+    )
+    def test_non_array_payload_raises_simulation_error(self, payload):
+        with pytest.raises(SimulationError):
+            decode_array(payload)
+
+    @pytest.mark.parametrize(
+        "blob",
+        [b"", b'{"version":2', b"[1,2]", b'"x"', b"\xff{}", "{\u00e9}".encode("utf-8")],
+        ids=["empty", "truncated", "list", "string", "high-byte", "utf8"],
+    )
+    def test_malformed_blob_raises_simulation_error(self, blob):
+        with pytest.raises(SimulationError):
+            decode_blob(blob)
+
+    @settings(max_examples=300, deadline=None)
+    @given(array=arrays(), data=st.data())
+    def test_damaged_array_raises_or_decodes_what_it_says(self, array, data):
+        """Truncate or flip one bit of an encoded array's JSON text.
+
+        The encoding has no checksum, so a flip from one hex digit to
+        another *is* an encoding of a different array.  Everything else
+        -- length, shape, dtype, structure -- is checked: the decoder
+        either raises or returns exactly the bytes, shape and dtype the
+        damaged text names.
+        """
+        text = json.dumps(encode_array(array))
+        try:
+            payload = json.loads(data.draw(damaged(text)))
+        except ValueError:
+            return  # decode_blob's half, below
+        try:
+            restored = decode_array(payload)
+        except ReproError:
+            return
+        assert str(restored.dtype) == payload["dtype"]
+        assert list(restored.shape) == payload["shape"]
+        assert restored.tobytes().hex() == payload["data"].lower()
+        if payload == json.loads(text):
+            assert restored.tobytes() == array.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(array=arrays(), item=stream_tuples(), data=st.data())
+    def test_damaged_blob_raises_or_decodes_to_a_versioned_state(self, array, item, data):
+        state = {
+            "version": CHECKPOINT_VERSION,
+            "array": encode_array(array),
+            "tuples": [encode_tuple(item)],
+        }
+        blob = encode_blob(state)
+        # Every proper prefix of a JSON object is malformed.
+        with pytest.raises(SimulationError):
+            decode_blob(data.draw(truncations(blob)))
+        flipped = data.draw(bit_flips(blob))
+        try:
+            decoded = decode_blob(flipped)
+        except ReproError:
+            return
+        assert isinstance(decoded, dict)
+        assert decoded["version"] == CHECKPOINT_VERSION
+        assert encode_blob(decoded) == encode_blob(json.loads(flipped))
 
 
 def build_policy(algorithm, seed):

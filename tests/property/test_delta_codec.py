@@ -5,16 +5,22 @@ The protocol contract is ``apply_delta(base, encode_delta(base, target))
 so adversarial float payloads (``-0.0`` vs ``0.0``, NaN) must round
 trip exactly, not merely compare equal.  The wire-cost model must be
 honest (a delta never models more entries than the full snapshot), and
-forward-compatibility failures must surface as the configuration error
-the CLI knows how to print, never a bare ``ValueError``/``KeyError``.
+forward-compatibility failures and damaged blobs must surface as the
+configuration error the CLI knows how to print, never a bare
+``ValueError``/``KeyError``/``IndexError`` -- and never as a wrong array.
+Deltas are array-only: coefficient maps always resync as full snapshots
+(``encode_delta`` answers ``None``), though the *payload* codec and the
+digest still carry maps, because checkpoints do.
 """
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.recovery.delta import (
     DELTA_FORMAT_VERSION,
     SummaryHistory,
@@ -25,6 +31,7 @@ from repro.recovery.delta import (
     encode_payload,
     payload_digest,
 )
+from tests.damage import damaged
 
 array_dtypes = st.sampled_from(["float64", "float32", "int32", "int64"])
 
@@ -101,22 +108,11 @@ class TestArrayDeltas:
         assert encode_delta(np.zeros(3), np.zeros(3, dtype=np.int32)) is None
         assert encode_delta(np.zeros(3), {0: 1j}) is None
 
-
-class TestMapDeltas:
     @given(coefficient_maps, coefficient_maps)
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip_reproduces_target(self, base, target):
-        blob = encode_delta(base, target)
-        restored = apply_delta(base, blob)
-        assert set(restored) == set(target)
-        for key in target:
-            packed = np.complex128(target[key]).tobytes()
-            assert np.complex128(restored[key]).tobytes() == packed
-
-    def test_removed_keys_are_dropped(self):
-        blob = encode_delta({1: 1 + 1j, 2: 2j}, {1: 1 + 1j})
-        assert blob["removed"] == [2]
-        assert apply_delta({1: 1 + 1j, 2: 2j}, blob) == {1: 1 + 1j}
+    @settings(max_examples=50, deadline=None)
+    def test_coefficient_maps_are_not_delta_compatible(self, base, target):
+        """DFT maps always ship as full snapshots (see SummaryHistory)."""
+        assert encode_delta(base, target) is None
 
 
 class TestErrorContract:
@@ -153,20 +149,134 @@ class TestErrorContract:
         with pytest.raises(ConfigurationError):
             decode_payload(["tarball", {}])
 
+    def test_map_delta_kind_is_gone(self):
+        blob = {"version": DELTA_FORMAT_VERSION, "kind": "map", "changed": [], "removed": []}
+        with pytest.raises(ConfigurationError, match="map"):
+            apply_delta({0: 1j}, blob)
+        with pytest.raises(ConfigurationError, match="map"):
+            delta_wire_entries(blob, 8)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param({"values": "00" * 7}, id="truncated-values"),
+            pytest.param({"values": "zz" * 8}, id="values-not-hex"),
+            pytest.param({"values": None}, id="null-values"),
+            pytest.param({"changed": [100]}, id="index-past-the-end"),
+            # NumPy alone would write the last cell for -1 and broadcast
+            # one value over two cells: [0 99 99 3 ...].
+            pytest.param({"changed": [-1]}, id="negative-index"),
+            pytest.param({"changed": [1, 2]}, id="one-value-for-two-cells"),
+            pytest.param({"changed": [2, 1], "values": "00" * 16}, id="decreasing"),
+            pytest.param({"changed": [1, 1], "values": "00" * 16}, id="duplicate"),
+            pytest.param({"changed": [1.0]}, id="float-index"),
+            pytest.param({"changed": "1"}, id="string-indices"),
+            pytest.param({"changed": None}, id="null-indices"),
+            pytest.param({"shape": 8}, id="scalar-shape"),
+        ],
+    )
+    def test_malformed_array_delta_raises_configuration_error(self, damage):
+        base = np.arange(8, dtype=np.int64)
+        target = base.copy()
+        target[1] = 99
+        blob = encode_delta(base, target)
+        blob.update(damage)
+        with pytest.raises(ConfigurationError):
+            apply_delta(base, blob)
+        assert base.tolist() == list(range(8))
+
+    @pytest.mark.parametrize("field", ["dtype", "shape", "changed", "values"])
+    def test_missing_field_raises_configuration_error(self, field):
+        base = np.zeros(4)
+        blob = encode_delta(base, np.ones(4))
+        del blob[field]
+        with pytest.raises(ConfigurationError):
+            apply_delta(base, blob)
+
+    def test_non_mapping_blob_raises_configuration_error(self):
+        with pytest.raises(ConfigurationError):
+            apply_delta(np.zeros(4), [1, 2])
+
+    @pytest.mark.parametrize(
+        "encoded",
+        [
+            pytest.param(["map", [[1, "zz"]]], id="not-hex"),
+            pytest.param(["map", [[1, "00"]]], id="not-sixteen-bytes"),
+            pytest.param(["map", [[1]]], id="key-without-value"),
+            pytest.param(["map", 7], id="scalar-body"),
+            pytest.param(["map", [["one", "00" * 16]]], id="non-integer-key"),
+        ],
+    )
+    def test_malformed_encoded_map_raises_configuration_error(self, encoded):
+        with pytest.raises(ConfigurationError):
+            decode_payload(encoded)
+
+
+class TestDamagedBlobs:
+    """Truncations and single bit flips of a delta's JSON form.
+
+    A delta travels as a plain dictionary with no checksum of its own,
+    so a flip that turns one hex digit of ``values`` into another is a
+    well-formed delta for a different target and applies as one.  What
+    the decoder owes is: a ``ReproError`` for anything that is not a
+    well-formed delta, and otherwise *exactly* the array the blob
+    describes -- base cells kept, listed cells overwritten one for one.
+    """
+
+    @given(array_pairs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_delta_raises_or_applies_exactly_what_it_says(self, pair, data):
+        base, target = pair
+        text = json.dumps(encode_delta(base, target))
+        try:
+            blob = json.loads(data.draw(damaged(text)))
+        except ValueError:
+            return  # never reaches the codec: the transport's problem
+        try:
+            restored = apply_delta(base, blob)
+        except ReproError:
+            return
+        if blob == json.loads(text):
+            assert bit_equal(restored, target)
+        expected = base.reshape(-1).copy()
+        cells = np.frombuffer(bytes.fromhex(blob["values"]), dtype=base.dtype)
+        assert len(blob["changed"]) == cells.size
+        for index, cell in zip(blob["changed"], cells):
+            assert 0 <= index < base.size
+            expected[index] = cell
+        assert bit_equal(restored, expected.reshape(base.shape))
+
+    @given(st.one_of(array_pairs().map(lambda pair: pair[0]), coefficient_maps), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_payload_raises_or_decodes_what_it_says(self, payload, data):
+        text = json.dumps(encode_payload(payload))
+        try:
+            encoded = json.loads(data.draw(damaged(text)))
+        except ValueError:
+            return
+        try:
+            decoded = decode_payload(encoded)
+        except ReproError:
+            return
+        # Whatever decoded is a payload whose canonical encoding is the
+        # damaged one's content: no cell invented, dropped or reshaped.
+        again = encode_payload(decoded)
+        assert again[0] == encoded[0]
+        if again[0] == "array":
+            assert again[1]["shape"] == encoded[1]["shape"]
+            assert again[1]["dtype"] == encoded[1]["dtype"]
+            assert again[1]["data"] == encoded[1]["data"].lower()
+        else:
+            assert len(decoded) == len({int(key) for key, _ in encoded[1]})
+        if encoded == json.loads(text):
+            assert payload_digest(decoded) == payload_digest(payload)
+
 
 class TestWireCost:
     @given(array_pairs(), st.integers(min_value=0, max_value=512))
     @settings(max_examples=200, deadline=None)
     def test_delta_never_costs_more_than_the_snapshot(self, pair, full_entries):
         base, target = pair
-        blob = encode_delta(base, target)
-        assert 0 <= delta_wire_entries(blob, full_entries) <= full_entries
-
-    @given(coefficient_maps, coefficient_maps, st.integers(min_value=0, max_value=64))
-    @settings(max_examples=200, deadline=None)
-    def test_map_delta_never_costs_more_than_the_snapshot(
-        self, base, target, full_entries
-    ):
         blob = encode_delta(base, target)
         assert 0 <= delta_wire_entries(blob, full_entries) <= full_entries
 

@@ -3,7 +3,9 @@
 The fast paths (twiddle tables, rotation phases, batched ``extend``,
 ``update_batch``, the sign-vector cache) are only admissible because they
 change *nothing* about the numbers: every test here asserts exact
-(bit-for-bit) equality, not closeness.
+(bit-for-bit) equality, not closeness.  The per-update ``np.exp``
+reference lives in ``tests/reference_kernels.py``; rotation mode is
+forced at small windows by patching ``TWIDDLE_TABLE_MAX_ENTRIES``.
 """
 
 import numpy as np
@@ -11,20 +13,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dft import sliding
 from repro.dft.control import ControlVector
 from repro.dft.sliding import SlidingDFT, low_frequency_bins
 from repro.sketches.agms import AgmsSketch, SketchShape
 from repro.sketches.fast_agms import FastAgmsSketch, FastSketchShape
 from repro.sketches.hashing import FourWiseHashFamily
+from tests.reference_kernels import ReferenceSlidingDFT
+
+
+def _fast_dft(mode, window, bins, control):
+    """A ``SlidingDFT`` in ``mode``: a zero table cap forces rotation."""
+    cap = sliding.TWIDDLE_TABLE_MAX_ENTRIES if mode == "table" else 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sliding, "TWIDDLE_TABLE_MAX_ENTRIES", cap)
+        dft = SlidingDFT(window, tracked_bins=bins, control=control)
+    assert dft.mode == mode
+    return dft
 
 
 def _dft_pair(window, mode, interval):
     """Two identically-configured DFTs: one driven by extend, one by update."""
     bins = low_frequency_bins(window, max(1, window // 4))
     control = ControlVector(recompute_interval=interval)
-    batched = SlidingDFT(window, tracked_bins=bins, control=control, mode=mode)
-    scalar = SlidingDFT(window, tracked_bins=bins, control=control, mode=mode)
-    return batched, scalar
+    return (
+        _fast_dft(mode, window, bins, control),
+        _fast_dft(mode, window, bins, control),
+    )
 
 
 @pytest.mark.parametrize("mode", ["table", "rotation"])
@@ -67,8 +82,8 @@ def test_table_mode_matches_naive_reference_exactly():
     stream = rng.normal(scale=100.0, size=3 * window).tolist()
     bins = low_frequency_bins(window, 16)
     control = ControlVector(recompute_interval=37)
-    fast = SlidingDFT(window, tracked_bins=bins, control=control, mode="table")
-    naive = SlidingDFT(window, tracked_bins=bins, control=control, mode="naive")
+    fast = _fast_dft("table", window, bins, control)
+    naive = ReferenceSlidingDFT(window, tracked_bins=bins, control=control)
     fast.extend(stream)
     for value in stream:
         naive.update(value)
@@ -85,8 +100,8 @@ def test_rotation_mode_tracks_naive_within_drift_budget():
     stream = rng.normal(scale=100.0, size=3 * window).tolist()
     bins = low_frequency_bins(window, 16)
     control = ControlVector(recompute_interval=37)
-    fast = SlidingDFT(window, tracked_bins=bins, control=control, mode="rotation")
-    naive = SlidingDFT(window, tracked_bins=bins, control=control, mode="naive")
+    fast = _fast_dft("rotation", window, bins, control)
+    naive = ReferenceSlidingDFT(window, tracked_bins=bins, control=control)
     fast.extend(stream)
     for value in stream:
         naive.update(value)

@@ -46,6 +46,20 @@ class TestArgumentTranslation:
         with pytest.raises(SystemExit):
             parse(["--algorithm", "MAGIC"])
 
+    def test_replay_workload_is_a_usage_error(self, capsys):
+        """REPLAY needs a ``trace_path`` no flag sets: argparse refuses
+        it (exit 2, naming the workloads the CLI can run) instead of
+        offering a choice that ``config.validate()`` always rejects."""
+        with pytest.raises(SystemExit) as refusal:
+            main(["--workload", "REPLAY"])
+        assert refusal.value.code == 2
+        message = capsys.readouterr().err
+        assert "invalid choice: 'REPLAY'" in message
+        for kind in WorkloadKind:
+            assert (repr(kind.value) in message.split("choose from")[1]) == (
+                kind is not WorkloadKind.REPLAY
+            )
+
 
 class TestMain:
     def test_text_output(self, capsys):

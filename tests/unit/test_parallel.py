@@ -1,5 +1,6 @@
 """Unit tests for repro.parallel: jobs resolution, fingerprints, cache."""
 
+import hashlib
 import os
 import pickle
 
@@ -136,6 +137,82 @@ class TestRunCache:
             pickle.dump(["not", "a", "dict"], handle)
         assert cache.lookup(key) is None
         assert not os.path.exists(cache._path(key))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [["not", "a", "dict"], {"extras": {}}],
+        ids=["list", "dict-without-result"],
+    )
+    def test_verified_entry_of_another_shape_is_deleted_and_missed(
+        self, tmp_path, entry
+    ):
+        cache = RunCache(str(tmp_path))
+        key = cache.key_for(small_config())
+        os.makedirs(os.path.dirname(cache._path(key)), exist_ok=True)
+        payload = pickle.dumps(entry)
+        with open(cache._path(key), "wb") as handle:
+            handle.write(hashlib.sha256(payload).digest() + payload)
+        assert cache.lookup(key) is None
+        assert not os.path.exists(cache._path(key))
+
+    def test_old_layout_entry_is_deleted_and_missed(self, tmp_path):
+        """A bare pickle (schema 1, no digest in front) is recomputed."""
+        cache = RunCache(str(tmp_path))
+        key = cache.key_for(small_config())
+        os.makedirs(os.path.dirname(cache._path(key)), exist_ok=True)
+        with open(cache._path(key), "wb") as handle:
+            pickle.dump({"result": {"payload": 1}, "extras": {}}, handle)
+        assert cache.lookup(key) is None
+        assert not os.path.exists(cache._path(key))
+        assert cache.stats() == {"hits": 0, "misses": 1, "stores": 0}
+
+    def test_no_corruption_of_a_stored_run_is_ever_served(self, tmp_path):
+        """Truncations and single bit flips of a real entry all miss.
+
+        Pickle alone would serve many of them: a bit flipped inside a
+        pickled float loads fine, as a *different* ``RunResult``.  The
+        digest in front of the pickle is verified first, so every one
+        is deleted and recomputed.
+        """
+        import numpy as np
+
+        from repro.core.system import run_experiment
+
+        config = SystemConfig(
+            num_nodes=3,
+            window_size=32,
+            policy=PolicyConfig(algorithm=Algorithm.BASE),
+            workload=WorkloadConfig(total_tuples=300, domain=128),
+            seed=1,
+        )
+        result = run_experiment(config)
+        key = RunCache(str(tmp_path)).key_for(config)
+        RunCache(str(tmp_path)).store(key, result, {"worst": 2.5})
+        path = RunCache(str(tmp_path))._path(key)
+        with open(path, "rb") as handle:
+            stored = handle.read()
+
+        rng = np.random.default_rng(22)
+        corruptions = [stored[: int(cut)] for cut in rng.integers(0, len(stored), 100)]
+        for position, bit in zip(
+            rng.integers(0, len(stored), 200), rng.integers(0, 8, 200)
+        ):
+            flipped = bytearray(stored)
+            flipped[position] ^= 1 << bit
+            corruptions.append(bytes(flipped))
+        for corrupted in corruptions:
+            with open(path, "wb") as handle:
+                handle.write(corrupted)
+            cache = RunCache(str(tmp_path))
+            assert cache.lookup(key) is None
+            assert cache.stats() == {"hits": 0, "misses": 1, "stores": 0}
+            assert not os.path.exists(path)
+
+        with open(path, "wb") as handle:
+            handle.write(stored)
+        entry = RunCache(str(tmp_path)).lookup(key)
+        assert entry["extras"] == {"worst": 2.5}
+        assert entry["result"] == result
 
     def test_entries_shard_by_key_prefix(self, tmp_path):
         cache = RunCache(str(tmp_path))

@@ -1,91 +1,90 @@
-"""Unit tests for the regression comparator."""
+"""Unit tests for the regression comparator (matching, drift, report).
 
-import dataclasses
+The comparator's one entry point is :func:`compare_chaos`; the generic
+behaviours -- tolerance, unmatched and duplicate entries, the rendered
+table -- are checked through it with hand-built chaos rows.
+"""
 
 import pytest
 
-from repro.core.results import RunResult
 from repro.errors import ConfigurationError
-from repro.experiments.regression import RegressionReport, compare, run_key
-
-
-def make_result(seed=1, algorithm="DFTT", reported=850):
-    return RunResult(
-        config={
-            "algorithm": algorithm,
-            "num_nodes": 4,
-            "window_size": 128,
-            "kappa": 16.0,
-            "workload": "ZIPF",
-            "total_tuples": 2000,
-            "seed": seed,
-        },
-        truth_pairs=1000,
-        reported_pairs=reported,
-        duplicate_reports=0,
-        spurious_reports=0,
-        tuples_arrived=2000,
-        duration_seconds=10.0,
-        arrival_span_seconds=9.0,
-        traffic={"summary_overhead_fraction": 0.05},
-        messages_by_kind={"tuple": 4000},
-    )
+from repro.experiments.regression import (
+    CHAOS_COMPARED_METRICS,
+    chaos_key,
+    compare_chaos,
+)
+from tests.unit.test_chaos_experiment import make_row
 
 
 def test_identical_results_pass():
-    report = compare([make_result()], [make_result()])
+    report = compare_chaos([make_row()], [make_row()])
     assert report.passed
+    assert [drift.metric for drift in report.drifts] == list(CHAOS_COMPARED_METRICS)
     assert all(drift.within_tolerance for drift in report.drifts)
 
 
 def test_drift_beyond_tolerance_flags_regression():
-    baseline = make_result(reported=850)
-    worse = make_result(reported=600)  # epsilon 0.15 -> 0.40
-    report = compare([baseline], [worse], tolerance=0.10)
+    baseline = make_row(epsilon=0.15)
+    worse = make_row(epsilon=0.40)
+    report = compare_chaos([baseline], [worse], tolerance=0.10)
     assert not report.passed
     metrics = {drift.metric for drift in report.regressions}
-    assert "epsilon" in metrics
+    assert metrics == {"epsilon"}
 
 
 def test_drift_within_tolerance_passes():
-    report = compare([make_result(reported=850)], [make_result(reported=845)])
+    report = compare_chaos(
+        [make_row(epsilon=0.150)], [make_row(epsilon=0.155)], tolerance=0.10
+    )
     assert report.passed
+    (drift,) = [d for d in report.drifts if d.metric == "epsilon"]
+    assert drift.relative_change == pytest.approx(0.005 / 0.150)
 
 
 def test_unmatched_runs_reported():
-    report = compare([make_result(seed=1)], [make_result(seed=2)])
+    report = compare_chaos([make_row(seed=1)], [make_row(seed=2)])
     assert not report.passed
     assert len(report.unmatched_baseline) == 1
     assert len(report.unmatched_candidate) == 1
 
 
+def test_extra_candidate_runs_do_not_fail_the_gate():
+    report = compare_chaos([make_row(seed=1)], [make_row(seed=1), make_row(seed=2)])
+    assert report.passed
+    assert len(report.unmatched_candidate) == 1
+
+
 def test_duplicate_baseline_rejected():
     with pytest.raises(ConfigurationError):
-        compare([make_result(), make_result()], [])
+        compare_chaos([make_row(), make_row()], [])
 
 
 def test_negative_tolerance_rejected():
     with pytest.raises(ConfigurationError):
-        compare([], [], tolerance=-0.1)
+        compare_chaos([], [], tolerance=-0.1)
 
 
-def test_run_key_uses_identifying_fields():
-    a, b = make_result(seed=1), make_result(seed=1, algorithm="BLOOM")
-    assert run_key(a) != run_key(b)
-    assert run_key(a) == run_key(make_result(seed=1))
+def test_chaos_key_uses_identifying_fields():
+    a, b = make_row(seed=1), make_row(seed=1, algorithm="BLOOM")
+    assert chaos_key(a) != chaos_key(b)
+    assert chaos_key(a) == chaos_key(make_row(seed=1, epsilon=0.9))
+    # ``--recovery`` emits each cell twice; the pair must not collide.
+    assert chaos_key(a) != chaos_key(make_row(seed=1, recovery_enabled=True))
 
 
 def test_format_renders_table():
-    report = compare([make_result()], [make_result(reported=500)])
+    report = compare_chaos([make_row()], [make_row(epsilon=0.5)])
     text = report.format()
+    assert "smoke/DFTT" in text
     assert "epsilon" in text
-    assert "regression(s)" in text
+    assert "1 regression(s); 0 unmatched baseline run(s)" in text
 
 
 def test_round_trip_with_persistence(tmp_path):
-    from repro.experiments.persistence import load_results, save_results
+    from repro.experiments.chaos import load_chaos_rows, save_chaos_rows
 
     path = tmp_path / "baseline.json"
-    save_results([make_result()], path)
-    report = compare(load_results(path), [make_result()])
+    save_chaos_rows([make_row()], path)
+    report = compare_chaos(load_chaos_rows(path), [make_row()])
     assert report.passed
+    assert all(drift.relative_change == 0.0 for drift in report.drifts)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.errors import ConfigurationError
 from repro.telemetry import (
     TelemetryHub,
@@ -190,13 +191,10 @@ class TestManifest:
         manifest = build_manifest(FakeConfig())
         assert manifest["seed"] == 13
         assert manifest["config"] == {"num_nodes": 3}
-        assert manifest["kernel_mode"] in ("fast", "naive")
+        assert manifest["kernel_mode"] == "fast"
         assert manifest["telemetry"] == {"enabled": False}
 
-    def test_kernel_mode_tracks_env(self, monkeypatch):
-        from repro.telemetry.manifest import kernel_mode
-
-        monkeypatch.delenv("REPRO_NAIVE_KERNELS", raising=False)
-        assert kernel_mode() == "fast"
+    def test_kernel_mode_is_constant(self, monkeypatch):
+        """Schema 1 keeps the field; the variable that moved it is gone."""
         monkeypatch.setenv("REPRO_NAIVE_KERNELS", "1")
-        assert kernel_mode() == "naive"
+        assert build_manifest(SystemConfig())["kernel_mode"] == "fast"
