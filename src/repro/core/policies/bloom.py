@@ -149,18 +149,21 @@ class BloomPolicy(ForwardingPolicy):
         opposite = item.stream.other
         hits: Dict[int, int] = {}
         unknown: List[int] = []
+        rates = self._hit_rates[item.stream]
         for peer in self.peer_ids:
             remote = self.remote_filter(peer, opposite)
             if remote is None:
                 unknown.append(peer)
                 continue
-            hit = item.key in remote
-            rates = self._hit_rates[item.stream]
+            # One question per peer: the min probed counter is positive
+            # exactly when ``item.key in remote``.
+            estimate = remote.count_estimate(item.key)
+            hit = estimate > 0
             rates[peer] = self._hit_rate_decay * rates[peer] + (
                 1.0 - self._hit_rate_decay
             ) * (1.0 if hit else 0.0)
             if hit:
-                hits[peer] = remote.count_estimate(item.key)
+                hits[peer] = estimate
 
         budget = self.flow.budget
         rng = self.context.rng

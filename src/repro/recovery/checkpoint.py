@@ -15,6 +15,7 @@ assembles them into one blob per node.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -34,10 +35,16 @@ transfer uses as the resync base (see :mod:`repro.recovery.delta`).
 """
 
 
+_dtype_name = functools.lru_cache(maxsize=32)(str)
+"""``str(dtype)``, looked up once per dtype: numpy builds the name afresh
+on every call (~5 us), and a run encodes arrays of one or two dtypes
+thousands of times."""
+
+
 def encode_array(array: np.ndarray) -> Dict[str, object]:
     """Bit-exact, JSON-safe encoding of a numpy array."""
     return {
-        "dtype": str(array.dtype),
+        "dtype": _dtype_name(array.dtype),
         "shape": list(array.shape),
         "data": array.tobytes().hex(),
     }
@@ -66,7 +73,7 @@ def decode_array(payload: Dict[str, object]) -> np.ndarray:
 def encode_tuple(item: StreamTuple) -> List[object]:
     """Positional, JSON-safe encoding of one stream tuple."""
     return [
-        item.stream.value,
+        item.stream._value_,  # the attribute behind ``Enum.value``
         item.key,
         item.origin_node,
         item.arrival_index,

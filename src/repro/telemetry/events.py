@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
+    Any,
     Callable,
     Deque,
     Dict,
@@ -31,7 +32,7 @@ from typing import (
 )
 
 from repro.net.trace import MessageTrace
-from repro.telemetry.registry import MetricRegistry
+from repro.telemetry.registry import Instrument, MetricRegistry
 from repro.telemetry.settings import TelemetrySettings
 
 
@@ -72,6 +73,25 @@ Sampler = Callable[[float, MetricRegistry], None]
 """A sampling callback: reads live state into registry instruments."""
 
 
+class _Handles(dict):
+    """Label value -> instrument, fetched from the registry at first use.
+
+    The hub's fast path keeps the handles it fetched instead of paying
+    the registry's get-or-create (a sort of stringified labels) per
+    message.  An instrument is still created by its first use, never
+    ahead of it: the instrument count and the creation order are part of
+    what a run reports.
+    """
+
+    def __init__(self, fetch: Callable[[Any], Instrument]) -> None:
+        super().__init__()
+        self._fetch = fetch
+
+    def __missing__(self, label: Any) -> Instrument:
+        handle = self[label] = self._fetch(label)
+        return handle
+
+
 class TelemetryHub:
     """The run-wide sink: event ring + registry + sampling loop."""
 
@@ -96,6 +116,30 @@ class TelemetryHub:
             MessageTrace(self.settings.trace_capacity)
             if self.settings.trace_messages
             else None
+        )
+        counter, histogram = self.registry.counter, self.registry.histogram
+        self._event_counters = _Handles(
+            lambda category: counter("repro_events_total", category=category)
+        )
+        self._message_counters = _Handles(
+            lambda kind: counter("repro_net_messages_total", kind=kind)
+        )
+        self._byte_counters = _Handles(
+            lambda kind: counter("repro_net_bytes_total", kind=kind)
+        )
+        self._link_counters = _Handles(
+            lambda link: counter(
+                "repro_link_messages_total", src=link[0], dst=link[1]
+            )
+        )
+        self._delivered_counters = _Handles(
+            lambda kind: counter("repro_net_delivered_total", kind=kind)
+        )
+        self._transit_histograms = _Handles(
+            lambda kind: histogram("repro_net_transit_seconds", kind=kind)
+        )
+        self._lost_counters = _Handles(
+            lambda kind: counter("repro_net_lost_total", kind=kind)
         )
 
     # -- clock ---------------------------------------------------------
@@ -130,7 +174,7 @@ class TelemetryHub:
         self._events.append(event)
         for sink in self._event_sinks:
             sink(event)
-        self.registry.counter("repro_events_total", category=category).inc()
+        self._event_counters[category].inc()
 
     def add_event_sink(self, sink: Callable[[TelemetryEvent], None]) -> None:
         """Stream every future event to ``sink`` the moment it is emitted.
@@ -164,16 +208,10 @@ class TelemetryHub:
 
     def on_message_send(self, now: float, message) -> None:
         """Account one transmitted message; called by ``Network.send``."""
-        kind = message.kind.value
-        self.registry.counter("repro_net_messages_total", kind=kind).inc()
-        self.registry.counter("repro_net_bytes_total", kind=kind).inc(
-            message.size_bytes()
-        )
-        self.registry.counter(
-            "repro_link_messages_total",
-            src=message.source,
-            dst=message.destination,
-        ).inc()
+        kind = message.kind_name
+        self._message_counters[kind].inc()
+        self._byte_counters[kind].inc(message.size_bytes())
+        self._link_counters[message.source, message.destination].inc()
         if self.settings.trace_messages:
             self.emit(
                 "net.send",
@@ -188,12 +226,10 @@ class TelemetryHub:
 
     def on_message_deliver(self, now: float, message) -> None:
         """Account one delivered message; called at link arrival time."""
-        kind = message.kind.value
-        self.registry.counter("repro_net_delivered_total", kind=kind).inc()
+        kind = message.kind_name
+        self._delivered_counters[kind].inc()
         if message.created_at is not None:
-            self.registry.histogram(
-                "repro_net_transit_seconds", kind=kind
-            ).observe(now - message.created_at)
+            self._transit_histograms[kind].observe(now - message.created_at)
         if self.settings.trace_messages:
             self.emit(
                 "net.deliver",
@@ -206,8 +242,8 @@ class TelemetryHub:
 
     def on_message_drop(self, now: float, message) -> None:
         """Account one message lost in transit."""
-        kind = message.kind.value
-        self.registry.counter("repro_net_lost_total", kind=kind).inc()
+        kind = message.kind_name
+        self._lost_counters[kind].inc()
         if self.settings.trace_messages:
             self.emit(
                 "net.drop",

@@ -18,7 +18,6 @@ retained points even after the ring dropped the early history.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -124,6 +123,10 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 )
 
 
+_TOTAL_SCALE_BITS = 1074
+"""The smallest positive double is ``2**-1074``."""
+
+
 class Histogram(Instrument):
     """Fixed-bucket distribution (service times, fan-outs, sizes).
 
@@ -145,23 +148,31 @@ class Histogram(Instrument):
             raise ConfigurationError("histogram edges must be sorted and non-empty")
         self.edges = tuple(float(edge) for edge in edges)
         self.counts: List[int] = [0] * (len(self.edges) + 1)
-        self._total = Fraction(0)
+        self._scaled_total = 0
         self.count = 0
 
     @property
     def total(self) -> float:
         """Sum of observations.
 
-        Accumulated exactly (``Fraction`` of the binary floats), not as
-        a running float, so the sum does not depend on the order of the
-        observations.  The pinned ``metrics.prom`` exports carry this
-        rounding; a running float can differ from it in the last ulp.
+        Accumulated exactly, not as a running float, so the sum does not
+        depend on the order of the observations: every finite double is a
+        whole multiple of ``2**-_TOTAL_SCALE_BITS``, so the sum is kept as
+        one integer count of that unit and rounded once, here (integer
+        true division rounds correctly, as ``float(Fraction)`` does).  The
+        pinned ``metrics.prom`` exports carry this rounding; a running
+        float can differ from it in the last ulp.
         """
-        return float(self._total)
+        return self._scaled_total / (1 << _TOTAL_SCALE_BITS)
 
     def observe(self, value: float) -> None:
+        # Convert before mutating: NaN and infinity raise here and leave
+        # the histogram as it was.
+        numerator, denominator = float(value).as_integer_ratio()
+        self._scaled_total += numerator << (
+            _TOTAL_SCALE_BITS + 1 - denominator.bit_length()
+        )
         self.count += 1
-        self._total += Fraction(value)
         for index, edge in enumerate(self.edges):
             if value <= edge:
                 self.counts[index] += 1

@@ -5,6 +5,15 @@ import os
 import numpy as np
 import pytest
 
+from repro.config import (
+    Algorithm,
+    PolicyConfig,
+    SystemConfig,
+    TelemetrySettings,
+    WorkloadConfig,
+    WorkloadKind,
+)
+
 
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_parallel_env(tmp_path_factory):
@@ -35,3 +44,19 @@ def _isolated_parallel_env(tmp_path_factory):
 def rng():
     """A deterministic generator; tests that need their own seed make one."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def bloom_telemetry_config():
+    """A small BLOOM run with telemetry on (message events included): the
+    script behind the hash-evaluation and registry-lookup count gates."""
+    return SystemConfig(
+        num_nodes=4,
+        window_size=32,
+        policy=PolicyConfig(algorithm=Algorithm.BLOOM, kappa=4.0),
+        workload=WorkloadConfig(
+            kind=WorkloadKind.ZIPF, total_tuples=800, domain=64, arrival_rate=150.0
+        ),
+        telemetry=TelemetrySettings(enabled=True),
+        seed=23,
+    )

@@ -18,9 +18,14 @@ def test_get_scale_presets():
 
 class TestTable1:
     def test_shape(self):
-        rows = table1.run(windows=(256, 1024), updates=30)
+        # One measurement per loop, so time enough work for it to mean
+        # something: at 2000 updates every loop runs for milliseconds (the
+        # shortest, incremental upkeep, ~7 ms); at 30 it ran for ~150 us
+        # and one scheduler hiccup reversed the comparison.
+        rows = table1.run(windows=(256, 1024), updates=2000)
         assert [r.window_size for r in rows] == [256, 1024]
         for row in rows:
+            assert row.incremental_dft_seconds >= 1e-3
             # The full transform must be far costlier than incremental upkeep.
             assert row.full_dft_seconds > row.incremental_dft_seconds
             assert row.speedup_incremental > 1

@@ -80,10 +80,23 @@ class TestCodec:
         assert restored.tobytes() == array.tobytes()
         assert restored.flags.writeable
 
+    @pytest.mark.parametrize("dtype", ["int32", "float64", "complex128", "bool", ">i4"])
+    def test_array_dtype_name_is_str_of_the_dtype(self, dtype):
+        """The encoder looks a dtype's name up once; asked twice (the
+        second answer is the remembered one), it is still ``str(dtype)``
+        -- byte order included, so ``>i4`` never reads back as ``int32``."""
+        array = np.arange(6).astype(dtype)
+        for _ in range(2):
+            payload = encode_array(array)
+            assert payload["dtype"] == str(array.dtype)
+            assert decode_array(payload).dtype == array.dtype
+
     @settings(max_examples=100, deadline=None)
     @given(item=stream_tuples())
     def test_tuple_round_trip_preserves_identity(self, item):
-        restored = decode_tuple(encode_tuple(item))
+        encoded = encode_tuple(item)
+        assert encoded[0] == item.stream.value
+        restored = decode_tuple(encoded)
         assert restored == item
         assert restored.tuple_id == item.tuple_id
 

@@ -1,36 +1,26 @@
-"""Counting Bloom filter.
+"""The pre-PR-23 counting Bloom filter, kept as the tests' oracle.
 
-The sliding window deletes tuples, so the BLOOM baseline uses *counting*
-filters (Section 6: "a counting Bloom filter is constructed at each
-site").  Each position holds a small counter; insertion increments the k
-probed counters, deletion decrements them, and membership requires all k
-to be positive.  Counters saturate at ``max_count`` instead of
-overflowing (the classical 4-bit counter treatment), at the cost of
-possible false negatives after saturation -- tracked so tests can assert
-it never happens at the experiment scales.
-
-All sites probe with the same hash functions (:meth:`spawn_compatible`),
-so the filters of one family also share one bounded key -> probe-positions
-table: a key costs its k hash evaluations once per family, not once per
-filter per question.  A filter constructed directly has a table of its
-own, whatever hash family it was handed.
+Until PR 23 every ``add`` / ``remove`` / ``in`` / ``count_estimate``
+evaluated the filter's hash functions afresh (``_positions``: two
+degree-3 polynomials and a ``num_hashes``-long ``arange`` per call).
+Since then the filters of one ``spawn_compatible`` family share a bounded
+key -> probe-positions table.  The class below is the old filter moved
+here verbatim, so the table-backed filter under ``src/`` can be held to
+it answer for answer and counter for counter with ``==``.
 """
 
-from __future__ import annotations
-
 import math
-from collections import OrderedDict
 from typing import Iterable, Optional
 
 import numpy as np
 
 from repro._rng import ensure_rng
 from repro.errors import SummaryError
-from repro.sketches.hashing import DEFAULT_SIGN_CACHE_SIZE, FourWiseHashFamily
+from repro.sketches.hashing import FourWiseHashFamily
 
 
-class CountingBloomFilter:
-    """Bloom filter with per-position counters supporting deletion."""
+class ReferenceCountingBloomFilter:
+    """``repro.bloom.counting.CountingBloomFilter`` as of PR 22."""
 
     def __init__(
         self,
@@ -52,39 +42,20 @@ class CountingBloomFilter:
         self._hashes = hashes if hashes is not None else FourWiseHashFamily(
             2, rng=ensure_rng(rng)
         )
-        if self._hashes.rows < 2:
-            raise SummaryError("double hashing needs a 2-row hash family")
-        # key -> probe positions; spawn_compatible hands it to the twin.
-        self._position_table: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._counters = np.zeros(num_counters, dtype=np.int32)
         self.items = 0
         self.saturations = 0
 
-    def spawn_compatible(self) -> "CountingBloomFilter":
-        """Empty filter sharing this filter's hash functions (and the
-        table of probe positions already worked out from them)."""
-        twin = CountingBloomFilter(
+    def spawn_compatible(self) -> "ReferenceCountingBloomFilter":
+        """Empty filter sharing this filter's hash functions."""
+        return ReferenceCountingBloomFilter(
             self.num_counters, self.num_hashes, self.max_count, hashes=self._hashes
         )
-        twin._position_table = self._position_table
-        return twin
 
     def _positions(self, key: int) -> np.ndarray:
-        """The key's probe positions (read-only: the array is shared)."""
-        table = self._position_table
-        positions = table.get(key)
-        if positions is None:
-            raw = self._hashes.raw(key)
-            h1, h2 = int(raw[0]), int(raw[1]) | 1
-            positions = (
-                h1 + np.arange(self.num_hashes, dtype=np.int64) * h2
-            ) % self.num_counters
-            positions.flags.writeable = False
-            table[key] = positions
-            # First in, first out: a hit stays one lookup.
-            if len(table) > DEFAULT_SIGN_CACHE_SIZE:
-                table.popitem(last=False)
-        return positions
+        raw = self._hashes.raw(key)
+        h1, h2 = int(raw[0]), int(raw[1]) | 1
+        return (h1 + np.arange(self.num_hashes, dtype=np.int64) * h2) % self.num_counters
 
     def add(self, key: int) -> None:
         positions = self._positions(key)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.bloom.counting import CountingBloomFilter
+from repro.bloom.standard import BloomFilter
 from repro.errors import SummaryError
+from repro.sketches.hashing import FourWiseHashFamily
 
 
 def _filter(counters=1024, hashes=4, max_count=15, seed=0):
@@ -20,6 +22,23 @@ def test_validation():
         CountingBloomFilter(8, 0)
     with pytest.raises(SummaryError):
         CountingBloomFilter(8, 1, max_count=0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda hashes: CountingBloomFilter(64, 3, hashes=hashes),
+        lambda hashes: BloomFilter(64, 3, hashes=hashes),
+    ],
+    ids=["counting", "standard"],
+)
+def test_one_row_hash_family_is_rejected_at_construction(build):
+    """Double hashing reads rows 0 and 1; a 1-row family used to get past
+    the counting filter's constructor and die with a bare ``IndexError``
+    at the first ``add``."""
+    with pytest.raises(SummaryError, match="2-row hash family"):
+        build(FourWiseHashFamily(1))
+    build(FourWiseHashFamily(2)).add(7)
 
 
 def test_membership_after_add():

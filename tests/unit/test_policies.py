@@ -20,8 +20,10 @@ from repro.core.policies import (
 )
 from repro.core.policies.dft import UNKNOWN_PEER_SIMILARITY
 from repro.core.summaries import DftSummaryManager, SummaryOutbox, SummaryUpdate
+from repro.core.system import DistributedJoinSystem
 from repro.dft.reconstruction import reconstruct_values
 from repro.errors import ConfigurationError
+from repro.sketches.hashing import FourWiseHashFamily
 from repro.streams.tuples import StreamId, StreamTuple
 from tests.reference_decision import reference_distribution_similarity
 
@@ -471,6 +473,25 @@ class TestBloomPolicy:
         newer = make_tuple(43, StreamId.R)
         a.on_local_insert(newer, [item])
         assert 42 not in a.filters[StreamId.R]
+
+    def test_a_key_is_hashed_once_per_filter_family(self, monkeypatch, bloom_telemetry_config):
+        """A gate in counts, on a whole scripted run: every filter of a
+        stream comes from one template by ``spawn_compatible``, so hash
+        evaluations are bounded by the distinct (family, key) pairs.  One
+        evaluation per filter per question (3,530 on this script before
+        PR 23) trips it on any machine."""
+        evaluated = []
+        original = FourWiseHashFamily.raw
+
+        def counting(family, key):
+            evaluated.append((id(family), int(key)))
+            return original(family, key)
+
+        monkeypatch.setattr(FourWiseHashFamily, "raw", counting)
+        result = DistributedJoinSystem(bloom_telemetry_config).run()
+        assert result.reported_pairs > 0
+        assert 2 * 32 <= len(set(evaluated)) <= 2 * 64  # two families, domain 64
+        assert len(evaluated) <= len(set(evaluated))
 
 
 class TestSketchPolicy:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.system import DistributedJoinSystem
 from repro.errors import ConfigurationError
 from repro.net.message import Message, MessageKind
 from repro.telemetry import (
@@ -74,6 +75,18 @@ class TestInstruments:
         assert histogram.count == 4
         assert histogram.total == pytest.approx(105.0)
         assert histogram.sample_value() == 4.0
+
+    def test_rejected_observation_leaves_the_histogram_unchanged(self):
+        histogram = Histogram("h", (), edges=(1.0, 2.0))
+        histogram.observe(1.5)
+        with pytest.raises(ValueError):
+            histogram.observe(float("nan"))
+        with pytest.raises(OverflowError):
+            histogram.observe(float("inf"))
+        assert histogram.count == 1 == sum(histogram.counts)
+        assert histogram.counts == [0, 1, 0]
+        assert histogram.total == 1.5
+        assert histogram.sample_value() == 1.0
 
     def test_histogram_rejects_unsorted_edges(self):
         with pytest.raises(ConfigurationError):
@@ -191,6 +204,47 @@ class TestTelemetryHub:
         hub.on_message_send(1.0, _message())
         assert hub.registry.get("repro_net_messages_total", kind="tuple").value == 1
         assert len(hub) == 0
+
+    def test_fast_path_fetches_each_instrument_once(self, monkeypatch, bloom_telemetry_config):
+        """A gate in counts, on a whole scripted run: the four recording
+        entry points go to the registry's get-or-create only to create.
+        One lookup per instrument per message (23,653 on this script
+        before PR 23) trips it on any machine."""
+        depth = [0]
+        lookups = []
+
+        def entered(original):
+            def entry_point(*args, **kwargs):
+                depth[0] += 1
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+
+            return entry_point
+
+        for name in ("emit", "on_message_send", "on_message_deliver", "on_message_drop"):
+            monkeypatch.setattr(TelemetryHub, name, entered(getattr(TelemetryHub, name)))
+        original_get = MetricRegistry._get
+
+        def counting(registry, cls, name, labels, **kwargs):
+            if depth[0]:
+                lookups.append(name)
+            return original_get(registry, cls, name, labels, **kwargs)
+
+        monkeypatch.setattr(MetricRegistry, "_get", counting)
+        system = DistributedJoinSystem(bloom_telemetry_config)
+        result = system.run()
+        assert result.telemetry["events_net"] > 1000  # message events were on
+        assert set(lookups) == {
+            "repro_events_total",
+            "repro_net_messages_total",
+            "repro_net_bytes_total",
+            "repro_link_messages_total",
+            "repro_net_delivered_total",
+            "repro_net_transit_seconds",
+        }
+        assert len(lookups) <= len(system.telemetry.registry)
 
     def test_sample_tick_runs_samplers_then_snapshots(self):
         hub = TelemetryHub(clock=lambda: 3.0)
