@@ -19,6 +19,7 @@ same for all of them:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -98,8 +99,38 @@ class SummaryOutbox:
             self.history.clear()
 
 
+_snapshot_texts: Dict[int, Tuple["weakref.ref", str]] = {}
+"""``id(array)`` -> (weak reference, canonical payload text): one
+broadcast snapshot is the same array in every recipient's table, so its
+checkpoint text is rendered once and shared.  An entry goes when its
+array does, so an id never names two arrays here."""
+
+
+def _payload_text(payload: Any) -> str:
+    """The canonical JSON text of ``encode_payload(payload)``."""
+    from repro.recovery.checkpoint import canonical_json
+    from repro.recovery.delta import encode_payload
+
+    key = id(payload)
+    entry = _snapshot_texts.get(key)
+    if entry is not None and entry[0]() is payload:
+        return entry[1]
+    text = canonical_json(encode_payload(payload))
+    if isinstance(payload, np.ndarray):  # a coefficient map is one table's own
+        _snapshot_texts[key] = (
+            weakref.ref(payload, lambda _: _snapshot_texts.pop(key, None)),
+            text,
+        )
+    return text
+
+
 class RemoteSummaryTable:
     """Receiver-side freshest-known summaries, keyed by (peer, stream)."""
+
+    _rendered: Optional[Dict[Tuple[int, StreamId], Tuple[Any, int, str, str]]] = None
+    """Per slot, the payload object and version :meth:`checkpoint_state`
+    last rendered and the entry's text; made at the first checkpoint, so
+    a table that is never checkpointed pays nothing for it."""
 
     def __init__(self) -> None:
         self._state: Dict[Tuple[int, StreamId], Any] = {}
@@ -134,8 +165,9 @@ class RemoteSummaryTable:
     def known_peers(self, stream: StreamId) -> List[int]:
         return [peer for (peer, s) in self._state if s is stream]
 
-    def checkpoint_state(self) -> List[List[object]]:
-        """JSON-safe snapshot of the freshest remote summaries.
+    def checkpoint_state(self) -> "Rendered":
+        """Canonical-JSON snapshot of the freshest remote summaries: a
+        list of ``[peer, stream, version, encoded payload]`` entries.
 
         Unlike the policies' own :meth:`checkpoint_state`, this is *not*
         restored through an inverse method here: the node replays the
@@ -143,16 +175,26 @@ class RemoteSummaryTable:
         (remote Bloom filters, sketch copies, reconstructions) rebuild
         consistently.  The entries are the watermark the delta state
         transfer negotiates from.
-        """
-        from repro.recovery.delta import encode_payload
 
-        return [
-            [peer, stream.value, self._versions[(peer, stream)],
-             encode_payload(self._state[(peer, stream)])]
-            for peer, stream in sorted(
-                self._state, key=lambda key: (key[0], key[1].value)
-            )
-        ]
+        A slot's text is kept for as long as the slot holds the same
+        payload object at the same version: ``apply`` stores a new
+        object per change and nothing mutates a stored one, while a
+        version alone can come round again after a restore.
+        """
+        from repro.recovery.checkpoint import Rendered, canonical_json
+
+        rendered = self._rendered
+        if rendered is None:
+            rendered = self._rendered = {}
+        entries = []
+        for key in sorted(self._state, key=lambda key: (key[0], key[1].value)):
+            payload, version = self._state[key], self._versions[key]
+            slot = rendered.get(key)
+            if slot is None or slot[0] is not payload or slot[1] != version:
+                head = "[%d,%s,%d," % (key[0], canonical_json(key[1].value), version)
+                slot = rendered[key] = (payload, version, head, _payload_text(payload))
+            entries.append("%s%s]" % slot[2:])
+        return Rendered("[%s]" % ",".join(entries))
 
     def clear(self) -> None:
         """Forget every remote summary (checkpoint restore: remote state
@@ -160,6 +202,7 @@ class RemoteSummaryTable:
         cadence rebuild it from live peers)."""
         self._state.clear()
         self._versions.clear()
+        self._rendered = None
 
 
 class DftSummaryManager:

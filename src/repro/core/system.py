@@ -37,6 +37,7 @@ from repro.streams.network import NetworkTraceConfig, network_trace_stream
 from repro.streams.partitioner import GeographicPartitioner, PartitionerConfig
 from repro.streams.tuples import StreamId, StreamTuple, reset_tuple_ids
 from repro.telemetry import TelemetryHub, build_manifest
+from repro.telemetry.events import Handles
 
 
 def build_key_stream(workload: WorkloadConfig, rng: np.random.Generator) -> Iterator[int]:
@@ -114,6 +115,20 @@ class DistributedJoinSystem:
                 config.telemetry, clock=lambda: self.scheduler.now
             )
             self.scheduler.telemetry = self.telemetry
+            # The sampling tick keeps the instruments it fetched, as the
+            # hub does: each still made by its first use, in tick order.
+            gauge = self.telemetry.registry.gauge
+            counter = self.telemetry.registry.counter
+            self._gauges = Handles(gauge)
+            self._node_gauges = Handles(lambda key: gauge(key[0], node=key[1]))
+            self._link_gauges = Handles(
+                lambda link: gauge(
+                    "repro_link_backlog_seconds", src=link[0], dst=link[1]
+                )
+            )
+            self._traffic_counters = Handles(
+                lambda key: counter(key[0], **dict(key[1:]))
+            )
             self.telemetry.add_sampler(self._sample_telemetry)
             if config.telemetry.dashboard:
                 from repro.telemetry import AsciiDashboard
@@ -407,38 +422,29 @@ class DistributedJoinSystem:
         component, so an instrumented run stays result-identical to a
         dark one.
         """
-        registry.gauge("repro_sched_events_processed").set(
-            self.scheduler.events_processed
-        )
-        registry.gauge("repro_sched_pending_events").set(self.scheduler.pending)
+        gauges, node_gauges = self._gauges, self._node_gauges
+        gauges["repro_sched_events_processed"].set(self.scheduler.events_processed)
+        gauges["repro_sched_pending_events"].set(self.scheduler.pending)
         for node in self.nodes:
             node_id = node.node_id
-            registry.gauge("repro_node_queue_depth", node=node_id).set(
-                node.queue_depth
-            )
-            registry.gauge("repro_node_tuples_processed", node=node_id).set(
+            node_gauges["repro_node_queue_depth", node_id].set(node.queue_depth)
+            node_gauges["repro_node_tuples_processed", node_id].set(
                 node.tuples_processed
             )
-            registry.gauge("repro_node_remote_tuples", node=node_id).set(
+            node_gauges["repro_node_remote_tuples", node_id].set(
                 node.remote_tuples_processed
             )
-            registry.gauge("repro_node_busy_seconds", node=node_id).set(
-                node.busy_seconds
-            )
+            node_gauges["repro_node_busy_seconds", node_id].set(node.busy_seconds)
             if node.degradation_ladder is not None:
                 # Overload-only series: registered lazily so a dark run's
                 # registry (and its export) is byte-identical to pre-overload.
-                registry.gauge("repro_node_shed_tuples", node=node_id).set(
-                    node.shed_tuples
-                )
+                node_gauges["repro_node_shed_tuples", node_id].set(node.shed_tuples)
         # TrafficStats stays the always-on accumulator; each tick
         # snapshots its cumulative counters into registry series.
         for name, labels, value in self.network.stats.iter_counters():
-            registry.counter(name, **labels).value = value
-        for (source, destination), link in self.network.iter_links():
-            registry.gauge(
-                "repro_link_backlog_seconds", src=source, dst=destination
-            ).set(link.queue_depth_seconds())
+            self._traffic_counters[(name, *labels.items())].value = value
+        for link_key, link in self.network.iter_links():
+            self._link_gauges[link_key].set(link.queue_depth_seconds())
 
     # ------------------------------------------------------------------
     # execution

@@ -7,6 +7,12 @@ round trip through decimal).  The blob is the canonical sorted-keys JSON
 encoding of that dictionary -- the same state always produces the same
 bytes, which is what the rerun-identity tests pin.
 
+A subtree may arrive as :class:`Rendered`: its canonical text, kept by a
+producer whose state changes at the edges only (a window between two
+ticks, a remote summary between two versions).  :func:`encode_blob`
+splices such text verbatim, so the bytes do not depend on which parts
+were rendered when.
+
 The codec knows nothing about policies or nodes; components expose
 ``checkpoint_state()`` / ``restore_state()`` pairs that speak plain
 dictionaries, and :meth:`repro.core.node.JoinProcessingNode.take_checkpoint`
@@ -16,8 +22,10 @@ assembles them into one blob per node.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -85,44 +93,126 @@ def encode_tuple(item: StreamTuple) -> List[object]:
 
 
 def decode_tuple(payload: List[object]) -> StreamTuple:
-    """Inverse of :func:`encode_tuple` (preserves the tuple identity)."""
-    return StreamTuple(
-        stream=StreamId(payload[0]),
-        key=payload[1],
-        origin_node=payload[2],
-        arrival_index=payload[3],
-        payload=payload[4],
-        tuple_id=payload[5],
-        timestamp=payload[6],
-        query_id=payload[7],
-    )
+    """Inverse of :func:`encode_tuple` (preserves the tuple identity).
+
+    Raises :class:`SimulationError` unless ``payload`` is a list of the
+    eight fields naming a known stream."""
+    try:
+        if not isinstance(payload, list):
+            raise TypeError("%s is not a list" % type(payload).__name__)
+        stream, key, origin, index, body, tuple_id, timestamp, query_id = payload
+        return StreamTuple(
+            stream=StreamId(stream),
+            key=key,
+            origin_node=origin,
+            arrival_index=index,
+            payload=body,
+            tuple_id=tuple_id,
+            timestamp=timestamp,
+            query_id=query_id,
+        )
+    except (TypeError, ValueError) as error:
+        raise SimulationError("malformed encoded tuple: %s" % error)
 
 
-def window_state(window) -> Dict[str, object]:
-    """Checkpoint one :class:`~repro.streams.window.SlidingWindow`."""
-    state: Dict[str, object] = {
-        "tuples": [encode_tuple(item) for item in window],
-        "total_appended": window.total_appended,
-    }
+class Rendered:
+    """Canonical JSON text standing in for the subtree it encodes."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+"""The one encoder every blob byte comes from (compact, sorted keys)."""
+
+
+def window_state(window) -> Rendered:
+    """Checkpoint one :class:`~repro.streams.window.SlidingWindow`.
+
+    A window is a FIFO, so between two calls it changes at its ends
+    only: the text of the tuples still in it is kept on the window
+    (``checkpoint_text``, which :meth:`SlidingWindow.restore` drops) as
+    one string plus the length of each tuple's share of it, and only
+    tuples appended since the last call are encoded.
+    """
+    size, appended = len(window), window.total_appended
+    seen, text, lengths = window.checkpoint_text or (appended, "", deque())
+    # What survives is the old text's tail: every append since pushed
+    # older tuples out first, by count, expiry or landmark reset alike.
+    kept = size - (appended - seen)
+    if not 0 <= kept <= len(lengths):
+        kept = 0
+    fresh = [
+        canonical_json(encode_tuple(item))
+        for item in itertools.islice(window, kept, None)
+    ]
+    gone = len(lengths) - kept
+    cut = gone  # one separator per departed tuple
+    for _ in range(gone):
+        cut += lengths.popleft()
+    lengths.extend(map(len, fresh))
+    if kept:
+        fresh.insert(0, text[cut:])
+    text = ",".join(fresh)
+    window.checkpoint_text = (appended, text, lengths)
     resets = getattr(window, "resets", None)
-    if resets is not None:
-        state["resets"] = resets
-    return state
+    head = "{" if resets is None else '{"resets":%d,' % resets
+    return Rendered('%s"total_appended":%d,"tuples":[%s]}' % (head, appended, text))
 
 
 def restore_window(window, state: Dict[str, object]) -> None:
-    """Inverse of :func:`window_state` onto an identically-built window."""
-    window.restore(
-        [decode_tuple(item) for item in state["tuples"]],
-        int(state["total_appended"]),
+    """Inverse of :func:`window_state` onto an identically-built window.
+
+    Raises :class:`SimulationError` on a section that is not what
+    :func:`window_state` writes."""
+    try:
+        tuples = state["tuples"]
+        if not isinstance(tuples, list):
+            raise TypeError("tuples is not a list")
+        total_appended = int(state["total_appended"])
+        resets = int(state["resets"]) if "resets" in state else None
+    except (KeyError, TypeError, ValueError) as error:
+        raise SimulationError("malformed window section: %r" % (error,))
+    window.restore([decode_tuple(item) for item in tuples], total_appended)
+    if resets is not None:
+        window.resets = resets
+
+
+def _splice(node: object) -> Optional[str]:
+    """Text of a subtree holding :class:`Rendered` parts; ``None`` for a
+    plain one, which the caller hands to the encoder whole."""
+    if type(node) is Rendered:
+        return node.text
+    if isinstance(node, dict):
+        keys = sorted(node)
+        children = [node[key] for key in keys]
+    elif isinstance(node, (list, tuple)):
+        keys, children = None, node
+    else:
+        return None
+    texts = [_splice(child) for child in children]
+    if all(text is None for text in texts):
+        return None
+    texts = [
+        canonical_json(child) if text is None else text
+        for child, text in zip(children, texts)
+    ]
+    if keys is None:
+        return "[%s]" % ",".join(texts)
+    if not all(type(key) is str for key in keys):
+        raise TypeError("keys beside rendered text must be strings")
+    return "{%s}" % ",".join(
+        "%s:%s" % (canonical_json(key), text) for key, text in zip(keys, texts)
     )
-    if "resets" in state:
-        window.resets = int(state["resets"])
 
 
 def encode_blob(state: Dict[str, object]) -> bytes:
-    """The canonical byte encoding: compact sorted-keys JSON."""
-    return json.dumps(state, sort_keys=True, separators=(",", ":")).encode("ascii")
+    """The canonical byte encoding: compact sorted-keys JSON, the same
+    bytes whether a subtree comes as values or as :class:`Rendered`."""
+    text = _splice(state)
+    return (canonical_json(state) if text is None else text).encode("ascii")
 
 
 def decode_blob(blob: bytes) -> Dict[str, object]:

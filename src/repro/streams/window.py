@@ -23,6 +23,12 @@ from repro.streams.tuples import StreamTuple
 class SlidingWindow(abc.ABC):
     """Common behaviour: append, evict, key-multiset bookkeeping."""
 
+    checkpoint_text = None
+    """What :func:`repro.recovery.checkpoint.window_state` remembers of
+    its last rendering of this window, valid while the window only
+    appends and evicts; a class-level default so a window that is never
+    checkpointed pays nothing for it."""
+
     def __init__(self) -> None:
         self._tuples: Deque[StreamTuple] = deque()
         self._key_counts: Counter = Counter()
@@ -78,6 +84,9 @@ class SlidingWindow(abc.ABC):
         self._key_counts = Counter(t.key for t in items)
         self._evicted = []
         self.total_appended = int(total_appended)
+        # The counter may roll back here and climb to a remembered value
+        # again over other tuples, so the remembered text goes.
+        self.checkpoint_text = None
 
     def _evict_oldest(self) -> StreamTuple:
         if not self._tuples:

@@ -73,7 +73,7 @@ Sampler = Callable[[float, MetricRegistry], None]
 """A sampling callback: reads live state into registry instruments."""
 
 
-class _Handles(dict):
+class Handles(dict):
     """Label value -> instrument, fetched from the registry at first use.
 
     The hub's fast path keeps the handles it fetched instead of paying
@@ -118,27 +118,27 @@ class TelemetryHub:
             else None
         )
         counter, histogram = self.registry.counter, self.registry.histogram
-        self._event_counters = _Handles(
+        self._event_counters = Handles(
             lambda category: counter("repro_events_total", category=category)
         )
-        self._message_counters = _Handles(
+        self._message_counters = Handles(
             lambda kind: counter("repro_net_messages_total", kind=kind)
         )
-        self._byte_counters = _Handles(
+        self._byte_counters = Handles(
             lambda kind: counter("repro_net_bytes_total", kind=kind)
         )
-        self._link_counters = _Handles(
+        self._link_counters = Handles(
             lambda link: counter(
                 "repro_link_messages_total", src=link[0], dst=link[1]
             )
         )
-        self._delivered_counters = _Handles(
+        self._delivered_counters = Handles(
             lambda kind: counter("repro_net_delivered_total", kind=kind)
         )
-        self._transit_histograms = _Handles(
+        self._transit_histograms = Handles(
             lambda kind: histogram("repro_net_transit_seconds", kind=kind)
         )
-        self._lost_counters = _Handles(
+        self._lost_counters = Handles(
             lambda kind: counter("repro_net_lost_total", kind=kind)
         )
 

@@ -34,8 +34,11 @@ from repro.recovery.checkpoint import (
     encode_array,
     encode_blob,
     encode_tuple,
+    restore_window,
+    window_state,
 )
 from repro.streams.tuples import StreamId, StreamTuple
+from repro.streams.window import CountWindow
 from tests.damage import bit_flips, damaged, truncations
 
 WINDOW = 32
@@ -147,6 +150,91 @@ class TestDamagedInput:
     def test_malformed_blob_raises_simulation_error(self, blob):
         with pytest.raises(SimulationError):
             decode_blob(blob)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            ["R", 1, 2],
+            ["R", 1, 2, 3, None, 4, 0.5, 0, 9],
+            ["X", 1, 2, 3, None, 4, 0.5, 0],
+            [None, 1, 2, 3, None, 4, 0.5, 0],
+            {"stream": "R"},
+            "RRRRRRRR",
+            None,
+        ],
+        ids=["short", "long", "unknown-stream", "null-stream", "mapping", "string", "null"],
+    )
+    def test_malformed_tuple_raises_simulation_error(self, payload):
+        with pytest.raises(SimulationError):
+            decode_tuple(payload)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param({"total_appended": ...}, id="no-total"),
+            pytest.param({"tuples": ...}, id="no-tuples"),
+            pytest.param({"tuples": {"0": []}}, id="tuples-a-mapping"),
+            pytest.param({"tuples": "RS"}, id="tuples-a-string"),
+            pytest.param({"tuples": None}, id="tuples-null"),
+            pytest.param({"tuples": [["R", 1, 2]]}, id="short-tuple"),
+            pytest.param({"total_appended": "many"}, id="total-a-word"),
+            pytest.param({"total_appended": None}, id="total-null"),
+            pytest.param({"resets": []}, id="resets-a-list"),
+        ],
+    )
+    def test_malformed_window_section_raises_simulation_error(self, damage):
+        state = {"tuples": [], "total_appended": 3}
+        for key, value in damage.items():
+            if value is ...:
+                del state[key]
+            else:
+                state[key] = value
+        window = CountWindow(4)
+        with pytest.raises(SimulationError):
+            restore_window(window, state)
+        assert len(window) == 0 and window.total_appended == 0  # untouched
+
+    @pytest.mark.parametrize("state", [None, [], "window", 7])
+    def test_non_mapping_window_section_raises_simulation_error(self, state):
+        with pytest.raises(SimulationError):
+            restore_window(CountWindow(4), state)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        items=st.lists(stream_tuples(), max_size=4),
+        wrong=st.none() | st.integers() | st.text(max_size=3) | st.lists(st.integers(), max_size=9),
+        data=st.data(),
+    )
+    def test_damaged_window_section_raises_or_restores_what_it_says(self, items, wrong, data):
+        """Truncate or flip one bit of a window section's text, or put a
+        value of another type where a tuple, the list or the count was:
+        ``restore_window`` raises its ``ReproError`` or restores exactly
+        the tuples and the count the damaged section names."""
+        source = CountWindow(4)
+        for item in items:
+            source.append(item)
+        text = window_state(source).text
+        if data.draw(st.booleans()):
+            try:
+                state = json.loads(data.draw(damaged(text)))
+            except ValueError:
+                return  # decode_blob's half
+        else:
+            state = json.loads(text)
+            spot = data.draw(st.sampled_from(["tuples", "total_appended", "entry", "field"]))
+            if spot == "entry" and state["tuples"]:
+                state["tuples"][0] = wrong
+            elif spot == "field" and state["tuples"]:
+                state["tuples"][0][0] = wrong
+            elif spot in state:
+                state[spot] = wrong
+        window = CountWindow(4)
+        try:
+            restore_window(window, state)
+        except ReproError:
+            return
+        assert [encode_tuple(item) for item in window] == state["tuples"]
+        assert window.total_appended == int(state["total_appended"])
 
     @settings(max_examples=300, deadline=None)
     @given(array=arrays(), data=st.data())

@@ -184,3 +184,103 @@ def test_standalone_summary_flush():
     scheduler.run()
     summaries_known = nodes[0].policy.remote.get(1, StreamId.R)
     assert summaries_known is not None
+
+
+class TestCheckpointWork:
+    """Gates in counts, on a small scripted BLOOM ``--recovery`` run with
+    one restart: a checkpoint tick pays for what changed since the last
+    one, and what it remembers is bounded by what it mirrors."""
+
+    @pytest.fixture
+    def recovery_config(self, bloom_telemetry_config):
+        from repro.net.faults import FaultPlan
+        from repro.net.reliable import ReliabilitySettings
+        from repro.recovery import RecoverySettings
+
+        return bloom_telemetry_config.with_overrides(
+            reliability=ReliabilitySettings(enabled=True),
+            recovery=RecoverySettings(enabled=True, checkpoint_interval_s=0.25),
+            faults=FaultPlan.parse("crash@t=2,d=1,node=2,downtime=1", num_nodes=4),
+        )
+
+    def test_a_tuple_is_rendered_once_a_snapshot_once(self, monkeypatch, recovery_config):
+        """``encode_tuple`` calls are bounded by the tuples that entered
+        a window or shadow window plus those a restore put back (before
+        PR 24: every tuple of every window at every tick, 16,049 calls
+        for the 1,984 here), payload encodes by the distinct payload
+        objects the remote tables stored (344 for 25)."""
+        from repro.core.summaries import RemoteSummaryTable
+        from repro.core.system import DistributedJoinSystem
+        from repro.streams.window import SlidingWindow
+
+        counts = {"encode_tuple": 0, "entered": 0, "payload": 0}
+        stored = {}
+        in_table = []
+
+        def wrap(owner, name, wrapper):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: wrapper(original, *args))
+
+        def encode_tuple(original, item):
+            counts["encode_tuple"] += 1
+            return original(item)
+
+        def append(original, window, item):
+            counts["entered"] += 1
+            return original(window, item)
+
+        def restore(original, window, tuples, total_appended):
+            tuples = list(tuples)
+            counts["entered"] += len(tuples)
+            return original(window, tuples, total_appended)
+
+        def apply(original, table, source, update):
+            changed = original(table, source, update)
+            payload = table.get(source, update.stream)
+            stored[id(payload)] = payload  # held, so ids stay distinct
+            return changed
+
+        def checkpoint_state(original, table):
+            in_table.append(table)
+            try:
+                return original(table)
+            finally:
+                in_table.pop()
+
+        def encode_payload(original, payload):
+            counts["payload"] += bool(in_table)
+            return original(payload)
+
+        import repro.recovery.checkpoint as checkpoint
+        import repro.recovery.delta as delta
+
+        wrap(checkpoint, "encode_tuple", encode_tuple)
+        wrap(SlidingWindow, "append", append)
+        wrap(SlidingWindow, "restore", restore)
+        wrap(RemoteSummaryTable, "apply", apply)
+        wrap(RemoteSummaryTable, "checkpoint_state", checkpoint_state)
+        wrap(delta, "encode_payload", encode_payload)
+        result = DistributedJoinSystem(recovery_config).run()
+        assert result.recovery["restarts"] == 1.0
+        assert result.recovery["checkpoints_taken"] > 50
+        assert 0 < counts["encode_tuple"] <= counts["entered"]
+        assert 0 < counts["payload"] <= len(stored)
+
+    def test_remembered_text_is_bounded_by_what_it_mirrors(self, recovery_config):
+        from repro.core.system import DistributedJoinSystem
+
+        system = DistributedJoinSystem(recovery_config)
+        system.run()
+        for node in system.nodes:
+            node._checkpoint_state(0.0)
+            runtime = node.query()
+            windows = [runtime.join.window(stream) for stream in StreamId]
+            for stream in StreamId:
+                windows.extend(runtime.shadow_windows[stream].values())
+            assert len(windows) > 2
+            for window in windows:
+                _, text, lengths = window.checkpoint_text
+                assert len(lengths) == len(window)
+                assert len(text) == sum(lengths) + max(0, len(window) - 1)
+            table = runtime.policy.remote
+            assert table._rendered and set(table._rendered) <= set(table._state)

@@ -207,9 +207,10 @@ class TestTelemetryHub:
 
     def test_fast_path_fetches_each_instrument_once(self, monkeypatch, bloom_telemetry_config):
         """A gate in counts, on a whole scripted run: the four recording
-        entry points go to the registry's get-or-create only to create.
-        One lookup per instrument per message (23,653 on this script
-        before PR 23) trips it on any machine."""
+        entry points and the sampling tick go to the registry's
+        get-or-create only to create.  One lookup per instrument per
+        message (23,653 on this script before PR 23) or per series per
+        tick (445 before PR 24, for 41 series) trips it on any machine."""
         depth = [0]
         lookups = []
 
@@ -225,6 +226,11 @@ class TestTelemetryHub:
 
         for name in ("emit", "on_message_send", "on_message_deliver", "on_message_drop"):
             monkeypatch.setattr(TelemetryHub, name, entered(getattr(TelemetryHub, name)))
+        monkeypatch.setattr(
+            DistributedJoinSystem,
+            "_sample_telemetry",
+            entered(DistributedJoinSystem._sample_telemetry),
+        )
         original_get = MetricRegistry._get
 
         def counting(registry, cls, name, labels, **kwargs):
@@ -243,6 +249,18 @@ class TestTelemetryHub:
             "repro_link_messages_total",
             "repro_net_delivered_total",
             "repro_net_transit_seconds",
+            "repro_sched_events_processed",
+            "repro_sched_pending_events",
+            "repro_node_queue_depth",
+            "repro_node_tuples_processed",
+            "repro_node_remote_tuples",
+            "repro_node_busy_seconds",
+            "repro_link_backlog_seconds",
+            "repro_traffic_messages_total",
+            "repro_traffic_bytes_total",
+            "repro_traffic_summary_bytes_total",
+            "repro_traffic_net_data_bytes_total",
+            "repro_traffic_summary_entries_total",
         }
         assert len(lookups) <= len(system.telemetry.registry)
 
