@@ -128,12 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(implies --recovery; default 1.0)",
     )
     parser.add_argument(
-        "--no-delta-transfer",
-        action="store_true",
-        help="resync rejoining nodes with full snapshots instead of "
-        "watermark deltas (the pre-delta state-transfer protocol)",
-    )
-    parser.add_argument(
         "--overload",
         action="store_true",
         help="enable overload protection: bounded service queues, the "
@@ -220,8 +214,6 @@ def config_from_args(args: argparse.Namespace) -> SystemConfig:
     recovery_overrides = {"enabled": True}
     if args.checkpoint_interval > 0:
         recovery_overrides["checkpoint_interval_s"] = args.checkpoint_interval
-    if args.no_delta_transfer:
-        recovery_overrides["delta_state_transfer"] = False
     recovery = (
         dataclasses.replace(RecoverySettings(), **recovery_overrides)
         if recovery_on

@@ -310,7 +310,9 @@ class SystemConfig:
             "telemetry_enabled": self.telemetry.enabled,
             "recovery_enabled": self.recovery.enabled,
             "checkpoint_interval_s": self.recovery.checkpoint_interval_s,
-            "delta_state_transfer": self.recovery.delta_state_transfer,
+            # Constant since the full-snapshot protocol was deleted; kept
+            # so every config echo, manifest and digest keeps its bytes.
+            "delta_state_transfer": True,
             "seed": self.seed,
         }
         if self.overload.enabled:

@@ -17,6 +17,11 @@ the sender* one second per 90 kilobits, so transmission cost is charged to
 the sending node's service time (links then add propagation latency only).
 A node saturated by (N-1)-way broadcast therefore processes fewer tuples
 per second -- which is exactly the effect Figure 11 measures.
+
+Restartable crashes are this repo's extension, not the paper's: with
+recovery enabled the node composes a
+:class:`~repro.recovery.coordinator.RecoveryCoordinator` that owns the
+replay log, checkpoints, rejoin timers and state transfer.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.config import SystemConfig, WindowKind
 from repro.core.health import PeerHealthMonitor
 from repro.core.policies.base import ForwardingPolicy
@@ -34,33 +37,12 @@ from repro.errors import ConfigurationError
 from repro.join.ground_truth import GroundTruthOracle
 from repro.join.hash_join import JoinResult, SymmetricHashJoin
 from repro.metrics.accounting import ResultCollector
-from repro.core.summaries import SummaryUpdate
-from repro.net.message import (
-    HEADER_BYTES,
-    SUMMARY_COEFFICIENT_BYTES,
-    Message,
-    MessageKind,
-)
+from repro.net.message import Message, MessageKind
 from repro.net.reliable import ReliableTransport
-from repro.net.simulator import Event, EventKeySource, EventScheduler
+from repro.net.simulator import EventKeySource, EventScheduler
 from repro.net.topology import Network
 from repro.overload import DegradationLadder, DegradationMode, OverloadDetector
-from repro.recovery.checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointStore,
-    encode_blob,
-    restore_window,
-    window_state,
-)
-from repro.recovery.delta import (
-    SummaryHistory,
-    apply_delta,
-    decode_payload,
-    delta_wire_entries,
-    encode_delta,
-    payload_digest,
-)
-from repro.recovery.machine import RecoveryMachine, RecoveryPhase
+from repro.recovery.coordinator import RecoveryCoordinator
 from repro.recovery.settings import RecoverySettings
 from repro.streams.tuples import StreamId, StreamTuple
 from repro.streams.window import (
@@ -104,7 +86,7 @@ class JoinProcessingNode:
         profiler=None,
         telemetry=None,
         recovery: Optional[RecoverySettings] = None,
-        checkpoint_store: Optional[CheckpointStore] = None,
+        checkpoint_store=None,
     ) -> None:
         self.node_id = node_id
         self.config = config
@@ -150,34 +132,16 @@ class JoinProcessingNode:
                 node_id,
                 self._peer_ids,
                 transport.settings,
-                on_recovery=self._on_peer_recovered,
+                on_recovery=self.resync_peer,
             )
-        # --- checkpoint/restart recovery (repro.recovery) ---------------
-        self.recovery_settings = recovery
-        self.checkpoint_store = checkpoint_store
-        self.recovery_machine: Optional[RecoveryMachine] = None
+        self.recovery: Optional[RecoveryCoordinator] = None
+        """Checkpoint/restart recovery (:mod:`repro.recovery`), built only
+        when enabled; each entry point checks ``None`` first, so a run
+        without recovery pays one attribute check there."""
         if recovery is not None and recovery.enabled:
-            self.recovery_machine = RecoveryMachine(node_id)
+            self.recovery = RecoveryCoordinator(self, checkpoint_store)
         self._queries: Dict[int, QueryRuntime] = {}
         self.add_query(0, policy, oracle, collector)
-        self._replay_log: Deque[StreamTuple] = deque()
-        self._pending_messages: List[Message] = []
-        self._transfer_timers: Dict[int, Event] = {}
-        self._transfer_attempts: Dict[int, int] = {}
-        self._synced_peers: set = set()
-        self._restore_event: Optional[Event] = None
-        self._catchup_deadline: Optional[Event] = None
-        self.restarts = 0
-        self.checkpoints_taken = 0
-        self.checkpoint_bytes = 0
-        self.tuples_logged = 0
-        self.tuples_replayed = 0
-        self.replay_dropped = 0
-        self.state_transfer_bytes = 0
-        self.state_transfer_delta_bytes = 0
-        self.state_transfer_full_bytes = 0
-        self.state_transfer_bytes_saved = 0
-        self.state_transfer_fallbacks = 0
         # --- overload protection (repro.overload) -----------------------
         self.overload_settings = config.overload if config.overload.enabled else None
         self.degradation_ladder: Optional[DegradationLadder] = None
@@ -190,15 +154,6 @@ class JoinProcessingNode:
         self.shed_tuples = 0
         self.shed_messages = 0
         self.suppressed_flushes = 0
-        self._resync_claims: Dict[int, Dict[Tuple[int, str, str], Tuple[int, str]]] = {}
-        """Per peer, per ``(query_id, algorithm, stream value)`` slot: the
-        ``(version, digest)`` the latest restore recovered -- what the
-        delta state-transfer request claims as its resync base."""
-        self._resync_bases: Dict[int, Dict[Tuple[int, str, str], object]] = {}
-        """The restored payloads behind the claims.  Deltas apply against
-        these (not the live remote table) so a retransmitted response
-        still applies cleanly after an earlier one already landed."""
-        self._restored_watermark: Optional[float] = None
         self.telemetry = telemetry
         """Optional :class:`~repro.telemetry.TelemetryHub`; every service
         becomes a span and fan-out decisions feed a histogram.  Handles
@@ -243,26 +198,8 @@ class JoinProcessingNode:
             collector=collector,
         )
         self._query_order = tuple(sorted(self._queries))
-        self._install_delta_history(policy)
-
-    @property
-    def _delta_transfer_enabled(self) -> bool:
-        return (
-            self.recovery_settings is not None
-            and self.recovery_settings.enabled
-            and self.recovery_settings.delta_state_transfer
-        )
-
-    def _install_delta_history(self, policy: ForwardingPolicy) -> None:
-        """Attach a snapshot-history ring to the policy's outbox.
-
-        Every node needs one when delta transfers are on -- any peer may
-        crash and claim a watermark against *this* node's broadcasts.
-        """
-        if self._delta_transfer_enabled and policy.outbox.history is None:
-            policy.outbox.history = SummaryHistory(
-                self.recovery_settings.delta_history_limit
-            )
+        if self.recovery is not None:
+            self.recovery.install_history(policy)
 
     def query(self, query_id: int = 0) -> QueryRuntime:
         """The runtime of one query (0 is the first/only query)."""
@@ -300,12 +237,8 @@ class JoinProcessingNode:
 
     def on_local_arrival(self, item: StreamTuple) -> None:
         """A tuple of this node's own stream segment arrived."""
-        if self._should_log_for_replay():
-            # The site is down but restartable: its ingest path keeps a
-            # durable arrival log (the paper's sources are external feeds,
-            # so the tuples exist whether the process does or not) and the
-            # recovery protocol replays them after restore.
-            self._log_for_replay(item)
+        if self.recovery is not None and self.recovery.park_arrival(item):
+            # Down but restartable: logged for replay after restore.
             return
         if self.fault_injector is not None and self.fault_injector.node_down(
             self.node_id
@@ -317,29 +250,6 @@ class JoinProcessingNode:
             return
         self._enqueue(("local", item))
 
-    def _should_log_for_replay(self) -> bool:
-        """Whether local arrivals currently go to the replay log.
-
-        The recovery machine's phase is authoritative: DOWN and RESTORING
-        mean the process cannot serve, but a restartable site's arrival
-        log persists.  Non-restartable crashes never enter those phases,
-        so they keep the legacy drop semantics.
-        """
-        if self.recovery_machine is None:
-            return False
-        return self.recovery_machine.phase in (
-            RecoveryPhase.DOWN,
-            RecoveryPhase.RESTORING,
-        )
-
-    def _log_for_replay(self, item: StreamTuple) -> None:
-        capacity = self.recovery_settings.replay_log_capacity
-        if len(self._replay_log) >= capacity:
-            self.replay_dropped += 1
-            return
-        self._replay_log.append(item)
-        self.tuples_logged += 1
-
     def on_message(self, message: Message) -> None:
         """Network delivery callback.
 
@@ -348,13 +258,8 @@ class JoinProcessingNode:
         detector, and sequenced control messages pass through the ARQ
         receiver (which may release zero or several messages in order).
         """
-        if (
-            self.recovery_machine is not None
-            and self.recovery_machine.phase is RecoveryPhase.RESTORING
-        ):
-            # The process is back up but its state is mid-restore; park
-            # deliveries and run them through this demux once restored.
-            self._pending_messages.append(message)
+        if self.recovery is not None and self.recovery.park_delivery(message):
+            # Mid-restore: comes back through this demux once restored.
             return
         if self.health is not None:
             self.health.heard(message.source, self.scheduler.now)
@@ -661,8 +566,9 @@ class JoinProcessingNode:
                 self.suppressed_sends += 1
         return sorted(chosen)
 
-    def _on_peer_recovered(self, peer: int) -> None:
-        """A suspected peer spoke again: queue it full-state summaries."""
+    def resync_peer(self, peer: int) -> None:
+        """Queue ``peer`` full-state summaries from every query: it spoke
+        again after suspicion, or restarted and asked for state."""
         self.resyncs += 1
         for query_id in sorted(self._queries):
             self._queries[query_id].policy.resync_peer(peer)
@@ -694,551 +600,30 @@ class JoinProcessingNode:
     # ------------------------------------------------------------------
 
     def take_checkpoint(self) -> None:
-        """Snapshot this node's durable per-query state into the store.
+        """The system's checkpoint tick, delegated to the coordinator."""
+        if self.recovery is not None:
+            self.recovery.take_checkpoint()
 
-        Scheduled by the system on the simulated clock at the configured
-        checkpoint interval.  A crashed or still-recovering node skips the
-        tick -- there is no process to run it.
-        """
-        if self.recovery_machine is None or self.checkpoint_store is None:
-            return
-        if self.fault_injector is not None and self.fault_injector.node_down(
-            self.node_id
-        ):
-            return
-        if not self.recovery_machine.is_serving:
-            return
-        now = self.scheduler.now
-        blob = encode_blob(self._checkpoint_state(now))
-        self.checkpoint_store.save(self.node_id, now, blob)
-        self.checkpoints_taken += 1
-        self.checkpoint_bytes += len(blob)
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                "recovery.checkpoint",
-                category="recovery",
-                node=self.node_id,
-                time=now,
-                size_bytes=len(blob),
-            )
-
-    def _checkpoint_state(self, now: float) -> Dict[str, object]:
-        queries: Dict[str, object] = {}
-        for query_id in sorted(self._queries):
-            runtime = self._queries[query_id]
-            queries[str(query_id)] = {
-                "policy": runtime.policy.checkpoint_state(),
-                "windows": {
-                    stream.value: window_state(runtime.join.window(stream))
-                    for stream in (StreamId.R, StreamId.S)
-                },
-                "shadows": {
-                    stream.value: {
-                        str(origin): window_state(window)
-                        for origin, window in sorted(
-                            runtime.shadow_windows[stream].items()
-                        )
-                    }
-                    for stream in (StreamId.R, StreamId.S)
-                },
-                "join": {
-                    "local_results": runtime.join.local_results,
-                    "probe_results": runtime.join.probe_results,
-                },
-                # The freshest remote summaries known now: restore replays
-                # them through on_remote_summary, and the delta state
-                # transfer claims them as its resync base (the blob's
-                # taken_at is the watermark).  Policies without remote
-                # state (BASE, round-robin) checkpoint an empty list.
-                "remote": (
-                    runtime.policy.remote.checkpoint_state()
-                    if getattr(runtime.policy, "remote", None) is not None
-                    else []
-                ),
-            }
-        return {
-            "version": CHECKPOINT_VERSION,
-            "node": self.node_id,
-            "taken_at": now,
-            "interarrival": {
-                "mean": self._mean_interarrival,
-                "last": self._last_arrival_time,
-            },
-            "queries": queries,
-        }
-
-    def _restore_state(self, state: Dict[str, object]) -> None:
-        interarrival = state["interarrival"]
-        self._mean_interarrival = float(interarrival["mean"])
-        last = interarrival["last"]
-        self._last_arrival_time = None if last is None else float(last)
-        self._last_contact = {}
-        self._resync_claims = {}
-        self._resync_bases = {}
-        self._restored_watermark = float(state["taken_at"])
-        for query_key, query_state in state["queries"].items():
-            query_id = int(query_key)
-            runtime = self._queries[query_id]
-            runtime.policy.restore_state(query_state["policy"])
-            for stream in (StreamId.R, StreamId.S):
-                restore_window(
-                    runtime.join.window(stream),
-                    query_state["windows"][stream.value],
-                )
-                shadows: Dict[int, SlidingWindow] = {}
-                for origin_key, shadow_state in query_state["shadows"][
-                    stream.value
-                ].items():
-                    window = self._make_window(shadow=True)
-                    restore_window(window, shadow_state)
-                    shadows[int(origin_key)] = window
-                runtime.shadow_windows[stream] = shadows
-            runtime.join.local_results = int(query_state["join"]["local_results"])
-            runtime.join.probe_results = int(query_state["join"]["probe_results"])
-            self._restore_remote_summaries(
-                query_id, runtime, query_state.get("remote", [])
-            )
-
-    def _restore_remote_summaries(
-        self, query_id: int, runtime: QueryRuntime, entries: List[List[object]]
-    ) -> None:
-        """Replay checkpointed remote summaries through the policy.
-
-        Replaying through ``on_remote_summary`` (rather than poking the
-        table directly) rebuilds every derived cache -- remote Bloom
-        filters, sketch copies -- exactly as a live broadcast would.  The
-        replayed snapshot slots double as the bases the delta state
-        transfer claims toward each peer."""
-        managers = getattr(runtime.policy, "managers", None)
-        if not entries or managers is None:
-            return
-        for peer, stream_value, version, encoded in entries:
-            peer = int(peer)
-            stream = StreamId(stream_value)
-            payload = decode_payload(encoded)
-            manager = managers[stream]
-            algorithm = getattr(manager, "algorithm", None)
-            if algorithm is None:
-                algorithm = manager.ALGORITHM
-            update = SummaryUpdate(
-                algorithm=algorithm,
-                stream=stream,
-                version=int(version),
-                window_size=manager.window_size,
-                entries=(
-                    getattr(manager, "entries", None) or len(payload)
-                ),
-                payload=payload,
-                full_state=True,
-            )
-            runtime.policy.on_remote_summary(peer, update)
-            if self._delta_transfer_enabled and isinstance(payload, np.ndarray):
-                slot = (query_id, algorithm, stream_value)
-                self._resync_claims.setdefault(peer, {})[slot] = (
-                    int(version),
-                    payload_digest(payload),
-                )
-                self._resync_bases.setdefault(peer, {})[slot] = payload
-
-    def on_crash(self) -> None:
-        """The restartable crash started: the process and its soft state die."""
-        if self.recovery_machine is None or not self.recovery_machine.can_apply(
-            "crash"
-        ):
-            return
-        now = self.scheduler.now
-        self.recovery_machine.apply("crash", now)
-        # Everything in flight inside the process is lost; timers from an
-        # earlier recovery incarnation must not fire into this one.
+    def drop_service_state(self) -> None:
+        """The process died: its queued work goes, and so do the peak
+        depth and congestion throttle it measured -- a restarted node's
+        reflect only what the new incarnation observes."""
         self._queue.clear()
-        self._pending_messages.clear()
-        self._replay_log.clear()
-        # The queue the dead process measured died with it: a restarted
-        # node's peak depth and congestion throttle must reflect only
-        # what the new incarnation observes.
         self.max_queue_depth = 0
         for runtime in self._queries.values():
             runtime.policy.reset_congestion()
-        self._resync_claims = {}
-        self._resync_bases = {}
-        self._restored_watermark = None
-        self._cancel_recovery_timers()
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                "recovery.crash", category="recovery", node=self.node_id, time=now
-            )
 
-    def on_restart(self) -> None:
-        """The downtime elapsed: boot, then restore after ``restore_delay_s``."""
-        if self.recovery_machine is None or not self.recovery_machine.can_apply(
-            "restart"
-        ):
-            return
-        now = self.scheduler.now
-        self.recovery_machine.apply("restart", now)
-        self.restarts += 1
-        if self.transport is not None:
-            # ARQ sequence numbers died with the process; peers reset
-            # their side on receiving our state-transfer request.
-            self.transport.reset()
-        if self.health is not None:
-            self.health.note_restart(now)
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                "recovery.restart", category="recovery", node=self.node_id, time=now
-            )
-        self._restore_event = self.scheduler.schedule_in(
-            self.recovery_settings.restore_delay_s,
-            self._complete_restore,
-            key=self._event_keys.next_key(),
-        )
+    @property
+    def checkpoint_bytes(self) -> int:
+        return 0 if self.recovery is None else self.recovery.checkpoint_bytes
 
-    def _complete_restore(self) -> None:
-        self._restore_event = None
-        now = self.scheduler.now
-        checkpoint = None
-        if self.checkpoint_store is not None:
-            checkpoint = self.checkpoint_store.latest(self.node_id)
-        if checkpoint is not None:
-            self._restore_state(checkpoint.state())
-        replay = list(self._replay_log)
-        self._replay_log.clear()
-        self.recovery_machine.apply("restored", now)
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                "recovery.restored",
-                category="recovery",
-                node=self.node_id,
-                time=now,
-                checkpoint_age_s=(
-                    now - checkpoint.taken_at if checkpoint is not None else -1.0
-                ),
-                replayed_tuples=len(replay),
-            )
-        # Replay the outage's logged arrivals through the normal local
-        # path (windows, summaries, oracle, forwarding), then the
-        # deliveries that piled up while mid-restore.
-        self.tuples_replayed += len(replay)
-        for item in replay:
-            self._enqueue(("local", item))
-        pending = list(self._pending_messages)
-        self._pending_messages.clear()
-        for message in pending:
-            self.on_message(message)
-        self._begin_catchup(now)
+    @property
+    def state_transfer_bytes(self) -> int:
+        return 0 if self.recovery is None else self.recovery.state_transfer_bytes
 
-    def _begin_catchup(self, now: float) -> None:
-        self._synced_peers = set()
-        self._transfer_attempts = {}
-        if not self._peer_ids:
-            self._complete_catchup(degraded=False)
-            return
-        for peer in self._peer_ids:
-            self._send_transfer_request(peer)
-        self._catchup_deadline = self.scheduler.schedule_in(
-            self.recovery_settings.catchup_timeout_s,
-            self._on_catchup_deadline,
-            key=self._event_keys.next_key(),
-        )
-
-    def _send_transfer_request(self, peer: int) -> None:
-        attempts = self._transfer_attempts.get(peer, 0)
-        self._transfer_attempts[peer] = attempts + 1
-        if self._delta_transfer_enabled:
-            # The watermark and per-slot claims ride the fixed request
-            # header (like Message.seq): the request stays header-sized
-            # on the modeled wire in both transfer modes.
-            detail = {
-                "watermark": self._restored_watermark,
-                "slots": dict(self._resync_claims.get(peer, {})),
-            }
-        else:
-            detail = None
-        request = Message(
-            kind=MessageKind.STATE_TRANSFER,
-            source=self.node_id,
-            destination=peer,
-            payload=("request", detail),
-        )
-        # Deliberately best-effort: the peer's ARQ receive channel for us
-        # still expects the pre-crash sequence numbers until it resets on
-        # receipt, so a sequenced request would be suppressed as a
-        # duplicate.  Loss is covered by the bounded backoff retries.
-        self.network.send(request)
-        self.state_transfer_bytes += request.size_bytes()
-        if attempts < self.recovery_settings.max_transfer_retries:
-            delay = self.recovery_settings.transfer_timeout_s * (
-                self.recovery_settings.transfer_backoff ** attempts
-            )
-            self._transfer_timers[peer] = self.scheduler.schedule_in(
-                delay,
-                lambda p=peer: self._on_transfer_timeout(p),
-                key=self._event_keys.next_key(),
-            )
-
-    def _on_transfer_timeout(self, peer: int) -> None:
-        self._transfer_timers.pop(peer, None)
-        if (
-            self.recovery_machine is None
-            or self.recovery_machine.phase is not RecoveryPhase.CATCHING_UP
-            or peer in self._synced_peers
-        ):
-            return
-        self._send_transfer_request(peer)
-
-    def _mark_peer_synced(self, peer: int, now: float) -> None:
-        if (
-            self.recovery_machine is None
-            or self.recovery_machine.phase is not RecoveryPhase.CATCHING_UP
-            or peer in self._synced_peers
-        ):
-            return
-        self._synced_peers.add(peer)
-        timer = self._transfer_timers.pop(peer, None)
-        if timer is not None:
-            timer.cancel()
-        if len(self._synced_peers) >= len(self._peer_ids):
-            self._complete_catchup(degraded=False)
-
-    def _on_catchup_deadline(self) -> None:
-        self._catchup_deadline = None
-        if (
-            self.recovery_machine is not None
-            and self.recovery_machine.phase is RecoveryPhase.CATCHING_UP
-        ):
-            self._complete_catchup(degraded=True)
-
-    def _complete_catchup(self, degraded: bool) -> None:
-        now = self.scheduler.now
-        self._cancel_recovery_timers(keep_restore=True)
-        self.recovery_machine.apply("timeout" if degraded else "synced", now)
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                "recovery.live",
-                category="recovery",
-                node=self.node_id,
-                time=now,
-                degraded=degraded,
-                rejoin_latency_s=self.recovery_machine.rejoin_latencies[-1],
-                peers_synced=len(self._synced_peers),
-            )
-
-    def _cancel_recovery_timers(self, keep_restore: bool = False) -> None:
-        if not keep_restore and self._restore_event is not None:
-            self._restore_event.cancel()
-            self._restore_event = None
-        for timer in self._transfer_timers.values():
-            timer.cancel()
-        self._transfer_timers.clear()
-        self._transfer_attempts = {}
-        if self._catchup_deadline is not None:
-            self._catchup_deadline.cancel()
-            self._catchup_deadline = None
-
-    def _process_state_transfer(self, message: Message) -> float:
-        """Serve or absorb recovery anti-entropy traffic."""
-        now = self.scheduler.now
-        direction = message.payload[0]
-        if direction == "request":
-            return self._serve_state_transfer(message, now)
-        # A peer's response: apply its snapshots (or deltas) and mark it
-        # synced.
-        self.state_transfer_bytes += message.size_bytes()
-        if direction == "delta_response":
-            _, _, slots = message.payload
-            for slot in slots:
-                self._apply_transfer_slot(message.source, slot)
-            received = bool(slots)
-        else:
-            _, updates = message.payload
-            for update_query_id, update in updates:
-                self._queries[update_query_id].policy.on_remote_summary(
-                    message.source, update
-                )
-            received = bool(updates)
-        if received and self.health is not None:
-            self.health.summary_received(message.source, now)
-        self._mark_peer_synced(message.source, now)
-        return self.config.cpu_seconds_per_probe
-
-    def _serve_state_transfer(self, message: Message, now: float) -> float:
-        """Answer a rejoining peer's resync request.
-
-        The requester restarted from scratch: reset our ARQ channels
-        toward it (its sequence numbers are back at zero) and resync
-        every query -- as watermark deltas where its claims check out,
-        as full snapshots otherwise (and always for legacy requests).
-        """
-        if self.transport is not None:
-            self.transport.reset_peer(message.source)
-        self.resyncs += 1
-        for query_id in sorted(self._queries):
-            self._queries[query_id].policy.resync_peer(message.source)
-        updates = self._take_pending_updates(message.source)
-        full_entries = sum(update.entries for _, update in updates)
-        detail = message.payload[1]
-        if detail is None:
-            response = Message(
-                kind=MessageKind.STATE_TRANSFER,
-                source=self.node_id,
-                destination=message.source,
-                payload=("response", updates),
-                summary_entries=full_entries,
-            )
-        else:
-            response = self._build_delta_response(
-                message.source, detail, updates, full_entries, now
-            )
-        if self.transport is not None:
-            self.transport.send(response)
-        else:
-            self.network.send(response)
-        self.state_transfer_bytes += response.size_bytes()
-        self._last_contact[message.source] = now
-        # The sender pause is charged at the full-snapshot size in both
-        # modes: assembling a delta still walks the complete summary
-        # state, and pinning the serve timeline keeps delta on/off runs
-        # on identical event schedules -- the savings show up on the
-        # wire counters, not the clock.
-        full_size = HEADER_BYTES + full_entries * SUMMARY_COEFFICIENT_BYTES
-        pause = full_size * 8.0 / self.config.sender_paced_bps
-        return self.config.cpu_seconds_per_probe + pause
-
-    def _build_delta_response(
-        self,
-        peer: int,
-        detail: Dict[str, object],
-        updates: List[Tuple[int, SummaryUpdate]],
-        full_entries: int,
-        now: float,
-    ) -> Message:
-        """Encode one resync response against the requester's claims.
-
-        Each snapshot slot the requester claimed (version + digest) is
-        looked up in the outbox's :class:`SummaryHistory`; if the claimed
-        base is still there and verifies, only the changed entries ship.
-        Any claim the history cannot honor downgrades the *whole*
-        response to full snapshots (one counted fallback), so a response
-        is never a mix of trusted and untrusted bases."""
-        claims = detail.get("slots") or {}
-        prepared: List[Tuple[tuple, int]] = []
-        fallback = False
-        for query_id, update in updates:
-            slot_key = (query_id, update.algorithm, update.stream.value)
-            claim = claims.get(slot_key)
-            chosen = (("full", query_id, update), update.entries)
-            if claim is not None and isinstance(update.payload, np.ndarray):
-                version, digest = claim
-                history = self._queries[query_id].policy.outbox.history
-                base = (
-                    history.view(update.algorithm, update.stream, int(version))
-                    if history is not None
-                    else None
-                )
-                if base is None or payload_digest(base) != digest:
-                    # The snapshot ring no longer covers the claimed
-                    # version (or the digest disagrees -- version
-                    # counters roll back across our own restores, so
-                    # versions alone are never trusted).
-                    fallback = True
-                else:
-                    blob = encode_delta(base, update.payload)
-                    if blob is not None:
-                        wire = delta_wire_entries(blob, update.entries)
-                        if wire < update.entries:
-                            chosen = (
-                                (
-                                    "delta",
-                                    query_id,
-                                    update.algorithm,
-                                    update.stream.value,
-                                    update.version,
-                                    update.window_size,
-                                    update.entries,
-                                    blob,
-                                ),
-                                wire,
-                            )
-            prepared.append(chosen)
-        if fallback:
-            prepared = [
-                (("full", query_id, update), update.entries)
-                for query_id, update in updates
-            ]
-        slots = [slot for slot, _ in prepared]
-        wire_entries = sum(wire for _, wire in prepared)
-        any_delta = any(slot[0] == "delta" for slot in slots)
-        response = Message(
-            kind=MessageKind.STATE_TRANSFER,
-            source=self.node_id,
-            destination=peer,
-            payload=("delta_response", fallback, slots),
-            summary_entries=wire_entries,
-        )
-        size = response.size_bytes()
-        full_size = HEADER_BYTES + full_entries * SUMMARY_COEFFICIENT_BYTES
-        if any_delta:
-            self.state_transfer_delta_bytes += size
-            self.state_transfer_bytes_saved += full_size - size
-        else:
-            self.state_transfer_full_bytes += size
-        if fallback:
-            self.state_transfer_fallbacks += 1
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                "recovery.state_transfer",
-                category="recovery",
-                node=self.node_id,
-                time=now,
-                peer=peer,
-                kind="delta" if any_delta else "full",
-                size_bytes=size,
-                saved_bytes=max(0, full_size - size),
-                watermark=detail.get("watermark"),
-            )
-            if fallback:
-                self.telemetry.emit(
-                    "recovery.transfer_fallback",
-                    category="recovery",
-                    node=self.node_id,
-                    time=now,
-                    peer=peer,
-                    watermark=detail.get("watermark"),
-                )
-        return response
-
-    def _apply_transfer_slot(self, source: int, slot: tuple) -> None:
-        """Absorb one slot of a delta-protocol resync response."""
-        if slot[0] == "full":
-            _, query_id, update = slot
-            self._queries[query_id].policy.on_remote_summary(source, update)
-            return
-        (
-            _,
-            query_id,
-            algorithm,
-            stream_value,
-            version,
-            window_size,
-            entries,
-            blob,
-        ) = slot
-        # Deltas apply against the *restored* base we claimed, not the
-        # live remote table: a retransmitted response then still applies
-        # cleanly after an earlier copy already advanced the table.
-        base = self._resync_bases.get(source, {}).get(
-            (query_id, algorithm, stream_value)
-        )
-        update = SummaryUpdate(
-            algorithm=algorithm,
-            stream=StreamId(stream_value),
-            version=int(version),
-            window_size=window_size,
-            entries=entries,
-            payload=apply_delta(base, blob),
-            full_state=True,
-        )
-        self._queries[query_id].policy.on_remote_summary(source, update)
+    @property
+    def restarts(self) -> int:
+        return 0 if self.recovery is None else self.recovery.restarts
 
     def _probe_shadow(
         self, runtime: QueryRuntime, item: StreamTuple, now: float
@@ -1401,7 +786,7 @@ class JoinProcessingNode:
     def _process_message(self, message: Message) -> float:
         now = self.scheduler.now
         if message.kind is MessageKind.STATE_TRANSFER:
-            return self._process_state_transfer(message)
+            return self.recovery.on_state_transfer(message)
         query_id, item, updates = message.payload
         for update_query_id, update in updates:
             self._queries[update_query_id].policy.on_remote_summary(
@@ -1458,28 +843,8 @@ class JoinProcessingNode:
             ladder_counters = self.degradation_ladder.counters(self.scheduler.now)
             for key, value in ladder_counters.items():
                 counters["overload_" + key] = value
-        if self.recovery_machine is not None:
-            counters["restarts"] = float(self.restarts)
-            counters["checkpoints_taken"] = float(self.checkpoints_taken)
-            counters["checkpoint_bytes"] = float(self.checkpoint_bytes)
-            counters["tuples_logged"] = float(self.tuples_logged)
-            counters["tuples_replayed"] = float(self.tuples_replayed)
-            counters["replay_dropped"] = float(self.replay_dropped)
-            counters["state_transfer_bytes"] = float(self.state_transfer_bytes)
-            counters["state_transfer_delta_bytes"] = float(
-                self.state_transfer_delta_bytes
-            )
-            counters["state_transfer_full_bytes"] = float(
-                self.state_transfer_full_bytes
-            )
-            counters["state_transfer_bytes_saved"] = float(
-                self.state_transfer_bytes_saved
-            )
-            counters["state_transfer_fallbacks"] = float(
-                self.state_transfer_fallbacks
-            )
-            for key, value in self.recovery_machine.counters().items():
-                counters["recovery_" + key] = value
+        if self.recovery is not None:
+            counters.update(self.recovery.counters())
         return counters
 
     def runtime_record(self) -> Dict[str, object]:
@@ -1499,15 +864,8 @@ class JoinProcessingNode:
             "health": (
                 self.health.counters() if self.health is not None else None
             ),
-            "rejoin_latencies": (
-                list(self.recovery_machine.rejoin_latencies)
-                if self.recovery_machine is not None
-                else None
-            ),
-            "recovery_triggers": (
-                [trigger for _, trigger, _ in self.recovery_machine.history]
-                if self.recovery_machine is not None
-                else None
+            "rejoin": (
+                self.recovery.rejoin_record() if self.recovery is not None else None
             ),
         }
         self.accounting_ops = []

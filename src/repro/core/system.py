@@ -337,7 +337,8 @@ class DistributedJoinSystem:
         These run *after* the injector's own activate/deactivate edges at
         the same timestamps (the injector installed first, and ties break
         by insertion order), so at restart time ``node_down`` is already
-        false when :meth:`~repro.core.node.JoinProcessingNode.on_restart`
+        false when
+        :meth:`~repro.recovery.coordinator.RecoveryCoordinator.on_restart`
         fires.
         """
         if self.fault_injector is None:
@@ -346,9 +347,9 @@ class DistributedJoinSystem:
             if not event.restartable:
                 continue
             for target in sorted(set(event.nodes)):
-                node = self.nodes[target]
-                self.scheduler.schedule_at(event.start_s, lambda n=node: n.on_crash())
-                self.scheduler.schedule_at(event.end_s, lambda n=node: n.on_restart())
+                recovery = self.nodes[target].recovery
+                self.scheduler.schedule_at(event.start_s, recovery.on_crash)
+                self.scheduler.schedule_at(event.end_s, recovery.on_restart)
 
     def _schedule_checkpoints(self) -> None:
         """Pre-schedule every checkpoint tick over the run's span.
@@ -557,8 +558,6 @@ class DistributedJoinSystem:
             faults["local_arrivals_dropped"] = total("local_arrivals_dropped")
         recovery: Dict[str, float] = {}
         if self.checkpoint_store is not None:
-            # Store totals equal the per-node counter sums (every save
-            # goes through node.take_checkpoint).
             for key in (
                 "checkpoints_taken",
                 "checkpoint_bytes",
@@ -576,10 +575,9 @@ class DistributedJoinSystem:
             rejoin_latencies: List[float] = []
             clean = degraded = 0
             for record in records:
-                if record["rejoin_latencies"] is None:
-                    continue
-                rejoin_latencies.extend(record["rejoin_latencies"])
-                for trigger in record["recovery_triggers"]:
+                rejoin = record["rejoin"]
+                rejoin_latencies.extend(rejoin["latencies"])
+                for trigger in rejoin["triggers"]:
                     if trigger == "synced":
                         clean += 1
                     elif trigger == "timeout":

@@ -342,7 +342,7 @@ class ChaosRow:
 
     transfer_bytes_saved: float = 0.0
     """Bytes the watermark-delta resync kept off the wire relative to
-    shipping full snapshots (zero with ``delta_state_transfer`` off)."""
+    shipping full snapshots."""
 
     transfer_fallbacks: float = 0.0
     """Delta resync responses downgraded to full snapshots because the
@@ -871,12 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint cadence for --recovery (default: the subsystem's)",
     )
     parser.add_argument(
-        "--no-delta-transfer",
-        action="store_true",
-        help="with --recovery: resync rejoining nodes with full snapshots "
-        "instead of watermark deltas (the pre-delta protocol)",
-    )
-    parser.add_argument(
         "--overload",
         action="store_true",
         help="arm overload protection in every cell: bounded service "
@@ -930,6 +924,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = build_parser().parse_args(argv)
     try:
+        if args.queue_bound < 0:
+            raise ConfigurationError("--queue-bound must be positive")
+        if args.checkpoint_interval and not args.recovery:
+            raise ConfigurationError("--checkpoint-interval needs --recovery")
         grid = parse_grid(args.fault_grid) if args.fault_grid else DEFAULT_GRID
         if args.algorithms:
             algorithms = tuple(
@@ -951,8 +949,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             overrides = {"enabled": True}
             if args.checkpoint_interval > 0:
                 overrides["checkpoint_interval_s"] = args.checkpoint_interval
-            if args.no_delta_transfer:
-                overrides["delta_state_transfer"] = False
             rejoin = RecoverySettings(**overrides)
             baseline_rows = run(
                 scale=args.scale,

@@ -1,6 +1,6 @@
 """Checkpoint/restart recovery: crashed nodes rejoin instead of dying.
 
-Three pieces, composed by the node and the system:
+The pieces:
 
 * :mod:`repro.recovery.settings` -- the knobs
   (:class:`RecoverySettings`), off by default;
@@ -9,7 +9,10 @@ Three pieces, composed by the node and the system:
 * :mod:`repro.recovery.machine` -- the explicit
   DOWN -> RESTORING -> CATCHING_UP -> LIVE rejoin state machine;
 * :mod:`repro.recovery.delta` -- the watermark-delta state-transfer
-  codec (ship only what changed since the restored checkpoint).
+  codec (ship only what changed since the restored checkpoint);
+* :mod:`repro.recovery.coordinator` -- the per-node coordinator that
+  composes them (imported from there: it depends on the runtime, which
+  depends on this package).
 
 See ``docs/recovery.md`` for the protocol walkthrough.
 """

@@ -15,7 +15,8 @@ were rendered when.
 
 The codec knows nothing about policies or nodes; components expose
 ``checkpoint_state()`` / ``restore_state()`` pairs that speak plain
-dictionaries, and :meth:`repro.core.node.JoinProcessingNode.take_checkpoint`
+dictionaries, and
+:meth:`repro.recovery.coordinator.RecoveryCoordinator.take_checkpoint`
 assembles them into one blob per node.
 """
 
@@ -252,20 +253,16 @@ class CheckpointStore:
     """The simulated durable store: latest checkpoint per node.
 
     Only the newest snapshot is retained (the protocol never reads
-    older ones), but the cumulative byte count of every write is kept --
-    that is the checkpoint I/O cost the experiments report.
+    older ones); the checkpoint I/O cost the experiments report is the
+    coordinators' ``checkpoint_bytes``.
     """
 
     def __init__(self) -> None:
         self._latest: Dict[int, Checkpoint] = {}
-        self.checkpoints_taken = 0
-        self.bytes_written = 0
 
     def save(self, node_id: int, taken_at: float, blob: bytes) -> Checkpoint:
         checkpoint = Checkpoint(node_id=node_id, taken_at=taken_at, blob=blob)
         self._latest[node_id] = checkpoint
-        self.checkpoints_taken += 1
-        self.bytes_written += len(blob)
         return checkpoint
 
     def latest(self, node_id: int) -> Optional[Checkpoint]:

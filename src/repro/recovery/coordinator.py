@@ -1,0 +1,670 @@
+"""The crash/rejoin coordinator: what a node does only because it can restart.
+
+A :class:`~repro.core.node.JoinProcessingNode` builds one when recovery
+is enabled.  It owns the replay log and the parking of work while the
+process cannot serve, the checkpoint layout, the restart / restore /
+catch-up timers, the state-transfer protocol (watermark claims, deltas
+against the outbox's :class:`~repro.recovery.delta.SummaryHistory`, full
+snapshots where a claim cannot be honoured), the
+:class:`~repro.recovery.machine.RecoveryMachine` and the recovery
+counters.  The node keeps its queue, windows and policies; the
+coordinator reaches them through the node.  ``docs/recovery.md`` walks
+the protocol.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
+
+import numpy as np
+
+from repro.core.summaries import SummaryUpdate
+from repro.net.message import (
+    HEADER_BYTES,
+    SUMMARY_COEFFICIENT_BYTES,
+    Message,
+    MessageKind,
+)
+from repro.net.simulator import Event
+from repro.recovery.checkpoint import (
+    CHECKPOINT_VERSION,
+    CheckpointStore,
+    encode_blob,
+    restore_window,
+    window_state,
+)
+from repro.recovery.delta import (
+    SummaryHistory,
+    apply_delta,
+    decode_payload,
+    delta_wire_entries,
+    encode_delta,
+    payload_digest,
+)
+from repro.recovery.machine import RecoveryMachine, RecoveryPhase
+from repro.streams.tuples import StreamId, StreamTuple
+
+RESTORE_DELAY_S = 0.05
+"""Reading the latest checkpoint back after the outage ends."""
+
+CATCHUP_TIMEOUT_S = 2.0
+"""Longest wait in CATCHING_UP for peer state transfers; on expiry the
+node goes LIVE *degraded* (remote summaries refill the slow way)."""
+
+TRANSFER_TIMEOUT_S = 0.4
+"""First deadline for a peer's response before the request is retried."""
+
+TRANSFER_BACKOFF = 2.0
+"""Deadline multiplier per consecutive retry."""
+
+MAX_TRANSFER_RETRIES = 3
+"""Request retries per peer before giving up on it."""
+
+REPLAY_LOG_CAPACITY = 65_536
+"""Arrivals logged during an outage.  With the log full the *incoming*
+arrival is dropped (counted in ``replay_dropped``); the logged ones are
+kept and replayed in order."""
+
+DELTA_HISTORY_LIMIT = 64
+"""Past snapshot versions a serving node keeps per summary slot; a claim
+older than the ring gets the full-snapshot fallback."""
+
+Slot = Tuple[int, str, str]
+"""One summary slot of a resync: ``(query_id, algorithm, stream value)``."""
+
+
+class RecoveryCoordinator:
+    """One node's side of the crash/rejoin protocol."""
+
+    def __init__(self, node, checkpoint_store: Optional[CheckpointStore]) -> None:
+        self.node = node
+        self.checkpoint_store = checkpoint_store
+        self.machine = RecoveryMachine(node.node_id)
+        self._replay_log: Deque[StreamTuple] = deque()
+        self._pending_messages: List[Message] = []
+        self._transfer_timers: Dict[int, Event] = {}
+        self._transfer_attempts: Dict[int, int] = {}
+        self._synced_peers: set = set()
+        self._restore_event: Optional[Event] = None
+        self._catchup_deadline: Optional[Event] = None
+        self.claims: Dict[int, Dict[Slot, Tuple[int, str]]] = {}
+        """Per peer, per slot: the ``(version, digest)`` the latest
+        restore recovered -- what the state-transfer request claims as
+        its resync base.  An unclaimed slot is answered in full."""
+        self._bases: Dict[int, Dict[Slot, object]] = {}
+        """The restored payloads behind the claims.  Deltas apply against
+        these (not the live remote table) so a retransmitted response
+        still applies cleanly after an earlier one already landed."""
+        self._watermark: Optional[float] = None
+        self.restarts = 0
+        self.checkpoints_taken = 0
+        self.checkpoint_bytes = 0
+        self.tuples_logged = 0
+        self.tuples_replayed = 0
+        self.replay_dropped = 0
+        self.state_transfer_bytes = 0
+        self.state_transfer_delta_bytes = 0
+        self.state_transfer_full_bytes = 0
+        self.state_transfer_bytes_saved = 0
+        self.state_transfer_fallbacks = 0
+
+    def install_history(self, policy) -> None:
+        """Attach a snapshot-history ring to the policy's outbox: any peer
+        may crash and claim a watermark against this node's broadcasts."""
+        if policy.outbox.history is None:
+            policy.outbox.history = SummaryHistory(DELTA_HISTORY_LIMIT)
+
+    def park_arrival(self, item: StreamTuple) -> bool:
+        """Take a local arrival into the replay log while DOWN or
+        RESTORING; returns whether it was taken.
+
+        The site's ingest path keeps a durable arrival log (the paper's
+        sources are external feeds, so the tuples exist whether the
+        process does or not).  Non-restartable crashes never enter those
+        phases, so they keep the legacy drop semantics.
+        """
+        if self.machine.phase not in (RecoveryPhase.DOWN, RecoveryPhase.RESTORING):
+            return False
+        if len(self._replay_log) >= REPLAY_LOG_CAPACITY:
+            self.replay_dropped += 1
+        else:
+            self._replay_log.append(item)
+            self.tuples_logged += 1
+        return True
+
+    def park_delivery(self, message: Message) -> bool:
+        """Hold a delivery while the state is mid-restore (it goes through
+        the node's demux once restored); returns whether it was held."""
+        if self.machine.phase is not RecoveryPhase.RESTORING:
+            return False
+        self._pending_messages.append(message)
+        return True
+
+    # ------------------------------------------------------------------
+    # checkpoints
+    # ------------------------------------------------------------------
+
+    def take_checkpoint(self) -> None:
+        """Snapshot the node's durable per-query state into the store.
+
+        A crashed or still-recovering node skips the tick -- there is no
+        process to run it.
+        """
+        node = self.node
+        if self.checkpoint_store is None:
+            return
+        if node.fault_injector is not None and node.fault_injector.node_down(
+            node.node_id
+        ):
+            return
+        if not self.machine.is_serving:
+            return
+        now = node.scheduler.now
+        blob = encode_blob(self._checkpoint_state(now))
+        self.checkpoint_store.save(node.node_id, now, blob)
+        self.checkpoints_taken += 1
+        self.checkpoint_bytes += len(blob)
+        if node.telemetry is not None:
+            node.telemetry.emit(
+                "recovery.checkpoint",
+                category="recovery",
+                node=node.node_id,
+                time=now,
+                size_bytes=len(blob),
+            )
+
+    def _checkpoint_state(self, now: float) -> Dict[str, object]:
+        node = self.node
+        queries: Dict[str, object] = {}
+        for query_id in node.query_ids:
+            runtime = node.query(query_id)
+            queries[str(query_id)] = {
+                "policy": runtime.policy.checkpoint_state(),
+                "windows": {
+                    stream.value: window_state(runtime.join.window(stream))
+                    for stream in (StreamId.R, StreamId.S)
+                },
+                "shadows": {
+                    stream.value: {
+                        str(origin): window_state(window)
+                        for origin, window in sorted(
+                            runtime.shadow_windows[stream].items()
+                        )
+                    }
+                    for stream in (StreamId.R, StreamId.S)
+                },
+                "join": {
+                    "local_results": runtime.join.local_results,
+                    "probe_results": runtime.join.probe_results,
+                },
+                # The freshest remote summaries known now: restore replays
+                # them through on_remote_summary, and the state transfer
+                # claims them as its resync base (the blob's taken_at is
+                # the watermark).  Policies without remote state (BASE,
+                # round-robin) checkpoint an empty list.
+                "remote": (
+                    runtime.policy.remote.checkpoint_state()
+                    if getattr(runtime.policy, "remote", None) is not None
+                    else []
+                ),
+            }
+        return {
+            "version": CHECKPOINT_VERSION,
+            "node": node.node_id,
+            "taken_at": now,
+            "interarrival": {
+                "mean": node._mean_interarrival,
+                "last": node._last_arrival_time,
+            },
+            "queries": queries,
+        }
+
+    def _restore_state(self, state: Dict[str, object]) -> None:
+        node = self.node
+        interarrival = state["interarrival"]
+        node._mean_interarrival = float(interarrival["mean"])
+        last = interarrival["last"]
+        node._last_arrival_time = None if last is None else float(last)
+        node._last_contact = {}
+        self.claims = {}
+        self._bases = {}
+        self._watermark = float(state["taken_at"])
+        for query_key, query_state in state["queries"].items():
+            query_id = int(query_key)
+            runtime = node.query(query_id)
+            runtime.policy.restore_state(query_state["policy"])
+            for stream in (StreamId.R, StreamId.S):
+                restore_window(
+                    runtime.join.window(stream),
+                    query_state["windows"][stream.value],
+                )
+                shadows = {}
+                for origin_key, shadow_state in query_state["shadows"][
+                    stream.value
+                ].items():
+                    window = node._make_window(shadow=True)
+                    restore_window(window, shadow_state)
+                    shadows[int(origin_key)] = window
+                runtime.shadow_windows[stream] = shadows
+            runtime.join.local_results = int(query_state["join"]["local_results"])
+            runtime.join.probe_results = int(query_state["join"]["probe_results"])
+            self._restore_remote_summaries(
+                query_id, runtime, query_state.get("remote", [])
+            )
+
+    def _restore_remote_summaries(
+        self, query_id: int, runtime, entries: List[List[object]]
+    ) -> None:
+        """Replay checkpointed remote summaries through the policy.
+
+        Replaying through ``on_remote_summary`` (rather than poking the
+        table directly) rebuilds every derived cache -- remote Bloom
+        filters, sketch copies -- exactly as a live broadcast would.  The
+        replayed snapshot slots double as the bases the state transfer
+        claims toward each peer."""
+        managers = getattr(runtime.policy, "managers", None)
+        if not entries or managers is None:
+            return
+        for peer, stream_value, version, encoded in entries:
+            peer = int(peer)
+            stream = StreamId(stream_value)
+            payload = decode_payload(encoded)
+            manager = managers[stream]
+            algorithm = getattr(manager, "algorithm", None)
+            if algorithm is None:
+                algorithm = manager.ALGORITHM
+            update = SummaryUpdate(
+                algorithm=algorithm,
+                stream=stream,
+                version=int(version),
+                window_size=manager.window_size,
+                entries=(
+                    getattr(manager, "entries", None) or len(payload)
+                ),
+                payload=payload,
+                full_state=True,
+            )
+            runtime.policy.on_remote_summary(peer, update)
+            if isinstance(payload, np.ndarray):
+                slot = (query_id, algorithm, stream_value)
+                self.claims.setdefault(peer, {})[slot] = (
+                    int(version),
+                    payload_digest(payload),
+                )
+                self._bases.setdefault(peer, {})[slot] = payload
+
+    # ------------------------------------------------------------------
+    # crash, restart, restore, catch-up
+    # ------------------------------------------------------------------
+
+    def on_crash(self) -> None:
+        """The restartable crash started: the process and its soft state die."""
+        if not self.machine.can_apply("crash"):
+            return
+        node = self.node
+        now = node.scheduler.now
+        self.machine.apply("crash", now)
+        # Everything in flight inside the process is lost; timers from an
+        # earlier recovery incarnation must not fire into this one.
+        node.drop_service_state()
+        self._pending_messages.clear()
+        self._replay_log.clear()
+        self.claims = {}
+        self._bases = {}
+        self._watermark = None
+        self._cancel_timers()
+        if node.telemetry is not None:
+            node.telemetry.emit(
+                "recovery.crash", category="recovery", node=node.node_id, time=now
+            )
+
+    def on_restart(self) -> None:
+        """The downtime elapsed: boot, then restore after ``RESTORE_DELAY_S``."""
+        if not self.machine.can_apply("restart"):
+            return
+        node = self.node
+        now = node.scheduler.now
+        self.machine.apply("restart", now)
+        self.restarts += 1
+        if node.transport is not None:
+            # ARQ sequence numbers died with the process; peers reset
+            # their side on receiving our state-transfer request.
+            node.transport.reset()
+        if node.health is not None:
+            node.health.note_restart(now)
+        if node.telemetry is not None:
+            node.telemetry.emit(
+                "recovery.restart", category="recovery", node=node.node_id, time=now
+            )
+        self._restore_event = node.scheduler.schedule_in(
+            RESTORE_DELAY_S,
+            self._complete_restore,
+            key=node._event_keys.next_key(),
+        )
+
+    def _complete_restore(self) -> None:
+        node = self.node
+        self._restore_event = None
+        now = node.scheduler.now
+        checkpoint = None
+        if self.checkpoint_store is not None:
+            checkpoint = self.checkpoint_store.latest(node.node_id)
+        if checkpoint is not None:
+            self._restore_state(checkpoint.state())
+        replay = list(self._replay_log)
+        self._replay_log.clear()
+        self.machine.apply("restored", now)
+        if node.telemetry is not None:
+            node.telemetry.emit(
+                "recovery.restored",
+                category="recovery",
+                node=node.node_id,
+                time=now,
+                checkpoint_age_s=(
+                    now - checkpoint.taken_at if checkpoint is not None else -1.0
+                ),
+                replayed_tuples=len(replay),
+            )
+        # Replay the outage's logged arrivals through the normal local
+        # path (windows, summaries, oracle, forwarding), then the
+        # deliveries that piled up while mid-restore.
+        self.tuples_replayed += len(replay)
+        for item in replay:
+            node._enqueue(("local", item))
+        pending = list(self._pending_messages)
+        self._pending_messages.clear()
+        for message in pending:
+            node.on_message(message)
+        self._begin_catchup()
+
+    def _begin_catchup(self) -> None:
+        node = self.node
+        self._synced_peers = set()
+        self._transfer_attempts = {}
+        if not node._peer_ids:
+            self._complete_catchup(degraded=False)
+            return
+        for peer in node._peer_ids:
+            self._send_transfer_request(peer)
+        self._catchup_deadline = node.scheduler.schedule_in(
+            CATCHUP_TIMEOUT_S,
+            self._on_catchup_deadline,
+            key=node._event_keys.next_key(),
+        )
+
+    def _send_transfer_request(self, peer: int) -> None:
+        node = self.node
+        attempts = self._transfer_attempts.get(peer, 0)
+        self._transfer_attempts[peer] = attempts + 1
+        # The watermark and per-slot claims ride the fixed request header
+        # (like Message.seq): the request stays header-sized on the wire.
+        slots = dict(self.claims.get(peer, {}))
+        request = Message(
+            kind=MessageKind.STATE_TRANSFER,
+            source=node.node_id,
+            destination=peer,
+            payload=("request", {"watermark": self._watermark, "slots": slots}),
+        )
+        # Deliberately best-effort: the peer's ARQ receive channel for us
+        # still expects the pre-crash sequence numbers until it resets on
+        # receipt, so a sequenced request would be suppressed as a
+        # duplicate.  Loss is covered by the bounded backoff retries.
+        node.network.send(request)
+        self.state_transfer_bytes += request.size_bytes()
+        if attempts < MAX_TRANSFER_RETRIES:
+            delay = TRANSFER_TIMEOUT_S * (TRANSFER_BACKOFF ** attempts)
+            self._transfer_timers[peer] = node.scheduler.schedule_in(
+                delay,
+                lambda p=peer: self._on_transfer_timeout(p),
+                key=node._event_keys.next_key(),
+            )
+
+    def _awaiting(self, peer: int) -> bool:
+        return (
+            self.machine.phase is RecoveryPhase.CATCHING_UP
+            and peer not in self._synced_peers
+        )
+
+    def _on_transfer_timeout(self, peer: int) -> None:
+        self._transfer_timers.pop(peer, None)
+        if self._awaiting(peer):
+            self._send_transfer_request(peer)
+
+    def _mark_peer_synced(self, peer: int) -> None:
+        if not self._awaiting(peer):
+            return
+        self._synced_peers.add(peer)
+        timer = self._transfer_timers.pop(peer, None)
+        if timer is not None:
+            timer.cancel()
+        if len(self._synced_peers) >= len(self.node._peer_ids):
+            self._complete_catchup(degraded=False)
+
+    def _on_catchup_deadline(self) -> None:
+        self._catchup_deadline = None
+        if self.machine.phase is RecoveryPhase.CATCHING_UP:
+            self._complete_catchup(degraded=True)
+
+    def _complete_catchup(self, degraded: bool) -> None:
+        node = self.node
+        now = node.scheduler.now
+        self._cancel_timers(keep_restore=True)
+        self.machine.apply("timeout" if degraded else "synced", now)
+        if node.telemetry is not None:
+            node.telemetry.emit(
+                "recovery.live",
+                category="recovery",
+                node=node.node_id,
+                time=now,
+                degraded=degraded,
+                rejoin_latency_s=self.machine.rejoin_latencies[-1],
+                peers_synced=len(self._synced_peers),
+            )
+
+    def _cancel_timers(self, keep_restore: bool = False) -> None:
+        if not keep_restore and self._restore_event is not None:
+            self._restore_event.cancel()
+            self._restore_event = None
+        for timer in self._transfer_timers.values():
+            timer.cancel()
+        self._transfer_timers.clear()
+        self._transfer_attempts = {}
+        if self._catchup_deadline is not None:
+            self._catchup_deadline.cancel()
+            self._catchup_deadline = None
+
+    # ------------------------------------------------------------------
+    # state transfer: serve and absorb
+    # ------------------------------------------------------------------
+
+    def on_state_transfer(self, message: Message) -> float:
+        """Serve a peer's resync request or absorb its response; returns
+        the service time."""
+        node = self.node
+        now = node.scheduler.now
+        if message.payload[0] == "request":
+            return self._serve(message, now)
+        self.state_transfer_bytes += message.size_bytes()
+        _, _, slots = message.payload
+        for slot in slots:
+            self._absorb(message.source, slot)
+        if slots and node.health is not None:
+            node.health.summary_received(message.source, now)
+        self._mark_peer_synced(message.source)
+        return node.config.cpu_seconds_per_probe
+
+    def _serve(self, message: Message, now: float) -> float:
+        """Answer a rejoining peer's resync request.
+
+        The requester restarted from scratch: reset our ARQ channels
+        toward it (its sequence numbers are back at zero) and resync
+        every query -- as watermark deltas where its claims check out,
+        as full snapshots otherwise.
+        """
+        node = self.node
+        peer = message.source
+        if node.transport is not None:
+            node.transport.reset_peer(peer)
+        node.resync_peer(peer)
+        updates = node._take_pending_updates(peer)
+        full_entries = sum(update.entries for _, update in updates)
+        full_size = HEADER_BYTES + full_entries * SUMMARY_COEFFICIENT_BYTES
+        response = self._build_response(
+            peer, message.payload[1], updates, full_size, now
+        )
+        if node.transport is not None:
+            node.transport.send(response)
+        else:
+            node.network.send(response)
+        self.state_transfer_bytes += response.size_bytes()
+        node._last_contact[peer] = now
+        # The sender pause is charged at the full-snapshot size: assembling
+        # a delta still walks the complete summary state, and a delta
+        # response keeps the event schedule a full one would have -- the
+        # savings show up on the wire counters, not the clock.
+        pause = full_size * 8.0 / node.config.sender_paced_bps
+        return node.config.cpu_seconds_per_probe + pause
+
+    def _build_response(
+        self,
+        peer: int,
+        detail: Dict[str, object],
+        updates: List[Tuple[int, SummaryUpdate]],
+        full_size: int,
+        now: float,
+    ) -> Message:
+        """Encode one resync response against the requester's claims.
+
+        Each snapshot slot the requester claimed (version + digest) is
+        looked up in the outbox's :class:`SummaryHistory`; if the claimed
+        base is still there and verifies, only the changed entries ship.
+        Any claim the history cannot honor downgrades the *whole*
+        response to full snapshots (one counted fallback), so a response
+        is never a mix of trusted and untrusted bases."""
+        node = self.node
+        claims = detail.get("slots") or {}
+        prepared: List[Tuple[tuple, int]] = []
+        fallback = False
+        for query_id, update in updates:
+            claim = claims.get((query_id, update.algorithm, update.stream.value))
+            chosen = (("full", query_id, update), update.entries)
+            if claim is not None and isinstance(update.payload, np.ndarray):
+                version, digest = claim
+                history = node.query(query_id).policy.outbox.history
+                base = (
+                    history.view(update.algorithm, update.stream, int(version))
+                    if history is not None
+                    else None
+                )
+                if base is None or payload_digest(base) != digest:
+                    # The snapshot ring no longer covers the claimed
+                    # version (or the digest disagrees -- version
+                    # counters roll back across our own restores, so
+                    # versions alone are never trusted).
+                    fallback = True
+                else:
+                    blob = encode_delta(base, update.payload)
+                    wire = (
+                        update.entries
+                        if blob is None
+                        else delta_wire_entries(blob, update.entries)
+                    )
+                    if wire < update.entries:
+                        slot = ("delta", query_id, update.algorithm,
+                                update.stream.value, update.version,
+                                update.window_size, update.entries, blob)
+                        chosen = (slot, wire)
+            prepared.append(chosen)
+        if fallback:
+            prepared = [
+                (("full", query_id, update), update.entries)
+                for query_id, update in updates
+            ]
+        slots = [slot for slot, _ in prepared]
+        any_delta = any(slot[0] == "delta" for slot in slots)
+        response = Message(
+            kind=MessageKind.STATE_TRANSFER,
+            source=node.node_id,
+            destination=peer,
+            payload=("delta_response", fallback, slots),
+            summary_entries=sum(wire for _, wire in prepared),
+        )
+        size = response.size_bytes()
+        if any_delta:
+            self.state_transfer_delta_bytes += size
+            self.state_transfer_bytes_saved += full_size - size
+        else:
+            self.state_transfer_full_bytes += size
+        if fallback:
+            self.state_transfer_fallbacks += 1
+        telemetry = node.telemetry
+        if telemetry is not None:
+            telemetry.emit(
+                "recovery.state_transfer",
+                category="recovery",
+                node=node.node_id,
+                time=now,
+                peer=peer,
+                kind="delta" if any_delta else "full",
+                size_bytes=size,
+                saved_bytes=max(0, full_size - size),
+                watermark=detail.get("watermark"),
+            )
+            if fallback:
+                telemetry.emit(
+                    "recovery.transfer_fallback",
+                    category="recovery",
+                    node=node.node_id,
+                    time=now,
+                    peer=peer,
+                    watermark=detail.get("watermark"),
+                )
+        return response
+
+    def _absorb(self, source: int, slot: tuple) -> None:
+        """Apply one slot of a resync response."""
+        if slot[0] == "full":
+            _, query_id, update = slot
+        else:
+            _, query_id, algorithm, stream, version, window, entries, blob = slot
+            # Deltas apply against the *restored* base we claimed, not the
+            # live remote table: a retransmitted response then still
+            # applies cleanly after an earlier copy advanced the table.
+            base = self._bases.get(source, {}).get((query_id, algorithm, stream))
+            update = SummaryUpdate(
+                algorithm=algorithm,
+                stream=StreamId(stream),
+                version=int(version),
+                window_size=window,
+                entries=entries,
+                payload=apply_delta(base, blob),
+                full_state=True,
+            )
+        self.node.query(query_id).policy.on_remote_summary(source, update)
+
+    def counters(self) -> Dict[str, float]:
+        """The node's recovery diagnostics, in their reporting order."""
+        counters = {
+            "restarts": float(self.restarts),
+            "checkpoints_taken": float(self.checkpoints_taken),
+            "checkpoint_bytes": float(self.checkpoint_bytes),
+            "tuples_logged": float(self.tuples_logged),
+            "tuples_replayed": float(self.tuples_replayed),
+            "replay_dropped": float(self.replay_dropped),
+            "state_transfer_bytes": float(self.state_transfer_bytes),
+            "state_transfer_delta_bytes": float(self.state_transfer_delta_bytes),
+            "state_transfer_full_bytes": float(self.state_transfer_full_bytes),
+            "state_transfer_bytes_saved": float(self.state_transfer_bytes_saved),
+            "state_transfer_fallbacks": float(self.state_transfer_fallbacks),
+        }
+        for key, value in self.machine.counters().items():
+            counters["recovery_" + key] = value
+        return counters
+
+    def rejoin_record(self) -> Dict[str, list]:
+        """Per completed rejoin its latency, and every trigger applied."""
+        return {
+            "latencies": list(self.machine.rejoin_latencies),
+            "triggers": [trigger for _, trigger, _ in self.machine.history],
+        }

@@ -1,12 +1,11 @@
 """Watermark-delta codec for peer state transfer.
 
-PR 5's anti-entropy resync ships *full* per-query summary snapshots to a
-rejoining node.  On large windows the snapshot dominates resync traffic,
-yet the rejoining node restored most of that state from its checkpoint
-moments ago -- only the entries that changed since the checkpoint
-watermark actually need the wire.  This module provides the pieces the
-node-level protocol (``JoinProcessingNode._process_state_transfer``)
-composes:
+An anti-entropy resync that ships *full* per-query summary snapshots to
+a rejoining node is dominated by the snapshots on large windows, yet the
+rejoining node restored most of that state from its checkpoint moments
+ago -- only the entries that changed since the checkpoint watermark
+actually need the wire.  This module provides the pieces the
+state-transfer protocol (:mod:`repro.recovery.coordinator`) composes:
 
 * a canonical, bit-exact payload encoding (:func:`encode_payload` /
   :func:`decode_payload`) shared by checkpoints and digests;

@@ -12,12 +12,13 @@ protocol::
 A crash in *any* up phase returns to DOWN (a node can die again while it
 is still rejoining).  Every other trigger is only legal from exactly one
 phase; anything else raises :class:`~repro.errors.SimulationError`,
-because an out-of-order trigger means the coordination logic in the node
-or the system scheduler is broken -- not a condition to paper over.
+because an out-of-order trigger means the coordination logic or the
+system scheduler is broken -- not a condition to paper over.
 
 The machine is pure bookkeeping: it holds no timers and sends no
-messages (the node owns those), which is what makes its transition table
-unit-testable in isolation.
+messages (:class:`~repro.recovery.coordinator.RecoveryCoordinator` owns
+those), which is what makes its transition table unit-testable in
+isolation.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Knobs for the checkpoint/restart recovery subsystem.
 
-Everything is timed on the *simulated* clock and validated up front, in
-the same style as :class:`~repro.net.reliable.ReliabilitySettings`.  The
-master switch defaults off: a run without recovery is bit-for-bit the
-pre-recovery simulator (crashed sites stay silent and lose their
-arrivals, exactly as :mod:`repro.core.node` documents).
+Timed on the *simulated* clock and validated up front, in the same style
+as :class:`~repro.net.reliable.ReliabilitySettings`.  The master switch
+defaults off: a run without recovery is bit-for-bit the pre-recovery
+simulator (crashed sites stay silent and lose their arrivals, exactly as
+:mod:`repro.core.node` documents).  The rejoin protocol's timers and
+bounds are constants of :mod:`repro.recovery.coordinator`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from repro.errors import ConfigurationError
 
 @dataclass(frozen=True)
 class RecoverySettings:
-    """Checkpoint cadence and rejoin-protocol timers."""
+    """The master switch and the checkpoint cadence."""
 
     enabled: bool = False
     """Master switch.  Off (the default) keeps legacy crash semantics:
@@ -26,56 +27,6 @@ class RecoverySettings:
     checkpoint_interval_s: float = 1.0
     """Simulated seconds between durable per-node state snapshots."""
 
-    restore_delay_s: float = 0.05
-    """Time to load the latest checkpoint from durable storage after the
-    outage ends (models local disk read + deserialization)."""
-
-    catchup_timeout_s: float = 2.0
-    """Maximum time spent in CATCHING_UP waiting for peer state
-    transfers; on expiry the node goes LIVE *degraded* (its remote
-    summaries refill only through the normal broadcast cadence)."""
-
-    transfer_timeout_s: float = 0.4
-    """Initial deadline for one peer's STATE_TRANSFER response before
-    the request is retried."""
-
-    transfer_backoff: float = 2.0
-    """Timeout multiplier per consecutive state-transfer retry."""
-
-    max_transfer_retries: int = 3
-    """State-transfer request retries per peer before giving up on it."""
-
-    replay_log_capacity: int = 65_536
-    """Arrivals logged locally during an outage for replay at rejoin;
-    beyond this the oldest logged arrivals are dropped (counted)."""
-
-    delta_state_transfer: bool = True
-    """Resync via watermark deltas: a rejoining node tells each peer
-    which summary versions its checkpoint restored (with content
-    digests), and the peer ships only what changed since -- falling
-    back to the full snapshot when its history no longer covers the
-    claimed version.  Off reproduces PR 5's full-snapshot transfers
-    byte for byte."""
-
-    delta_history_limit: int = 64
-    """Past snapshot versions each serving node keeps per summary slot
-    for delta computation; claims older than the ring trigger the
-    full-snapshot fallback."""
-
     def validate(self) -> None:
         if self.checkpoint_interval_s <= 0:
             raise ConfigurationError("checkpoint_interval_s must be positive")
-        if self.restore_delay_s < 0:
-            raise ConfigurationError("restore_delay_s must be non-negative")
-        if self.catchup_timeout_s <= 0:
-            raise ConfigurationError("catchup_timeout_s must be positive")
-        if self.transfer_timeout_s <= 0:
-            raise ConfigurationError("transfer_timeout_s must be positive")
-        if self.transfer_backoff < 1.0:
-            raise ConfigurationError("transfer_backoff must be >= 1")
-        if self.max_transfer_retries < 0:
-            raise ConfigurationError("max_transfer_retries must be non-negative")
-        if self.replay_log_capacity < 1:
-            raise ConfigurationError("replay_log_capacity must be >= 1")
-        if self.delta_history_limit < 1:
-            raise ConfigurationError("delta_history_limit must be >= 1")

@@ -151,9 +151,9 @@ class AsciiDashboard:
                 % dead_letters
             )
         machines = [
-            node.recovery_machine
+            node.recovery.machine
             for node in system.nodes
-            if node.recovery_machine is not None
+            if node.recovery is not None
         ]
         if machines:
             out.append(

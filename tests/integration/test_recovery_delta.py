@@ -1,27 +1,29 @@
 """Integration tests: watermark-delta state transfer end to end.
 
-The delta protocol is a pure wire-cost optimization: with
-``delta_state_transfer`` on, a rejoining node must land in *exactly*
-the state the full-snapshot protocol produces -- same stats, same
-epsilon, same event timeline -- while strictly fewer resync bytes cross
-the wire on large windows.  A seed-pinned three-node BLOOM cell (large
-window, so snapshots dominate resync traffic) crashes node 2 mid-run
-with a restart scheduled, once per transfer mode, and the results are
-compared after stripping only the transfer-accounting fields the two
-modes legitimately disagree on.
+The delta protocol is a pure wire-cost optimization: a rejoining node
+must land in *exactly* the state full snapshots produce -- same stats,
+same epsilon, same event timeline -- while strictly fewer resync bytes
+cross the wire on large windows.  A seed-pinned three-node BLOOM cell
+(large window, so snapshots dominate resync traffic) crashes node 2
+mid-run with a restart scheduled, once as configured and once with the
+requester's claims cleared after restore (so every serving peer answers
+with full snapshots), and the results are compared after stripping only
+the transfer-accounting fields the two runs legitimately disagree on.
 """
 
+import contextlib
 import dataclasses
 import json
 
 import pytest
 
 from repro.config import Algorithm
-from repro.core.system import DistributedJoinSystem, run_experiment
+from repro.core.system import DistributedJoinSystem
 from repro.experiments.harness import get_scale, system_config
 from repro.net.faults import FaultPlan
 from repro.net.reliable import ReliabilitySettings
-from repro.recovery import RecoverySettings
+from repro.recovery import RecoverySettings, coordinator
+from repro.recovery.coordinator import RecoveryCoordinator
 
 NUM_NODES = 3
 CRASH_SPEC = "crash@t=2,d=1.5,node=2,downtime=1.5"
@@ -32,8 +34,7 @@ snapshot is 128 entries (5120 counters) per stream per query."""
 TRANSFER_EVENTS = {"recovery.state_transfer", "recovery.transfer_fallback"}
 
 
-def make_config(delta, telemetry=False, history_limit=64, num_nodes=NUM_NODES,
-                crash_spec=CRASH_SPEC):
+def make_config(telemetry=False, num_nodes=NUM_NODES, crash_spec=CRASH_SPEC):
     plan = FaultPlan.parse(crash_spec, num_nodes=num_nodes)
     config = system_config(
         get_scale("smoke"),
@@ -44,29 +45,47 @@ def make_config(delta, telemetry=False, history_limit=64, num_nodes=NUM_NODES,
         telemetry=telemetry,
         faults=plan,
         reliability=ReliabilitySettings(enabled=True),
-        recovery=RecoverySettings(
-            enabled=True,
-            checkpoint_interval_s=0.5,
-            delta_state_transfer=delta,
-            delta_history_limit=history_limit,
-        ),
+        recovery=RecoverySettings(enabled=True, checkpoint_interval_s=0.5),
     )
     return dataclasses.replace(config, window_size=WINDOW, seed=7)
 
 
+@contextlib.contextmanager
+def protocol(claims=True, history_limit=None):
+    """Clear every restore's claims, or shrink the serving history ring."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not claims:
+            restore = RecoveryCoordinator._restore_state
+
+            def restore_without_claims(self, state):
+                restore(self, state)
+                self.claims.clear()
+
+            patch.setattr(
+                RecoveryCoordinator, "_restore_state", restore_without_claims
+            )
+        if history_limit is not None:
+            patch.setattr(coordinator, "DELTA_HISTORY_LIMIT", history_limit)
+        yield
+
+
+def run_system(claims=True, history_limit=None, **config_args):
+    with protocol(claims, history_limit):
+        system = DistributedJoinSystem(make_config(**config_args))
+        result = system.run()
+    return system, result
+
+
 def normalized(result) -> str:
-    """Canonical JSON with the mode-dependent accounting stripped.
+    """Canonical JSON with the transfer accounting stripped.
 
     Only the transfer byte counters (recovery section, per-node
-    diagnostics, traffic totals that include the smaller responses) and
-    the config echo of the knob itself (in ``config`` and again in the
-    manifest) may differ between modes; everything else -- epsilon, pair
-    counts, durations, per-query stats, message counts -- must match
-    byte for byte.
+    diagnostics, traffic totals that include the smaller responses) may
+    differ between the two runs; everything else -- epsilon, pair counts,
+    durations, per-query stats, message counts -- must match byte for
+    byte.
     """
     payload = json.loads(json.dumps(dataclasses.asdict(result)))
-    payload["config"].pop("delta_state_transfer")
-    payload["manifest"]["config"].pop("delta_state_transfer")
     for key in list(payload["recovery"]):
         if key.startswith("state_transfer"):
             payload["recovery"].pop(key)
@@ -86,12 +105,12 @@ def normalized(result) -> str:
 
 @pytest.fixture(scope="module")
 def delta_result():
-    return run_experiment(make_config(delta=True))
+    return run_system()[1]
 
 
 @pytest.fixture(scope="module")
 def full_result():
-    return run_experiment(make_config(delta=False))
+    return run_system(claims=False)[1]
 
 
 class TestModeEquivalence:
@@ -109,8 +128,7 @@ class TestModeEquivalence:
     def test_event_timelines_identical_modulo_transfer_events(self):
         streams = {}
         for delta in (True, False):
-            system = DistributedJoinSystem(make_config(delta, telemetry=True))
-            system.run()
+            system, _ = run_system(claims=delta, telemetry=True)
             streams[delta] = [
                 (
                     event.name,
@@ -131,8 +149,7 @@ class TestModeEquivalence:
         assert streams[True] == streams[False]
 
     def test_delta_mode_emits_transfer_events(self):
-        system = DistributedJoinSystem(make_config(delta=True, telemetry=True))
-        system.run()
+        system, _ = run_system(telemetry=True)
         transfers = [
             event
             for event in system.telemetry.events()
@@ -167,14 +184,11 @@ class TestFallback:
         # A one-deep snapshot ring cannot cover a watermark from before
         # the outage: every serving peer must fall back to the full
         # snapshot, exactly once per response.
-        return run_experiment(
-            make_config(
-                delta=True,
-                history_limit=1,
-                num_nodes=2,
-                crash_spec="crash@t=2,d=1.5,node=1,downtime=1.5",
-            )
-        )
+        return run_system(
+            history_limit=1,
+            num_nodes=2,
+            crash_spec="crash@t=2,d=1.5,node=1,downtime=1.5",
+        )[1]
 
     def test_truncated_history_falls_back_to_full_snapshots(
         self, truncated_result
@@ -191,16 +205,12 @@ class TestFallback:
         assert recovery["rejoins_clean"] == 1.0
 
     def test_fallback_event_fires_exactly_once(self):
-        system = DistributedJoinSystem(
-            make_config(
-                delta=True,
-                history_limit=1,
-                num_nodes=2,
-                crash_spec="crash@t=2,d=1.5,node=1,downtime=1.5",
-                telemetry=True,
-            )
+        system, _ = run_system(
+            history_limit=1,
+            num_nodes=2,
+            crash_spec="crash@t=2,d=1.5,node=1,downtime=1.5",
+            telemetry=True,
         )
-        system.run()
         fallbacks = [
             event
             for event in system.telemetry.events()

@@ -20,6 +20,7 @@ from repro.experiments.harness import get_scale, system_config
 from repro.net.faults import FaultPlan
 from repro.net.reliable import ReliabilitySettings
 from repro.recovery import RecoveryPhase, RecoverySettings
+from repro.recovery.coordinator import CATCHUP_TIMEOUT_S, RESTORE_DELAY_S
 from repro.telemetry import (
     JsonlStreamWriter,
     build_manifest,
@@ -83,7 +84,7 @@ class TestRejoin:
         # A rejoin can never take longer than restore + the catch-up
         # deadline; a clean rejoin typically beats the deadline by far.
         recovery = recovered_result.recovery
-        bound = RECOVERY.restore_delay_s + RECOVERY.catchup_timeout_s + 1e-9
+        bound = RESTORE_DELAY_S + CATCHUP_TIMEOUT_S + 1e-9
         assert 0.0 < recovery["rejoin_latency_max_s"] <= bound
 
     def test_legacy_crash_has_no_recovery_machinery(self, legacy_result):
@@ -149,8 +150,7 @@ class TestStreamedTelemetry:
 
         system = DistributedJoinSystem(make_config(recovery=RECOVERY))
         system.run()
-        machine = system.nodes[2].recovery_machine
-        assert machine is not None
+        machine = system.nodes[2].recovery.machine
         assert machine.phase is RecoveryPhase.LIVE
         phases = [phase for _, _, phase in machine.history]
         assert phases[:3] == [
@@ -158,3 +158,30 @@ class TestStreamedTelemetry:
             RecoveryPhase.RESTORING,
             RecoveryPhase.CATCHING_UP,
         ]
+
+
+class TestDashboard:
+    def test_frames_show_each_recovering_node_phase(self):
+        import io
+
+        from repro.core.system import DistributedJoinSystem
+
+        config = make_config(recovery=RECOVERY, telemetry=True)
+        config = dataclasses.replace(
+            config,
+            telemetry=dataclasses.replace(
+                config.telemetry, dashboard=True, dashboard_interval_s=1.0
+            ),
+        )
+        system = DistributedJoinSystem(config)
+        buffer = io.StringIO()
+        system.dashboard.stream = buffer
+        system.run()
+        lines = [
+            line
+            for line in buffer.getvalue().splitlines()
+            if line.startswith("recovery: ")
+        ]
+        assert len(lines) == system.dashboard.frames_rendered > 1
+        assert "recovery: 0:live  1:live  2:down" in lines
+        assert lines[-1] == "recovery: 0:live  1:live  2:live"

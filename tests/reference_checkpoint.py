@@ -52,8 +52,12 @@ def reference_encode_blob(state: Dict[str, object]) -> bytes:
 
 def patch_in(monkeypatch) -> None:
     """Make every checkpoint of a run the old way, end to end."""
-    monkeypatch.setattr("repro.core.node.window_state", reference_window_state)
-    monkeypatch.setattr("repro.core.node.encode_blob", reference_encode_blob)
+    monkeypatch.setattr(
+        "repro.recovery.coordinator.window_state", reference_window_state
+    )
+    monkeypatch.setattr(
+        "repro.recovery.coordinator.encode_blob", reference_encode_blob
+    )
     monkeypatch.setattr(
         "repro.core.summaries.RemoteSummaryTable.checkpoint_state",
         reference_remote_state,

@@ -121,6 +121,29 @@ class TestExperimentsDispatch:
         assert excinfo.value.code == 2
         assert "--shards" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [FAST, ["experiments", "chaos", "smoke", "--recovery"]],
+        ids=["run", "chaos"],
+    )
+    def test_removed_full_snapshot_option_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--no-delta-transfer"])
+        assert excinfo.value.code == 2
+        assert "--no-delta-transfer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--overload", "--queue-bound", "-5"], "--queue-bound must be positive"),
+            (["--checkpoint-interval", "0.5"], "--checkpoint-interval needs --recovery"),
+        ],
+        ids=["negative-queue-bound", "checkpoint-interval-without-recovery"],
+    )
+    def test_chaos_refuses_inputs_it_would_ignore(self, capsys, flags, message):
+        assert main(["experiments", "chaos", "smoke", "--no-cache"] + flags) == 2
+        assert "error: %s" % message in capsys.readouterr().err
+
     def test_removed_shards_parameter_is_type_error(self):
         with pytest.raises(TypeError):
             run_experiment(config_from_args(parse(FAST)), shards=2)

@@ -136,12 +136,32 @@ def test_crash_wipes_queue_depth_and_congestion_soft_state():
     for runtime in node._queries.values():
         # Stand in for an adaptive-flow observation under backlog.
         runtime.policy.congestion_scale = 0.25
-    node.on_crash()
+    node.recovery.on_crash()
     # The dead process's peak depth and throttle observations die with it.
     assert node.max_queue_depth == 0
     assert node.queue_depth == 0
     for runtime in node._queries.values():
         assert runtime.policy.congestion_scale == 1.0
+
+
+def test_full_replay_log_drops_the_incoming_arrival(monkeypatch):
+    """With the log full, later arrivals are dropped and counted; the
+    logged ones are replayed in their arrival order."""
+    from repro.recovery import RecoverySettings, coordinator
+
+    monkeypatch.setattr(coordinator, "REPLAY_LOG_CAPACITY", 2)
+    scheduler, _, _, _, nodes = build_pair(recovery=RecoverySettings(enabled=True))
+    node = nodes[0]
+    node.recovery.on_crash()
+    for index in range(5):
+        node.on_local_arrival(make_tuple(StreamId.R, index + 1, 0, index))
+    node.recovery.on_restart()
+    scheduler.run()
+    recovery = node.recovery
+    assert (recovery.tuples_logged, recovery.replay_dropped) == (2, 3)
+    assert recovery.tuples_replayed == 2
+    assert [item.key for item in node.join.window(StreamId.R)] == [1, 2]
+    assert recovery.machine.is_live
 
 
 def test_remote_tuples_counted():
@@ -272,7 +292,7 @@ class TestCheckpointWork:
         system = DistributedJoinSystem(recovery_config)
         system.run()
         for node in system.nodes:
-            node._checkpoint_state(0.0)
+            node.recovery._checkpoint_state(0.0)
             runtime = node.query()
             windows = [runtime.join.window(stream) for stream in StreamId]
             for stream in StreamId:

@@ -1,18 +1,26 @@
-"""The option surface, pinned: environment variables, CLI flags, format versions.
+"""The option surface, pinned: environment variables, CLI flags, settings
+fields, format versions.
 
 "No flag, env var or settings field added" was hand-counted in every
-CHANGES entry from PR 17 on.  These three tests count instead: whoever
-adds (or removes) a ``REPRO_*`` variable, a long option or a
-format-version constant edits the expected value below, in plain sight
-of the review, or tier-1 fails.
+CHANGES entry from PR 17 on.  These tests count instead: whoever adds
+(or removes) a ``REPRO_*`` variable, a long option, a settings field or
+a format-version constant edits the expected value below, in plain
+sight of the review, or tier-1 fails.
 """
 
+import dataclasses
 import re
 from pathlib import Path
 
 import repro
 from repro import cli
+from repro.config import PolicyConfig
+from repro.core.flow import FlowSettings
 from repro.experiments import chaos, report
+from repro.net.reliable import ReliabilitySettings
+from repro.overload import OverloadSettings
+from repro.recovery import RecoverySettings
+from repro.telemetry import TelemetrySettings
 
 SOURCE_ROOT = Path(repro.__file__).resolve().parent
 
@@ -45,7 +53,29 @@ def test_long_options_of_the_three_parsers():
         "experiments chaos": len(long_options(chaos.build_parser())),
         "experiments report": len(long_options(report.build_parser())),
     }
-    assert counts == {"run": 32, "experiments chaos": 15, "experiments report": 4}
+    assert counts == {"run": 31, "experiments chaos": 14, "experiments report": 4}
+
+
+def test_settings_fields():
+    counts = {
+        settings.__name__: len(dataclasses.fields(settings))
+        for settings in (
+            RecoverySettings,
+            ReliabilitySettings,
+            OverloadSettings,
+            TelemetrySettings,
+            FlowSettings,
+            PolicyConfig,
+        )
+    }
+    assert counts == {
+        "RecoverySettings": 2,
+        "ReliabilitySettings": 9,
+        "OverloadSettings": 9,
+        "TelemetrySettings": 10,
+        "FlowSettings": 7,
+        "PolicyConfig": 10,
+    }
 
 
 def test_format_version_constants_under_src():
