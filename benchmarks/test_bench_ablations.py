@@ -1,6 +1,6 @@
 """Ablation benchmarks for the reproduction's design choices.
 
-Three choices DESIGN.md calls out get quantified here:
+Two choices DESIGN.md calls out get quantified here:
 
 * **Similarity measure** -- the DFT policy can derive p_ij from the
   verbatim Equation 4 statistic (SPECTRAL), the all-lags peak (MAX_LAG),
@@ -8,23 +8,14 @@ Three choices DESIGN.md calls out get quantified here:
   On i.i.d. ZIPF windows the lag-based statistics carry little routing
   information (their expectation is alignment-dependent), which is
   exactly why the default is the distribution form.
-* **Sketch structure** -- plain AGMS touches every counter per update;
-  Fast-AGMS touches one per row.  Same estimation target, very different
-  update cost.
 * **Summary refresh cadence** -- more frequent refreshes mean fresher
   remote state but more summary bytes.
 """
 
-import numpy as np
-import pytest
-
-from repro._rng import ensure_rng
 from repro.config import Algorithm, PolicyConfig, SystemConfig, WorkloadConfig
 from repro.core.correlation import SimilarityMeasure
 from repro.core.flow import FlowSettings
 from repro.core.system import run_experiment
-from repro.sketches.agms import AgmsSketch, SketchShape
-from repro.sketches.fast_agms import FastAgmsSketch, FastSketchShape
 
 
 def _dft_config(measure, refresh=32, seed=17):
@@ -59,39 +50,6 @@ def test_ablation_similarity_measure(benchmark):
     assert errors[SimilarityMeasure.DISTRIBUTION] <= min(
         errors[SimilarityMeasure.SPECTRAL], errors[SimilarityMeasure.MAX_LAG]
     ) + 0.02
-
-
-def test_ablation_sketch_update_cost(benchmark):
-    """Fast-AGMS updates are much cheaper at equal wire size."""
-    total = 2000
-    rng = ensure_rng(3)
-    plain = AgmsSketch(SketchShape.from_total(total), rng=rng)
-    fast = FastAgmsSketch(FastSketchShape.from_total(total), rng=rng)
-    keys = ensure_rng(4).integers(1, 10_000, size=4096)
-    position = {"index": 0}
-
-    def one_plain_update():
-        plain.update(int(keys[position["index"] % keys.size]))
-        position["index"] += 1
-
-    import time
-
-    start = time.perf_counter()
-    for _ in range(512):
-        one_plain_update()
-    plain_seconds = time.perf_counter() - start
-
-    def one_fast_update():
-        fast.update(int(keys[position["index"] % keys.size]))
-        position["index"] += 1
-
-    fast_seconds = benchmark(one_fast_update)
-    # benchmark() returns the callable's result; use its stats instead.
-    fast_mean = benchmark.stats.stats.mean
-    plain_mean = plain_seconds / 512
-    print("\n  plain AGMS  %.1f us/update" % (1e6 * plain_mean))
-    print("  fast  AGMS  %.1f us/update" % (1e6 * fast_mean))
-    assert fast_mean < plain_mean
 
 
 def test_ablation_refresh_cadence(benchmark):

@@ -32,7 +32,6 @@ from repro.dft.control import ControlVector
 from repro.dft.sliding import SlidingDFT, low_frequency_bins
 from repro.profiling import Stopwatch
 from repro.sketches.agms import AgmsSketch, SketchShape
-from repro.sketches.fast_agms import FastAgmsSketch, FastSketchShape
 from repro.sketches.hashing import FourWiseHashFamily
 from tests.reference_kernels import ReferenceSlidingDFT
 
@@ -180,42 +179,6 @@ def test_agms_windowed_update_speedup():
         keys.size,
     )
     assert speedup >= 3.0, "AGMS batch speedup %.1fx below the 3x floor" % speedup
-
-
-def test_fast_agms_windowed_update_speedup():
-    """Fast-AGMS batched update/evict vs scalar pairs (>= 3x)."""
-    scale = _scale()
-    rng = ensure_rng(5)
-    arrivals = _windowed_keys(scale["updates"], rng)
-    evictions = _windowed_keys(scale["updates"], rng)
-    shape = FastSketchShape.from_total(scale["counters"], rows=5)
-
-    generator = ensure_rng(9)
-    naive_hashes = (
-        FourWiseHashFamily(shape.rows, rng=generator, cache_size=0),
-        FourWiseHashFamily(shape.rows, rng=generator, cache_size=0),
-    )
-    naive_sketch = FastAgmsSketch(shape, hashes=naive_hashes)
-    fast_sketch = FastAgmsSketch(shape, rng=ensure_rng(9))
-
-    def run_naive():
-        for arrival, eviction in zip(arrivals, evictions):
-            naive_sketch.update(int(arrival), +1)
-            naive_sketch.update(int(eviction), -1)
-
-    keys = np.concatenate([arrivals, evictions])
-    deltas = np.concatenate([np.ones(arrivals.size), -np.ones(evictions.size)])
-
-    def run_fast():
-        fast_sketch.update_batch(keys, deltas)
-
-    speedup = _record(
-        "fast_agms_windowed_update",
-        _best_of(run_naive),
-        _best_of(run_fast),
-        keys.size,
-    )
-    assert speedup >= 3.0, "Fast-AGMS batch speedup %.1fx below 3x" % speedup
 
 
 def test_sign_cache_speedup():

@@ -1,4 +1,4 @@
-"""Bloom filters (standard and counting).
+"""Counting Bloom filters.
 
 Re-implementation of the summaries behind the paper's BLOOM baseline
 (Broder & Mitzenmacher [5]): each node maintains a *counting* Bloom filter
@@ -8,6 +8,5 @@ arriving tuples for membership before forwarding.
 """
 
 from repro.bloom.counting import CountingBloomFilter
-from repro.bloom.standard import BloomFilter, optimal_num_hashes
 
-__all__ = ["BloomFilter", "CountingBloomFilter", "optimal_num_hashes"]
+__all__ = ["CountingBloomFilter"]

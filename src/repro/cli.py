@@ -249,17 +249,12 @@ def config_from_args(args: argparse.Namespace) -> SystemConfig:
     )
     if not overload_on:
         overload = OverloadSettings()
-    elif args.queue_bound > 0:
-        # Watermarks scale with the bound so --queue-bound alone always
-        # yields a valid hysteresis ladder.
-        overload = OverloadSettings.for_queue_bound(
-            args.queue_bound, link_backlog_bound_s=args.link_backlog_bound
-        )
     else:
-        overload = dataclasses.replace(
-            OverloadSettings(),
-            enabled=True,
-            link_backlog_bound_s=args.link_backlog_bound,
+        # Watermarks scale with the bound, so any bound yields a valid
+        # hysteresis ladder and --overload alone means --queue-bound 64,
+        # as it does for `experiments chaos`.
+        overload = OverloadSettings.for_queue_bound(
+            args.queue_bound or 64, link_backlog_bound_s=args.link_backlog_bound
         )
     from repro.telemetry import TelemetrySettings
 

@@ -3,7 +3,8 @@
 Three frozen dataclasses describe a complete run:
 
 * :class:`PolicyConfig` -- which forwarding algorithm runs at the nodes and
-  its knobs (compression factor, flow budget, summary cadence);
+  its knobs (compression factor, flow budget, summary cadence, similarity
+  measure);
 * :class:`WorkloadConfig` -- what data arrives, how fast, and how
   geographically skewed its placement is;
 * :class:`SystemConfig` -- how many nodes, window sizes, the WAN link
@@ -82,35 +83,11 @@ class PolicyConfig:
     summary_refresh_interval: int = 32
     """Local arrivals between summary delta recomputations/broadcasts."""
 
-    delta_tolerance: float = 0.05
-    """Relative change below which a DFT coefficient is not re-sent."""
-
-    bloom_hashes: int = 4
-    sketch_ratio: int = 5
-    sketch_variant: str = "plain"
-    """"plain" (AGMS, every counter per update) or "fast" (Fast-AGMS /
-    count-sketch structure, one counter per row per update)."""
-    explore_probability: float = 0.05
-    """DFTT/BLOOM: chance of probing one extra peer beyond the evidence."""
-
     def validate(self) -> None:
         if self.kappa < 1:
             raise ConfigurationError("kappa must be >= 1")
         if self.summary_refresh_interval < 1:
             raise ConfigurationError("summary_refresh_interval must be >= 1")
-        if self.delta_tolerance < 0:
-            raise ConfigurationError("delta_tolerance must be non-negative")
-        if self.bloom_hashes < 1:
-            raise ConfigurationError("bloom_hashes must be >= 1")
-        if self.sketch_ratio < 1:
-            raise ConfigurationError("sketch_ratio must be >= 1")
-        if self.sketch_variant not in ("plain", "fast"):
-            raise ConfigurationError(
-                "sketch_variant must be 'plain' or 'fast', got %r"
-                % (self.sketch_variant,)
-            )
-        if not 0.0 <= self.explore_probability <= 1.0:
-            raise ConfigurationError("explore_probability must lie in [0, 1]")
 
     def summary_budget(self, window_size: int) -> int:
         """Summary entries per broadcast: W / kappa, at least 1."""
@@ -296,7 +273,9 @@ class SystemConfig:
             "algorithm": self.policy.algorithm.value,
             "kappa": self.policy.kappa,
             "similarity": self.policy.similarity.value,
-            "budget_fraction": self.policy.flow.budget_fraction,
+            # repro.core.flow.BUDGET_FRACTION, a literal for the same reason
+            # as "delta_state_transfer" below.
+            "budget_fraction": 1.0,
             "budget_override": self.policy.flow.budget_override,
             "workload": self.workload.kind.value,
             "total_tuples": self.workload.total_tuples,

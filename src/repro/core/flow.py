@@ -25,6 +25,19 @@ from typing import Dict, Mapping
 from repro.errors import ConfigurationError
 
 
+BUDGET_FRACTION = 1.0
+"""Interpolates the budget T_i between the O(1) bound (0.0) and the
+O(log N) bound (1.0): T = 1 + fraction * (log2(N) - 1)."""
+
+UNIFORM_VARIANCE_THRESHOLD = 0.02
+"""Var[rho_ij] below this flags the uniform worst case.  Calibrated
+against the Section 6 workloads: uniform data yields per-peer similarity
+variances below ~1e-2, geographically skewed data well above 5e-2."""
+
+MINIMUM_SIMILARITY = 0.0
+"""Floor applied to similarities before weighting (exploration mass)."""
+
+
 def waterfill_cutoff(scale: float) -> float:
     """Smallest similarity the water-filling solver treats as positive.
 
@@ -39,23 +52,11 @@ def waterfill_cutoff(scale: float) -> float:
 
 @dataclass(frozen=True)
 class FlowSettings:
-    """Budget and detection knobs for one node's flow controller."""
-
-    budget_fraction: float = 1.0
-    """Interpolates the budget T_i between the O(1) bound (0.0) and the
-    O(log N) bound (1.0): T = 1 + fraction * (log2(N) - 1)."""
+    """Budget knobs for one node's flow controller."""
 
     budget_override: float = 0.0
-    """If positive, use this T_i directly (calibration searches set it)."""
-
-    uniform_variance_threshold: float = 0.02
-    """Var[rho_ij] below this flags the uniform worst case.  Calibrated
-    against the Section 6 workloads: uniform data yields per-peer
-    similarity variances below ~1e-2, geographically skewed data well
-    above 5e-2."""
-
-    minimum_similarity: float = 0.0
-    """Floor applied to similarities before weighting (exploration mass)."""
+    """If positive, use this T_i directly (calibration searches set it);
+    otherwise T_i follows ``BUDGET_FRACTION``."""
 
     adaptive: bool = False
     """Resource-aware budgets (the abstract's "automatic throughput
@@ -71,14 +72,8 @@ class FlowSettings:
     """Queue depth at (and beyond) which the budget sits at the O(1) floor."""
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.budget_fraction <= 1.0:
-            raise ConfigurationError("budget_fraction must lie in [0, 1]")
         if self.budget_override < 0:
             raise ConfigurationError("budget_override must be non-negative")
-        if self.uniform_variance_threshold < 0:
-            raise ConfigurationError("variance threshold must be non-negative")
-        if not 0.0 <= self.minimum_similarity <= 1.0:
-            raise ConfigurationError("minimum_similarity must lie in [0, 1]")
         if self.congestion_low < 0 or self.congestion_high <= self.congestion_low:
             raise ConfigurationError(
                 "congestion thresholds need 0 <= low < high"
@@ -98,7 +93,7 @@ class FlowSettings:
         else:
             log_bound = max(1.0, math.log2(num_nodes))
             target = min(
-                1.0 + self.budget_fraction * (log_bound - 1.0),
+                1.0 + BUDGET_FRACTION * (log_bound - 1.0),
                 float(num_nodes - 1),
             )
         scale = min(1.0, max(0.0, congestion_scale))
@@ -153,7 +148,7 @@ class FlowController:
         if not similarities:
             return {}
         floored = {
-            peer: max(float(value), self.settings.minimum_similarity)
+            peer: max(float(value), MINIMUM_SIMILARITY)
             for peer, value in similarities.items()
         }
         target = min(self.budget, float(len(floored)))
@@ -235,7 +230,7 @@ class FlowController:
             return False
         mean = sum(values) / len(values)
         variance = sum((v - mean) ** 2 for v in values) / len(values)
-        uniform = variance < self.settings.uniform_variance_threshold
+        uniform = variance < UNIFORM_VARIANCE_THRESHOLD
         if uniform:
             self.uniform_detections += 1
             if self.telemetry is not None:

@@ -7,7 +7,7 @@ signals the runtime uses to degrade gracefully (see
 
 * **liveness** -- a heartbeat-fed, timeout-based failure detector in the
   style of eventually-perfect detectors: silence beyond
-  ``suspect_timeout_s`` marks a peer *suspected*; the first message of
+  ``SUSPECT_TIMEOUT_S`` marks a peer *suspected*; the first message of
   any kind clears the suspicion and records the recovery latency.
   Detection is evaluated lazily at forwarding decisions rather than with
   dedicated timer events, so an idle mesh schedules nothing extra.
@@ -28,6 +28,13 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.reliable import ReliabilitySettings
+
+HEARTBEAT_INTERVAL_S = 0.5
+"""Gap between HEARTBEAT probes to every peer."""
+
+SUSPECT_TIMEOUT_S = 2.0
+"""Silence (no message of any kind) after which a peer is suspected dead
+and the policies degrade for it."""
 
 STALENESS_BUCKETS_S: Tuple[float, ...] = (0.5, 1.0, 2.0, 5.0, 10.0)
 """Upper edges of the staleness histogram buckets (the last bucket is
@@ -114,7 +121,7 @@ class PeerHealthMonitor:
         """Whether ``peer`` has been silent beyond the suspect timeout."""
         if peer in self._suspected_at:
             return True
-        if now - self._last_heard[peer] > self.settings.suspect_timeout_s:
+        if now - self._last_heard[peer] > SUSPECT_TIMEOUT_S:
             self._suspected_at[peer] = now
             self.failures_detected += 1
             if self.telemetry is not None:

@@ -52,6 +52,12 @@ from repro.streams.window import (
     TimeWindow,
 )
 
+THROTTLE_REFRESH_STRETCH = 4
+"""Multiplier applied to the summary refresh cadence while degraded
+(THROTTLED or SHEDDING): summaries recompute and broadcast this many
+times less often, shrinking the control-plane share of a saturated
+uplink."""
+
 
 @dataclass
 class QueryRuntime:
@@ -388,7 +394,7 @@ class JoinProcessingNode:
         stretch = (
             1
             if mode is DegradationMode.NORMAL
-            else self.overload_settings.throttle_refresh_stretch
+            else THROTTLE_REFRESH_STRETCH
         )
         for runtime in self._queries.values():
             runtime.policy.set_refresh_stretch(stretch)

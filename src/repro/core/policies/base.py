@@ -27,6 +27,9 @@ from repro.core.summaries import SummaryOutbox, SummaryUpdate
 from repro.errors import ConfigurationError
 from repro.streams.tuples import StreamId, StreamTuple
 
+EXPLORE_PROBABILITY = 0.05
+"""DFTT/BLOOM: chance of probing one extra peer beyond the evidence."""
+
 
 @dataclass
 class PolicyContext:

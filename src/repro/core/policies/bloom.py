@@ -25,6 +25,7 @@ from repro._rng import spawn
 from repro.bloom.counting import CountingBloomFilter
 from repro.config import PolicyConfig
 from repro.core.flow import FlowController
+from repro.core.policies import base
 from repro.core.policies.base import ForwardingPolicy, PolicyContext
 from repro.core.summaries import (
     RemoteSummaryTable,
@@ -36,6 +37,9 @@ from repro.streams.tuples import StreamId, StreamTuple
 
 COUNTERS_PER_SUMMARY_ENTRY = 40
 """4-bit counters packed into one 20-byte summary entry."""
+
+BLOOM_HASHES = 4
+"""Hash functions per filter (probe positions per key)."""
 
 ALGORITHM = "bloom"
 
@@ -53,10 +57,10 @@ def make_bloom_shared_state(
     child_rngs = spawn(rng, 2)
     templates = {
         StreamId.R: CountingBloomFilter(
-            num_counters, config.bloom_hashes, rng=child_rngs[0]
+            num_counters, BLOOM_HASHES, rng=child_rngs[0]
         ),
         StreamId.S: CountingBloomFilter(
-            num_counters, config.bloom_hashes, rng=child_rngs[1]
+            num_counters, BLOOM_HASHES, rng=child_rngs[1]
         ),
     }
     return {"bloom_templates": templates, "bloom_entries": entries}
@@ -172,7 +176,7 @@ class BloomPolicy(ForwardingPolicy):
             capacity = max(1, int(round(budget)))
             destinations = ranked[:capacity]
             remaining = [p for p in self.peer_ids if p not in destinations]
-            if remaining and rng.random() < self.context.config.explore_probability:
+            if remaining and rng.random() < base.EXPLORE_PROBABILITY:
                 destinations.append(remaining[int(rng.integers(0, len(remaining)))])
             return destinations
 
@@ -189,7 +193,7 @@ class BloomPolicy(ForwardingPolicy):
         # driven by the learned hit rates.
         probabilities = self.flow.probabilities(self._hit_rates[item.stream])
         reduced = {
-            peer: probability * self.context.config.explore_probability
+            peer: probability * base.EXPLORE_PROBABILITY
             for peer, probability in probabilities.items()
         }
         return self._bernoulli_destinations(reduced)

@@ -39,6 +39,9 @@ from repro.core.summaries import (
 )
 from repro.streams.tuples import StreamId, StreamTuple
 
+DELTA_TOLERANCE = 0.05
+"""Relative change below which a DFT coefficient is not re-sent."""
+
 UNKNOWN_PEER_SIMILARITY = 0.5
 """Prior similarity for peers whose summary has not arrived yet: neither
 trusted nor written off, so early tuples still explore the mesh."""
@@ -113,7 +116,7 @@ class DftPolicy(ForwardingPolicy):
                 window_size=context.window_size,
                 budget=budget,
                 refresh_interval=config.summary_refresh_interval,
-                delta_tolerance=config.delta_tolerance,
+                delta_tolerance=DELTA_TOLERANCE,
                 outbox=self.outbox,
             )
             for stream in (StreamId.R, StreamId.S)

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.policies import base
 from repro.core.policies.base import PolicyContext
 from repro.core.policies.dft import DftPolicy, SlotRows
 from repro.dft.reconstruction import reconstruct_values
@@ -193,7 +194,7 @@ class DfttPolicy(DftPolicy):
                 for peer in self.peer_ids
                 if peer not in destinations
             ]
-            if remaining and rng.random() < self.context.config.explore_probability:
+            if remaining and rng.random() < base.EXPLORE_PROBABILITY:
                 destinations.append(
                     remaining[int(rng.integers(0, len(remaining)))]
                 )
@@ -208,7 +209,7 @@ class DfttPolicy(DftPolicy):
         # is approximate, so spend a *reduced* probabilistic budget rather
         # than going silent -- this is DFTT's message saving in action.
         reduced = {
-            peer: probability * self.context.config.explore_probability
+            peer: probability * base.EXPLORE_PROBABILITY
             for peer, probability in probabilities.items()
         }
         return self._bernoulli_destinations(reduced)

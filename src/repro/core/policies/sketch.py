@@ -31,11 +31,13 @@ from repro.core.summaries import (
 )
 from repro.errors import ConfigurationError
 from repro.sketches.agms import AgmsSketch, SketchShape
-from repro.sketches.fast_agms import FastAgmsSketch, FastSketchShape
 from repro.streams.tuples import StreamId, StreamTuple
 
 COUNTERS_PER_SUMMARY_ENTRY = 5
 """4-byte counters packed into one 20-byte summary entry."""
+
+SKETCH_RATIO = 5
+"""The paper's s0:s1 ratio of the AGMS counter array."""
 
 ALGORITHM = "skch"
 
@@ -47,26 +49,19 @@ def make_sketch_shared_state(
 
     Total counters are sized to the common summary budget --
     ``W/kappa`` entries of 5 counters each -- with the paper's 5:1
-    s0:s1 ratio (plain AGMS) or ``sketch_ratio`` rows (Fast-AGMS, when
-    ``config.sketch_variant == "fast"``).
+    s0:s1 ratio.
     """
     entries = config.summary_budget(window_size)
-    total = max(config.sketch_ratio, entries * COUNTERS_PER_SUMMARY_ENTRY)
+    total = max(SKETCH_RATIO, entries * COUNTERS_PER_SUMMARY_ENTRY)
     # One hash bank for *everything*: R and S sketches must be mutually
     # comparable (the join-size inner product only makes sense when both
     # sides hash the key domain identically).
-    if config.sketch_variant == "fast":
-        fast_shape = FastSketchShape.from_total(total, rows=config.sketch_ratio)
-        template = FastAgmsSketch(fast_shape, rng=spawn(rng, 1)[0])
-        counters = fast_shape.total
-    else:
-        shape = SketchShape.from_total(total, ratio=config.sketch_ratio)
-        template = AgmsSketch(shape, rng=spawn(rng, 1)[0])
-        counters = shape.total
+    shape = SketchShape.from_total(total, ratio=SKETCH_RATIO)
+    template = AgmsSketch(shape, rng=spawn(rng, 1)[0])
     templates = {StreamId.R: template, StreamId.S: template}
     return {
         "sketch_templates": templates,
-        "sketch_entries": max(1, math.ceil(counters / COUNTERS_PER_SUMMARY_ENTRY)),
+        "sketch_entries": max(1, math.ceil(shape.total / COUNTERS_PER_SUMMARY_ENTRY)),
     }
 
 

@@ -20,6 +20,7 @@ from repro.metrics.error import epsilon_error
 
 from repro._rng import ensure_rng, spawn
 from repro.config import SystemConfig, WorkloadConfig, WorkloadKind
+from repro.core import health
 from repro.core.node import JoinProcessingNode
 from repro.core.policies import PolicyContext, make_policy, make_shared_state
 from repro.core.results import RunResult
@@ -37,7 +38,12 @@ from repro.streams.network import NetworkTraceConfig, network_trace_stream
 from repro.streams.partitioner import GeographicPartitioner, PartitionerConfig
 from repro.streams.tuples import StreamId, StreamTuple, reset_tuple_ids
 from repro.telemetry import TelemetryHub, build_manifest
+from repro.telemetry import registry as telemetry_registry
 from repro.telemetry.events import Handles
+
+SAMPLE_MARGIN_S = 5.0
+"""Telemetry sampling horizon past the last scheduled arrival, so the
+drain tail (in-flight messages, retransmits) stays visible."""
 
 
 def build_key_stream(workload: WorkloadConfig, rng: np.random.Generator) -> Iterator[int]:
@@ -375,11 +381,10 @@ class DistributedJoinSystem:
         get detected), and are *not* self-rescheduling -- a fixed, finite
         event set keeps the scheduler's run-to-drain termination intact.
         """
-        settings = self.config.reliability
-        if not settings.enabled:
+        if not self.config.reliability.enabled:
             return
-        horizon = self._arrival_span + settings.suspect_timeout_s
-        tick = settings.heartbeat_interval_s
+        horizon = self._arrival_span + health.SUSPECT_TIMEOUT_S
+        tick = health.HEARTBEAT_INTERVAL_S
         count = int(horizon / tick) + 1
         for index in range(1, count + 1):
             when = index * tick
@@ -391,25 +396,26 @@ class DistributedJoinSystem:
 
         Like the heartbeats, the tick set is fixed and finite (not
         self-rescheduling), so the scheduler's run-to-drain termination
-        is preserved.  The horizon extends ``sample_margin_s`` past the
-        last arrival to keep the drain tail visible.
+        is preserved.  The horizon extends ``SAMPLE_MARGIN_S`` past the
+        last arrival to keep the drain tail visible.  On a span whose
+        ticks would overflow the series rings, the interval stretches by
+        the smallest integer factor that makes the rings cover the whole
+        span instead of just its tail.
         """
         if self.telemetry is None:
             return
-        settings = self.config.telemetry
-        horizon = self._arrival_span + settings.sample_margin_s
-        interval = settings.sample_interval_s
-        if settings.adaptive_sampling and settings.series_capacity > 2:
+        horizon = self._arrival_span + SAMPLE_MARGIN_S
+        interval = self.config.telemetry.sample_interval_s
+        capacity = telemetry_registry.SERIES_CAPACITY
+        if capacity > 2:
             # Scheduled ticks plus the end-of-run tick; only stretch when
             # the span genuinely overflows the rings, so short runs keep
             # their exact tick set.  The -2 headroom absorbs both the
             # final tick and int() truncation at the boundary.
             projected = int(horizon / interval) + 2
-            if projected > settings.series_capacity:
-                stretch = math.ceil(
-                    horizon / (interval * (settings.series_capacity - 2))
-                )
-                interval = settings.sample_interval_s * max(1, stretch)
+            if projected > capacity:
+                stretch = math.ceil(horizon / (interval * (capacity - 2)))
+                interval *= max(1, stretch)
         count = int(horizon / interval) + 1
         for index in range(1, count + 1):
             self.scheduler.schedule_at(

@@ -16,7 +16,6 @@
 """
 
 from repro.dft.control import ControlVector
-from repro.dft.goertzel import goertzel_bin, goertzel_bins, goertzel_power
 from repro.dft.reconstruction import (
     TruncationMode,
     compress_spectrum,
@@ -42,7 +41,4 @@ __all__ = [
     "expand_spectrum",
     "reconstruct_values",
     "reconstruction_squared_errors",
-    "goertzel_bin",
-    "goertzel_bins",
-    "goertzel_power",
 ]

@@ -18,7 +18,7 @@ state:
 * the receiver acks everything (including duplicates -- the original ack
   may be the casualty), suppresses duplicates, and releases messages in
   sequence order so summary deltas never apply out of order;
-* after ``max_retries`` unacked attempts the sender gives up and counts a
+* after ``MAX_RETRIES`` unacked attempts the sender gives up and counts a
   delivery failure -- the failure detector, not the transport, owns
   suspecting the peer.
 
@@ -35,10 +35,25 @@ from repro.errors import ConfigurationError
 from repro.net.message import Message, MessageKind
 from repro.net.simulator import Event, EventScheduler
 
+BACKOFF_FACTOR = 2.0
+"""Timeout multiplier per consecutive retransmission."""
+
+JITTER_FRACTION = 0.1
+"""Uniform multiplicative jitter in [1, 1 + fraction] on each timeout,
+drawn from a seeded generator (deterministic per run)."""
+
+MAX_RETRIES = 5
+"""Retransmissions before the sender declares a delivery failure."""
+
 
 @dataclass(frozen=True)
 class ReliabilitySettings:
-    """Knobs for the control-plane ARQ and the failure detector."""
+    """Knobs for the control-plane ARQ and the failure detector.
+
+    The ARQ's backoff, jitter and retry bound are the constants above;
+    the failure detector's heartbeat interval and suspect timeout are
+    constants of :mod:`repro.core.health`.
+    """
 
     enabled: bool = False
     """Master switch.  Off (the default) leaves the wire protocol exactly
@@ -47,23 +62,6 @@ class ReliabilitySettings:
     retransmit_timeout_s: float = 0.25
     """Initial ack deadline; roughly 2x the worst-case RTT of the paper's
     20-100 ms links."""
-
-    backoff_factor: float = 2.0
-    """Timeout multiplier per consecutive retransmission."""
-
-    jitter_fraction: float = 0.1
-    """Uniform multiplicative jitter in [1, 1 + fraction] on each timeout,
-    drawn from a seeded generator (deterministic per run)."""
-
-    max_retries: int = 5
-    """Retransmissions before the sender declares a delivery failure."""
-
-    heartbeat_interval_s: float = 0.5
-    """Gap between HEARTBEAT probes to every peer."""
-
-    suspect_timeout_s: float = 2.0
-    """Silence (no message of any kind) after which a peer is suspected
-    dead and the policies degrade for it."""
 
     staleness_budget_s: float = 5.0
     """Maximum tolerated age of a peer's summary before forwarding
@@ -77,16 +75,6 @@ class ReliabilitySettings:
     def validate(self) -> None:
         if self.retransmit_timeout_s <= 0:
             raise ConfigurationError("retransmit_timeout_s must be positive")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be >= 1")
-        if self.jitter_fraction < 0:
-            raise ConfigurationError("jitter_fraction must be non-negative")
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be non-negative")
-        if self.heartbeat_interval_s <= 0:
-            raise ConfigurationError("heartbeat_interval_s must be positive")
-        if self.suspect_timeout_s <= 0:
-            raise ConfigurationError("suspect_timeout_s must be positive")
         if self.staleness_budget_s < 0:
             raise ConfigurationError("staleness_budget_s must be non-negative")
         if self.degradation_mode not in ("broadcast", "suppress"):
@@ -176,7 +164,7 @@ class ReliableTransport:
     def _transmit(
         self, channel: ReliableChannel, message: Message, attempts: int, timeout_s: float
     ) -> None:
-        deadline = timeout_s * (1.0 + self.settings.jitter_fraction * float(self.rng.random()))
+        deadline = timeout_s * (1.0 + JITTER_FRACTION * float(self.rng.random()))
         timer = self.scheduler.schedule_in(
             deadline,
             lambda m=message: self._on_timeout(m),
@@ -196,7 +184,7 @@ class ReliableTransport:
         state = channel.in_flight.pop(message.seq, None)
         if state is None:  # acked between scheduling and firing
             return
-        if state.attempts >= self.settings.max_retries:
+        if state.attempts >= MAX_RETRIES:
             self.delivery_failures += 1
             if self.telemetry is not None:
                 # Dead-letter visibility: the message is gone for good; say
@@ -216,7 +204,7 @@ class ReliableTransport:
             channel,
             message,
             attempts=state.attempts + 1,
-            timeout_s=state.timeout_s * self.settings.backoff_factor,
+            timeout_s=state.timeout_s * BACKOFF_FACTOR,
         )
 
     def on_ack(self, ack: Message) -> None:

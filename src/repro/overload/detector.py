@@ -9,7 +9,7 @@ history, so a seed fixes the mode trajectory.
 Escalation is immediate (a queue at the shed watermark fires
 ``throttle`` and then ``shed`` in one observation); de-escalation is
 hysteretic twice over: the clear watermarks sit strictly below the entry
-watermarks, *and* a mode must have been held for ``min_dwell_s``
+watermarks, *and* a mode must have been held for ``MIN_DWELL_S``
 simulated seconds before stepping down.  Both halves exist to stop the
 ladder flapping when the depth oscillates around a watermark.
 """
@@ -20,6 +20,11 @@ from typing import List, Tuple
 
 from repro.overload.ladder import DegradationLadder, DegradationMode
 from repro.overload.settings import OverloadSettings
+
+MIN_DWELL_S = 0.25
+"""Minimum simulated seconds a node stays in a degraded mode before
+stepping down, even if the queue already drained -- the temporal half of
+the hysteresis."""
 
 
 class OverloadDetector:
@@ -48,7 +53,7 @@ class OverloadDetector:
 
         # De-escalate at most one rung per observation, and only after
         # the clear watermark *and* the dwell both pass.
-        if now - self.ladder.mode_entered_at() < s.min_dwell_s:
+        if now - self.ladder.mode_entered_at() < MIN_DWELL_S:
             return applied
         if self.ladder.mode is DegradationMode.SHEDDING and queue_depth <= s.shed_clear:
             applied.append(("relax", self.ladder.apply("relax", now)))

@@ -17,7 +17,13 @@ from repro.errors import ConfigurationError
 
 @dataclass(frozen=True)
 class OverloadSettings:
-    """Queue bounds, detector watermarks, and ladder hysteresis."""
+    """Queue bounds and detector watermarks.
+
+    The dwell half of the hysteresis is
+    :data:`repro.overload.detector.MIN_DWELL_S`; the refresh stretch a
+    degraded node applies is
+    :data:`repro.core.node.THROTTLE_REFRESH_STRETCH`.
+    """
 
     enabled: bool = False
     """Master switch.  Off (the default) keeps legacy semantics: queues
@@ -33,25 +39,15 @@ class OverloadSettings:
 
     throttle_clear: int = 4
     """Depth at or below which THROTTLED may step back to NORMAL (after
-    ``min_dwell_s``) -- the hysteresis gap prevents mode flapping."""
+    the detector's ``MIN_DWELL_S``) -- the hysteresis gap prevents mode
+    flapping."""
 
     shed_watermark: int = 48
     """Queue depth at which the ladder steps THROTTLED -> SHEDDING."""
 
     shed_clear: int = 24
     """Depth at or below which SHEDDING may relax back to THROTTLED
-    (after ``min_dwell_s``)."""
-
-    min_dwell_s: float = 0.25
-    """Minimum simulated seconds a node stays in a degraded mode before
-    stepping down, even if the queue already drained -- the temporal half
-    of the hysteresis."""
-
-    throttle_refresh_stretch: int = 4
-    """Multiplier applied to the summary refresh cadence while degraded
-    (THROTTLED or SHEDDING): summaries recompute and broadcast this many
-    times less often, shrinking the control-plane share of a saturated
-    uplink."""
+    (after the detector's ``MIN_DWELL_S``)."""
 
     link_backlog_bound_s: float = 0.0
     """Per-link send-backlog cap in seconds of serialization delay; a
@@ -102,9 +98,5 @@ class OverloadSettings:
                 "shed_watermark must not exceed queue_bound (shedding must "
                 "engage before the queue hits its cap)"
             )
-        if self.min_dwell_s < 0:
-            raise ConfigurationError("min_dwell_s must be non-negative")
-        if self.throttle_refresh_stretch < 1:
-            raise ConfigurationError("throttle_refresh_stretch must be >= 1")
         if self.link_backlog_bound_s < 0:
             raise ConfigurationError("link_backlog_bound_s must be non-negative")

@@ -12,13 +12,10 @@ estimates the join size between the corresponding window segments.
 """
 
 from repro.sketches.agms import AgmsSketch, SketchShape
-from repro.sketches.fast_agms import FastAgmsSketch, FastSketchShape
 from repro.sketches.hashing import FourWiseHashFamily
 
 __all__ = [
     "AgmsSketch",
     "SketchShape",
-    "FastAgmsSketch",
-    "FastSketchShape",
     "FourWiseHashFamily",
 ]

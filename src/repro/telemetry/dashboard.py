@@ -1,7 +1,7 @@
 """ASCII live dashboard: per-node rates and link utilisation mid-run.
 
 Registered as a hub sampler, the dashboard renders one frame every
-``dashboard_interval_s`` of *simulated* time: per-node arrival/forward
+``DASHBOARD_INTERVAL_S`` of *simulated* time: per-node arrival/forward
 rates since the previous frame, service-queue depth, link backlog, and
 the running traffic split.  Frames are plain sequential text (no cursor
 games), so the output works identically on a terminal, piped to a file,
@@ -14,6 +14,10 @@ import sys
 from typing import Dict, List, Optional, TextIO, Tuple
 
 from repro.telemetry.registry import format_labels
+
+DASHBOARD_INTERVAL_S = 5.0
+"""Simulated seconds between frames (rounded up to whole sampling
+ticks)."""
 
 BAR_WIDTH = 20
 
@@ -64,7 +68,7 @@ class AsciiDashboard:
     def __init__(self, system, stream: Optional[TextIO] = None) -> None:
         self.system = system
         self.stream = stream if stream is not None else sys.stderr
-        self.interval_s = system.config.telemetry.dashboard_interval_s
+        self.interval_s = DASHBOARD_INTERVAL_S
         self.frames_rendered = 0
         self._last_render = 0.0
         self._last_tuples: Dict[int, int] = {}

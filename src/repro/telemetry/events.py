@@ -69,6 +69,12 @@ class Emitter(Protocol):
         ...
 
 
+EVENT_CAPACITY = 65_536
+"""Ring capacity of the structured event log (oldest dropped first)."""
+
+TRACE_CAPACITY = 10_000
+"""Ring capacity of the message-trace view."""
+
 Sampler = Callable[[float, MetricRegistry], None]
 """A sampling callback: reads live state into registry instruments."""
 
@@ -103,17 +109,15 @@ class TelemetryHub:
         self.settings = settings if settings is not None else TelemetrySettings()
         self.settings.validate()
         self._clock = clock if clock is not None else (lambda: 0.0)
-        self.registry = MetricRegistry(self.settings.series_capacity)
-        self._events: Deque[TelemetryEvent] = deque(
-            maxlen=self.settings.event_capacity
-        )
+        self.registry = MetricRegistry()
+        self._events: Deque[TelemetryEvent] = deque(maxlen=EVENT_CAPACITY)
         self._sequence = 0
         self.events_emitted = 0
         self._event_sinks: List[Callable[[TelemetryEvent], None]] = []
         self._samplers: List[Sampler] = []
         self._last_sample_time: Optional[float] = None
         self.message_trace: Optional[MessageTrace] = (
-            MessageTrace(self.settings.trace_capacity)
+            MessageTrace(TRACE_CAPACITY)
             if self.settings.trace_messages
             else None
         )

@@ -22,6 +22,10 @@ from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
+SERIES_CAPACITY = 4_096
+"""Ring capacity of each per-instrument time series; the system's
+sampling cadence stretches so a run's span fits in it."""
+
 LabelSet = Tuple[Tuple[str, str], ...]
 """Canonical label form: ``(("node", "3"), ("stream", "R"))`` -- sorted,
 stringified, hashable."""
@@ -186,7 +190,9 @@ class Histogram(Instrument):
 class MetricRegistry:
     """Get-or-create instrument store plus the sampling loop."""
 
-    def __init__(self, series_capacity: int = 4_096) -> None:
+    def __init__(self, series_capacity: Optional[int] = None) -> None:
+        if series_capacity is None:
+            series_capacity = SERIES_CAPACITY
         if series_capacity < 1:
             raise ConfigurationError("series_capacity must be >= 1")
         self.series_capacity = series_capacity

@@ -2,9 +2,12 @@
 
 Telemetry is *off* by default and every knob lives in one frozen
 dataclass so a :class:`~repro.config.SystemConfig` can carry it without
-the runtime growing per-feature flags.  The settings deliberately bound
-every buffer (events, per-series samples, trace records): an always-on
-observability layer must not let a long run grow memory without limit.
+the runtime growing per-feature flags.  Every buffer is bounded (events,
+per-series samples, trace records) by a constant of the module that owns
+it -- ``EVENT_CAPACITY`` and ``TRACE_CAPACITY`` in
+:mod:`repro.telemetry.events`, ``SERIES_CAPACITY`` in
+:mod:`repro.telemetry.registry` -- because an always-on observability
+layer must not let a long run grow memory without limit.
 """
 
 from __future__ import annotations
@@ -24,51 +27,20 @@ class TelemetrySettings:
 
     sample_interval_s: float = 1.0
     """Simulated seconds between registry sampling ticks (the resolution
-    of the ring-buffered time series and the dashboard's refresh floor)."""
-
-    sample_margin_s: float = 5.0
-    """Extra sampling horizon past the last scheduled arrival, so the
-    drain tail (in-flight messages, retransmits) stays visible."""
-
-    event_capacity: int = 65_536
-    """Ring capacity of the structured event log (oldest dropped first)."""
-
-    series_capacity: int = 4_096
-    """Ring capacity of each per-instrument time series."""
-
-    adaptive_sampling: bool = True
-    """Back off the sampling interval on long runs: when the span would
-    need more ticks than ``series_capacity``, the interval is stretched
-    by the smallest integer factor that makes the rings cover the whole
-    span instead of just its tail.  Runs short enough to fit are
-    scheduled exactly as before (byte-identical)."""
+    of the ring-buffered time series and the dashboard's refresh floor).
+    A run whose span needs more ticks than a series ring holds stretches
+    it by the smallest integer factor that covers the whole span."""
 
     trace_messages: bool = True
     """Emit one structured event per network send/deliver/drop and keep a
     :class:`~repro.net.trace.MessageTrace` view.  The single cardinality
     knob worth turning off on very chatty meshes."""
 
-    trace_capacity: int = 10_000
-    """Ring capacity of the message-trace view."""
-
     dashboard: bool = False
     """Render the ASCII live dashboard during the run (CLI wires the
-    output stream; the refresh cadence is ``dashboard_interval_s``)."""
-
-    dashboard_interval_s: float = 5.0
-    """Simulated seconds between dashboard frames (rounded up to whole
-    sampling ticks)."""
+    output stream; the refresh cadence is
+    :data:`repro.telemetry.dashboard.DASHBOARD_INTERVAL_S`)."""
 
     def validate(self) -> None:
         if self.sample_interval_s <= 0:
             raise ConfigurationError("sample_interval_s must be positive")
-        if self.sample_margin_s < 0:
-            raise ConfigurationError("sample_margin_s must be non-negative")
-        if self.event_capacity < 1:
-            raise ConfigurationError("event_capacity must be >= 1")
-        if self.series_capacity < 1:
-            raise ConfigurationError("series_capacity must be >= 1")
-        if self.trace_capacity < 1:
-            raise ConfigurationError("trace_capacity must be >= 1")
-        if self.dashboard_interval_s <= 0:
-            raise ConfigurationError("dashboard_interval_s must be positive")

@@ -28,14 +28,14 @@ class TestCongestionScale:
             FlowSettings(congestion_low=-1)
 
     def test_budget_never_drops_below_o1_floor(self):
-        settings = FlowSettings(budget_fraction=1.0, adaptive=True)
+        settings = FlowSettings(adaptive=True)
         assert settings.budget(16, congestion_scale=0.0) == 1.0
         assert settings.budget(16, congestion_scale=1.0) == pytest.approx(4.0)
         assert settings.budget(16, congestion_scale=0.5) == pytest.approx(2.5)
 
     def test_controller_applies_observed_depth(self):
         settings = FlowSettings(
-            budget_fraction=1.0, adaptive=True, congestion_low=4, congestion_high=32
+            adaptive=True, congestion_low=4, congestion_high=32
         )
         controller = FlowController(16, settings)
         assert controller.budget == pytest.approx(4.0)

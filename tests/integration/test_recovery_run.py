@@ -161,17 +161,17 @@ class TestStreamedTelemetry:
 
 
 class TestDashboard:
-    def test_frames_show_each_recovering_node_phase(self):
+    def test_frames_show_each_recovering_node_phase(self, monkeypatch):
         import io
 
         from repro.core.system import DistributedJoinSystem
+        from repro.telemetry import dashboard
 
+        monkeypatch.setattr(dashboard, "DASHBOARD_INTERVAL_S", 1.0)
         config = make_config(recovery=RECOVERY, telemetry=True)
         config = dataclasses.replace(
             config,
-            telemetry=dataclasses.replace(
-                config.telemetry, dashboard=True, dashboard_interval_s=1.0
-            ),
+            telemetry=dataclasses.replace(config.telemetry, dashboard=True),
         )
         system = DistributedJoinSystem(config)
         buffer = io.StringIO()

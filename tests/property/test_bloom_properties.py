@@ -1,21 +1,12 @@
-"""Property-based tests for Bloom filters."""
+"""Property-based tests for counting Bloom filters."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bloom.counting import CountingBloomFilter
-from repro.bloom.standard import BloomFilter
 
 key_lists = st.lists(st.integers(min_value=0, max_value=10_000), min_size=0, max_size=120)
-
-
-@given(key_lists)
-@settings(max_examples=60)
-def test_standard_filter_never_false_negative(keys):
-    bloom = BloomFilter(2048, 4, rng=np.random.default_rng(1))
-    bloom.update(keys)
-    assert all(key in bloom for key in keys)
 
 
 @given(key_lists)

@@ -17,7 +17,6 @@ from repro.dft import sliding
 from repro.dft.control import ControlVector
 from repro.dft.sliding import SlidingDFT, low_frequency_bins
 from repro.sketches.agms import AgmsSketch, SketchShape
-from repro.sketches.fast_agms import FastAgmsSketch, FastSketchShape
 from repro.sketches.hashing import FourWiseHashFamily
 from tests.reference_kernels import ReferenceSlidingDFT
 
@@ -148,29 +147,6 @@ def test_agms_update_batch_bit_identical(updates):
     rng = np.random.default_rng(3)
     shape = SketchShape.from_total(40)
     scalar = AgmsSketch(shape, rng=rng)
-    batched = scalar.spawn_compatible()
-    for key, delta in updates:
-        scalar.update(key, delta)
-    batched.update_batch([k for k, _ in updates], [d for _, d in updates])
-    assert np.array_equal(scalar.snapshot_counters(), batched.snapshot_counters())
-    assert scalar.updates == batched.updates
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    updates=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=200),
-            st.integers(min_value=-3, max_value=3),
-        ),
-        min_size=1,
-        max_size=120,
-    )
-)
-def test_fast_agms_update_batch_bit_identical(updates):
-    rng = np.random.default_rng(5)
-    shape = FastSketchShape.from_total(40, rows=5)
-    scalar = FastAgmsSketch(shape, rng=rng)
     batched = scalar.spawn_compatible()
     for key, delta in updates:
         scalar.update(key, delta)

@@ -7,6 +7,8 @@ checked never to fire an illegal trigger no matter what queue-depth
 trajectory it observes, and residency bookkeeping must conserve time.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from repro.overload import (
     OverloadDetector,
     OverloadSettings,
 )
+from repro.overload import detector as detector_module
 from repro.overload.ladder import _TRANSITIONS, TRIGGERS
 
 RUNG = {
@@ -102,18 +105,18 @@ class TestDetectorNeverBreaksTheLadder:
             throttle_clear=4,
             shed_watermark=48,
             shed_clear=24,
-            min_dwell_s=dwell,
         )
         config.validate()
         ladder = DegradationLadder(node_id=0)
         detector = OverloadDetector(config, ladder)
         now = 0.0
-        for depth in depths:
-            now += 0.5
-            # Must never raise: the detector walks adjacent rungs only.
-            applied = detector.observe(now, depth)
-            assert len(applied) <= 2
-            if applied:
-                assert applied[-1][1] is ladder.mode
+        with mock.patch.object(detector_module, "MIN_DWELL_S", dwell):
+            for depth in depths:
+                now += 0.5
+                # Must never raise: the detector walks adjacent rungs only.
+                applied = detector.observe(now, depth)
+                assert len(applied) <= 2
+                if applied:
+                    assert applied[-1][1] is ladder.mode
         counters = ladder.counters(now)
         assert counters["transitions"] == float(len(ladder.history))

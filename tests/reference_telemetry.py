@@ -56,7 +56,7 @@ class ReferenceTelemetryHub(TelemetryHub):
 
     def __init__(self, settings=None, clock=None) -> None:
         super().__init__(settings, clock)
-        self.registry = ReferenceRegistry(self.settings.series_capacity)
+        self.registry = ReferenceRegistry()
 
     def emit(
         self,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.bloom.counting import CountingBloomFilter
-from repro.bloom.standard import BloomFilter
 from repro.errors import SummaryError
 from repro.sketches.hashing import FourWiseHashFamily
 
@@ -28,9 +27,8 @@ def test_validation():
     "build",
     [
         lambda hashes: CountingBloomFilter(64, 3, hashes=hashes),
-        lambda hashes: BloomFilter(64, 3, hashes=hashes),
     ],
-    ids=["counting", "standard"],
+    ids=["counting"],
 )
 def test_one_row_hash_family_is_rejected_at_construction(build):
     """Double hashing reads rows 0 and 1; a 1-row family used to get past

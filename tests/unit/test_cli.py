@@ -46,6 +46,26 @@ class TestArgumentTranslation:
         with pytest.raises(SystemExit):
             parse(["--algorithm", "MAGIC"])
 
+    def test_overload_alone_builds_the_default_bound_ladder(self, monkeypatch):
+        """``--overload``, ``--queue-bound 64`` and ``experiments chaos
+        --overload`` build one ladder; the first used to keep the class
+        defaults' clear levels (4 / 24) instead of ``for_queue_bound(64)``'s
+        (7 / 31)."""
+        from repro.experiments import chaos
+
+        class Swept(Exception):
+            pass
+
+        def capture(**kwargs):
+            raise Swept(kwargs["overload"])
+
+        monkeypatch.setattr(chaos, "run", capture)
+        with pytest.raises(Swept) as swept:
+            chaos.main(["smoke", "--overload", "--no-cache"])
+        overload = config_from_args(parse(["--overload"])).overload
+        bounded = config_from_args(parse(["--queue-bound", "64"])).overload
+        assert overload == bounded == swept.value.args[0]
+
     def test_replay_workload_is_a_usage_error(self, capsys):
         """REPLAY needs a ``trace_path`` no flag sets: argparse refuses
         it (exit 2, naming the workloads the CLI can run) instead of

@@ -28,10 +28,11 @@ class TestPolicyConfig:
             PolicyConfig(kappa=0.5).validate()
         with pytest.raises(ConfigurationError):
             PolicyConfig(summary_refresh_interval=0).validate()
-        with pytest.raises(ConfigurationError):
-            PolicyConfig(delta_tolerance=-1).validate()
-        with pytest.raises(ConfigurationError):
-            PolicyConfig(explore_probability=1.5).validate()
+
+    def test_removed_sketch_variant_is_type_error(self):
+        # Fast-AGMS is gone; SKCH always runs the paper's AGMS sketch.
+        with pytest.raises(TypeError):
+            PolicyConfig(sketch_variant="fast")
 
     def test_with_overrides(self):
         config = PolicyConfig(kappa=8.0)

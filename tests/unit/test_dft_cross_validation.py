@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from repro.dft.control import ControlVector
-from repro.dft.goertzel import goertzel_bins
 from repro.dft.reconstruction import reconstruct_values
 from repro.dft.sliding import SlidingDFT, low_frequency_bins
 from repro.dft.transform import dft, dft_direct
+from tests.reference_goertzel import goertzel_bins
 
 
 def no_recompute():

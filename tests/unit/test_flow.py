@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core import flow
 from repro.core.flow import FlowController, FlowSettings
 from repro.errors import ConfigurationError
 
@@ -11,19 +12,15 @@ from repro.errors import ConfigurationError
 class TestFlowSettings:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            FlowSettings(budget_fraction=1.5)
-        with pytest.raises(ConfigurationError):
             FlowSettings(budget_override=-1)
-        with pytest.raises(ConfigurationError):
-            FlowSettings(uniform_variance_threshold=-1e-9)
-        with pytest.raises(ConfigurationError):
-            FlowSettings(minimum_similarity=2.0)
 
-    def test_budget_interpolates_between_1_and_logn(self):
+    def test_budget_interpolates_between_1_and_logn(self, monkeypatch):
         n = 16
-        assert FlowSettings(budget_fraction=0.0).budget(n) == 1.0
-        assert FlowSettings(budget_fraction=1.0).budget(n) == pytest.approx(4.0)
-        assert FlowSettings(budget_fraction=0.5).budget(n) == pytest.approx(2.5)
+        assert FlowSettings().budget(n) == pytest.approx(4.0)
+        monkeypatch.setattr(flow, "BUDGET_FRACTION", 0.0)
+        assert FlowSettings().budget(n) == 1.0
+        monkeypatch.setattr(flow, "BUDGET_FRACTION", 0.5)
+        assert FlowSettings().budget(n) == pytest.approx(2.5)
 
     def test_budget_override_wins(self):
         assert FlowSettings(budget_override=3.3).budget(16) == pytest.approx(3.3)
@@ -71,10 +68,9 @@ class TestFlowController:
         controller = FlowController(3)
         assert controller.probabilities({}) == {}
 
-    def test_minimum_similarity_floor(self):
-        controller = FlowController(
-            4, FlowSettings(budget_override=1.5, minimum_similarity=0.2)
-        )
+    def test_minimum_similarity_floor(self, monkeypatch):
+        monkeypatch.setattr(flow, "MINIMUM_SIMILARITY", 0.2)
+        controller = FlowController(4, FlowSettings(budget_override=1.5))
         probabilities = controller.probabilities({1: 0.0, 2: 0.0, 3: 1.0})
         assert probabilities[1] > 0.0
 
@@ -98,5 +94,5 @@ class TestFlowController:
             FlowController(1)
 
     def test_budget_property(self):
-        controller = FlowController(8, FlowSettings(budget_fraction=1.0))
+        controller = FlowController(8, FlowSettings())
         assert controller.budget == pytest.approx(math.log2(8))

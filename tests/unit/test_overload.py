@@ -16,6 +16,7 @@ from repro.overload import (
     OverloadDetector,
     OverloadSettings,
 )
+from repro.overload import detector as detector_module
 from repro.overload.ladder import _TRANSITIONS, TRIGGERS
 
 
@@ -27,7 +28,6 @@ def enabled_settings(**overrides):
         throttle_clear=4,
         shed_watermark=48,
         shed_clear=24,
-        min_dwell_s=0.25,
     )
     base.update(overrides)
     return OverloadSettings(**base)
@@ -48,8 +48,6 @@ class TestSettings:
             {"shed_clear": 48},  # no hysteresis gap
             {"throttle_watermark": 50},  # above shed watermark
             {"shed_watermark": 80},  # above the queue bound
-            {"min_dwell_s": -0.1},
-            {"throttle_refresh_stretch": 0},
             {"link_backlog_bound_s": -1.0},
         ],
     )
@@ -132,10 +130,15 @@ class TestLadder:
 
 
 class TestDetector:
-    def make(self, **overrides):
-        settings = enabled_settings(**overrides)
+    @pytest.fixture(autouse=True)
+    def _monkeypatch(self, monkeypatch):
+        self._patch = monkeypatch
+
+    def make(self, min_dwell_s=None):
+        if min_dwell_s is not None:
+            self._patch.setattr(detector_module, "MIN_DWELL_S", min_dwell_s)
         ladder = DegradationLadder(node_id=1)
-        return OverloadDetector(settings, ladder), ladder
+        return OverloadDetector(enabled_settings(), ladder), ladder
 
     def test_steady_state_applies_nothing(self):
         detector, ladder = self.make()

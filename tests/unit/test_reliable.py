@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.net import reliable
 from repro.net.message import Message, MessageKind
 from repro.net.reliable import ReliabilitySettings, ReliableTransport
 from repro.net.simulator import EventScheduler
 
 
-SETTINGS = ReliabilitySettings(enabled=True, retransmit_timeout_s=0.1, max_retries=5)
+SETTINGS = ReliabilitySettings(enabled=True, retransmit_timeout_s=0.1)
 
 
 class LossyWire:
@@ -47,11 +48,6 @@ class TestSettings:
     def test_validation(self):
         for bad in (
             dict(retransmit_timeout_s=0.0),
-            dict(backoff_factor=0.5),
-            dict(jitter_fraction=-0.1),
-            dict(max_retries=-1),
-            dict(heartbeat_interval_s=0.0),
-            dict(suspect_timeout_s=0.0),
             dict(staleness_budget_s=-1.0),
             dict(degradation_mode="panic"),
         ):
@@ -92,11 +88,13 @@ class TestRetransmission:
         sender = make_transport(scheduler, wire)
         sender.send(control())
         scheduler.run()
-        assert sender.retransmits == SETTINGS.max_retries
+        assert sender.retransmits == reliable.MAX_RETRIES
         assert sender.delivery_failures == 1
-        assert len(wire.sent) == 1 + SETTINGS.max_retries
+        assert len(wire.sent) == 1 + reliable.MAX_RETRIES
 
-    def test_backoff_grows_the_gaps(self):
+    def test_backoff_grows_the_gaps(self, monkeypatch):
+        monkeypatch.setattr(reliable, "MAX_RETRIES", 3)
+        monkeypatch.setattr(reliable, "JITTER_FRACTION", 0.0)
         scheduler = EventScheduler()
         times = []
         wire = LossyWire(drop_first=10**9)
@@ -105,10 +103,7 @@ class TestRetransmission:
             times.append(scheduler.now)
             return wire(message)
 
-        sender = make_transport(scheduler, recording_wire,
-                                settings=ReliabilitySettings(
-                                    enabled=True, retransmit_timeout_s=0.1,
-                                    max_retries=3, jitter_fraction=0.0))
+        sender = make_transport(scheduler, recording_wire)
         sender.send(control())
         scheduler.run()
         gaps = [b - a for a, b in zip(times, times[1:])]
