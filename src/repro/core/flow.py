@@ -7,7 +7,17 @@ chosen so the expected number of transmissions per tuple,
 
 Because each p_ij saturates at 1, solving ``sum_j min(1, w * rho_ij) = T``
 for w is a water-filling problem; the sum is continuous, piecewise linear
-and non-decreasing in w, so bisection converges fast and deterministically.
+and non-decreasing in w.  The weight is *defined* as the result of a
+bisection (double w from 1, then 64 halvings, each deciding whether the
+float sum ``sum(min(1.0, w * v) ...)`` falls short of T), and the solver
+returns that weight bit for bit.  It does not replay every step, though:
+the exact water level ``w* = (T - k) / (sum of the unsaturated rho)`` (k
+saturated peers) comes from one sort and prefix sums, and two weights
+just below and above w* are *certified* -- their piecewise-linear
+estimate lies farther from T than the float sum can err under any
+summation order CPython uses.  Every step outside that narrow band is
+then decided by one comparison; only the ~10 steps inside it evaluate the
+float sum, as the bisection would.
 
 The controller also implements the worst-case detector: under uniform data
 every peer looks equally (dis)similar, the variance of the rho_ij
@@ -19,8 +29,10 @@ method").
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from itertools import accumulate
+from typing import Dict, List, Mapping, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -48,6 +60,63 @@ def waterfill_cutoff(scale: float) -> float:
     value (1/value) overflows, driving the solver to infinity.
     """
     return max(scale * 1e-12, 2.2250738585072014e-308)
+
+
+def _certified_band(values: List[float], target: float) -> Tuple[float, float]:
+    """Weights ``below < w* < above`` that decide a bisection step unseen.
+
+    For every weight ``w <= below`` the float sum
+    ``sum(min(1.0, w * v) for v in values)`` is below ``target`` (T); for
+    every ``w >= above`` it is not.  The argument, with u = 2**-53 and m
+    values:
+
+    * the exact sum ``E(w) = sum_j min(1, w * v_j)`` never decreases in w;
+      ``estimate(w) = k + w * (sum of the values below 1/w)``, k the count
+      of the others, evaluates it from prefix sums of the sorted values;
+    * the float sum lies within (m + 1)u E(w) of E(w) under left-to-right
+      summation (CPython 3.10, 3.11) and closer under the
+      Neumaier-compensated ``sum`` of 3.12; the estimate lies within
+      (m + 2)u E(w), plus u for each value within one rounding of 1/w
+      (4u once 1/w is subnormal);
+    * so ``estimate(below) < T - margin`` bounds E, hence the float sum,
+      below T at every ``w <= below``, and ``estimate(above) > T + margin``
+      bounds E(above) far enough above T that the float sum at any
+      ``w >= above``, at least (1 - (m + 1)u) E(above), reaches T, with
+      ``margin = 8 (m + 2) u (T + 1)`` covering (2m + 3)u T + 4m u and
+      underflow twice over.
+
+    ``below`` and ``above`` sit about 1.25 margins of E from the water
+    level w* and are kept only if their estimate clears T by a margin; a
+    side that does not (a saturation kink inside the band, a level beyond
+    float range, a nonsensical T) falls back to 0 or infinity, where every
+    step on that side evaluates the float sum itself.
+    """
+    count = len(values)
+    ascending = sorted(values)
+    prefix = [0.0, *accumulate(ascending)]
+    margin = 8.0 * (count + 2) * 2.0**-53 * (target + 1.0)
+
+    def estimate(weight: float) -> float:
+        unsaturated = bisect_left(ascending, 1.0 / weight)
+        return (count - unsaturated) + weight * prefix[unsaturated]
+
+    # The water level: saturate the largest values one at a time until the
+    # level leaves the largest unsaturated one below 1.
+    unsaturated = count
+    level = target / prefix[count]
+    while unsaturated > 1 and level * ascending[unsaturated - 1] > 1.0:
+        unsaturated -= 1
+        level = (target - (count - unsaturated)) / prefix[unsaturated]
+    if not 0.0 < level < math.inf:
+        return 0.0, math.inf
+    spread = 1.25 * margin / (target - (count - unsaturated))
+    below = level * (1.0 - spread)
+    above = level * (1.0 + spread)
+    if below <= 0.0 or not estimate(below) < target - margin:
+        below = 0.0
+    if not estimate(above) > target + margin:
+        above = math.inf
+    return below, above
 
 
 @dataclass(frozen=True)
@@ -182,19 +251,35 @@ class FlowController:
 
     @staticmethod
     def _solve_weight(similarities: Mapping[int, float], target: float) -> float:
-        """Bisection on sum_j min(1, w * rho_j) = target."""
+        """The weight of the bisection on sum_j min(1, w * rho_j) = target.
+
+        Same steps, same result bits: only how each step is decided changed
+        (see :func:`_certified_band`).  Once ``mid`` equals a bound, that
+        bound's decision is already known, so later halvings cannot move
+        either bound and the loop stops.
+        """
         values = [v for v in similarities.values() if v > 0]
         achieved = float(len(values))  # w -> infinity limit
         if achieved <= target:
             return math.inf
+        # A step falls short of target for certain at or below ``below``,
+        # reaches it for certain at or above ``above``, and between them
+        # evaluates the float sum as the bisection always did.
+        below, above = _certified_band(values, target)
         low, high = 0.0, 1.0
-        while sum(min(1.0, high * v) for v in values) < target:
+        while high <= below or (
+            high < above and sum(min(1.0, high * v) for v in values) < target
+        ):
             high *= 2.0
             if math.isinf(high):  # defensive: cannot happen past the
                 return high  # achieved-limit check above
         for _ in range(64):
             mid = (low + high) / 2.0
-            if sum(min(1.0, mid * v) for v in values) < target:
+            if mid == low or mid == high:
+                break
+            if mid <= below or (
+                mid < above and sum(min(1.0, mid * v) for v in values) < target
+            ):
                 low = mid
             else:
                 high = mid

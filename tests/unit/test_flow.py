@@ -1,6 +1,8 @@
 """Unit tests for the flow controller."""
 
+import builtins
 import math
+import random
 
 import pytest
 
@@ -96,3 +98,21 @@ class TestFlowController:
     def test_budget_property(self):
         controller = FlowController(8, FlowSettings())
         assert controller.budget == pytest.approx(math.log2(8))
+
+    def test_few_float_sums_per_solve(self, monkeypatch):
+        """A gate in counts: a bisection step is decided by the certified
+        band and evaluates the float sum only inside it.  Replaying every
+        step (one doubling check plus 64 halvings: >= 65 sums per solve)
+        trips it on any machine."""
+        sums = []
+
+        def counting(*args, **kwargs):
+            sums.append(1)
+            return builtins.sum(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "sum", counting, raising=False)
+        rng = random.Random(20)
+        vectors = [{peer: rng.random() for peer in range(19)} for _ in range(1000)]
+        for similarities in vectors:
+            FlowController._solve_weight(similarities, math.log2(20))
+        assert len(sums) / len(vectors) <= 12

@@ -170,6 +170,31 @@ class TestDftPolicy:
             destinations = policy.choose_destinations(make_tuple(index + 1))
             assert set(destinations).issubset({1, 2, 3})
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="one worst_case_mode flag serves both streams, so the S "
+        "rebuild overwrites the verdict of the cached R probabilities",
+    )
+    def test_each_stream_keeps_its_own_worst_case_verdict(self, monkeypatch):
+        policy = DftPolicy(make_context(Algorithm.DFT))
+        feed(policy, range(1, WINDOW + 1))  # tuples_seen reaches W
+        for peer in policy.peer_ids:
+            for stream in (StreamId.R, StreamId.S):
+                policy.on_remote_summary(
+                    peer, dft_update(window_map(100 * peer, peer), 1, stream)
+                )
+        flat = dict.fromkeys(policy.peer_ids, 0.4)
+        varied = {1: 0.9, 2: 0.1, 3: 0.5}
+        monkeypatch.setattr(
+            policy,
+            "peer_similarities",
+            lambda stream: flat if stream is StreamId.R else varied,
+        )
+        policy.peer_probabilities(StreamId.R)  # every peer known: worst case
+        policy.peer_probabilities(StreamId.S)  # varied: not the worst case
+        policy.choose_destinations(make_tuple(7, StreamId.R))
+        assert policy.fallback_decisions == 1  # R still takes round-robin
+
     def test_diagnostics_keys(self):
         policy = DftPolicy(make_context(Algorithm.DFT))
         diagnostics = policy.diagnostics()
