@@ -27,7 +27,7 @@ def build_config(faults: FaultPlan, reliable: bool) -> SystemConfig:
         window_size=128,
         policy=PolicyConfig(algorithm=Algorithm.DFTT, kappa=8),
         workload=WorkloadConfig(total_tuples=2_500, domain=1_024, arrival_rate=150.0),
-        link=LinkSpec(latency_min_s=0.02, latency_max_s=0.1),
+        link=LinkSpec(),
         reliability=ReliabilitySettings(enabled=reliable),
         faults=faults,
         seed=7,

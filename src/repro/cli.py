@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -38,6 +39,20 @@ from repro.config import (
 from repro.core.flow import FlowSettings
 from repro.core.system import DistributedJoinSystem
 from repro.errors import ReproError
+
+
+def float_not_nan(text: str) -> float:
+    """The ``type=`` of every float option of the ``run`` and ``experiments
+    chaos`` parsers.  NaN compares false with everything: unchecked, a NaN
+    rate crashes a run and a NaN bound or tolerance is silently ignored.
+    So it is a usage error (exit 2), like any other non-number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,30 +70,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--window", type=int, default=256, help="window size (tuples)")
     parser.add_argument(
         "--window-seconds",
-        type=float,
+        type=float_not_nan,
         default=0.0,
         help="use time-based windows of this many simulated seconds",
     )
     parser.add_argument(
         "--workload",
         default="ZIPF",
-        # REPLAY needs a trace_path, which no flag sets: library only.
-        choices=[w.value for w in WorkloadKind if w is not WorkloadKind.REPLAY],
+        choices=[w.value for w in WorkloadKind],
         help="workload kind (default: ZIPF)",
     )
     parser.add_argument("--tuples", type=int, default=6000, help="total tuples")
     parser.add_argument("--domain", type=int, default=4096, help="key domain size")
-    parser.add_argument("--alpha", type=float, default=0.4, help="Zipf skew")
-    parser.add_argument("--rate", type=float, default=250.0, help="arrivals per second")
-    parser.add_argument("--kappa", type=float, default=16.0, help="compression factor")
+    parser.add_argument("--alpha", type=float_not_nan, default=0.4, help="Zipf skew")
+    parser.add_argument(
+        "--rate", type=float_not_nan, default=250.0, help="arrivals per second"
+    )
+    parser.add_argument(
+        "--kappa", type=float_not_nan, default=16.0, help="compression factor"
+    )
     parser.add_argument(
         "--budget",
-        type=float,
+        type=float_not_nan,
         default=0.0,
         help="flow budget T_i override (default: log2 N)",
     )
-    parser.add_argument("--skew", type=float, default=0.85, help="geographic skew")
-    parser.add_argument("--loss", type=float, default=0.0, help="message loss rate")
+    parser.add_argument(
+        "--skew", type=float_not_nan, default=0.85, help="geographic skew"
+    )
+    parser.add_argument(
+        "--loss", type=float_not_nan, default=0.0, help="message loss rate"
+    )
     parser.add_argument(
         "--fault-plan",
         default="",
@@ -93,14 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--retransmit-timeout",
-        type=float,
+        type=float_not_nan,
         default=0.0,
         metavar="SECONDS",
         help="initial ack deadline for reliable control messages (implies --reliable)",
     )
     parser.add_argument(
         "--staleness-budget",
-        type=float,
+        type=float_not_nan,
         default=-1.0,
         metavar="SECONDS",
         help="max tolerated summary age before degradation, 0 to disable "
@@ -121,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--checkpoint-interval",
-        type=float,
+        type=float_not_nan,
         default=0.0,
         metavar="SECONDS",
         help="simulated seconds between durable per-node checkpoints "
@@ -144,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--link-backlog-bound",
-        type=float,
+        type=float_not_nan,
         default=0.0,
         metavar="SECONDS",
         help="shed messages once a link's send backlog exceeds this many "
@@ -164,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--telemetry-sample",
-        type=float,
+        type=float_not_nan,
         default=None,
         metavar="SECONDS",
         help="registry sampling interval in simulated seconds "
@@ -196,7 +218,6 @@ def config_from_args(args: argparse.Namespace) -> SystemConfig:
     from repro.net.link import LinkSpec
     from repro.net.reliable import ReliabilitySettings
     import dataclasses
-    import math
 
     from repro.errors import ConfigurationError
 

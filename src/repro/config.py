@@ -8,7 +8,12 @@ Three frozen dataclasses describe a complete run:
 * :class:`WorkloadConfig` -- what data arrives, how fast, and how
   geographically skewed its placement is;
 * :class:`SystemConfig` -- how many nodes, window sizes, the WAN link
-  model, and the node service-time model.
+  model and the optional subsystems.
+
+The paper's testbed -- sender pacing and the node service-time model --
+is a set of module constants below, not settings: no entry point varies
+it.  They are read where they are used, so a check that needs another
+value patches one name.
 
 Everything is serializable to plain dictionaries (``as_dict``) so results
 can echo the exact configuration that produced them.
@@ -16,11 +21,10 @@ can echo the exact configuration that produced them.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.correlation import SimilarityMeasure
 from repro.core.flow import FlowSettings
@@ -31,6 +35,21 @@ from repro.net.reliable import ReliabilitySettings
 from repro.overload.settings import OverloadSettings
 from repro.recovery.settings import RecoverySettings
 from repro.telemetry.settings import TelemetrySettings
+
+SENDER_PACED_BPS = 90_000.0
+"""The testbed pauses the *sender* one second per 90 kilobits: a node's
+service time pays every message it sends at this rate (links carry
+latency only by default)."""
+
+CPU_SECONDS_PER_TUPLE = 0.0002
+"""Service time of one local arrival, before its sends."""
+
+CPU_SECONDS_PER_PROBE = 0.00005
+"""Service time of one received message, before its sends."""
+
+SUMMARY_FLUSH_MULTIPLE = 8.0
+"""A standalone summary goes to a peer not contacted for this multiple
+of the node's mean inter-arrival time (Figure 7's dynamic period)."""
 
 
 class Algorithm(enum.Enum):
@@ -45,13 +64,12 @@ class Algorithm(enum.Enum):
 
 
 class WorkloadKind(enum.Enum):
-    """The four workloads of Section 6, plus user-supplied trace replay."""
+    """The four workloads of Section 6."""
 
     UNIFORM = "UNI"
     ZIPF = "ZIPF"
     FINANCIAL = "FIN"
     NETWORK = "NWRK"
-    REPLAY = "REPLAY"
 
 
 class WindowKind(enum.Enum):
@@ -93,10 +111,6 @@ class PolicyConfig:
         """Summary entries per broadcast: W / kappa, at least 1."""
         return max(1, int(window_size / self.kappa))
 
-    def with_overrides(self, **changes) -> "PolicyConfig":
-        """Functional update (used by calibration searches)."""
-        return dataclasses.replace(self, **changes)
-
 
 @dataclass(frozen=True)
 class WorkloadConfig:
@@ -110,19 +124,7 @@ class WorkloadConfig:
     """System-wide tuple arrivals per simulated second (both streams)."""
 
     skew: float = 0.85
-    spread: float = 0.35
-    """Geographic placement parameters (see GeographicPartitioner)."""
-
-    trace_path: str = ""
-    """REPLAY workloads: path to the key trace (text or .npy); see
-    :mod:`repro.streams.replay`.  Keys must fit inside ``domain``."""
-
-    permute_zipf_ranks: bool = True
-    """Shuffle the ZIPF rank-to-key mapping so popularity is spread across
-    the key domain.  Every node then owns its *own* hot keys (balanced
-    load, geographically pinned attributes) -- the regime the paper calls
-    "geographic skew in the joining attributes".  Without it the hottest
-    keys all live in one node's range and load collapses onto that node."""
+    """Geographic placement skew (see GeographicPartitioner)."""
 
     def validate(self) -> None:
         if self.total_tuples < 1:
@@ -135,15 +137,6 @@ class WorkloadConfig:
             raise ConfigurationError("arrival_rate must be positive")
         if not 0.0 <= self.skew <= 1.0:
             raise ConfigurationError("skew must lie in [0, 1]")
-        if not 0.0 <= self.spread < 1.0:
-            raise ConfigurationError("spread must lie in [0, 1)")
-        if self.kind is WorkloadKind.REPLAY and not self.trace_path:
-            raise ConfigurationError("REPLAY workloads require trace_path")
-        if self.kind is not WorkloadKind.REPLAY and self.trace_path:
-            raise ConfigurationError("trace_path is only valid for REPLAY")
-
-    def with_overrides(self, **changes) -> "WorkloadConfig":
-        return dataclasses.replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -155,19 +148,9 @@ class SystemConfig:
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     link: LinkSpec = field(default_factory=lambda: LinkSpec(bandwidth_bps=math.inf))
-    """Links carry latency only by default; bandwidth is sender-paced below,
-    mirroring the paper's emulation (the *sender* pauses per 90 kilobits)."""
-
-    sender_paced_bps: float = 90_000.0
-    cpu_seconds_per_tuple: float = 0.0002
-    cpu_seconds_per_probe: float = 0.00005
-    summary_flush_multiple: float = 8.0
-    """A standalone summary goes to a peer not contacted for this multiple
-    of the node's mean inter-arrival time (Figure 7's dynamic period)."""
-
-    shadow_window_size: Optional[int] = None
-    """Per-origin capacity of the remote-copy shadow windows (defaults to
-    window_size, aligning a copy's lifetime with its origin window)."""
+    """Links carry latency only by default; bandwidth is sender-paced
+    (``SENDER_PACED_BPS``), mirroring the paper's emulation (the *sender*
+    pauses per 90 kilobits)."""
 
     num_queries: int = 1
     """Concurrent independent join queries (Section 3's multi-query
@@ -213,14 +196,6 @@ class SystemConfig:
             raise ConfigurationError("num_nodes must be >= 2")
         if self.window_size < 1:
             raise ConfigurationError("window_size must be >= 1")
-        if self.sender_paced_bps <= 0:
-            raise ConfigurationError("sender_paced_bps must be positive")
-        if self.cpu_seconds_per_tuple < 0 or self.cpu_seconds_per_probe < 0:
-            raise ConfigurationError("CPU costs must be non-negative")
-        if self.summary_flush_multiple <= 0:
-            raise ConfigurationError("summary_flush_multiple must be positive")
-        if self.shadow_window_size is not None and self.shadow_window_size < 1:
-            raise ConfigurationError("shadow_window_size must be >= 1")
         if self.num_queries < 1:
             raise ConfigurationError("num_queries must be >= 1")
         if self.workload.total_tuples < self.num_queries:
@@ -253,13 +228,6 @@ class SystemConfig:
                 " the rejoin protocol's state transfer rides the ARQ channel"
             )
 
-    @property
-    def effective_shadow_window(self) -> int:
-        return self.shadow_window_size or self.window_size
-
-    def with_overrides(self, **changes) -> "SystemConfig":
-        return dataclasses.replace(self, **changes)
-
     def as_dict(self) -> Dict[str, object]:
         """Flat, JSON-friendly echo of the configuration.
 
@@ -283,7 +251,9 @@ class SystemConfig:
             "alpha": self.workload.alpha,
             "arrival_rate": self.workload.arrival_rate,
             "skew": self.workload.skew,
-            "spread": self.workload.spread,
+            # repro.streams.partitioner.SPREAD, a literal like
+            # "budget_fraction" above.
+            "spread": 0.35,
             "reliability_enabled": self.reliability.enabled,
             "fault_events": len(self.faults.events),
             "telemetry_enabled": self.telemetry.enabled,

@@ -30,6 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
+from repro import config as testbed
 from repro.config import SystemConfig, WindowKind
 from repro.core.health import PeerHealthMonitor
 from repro.core.policies.base import ForwardingPolicy
@@ -196,8 +197,8 @@ class JoinProcessingNode:
             query_id=query_id,
             join=SymmetricHashJoin(
                 self.node_id,
-                r_window=self._make_window(shadow=False),
-                s_window=self._make_window(shadow=False),
+                r_window=self._make_window(),
+                s_window=self._make_window(),
             ),
             policy=policy,
             oracle=oracle,
@@ -466,24 +467,25 @@ class JoinProcessingNode:
     # window construction
     # ------------------------------------------------------------------
 
-    def _make_window(self, shadow: bool) -> SlidingWindow:
+    def _make_window(self) -> SlidingWindow:
+        """A local or shadow window: a shadow copy lives as long as it
+        would in its origin's window of the same size."""
         if self.config.window_kind is WindowKind.TIME:
             return TimeWindow(self.config.window_seconds)
-        capacity = (
-            self.config.effective_shadow_window if shadow else self.config.window_size
-        )
         if self.config.window_kind is WindowKind.LANDMARK:
             # Shadow windows reset on landmark copies too: the origin's
             # window emptied at that moment, so its copies are stale.
-            return LandmarkWindow(self.config.landmark_key, max_size=capacity)
-        return CountWindow(capacity)
+            return LandmarkWindow(
+                self.config.landmark_key, max_size=self.config.window_size
+            )
+        return CountWindow(self.config.window_size)
 
     def _shadow_window(
         self, runtime: QueryRuntime, stream: StreamId, origin: int
     ) -> SlidingWindow:
         windows = runtime.shadow_windows[stream]
         if origin not in windows:
-            windows[origin] = self._make_window(shadow=True)
+            windows[origin] = self._make_window()
         return windows[origin]
 
     def _refresh_time_windows(self, runtime: QueryRuntime, now: float) -> None:
@@ -536,7 +538,7 @@ class JoinProcessingNode:
         transmission_seconds += self._flush_stale_summaries(now)
 
         self.tuples_processed += 1
-        return self.config.cpu_seconds_per_tuple + transmission_seconds
+        return testbed.CPU_SECONDS_PER_TUPLE + transmission_seconds
 
     def _apply_degradation(
         self, runtime: QueryRuntime, destinations: List[int], now: float
@@ -740,7 +742,7 @@ class JoinProcessingNode:
             return 0.0
         if self._mean_interarrival <= 0:
             return 0.0
-        threshold = self.config.summary_flush_multiple * self._mean_interarrival
+        threshold = testbed.SUMMARY_FLUSH_MULTIPLE * self._mean_interarrival
         pause = 0.0
         starved = set()
         for runtime in self._queries.values():
@@ -774,7 +776,7 @@ class JoinProcessingNode:
 
     def _pause_seconds(self, message: Message) -> float:
         """Sender-side serialization pause (the 90 kbps emulation)."""
-        return message.size_bytes() * 8.0 / self.config.sender_paced_bps
+        return message.size_bytes() * 8.0 / testbed.SENDER_PACED_BPS
 
     def _note_arrival(self, now: float) -> None:
         if self._last_arrival_time is not None:
@@ -801,14 +803,14 @@ class JoinProcessingNode:
         if updates and self.health is not None:
             self.health.summary_received(message.source, now)
         if item is None:
-            return self.config.cpu_seconds_per_probe
+            return testbed.CPU_SECONDS_PER_PROBE
         runtime = self._queries[item.query_id]
         self._refresh_time_windows(runtime, now)
         results = runtime.join.probe_remote(item, now)
         result_pause = self._report_results(runtime, results, now)
         self._shadow_window(runtime, item.stream, item.origin_node).append(item)
         self.remote_tuples_processed += 1
-        return self.config.cpu_seconds_per_probe + result_pause
+        return testbed.CPU_SECONDS_PER_PROBE + result_pause
 
     # ------------------------------------------------------------------
     # reporting

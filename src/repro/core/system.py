@@ -51,11 +51,13 @@ def build_key_stream(workload: WorkloadConfig, rng: np.random.Generator) -> Iter
     if workload.kind is WorkloadKind.UNIFORM:
         return uniform_stream(domain=workload.domain, rng=rng)
     if workload.kind is WorkloadKind.ZIPF:
+        # Permuted ranks spread popularity across the key domain: every
+        # node owns its *own* hot keys (balanced load, geographically
+        # pinned attributes), the regime the paper calls "geographic skew
+        # in the joining attributes".  Unpermuted, the hottest keys all
+        # live in one node's range and load collapses onto that node.
         return zipf_stream(
-            domain=workload.domain,
-            alpha=workload.alpha,
-            rng=rng,
-            permute=workload.permute_zipf_ranks,
+            domain=workload.domain, alpha=workload.alpha, rng=rng, permute=True
         )
     if workload.kind is WorkloadKind.FINANCIAL:
         config = FinancialStreamConfig(
@@ -71,16 +73,6 @@ def build_key_stream(workload: WorkloadConfig, rng: np.random.Generator) -> Iter
             heavy_flows=min(256, max(8, workload.domain // 64)),
         )
         return network_trace_stream(config, rng=rng)
-    if workload.kind is WorkloadKind.REPLAY:
-        from repro.streams.replay import load_trace, replay_stream
-
-        keys = load_trace(workload.trace_path)
-        if int(keys.max()) > workload.domain:
-            raise ConfigurationError(
-                "trace keys reach %d, outside the configured domain %d"
-                % (int(keys.max()), workload.domain)
-            )
-        return replay_stream(workload.trace_path)
     raise ConfigurationError("unknown workload kind %r" % workload.kind)
 
 
@@ -179,7 +171,6 @@ class DistributedJoinSystem:
                 num_nodes=config.num_nodes,
                 domain=config.workload.domain,
                 skew=config.workload.skew,
-                spread=config.workload.spread,
             ),
             rng=self._partitioner_rng,
         )

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.cli import float_not_nan
 from repro.config import Algorithm
 from repro.errors import ConfigurationError
 from repro.experiments.ascii_plot import bar_chart, line_chart
@@ -865,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--checkpoint-interval",
-        type=float,
+        type=float_not_nan,
         default=0.0,
         metavar="SECONDS",
         help="checkpoint cadence for --recovery (default: the subsystem's)",
@@ -911,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tolerance",
-        type=float,
+        type=float_not_nan,
         default=0.15,
         help="relative drift tolerance for --baseline (default: 0.15)",
     )

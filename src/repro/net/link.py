@@ -5,7 +5,7 @@ sender for one second for every 90 kilobits transmitted, i.e. a 90 kbps
 serialization rate.  :class:`Link` models exactly that: messages serialize
 one after another at ``bandwidth_bps`` (FIFO -- a link busy with a large
 message delays everything behind it) and then propagate with a latency drawn
-uniformly from ``[latency_min_s, latency_max_s]``.
+uniformly from ``[LATENCY_MIN_S, LATENCY_MAX_S]``.
 
 Delivery therefore happens at::
 
@@ -13,9 +13,8 @@ Delivery therefore happens at::
     arrive = depart + latency
 
 Latency is sampled per message, so reordering across *different* links is
-possible while each link itself preserves FIFO order end-to-end when
-``preserve_order`` is set (the default, matching TCP streams between node
-pairs in the prototype).
+possible while each link itself preserves FIFO order end-to-end (matching
+TCP streams between node pairs in the prototype).
 
 Faults.  Beyond the static ``loss_probability`` of the spec, a link may be
 wired to a :class:`~repro.net.faults.FaultInjector`, which can sever it
@@ -39,14 +38,17 @@ from repro.net.message import Message
 from repro.net.simulator import EventScheduler
 
 
+LATENCY_MIN_S = 0.020
+LATENCY_MAX_S = 0.100
+"""The testbed's propagation range, the same on every link.  Read at each
+send, so a check that needs another range patches these two names."""
+
+
 @dataclass(frozen=True)
 class LinkSpec:
     """Static link parameters (paper defaults)."""
 
     bandwidth_bps: float = 90_000.0
-    latency_min_s: float = 0.020
-    latency_max_s: float = 0.100
-    preserve_order: bool = True
     loss_probability: float = 0.0
     """Per-message drop probability (fault injection).  The sender still
     pays the serialization cost -- the loss happens in transit."""
@@ -54,11 +56,6 @@ class LinkSpec:
     def validate(self) -> None:
         if self.bandwidth_bps <= 0:
             raise ConfigurationError("bandwidth must be positive")
-        if self.latency_min_s < 0 or self.latency_max_s < self.latency_min_s:
-            raise ConfigurationError(
-                "latency range [%g, %g] is invalid"
-                % (self.latency_min_s, self.latency_max_s)
-            )
         if not 0.0 <= self.loss_probability < 1.0:
             raise ConfigurationError("loss_probability must lie in [0, 1)")
 
@@ -175,13 +172,13 @@ class Link:
         depart = max(now, self._free_at) + tx_time
         self.busy_seconds += tx_time
         self._free_at = depart
-        latency = spec.latency_min_s
-        if spec.latency_max_s != latency:
-            latency += (spec.latency_max_s - latency) * self._next_double()
+        latency = LATENCY_MIN_S
+        if LATENCY_MAX_S != latency:
+            latency += (LATENCY_MAX_S - latency) * self._next_double()
         if self._injector is not None and self._endpoints is not None:
             latency += self._injector.extra_latency(*self._endpoints)
         arrival = depart + latency
-        if spec.preserve_order and arrival < self._last_arrival:
+        if arrival < self._last_arrival:
             arrival = self._last_arrival
         self._last_arrival = arrival
         message.created_at = now

@@ -27,7 +27,7 @@ import pstats
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Tuple
 
 
 @dataclass
@@ -151,8 +151,3 @@ def profile_call(
     stats = pstats.Stats(profiler, stream=buffer)
     stats.strip_dirs().sort_stats(sort).print_stats(top)
     return result, buffer.getvalue()
-
-
-def profiler_if(enabled: bool) -> Optional[KernelProfiler]:
-    """``KernelProfiler()`` when ``enabled`` else ``None`` (the free path)."""
-    return KernelProfiler() if enabled else None

@@ -19,6 +19,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import config as testbed
 from repro.core.summaries import SummaryUpdate
 from repro.net.message import (
     HEADER_BYTES,
@@ -243,7 +244,7 @@ class RecoveryCoordinator:
                 for origin_key, shadow_state in query_state["shadows"][
                     stream.value
                 ].items():
-                    window = node._make_window(shadow=True)
+                    window = node._make_window()
                     restore_window(window, shadow_state)
                     shadows[int(origin_key)] = window
                 runtime.shadow_windows[stream] = shadows
@@ -492,7 +493,7 @@ class RecoveryCoordinator:
         if slots and node.health is not None:
             node.health.summary_received(message.source, now)
         self._mark_peer_synced(message.source)
-        return node.config.cpu_seconds_per_probe
+        return testbed.CPU_SECONDS_PER_PROBE
 
     def _serve(self, message: Message, now: float) -> float:
         """Answer a rejoining peer's resync request.
@@ -523,8 +524,8 @@ class RecoveryCoordinator:
         # a delta still walks the complete summary state, and a delta
         # response keeps the event schedule a full one would have -- the
         # savings show up on the wire counters, not the clock.
-        pause = full_size * 8.0 / node.config.sender_paced_bps
-        return node.config.cpu_seconds_per_probe + pause
+        pause = full_size * 8.0 / testbed.SENDER_PACED_BPS
+        return testbed.CPU_SECONDS_PER_PROBE + pause
 
     def _build_response(
         self,

@@ -27,7 +27,6 @@ from repro.streams.generators import (
 )
 from repro.streams.network import NetworkTraceConfig, network_trace_stream
 from repro.streams.partitioner import GeographicPartitioner, PartitionerConfig
-from repro.streams.replay import load_trace, replay_stream, trace_domain
 from repro.streams.tuples import StreamId, StreamTuple
 from repro.streams.window import (
     CountWindow,
@@ -53,7 +52,4 @@ __all__ = [
     "network_trace_stream",
     "GeographicPartitioner",
     "PartitionerConfig",
-    "load_trace",
-    "replay_stream",
-    "trace_domain",
 ]

@@ -12,11 +12,11 @@ An arriving tuple lands on its home node with high probability and on other
 nodes with probability decaying geometrically in ring distance, blended with
 a uniform background:
 
-    P(node j | home h)  proportional to  (1 - skew)/N + skew * spread**dist(h, j)
+    P(node j | home h)  proportional to  (1 - skew)/N + skew * SPREAD**dist(h, j)
 
 ``skew = 0`` removes all geography (every node sees the global mix -- the
 paper's worst case, where all pairwise correlations coincide), while
-``skew = 1`` with small ``spread`` pins each key range to one node.
+``skew = 1`` with a small ``SPREAD`` pins each key range to one node.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ import numpy as np
 from repro._rng import ensure_rng
 from repro.errors import ConfigurationError
 
+SPREAD = 0.35
+"""Geometric decay of the placement with ring distance from the home
+node.  Read when a partitioner is built, so a check that needs another
+decay patches this name."""
+
 
 @dataclass(frozen=True)
 class PartitionerConfig:
@@ -37,7 +42,6 @@ class PartitionerConfig:
     num_nodes: int
     domain: int
     skew: float = 0.85
-    spread: float = 0.35
 
     def validate(self) -> None:
         if self.num_nodes < 1:
@@ -46,8 +50,6 @@ class PartitionerConfig:
             raise ConfigurationError("domain must be >= num_nodes")
         if not 0.0 <= self.skew <= 1.0:
             raise ConfigurationError("skew must lie in [0, 1]")
-        if not 0.0 <= self.spread < 1.0:
-            raise ConfigurationError("spread must lie in [0, 1)")
 
 
 class GeographicPartitioner:
@@ -67,7 +69,7 @@ class GeographicPartitioner:
             distances = np.minimum(
                 (np.arange(n) - home) % n, (home - np.arange(n)) % n
             )
-            local = self.config.spread ** distances.astype(np.float64)
+            local = SPREAD ** distances.astype(np.float64)
             local /= local.sum()
             matrix[home] = (1.0 - self.config.skew) / n + self.config.skew * local
             matrix[home] /= matrix[home].sum()

@@ -26,7 +26,7 @@ Telemetry is off by default; enabling it is one config flag::
 """
 
 from repro.telemetry.dashboard import AsciiDashboard
-from repro.telemetry.events import Emitter, TelemetryEvent, TelemetryHub, hub_if
+from repro.telemetry.events import Emitter, TelemetryEvent, TelemetryHub
 from repro.telemetry.exporters import (
     EXPORT_FILENAMES,
     JsonlStreamWriter,
@@ -68,6 +68,5 @@ __all__ = [
     "export_csv",
     "export_jsonl",
     "export_prometheus",
-    "hub_if",
     "validate_chrome_trace",
 ]

@@ -299,10 +299,3 @@ class TelemetryHub:
         for category, count in sorted(self.counts_by_category().items()):
             summary["events_%s" % category] = float(count)
         return summary
-
-
-def hub_if(enabled: bool, settings: Optional[TelemetrySettings] = None) -> Optional[TelemetryHub]:
-    """``TelemetryHub`` when ``enabled`` else ``None`` (the free path)."""
-    if not enabled:
-        return None
-    return TelemetryHub(settings)

@@ -47,6 +47,16 @@ def rng():
 
 
 @pytest.fixture
+def zero_latency(monkeypatch):
+    """Links deliver after serialization alone: the testbed's 20-100 ms
+    propagation range, a pair of module constants, patched to zero."""
+    from repro.net import link
+
+    monkeypatch.setattr(link, "LATENCY_MIN_S", 0.0)
+    monkeypatch.setattr(link, "LATENCY_MAX_S", 0.0)
+
+
+@pytest.fixture
 def bloom_telemetry_config():
     """A small BLOOM run with telemetry on (message events included): the
     script behind the hash-evaluation and registry-lookup count gates."""

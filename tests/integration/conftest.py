@@ -1,5 +1,6 @@
 """Shared integration fixtures: small-but-real system configurations."""
 
+import dataclasses
 import math
 
 import pytest
@@ -29,14 +30,9 @@ def lossy_config():
             window_size=96,
             policy=PolicyConfig(algorithm=algorithm, kappa=4.0),
             workload=WorkloadConfig(total_tuples=1500, domain=512, arrival_rate=120.0),
-            link=LinkSpec(
-                bandwidth_bps=math.inf,
-                latency_min_s=0.02,
-                latency_max_s=0.1,
-                loss_probability=loss,
-            ),
+            link=LinkSpec(bandwidth_bps=math.inf, loss_probability=loss),
             seed=31,
         )
-        return base.with_overrides(**extra) if extra else base
+        return dataclasses.replace(base, **extra) if extra else base
 
     return make

@@ -51,7 +51,7 @@ class TestLinkLoss:
         scheduler = EventScheduler()
         link = Link(
             scheduler,
-            LinkSpec(loss_probability=0.5, latency_min_s=0.0, latency_max_s=0.0),
+            LinkSpec(loss_probability=0.5),
             lambda m: None,
             rng=np.random.default_rng(2),
         )

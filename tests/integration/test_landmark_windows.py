@@ -62,9 +62,7 @@ def test_landmark_resets_shrink_the_result_set():
     """A frequently-hit landmark keeps windows short, so the exact result
     is much smaller than with count windows of the same cap."""
     with_landmark = run_experiment(landmark_config(landmark_key=1))
-    count_config = landmark_config().with_overrides(
-        window_kind=WindowKind.COUNT, landmark_key=0
-    )
+    count_config = landmark_config(window_kind=WindowKind.COUNT, landmark_key=0)
     without = run_experiment(count_config)
     assert with_landmark.truth_pairs < without.truth_pairs * 0.8
 
@@ -72,8 +70,6 @@ def test_landmark_resets_shrink_the_result_set():
 def test_rare_landmark_approaches_count_behavior():
     """A landmark that (almost) never fires leaves the cap in charge."""
     rare = run_experiment(landmark_config(landmark_key=64))  # coldest key
-    count_config = landmark_config().with_overrides(
-        window_kind=WindowKind.COUNT, landmark_key=0
-    )
+    count_config = landmark_config(window_kind=WindowKind.COUNT, landmark_key=0)
     count = run_experiment(count_config)
     assert rare.truth_pairs == pytest.approx(count.truth_pairs, rel=0.35)

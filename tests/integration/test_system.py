@@ -101,11 +101,8 @@ class TestDeterminism:
 
 
 class TestWorkloads:
-    @pytest.mark.parametrize(
-        "kind", [k for k in WorkloadKind if k is not WorkloadKind.REPLAY]
-    )
+    @pytest.mark.parametrize("kind", list(WorkloadKind))
     def test_all_workloads_run(self, kind):
-        # REPLAY needs a trace file; covered by tests/unit/test_replay.py.
         config = small_config(
             Algorithm.DFTT,
             workload=WorkloadConfig(

@@ -6,10 +6,13 @@ can see: every assertion here is ``==`` against
 ``tests/reference_link.py`` (the pre-change link), never ``approx``.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net import link as link_module
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.link import DRAW_BLOCK, Link, LinkSpec
 from repro.net.message import Message, MessageKind
@@ -26,13 +29,8 @@ FAULTS = (
     "latency@t=3.5,d=1,extra=0.25,link=0-1"
 )
 
-specs = st.builds(
-    LinkSpec,
-    latency_min_s=st.sampled_from([0.0, 0.02]),
-    latency_max_s=st.sampled_from([0.02, 0.1, 0.5]),
-    loss_probability=st.sampled_from([0.0, 0.0, 0.3]),
-    preserve_order=st.booleans(),
-)
+specs = st.builds(LinkSpec, loss_probability=st.sampled_from([0.0, 0.0, 0.3]))
+latencies = st.tuples(st.sampled_from([0.0, 0.02]), st.sampled_from([0.02, 0.1, 0.5]))
 sends = st.lists(
     st.tuples(
         st.sampled_from([0.0, 0.0, 0.01, 0.1, 0.4]),
@@ -41,6 +39,11 @@ sends = st.lists(
     ),
     max_size=3 * DRAW_BLOCK,
 )
+
+
+def latency_range(low, high):
+    """Every link's propagation range, inside the ``with`` block."""
+    return mock.patch.multiple(link_module, LATENCY_MIN_S=low, LATENCY_MAX_S=high)
 
 
 def drive(link_class, spec, seed, faults, backlog_bound_s, script):
@@ -91,21 +94,25 @@ def drive(link_class, spec, seed, faults, backlog_bound_s, script):
     st.booleans(),
     st.sampled_from([0.0, 0.0, 0.02, 0.2]),
     sends,
+    latencies,
 )
 @settings(max_examples=150, deadline=None)
-def test_link_equals_the_scalar_draw_reference(spec, seed, faults, bound, script):
+def test_link_equals_the_scalar_draw_reference(
+    spec, seed, faults, bound, script, latency
+):
     """Static loss, a loss burst switching mid-sequence, a backlog bound
-    that sheds (no draw consumed) and ``latency_min == latency_max`` (no
-    jitter draw): same arrival times, same drops, same counters."""
-    assert drive(Link, spec, seed, faults, bound, script) == drive(
-        ReferenceLink, spec, seed, faults, bound, script
-    )
+    that sheds (no draw consumed) and ``LATENCY_MIN_S == LATENCY_MAX_S``
+    (no jitter draw): same arrival times, same drops, same counters."""
+    with latency_range(*latency):
+        assert drive(Link, spec, seed, faults, bound, script) == drive(
+            ReferenceLink, spec, seed, faults, bound, script
+        )
 
 
 def test_every_regime_is_reached_by_a_long_mixed_sequence():
     """The fixed case behind the property: all four regimes in one sequence,
     and proof that each one actually occurred."""
-    spec = LinkSpec(latency_min_s=0.02, latency_max_s=0.1, loss_probability=0.2)
+    spec = LinkSpec(loss_probability=0.2)
     rng = np.random.default_rng(5)
     script = [
         (float(rng.choice([0.0, 0.01, 0.1])), int(rng.integers(len(KINDS))), int(rng.choice([0, 8, 40])))
@@ -117,7 +124,7 @@ def test_every_regime_is_reached_by_a_long_mixed_sequence():
     shed = counters[4]
     assert shed > 0 and len(dropped) > shed  # bound sheds, and loss in transit
     assert len(delivered) > 2 * DRAW_BLOCK  # several refills of the block
-    flat = LinkSpec(latency_min_s=0.05, latency_max_s=0.05, loss_probability=0.2)
-    assert drive(Link, flat, 99, True, 0.0, script) == drive(
-        ReferenceLink, flat, 99, True, 0.0, script
-    )
+    with latency_range(0.05, 0.05):
+        assert drive(Link, spec, 99, True, 0.0, script) == drive(
+            ReferenceLink, spec, 99, True, 0.0, script
+        )

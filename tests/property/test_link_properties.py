@@ -1,24 +1,24 @@
 """Property-based tests for the WAN link model (paper Section 6).
 
 The testbed imposes 20-100 ms of latency on every message; the model
-draws propagation from ``[latency_min_s, latency_max_s]`` and lets
+draws propagation from ``[LATENCY_MIN_S, LATENCY_MAX_S]`` and lets
 serialization and FIFO backlog only add to it.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net import link as link_module
 from repro.net.link import Link, LinkSpec
 from repro.net.message import Message, MessageKind
 from repro.net.simulator import EventScheduler
 
-link_specs = st.builds(
-    LinkSpec,
-    bandwidth_bps=st.floats(min_value=1e3, max_value=1e9),
-    latency_min_s=st.floats(min_value=1e-4, max_value=0.5),
-    latency_max_s=st.floats(min_value=0.5, max_value=2.0),
-)
+link_specs = st.builds(LinkSpec, bandwidth_bps=st.floats(min_value=1e3, max_value=1e9))
+latency_floors = st.floats(min_value=1e-4, max_value=0.5)
+latency_ceilings = st.floats(min_value=0.5, max_value=2.0)
 
 send_plans = st.lists(
     st.tuples(
@@ -30,9 +30,15 @@ send_plans = st.lists(
 )
 
 
-@given(spec=link_specs, plan=send_plans, seed=st.integers(0, 2**32 - 1))
+@given(
+    spec=link_specs,
+    plan=send_plans,
+    seed=st.integers(0, 2**32 - 1),
+    low=latency_floors,
+    high=latency_ceilings,
+)
 @settings(max_examples=60, deadline=None)
-def test_arrival_is_never_sooner_than_the_latency_floor(spec, plan, seed):
+def test_arrival_is_never_sooner_than_the_latency_floor(spec, plan, seed, low, high):
     """arrival >= send + latency_min on every link, whatever the traffic.
 
     Sampled propagation lies in [latency_min, latency_max] and both
@@ -47,13 +53,14 @@ def test_arrival_is_never_sooner_than_the_latency_floor(spec, plan, seed):
         deliver=lambda message: None,
         rng=np.random.default_rng(seed),
     )
-    for send_time, entries in sorted(plan):
-        scheduler._now = send_time
-        message = Message(
-            kind=MessageKind.TUPLE,
-            source=0,
-            destination=1,
-            summary_entries=entries,
-        )
-        arrival = link.send(message)
-        assert arrival >= send_time + spec.latency_min_s
+    with mock.patch.multiple(link_module, LATENCY_MIN_S=low, LATENCY_MAX_S=high):
+        for send_time, entries in sorted(plan):
+            scheduler._now = send_time
+            message = Message(
+                kind=MessageKind.TUPLE,
+                source=0,
+                destination=1,
+                summary_entries=entries,
+            )
+            arrival = link.send(message)
+            assert arrival >= send_time + low

@@ -35,9 +35,7 @@ configs = st.builds(
     algorithm=st.sampled_from(list(Algorithm)),
     nodes=st.integers(min_value=2, max_value=5),
     window=st.sampled_from([16, 48, 96]),
-    kind=st.sampled_from(
-        [k for k in WorkloadKind if k is not WorkloadKind.REPLAY]
-    ),  # REPLAY needs a trace file
+    kind=st.sampled_from(list(WorkloadKind)),
     seed=st.integers(min_value=0, max_value=10_000),
     queries=st.integers(min_value=1, max_value=2),
 )

@@ -6,7 +6,10 @@ since then the link takes its generator's doubles a block at a time and
 does the affine map itself.  The class below is the old ``Link`` moved
 here verbatim (``LinkSpec.sample_latency`` became the function beside
 it), so the block-drawing link under ``src/`` can be held to it arrival
-for arrival and drop for drop with ``==``.
+for arrival and drop for drop with ``==``.  Since the latency range and
+FIFO delivery stopped being ``LinkSpec`` fields, both links read the
+range from the module constants of :mod:`repro.net.link` and always
+keep FIFO order.
 """
 
 from typing import Callable, Optional, Tuple
@@ -14,16 +17,17 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from repro._rng import ensure_rng
+from repro.net import link
 from repro.net.link import LinkSpec
 from repro.net.message import Message
 from repro.net.simulator import EventScheduler
 
 
-def reference_sample_latency(spec: LinkSpec, rng: np.random.Generator) -> float:
+def reference_sample_latency(rng: np.random.Generator) -> float:
     """``LinkSpec.sample_latency`` as of PR 19."""
-    if spec.latency_max_s == spec.latency_min_s:
-        return spec.latency_min_s
-    return float(rng.uniform(spec.latency_min_s, spec.latency_max_s))
+    if link.LATENCY_MAX_S == link.LATENCY_MIN_S:
+        return link.LATENCY_MIN_S
+    return float(rng.uniform(link.LATENCY_MIN_S, link.LATENCY_MAX_S))
 
 
 class ReferenceLink:
@@ -115,11 +119,11 @@ class ReferenceLink:
         depart = max(now, self._free_at) + tx_time
         self.busy_seconds += tx_time
         self._free_at = depart
-        latency = reference_sample_latency(self._spec, self._rng)
+        latency = reference_sample_latency(self._rng)
         if self._injector is not None and self._endpoints is not None:
             latency += self._injector.extra_latency(*self._endpoints)
         arrival = depart + latency
-        if self._spec.preserve_order and arrival < self._last_arrival:
+        if arrival < self._last_arrival:
             arrival = self._last_arrival
         self._last_arrival = arrival
         message.created_at = now

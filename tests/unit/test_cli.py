@@ -14,6 +14,17 @@ def parse(argv):
 
 
 FAST = ["--tuples", "400", "--nodes", "3", "--window", "48", "--domain", "256"]
+CHAOS_SMALL = [
+    "experiments", "chaos", "smoke", "--no-cache", "--algorithms", "BASE",
+    "--fault-grid", "clean",
+]
+
+RUN_FLOAT_OPTIONS = (
+    "--window-seconds", "--alpha", "--rate", "--kappa", "--budget", "--skew",
+    "--loss", "--retransmit-timeout", "--staleness-budget",
+    "--checkpoint-interval", "--link-backlog-bound", "--telemetry-sample",
+)
+CHAOS_FLOAT_OPTIONS = ("--checkpoint-interval", "--tolerance")
 
 
 class TestArgumentTranslation:
@@ -67,18 +78,48 @@ class TestArgumentTranslation:
         assert overload == bounded == swept.value.args[0]
 
     def test_replay_workload_is_a_usage_error(self, capsys):
-        """REPLAY needs a ``trace_path`` no flag sets: argparse refuses
-        it (exit 2, naming the workloads the CLI can run) instead of
-        offering a choice that ``config.validate()`` always rejects."""
+        """Trace replay is not a workload: argparse refuses it (exit 2,
+        naming the four workloads of Section 6, every one the CLI runs)."""
         with pytest.raises(SystemExit) as refusal:
             main(["--workload", "REPLAY"])
         assert refusal.value.code == 2
         message = capsys.readouterr().err
         assert "invalid choice: 'REPLAY'" in message
-        for kind in WorkloadKind:
-            assert (repr(kind.value) in message.split("choose from")[1]) == (
-                kind is not WorkloadKind.REPLAY
-            )
+        choices = message.split("choose from")[1]
+        assert all(repr(kind.value) in choices for kind in WorkloadKind)
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [(FAST, option) for option in RUN_FLOAT_OPTIONS]
+        + [(CHAOS_SMALL, option) for option in CHAOS_FLOAT_OPTIONS],
+        ids=["run %s" % option for option in RUN_FLOAT_OPTIONS]
+        + ["chaos %s" % option for option in CHAOS_FLOAT_OPTIONS],
+    )
+    def test_nan_is_a_usage_error(self, capsys, argv, option):
+        """NaN fails every comparison: unchecked, it crashes a run with a
+        traceback (--rate, --alpha, ...) or is silently dropped (--budget,
+        --link-backlog-bound, ...).  Every float option refuses it."""
+        with pytest.raises(SystemExit) as refusal:
+            main(argv + [option, "nan"])
+        assert refusal.value.code == 2
+        error = capsys.readouterr().err
+        assert "argument %s: invalid float value: 'nan'" % option in error
+        assert "Traceback" not in error
+
+    def test_every_float_option_is_in_the_nan_case(self):
+        from repro.cli import float_not_nan
+        from repro.experiments import chaos
+
+        def float_options(parser):
+            assert all(action.type is not float for action in parser._actions)
+            return {
+                action.option_strings[0]
+                for action in parser._actions
+                if action.type is float_not_nan
+            }
+
+        assert float_options(build_parser()) == set(RUN_FLOAT_OPTIONS)
+        assert float_options(chaos.build_parser()) == set(CHAOS_FLOAT_OPTIONS)
 
 
 class TestMain:

@@ -1,5 +1,6 @@
 """Unit tests for configuration dataclasses."""
 
+import dataclasses
 import math
 
 import pytest
@@ -36,7 +37,7 @@ class TestPolicyConfig:
 
     def test_with_overrides(self):
         config = PolicyConfig(kappa=8.0)
-        updated = config.with_overrides(kappa=16.0)
+        updated = dataclasses.replace(config, kappa=16.0)
         assert updated.kappa == 16.0
         assert config.kappa == 8.0  # original frozen
 
@@ -54,8 +55,6 @@ class TestWorkloadConfig:
             WorkloadConfig(arrival_rate=0).validate()
         with pytest.raises(ConfigurationError):
             WorkloadConfig(skew=-0.1).validate()
-        with pytest.raises(ConfigurationError):
-            WorkloadConfig(spread=1.0).validate()
 
 
 class TestSystemConfig:
@@ -71,20 +70,10 @@ class TestSystemConfig:
             SystemConfig(num_nodes=1).validate()
         with pytest.raises(ConfigurationError):
             SystemConfig(window_size=0).validate()
-        with pytest.raises(ConfigurationError):
-            SystemConfig(sender_paced_bps=0).validate()
-        with pytest.raises(ConfigurationError):
-            SystemConfig(summary_flush_multiple=0).validate()
-        with pytest.raises(ConfigurationError):
-            SystemConfig(shadow_window_size=0).validate()
 
     def test_nested_validation_propagates(self):
         with pytest.raises(ConfigurationError):
             SystemConfig(policy=PolicyConfig(kappa=0.1)).validate()
-
-    def test_effective_shadow_window_defaults_to_window(self):
-        assert SystemConfig(window_size=64).effective_shadow_window == 64
-        assert SystemConfig(window_size=64, shadow_window_size=7).effective_shadow_window == 7
 
     def test_as_dict_echoes_key_parameters(self):
         config = SystemConfig(
@@ -99,7 +88,10 @@ class TestSystemConfig:
         assert snapshot["kappa"] == 32.0
         assert snapshot["workload"] == "FIN"
         assert snapshot["seed"] == 99
+        # The partitioner's SPREAD constant is echoed, so config digests
+        # keep their bytes.
+        assert snapshot["spread"] == 0.35
 
     def test_with_overrides(self):
         config = SystemConfig(num_nodes=4)
-        assert config.with_overrides(num_nodes=8).num_nodes == 8
+        assert dataclasses.replace(config, num_nodes=8).num_nodes == 8

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.net import link as link_module
 from repro.net.link import Link, LinkSpec
 from repro.net.message import Message, MessageKind
 from repro.net.simulator import EventScheduler
@@ -21,25 +22,28 @@ def _make_link(spec, delivered):
     return scheduler, link
 
 
+def _latency(monkeypatch, low, high):
+    """Every link's propagation range, for the rest of the test."""
+    monkeypatch.setattr(link_module, "LATENCY_MIN_S", low)
+    monkeypatch.setattr(link_module, "LATENCY_MAX_S", high)
+
+
 def test_default_spec_matches_paper():
     spec = LinkSpec()
     assert spec.bandwidth_bps == 90_000.0
-    assert spec.latency_min_s == 0.020
-    assert spec.latency_max_s == 0.100
+    assert link_module.LATENCY_MIN_S == 0.020
+    assert link_module.LATENCY_MAX_S == 0.100
 
 
 def test_invalid_specs_rejected():
     with pytest.raises(ConfigurationError):
         LinkSpec(bandwidth_bps=0).validate()
-    with pytest.raises(ConfigurationError):
-        LinkSpec(latency_min_s=0.2, latency_max_s=0.1).validate()
-    with pytest.raises(ConfigurationError):
-        LinkSpec(latency_min_s=-0.1).validate()
 
 
-def test_delivery_includes_transmission_and_latency():
+def test_delivery_includes_transmission_and_latency(monkeypatch):
     delivered = []
-    spec = LinkSpec(latency_min_s=0.05, latency_max_s=0.05)
+    _latency(monkeypatch, 0.05, 0.05)
+    spec = LinkSpec()
     scheduler, link = _make_link(spec, delivered)
     message = _tuple_message()
     expected_tx = message.size_bytes() * 8.0 / spec.bandwidth_bps
@@ -50,10 +54,9 @@ def test_delivery_includes_transmission_and_latency():
     assert scheduler.now == pytest.approx(arrival)
 
 
-def test_fifo_serialization_backlog():
+def test_fifo_serialization_backlog(zero_latency):
     delivered = []
-    spec = LinkSpec(latency_min_s=0.0, latency_max_s=0.0)
-    scheduler, link = _make_link(spec, delivered)
+    scheduler, link = _make_link(LinkSpec(), delivered)
     first = _tuple_message()
     second = _tuple_message()
     t1 = link.send(first)
@@ -66,14 +69,13 @@ def test_fifo_serialization_backlog():
     assert delivered == [first, second]
 
 
-def test_backlog_bound_sheds_at_the_send_buffer():
+def test_backlog_bound_sheds_at_the_send_buffer(zero_latency):
     delivered = []
     dropped = []
-    spec = LinkSpec(latency_min_s=0.0, latency_max_s=0.0)
     scheduler = EventScheduler()
     link = Link(
         scheduler,
-        spec,
+        LinkSpec(),
         deliver=delivered.append,
         rng=np.random.default_rng(7),
         on_drop=dropped.append,
@@ -95,10 +97,9 @@ def test_backlog_bound_sheds_at_the_send_buffer():
     assert link.bytes_lost == third.size_bytes()
 
 
-def test_backlog_bound_zero_keeps_unbounded_legacy_backlog():
+def test_backlog_bound_zero_keeps_unbounded_legacy_backlog(zero_latency):
     delivered = []
-    spec = LinkSpec(latency_min_s=0.0, latency_max_s=0.0)
-    scheduler, link = _make_link(spec, delivered)
+    scheduler, link = _make_link(LinkSpec(), delivered)
     messages = [_tuple_message() for _ in range(50)]
     for message in messages:
         link.send(message)
@@ -107,10 +108,11 @@ def test_backlog_bound_zero_keeps_unbounded_legacy_backlog():
     assert delivered == messages
 
 
-def test_shedding_does_not_perturb_the_latency_stream():
+def test_shedding_does_not_perturb_the_latency_stream(monkeypatch):
     """A bounded link's jitter draws are a pure function of the messages
     that actually occupy it -- shed sends consume no RNG."""
-    spec = LinkSpec(latency_min_s=0.01, latency_max_s=0.2)
+    _latency(monkeypatch, 0.01, 0.2)
+    spec = LinkSpec()
 
     def arrivals(extra_burst):
         delivered = []
@@ -134,8 +136,7 @@ def test_shedding_does_not_perturb_the_latency_stream():
 
 def test_latency_sampled_within_range():
     delivered = []
-    spec = LinkSpec(latency_min_s=0.02, latency_max_s=0.1)
-    scheduler, link = _make_link(spec, delivered)
+    scheduler, link = _make_link(LinkSpec(), delivered)
     tx = link.transmission_time(_tuple_message())
     free_at = 0.0
     for _ in range(50):
@@ -149,10 +150,10 @@ def test_latency_sampled_within_range():
     assert len(delivered) == 50
 
 
-def test_order_preserved_end_to_end():
+def test_order_preserved_end_to_end(monkeypatch):
     delivered = []
-    spec = LinkSpec(latency_min_s=0.0, latency_max_s=0.5, preserve_order=True)
-    scheduler, link = _make_link(spec, delivered)
+    _latency(monkeypatch, 0.0, 0.5)
+    scheduler, link = _make_link(LinkSpec(), delivered)
     messages = [_tuple_message() for _ in range(30)]
     for message in messages:
         link.send(message)
@@ -160,10 +161,10 @@ def test_order_preserved_end_to_end():
     assert delivered == messages
 
 
-def test_infinite_bandwidth_means_zero_serialization():
+def test_infinite_bandwidth_means_zero_serialization(monkeypatch):
     delivered = []
-    spec = LinkSpec(bandwidth_bps=math.inf, latency_min_s=0.03, latency_max_s=0.03)
-    scheduler, link = _make_link(spec, delivered)
+    _latency(monkeypatch, 0.03, 0.03)
+    scheduler, link = _make_link(LinkSpec(bandwidth_bps=math.inf), delivered)
     arrival = link.send(_tuple_message())
     assert arrival == pytest.approx(0.03)
 

@@ -1,5 +1,6 @@
 """Unit tests for the node runtime (small hand-built systems)."""
 
+import dataclasses
 import math
 
 import pytest
@@ -17,19 +18,18 @@ from repro.streams.tuples import StreamId, StreamTuple
 import numpy as np
 
 
-def build_pair(algorithm=Algorithm.BASE, window=8, latency=0.0, recovery=None):
-    """Two nodes wired through a latency-only network."""
+def build_pair(algorithm=Algorithm.BASE, window=8, recovery=None):
+    """Two nodes wired through a latency-only network (zero latency under
+    the ``zero_latency`` fixture, which every caller below uses)."""
     config = SystemConfig(
         num_nodes=2,
         window_size=window,
         policy=PolicyConfig(algorithm=algorithm, kappa=2.0),
         workload=WorkloadConfig(domain=64),
-        link=LinkSpec(
-            bandwidth_bps=math.inf, latency_min_s=latency, latency_max_s=latency
-        ),
+        link=LinkSpec(bandwidth_bps=math.inf),
     )
     if recovery is not None:
-        config = config.with_overrides(recovery=recovery)
+        config = dataclasses.replace(config, recovery=recovery)
     scheduler = EventScheduler()
     network = Network(scheduler, spec=config.link, rng=np.random.default_rng(0))
     oracle = GroundTruthOracle()
@@ -70,6 +70,7 @@ def settle(nodes, oracle, collector):
     )
 
 
+@pytest.mark.usefixtures("zero_latency")
 def test_local_join_produces_result():
     scheduler, _, oracle, collector, nodes = build_pair()
     nodes[0].on_local_arrival(make_tuple(StreamId.R, 5, 0))
@@ -80,6 +81,7 @@ def test_local_join_produces_result():
     assert collector.reported_pairs == 1
 
 
+@pytest.mark.usefixtures("zero_latency")
 def test_remote_join_via_forwarded_copy():
     scheduler, _, oracle, collector, nodes = build_pair()
     nodes[1].on_local_arrival(make_tuple(StreamId.S, 9, 1))
@@ -92,6 +94,7 @@ def test_remote_join_via_forwarded_copy():
     assert collector.reported_pairs == 1
 
 
+@pytest.mark.usefixtures("zero_latency")
 def test_shadow_window_catches_late_arrivals():
     scheduler, _, oracle, collector, nodes = build_pair()
     # R arrives first and is copied to node 1's shadow window.
@@ -104,6 +107,7 @@ def test_shadow_window_catches_late_arrivals():
     assert collector.reported_pairs == 1
 
 
+@pytest.mark.usefixtures("zero_latency")
 def test_service_time_includes_sender_pause():
     scheduler, network, _, _, nodes = build_pair()
     nodes[0].on_local_arrival(make_tuple(StreamId.R, 1, 0))
@@ -113,6 +117,7 @@ def test_service_time_includes_sender_pause():
     assert nodes[0].busy_seconds == pytest.approx(0.0002 + expected_pause)
 
 
+@pytest.mark.usefixtures("zero_latency")
 def test_queue_serializes_processing():
     scheduler, _, _, _, nodes = build_pair()
     for index in range(5):
@@ -123,6 +128,7 @@ def test_queue_serializes_processing():
     assert nodes[0].max_queue_depth >= 4
 
 
+@pytest.mark.usefixtures("zero_latency")
 def test_crash_wipes_queue_depth_and_congestion_soft_state():
     from repro.recovery import RecoverySettings
 
@@ -144,6 +150,7 @@ def test_crash_wipes_queue_depth_and_congestion_soft_state():
         assert runtime.policy.congestion_scale == 1.0
 
 
+@pytest.mark.usefixtures("zero_latency")
 def test_full_replay_log_drops_the_incoming_arrival(monkeypatch):
     """With the log full, later arrivals are dropped and counted; the
     logged ones are replayed in their arrival order."""
@@ -164,6 +171,7 @@ def test_full_replay_log_drops_the_incoming_arrival(monkeypatch):
     assert recovery.machine.is_live
 
 
+@pytest.mark.usefixtures("zero_latency")
 def test_remote_tuples_counted():
     scheduler, _, _, _, nodes = build_pair()
     nodes[0].on_local_arrival(make_tuple(StreamId.R, 1, 0))
@@ -171,6 +179,7 @@ def test_remote_tuples_counted():
     assert nodes[1].remote_tuples_processed == 1
 
 
+@pytest.mark.usefixtures("zero_latency")
 def test_diagnostics_structure():
     scheduler, _, _, _, nodes = build_pair()
     nodes[0].on_local_arrival(make_tuple(StreamId.R, 1, 0))
@@ -180,6 +189,7 @@ def test_diagnostics_structure():
         assert key in diagnostics
 
 
+@pytest.mark.usefixtures("zero_latency")
 def test_summary_piggybacking_for_dft_policy():
     scheduler, network, _, _, nodes = build_pair(algorithm=Algorithm.DFT)
     for index in range(64):
@@ -189,6 +199,7 @@ def test_summary_piggybacking_for_dft_policy():
     assert network.stats.summary_entries > 0
 
 
+@pytest.mark.usefixtures("zero_latency")
 def test_standalone_summary_flush():
     scheduler, network, _, _, nodes = build_pair(algorithm=Algorithm.DFT)
     # Node 1 receives local tuples but (probabilistically) may not forward
@@ -217,7 +228,8 @@ class TestCheckpointWork:
         from repro.net.reliable import ReliabilitySettings
         from repro.recovery import RecoverySettings
 
-        return bloom_telemetry_config.with_overrides(
+        return dataclasses.replace(
+            bloom_telemetry_config,
             reliability=ReliabilitySettings(enabled=True),
             recovery=RecoverySettings(enabled=True, checkpoint_interval_s=0.25),
             faults=FaultPlan.parse("crash@t=2,d=1,node=2,downtime=1", num_nodes=4),

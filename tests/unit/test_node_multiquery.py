@@ -17,6 +17,8 @@ from repro.net.simulator import EventScheduler
 from repro.net.topology import Network
 from repro.streams.tuples import StreamId, StreamTuple
 
+pytestmark = pytest.mark.usefixtures("zero_latency")
+
 
 def build_two_node_two_query(algorithm=Algorithm.BASE):
     config = SystemConfig(
@@ -25,7 +27,7 @@ def build_two_node_two_query(algorithm=Algorithm.BASE):
         num_queries=2,
         policy=PolicyConfig(algorithm=algorithm, kappa=2.0),
         workload=WorkloadConfig(domain=64),
-        link=LinkSpec(bandwidth_bps=math.inf, latency_min_s=0.0, latency_max_s=0.0),
+        link=LinkSpec(bandwidth_bps=math.inf),
     )
     scheduler = EventScheduler()
     network = Network(scheduler, spec=config.link, rng=np.random.default_rng(0))

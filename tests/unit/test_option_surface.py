@@ -17,12 +17,14 @@ from pathlib import Path
 
 import repro
 from repro import cli
-from repro.config import PolicyConfig
+from repro.config import PolicyConfig, SystemConfig, WorkloadConfig
 from repro.core.flow import FlowSettings
 from repro.experiments import chaos, report
+from repro.net.link import LinkSpec
 from repro.net.reliable import ReliabilitySettings
 from repro.overload import OverloadSettings
 from repro.recovery import RecoverySettings
+from repro.streams.partitioner import PartitionerConfig
 from repro.telemetry import TelemetrySettings
 
 SOURCE_ROOT = Path(repro.__file__).resolve().parent
@@ -35,7 +37,19 @@ SETTINGS = (
     TelemetrySettings,
     FlowSettings,
     PolicyConfig,
+    SystemConfig,
+    WorkloadConfig,
+    LinkSpec,
+    PartitionerConfig,
 )
+
+NEVER_SET_BY_A_CALLER = {
+    # LANDMARK windows are the paper's (Section 2: a window "until a
+    # specific tuple is observed"), held by
+    # tests/integration/test_landmark_windows.py, but no entry point
+    # builds one, so nothing outside the tests names their key.
+    "SystemConfig": ["landmark_key"],
+}
 
 
 def source_matches(pattern):
@@ -80,40 +94,75 @@ def test_settings_fields():
         "TelemetrySettings": 4,
         "FlowSettings": 4,
         "PolicyConfig": 5,
+        "SystemConfig": 15,
+        "WorkloadConfig": 6,
+        "LinkSpec": 2,
+        "PartitionerConfig": 3,
     }
 
 
+def callee_name(call):
+    return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+def dict_keys(value):
+    """The constant keys of a dict literal or the keywords of ``dict(...)``."""
+    if isinstance(value, ast.Dict):
+        return [key.value for key in value.keys if isinstance(key, ast.Constant)]
+    if isinstance(value, ast.Call) and callee_name(value) == "dict":
+        return [word.arg for word in value.keywords if word.arg]
+    return []
+
+
+def names_passed_in(tree):
+    """Field names one module passes: keyword arguments of a call to a
+    settings class, ``cls`` or ``replace``, and the keys of a dict such a
+    call takes as ``**name`` -- built as a literal, by ``dict(...)`` or
+    key by key, as the CLIs and the ledger build their settings."""
+    callees = {settings.__name__ for settings in SETTINGS} | {"cls", "replace"}
+    nodes = list(ast.walk(tree))
+    named, splatted = set(), set()
+    for node in nodes:
+        if isinstance(node, ast.Call) and callee_name(node) in callees:
+            for word in node.keywords:
+                if word.arg:
+                    named.add(word.arg)
+                elif isinstance(word.value, ast.Name):
+                    splatted.add(word.value.id)
+    for node in nodes:
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Subscript) and isinstance(
+                target.slice, ast.Constant
+            ):
+                variable, keys = target.value, [target.slice.value]
+            else:
+                variable, keys = target, dict_keys(node.value)
+            if getattr(variable, "id", None) in splatted:
+                named.update(keys)
+    return named
+
+
 def names_callers_pass():
-    """Field names passed by some caller under src/, examples/ or
-    benchmarks/: keyword arguments of a call to a settings class, ``cls``,
-    ``replace`` or ``with_overrides``, and keys of a ``*overrides`` dict
-    (the CLIs build their settings from those)."""
-    callees = {settings.__name__ for settings in SETTINGS}
-    callees.update(("cls", "replace", "with_overrides"))
+    """Field names passed by some caller under src/, examples/ or benchmarks/."""
     named = set()
     for root in ("src", "examples", "benchmarks"):
         for path in sorted((REPO_ROOT / root).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call):
-                    function = node.func
-                    callee = getattr(function, "attr", getattr(function, "id", None))
-                    if callee in callees:
-                        named.update(word.arg for word in node.keywords if word.arg)
-                elif isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if isinstance(target, ast.Subscript):
-                            variable, keys = target.value, [target.slice]
-                        elif isinstance(node.value, ast.Dict):
-                            variable, keys = target, node.value.keys
-                        else:
-                            continue
-                        if getattr(variable, "id", "").endswith("overrides"):
-                            named.update(
-                                key.value
-                                for key in keys
-                                if isinstance(key, ast.Constant)
-                            )
+            named |= names_passed_in(ast.parse(path.read_text()))
     return named
+
+
+def test_names_passed_through_a_splatted_dict_count():
+    tree = ast.parse(
+        "optional = dict(faults=plan)\n"
+        "overrides = {'enabled': True}\n"
+        "overrides['sample_interval_s'] = 0.5\n"
+        "unused = dict(window_kind=kind)\n"
+        "SystemConfig(seed=1, **optional)\n"
+        "replace(TelemetrySettings(), **overrides)\n"
+    )
+    assert names_passed_in(tree) == {"seed", "faults", "enabled", "sample_interval_s"}
 
 
 def test_every_settings_field_is_set_by_a_caller():
@@ -126,7 +175,9 @@ def test_every_settings_field_is_set_by_a_caller():
         ]
         for settings in SETTINGS
     }
-    assert {name: fields for name, fields in unset.items() if fields} == {}
+    assert {
+        name: fields for name, fields in unset.items() if fields
+    } == NEVER_SET_BY_A_CALLER
 
 
 def test_format_version_constants_under_src():

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.streams import partitioner as partitioner_module
 from repro.streams.partitioner import GeographicPartitioner, PartitionerConfig
 
 
-def _partitioner(num_nodes=4, domain=1000, skew=0.85, spread=0.35, seed=3):
+def _partitioner(num_nodes=4, domain=1000, skew=0.85, seed=3):
     return GeographicPartitioner(
-        PartitionerConfig(num_nodes=num_nodes, domain=domain, skew=skew, spread=spread),
+        PartitionerConfig(num_nodes=num_nodes, domain=domain, skew=skew),
         rng=np.random.default_rng(seed),
     )
 
@@ -21,8 +22,6 @@ def test_config_validation():
         PartitionerConfig(num_nodes=10, domain=5).validate()
     with pytest.raises(ConfigurationError):
         PartitionerConfig(num_nodes=2, domain=10, skew=1.5).validate()
-    with pytest.raises(ConfigurationError):
-        PartitionerConfig(num_nodes=2, domain=10, spread=1.0).validate()
 
 
 def test_placement_matrix_rows_are_distributions():
@@ -49,8 +48,9 @@ def test_home_node_rejects_out_of_domain():
         partitioner.home_node(1001)
 
 
-def test_high_skew_concentrates_on_home_node():
-    partitioner = _partitioner(skew=1.0, spread=0.05)
+def test_high_skew_concentrates_on_home_node(monkeypatch):
+    monkeypatch.setattr(partitioner_module, "SPREAD", 0.05)
+    partitioner = _partitioner(skew=1.0)
     keys = [10] * 2000  # homed at node 0
     nodes = partitioner.assign(keys)
     assert np.mean(nodes == 0) > 0.9
@@ -89,8 +89,9 @@ def test_route_pairs_keys_with_nodes():
     assert all(0 <= node < 4 for _, node in routed)
 
 
-def test_neighbor_affinity_decays_with_distance():
-    partitioner = _partitioner(num_nodes=8, spread=0.3)
+def test_neighbor_affinity_decays_with_distance(monkeypatch):
+    monkeypatch.setattr(partitioner_module, "SPREAD", 0.3)
+    partitioner = _partitioner(num_nodes=8)
     row = partitioner.placement_matrix[0]
     assert row[0] > row[1] > row[2]
     # Ring distance: node 7 is adjacent to node 0.

@@ -9,7 +9,6 @@ from repro.profiling import (
     KernelTimer,
     Stopwatch,
     profile_call,
-    profiler_if,
 )
 
 
@@ -77,11 +76,6 @@ def test_profile_call_returns_result_and_report():
     result, report = profile_call(lambda: sum(range(100)), top=5)
     assert result == 4950
     assert "cumulative" in report or "function calls" in report
-
-
-def test_profiler_if():
-    assert profiler_if(False) is None
-    assert isinstance(profiler_if(True), KernelProfiler)
 
 
 def test_profiled_run_populates_result_profile():

@@ -6,6 +6,7 @@ the node services them one after the other, in delivery order.
 
 import pytest
 
+from repro import config as testbed
 from repro.config import Algorithm, PolicyConfig, SystemConfig, WorkloadConfig
 from repro.core.system import DistributedJoinSystem
 from repro.streams.tuples import StreamId, StreamTuple
@@ -64,11 +65,11 @@ def test_same_instant_service_time_is_per_tuple():
     node = system.nodes[0]
     items = make_tuples(0, list(range(8)))
     deliver_at_one_instant(system, node, items)
-    assert node.busy_seconds >= len(items) * config.cpu_seconds_per_tuple
+    assert node.busy_seconds >= len(items) * testbed.CPU_SECONDS_PER_TUPLE
     # One after the other: each service starts when the previous one ends.
     stamps = [t.timestamp for t in node.join.window(StreamId.R)]
     for position, stamp in enumerate(stamps):
-        assert stamp >= position * config.cpu_seconds_per_tuple
+        assert stamp >= position * testbed.CPU_SECONDS_PER_TUPLE
     assert stamps == sorted(set(stamps))
 
 

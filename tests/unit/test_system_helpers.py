@@ -17,10 +17,7 @@ from repro.net.message import MessageKind
 
 
 class TestBuildKeyStream:
-    @pytest.mark.parametrize(
-        "kind",
-        [k for k in WorkloadKind if k is not WorkloadKind.REPLAY],
-    )
+    @pytest.mark.parametrize("kind", list(WorkloadKind))
     def test_streams_stay_in_domain(self, kind):
         workload = WorkloadConfig(kind=kind, domain=256)
         stream = build_key_stream(workload, np.random.default_rng(1))

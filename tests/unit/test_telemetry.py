@@ -9,7 +9,6 @@ from repro.telemetry import (
     TelemetryHub,
     TelemetrySettings,
     events,
-    hub_if,
 )
 from repro.telemetry.registry import (
     Counter,
@@ -292,10 +291,6 @@ class TestTelemetryHub:
         assert summary["events_net"] == 2.0
         assert summary["events_node"] == 1.0
         assert hub.counts_by_category() == {"net": 2, "node": 1}
-
-    def test_hub_if(self):
-        assert hub_if(False) is None
-        assert isinstance(hub_if(True), TelemetryHub)
 
 
 class TestTelemetrySettings:

@@ -79,8 +79,8 @@ def test_node_ids_sorted():
     assert network.node_ids == (0, 1, 2)
 
 
-def test_backlog_reporting():
-    scheduler, network, _ = _network(2, spec=LinkSpec(latency_min_s=0.0, latency_max_s=0.0))
+def test_backlog_reporting(zero_latency):
+    scheduler, network, _ = _network(2)
     assert network.backlog_seconds(0, 1) == 0.0
     for _ in range(3):
         network.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))

@@ -2,16 +2,17 @@
 
 Runs a fixed list of entry-point invocations, one process each: the
 ``repro`` CLI over all six algorithms, every workload and every flag
-group, chaos sweeps with and without ``--recovery`` / ``--overload``,
+group (among them a fault plan read from a JSON file, BLOOM and SKCH
+over time windows, and restartable crashes under BLOOM, SKCH and RR),
+chaos sweeps with and without ``--recovery`` / ``--overload``,
 ``experiments report smoke``, every example, the two benchmark files
 that set settings fields, and the end-to-end ledger's smoke cell.  Then
 it prints
 
-* for each field of the settings dataclasses (the six
-  ``tests/unit/test_option_surface.py`` pins, plus ``SystemConfig``,
-  ``WorkloadConfig`` and ``LinkSpec``), whether any construction passed
-  a value other than the field's default -- read from the arguments of
-  the generated ``__init__``;
+* for each field of the settings dataclasses that
+  ``tests/unit/test_option_surface.py`` pins, whether any construction
+  passed a value other than the field's default -- read from the
+  arguments of the generated ``__init__``;
 * every function under ``src/repro`` that no process entered, per
   module, with line counts.
 
@@ -26,8 +27,10 @@ Usage, from anywhere (stdlib only; several minutes on 2 cores)::
 
     python tools/census.py [--report FILE]
 
-Exits 1 if an invocation exits non-zero, or if a long option of the
-three ``build_parser()``s is exercised by no invocation.
+Exits 1 if an invocation exits non-zero, if a long option of the
+three ``build_parser()``s is exercised by no invocation, or if a field of
+a pinned dataclass is never given a non-default value (other than the
+one exemption the tier-1 twin names too).
 """
 
 from __future__ import annotations
@@ -55,14 +58,16 @@ PINNED = (
     "repro.telemetry.settings:TelemetrySettings",
     "repro.core.flow:FlowSettings",
     "repro.config:PolicyConfig",
-)
-"""The settings dataclasses whose field counts tier-1 pins."""
-
-ALSO_COUNTED = (
     "repro.config:SystemConfig",
     "repro.config:WorkloadConfig",
     "repro.net.link:LinkSpec",
+    "repro.streams.partitioner:PartitionerConfig",
 )
+"""The settings dataclasses whose field counts tier-1 pins."""
+
+NEVER_SET = {"repro.config:SystemConfig": {"landmark_key"}}
+"""Fields no entry point sets, on purpose: LANDMARK windows are the
+paper's (Section 2), held by the tests, but no entry point builds one."""
 
 PARSERS = {
     "run": "repro.cli:build_parser",
@@ -74,6 +79,16 @@ SMALL = ("--nodes", "4", "--tuples", "1200", "--window", "64", "--kappa", "8")
 STORM = "clean; storm@loss=0.4,part=2s,crash=1"
 RESTART = "crash@t=1.5,d=1.5,node=2,downtime=1.5"
 SURGE = "overload@t=1,d=2,node=1,factor=12"
+PLAN_JSON = json.dumps(
+    [
+        {"kind": "partition", "start_s": 1, "duration_s": 2, "nodes": [0, 1]},
+        {"kind": "loss_burst", "start_s": 3, "duration_s": 1, "loss_probability": 0.3},
+        {"kind": "latency_spike", "start_s": 4, "duration_s": 1,
+         "links": [[0, 1]], "extra_latency_s": 0.2},
+    ]
+)
+"""What ``{work}/plan.json`` holds: the file form of ``--fault-plan``, read
+by ``FaultPlan.from_json`` (the inline spec takes another path)."""
 
 INVOCATIONS: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = (
     # (label, parser the options go to, arguments after the interpreter);
@@ -95,14 +110,27 @@ INVOCATIONS: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = (
      ("-m", "repro", "--algorithm", "DFTT", "--budget", "2", "--domain", "2048",
       "--alpha", "0.8", "--rate", "300", "--skew", "0.5", "--loss", "0.05",
       "--seed", "3") + SMALL),
+    ("run SKCH time windows", "run",
+     ("-m", "repro", "--algorithm", "SKCH", "--window-seconds", "2") + SMALL),
+    ("run BLOOM time windows", "run",
+     ("-m", "repro", "--algorithm", "BLOOM", "--window-seconds", "2") + SMALL),
     ("run DFTT reliability", "run",
      ("-m", "repro", "--algorithm", "DFTT", "--fault-plan",
       "partition@t=1,d=2,nodes=0+1; crash@t=3,d=2.5,node=2", "--reliable",
       "--retransmit-timeout", "0.3", "--staleness-budget", "2",
       "--degradation", "suppress") + SMALL),
+    ("run BASE fault-plan file", "run",
+     ("-m", "repro", "--algorithm", "BASE", "--fault-plan", "{work}/plan.json",
+      "--reliable") + SMALL),
     ("run BLOOM recovery", "run",
      ("-m", "repro", "--algorithm", "BLOOM", "--fault-plan", RESTART,
       "--recovery", "--checkpoint-interval", "0.5", "--json") + SMALL),
+    ("run SKCH recovery", "run",
+     ("-m", "repro", "--algorithm", "SKCH", "--fault-plan", RESTART,
+      "--recovery") + SMALL),
+    ("run RR recovery", "run",
+     ("-m", "repro", "--algorithm", "RR", "--fault-plan", RESTART,
+      "--recovery") + SMALL),
     ("run DFTT overload", "run",
      ("-m", "repro", "--algorithm", "DFTT", "--fault-plan", SURGE, "--overload",
       "--link-backlog-bound", "0.5") + SMALL),
@@ -182,6 +210,7 @@ import threading
 _PACKAGE = os.environ["CENSUS_PACKAGE"] + os.sep
 _TARGETS = frozenset(os.environ["CENSUS_CLASSES"].split(","))
 _FACTORY = dataclasses._HAS_DEFAULT_FACTORY
+_REQUIRED = object()
 _known = {}
 _built = {}
 _set = {}
@@ -199,8 +228,10 @@ def _classify(frame):
     for field in dataclasses.fields(cls):
         if field.default is not dataclasses.MISSING:
             defaults.append((field.name, field.default))
-        else:
+        elif field.default_factory is not dataclasses.MISSING:
             defaults.append((field.name, field.default_factory()))
+        else:
+            defaults.append((field.name, _REQUIRED))  # always given a value
     return name, defaults
 
 
@@ -306,7 +337,7 @@ def run_invocations(work: Path, data: Path, site: Path) -> List[str]:
         PYTHONPATH=os.pathsep.join([str(site), str(ROOT / "src"), str(ROOT)]),
         CENSUS_DIR=str(data),
         CENSUS_PACKAGE=str(PACKAGE),
-        CENSUS_CLASSES=",".join(PINNED + ALSO_COUNTED),
+        CENSUS_CLASSES=",".join(PINNED),
         REPRO_CACHE_DIR=str(work / "cache"),
     )
     failed = []
@@ -336,8 +367,9 @@ def run_invocations(work: Path, data: Path, site: Path) -> List[str]:
     return failed
 
 
-def field_report(records: Iterable[dict]) -> List[str]:
-    """Lines saying which fields were ever given a non-default value."""
+def field_report(records: Iterable[dict]) -> Tuple[List[str], List[str]]:
+    """Lines saying which fields were ever given a non-default value, and
+    the never-set fields that are not exempt."""
     built: Dict[str, int] = {}
     given: Dict[str, Set[str]] = {}
     for record in records:
@@ -347,14 +379,17 @@ def field_report(records: Iterable[dict]) -> List[str]:
             given.setdefault(name, set()).update(fields)
     lines = ["settings fields: given a non-default value by any construction?"]
     pinned_never = pinned_total = 0
-    for reference in PINNED + ALSO_COUNTED:
-        if reference == ALSO_COUNTED[0]:
-            lines.append("  -- not pinned by tier-1:")
+    unexpected = []
+    for reference in PINNED:
         names = [field.name for field in dataclasses.fields(load(reference))]
         never = [name for name in names if name not in given.get(reference, set())]
-        if reference in PINNED:
-            pinned_total += len(names)
-            pinned_never += len(never)
+        pinned_total += len(names)
+        pinned_never += len(never)
+        unexpected.extend(
+            "%s.%s" % (reference.split(":")[1], name)
+            for name in never
+            if name not in NEVER_SET.get(reference, ())
+        )
         lines.append(
             "  %-20s %2d fields, %2d set, %2d never set (%d constructions)%s"
             % (
@@ -370,7 +405,7 @@ def field_report(records: Iterable[dict]) -> List[str]:
         "never set among the %d pinned dataclasses: %d of %d fields"
         % (len(PINNED), pinned_never, pinned_total)
     )
-    return lines
+    return lines, unexpected
 
 
 def function_report(records: Iterable[dict]) -> List[str]:
@@ -429,22 +464,26 @@ def main(argv=None) -> int:
         for directory in (site, data, work):
             directory.mkdir()
         (site / "sitecustomize.py").write_text(HOOK)
+        (work / "plan.json").write_text(PLAN_JSON)
         started = time.perf_counter()
         failed = run_invocations(work, data, site)
         records = [json.loads(path.read_text()) for path in sorted(data.glob("*.json"))]
+    fields, never_set = field_report(records)
     lines = [
         "census: %d invocations, %d processes, %d failed, %.0f s"
         % (len(INVOCATIONS), len(records), len(failed), time.perf_counter() - started),
         "",
-    ] + field_report(records) + [""] + function_report(records)
+    ] + fields + [""] + function_report(records)
     report = "\n".join(lines) + "\n"
     print(report, end="")
     if args.report:
         Path(args.report).write_text(report)
     if failed:
         print("error: failed invocations: %s" % ", ".join(failed), file=sys.stderr)
-        return 1
-    return 0
+    if never_set:
+        print("error: never set by any entry point: %s" % ", ".join(never_set),
+              file=sys.stderr)
+    return 1 if failed or never_set else 0
 
 
 if __name__ == "__main__":
