@@ -2,14 +2,19 @@
 
 The analysis helpers answer the questions an operator asks after a run:
 who talks to whom, how even is the load, and what did each node actually
-learn about its peers?  Message tracing shows the wire-level view.
+learn about its peers?  Telemetry's per-message ``net.*`` events show
+the wire-level view.
 
 Run:  python examples/inspect_traffic.py
 """
 
-import numpy as np
-
-from repro import Algorithm, PolicyConfig, SystemConfig, WorkloadConfig
+from repro import (
+    Algorithm,
+    PolicyConfig,
+    SystemConfig,
+    TelemetrySettings,
+    WorkloadConfig,
+)
 from repro.analysis import (
     load_balance_report,
     message_matrix,
@@ -17,7 +22,6 @@ from repro.analysis import (
     top_talkers,
 )
 from repro.core.system import DistributedJoinSystem
-from repro.net.trace import MessageTrace
 from repro.streams.tuples import StreamId
 
 
@@ -27,10 +31,10 @@ def main() -> None:
         window_size=256,
         policy=PolicyConfig(algorithm=Algorithm.DFTT, kappa=16),
         workload=WorkloadConfig(total_tuples=5_000, domain=2_048, arrival_rate=250.0),
+        telemetry=TelemetrySettings(enabled=True),
         seed=99,
     )
     system = DistributedJoinSystem(config)
-    system.network.trace = MessageTrace(capacity=50_000)
     result = system.run()
 
     print("run: epsilon=%.3f, %d result pairs\n" % (result.epsilon, result.reported_pairs))
@@ -55,14 +59,15 @@ def main() -> None:
         % (report.mean, report.maximum, report.jain_index)
     )
 
-    trace = system.network.trace
-    print("\nwire trace: %d messages recorded, by kind: %s" % (
-        trace.total_recorded, dict(trace.counts_by_kind())))
+    print("\nwire traffic: %d messages sent, by kind: %s" % (
+        result.traffic["total_messages"], result.messages_by_kind))
+    sends = [event for event in system.telemetry.events() if event.name == "net.send"]
     print("last three transmissions:")
-    for record in trace.tail(3):
+    for event in sends[-3:]:
         print(
             "   t=%.3fs  %d -> %d  %-7s %3d bytes"
-            % (record.time, record.source, record.destination, record.kind, record.size_bytes)
+            % (event.time, event.node, event.attrs["dst"], event.attrs["kind"],
+               event.attrs["bytes"])
         )
 
 

@@ -11,7 +11,8 @@ One instrumented run produces all four export formats:
 
 plus ``manifest.json``, the standalone provenance record.  The script
 also pokes at the in-memory views the exports are generated from: the
-metric registry, the event ring, and the outcome-aware message trace.
+metric registry and the event ring, whose ``net.deliver`` / ``net.drop``
+events give each message's outcome.
 
 Determinism: run this twice and diff the output directory -- every file
 is byte-identical, because exports contain only simulated time and
@@ -21,6 +22,7 @@ Run:  python examples/telemetry_tour.py [output-dir]
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 from repro import (
@@ -71,11 +73,11 @@ def main() -> int:
     tuples_sent = hub.registry.get("repro_net_messages_total", kind="tuple")
     if tuples_sent is not None:
         print("tuple messages on the wire: %d" % int(tuples_sent.value))
-    trace = hub.message_trace
-    print("message trace: %d records (%s)" % (
-        len(trace),
-        ", ".join("%s=%d" % kv for kv in sorted(trace.counts_by_outcome().items())),
-    ))
+    outcomes = Counter(
+        event.name for event in hub.events() if event.name in ("net.deliver", "net.drop")
+    )
+    print("message outcomes: %s" % (
+        ", ".join("%s=%d" % kv for kv in sorted(outcomes.items()))))
     print()
 
     # -- all four export formats + the manifest ------------------------

@@ -55,6 +55,19 @@ def float_not_nan(text: str) -> float:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """The ``type=`` of a count where a negative value means nothing (the
+    run parser's ``--profile``, chaos's ``--nodes``): a usage error (exit
+    2), rather than silently running unprofiled or at another size."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("invalid non-negative int value: %r" % text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -203,11 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="per-node diagnostics")
     parser.add_argument(
         "--profile",
-        type=int,
+        type=non_negative_int,
         default=0,
         metavar="N",
-        help="profile the run: per-kernel wall/CPU accounting plus the "
-        "top-N cProfile entries by cumulative time (0 disables)",
+        help="profile the run: print the top-N cProfile entries by "
+        "cumulative time (0 disables)",
     )
     return parser
 
@@ -367,15 +380,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return experiments_main(list(argv[1:]))
     args = build_parser().parse_args(argv)
     profile_report = ""
-    profiler = None
     try:
         config = config_from_args(args)
         config.validate()
-        if args.profile > 0:
-            from repro.profiling import KernelProfiler
-
-            profiler = KernelProfiler()
-        system = DistributedJoinSystem(config, profiler=profiler)
+        system = DistributedJoinSystem(config)
         stream_writer = None
         if args.telemetry_export and system.telemetry is not None:
             # The JSONL log is streamed during the run (the manifest is a
@@ -414,7 +422,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 system.telemetry,
                 args.telemetry_export,
                 manifest=result.manifest,
-                profiler=profiler,
                 skip=("jsonl",) if stream_writer is not None else (),
             )
             if stream_writer is not None:
@@ -437,8 +444,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             payload["recovery"] = result.recovery
         if result.overload:
             payload["overload"] = result.overload
-        if result.profile:
-            payload["profile"] = result.profile
         if result.telemetry:
             payload["telemetry"] = result.telemetry
         if export_paths:
@@ -515,9 +520,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("node %d:" % node)
             for key, value in sorted(diagnostics.items()):
                 print("  %-28s %g" % (key, value))
-    if profiler is not None:
-        print()
-        print(profiler.format())
+    if profile_report:
         print()
         print(profile_report, end="")
     return 0

@@ -125,8 +125,8 @@ class JoinProcessingNode:
         if transport is not None:
             transport.key_source = self._event_keys
         self.profiler = profiler
-        """Optional :class:`~repro.profiling.KernelProfiler`; when set,
-        every service is accounted to a per-kind kernel section."""
+        """Optional recorder (see ``DistributedJoinSystem.profiler``);
+        when set, every service runs in a ``node.<kind>`` section."""
         self.fault_injector = fault_injector
         self.health: Optional[PeerHealthMonitor] = None
         self.local_arrivals_dropped = 0

@@ -54,9 +54,9 @@ class RunResult:
     per-mode residency).  Empty when overload protection is disabled."""
 
     profile: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    """Per-kernel wall/CPU accounting (calls, items, seconds, items/s)
-    from the :class:`~repro.profiling.KernelProfiler` the run was handed.
-    Empty -- and zero-overhead -- when no profiler was attached."""
+    """The ``snapshot()`` of the recorder the run was handed as
+    ``profiler=`` (see ``DistributedJoinSystem.profiler``).  Empty -- and
+    zero-overhead -- when none was attached."""
 
     manifest: Dict[str, object] = field(default_factory=dict)
     """Run provenance (seed, package version, kernel mode, config echo)

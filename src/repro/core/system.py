@@ -84,8 +84,11 @@ class DistributedJoinSystem:
         reset_tuple_ids()
         self.config = config
         self.profiler = profiler
-        """Optional :class:`~repro.profiling.KernelProfiler`; threaded
-        into every node's service loop and snapshot into the result."""
+        """Optional recorder with ``section(name)``, a context manager,
+        and ``snapshot()``: every node service runs in a ``node.<kind>``
+        section and the run in ``system.run``; the snapshot becomes
+        ``RunResult.profile``.  ``benchmarks/e2e`` passes its span
+        recorder here."""
         self._node_records = None
         """Per-node collection records (see
         :meth:`~repro.core.node.JoinProcessingNode.runtime_record`);
@@ -157,9 +160,6 @@ class DistributedJoinSystem:
             self.network.link_backlog_bound_s = config.overload.link_backlog_bound_s
         if self.telemetry is not None:
             self.network.telemetry = self.telemetry
-            # The registry-backed trace view: hub owns the ring, the
-            # network feeds it (TrafficStats stays the always-on tally).
-            self.network.trace = self.telemetry.message_trace
         self.oracles: List[GroundTruthOracle] = [
             GroundTruthOracle() for _ in range(config.num_queries)
         ]

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.cli import float_not_nan
+from repro.cli import float_not_nan, non_negative_int
 from repro.config import Algorithm
 from repro.errors import ConfigurationError
 from repro.experiments.ascii_plot import bar_chart, line_chart
@@ -849,7 +849,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated algorithm subset (default: BASE,DFT,DFTT,BLOOM,SKCH)",
     )
     parser.add_argument(
-        "--nodes", type=int, default=0, help="mesh size (default: scale's largest)"
+        "--nodes",
+        type=non_negative_int,
+        default=0,
+        help="mesh size (default: scale's largest)",
     )
     parser.add_argument(
         "--out", default="", metavar="FILE", help="persist the rows as JSON"

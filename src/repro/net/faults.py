@@ -402,6 +402,7 @@ def load_fault_plan(source: str, num_nodes: Optional[int] = None) -> FaultPlan:
 
     A path ending in ``.json`` (or whose contents start with ``[``) is
     parsed as JSON; anything else goes through :meth:`FaultPlan.parse`.
+    A ``.json`` source that names no file is an error that names it.
     """
     from pathlib import Path
 
@@ -418,6 +419,8 @@ def load_fault_plan(source: str, num_nodes: Optional[int] = None) -> FaultPlan:
             plan = FaultPlan.parse(text, num_nodes)
         plan.validate(num_nodes)
         return plan
+    if source.endswith(".json"):
+        raise ConfigurationError("fault plan file not found: %s" % source)
     return FaultPlan.parse(source, num_nodes)
 
 
@@ -436,27 +439,21 @@ class FaultInjector:
         self.plan = plan
         self.num_nodes = num_nodes
         self._active: List[FaultEvent] = []
-        self._scheduler: Optional[EventScheduler] = None
         self.messages_blocked = 0
         self.activations: Dict[str, int] = {}
-        self.timeline: List[Tuple[float, str, str]] = []
-        """Observed ``(time, kind, "start"|"end")`` edges, in firing order."""
 
     def install(self, scheduler: EventScheduler) -> None:
         """Schedule every activation/deactivation edge of the plan."""
         for event in self.plan.events:
             scheduler.schedule_at(event.start_s, lambda e=event: self._activate(e))
             scheduler.schedule_at(event.end_s, lambda e=event: self._deactivate(e))
-        self._scheduler = scheduler
 
     def _activate(self, event: FaultEvent) -> None:
         self._active.append(event)
         self.activations[event.kind.value] = self.activations.get(event.kind.value, 0) + 1
-        self.timeline.append((self._scheduler.now, event.kind.value, "start"))
 
     def _deactivate(self, event: FaultEvent) -> None:
         self._active.remove(event)
-        self.timeline.append((self._scheduler.now, event.kind.value, "end"))
 
     # ------------------------------------------------------------------
     # point queries (called from Link.send / delivery / the node runtime)

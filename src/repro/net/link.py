@@ -96,7 +96,6 @@ class Link:
         self.bytes_sent = 0
         self.bytes_lost = 0
         self.messages_shed = 0
-        self.busy_seconds = 0.0
         self.backlog_bound_s = 0.0
         """Send-backlog cap in seconds of serialization delay; a message
         arriving while the backlog is at or past the cap is shed at the
@@ -168,9 +167,7 @@ class Link:
             self._drop(message)
             return now
         spec = self._spec
-        tx_time = self.transmission_time(message)
-        depart = max(now, self._free_at) + tx_time
-        self.busy_seconds += tx_time
+        depart = max(now, self._free_at) + self.transmission_time(message)
         self._free_at = depart
         latency = LATENCY_MIN_S
         if LATENCY_MAX_S != latency:

@@ -49,10 +49,6 @@ class Network:
         any link exists)."""
 
         self.stats = TrafficStats()
-        self.per_sender_stats: Dict[int, TrafficStats] = {}
-        self.trace = None
-        """Optional :class:`repro.net.trace.MessageTrace`; assign to enable."""
-
         self.telemetry = None
         """Optional :class:`repro.telemetry.TelemetryHub`; assign to enable
         per-message metrics and send/deliver/drop events."""
@@ -98,7 +94,6 @@ class Network:
         if node_id in self._endpoints:
             raise ConfigurationError("node id %d already registered" % node_id)
         self._endpoints[node_id] = endpoint
-        self.per_sender_stats[node_id] = TrafficStats()
 
     @property
     def node_ids(self) -> Tuple[int, ...]:
@@ -142,17 +137,10 @@ class Network:
 
     def _record_loss(self, message: Message) -> None:
         self.stats.record_loss(message)
-        sender_stats = self.per_sender_stats.get(message.source)
-        if sender_stats is not None:
-            sender_stats.record_loss(message)
-        if self.trace is not None:
-            self.trace.mark_dropped(message.message_id)
         if self.telemetry is not None:
             self.telemetry.on_message_drop(self._scheduler.now, message)
 
     def _record_delivery(self, message: Message) -> None:
-        if self.trace is not None:
-            self.trace.mark_delivered(message.message_id)
         if self.telemetry is not None:
             self.telemetry.on_message_deliver(self._scheduler.now, message)
 
@@ -163,9 +151,6 @@ class Network:
         link = self.link(message.source, message.destination)
         arrival = link.send(message)
         self.stats.record(message)
-        self.per_sender_stats[message.source].record(message)
-        if self.trace is not None:
-            self.trace.record(self._scheduler.now, message)
         if self.telemetry is not None:
             self.telemetry.on_message_send(self._scheduler.now, message)
         return arrival
@@ -184,7 +169,8 @@ class Network:
         messages_shed)``.
 
         Only links that have carried traffic appear (links are lazy).
-        The analysis helpers build traffic matrices from this.
+        The analysis helpers build traffic matrices from this; a sender's
+        totals are its links' rows summed.
         """
         return {
             pair: (

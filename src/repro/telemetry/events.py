@@ -3,8 +3,7 @@
 Instrumented components share one tiny contract, the :class:`Emitter`
 protocol: ``emit(name, category=..., node=..., dur_s=..., **attrs)``.
 Every call site guards with ``if self.telemetry is not None`` so a run
-without telemetry pays a single attribute check per instrumented path --
-the same zero-cost convention the kernel profiler established.
+without telemetry pays a single attribute check per instrumented path.
 
 The :class:`TelemetryHub` implements the protocol and is the run's
 single sink: it timestamps events on the *simulated* clock, keeps them
@@ -31,7 +30,6 @@ from typing import (
     Protocol,
 )
 
-from repro.net.trace import MessageTrace
 from repro.telemetry.registry import Instrument, MetricRegistry
 from repro.telemetry.settings import TelemetrySettings
 
@@ -71,9 +69,6 @@ class Emitter(Protocol):
 
 EVENT_CAPACITY = 65_536
 """Ring capacity of the structured event log (oldest dropped first)."""
-
-TRACE_CAPACITY = 10_000
-"""Ring capacity of the message-trace view."""
 
 Sampler = Callable[[float, MetricRegistry], None]
 """A sampling callback: reads live state into registry instruments."""
@@ -116,11 +111,6 @@ class TelemetryHub:
         self._event_sinks: List[Callable[[TelemetryEvent], None]] = []
         self._samplers: List[Sampler] = []
         self._last_sample_time: Optional[float] = None
-        self.message_trace: Optional[MessageTrace] = (
-            MessageTrace(TRACE_CAPACITY)
-            if self.settings.trace_messages
-            else None
-        )
         counter, histogram = self.registry.counter, self.registry.histogram
         self._event_counters = Handles(
             lambda category: counter("repro_events_total", category=category)

@@ -8,17 +8,15 @@ Four formats, one source of truth (the hub):
   ``chrome://tracing`` and Perfetto: node service spans on per-node
   tracks, instant events for sends/drops/broadcasts/health flips.
 * **Prometheus text** -- a scrape-style dump of every registry counter,
-  gauge, and histogram (plus, optionally, wall-clock kernel timings from
-  an attached :class:`~repro.profiling.KernelProfiler`).
+  gauge, and histogram.
 * **CSV** -- the ring-buffered time series, flat ``time,metric,labels,
   value`` rows, ready for pandas/gnuplot.
 
-Determinism contract: everything except the opt-in profiler section is a
-pure function of the simulated run, serialized with sorted keys, so the
-same seed produces byte-identical JSONL/CSV/Chrome-trace files.  The
-:func:`validate_chrome_trace` checker (also exposed as ``python -m
-repro.telemetry.validate``) enforces the Trace Event Format invariants
-CI gates on.
+Determinism contract: every export is a pure function of the simulated
+run, serialized with sorted keys, so the same seed produces
+byte-identical files.  The :func:`validate_chrome_trace` checker (also
+exposed as ``python -m repro.telemetry.validate``) enforces the Trace
+Event Format invariants CI gates on.
 """
 
 from __future__ import annotations
@@ -271,16 +269,8 @@ def _prom_number(value: float) -> str:
     return repr(float(value))
 
 
-def export_prometheus(
-    hub: TelemetryHub, path: Path, profiler=None
-) -> Path:
-    """Write a Prometheus text-format dump of the registry.
-
-    ``profiler`` (a :class:`~repro.profiling.KernelProfiler`) adds
-    wall-clock kernel sections as ``repro_kernel_*`` gauges -- useful,
-    but wall-clock and therefore excluded from the byte-identical
-    determinism contract the other exports honor.
-    """
+def export_prometheus(hub: TelemetryHub, path: Path) -> Path:
+    """Write a Prometheus text-format dump of the registry."""
     path = Path(path)
     lines: List[str] = []
     typed: set = set()
@@ -321,14 +311,6 @@ def export_prometheus(
                 _prom_number(instrument.sample_value()),
             )
         )
-    if profiler is not None:
-        lines.append("# TYPE repro_kernel_wall_seconds gauge")
-        for section, timer in sorted(profiler.snapshot().items()):
-            labels = ((("kernel", section),))
-            lines.append(
-                "repro_kernel_wall_seconds%s %s"
-                % (_prom_labels(labels), repr(timer["wall_seconds"]))
-            )
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -365,7 +347,6 @@ def export_all(
     hub: TelemetryHub,
     directory: Path,
     manifest: Optional[Dict[str, object]] = None,
-    profiler=None,
     skip: Tuple[str, ...] = (),
 ) -> Dict[str, Path]:
     """Write every format into ``directory``; returns the paths by kind.
@@ -388,7 +369,7 @@ def export_all(
         )
     if "prometheus" not in skip:
         paths["prometheus"] = export_prometheus(
-            hub, directory / EXPORT_FILENAMES["prometheus"], profiler=profiler
+            hub, directory / EXPORT_FILENAMES["prometheus"]
         )
     if "csv" not in skip:
         paths["csv"] = export_csv(hub, directory / EXPORT_FILENAMES["csv"])

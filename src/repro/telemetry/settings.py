@@ -3,9 +3,8 @@
 Telemetry is *off* by default and every knob lives in one frozen
 dataclass so a :class:`~repro.config.SystemConfig` can carry it without
 the runtime growing per-feature flags.  Every buffer is bounded (events,
-per-series samples, trace records) by a constant of the module that owns
-it -- ``EVENT_CAPACITY`` and ``TRACE_CAPACITY`` in
-:mod:`repro.telemetry.events`, ``SERIES_CAPACITY`` in
+per-series samples) by a constant of the module that owns it --
+``EVENT_CAPACITY`` in :mod:`repro.telemetry.events`, ``SERIES_CAPACITY`` in
 :mod:`repro.telemetry.registry` -- because an always-on observability
 layer must not let a long run grow memory without limit.
 """
@@ -32,9 +31,9 @@ class TelemetrySettings:
     it by the smallest integer factor that covers the whole span."""
 
     trace_messages: bool = True
-    """Emit one structured event per network send/deliver/drop and keep a
-    :class:`~repro.net.trace.MessageTrace` view.  The single cardinality
-    knob worth turning off on very chatty meshes."""
+    """Emit one structured event per network send/deliver/drop: the
+    wire-level trace of a run.  The single cardinality knob worth turning
+    off on very chatty meshes."""
 
     dashboard: bool = False
     """Render the ASCII live dashboard during the run (CLI wires the

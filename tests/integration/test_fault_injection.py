@@ -57,7 +57,7 @@ class TestLinkLoss:
         )
         for _ in range(20):
             link.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))
-        assert link.busy_seconds > 0
+        assert link.free_at == pytest.approx(20 * 72 * 8 / 90_000)
         assert link.bytes_sent == 20 * 72
 
 
@@ -108,11 +108,6 @@ class TestLossAccounting:
         assert losses.sum() == system.network.stats.messages_lost
         assert lost_bytes.sum() == system.network.stats.bytes_lost
         assert np.all(np.diag(losses) == 0)
-        # Per-sender stats partition the same totals.
-        assert (
-            sum(s.messages_lost for s in system.network.per_sender_stats.values())
-            == system.network.stats.messages_lost
-        )
 
     def test_fault_blocked_messages_are_accounted_as_lost(self, lossy_config):
         plan = FaultPlan.parse("outage@t=1,d=2,link=0-1,link=0-2,link=0-3", num_nodes=4)

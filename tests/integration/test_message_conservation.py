@@ -1,0 +1,124 @@
+"""Message conservation over a whole run, through every way a message dies.
+
+A small reliable run with a loss burst, a partition, a restartable crash
+and a bounded link backlog.  At drain every message the network sent was
+either delivered or dropped, per kind and per link, and the telemetry
+events that say so agree with the traffic tallies the result reports.
+"""
+
+from collections import Counter
+from unittest import mock
+
+import pytest
+
+from repro.config import (
+    Algorithm,
+    PolicyConfig,
+    SystemConfig,
+    TelemetrySettings,
+    WorkloadConfig,
+)
+from repro.core.system import DistributedJoinSystem
+from repro.net.faults import FaultPlan
+from repro.net.link import LinkSpec
+from repro.net.reliable import ReliabilitySettings
+from repro.net.stats import TrafficStats
+from repro.overload import OverloadSettings
+from repro.recovery import RecoverySettings
+
+NUM_NODES = 4
+FAULTS = (
+    "loss@t=1,d=2,p=0.3; partition@t=3,d=2.5,nodes=0; "
+    "crash@t=6,d=1.5,node=3,downtime=1.5"
+)
+
+
+def config():
+    return SystemConfig(
+        num_nodes=NUM_NODES,
+        window_size=64,
+        policy=PolicyConfig(algorithm=Algorithm.BLOOM, kappa=4.0),
+        workload=WorkloadConfig(total_tuples=1200, domain=256, arrival_rate=150.0),
+        link=LinkSpec(),  # 90 kbps, so sends queue behind each other
+        faults=FaultPlan.parse(FAULTS, num_nodes=NUM_NODES),
+        reliability=ReliabilitySettings(enabled=True),
+        recovery=RecoverySettings(enabled=True),
+        overload=OverloadSettings.for_queue_bound(64, link_backlog_bound_s=0.01),
+        telemetry=TelemetrySettings(enabled=True, trace_messages=True),
+        seed=3,
+    )
+
+
+@pytest.fixture(scope="module")
+def run():
+    """The run, with every ``TrafficStats`` tally call counted."""
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(TrafficStats, name)
+
+        def tally(self, message):
+            calls[name] += 1
+            return original(self, message)
+
+        return tally
+
+    with mock.patch.multiple(
+        TrafficStats, record=counted("record"), record_loss=counted("record_loss")
+    ):
+        system = DistributedJoinSystem(config())
+        result = system.run()
+    outcomes = {"net.send": Counter(), "net.deliver": Counter(), "net.drop": Counter()}
+    for event in system.telemetry.events():
+        if event.name == "net.deliver":
+            outcomes[event.name][event.attrs["src"], event.node, event.attrs["kind"]] += 1
+        elif event.name in outcomes:
+            outcomes[event.name][event.node, event.attrs["dst"], event.attrs["kind"]] += 1
+    return system, result, calls, outcomes
+
+
+def by(outcome, key):
+    """Collapse ``(source, destination, kind)`` counts onto ``key``."""
+    collapsed = Counter()
+    for triple, count in outcome.items():
+        collapsed[key(triple)] += count
+    return collapsed
+
+
+def test_the_run_crossed_every_way_a_message_dies(run):
+    _, result, _, outcomes = run
+    assert result.telemetry["events_dropped"] == 0  # the trace is complete
+    assert result.faults["messages_blocked"] > 0  # burst and partition
+    assert result.overload["link_messages_shed"] > 0  # backlog bound
+    assert result.recovery["restarts"] == 1
+    assert result.retransmits > 0
+    assert sum(outcomes["net.drop"].values()) > result.overload["link_messages_shed"]
+
+
+def test_every_send_is_delivered_or_dropped_per_kind_and_link(run):
+    _, _, _, outcomes = run
+    assert outcomes["net.send"] == outcomes["net.deliver"] + outcomes["net.drop"]
+
+
+def test_events_equal_the_traffic_tallies(run):
+    system, result, _, outcomes = run
+    kind = lambda triple: triple[2]
+    link = lambda triple: triple[:2]
+    assert by(outcomes["net.send"], kind) == result.messages_by_kind
+    assert by(outcomes["net.drop"], kind) == system.network.stats.lost_by_kind
+    link_stats = system.network.link_stats()
+    assert by(outcomes["net.send"], link) == {
+        pair: sent + shed for pair, (sent, _, _, _, shed) in link_stats.items()
+    }
+    assert by(outcomes["net.drop"], link) == {
+        pair: lost for pair, (_, _, lost, _, _) in link_stats.items() if lost
+    }
+
+
+def test_one_traffic_tally_per_message(run):
+    """Count gate: the network tallies each sent and each lost message
+    once, in ``Network.stats``, and nowhere else."""
+    system, _, calls, outcomes = run
+    assert calls["record"] == sum(outcomes["net.send"].values())
+    assert calls["record_loss"] == sum(outcomes["net.drop"].values())
+    assert calls["record"] == system.network.stats.total_messages

@@ -28,7 +28,6 @@ from repro.config import (
 )
 from repro.core.system import DistributedJoinSystem
 from repro.telemetry import export_all, validate_chrome_trace
-from repro.net.trace import OUTCOME_DELIVERED
 
 
 def telemetry_config(enabled=True, dashboard=False):
@@ -121,12 +120,17 @@ class TestInstrumentedRun:
         assert system.scheduler.material_now == result.duration_seconds
 
     def test_message_trace_marks_outcomes(self, run):
-        system, _ = run
-        trace = system.telemetry.message_trace
-        assert system.network.trace is trace
-        counts = trace.counts_by_outcome()
-        # Lossless run: every retained record reached its destination.
-        assert set(counts) == {OUTCOME_DELIVERED}
+        system, result = run
+        assert system.network.telemetry is system.telemetry
+        assert result.telemetry["events_dropped"] == 0
+        counts = {}
+        for event in system.telemetry.events():
+            if event.category == "net":
+                counts[event.name] = counts.get(event.name, 0) + 1
+        # Lossless run: every send reached its destination.
+        assert set(counts) == {"net.send", "net.deliver"}
+        assert counts["net.send"] == counts["net.deliver"]
+        assert counts["net.send"] == sum(result.messages_by_kind.values())
 
     def test_events_carry_no_raw_message_ids(self, run):
         system, _ = run

@@ -82,7 +82,6 @@ def drive(link_class, spec, seed, faults, backlog_bound_s, script):
         link.messages_lost,
         link.bytes_lost,
         link.messages_shed,
-        link.busy_seconds,
         link.free_at,
     )
     return returned, delivered, dropped, counters

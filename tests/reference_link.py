@@ -60,7 +60,6 @@ class ReferenceLink:
         self.bytes_sent = 0
         self.bytes_lost = 0
         self.messages_shed = 0
-        self.busy_seconds = 0.0
         self.backlog_bound_s = 0.0
         """Send-backlog cap in seconds of serialization delay; a message
         arriving while the backlog is at or past the cap is shed at the
@@ -115,9 +114,7 @@ class ReferenceLink:
             message.created_at = now
             self._drop(message)
             return now
-        tx_time = self.transmission_time(message)
-        depart = max(now, self._free_at) + tx_time
-        self.busy_seconds += tx_time
+        depart = max(now, self._free_at) + self.transmission_time(message)
         self._free_at = depart
         latency = reference_sample_latency(self._rng)
         if self._injector is not None and self._endpoints is not None:

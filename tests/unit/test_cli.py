@@ -121,6 +121,20 @@ class TestArgumentTranslation:
         assert float_options(build_parser()) == set(RUN_FLOAT_OPTIONS)
         assert float_options(chaos.build_parser()) == set(CHAOS_FLOAT_OPTIONS)
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [(FAST, "--profile"), (CHAOS_SMALL, "--nodes")],
+        ids=["run --profile", "chaos --nodes"],
+    )
+    def test_negative_count_is_a_usage_error(self, capsys, argv, option):
+        """A negative ``--profile`` used to run unprofiled and a negative
+        chaos ``--nodes`` the scale's largest mesh, both exiting 0."""
+        with pytest.raises(SystemExit) as refusal:
+            main(argv + [option, "-3"])
+        assert refusal.value.code == 2
+        error = capsys.readouterr().err
+        assert "argument %s: invalid non-negative int value: '-3'" % option in error
+
 
 class TestMain:
     def test_text_output(self, capsys):
@@ -144,6 +158,14 @@ class TestMain:
     def test_invalid_config_returns_error(self, capsys):
         assert main(["--nodes", "1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_missing_fault_plan_file_is_named(self, capsys, tmp_path):
+        """A ``.json`` plan that is not a file used to fall through to the
+        spec grammar and report an unknown fault kind."""
+        missing = tmp_path / "missing.json"
+        assert main(FAST + ["--fault-plan", str(missing)]) == 2
+        error = capsys.readouterr().err
+        assert "error: fault plan file not found: %s" % missing in error
 
     def test_verbose_text(self, capsys):
         assert main(FAST + ["--verbose"]) == 0

@@ -157,7 +157,7 @@ class TestFaultInjector:
         assert during == [True]
         assert reverse == [False]  # directed
         assert after == [False]
-        assert injector.timeline == [(1.0, "link_outage", "start"), (3.0, "link_outage", "end")]
+        assert injector.activations == {"link_outage": 1}
 
     def test_crash_and_partition_queries(self):
         scheduler = EventScheduler()

@@ -179,4 +179,4 @@ def test_counters_accumulate():
         link.send(message)
     assert link.messages_sent == 4
     assert link.bytes_sent == total
-    assert link.busy_seconds == pytest.approx(total * 8.0 / 90_000.0)
+    assert link.free_at == pytest.approx(total * 8.0 / 90_000.0)

@@ -1,68 +1,10 @@
-"""Unit tests for the per-kernel profiling module."""
+"""Unit tests for the profiling module and the system's ``profiler=`` seam."""
 
-import json
+from contextlib import contextmanager
 
 from repro.config import Algorithm, PolicyConfig, SystemConfig, WorkloadConfig
 from repro.core.system import run_experiment
-from repro.profiling import (
-    KernelProfiler,
-    KernelTimer,
-    Stopwatch,
-    profile_call,
-)
-
-
-def test_timer_accumulates_calls_and_items():
-    timer = KernelTimer("k")
-    timer.add(0.5, 0.4, items=10)
-    timer.add(0.5, 0.4, items=5)
-    assert timer.calls == 2
-    assert timer.items == 15
-    assert timer.wall_seconds == 1.0
-    assert timer.items_per_second == 15.0
-
-
-def test_timer_zero_wall_time_has_zero_throughput():
-    assert KernelTimer("k").items_per_second == 0.0
-
-
-def test_section_times_and_counts():
-    profiler = KernelProfiler()
-    with profiler.section("work", items=3):
-        sum(range(1000))
-    with profiler.section("work", items=2):
-        pass
-    snap = profiler.snapshot()["work"]
-    assert snap["calls"] == 2.0
-    assert snap["items"] == 5.0
-    assert snap["wall_seconds"] >= 0.0
-
-
-def test_section_records_on_exception():
-    profiler = KernelProfiler()
-    try:
-        with profiler.section("boom"):
-            raise ValueError("x")
-    except ValueError:
-        pass
-    assert profiler.snapshot()["boom"]["calls"] == 1.0
-
-
-def test_snapshot_is_json_serializable_and_sorted():
-    profiler = KernelProfiler()
-    profiler.record("b", wall=0.1, cpu=0.1)
-    profiler.record("a", wall=0.2, cpu=0.2, items=4)
-    snap = profiler.snapshot()
-    assert list(snap) == ["a", "b"]
-    json.dumps(snap)
-
-
-def test_format_lists_every_kernel():
-    profiler = KernelProfiler()
-    profiler.record("alpha", wall=0.1, cpu=0.1)
-    profiler.record("beta", wall=0.2, cpu=0.2)
-    text = profiler.format()
-    assert "alpha" in text and "beta" in text and "items/s" in text
+from repro.profiling import Stopwatch, profile_call
 
 
 def test_stopwatch_measures_interval():
@@ -78,7 +20,28 @@ def test_profile_call_returns_result_and_report():
     assert "cumulative" in report or "function calls" in report
 
 
+class SectionRecorder:
+    """Only what the seam may call: ``section(name)`` and ``snapshot()``
+    (``benchmarks/e2e``'s span recorder implements no more)."""
+
+    def __init__(self):
+        self.sections = {}
+        self.snapshot_returned = None
+
+    @contextmanager
+    def section(self, name):
+        yield
+        self.sections[name] = self.sections.get(name, 0) + 1
+
+    def snapshot(self):
+        self.snapshot_returned = {"recorded": dict(self.sections)}
+        return self.snapshot_returned
+
+
 def test_profiled_run_populates_result_profile():
+    """The seam's contract: every node service runs in a ``node.<kind>``
+    section, the run in one ``system.run`` section, and the recorder's
+    snapshot is ``RunResult.profile`` itself."""
     config = SystemConfig(
         num_nodes=3,
         window_size=64,
@@ -86,9 +49,11 @@ def test_profiled_run_populates_result_profile():
         workload=WorkloadConfig(total_tuples=600, domain=256, arrival_rate=200.0),
         seed=5,
     )
-    result = run_experiment(config, profiler=KernelProfiler())
-    assert "system.run" in result.profile
-    assert "node.local" in result.profile
-    assert result.profile["node.local"]["items"] > 0
+    recorder = SectionRecorder()
+    result = run_experiment(config, profiler=recorder)
+    assert set(recorder.sections) == {"node.local", "node.message", "system.run"}
+    assert recorder.sections["system.run"] == 1
+    assert recorder.sections["node.local"] == result.tuples_arrived
+    assert result.profile is recorder.snapshot_returned
     # Unprofiled runs carry no accounting at all.
     assert run_experiment(config).profile == {}

@@ -138,17 +138,6 @@ class TestPrometheus:
         assert "repro_demo_seconds_sum 0.5" in text
         assert "repro_demo_seconds_count 1" in text
 
-    def test_profiler_section_is_optional(self, tmp_path):
-        class FakeProfiler:
-            def snapshot(self):
-                return {"dft.extend": {"wall_seconds": 0.125, "calls": 2}}
-
-        path = export_prometheus(
-            populated_hub(), tmp_path / "metrics.prom", profiler=FakeProfiler()
-        )
-        text = path.read_text()
-        assert 'repro_kernel_wall_seconds{kernel="dft.extend"} 0.125' in text
-
 
 class TestCsv:
     def test_rows(self, tmp_path):

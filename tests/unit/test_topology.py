@@ -18,6 +18,14 @@ class Recorder:
         self.received.append(message)
 
 
+def per_sender(network):
+    """Per-sender totals: ``link_stats()`` rows summed by source."""
+    totals = {}
+    for (source, _), row in network.link_stats().items():
+        totals[source] = tuple(map(sum, zip(totals.get(source, (0,) * 5), row)))
+    return totals
+
+
 def _network(n=3, spec=None):
     scheduler = EventScheduler()
     network = Network(scheduler, spec=spec or LinkSpec(), rng=np.random.default_rng(5))
@@ -69,8 +77,7 @@ def test_stats_accumulate_globally_and_per_sender():
     network.send(Message(kind=MessageKind.SUMMARY, source=1, destination=0, summary_entries=4))
     scheduler.run()
     assert network.stats.total_messages == 3
-    assert network.per_sender_stats[0].total_messages == 2
-    assert network.per_sender_stats[1].total_messages == 1
+    assert per_sender(network) == {0: (2, 144, 0, 0, 0), 1: (1, 104, 0, 0, 0)}
     assert network.stats.summary_entries == 4
 
 
@@ -145,32 +152,11 @@ def test_send_accounting_matches_the_recorded_script():
         [("summary", 4), ("result", 2), ("control", 1), ("state_transfer", 1),
          ("ack", 3), ("heartbeat", 3), ("tuple", 2)],
     )
-    assert {node: flat(stats) for node, stats in network.per_sender_stats.items()} == {
-        0: (
-            [("control", 4), ("tuple", 3), ("summary", 4), ("ack", 3),
-             ("state_transfer", 2), ("result", 2), ("heartbeat", 3)],
-            [("control", 228), ("tuple", 276), ("summary", 216), ("ack", 192),
-             ("state_transfer", 128), ("result", 204), ("heartbeat", 132)],
-            600, 776, 30, 5, 268,
-            [("heartbeat", 2), ("summary", 1), ("ack", 1), ("tuple", 1)],
-        ),
-        1: (
-            [("summary", 3), ("ack", 3), ("state_transfer", 3), ("result", 3),
-             ("tuple", 3), ("control", 3), ("heartbeat", 2)],
-            [("summary", 192), ("ack", 152), ("state_transfer", 192), ("result", 296),
-             ("tuple", 316), ("control", 196), ("heartbeat", 88)],
-            640, 792, 32, 4, 264,
-            [("summary", 2), ("result", 1), ("ack", 1)],
-        ),
-        2: (
-            [("result", 4), ("heartbeat", 3), ("tuple", 3), ("control", 3),
-             ("summary", 2), ("state_transfer", 3), ("ack", 2)],
-            [("result", 408), ("heartbeat", 132), ("tuple", 316), ("control", 156),
-             ("summary", 68), ("state_transfer", 152), ("ack", 128)],
-            520, 840, 26, 7, 332,
-            [("control", 1), ("state_transfer", 1), ("result", 1), ("ack", 1),
-             ("tuple", 1), ("heartbeat", 1), ("summary", 1)],
-        ),
+    # Per sender: (messages, bytes, messages lost, bytes lost, shed).
+    assert per_sender(network) == {
+        0: (21, 1376, 5, 268, 0),
+        1: (20, 1432, 4, 264, 0),
+        2: (20, 1360, 7, 332, 0),
     }
     assert network.link_stats() == {
         (0, 1): (11, 724, 1, 64, 0),

@@ -1,14 +1,16 @@
-"""Unit tests for message tracing."""
+"""Unit tests for message tracing: the hub's ``net.*`` events."""
+
+from collections import Counter
 
 import numpy as np
-import pytest
 
-from repro.errors import ConfigurationError
+from repro.config import TelemetrySettings
 from repro.net.link import LinkSpec
 from repro.net.message import Message, MessageKind
 from repro.net.simulator import EventScheduler
 from repro.net.topology import Network
-from repro.net.trace import MessageTrace
+from repro.telemetry import TelemetryHub
+from repro.telemetry import events as telemetry_events
 
 
 class Sink:
@@ -16,37 +18,43 @@ class Sink:
         pass
 
 
-def traced_network(capacity=100):
+def traced_network():
     scheduler = EventScheduler()
     network = Network(scheduler, spec=LinkSpec(), rng=np.random.default_rng(1))
     for node_id in (0, 1, 2):
         network.register(node_id, Sink())
-    network.trace = MessageTrace(capacity=capacity)
+    network.telemetry = TelemetryHub(
+        TelemetrySettings(enabled=True, trace_messages=True),
+        clock=lambda: scheduler.now,
+    )
     return scheduler, network
 
 
-def test_capacity_validation():
-    with pytest.raises(ConfigurationError):
-        MessageTrace(capacity=0)
+def sends(network):
+    return [e for e in network.telemetry.events() if e.name == "net.send"]
 
 
 def test_records_every_send():
     _, network = traced_network()
     for destination in (1, 2, 1):
         network.send(Message(kind=MessageKind.TUPLE, source=0, destination=destination))
-    assert len(network.trace) == 3
-    records = list(network.trace)
-    assert [r.destination for r in records] == [1, 2, 1]
-    assert all(r.kind == "tuple" for r in records)
+    records = sends(network)
+    assert len(records) == 3
+    assert [r.attrs["dst"] for r in records] == [1, 2, 1]
+    assert all(r.node == 0 for r in records)
+    assert all(r.attrs["kind"] == "tuple" for r in records)
 
 
-def test_ring_buffer_drops_oldest():
-    _, network = traced_network(capacity=2)
-    for index in range(5):
-        network.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))
-    assert len(network.trace) == 2
-    assert network.trace.dropped == 3
-    assert network.trace.total_recorded == 5
+def test_ring_buffer_drops_oldest(monkeypatch):
+    monkeypatch.setattr(telemetry_events, "EVENT_CAPACITY", 2)
+    _, network = traced_network()
+    for destination in (1, 2, 1, 2, 1):
+        network.send(Message(kind=MessageKind.TUPLE, source=0, destination=destination))
+    hub = network.telemetry
+    assert len(hub) == 2
+    assert hub.events_dropped == 3
+    assert hub.events_emitted == 5
+    assert [r.attrs["dst"] for r in sends(network)] == [2, 1]
 
 
 def test_filtering():
@@ -54,24 +62,33 @@ def test_filtering():
     network.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))
     network.send(Message(kind=MessageKind.SUMMARY, source=1, destination=2, summary_entries=3))
     network.send(Message(kind=MessageKind.TUPLE, source=2, destination=0))
-    assert len(network.trace.filter(source=0)) == 1
-    assert len(network.trace.filter(kind=MessageKind.TUPLE)) == 2
-    assert len(network.trace.filter(destination=2, kind=MessageKind.SUMMARY)) == 1
-    assert network.trace.filter(source=9) == []
+    records = sends(network)
+    assert len([r for r in records if r.node == 0]) == 1
+    assert len([r for r in records if r.attrs["kind"] == "tuple"]) == 2
+    summaries = [
+        r for r in records if r.attrs["dst"] == 2 and r.attrs["kind"] == "summary"
+    ]
+    assert len(summaries) == 1
+    assert summaries[0].attrs["entries"] == 3
+    assert [r for r in records if r.node == 9] == []
 
 
 def test_counts_by_kind_and_tail():
-    _, network = traced_network()
+    scheduler, network = traced_network()
     for _ in range(4):
         network.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))
     network.send(Message(kind=MessageKind.RESULT, source=1, destination=0))
-    counts = network.trace.counts_by_kind()
-    assert counts["tuple"] == 4
-    assert counts["result"] == 1
-    assert len(network.trace.tail(2)) == 2
-    assert network.trace.tail(2)[-1].kind == "result"
-    with pytest.raises(ConfigurationError):
-        network.trace.tail(-1)
+    counts = Counter(r.attrs["kind"] for r in sends(network))
+    assert counts == {"tuple": 4, "result": 1}
+    assert counts == network.stats.messages_by_kind
+    tail = sends(network)[-2:]
+    assert len(tail) == 2
+    assert tail[-1].attrs["kind"] == "result"
+    scheduler.run()
+    delivered = Counter(
+        e.attrs["kind"] for e in network.telemetry.events() if e.name == "net.deliver"
+    )
+    assert delivered == counts
 
 
 def test_untraced_network_has_no_overhead_path():
@@ -80,4 +97,5 @@ def test_untraced_network_has_no_overhead_path():
     network.register(0, Sink())
     network.register(1, Sink())
     network.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))
-    assert network.trace is None
+    assert network.telemetry is None
+    assert network.stats.total_messages == 1
