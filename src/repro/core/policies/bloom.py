@@ -17,7 +17,7 @@ dissemination time, like the paper's coordinated query setup).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -96,7 +96,12 @@ class BloomPolicy(ForwardingPolicy):
             for stream in (StreamId.R, StreamId.S)
         }
         self.remote = RemoteSummaryTable()
-        self._remote_filters: Dict[Tuple[int, StreamId], CountingBloomFilter] = {}
+        # Per stream, each peer's filter in ``peer_ids`` order (None until
+        # its first snapshot): a decision walks one list, no dict lookups.
+        self._peer_slots = {peer: slot for slot, peer in enumerate(context.peer_ids)}
+        self._remote_filters: Dict[StreamId, List[Optional[CountingBloomFilter]]] = {
+            stream: [None] * len(context.peer_ids) for stream in (StreamId.R, StreamId.S)
+        }
         self.flow = FlowController(context.num_nodes, context.config.flow)
         # Exponentially-weighted per-peer hit rates, per local stream.
         self._hit_rates: Dict[StreamId, Dict[int, float]] = {
@@ -128,15 +133,17 @@ class BloomPolicy(ForwardingPolicy):
         if update.algorithm != ALGORITHM:
             return
         if self.remote.apply(source, update):
-            key = (source, update.stream)
-            if key not in self._remote_filters:
-                self._remote_filters[key] = self.filters[update.stream].spawn_compatible()
-            self._remote_filters[key].load_snapshot(update.payload)
+            row = self._remote_filters[update.stream]
+            slot = self._peer_slots[source]
+            if row[slot] is None:
+                row[slot] = self.filters[update.stream].spawn_compatible()
+            row[slot].load_snapshot(update.payload)
 
     def remote_filter(
         self, peer: int, stream: StreamId
     ) -> Optional[CountingBloomFilter]:
-        return self._remote_filters.get((peer, stream))
+        slot = self._peer_slots.get(peer)
+        return None if slot is None else self._remote_filters[stream][slot]
 
     def resync_peer(self, peer: int) -> None:
         """Queue fresh filter snapshots for a recovering peer (snapshots
@@ -150,18 +157,18 @@ class BloomPolicy(ForwardingPolicy):
     # ------------------------------------------------------------------
 
     def choose_destinations(self, item: StreamTuple) -> List[int]:
-        opposite = item.stream.other
+        key = item.key
         hits: Dict[int, int] = {}
         unknown: List[int] = []
         rates = self._hit_rates[item.stream]
-        for peer in self.peer_ids:
-            remote = self.remote_filter(peer, opposite)
+        remotes = self._remote_filters[item.stream.other]
+        for peer, remote in zip(self.peer_ids, remotes):
             if remote is None:
                 unknown.append(peer)
                 continue
             # One question per peer: the min probed counter is positive
             # exactly when ``item.key in remote``.
-            estimate = remote.count_estimate(item.key)
+            estimate = remote.count_estimate(key)
             hit = estimate > 0
             rates[peer] = self._hit_rate_decay * rates[peer] + (
                 1.0 - self._hit_rate_decay
@@ -243,4 +250,5 @@ class BloomPolicy(ForwardingPolicy):
         self.flow.restore_state(state["flow"])
         # Peer filters died with the process; resync snapshots refill them.
         self.remote.clear()
-        self._remote_filters.clear()
+        for row in self._remote_filters.values():
+            row[:] = [None] * len(row)

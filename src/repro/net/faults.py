@@ -18,8 +18,9 @@ EventScheduler` so the control loop's robustness can be measured:
 A :class:`FaultPlan` is a static, validated set of :class:`FaultEvent`
 windows -- pure data, no randomness -- so an identical seed plus an
 identical plan reproduces a run bit-for-bit.  The :class:`FaultInjector`
-schedules the activation/deactivation edges and answers point queries
-from :class:`~repro.net.link.Link` and the node runtime.
+schedules the activation/deactivation edges, rewrites its per-link and
+per-node answer tables at each, and answers point queries from
+:class:`~repro.net.link.Link` and the node runtime out of those tables.
 
 Plans can be written inline, loaded from JSON, or spelled as compact
 preset specs (``partition@t=10s,d=5s``); see :meth:`FaultPlan.parse`.
@@ -30,7 +31,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.net.simulator import EventScheduler
@@ -45,6 +46,18 @@ class FaultKind(enum.Enum):
     LATENCY_SPIKE = "latency_spike"
     NODE_CRASH = "node_crash"
     OVERLOAD = "overload"
+
+
+_FIELD_READERS: Dict[str, Tuple[FaultKind, ...]] = {
+    "nodes": (FaultKind.PARTITION, FaultKind.NODE_CRASH, FaultKind.OVERLOAD),
+    "links": (FaultKind.LOSS_BURST, FaultKind.LINK_OUTAGE, FaultKind.LATENCY_SPIKE),
+    "loss_probability": (FaultKind.LOSS_BURST,),
+    "extra_latency_s": (FaultKind.LATENCY_SPIKE,),
+    "downtime_s": (FaultKind.NODE_CRASH,),
+    "slowdown_factor": (FaultKind.OVERLOAD,),
+}
+"""The kinds that read each optional :class:`FaultEvent` field; any other
+kind must leave the field at its default."""
 
 
 @dataclass(frozen=True)
@@ -89,6 +102,14 @@ class FaultEvent:
             raise ConfigurationError("fault start_s must be non-negative")
         if self.duration_s <= 0:
             raise ConfigurationError("fault duration_s must be positive")
+        for name, kinds in _FIELD_READERS.items():
+            # A field the kind never reads would be dropped silently: a
+            # loss burst given ``nodes`` still covers every link.
+            if getattr(self, name) and self.kind not in kinds:
+                raise ConfigurationError(
+                    "%s is only valid for %s"
+                    % (name, ", ".join(kind.name for kind in kinds))
+                )
         if self.kind is FaultKind.NODE_CRASH and not self.nodes:
             raise ConfigurationError("NODE_CRASH requires at least one node")
         if self.kind is FaultKind.PARTITION and not self.nodes:
@@ -106,12 +127,8 @@ class FaultEvent:
                 raise ConfigurationError("OVERLOAD requires at least one node")
             if self.slowdown_factor <= 1.0:
                 raise ConfigurationError("OVERLOAD requires slowdown_factor > 1")
-        elif self.slowdown_factor:
-            raise ConfigurationError("slowdown_factor is only valid for OVERLOAD")
         if self.downtime_s < 0:
             raise ConfigurationError("fault downtime_s must be non-negative")
-        if self.downtime_s > 0 and self.kind is not FaultKind.NODE_CRASH:
-            raise ConfigurationError("downtime_s is only valid for NODE_CRASH")
         for source, destination in self.links:
             if source == destination:
                 raise ConfigurationError("fault link %d->%d is a self-loop" % (source, destination))
@@ -424,14 +441,51 @@ def load_fault_plan(source: str, num_nodes: Optional[int] = None) -> FaultPlan:
     return FaultPlan.parse(source, num_nodes)
 
 
+LinkVerdict = Tuple[float, bool, float]
+"""What the active faults do to one directed link: (extra propagation
+delay, severed, extra drop probability)."""
+
+IDLE_LINK: LinkVerdict = (0, False, 0.0)
+"""The verdict of a link no active event covers.  The delay is the int
+``0`` a ``sum`` over no events returns."""
+
+_SEVERING_KINDS = (FaultKind.LINK_OUTAGE, FaultKind.PARTITION, FaultKind.NODE_CRASH)
+
+
+def _link_verdict(
+    active: Sequence[FaultEvent], source: int, destination: int
+) -> LinkVerdict:
+    """One link's verdict, scanned over ``active`` in order: the latency
+    ``sum`` and the loss survival product run event by event, so the
+    float result is the one a per-send scan would give."""
+    extra_latency = sum(
+        event.extra_latency_s
+        for event in active
+        if event.kind is FaultKind.LATENCY_SPIKE
+        and event.affects_link(source, destination)
+    )
+    blocked = any(
+        event.kind in _SEVERING_KINDS and event.affects_link(source, destination)
+        for event in active
+    )
+    survival = 1.0
+    for event in active:
+        if event.kind is FaultKind.LOSS_BURST and event.affects_link(
+            source, destination
+        ):
+            survival *= 1.0 - event.loss_probability
+    return extra_latency, blocked, 1.0 - survival
+
+
 class FaultInjector:
     """Executes a :class:`FaultPlan` against a scheduler and answers
     point-in-time queries from the network layer.
 
     Activation and deactivation are plain scheduled events, so the whole
     fault timeline participates in the simulator's deterministic ordering.
-    Queries are O(active events) -- plans are small by construction --
-    and answer the neutral value at once while nothing is active.
+    The answers change only at those edges, so each edge rewrites three
+    tables from the active events -- the per-link verdicts, the crashed
+    nodes and the per-node service factors -- and a query is a lookup.
     """
 
     def __init__(self, plan: FaultPlan, num_nodes: int) -> None:
@@ -441,6 +495,15 @@ class FaultInjector:
         self._active: List[FaultEvent] = []
         self.messages_blocked = 0
         self.activations: Dict[str, int] = {}
+        self.link_faults: Dict[Tuple[int, int], LinkVerdict] = {}
+        """``(source, destination) -> verdict`` for every mesh link an
+        active event covers; a link that is absent is :data:`IDLE_LINK`.
+        Replaced (never mutated) at each edge, so :class:`~repro.net.link.
+        Link` reads it through the injector at every send."""
+        self._crashed: FrozenSet[int] = frozenset()
+        self._restartable: FrozenSet[int] = frozenset()
+        self._service_factors: Dict[int, float] = {}
+        self._rebuild()
 
     def install(self, scheduler: EventScheduler) -> None:
         """Schedule every activation/deactivation edge of the plan."""
@@ -451,22 +514,46 @@ class FaultInjector:
     def _activate(self, event: FaultEvent) -> None:
         self._active.append(event)
         self.activations[event.kind.value] = self.activations.get(event.kind.value, 0) + 1
+        self._rebuild()
 
     def _deactivate(self, event: FaultEvent) -> None:
         self._active.remove(event)
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Rewrite the three tables from the active events."""
+        active = tuple(self._active)
+        self._crashed = frozenset(
+            node
+            for event in active
+            if event.kind is FaultKind.NODE_CRASH
+            for node in event.nodes
+        )
+        self._restartable = frozenset(
+            node for event in active if event.restartable for node in event.nodes
+        )
+        factors: Dict[int, float] = {}
+        for event in active:  # the product runs in activation order
+            if event.kind is FaultKind.OVERLOAD:
+                for node in set(event.nodes):
+                    factors[node] = factors.get(node, 1.0) * event.slowdown_factor
+        self._service_factors = factors
+        mesh = range(self.num_nodes)
+        self.link_faults = {
+            (source, destination): _link_verdict(active, source, destination)
+            for source in mesh
+            for destination in mesh
+            if any(event.affects_link(source, destination) for event in active)
+        }
 
     # ------------------------------------------------------------------
-    # point queries (called from Link.send / delivery / the node runtime)
+    # point queries (the node runtime and delivery ask; a send reads
+    # ``link_faults`` itself)
     # ------------------------------------------------------------------
 
     def node_down(self, node_id: int) -> bool:
         """Whether ``node_id`` is currently crashed."""
-        if not self._active:
-            return False
-        return any(
-            event.kind is FaultKind.NODE_CRASH and node_id in event.nodes
-            for event in self._active
-        )
+        return node_id in self._crashed
 
     def restartable_down(self, node_id: int) -> bool:
         """Whether ``node_id`` is down under a *restartable* crash.
@@ -474,36 +561,15 @@ class FaultInjector:
         Restartable crashes (``downtime_s > 0``) take the recovery path:
         local arrivals are logged for replay instead of being discarded.
         """
-        if not self._active:
-            return False
-        return any(
-            event.restartable and node_id in event.nodes for event in self._active
-        )
+        return node_id in self._restartable
 
     def link_blocked(self, source: int, destination: int) -> bool:
         """Whether the directed link is severed (outage, partition, crash)."""
-        if not self._active:
-            return False
-        for event in self._active:
-            if event.kind in (
-                FaultKind.LINK_OUTAGE,
-                FaultKind.PARTITION,
-                FaultKind.NODE_CRASH,
-            ) and event.affects_link(source, destination):
-                return True
-        return False
+        return self.link_faults.get((source, destination), IDLE_LINK)[1]
 
     def extra_loss(self, source: int, destination: int) -> float:
         """Additional drop probability currently applied to the link."""
-        if not self._active:
-            return 0.0
-        survival = 1.0
-        for event in self._active:
-            if event.kind is FaultKind.LOSS_BURST and event.affects_link(
-                source, destination
-            ):
-                survival *= 1.0 - event.loss_probability
-        return 1.0 - survival
+        return self.link_faults.get((source, destination), IDLE_LINK)[2]
 
     def service_factor(self, node_id: int) -> float:
         """Multiplier currently applied to ``node_id``'s service times.
@@ -511,24 +577,11 @@ class FaultInjector:
         The product over active OVERLOAD windows covering the node;
         1.0 when none are active.
         """
-        if not self._active:
-            return 1.0
-        factor = 1.0
-        for event in self._active:
-            if event.kind is FaultKind.OVERLOAD and node_id in event.nodes:
-                factor *= event.slowdown_factor
-        return factor
+        return self._service_factors.get(node_id, 1.0)
 
     def extra_latency(self, source: int, destination: int) -> float:
         """Additional propagation delay currently applied to the link."""
-        if not self._active:
-            return 0  # what ``sum`` of nothing returns below
-        return sum(
-            event.extra_latency_s
-            for event in self._active
-            if event.kind is FaultKind.LATENCY_SPIKE
-            and event.affects_link(source, destination)
-        )
+        return self.link_faults.get((source, destination), IDLE_LINK)[0]
 
     def note_blocked(self) -> None:
         """Called by the link layer when a message died to an active fault."""

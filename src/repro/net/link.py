@@ -172,8 +172,15 @@ class Link:
         latency = LATENCY_MIN_S
         if LATENCY_MAX_S != latency:
             latency += (LATENCY_MAX_S - latency) * self._next_double()
-        if self._injector is not None and self._endpoints is not None:
-            latency += self._injector.extra_latency(*self._endpoints)
+        # The injector rewrites its per-link table at each fault edge; an
+        # absent entry (or no injector) is the idle verdict, which adds 0.
+        verdict = (
+            self._injector.link_faults.get(self._endpoints)
+            if self._injector is not None
+            else None
+        )
+        if verdict is not None:
+            latency += verdict[0]
         arrival = depart + latency
         if arrival < self._last_arrival:
             arrival = self._last_arrival
@@ -181,12 +188,12 @@ class Link:
         message.created_at = now
         self.messages_sent += 1
         self.bytes_sent += message.size_bytes()
-        if self._injector is not None and self._endpoints is not None:
-            if self._injector.link_blocked(*self._endpoints):
+        if verdict is not None:
+            _, blocked, burst = verdict
+            if blocked:
                 self._injector.note_blocked()
                 self._drop(message)
                 return arrival  # serialized, paid for, never delivered
-            burst = self._injector.extra_loss(*self._endpoints)
             if burst > 0.0 and self._next_double() < burst:
                 self._injector.note_blocked()
                 self._drop(message)

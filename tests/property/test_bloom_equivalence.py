@@ -130,3 +130,79 @@ def test_the_table_is_bounded_and_evicts_first_in_first_out():
         assert all(key in twin for key in range(0, 10, 2))
         assert all(key in template for key in range(1, 10, 2))
         assert len(template._position_table) == 4
+
+
+snapshot_counters = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=MAX_COUNT),
+        st.just(15),  # the default ceiling, saturated
+        st.integers(min_value=0, max_value=300),  # past a byte: the numpy path
+        st.integers(min_value=-3, max_value=-1),
+    ),
+    min_size=NUM_COUNTERS,
+    max_size=NUM_COUNTERS,
+)
+after_load = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["add", "remove", "count_estimate"]), keys),
+        st.tuples(st.just("restore_state"), st.integers(0, 11)),
+        st.tuples(st.just("load_snapshot"), st.integers(0, 11)),
+    ),
+    max_size=12,
+)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    snapshot_counters,
+    after_load,
+)
+@settings(max_examples=200, deadline=None)
+def test_a_loaded_snapshot_answers_the_min_over_its_probed_counters(seed, counters, script):
+    """``count_estimate`` on a snapshot-loaded filter reads a bytes copy;
+    it must equal ``int(counters[positions].min())`` on the counter array
+    (saturated and out-of-byte counters included), and stay equal after
+    ``add``, ``remove``, ``restore_state`` or another load drop the copy."""
+    bloom = CountingBloomFilter(
+        NUM_COUNTERS, NUM_HASHES, max_count=MAX_COUNT, rng=np.random.default_rng(seed)
+    )
+    donor = bloom.spawn_compatible()
+    donor.update(range(6))
+    bloom.load_snapshot(np.array(counters, dtype=np.int32))
+
+    def check():
+        for key in range(12):
+            expected = int(bloom.snapshot()[bloom._positions(key)].min())
+            answer = bloom.count_estimate(key)
+            assert answer == expected and type(answer) is int
+
+    check()
+    for action, argument in script:
+        try:
+            if action == "restore_state":
+                bloom.restore_state(donor.checkpoint_state())
+            elif action == "load_snapshot":
+                shifted = np.roll(np.array(counters, dtype=np.int32), argument)
+                bloom.load_snapshot(shifted)
+            elif action != "count_estimate":
+                getattr(bloom, action)(argument)
+        except SummaryError:
+            pass
+        check()
+
+
+def test_the_bytes_copy_lives_only_while_the_snapshot_is_untouched():
+    bloom = CountingBloomFilter(NUM_COUNTERS, NUM_HASHES, rng=np.random.default_rng(1))
+    bloom.load_snapshot(np.full(NUM_COUNTERS, 15, dtype=np.int32))
+    assert bloom._counter_bytes == bytes([15] * NUM_COUNTERS)
+    bloom.load_snapshot(np.full(NUM_COUNTERS, 256, dtype=np.int32))
+    assert bloom._counter_bytes is None  # does not fit a byte: numpy answers
+    for mutate in (
+        lambda: bloom.add(3),
+        lambda: bloom.remove(3),
+        lambda: bloom.restore_state(bloom.spawn_compatible().checkpoint_state()),
+    ):
+        bloom.load_snapshot(np.ones(NUM_COUNTERS, dtype=np.int32))
+        assert bloom._counter_bytes is not None
+        mutate()
+        assert bloom._counter_bytes is None

@@ -198,6 +198,11 @@ INVALID_SPECS = [
     "overload@t=1,d=1,node=0,factor=0.5",  # sub-unit factor
     "overload@t=1,d=1,node=0,factor=fast",  # non-numeric factor
     "crash@t=1,d=1,node=0,factor=2",  # factor is overload-only
+    "loss_burst@t=1,d=1,p=0.5,nodes=3",  # a loss burst selects links, not nodes
+    "latency@t=1,d=1,extra=0.2,nodes=3",  # so does a latency spike
+    "partition@t=1,d=1,nodes=0,link=0-1",  # a partition selects nodes
+    "overload@t=1,d=1,node=0,factor=2,link=0-1",  # so does an overload
+    "crash@t=1,d=1,node=0,p=0.5",  # p is loss-only
 ]
 
 

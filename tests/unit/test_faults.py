@@ -62,6 +62,25 @@ class TestFaultEvent:
         assert event.affects_link(0, 2)
         assert not event.affects_link(0, 1)
 
+    def test_a_field_the_kind_never_reads_is_rejected(self):
+        """A loss burst given ``nodes=3`` used to parse and then cover every
+        link; each selector or parameter must belong to its kind."""
+        for spec in (
+            "loss_burst@t=1,d=1,p=0.5,nodes=3",
+            "latency_spike@t=1,d=1,extra=0.2,nodes=1",
+            "partition@t=1,d=1,nodes=0,link=0-1",
+            "overload@t=1,d=1,node=0,factor=2,link=0-1",
+            "node_crash@t=1,d=1,node=0,p=0.5",
+            "outage@t=1,d=1,link=0-1,extra=0.3",
+        ):
+            with pytest.raises(ConfigurationError, match="only valid for"):
+                FaultPlan.parse(spec, 5)
+        with pytest.raises(ConfigurationError):
+            FaultEvent.from_dict(
+                {"kind": "loss_burst", "start_s": 1, "duration_s": 1,
+                 "loss_probability": 0.5, "nodes": [3]}
+            )
+
     def test_dict_round_trip(self):
         event = FaultEvent(
             FaultKind.LOSS_BURST, 1.5, 2.5, links=((0, 1),), loss_probability=0.4
@@ -235,6 +254,33 @@ class TestFaultInjector:
         assert idle == [False, False, False, 0.0, 0, 1.0]
         assert idle == unaffected[0] == answers()
         assert [type(value) for value in idle] == [type(value) for value in unaffected[0]]
+
+    def test_tables_are_rebuilt_once_per_edge(self, monkeypatch):
+        plan = FaultPlan.from_events(
+            [
+                outage(1.0, 2.0),
+                outage(1.0, 2.0),
+                FaultEvent(FaultKind.OVERLOAD, 0.5, 1.0, nodes=(1,), slowdown_factor=2.0),
+                FaultEvent(FaultKind.NODE_CRASH, 2.0, 1.0, nodes=(3,), downtime_s=1.0),
+            ]
+        )
+        scheduler = EventScheduler()
+        injector = FaultInjector(plan, 4)
+        injector.install(scheduler)
+        rebuilds = []
+        original = FaultInjector._rebuild
+
+        def counting(self):
+            rebuilds.append(scheduler.now)
+            original(self)
+
+        monkeypatch.setattr(FaultInjector, "_rebuild", counting)
+        scheduler.run()
+        edges = sorted(
+            time for event in plan.events for time in (event.start_s, event.end_s)
+        )
+        assert rebuilds == edges
+        assert injector.link_faults == {} and not injector.node_down(3)
 
     def test_summary_counters(self):
         scheduler = EventScheduler()

@@ -180,3 +180,57 @@ def test_counters_accumulate():
     assert link.messages_sent == 4
     assert link.bytes_sent == total
     assert link.free_at == pytest.approx(total * 8.0 / 90_000.0)
+
+
+QUERIES = (
+    "node_down",
+    "restartable_down",
+    "link_blocked",
+    "extra_loss",
+    "extra_latency",
+    "service_factor",
+)
+
+
+def test_a_send_on_a_faulted_link_asks_the_injector_nothing(monkeypatch):
+    """A send reads the injector's per-link table; it calls none of the six
+    point queries (the scanning injector took three per send)."""
+    from repro.net.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
+
+    plan = FaultPlan.from_events(
+        [
+            FaultEvent(FaultKind.LOSS_BURST, 0.0, 9.0, loss_probability=0.5),
+            FaultEvent(FaultKind.LATENCY_SPIKE, 0.0, 9.0, extra_latency_s=0.25),
+            FaultEvent(FaultKind.LINK_OUTAGE, 0.0, 9.0, links=((1, 0),)),
+        ]
+    )
+    scheduler = EventScheduler()
+    injector = FaultInjector(plan, 2)
+    injector.install(scheduler)
+    scheduler.run(until=1.0)
+    delivered = []
+    links = [
+        Link(scheduler, LinkSpec(), delivered.append, rng=np.random.default_rng(seed),
+             endpoints=endpoints, fault_injector=injector)
+        for seed, endpoints in ((3, (0, 1)), (4, (1, 0)))
+    ]
+    calls = []
+
+    def counted(name):
+        original = getattr(FaultInjector, name)
+
+        def query(self, *args):
+            calls.append(name)
+            return original(self, *args)
+
+        return query
+
+    for name in QUERIES:
+        monkeypatch.setattr(FaultInjector, name, counted(name))
+    for _ in range(20):
+        for link in links:
+            link.send(_tuple_message())
+    assert calls == []
+    assert links[1].messages_lost == 20  # the outage severs 1 -> 0
+    assert 0 < links[0].messages_lost < 20  # the loss burst draws
+    assert injector.messages_blocked == links[0].messages_lost + 20

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bloom.counting import CountingBloomFilter
 from repro.config import Algorithm, PolicyConfig
 from repro.core import correlation
 from repro.core.flow import FlowController, FlowSettings
@@ -498,6 +499,32 @@ class TestBloomPolicy:
         newer = make_tuple(43, StreamId.R)
         a.on_local_insert(newer, [item])
         assert 42 not in a.filters[StreamId.R]
+
+    def test_a_decision_probes_each_peer_with_a_filter_once(self, monkeypatch):
+        """One ``count_estimate`` per peer whose opposite-stream filter has
+        arrived, none for a peer still unknown or for the same stream."""
+        a, b, c, d = self._pair(num_nodes=4)
+        feed(b, [500] * 8, stream=StreamId.S)
+        feed(d, [700] * 8, stream=StreamId.S)
+        feed(c, [900] * 8, stream=StreamId.R)
+        for source, peer in ((1, b), (3, d), (2, c)):
+            for update in peer.outbox.take(0):
+                a.on_remote_summary(source, update)
+        probed = []
+        original = CountingBloomFilter.count_estimate
+
+        def counting(bloom, key):
+            probed.append(bloom)
+            return original(bloom, key)
+
+        monkeypatch.setattr(CountingBloomFilter, "count_estimate", counting)
+        for index, key in enumerate((500, 700, 900, 4)):
+            probed.clear()
+            a.choose_destinations(make_tuple(key, StreamId.R, index))
+            assert probed == [a.remote_filter(1, StreamId.S), a.remote_filter(3, StreamId.S)]
+        assert a.remote_filter(2, StreamId.S) is None
+        assert a.remote_filter(2, StreamId.R) is not None
+        assert a.remote_filter(0, StreamId.S) is None  # not a peer of node 0
 
     def test_a_key_is_hashed_once_per_filter_family(self, monkeypatch, bloom_telemetry_config):
         """A gate in counts, on a whole scripted run: every filter of a
