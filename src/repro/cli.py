@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--staleness-budget",
         type=float_not_nan,
-        default=-1.0,
+        default=None,
         metavar="SECONDS",
         help="max tolerated summary age before degradation, 0 to disable "
         "(implies --reliable)",
@@ -234,8 +234,16 @@ def config_from_args(args: argparse.Namespace) -> SystemConfig:
 
     from repro.errors import ConfigurationError
 
-    if args.retransmit_timeout < 0:
-        raise ConfigurationError("--retransmit-timeout must be positive")
+    # A negative duration has no meaning: a usage error that names the
+    # option, not a setting silently dropped or blamed on another one.
+    for option, value in (
+        ("--window-seconds", args.window_seconds),
+        ("--retransmit-timeout", args.retransmit_timeout),
+        ("--staleness-budget", args.staleness_budget),
+        ("--checkpoint-interval", args.checkpoint_interval),
+    ):
+        if value is not None and value < 0:
+            raise ConfigurationError("%s must be non-negative" % option)
     window_kind = WindowKind.TIME if args.window_seconds > 0 else WindowKind.COUNT
     faults = (
         load_fault_plan(args.fault_plan, args.nodes)
@@ -256,14 +264,14 @@ def config_from_args(args: argparse.Namespace) -> SystemConfig:
     reliable = (
         args.reliable
         or args.retransmit_timeout > 0
-        or args.staleness_budget >= 0
+        or args.staleness_budget is not None
         or bool(args.degradation)
         or recovery_on
     )
     overrides = {"enabled": True}
     if args.retransmit_timeout > 0:
         overrides["retransmit_timeout_s"] = args.retransmit_timeout
-    if args.staleness_budget >= 0:
+    if args.staleness_budget is not None:
         overrides["staleness_budget_s"] = args.staleness_budget
     if args.degradation:
         overrides["degradation_mode"] = args.degradation

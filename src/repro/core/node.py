@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import config as testbed
 from repro.config import SystemConfig, WindowKind
@@ -58,6 +58,17 @@ THROTTLE_REFRESH_STRETCH = 4
 (THROTTLED or SHEDDING): summaries recompute and broadcast this many
 times less often, shrinking the control-plane share of a saturated
 uplink."""
+
+WorkItem = Union[StreamTuple, Message]
+"""One entry of a node's service queue: the :class:`StreamTuple` of a
+local arrival or the delivered :class:`Message` itself."""
+
+
+def work_kind(work: WorkItem) -> str:
+    """``"local"`` for a local arrival, ``"message"`` for a delivery: the
+    kind that dispatch, shedding, the ``node.service`` event and the
+    ``node.<kind>`` profiler sections name."""
+    return "local" if type(work) is StreamTuple else "message"
 
 
 @dataclass
@@ -109,7 +120,7 @@ class JoinProcessingNode:
         order and replayed in canonical ``(time, node, seq)`` order at
         collect time (see repro.metrics.accounting.replay_accounting)."""
         self._acct_seq = 0
-        self._queue: Deque[Tuple[str, object]] = deque()
+        self._queue: Deque[WorkItem] = deque()
         self._busy = False
         self._last_contact: Dict[int, float] = {}
         self._mean_interarrival = 0.0
@@ -255,7 +266,7 @@ class JoinProcessingNode:
             # comparable -- the crash costs coverage, not correctness.
             self.local_arrivals_dropped += 1
             return
-        self._enqueue(("local", item))
+        self._enqueue(item)
 
     def on_message(self, message: Message) -> None:
         """Network delivery callback.
@@ -278,13 +289,15 @@ class JoinProcessingNode:
                 return
             if message.seq is not None:
                 for released in self.transport.on_receive(message):
-                    self._enqueue(("message", released))
+                    self._enqueue(released)
                 return
-        self._enqueue(("message", message))
+        self._enqueue(message)
 
-    def _enqueue(self, work: Tuple[str, object]) -> None:
-        kind, payload = work
-        if kind == "message" and payload.kind is MessageKind.STATE_TRANSFER:
+    def _enqueue(self, work: WorkItem) -> None:
+        if (
+            work_kind(work) == "message"
+            and work.kind is MessageKind.STATE_TRANSFER
+        ):
             # Recovery anti-entropy jumps the service queue: a rejoining
             # node must not wait behind the replay backlog it is working
             # through, and a serving peer answers resync requests ahead of
@@ -319,17 +332,16 @@ class JoinProcessingNode:
     _SHED_PRIORITY_TRANSFER = 3
 
     @classmethod
-    def _work_priority(cls, work: Tuple[str, object]) -> int:
-        kind, payload = work
-        if kind != "message":
+    def _work_priority(cls, work: WorkItem) -> int:
+        if work_kind(work) != "message":
             return cls._SHED_PRIORITY_LOCAL
-        if payload.kind is MessageKind.STATE_TRANSFER:
+        if work.kind is MessageKind.STATE_TRANSFER:
             return cls._SHED_PRIORITY_TRANSFER
-        if payload.kind is MessageKind.TUPLE:
+        if work.kind is MessageKind.TUPLE:
             return cls._SHED_PRIORITY_REMOTE_TUPLE
         return cls._SHED_PRIORITY_CONTROL
 
-    def _admit_over_bound(self, work: Tuple[str, object]) -> None:
+    def _admit_over_bound(self, work: WorkItem) -> None:
         """The queue is at its bound: shed deterministically by priority.
 
         The victim is the strictly lowest-priority queued entry, tail-most
@@ -355,7 +367,7 @@ class JoinProcessingNode:
             self._shed(victim)
             queue.append(work)
 
-    def _shed(self, work: Tuple[str, object]) -> None:
+    def _shed(self, work: WorkItem) -> None:
         """Drop one unit of queued work, with honest accounting.
 
         Shed local tuples are logged as ``shed`` accounting ops: the
@@ -365,10 +377,10 @@ class JoinProcessingNode:
         Shed remote work is already counted at its origin and only
         decrements this node's side of the ledger.
         """
-        kind, payload = work
+        kind = work_kind(work)
         now = self.scheduler.now
         if kind == "local":
-            item = payload.with_timestamp(now)
+            item = work.with_timestamp(now)
             self.shed_tuples += 1
             self._log_op(self._queries[item.query_id], now, "shed", (item,))
         else:
@@ -414,12 +426,13 @@ class JoinProcessingNode:
         if self._busy or not self._queue:
             return
         self._busy = True
-        kind, payload = self._queue.popleft()
+        work = self._queue.popleft()
+        kind = work_kind(work)
         if self.profiler is None:
-            service_time = self._dispatch(kind, payload)
+            service_time = self._dispatch(kind, work)
         else:
             with self.profiler.section("node.%s" % kind):
-                service_time = self._dispatch(kind, payload)
+                service_time = self._dispatch(kind, work)
         if self.fault_injector is not None:
             # An active OVERLOAD fault stretches this node's service times
             # (CPU contention / a slow collocated tenant); factor 1.0 --
@@ -445,10 +458,10 @@ class JoinProcessingNode:
             key=self._event_keys.next_key(),
         )
 
-    def _dispatch(self, kind: str, payload: object) -> float:
+    def _dispatch(self, kind: str, work: WorkItem) -> float:
         if kind == "local":
-            return self._process_local(payload)
-        return self._process_message(payload)
+            return self._process_local(work)
+        return self._process_message(work)
 
     def _finish_service(self) -> None:
         self._busy = False
@@ -702,18 +715,27 @@ class JoinProcessingNode:
                 kind=MessageKind.RESULT,
                 source=self.node_id,
                 destination=remote_origin,
-                payload=(runtime.query_id, None, []),
+                payload=(runtime.query_id, None, ()),
             )
             self.network.send(message)
             pause += self._pause_seconds(message)
         return pause
 
-    def _take_pending_updates(self, destination: int) -> List[Tuple[int, object]]:
-        """Drain every query's outbox for ``destination`` (shared channel)."""
-        updates: List[Tuple[int, object]] = []
+    def _take_pending_updates(self, destination: int) -> Sequence[Tuple[int, object]]:
+        """Drain every query's outbox for ``destination`` (shared channel).
+
+        With nothing pending -- every BASE message, and most under a slow
+        refresh cadence -- this is the shared empty tuple, so a queued
+        message holds no list of its own."""
+        updates: Sequence[Tuple[int, object]] = ()
         for query_id in self._query_order:
-            for update in self._queries[query_id].policy.outbox.take(destination):
-                updates.append((query_id, update))
+            outbox = self._queries[query_id].policy.outbox
+            if outbox.has_pending(destination):
+                if not updates:
+                    updates = []
+                updates.extend(
+                    (query_id, update) for update in outbox.take(destination)
+                )
         return updates
 
     def _send_tuple(self, item: StreamTuple, destination: int, now: float) -> float:
@@ -724,7 +746,9 @@ class JoinProcessingNode:
             source=self.node_id,
             destination=destination,
             payload=(item.query_id, item, updates),
-            summary_entries=sum(update.entries for _, update in updates),
+            summary_entries=(
+                sum(update.entries for _, update in updates) if updates else 0
+            ),
         )
         self.network.send(message)
         self._last_contact[destination] = now

@@ -271,7 +271,7 @@ class DistributedJoinSystem:
                 kind=MessageKind.CONTROL,
                 source=0,
                 destination=destination,
-                payload=(0, None, []),
+                payload=(0, None, ()),
             )
             if origin.transport is not None:
                 origin.transport.send(message)

@@ -930,6 +930,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.queue_bound < 0:
             raise ConfigurationError("--queue-bound must be positive")
+        if args.checkpoint_interval < 0:
+            raise ConfigurationError("--checkpoint-interval must be non-negative")
         if args.checkpoint_interval and not args.recovery:
             raise ConfigurationError("--checkpoint-interval needs --recovery")
         grid = parse_grid(args.fault_grid) if args.fault_grid else DEFAULT_GRID

@@ -21,7 +21,7 @@ from repro.streams.tuples import StreamId, StreamTuple
 from repro.streams.window import SlidingWindow
 
 
-@dataclass
+@dataclass(slots=True)
 class JoinResult:
     """One emitted join result: an (R-tuple, S-tuple) pair."""
 

@@ -15,7 +15,7 @@ the protocol.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -372,7 +372,7 @@ class RecoveryCoordinator:
         # deliveries that piled up while mid-restore.
         self.tuples_replayed += len(replay)
         for item in replay:
-            node._enqueue(("local", item))
+            node._enqueue(item)
         pending = list(self._pending_messages)
         self._pending_messages.clear()
         for message in pending:
@@ -531,7 +531,7 @@ class RecoveryCoordinator:
         self,
         peer: int,
         detail: Dict[str, object],
-        updates: List[Tuple[int, SummaryUpdate]],
+        updates: Sequence[Tuple[int, SummaryUpdate]],
         full_size: int,
         now: float,
     ) -> Message:

@@ -55,7 +55,7 @@ def peek_next_tuple_ids() -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamTuple:
     """One stream element.
 

@@ -7,7 +7,9 @@ are implemented behind one interface so the join operator and the DFT
 summaries do not care which is in force.
 
 Windows maintain, besides the tuple deque, a multiset of keys so that
-membership tests and match counting are O(1) per probe.
+membership tests and match counting are O(1) per probe, and a deque of
+the tuples' keys in the same order, so a probe finds its matches with
+``deque.index`` -- a scan in C -- instead of reading every tuple's key.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ class SlidingWindow(abc.ABC):
 
     def __init__(self) -> None:
         self._tuples: Deque[StreamTuple] = deque()
+        self._keys: Deque[int] = deque()
+        """``t.key`` for each ``t`` in ``_tuples``, position by position."""
         self._key_counts: Counter = Counter()
         self._evicted: List[StreamTuple] = []
         self.total_appended = 0
@@ -42,7 +46,7 @@ class SlidingWindow(abc.ABC):
         return iter(self._tuples)
 
     def __contains__(self, key: int) -> bool:
-        return self._key_counts[key] > 0
+        return self._key_counts.get(key, 0) > 0
 
     @property
     def key_counts(self) -> Counter:
@@ -51,22 +55,38 @@ class SlidingWindow(abc.ABC):
 
     def count(self, key: int) -> int:
         """Number of tuples in the window with the given joining attribute."""
-        return self._key_counts[key]
+        return self._key_counts.get(key, 0)
 
     def keys(self) -> Iterator[int]:
         """Key sequence in arrival order (the signal the DFT summarizes)."""
-        return (t.key for t in self._tuples)
+        return iter(self._keys)
 
     def matches(self, key: int) -> List[StreamTuple]:
-        """All window tuples whose key equals ``key`` (join probe)."""
-        if self._key_counts[key] == 0:
+        """All window tuples whose key equals ``key`` (join probe), in
+        arrival order.
+
+        The key multiset says how many there are, so the key deque is
+        searched exactly that many times and never past the last match.
+        """
+        remaining = self._key_counts.get(key, 0)
+        if remaining == 0:
             return []
-        return [t for t in self._tuples if t.key == key]
+        tuples, find = self._tuples, self._keys.index
+        index = find(key)
+        found = [tuples[index]]
+        while remaining > 1:
+            index = find(key, index + 1)
+            found.append(tuples[index])
+            remaining -= 1
+        return found
 
     def append(self, item: StreamTuple) -> List[StreamTuple]:
         """Insert ``item`` and return the tuples evicted as a consequence."""
+        key = item.key
         self._tuples.append(item)
-        self._key_counts[item.key] += 1
+        self._keys.append(key)
+        counts = self._key_counts
+        counts[key] = counts.get(key, 0) + 1
         self.total_appended += 1
         self._evicted = []
         self._enforce(item)
@@ -81,7 +101,8 @@ class SlidingWindow(abc.ABC):
         """
         items = list(tuples)
         self._tuples = deque(items)
-        self._key_counts = Counter(t.key for t in items)
+        self._keys = deque(t.key for t in items)
+        self._key_counts = Counter(self._keys)
         self._evicted = []
         self.total_appended = int(total_appended)
         # The counter may roll back here and climb to a remembered value
@@ -92,9 +113,13 @@ class SlidingWindow(abc.ABC):
         if not self._tuples:
             raise WindowError("evicting from an empty window")
         oldest = self._tuples.popleft()
-        self._key_counts[oldest.key] -= 1
-        if self._key_counts[oldest.key] == 0:
-            del self._key_counts[oldest.key]
+        key = self._keys.popleft()
+        counts = self._key_counts
+        left = counts[key] - 1
+        if left:
+            counts[key] = left
+        else:
+            del counts[key]
         self._evicted.append(oldest)
         return oldest
 

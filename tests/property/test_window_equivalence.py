@@ -1,0 +1,103 @@
+"""The key-deque probe answers what the list scan answered.
+
+``SlidingWindow.matches`` finds its matches with ``deque.index`` over a
+deque of keys kept beside the tuples.  That is only admissible because no
+caller can tell: after every operation of a random history -- appends,
+clock advances, landmark resets and checkpoint restores on count, time
+and landmark windows -- each probe key, present or absent, gets the same
+tuples, the same objects in the same order, as ``tests/reference_window.py``
+(the list scan), and the key deque matches the tuples position by
+position.
+"""
+
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.streams.tuples import StreamId, StreamTuple
+from repro.streams.window import CountWindow, LandmarkWindow, TimeWindow
+from tests.reference_window import (
+    reference_contains,
+    reference_count,
+    reference_matches,
+)
+
+KEYS = st.integers(min_value=0, max_value=5)
+PROBE_KEYS = range(-1, 8)  # 6 and 7 are never appended, -1 neither
+LANDMARK = 0
+
+
+def windows():
+    return st.one_of(
+        st.integers(min_value=1, max_value=8).map(CountWindow),
+        st.sampled_from([0.25, 1.0, 2.5]).map(TimeWindow),
+        st.sampled_from([None, 3, 6]).map(
+            lambda size: LandmarkWindow(LANDMARK, max_size=size)
+        ),
+    )
+
+
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), KEYS, st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.5])),
+        st.tuples(st.just("advance"), st.sampled_from([0.0, 0.2, 1.0, 3.0])),
+        st.tuples(
+            st.just("restore"),
+            st.integers(min_value=0, max_value=12),
+            st.integers(min_value=0, max_value=12),
+            st.integers(min_value=0, max_value=50),
+        ),
+    ),
+    max_size=60,
+)
+
+
+def assert_same_answers(window):
+    tuples = list(window)
+    assert list(window._keys) == [t.key for t in tuples]
+    assert list(window.keys()) == [t.key for t in tuples]
+    recount = Counter(t.key for t in tuples)
+    assert window.key_counts == recount
+    assert all(count > 0 for count in window.key_counts.values())
+    for key in PROBE_KEYS:
+        found, expected = window.matches(key), reference_matches(window, key)
+        assert type(found) is list
+        assert found == expected
+        assert len(found) == len(expected)
+        assert all(a is b for a, b in zip(found, expected))
+        assert window.count(key) == reference_count(window, key) == recount[key]
+        assert (key in window) == reference_contains(window, key)
+    # The reads above go through ``Counter.__missing__`` and must not
+    # have inserted zero counts for the absent keys.
+    assert window.key_counts == recount
+
+
+@given(windows(), operations)
+@settings(max_examples=150, deadline=None)
+def test_probe_matches_the_list_scan(window, history):
+    now = 0.0
+    appended = []
+    for operation in history:
+        if operation[0] == "append":
+            _, key, step = operation
+            now += step
+            item = StreamTuple(
+                stream=StreamId.R,
+                key=key,
+                origin_node=0,
+                arrival_index=len(appended),
+                timestamp=now,
+            )
+            appended.append(item)
+            window.append(item)
+        elif operation[0] == "advance":
+            now += operation[1]
+            if isinstance(window, TimeWindow):
+                window.advance_to(now)
+        else:
+            # Restore a run of earlier arrivals, as a checkpoint would:
+            # oldest first, so time windows keep their order.
+            _, start, length, total = operation
+            window.restore(appended[start : start + length], total)
+        assert_same_answers(window)

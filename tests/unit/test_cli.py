@@ -34,7 +34,12 @@ class TestArgumentTranslation:
         assert config.num_nodes == 6
         assert config.workload.kind is WorkloadKind.ZIPF
         assert config.window_kind is WindowKind.COUNT
+        assert not config.reliability.enabled
+        assert not config.recovery.enabled
         config.validate()
+        # An omitted --staleness-budget is None; an explicit 0 is a budget.
+        budget = config_from_args(parse(["--staleness-budget", "0"])).reliability
+        assert budget.enabled and budget.staleness_budget_s == 0.0
 
     def test_algorithm_and_workload_choices(self):
         config = config_from_args(
@@ -135,6 +140,26 @@ class TestArgumentTranslation:
         error = capsys.readouterr().err
         assert "argument %s: invalid non-negative int value: '-3'" % option in error
 
+    @pytest.mark.parametrize(
+        "flags, option",
+        [
+            (["--checkpoint-interval", "-1"], "--checkpoint-interval"),
+            (["--checkpoint-interval", "-1", "--recovery"], "--checkpoint-interval"),
+            (["--staleness-budget", "-5"], "--staleness-budget"),
+            (["--window-seconds", "-1"], "--window-seconds"),
+        ],
+        ids=["checkpoint-interval", "checkpoint-interval-with-recovery",
+             "staleness-budget", "window-seconds"],
+    )
+    def test_negative_duration_is_a_usage_error(self, capsys, flags, option):
+        """These used to run without recovery, at the default checkpoint
+        interval, without reliability, or to blame ``window_seconds`` on
+        the window kind -- the first three exiting 0."""
+        assert main(FAST + ["--json"] + flags) == 2
+        captured = capsys.readouterr()
+        assert "error: %s must be non-negative" % option in captured.err
+        assert captured.out == ""
+
 
 class TestMain:
     def test_text_output(self, capsys):
@@ -220,8 +245,16 @@ class TestExperimentsDispatch:
         [
             (["--overload", "--queue-bound", "-5"], "--queue-bound must be positive"),
             (["--checkpoint-interval", "0.5"], "--checkpoint-interval needs --recovery"),
+            (
+                ["--recovery", "--checkpoint-interval", "-1"],
+                "--checkpoint-interval must be non-negative",
+            ),
         ],
-        ids=["negative-queue-bound", "checkpoint-interval-without-recovery"],
+        ids=[
+            "negative-queue-bound",
+            "checkpoint-interval-without-recovery",
+            "negative-checkpoint-interval",
+        ],
     )
     def test_chaos_refuses_inputs_it_would_ignore(self, capsys, flags, message):
         assert main(["experiments", "chaos", "smoke", "--no-cache"] + flags) == 2

@@ -7,10 +7,12 @@ import pytest
 
 from repro.config import Algorithm, PolicyConfig, SystemConfig, WorkloadConfig
 from repro.core.node import JoinProcessingNode
+from repro.core.summaries import SummaryUpdate
 from repro.core.policies import PolicyContext, make_policy
 from repro.join.ground_truth import GroundTruthOracle
 from repro.metrics.accounting import ResultCollector, replay_accounting
 from repro.net.link import LinkSpec
+from repro.net.message import Message, MessageKind
 from repro.net.simulator import EventScheduler
 from repro.net.topology import Network
 from repro.streams.tuples import StreamId, StreamTuple
@@ -316,3 +318,77 @@ class TestCheckpointWork:
                 assert len(text) == sum(lengths) + max(0, len(window) - 1)
             table = runtime.policy.remote
             assert table._rendered and set(table._rendered) <= set(table._state)
+
+
+def capture_sends(monkeypatch, network):
+    """Record every message handed to ``network.send``, then send it."""
+    sent = []
+    send = network.send
+
+    def recording(message):
+        sent.append(message)
+        return send(message)
+
+    monkeypatch.setattr(network, "send", recording)
+    return sent
+
+
+class TestMessagePathShape:
+    """What a queued message holds: the queue keeps the work item itself,
+    and a tuple message with nothing to piggy-back carries no list."""
+
+    @pytest.mark.usefixtures("zero_latency")
+    def test_the_queue_holds_the_arrival_and_the_message_themselves(self):
+        from repro.core.node import work_kind
+
+        scheduler, _, _, _, nodes = build_pair()
+        node = nodes[0]
+        node.on_local_arrival(make_tuple(StreamId.R, 1, 0, 0))
+        assert node.queue_depth == 0  # in service: the node is busy
+        arrival = make_tuple(StreamId.S, 2, 0, 1)
+        message = Message(
+            kind=MessageKind.TUPLE,
+            source=1,
+            destination=0,
+            payload=(0, make_tuple(StreamId.R, 3, 1, 0), ()),
+        )
+        node.on_local_arrival(arrival)
+        node.on_message(message)
+        assert len(node._queue) == 2
+        assert node._queue[0] is arrival
+        assert node._queue[1] is message
+        assert [work_kind(work) for work in node._queue] == ["local", "message"]
+        scheduler.run()
+        assert node.tuples_processed == 2
+        assert node.remote_tuples_processed == 1
+
+    @pytest.mark.usefixtures("zero_latency")
+    def test_a_base_tuple_message_carries_an_empty_tuple(self, monkeypatch):
+        scheduler, network, _, _, nodes = build_pair()
+        sent = capture_sends(monkeypatch, network)
+        nodes[0].on_local_arrival(make_tuple(StreamId.R, 1, 0))
+        scheduler.run()
+        (message,) = [m for m in sent if m.kind is MessageKind.TUPLE]
+        assert type(message.payload[2]) is tuple
+        assert message.payload[2] == ()
+        assert message.summary_entries == 0
+
+    @pytest.mark.usefixtures("zero_latency")
+    def test_a_pending_update_still_rides_as_a_list(self, monkeypatch):
+        _, network, _, _, nodes = build_pair(algorithm=Algorithm.DFT)
+        sent = capture_sends(monkeypatch, network)
+        node = nodes[0]
+        node.policy.outbox.take(1)
+        update = SummaryUpdate(
+            algorithm="DFT", stream=StreamId.R, version=1, window_size=8,
+            entries=3, payload={}, full_state=False,
+        )
+        node.policy.outbox.queue_for(1, update)
+        item = make_tuple(StreamId.R, 1, 0)
+        node._send_tuple(item, 1, 0.0)
+        node._send_tuple(item, 1, 0.0)
+        first, second = sent
+        assert first.payload == (0, item, [(0, update)])
+        assert first.summary_entries == 3
+        assert second.payload == (0, item, ())
+        assert second.summary_entries == 0

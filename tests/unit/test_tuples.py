@@ -25,3 +25,29 @@ def test_with_timestamp_preserves_identity():
     assert stamped.key == 9
     assert stamped.stream is StreamId.S
     assert original.timestamp is None  # frozen original untouched
+
+
+def test_tuples_and_join_results_carry_no_instance_dict():
+    """The two most numerous records are slotted: no per-instance dict
+    for the collector to track, and they still round-trip (Python
+    3.10's frozen-slots dataclasses need their generated
+    ``__getstate__`` / ``__setstate__`` for this)."""
+    import copy
+    import pickle
+
+    from repro.join.hash_join import JoinResult
+
+    item = StreamTuple(
+        stream=StreamId.R, key=7, origin_node=1, arrival_index=3,
+        payload=("x", 1), timestamp=1.5, query_id=1,
+    )
+    partner = StreamTuple(stream=StreamId.S, key=7, origin_node=0, arrival_index=4)
+    result = JoinResult(item, partner, produced_at_node=0, produced_at_time=2.0)
+    for record in (item, result):
+        assert not hasattr(record, "__dict__")
+        for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(twin) is type(record)
+            assert twin == record
+    twin = pickle.loads(pickle.dumps(item))
+    assert hash(twin) == hash(item)
+    assert twin.tuple_id == item.tuple_id
