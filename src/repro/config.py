@@ -152,13 +152,6 @@ class SystemConfig:
     (``SENDER_PACED_BPS``), mirroring the paper's emulation (the *sender*
     pauses per 90 kilobits)."""
 
-    num_queries: int = 1
-    """Concurrent independent join queries (Section 3's multi-query
-    setting).  Each query joins its own R/S stream pair; all queries share
-    the nodes, their service capacity, and the WAN links, so they contend
-    for exactly the resources the paper's throughput analysis is about.
-    The workload's total_tuples and arrival_rate are split evenly."""
-
     window_kind: WindowKind = WindowKind.COUNT
     """COUNT (default) or TIME windows; see :class:`WindowKind`."""
 
@@ -196,10 +189,6 @@ class SystemConfig:
             raise ConfigurationError("num_nodes must be >= 2")
         if self.window_size < 1:
             raise ConfigurationError("window_size must be >= 1")
-        if self.num_queries < 1:
-            raise ConfigurationError("num_queries must be >= 1")
-        if self.workload.total_tuples < self.num_queries:
-            raise ConfigurationError("need at least one tuple per query")
         if self.window_kind is WindowKind.TIME and self.window_seconds <= 0:
             raise ConfigurationError("TIME windows require window_seconds > 0")
         if self.window_kind is not WindowKind.TIME and self.window_seconds:

@@ -1,16 +1,11 @@
 """The distributed stream-processing node (Figure 7's runtime).
 
-Each node owns, **per concurrent query** (Section 3's multi-query
-setting; single-query systems simply have one):
+Each node owns, for the run's one join query R |><| S:
 
-* its local segments R_i and S_i of that query's stream windows;
+* its local segments R_i and S_i of the stream windows;
 * *shadow windows* holding forwarded copies received from peers -- the
   materialization of the cross-partition joins R_i |><| S_j at this node;
 * a forwarding policy (summaries + destination choice).
-
-All queries share the node's single service queue and its sender-paced
-uplink, so concurrent queries contend for exactly the resources the
-paper's throughput analysis is about.
 
 The service model mirrors the paper's WAN emulation: the testbed *pauses
 the sender* one second per 90 kilobits, so transmission cost is charged to
@@ -27,14 +22,13 @@ replay log, checkpoints, rejoin timers and state transfer.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Union
 
 from repro import config as testbed
 from repro.config import SystemConfig, WindowKind
 from repro.core.health import PeerHealthMonitor
 from repro.core.policies.base import ForwardingPolicy
-from repro.errors import ConfigurationError
+from repro.core.summaries import SummaryUpdate
 from repro.join.ground_truth import GroundTruthOracle
 from repro.join.hash_join import JoinResult, SymmetricHashJoin
 from repro.metrics.accounting import ResultCollector
@@ -69,22 +63,6 @@ def work_kind(work: WorkItem) -> str:
     kind that dispatch, shedding, the ``node.service`` event and the
     ``node.<kind>`` profiler sections name."""
     return "local" if type(work) is StreamTuple else "message"
-
-
-@dataclass
-class QueryRuntime:
-    """One query's join state at one node."""
-
-    query_id: int
-    join: SymmetricHashJoin
-    policy: ForwardingPolicy
-    oracle: GroundTruthOracle
-    collector: ResultCollector
-    shadow_windows: Dict[StreamId, Dict[int, SlidingWindow]] = field(
-        default_factory=lambda: {StreamId.R: {}, StreamId.S: {}}
-    )
-    seen_pairs: set = field(default_factory=set)
-    """Result pairs this node already shipped (node-local RESULT dedup)."""
 
 
 class JoinProcessingNode:
@@ -158,8 +136,20 @@ class JoinProcessingNode:
         without recovery pays one attribute check there."""
         if recovery is not None and recovery.enabled:
             self.recovery = RecoveryCoordinator(self, checkpoint_store)
-        self._queries: Dict[int, QueryRuntime] = {}
-        self.add_query(0, policy, oracle, collector)
+        self.join = SymmetricHashJoin(
+            node_id, r_window=self._make_window(), s_window=self._make_window()
+        )
+        self.policy = policy
+        self.oracle = oracle
+        self.collector = collector
+        self.shadow_windows: Dict[StreamId, Dict[int, SlidingWindow]] = {
+            StreamId.R: {},
+            StreamId.S: {},
+        }
+        self.seen_pairs: set = set()
+        """Result pairs this node already shipped (node-local RESULT dedup)."""
+        if self.recovery is not None:
+            self.recovery.install_history(policy)
         # --- overload protection (repro.overload) -----------------------
         self.overload_settings = config.overload if config.overload.enabled else None
         self.degradation_ladder: Optional[DegradationLadder] = None
@@ -189,65 +179,6 @@ class JoinProcessingNode:
                 edges=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
                 node=node_id,
             )
-
-    # ------------------------------------------------------------------
-    # query management
-    # ------------------------------------------------------------------
-
-    def add_query(
-        self,
-        query_id: int,
-        policy: ForwardingPolicy,
-        oracle: GroundTruthOracle,
-        collector: ResultCollector,
-    ) -> None:
-        """Install the runtime for one concurrent query at this node."""
-        if query_id in self._queries:
-            raise ConfigurationError("query %d already installed" % query_id)
-        self._queries[query_id] = QueryRuntime(
-            query_id=query_id,
-            join=SymmetricHashJoin(
-                self.node_id,
-                r_window=self._make_window(),
-                s_window=self._make_window(),
-            ),
-            policy=policy,
-            oracle=oracle,
-            collector=collector,
-        )
-        self._query_order = tuple(sorted(self._queries))
-        if self.recovery is not None:
-            self.recovery.install_history(policy)
-
-    def query(self, query_id: int = 0) -> QueryRuntime:
-        """The runtime of one query (0 is the first/only query)."""
-        return self._queries[query_id]
-
-    @property
-    def query_ids(self) -> Tuple[int, ...]:
-        return self._query_order
-
-    # Single-query conveniences (the common case and the test surface).
-
-    @property
-    def policy(self) -> ForwardingPolicy:
-        return self._queries[0].policy
-
-    @property
-    def join(self) -> SymmetricHashJoin:
-        return self._queries[0].join
-
-    @property
-    def oracle(self) -> GroundTruthOracle:
-        return self._queries[0].oracle
-
-    @property
-    def collector(self) -> ResultCollector:
-        return self._queries[0].collector
-
-    @property
-    def shadow_windows(self) -> Dict[StreamId, Dict[int, SlidingWindow]]:
-        return self._queries[0].shadow_windows
 
     # ------------------------------------------------------------------
     # ingress
@@ -382,7 +313,7 @@ class JoinProcessingNode:
         if kind == "local":
             item = work.with_timestamp(now)
             self.shed_tuples += 1
-            self._log_op(self._queries[item.query_id], now, "shed", (item,))
+            self._log_op(now, "shed", (item,))
         else:
             self.shed_messages += 1
         if self.telemetry is not None:
@@ -409,8 +340,7 @@ class JoinProcessingNode:
             if mode is DegradationMode.NORMAL
             else THROTTLE_REFRESH_STRETCH
         )
-        for runtime in self._queries.values():
-            runtime.policy.set_refresh_stretch(stretch)
+        self.policy.set_refresh_stretch(stretch)
         if self.telemetry is not None:
             self.telemetry.emit(
                 "overload.mode",
@@ -493,15 +423,13 @@ class JoinProcessingNode:
             )
         return CountWindow(self.config.window_size)
 
-    def _shadow_window(
-        self, runtime: QueryRuntime, stream: StreamId, origin: int
-    ) -> SlidingWindow:
-        windows = runtime.shadow_windows[stream]
+    def _shadow_window(self, stream: StreamId, origin: int) -> SlidingWindow:
+        windows = self.shadow_windows[stream]
         if origin not in windows:
             windows[origin] = self._make_window()
         return windows[origin]
 
-    def _refresh_time_windows(self, runtime: QueryRuntime, now: float) -> None:
+    def _refresh_time_windows(self, now: float) -> None:
         """Expire time-window tuples between arrivals (probe freshness).
 
         Count windows evict only on insert; time windows must not let a
@@ -512,12 +440,12 @@ class JoinProcessingNode:
         if self.config.window_kind is not WindowKind.TIME:
             return
         for stream in (StreamId.R, StreamId.S):
-            window = runtime.join.window(stream)
+            window = self.join.window(stream)
             expired = window.advance_to(now)
             if expired:
-                self._log_op(runtime, now, "evict", (stream, tuple(expired)))
-                runtime.policy.on_evictions(stream, expired)
-            for shadow in runtime.shadow_windows[stream].values():
+                self._log_op(now, "evict", (stream, tuple(expired)))
+                self.policy.on_evictions(stream, expired)
+            for shadow in self.shadow_windows[stream].values():
                 shadow.advance_to(now)
 
     # ------------------------------------------------------------------
@@ -527,21 +455,20 @@ class JoinProcessingNode:
     def _process_local(self, raw_item: StreamTuple) -> float:
         now = self.scheduler.now
         item = raw_item.with_timestamp(now)
-        runtime = self._queries[item.query_id]
         self._note_arrival(now)
-        self._refresh_time_windows(runtime, now)
+        self._refresh_time_windows(now)
 
         # Probe + insert against the local windows, probe the shadow copies.
-        results, evicted = runtime.join.insert_local(item, now)
-        results.extend(self._probe_shadow(runtime, item, now))
-        self._log_op(runtime, now, "arrival", (item, tuple(evicted)))
-        result_pause = self._report_results(runtime, results, now)
+        results, evicted = self.join.insert_local(item, now)
+        results.extend(self._probe_shadow(item, now))
+        self._log_op(now, "arrival", (item, tuple(evicted)))
+        result_pause = self._report_results(results, now)
 
         # Summaries update before the forwarding decision (Figure 7 order).
-        runtime.policy.on_local_insert(item, evicted)
-        runtime.policy.observe_congestion(len(self._queue))
-        destinations = runtime.policy.choose_destinations(item)
-        destinations = self._apply_degradation(runtime, destinations, now)
+        self.policy.on_local_insert(item, evicted)
+        self.policy.observe_congestion(len(self._queue))
+        destinations = self.policy.choose_destinations(item)
+        destinations = self._apply_degradation(destinations, now)
         if self._fanout_histogram is not None:
             self._fanout_histogram.observe(float(len(destinations)))
 
@@ -553,9 +480,7 @@ class JoinProcessingNode:
         self.tuples_processed += 1
         return testbed.CPU_SECONDS_PER_TUPLE + transmission_seconds
 
-    def _apply_degradation(
-        self, runtime: QueryRuntime, destinations: List[int], now: float
-    ) -> List[int]:
+    def _apply_degradation(self, destinations: List[int], now: float) -> List[int]:
         """Adjust a forwarding decision for peers that cannot be trusted.
 
         Peers whose summaries aged past the staleness budget are handled
@@ -569,7 +494,7 @@ class JoinProcessingNode:
         if self.health is None:
             return destinations
         chosen = set(destinations)
-        for peer in runtime.policy.peer_ids:
+        for peer in self.policy.peer_ids:
             self.health.observe_staleness(peer, now)
             if self.health.is_suspected(peer, now):
                 if peer in chosen:
@@ -588,11 +513,10 @@ class JoinProcessingNode:
         return sorted(chosen)
 
     def resync_peer(self, peer: int) -> None:
-        """Queue ``peer`` full-state summaries from every query: it spoke
-        again after suspicion, or restarted and asked for state."""
+        """Queue ``peer`` full-state summaries: it spoke again after
+        suspicion, or restarted and asked for state."""
         self.resyncs += 1
-        for query_id in sorted(self._queries):
-            self._queries[query_id].policy.resync_peer(peer)
+        self.policy.resync_peer(peer)
 
     def send_heartbeats(self) -> None:
         """Emit one best-effort HEARTBEAT probe to every peer.
@@ -631,8 +555,7 @@ class JoinProcessingNode:
         reflect only what the new incarnation observes."""
         self._queue.clear()
         self.max_queue_depth = 0
-        for runtime in self._queries.values():
-            runtime.policy.reset_congestion()
+        self.policy.reset_congestion()
 
     @property
     def checkpoint_bytes(self) -> int:
@@ -646,12 +569,10 @@ class JoinProcessingNode:
     def restarts(self) -> int:
         return 0 if self.recovery is None else self.recovery.restarts
 
-    def _probe_shadow(
-        self, runtime: QueryRuntime, item: StreamTuple, now: float
-    ) -> List[JoinResult]:
+    def _probe_shadow(self, item: StreamTuple, now: float) -> List[JoinResult]:
         """Join a local arrival against forwarded copies of the other stream."""
         results = []
-        for shadow in runtime.shadow_windows[item.stream.other].values():
+        for shadow in self.shadow_windows[item.stream.other].values():
             for match in shadow.matches(item.key):
                 if item.stream is StreamId.R:
                     results.append(JoinResult(item, match, self.node_id, now))
@@ -659,9 +580,7 @@ class JoinProcessingNode:
                     results.append(JoinResult(match, item, self.node_id, now))
         return results
 
-    def _log_op(
-        self, runtime: QueryRuntime, now: float, kind: str, payload: tuple
-    ) -> None:
+    def _log_op(self, now: float, kind: str, payload: tuple) -> None:
         """Defer one oracle/collector operation to collect-time replay.
 
         The ground-truth oracle and result collector are the only pieces
@@ -673,13 +592,11 @@ class JoinProcessingNode:
         accounting a function of the per-node histories alone.
         """
         self.accounting_ops.append(
-            (now, self.node_id, self._acct_seq, runtime.query_id, kind, payload)
+            (now, self.node_id, self._acct_seq, kind, payload)
         )
         self._acct_seq += 1
 
-    def _report_results(
-        self, runtime: QueryRuntime, results: List[JoinResult], now: float
-    ) -> float:
+    def _report_results(self, results: List[JoinResult], now: float) -> float:
         """Record results; ship each cross-node result to its remote owner.
 
         "Matching tuples must still be transmitted over the network in
@@ -697,13 +614,14 @@ class JoinProcessingNode:
         against the oracle, never here.
         """
         if results:
-            self._log_op(runtime, now, "report", tuple(results))
+            self._log_op(now, "report", tuple(results))
         pause = 0.0
+        seen_pairs = self.seen_pairs
         for result in results:
             pair = result.pair_id
-            if pair in runtime.seen_pairs:
+            if pair in seen_pairs:
                 continue
-            runtime.seen_pairs.add(pair)
+            seen_pairs.add(pair)
             remote_origin = None
             if result.r_tuple.origin_node != self.node_id:
                 remote_origin = result.r_tuple.origin_node
@@ -715,28 +633,22 @@ class JoinProcessingNode:
                 kind=MessageKind.RESULT,
                 source=self.node_id,
                 destination=remote_origin,
-                payload=(runtime.query_id, None, ()),
+                payload=(None, ()),
             )
             self.network.send(message)
             pause += self._pause_seconds(message)
         return pause
 
-    def _take_pending_updates(self, destination: int) -> Sequence[Tuple[int, object]]:
-        """Drain every query's outbox for ``destination`` (shared channel).
+    def _take_pending_updates(self, destination: int) -> Sequence[SummaryUpdate]:
+        """Drain the policy's outbox for ``destination``.
 
         With nothing pending -- every BASE message, and most under a slow
         refresh cadence -- this is the shared empty tuple, so a queued
         message holds no list of its own."""
-        updates: Sequence[Tuple[int, object]] = ()
-        for query_id in self._query_order:
-            outbox = self._queries[query_id].policy.outbox
-            if outbox.has_pending(destination):
-                if not updates:
-                    updates = []
-                updates.extend(
-                    (query_id, update) for update in outbox.take(destination)
-                )
-        return updates
+        outbox = self.policy.outbox
+        if outbox.has_pending(destination):
+            return outbox.take(destination)
+        return ()
 
     def _send_tuple(self, item: StreamTuple, destination: int, now: float) -> float:
         """Transmit a tuple with piggy-backed summary deltas; returns pause."""
@@ -745,9 +657,9 @@ class JoinProcessingNode:
             kind=MessageKind.TUPLE,
             source=self.node_id,
             destination=destination,
-            payload=(item.query_id, item, updates),
+            payload=(item, updates),
             summary_entries=(
-                sum(update.entries for _, update in updates) if updates else 0
+                sum(update.entries for update in updates) if updates else 0
             ),
         )
         self.network.send(message)
@@ -768,22 +680,17 @@ class JoinProcessingNode:
             return 0.0
         threshold = testbed.SUMMARY_FLUSH_MULTIPLE * self._mean_interarrival
         pause = 0.0
-        starved = set()
-        for runtime in self._queries.values():
-            starved.update(runtime.policy.outbox.peers_with_pending())
-        for peer in sorted(starved):
+        for peer in sorted(self.policy.outbox.peers_with_pending()):
             last = self._last_contact.get(peer, 0.0)
             if now - last < threshold:
                 continue
-            updates = self._take_pending_updates(peer)
-            if not updates:
-                continue
+            updates = self.policy.outbox.take(peer)
             message = Message(
                 kind=MessageKind.SUMMARY,
                 source=self.node_id,
                 destination=peer,
-                payload=(0, None, updates),
-                summary_entries=sum(update.entries for _, update in updates),
+                payload=(None, updates),
+                summary_entries=sum(update.entries for update in updates),
             )
             if self.transport is not None:
                 # Standalone summaries are pure control traffic: a lost one
@@ -816,23 +723,23 @@ class JoinProcessingNode:
     # ------------------------------------------------------------------
 
     def _process_message(self, message: Message) -> float:
+        """Serve one delivery.  Every payload but STATE_TRANSFER's is
+        ``(item, updates)``: the forwarded tuple or ``None``, and the
+        piggy-backed summary updates (a list, or the shared ``()``)."""
         now = self.scheduler.now
         if message.kind is MessageKind.STATE_TRANSFER:
             return self.recovery.on_state_transfer(message)
-        query_id, item, updates = message.payload
-        for update_query_id, update in updates:
-            self._queries[update_query_id].policy.on_remote_summary(
-                message.source, update
-            )
+        item, updates = message.payload
+        for update in updates:
+            self.policy.on_remote_summary(message.source, update)
         if updates and self.health is not None:
             self.health.summary_received(message.source, now)
         if item is None:
             return testbed.CPU_SECONDS_PER_PROBE
-        runtime = self._queries[item.query_id]
-        self._refresh_time_windows(runtime, now)
-        results = runtime.join.probe_remote(item, now)
-        result_pause = self._report_results(runtime, results, now)
-        self._shadow_window(runtime, item.stream, item.origin_node).append(item)
+        self._refresh_time_windows(now)
+        results = self.join.probe_remote(item, now)
+        result_pause = self._report_results(results, now)
+        self._shadow_window(item.stream, item.origin_node).append(item)
         self.remote_tuples_processed += 1
         return testbed.CPU_SECONDS_PER_PROBE + result_pause
 
@@ -847,16 +754,11 @@ class JoinProcessingNode:
             "standalone_summaries": float(self.standalone_summaries_sent),
             "max_queue_depth": float(self.max_queue_depth),
             "busy_seconds": self.busy_seconds,
-            "local_results": float(
-                sum(r.join.local_results for r in self._queries.values())
-            ),
-            "probe_results": float(
-                sum(r.join.probe_results for r in self._queries.values())
-            ),
+            "local_results": float(self.join.local_results),
+            "probe_results": float(self.join.probe_results),
         }
-        for runtime in self._queries.values():
-            for key, value in runtime.policy.diagnostics().items():
-                counters[key] = counters.get(key, 0.0) + value
+        for key, value in self.policy.diagnostics().items():
+            counters[key] = counters.get(key, 0.0) + value
         if self.fault_injector is not None:
             counters["local_arrivals_dropped"] = float(self.local_arrivals_dropped)
         if self.transport is not None:

@@ -26,9 +26,9 @@ class RunResult:
     throughput_series: List[Tuple[int, int]] = field(default_factory=list)
     sustained_throughput: float = 0.0
     per_query: List[Dict[str, float]] = field(default_factory=list)
-    """Per-query breakdown when the system runs several concurrent
-    queries; empty list means single-query (all headline fields then
-    describe that one query)."""
+    """One entry repeating the headline truth, reported pairs and epsilon
+    under query id 0: a leftover of the multi-query layout that every
+    ``result_digest`` includes, until the next digest re-pin drops it."""
 
     latency: Dict[str, float] = field(default_factory=dict)
     """Result-latency summary (count/mean/p50/p95/max): simulated seconds

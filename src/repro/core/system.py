@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.metrics.error import epsilon_error
 
-from repro._rng import ensure_rng, spawn
+from repro._rng import child, ensure_rng, spawn
 from repro.config import SystemConfig, WorkloadConfig, WorkloadKind
 from repro.core import health
 from repro.core.node import JoinProcessingNode
@@ -160,12 +160,8 @@ class DistributedJoinSystem:
             self.network.link_backlog_bound_s = config.overload.link_backlog_bound_s
         if self.telemetry is not None:
             self.network.telemetry = self.telemetry
-        self.oracles: List[GroundTruthOracle] = [
-            GroundTruthOracle() for _ in range(config.num_queries)
-        ]
-        self.collectors: List[ResultCollector] = [
-            ResultCollector() for _ in range(config.num_queries)
-        ]
+        self.oracle = GroundTruthOracle()
+        self.collector = ResultCollector()
         self.partitioner = GeographicPartitioner(
             PartitionerConfig(
                 num_nodes=config.num_nodes,
@@ -174,60 +170,48 @@ class DistributedJoinSystem:
             ),
             rng=self._partitioner_rng,
         )
-        shared_rngs = spawn(self._shared_rng, config.num_queries)
-        shared_states = [
-            make_shared_state(config.policy, config.window_size, rng=shared_rngs[q])
-            for q in range(config.num_queries)
-        ]
-        policy_rngs = spawn(policy_parent_rng, config.num_nodes * config.num_queries)
+        shared_state = make_shared_state(
+            config.policy, config.window_size, rng=child(self._shared_rng)
+        )
+        policy_rngs = spawn(policy_parent_rng, config.num_nodes)
         self.nodes: List[JoinProcessingNode] = []
         all_ids = tuple(range(config.num_nodes))
         for node_id in all_ids:
-            node: Optional[JoinProcessingNode] = None
-            for query_id in range(config.num_queries):
-                context = PolicyContext(
+            context = PolicyContext(
+                node_id=node_id,
+                peer_ids=tuple(p for p in all_ids if p != node_id),
+                window_size=config.window_size,
+                domain=config.workload.domain,
+                config=config.policy,
+                rng=policy_rngs[node_id],
+            )
+            policy = make_policy(context, shared_state)
+            if self.telemetry is not None:
+                policy.attach_telemetry(self.telemetry)
+            transport = None
+            if config.reliability.enabled:
+                transport = ReliableTransport(
                     node_id=node_id,
-                    peer_ids=tuple(p for p in all_ids if p != node_id),
-                    window_size=config.window_size,
-                    domain=config.workload.domain,
-                    config=config.policy,
-                    rng=policy_rngs[node_id * config.num_queries + query_id],
+                    scheduler=self.scheduler,
+                    send_fn=self.network.send,
+                    settings=config.reliability,
+                    rng=transport_rngs[node_id],
                 )
-                policy = make_policy(context, shared_states[query_id])
-                if self.telemetry is not None:
-                    policy.attach_telemetry(self.telemetry)
-                if node is None:
-                    transport = None
-                    if config.reliability.enabled:
-                        transport = ReliableTransport(
-                            node_id=node_id,
-                            scheduler=self.scheduler,
-                            send_fn=self.network.send,
-                            settings=config.reliability,
-                            rng=transport_rngs[node_id],
-                        )
-                    node = JoinProcessingNode(
-                        node_id=node_id,
-                        config=config,
-                        scheduler=self.scheduler,
-                        network=self.network,
-                        policy=policy,
-                        oracle=self.oracles[query_id],
-                        collector=self.collectors[query_id],
-                        transport=transport,
-                        fault_injector=self.fault_injector,
-                        profiler=profiler,
-                        telemetry=self.telemetry,
-                        recovery=config.recovery,
-                        checkpoint_store=self.checkpoint_store,
-                    )
-                else:
-                    node.add_query(
-                        query_id,
-                        policy,
-                        self.oracles[query_id],
-                        self.collectors[query_id],
-                    )
+            node = JoinProcessingNode(
+                node_id=node_id,
+                config=config,
+                scheduler=self.scheduler,
+                network=self.network,
+                policy=policy,
+                oracle=self.oracle,
+                collector=self.collector,
+                transport=transport,
+                fault_injector=self.fault_injector,
+                profiler=profiler,
+                telemetry=self.telemetry,
+                recovery=config.recovery,
+                checkpoint_store=self.checkpoint_store,
+            )
             self.network.register(node_id, node)
             self.nodes.append(node)
         self._tuples_scheduled = 0
@@ -239,16 +223,6 @@ class DistributedJoinSystem:
             for node in self.nodes:
                 node.take_checkpoint()
             self._schedule_recovery_hooks()
-
-    # Single-query conveniences (the common case and the test surface).
-
-    @property
-    def oracle(self) -> GroundTruthOracle:
-        return self.oracles[0]
-
-    @property
-    def collector(self) -> ResultCollector:
-        return self.collectors[0]
 
     # ------------------------------------------------------------------
     # workload scheduling
@@ -271,7 +245,7 @@ class DistributedJoinSystem:
                 kind=MessageKind.CONTROL,
                 source=0,
                 destination=destination,
-                payload=(0, None, ()),
+                payload=(None, ()),
             )
             if origin.transport is not None:
                 origin.transport.send(message)
@@ -280,50 +254,32 @@ class DistributedJoinSystem:
 
     def schedule_workload(self) -> None:
         """Create every arrival event up front (Poisson arrivals, fair
-        R/S interleave, geographically-skewed node placement).
-
-        With multiple queries, each query gets an independent key stream
-        and its even share of the tuple count and arrival rate.
-        """
+        R/S interleave, geographically-skewed node placement)."""
         self.disseminate_query()
         workload = self.config.workload
-        num_queries = self.config.num_queries
-        workload_rngs = spawn(self._workload_rng, num_queries)
-        schedule_rngs = spawn(self._schedule_rng, num_queries)
-        base = workload.total_tuples // num_queries
-        remainder = workload.total_tuples % num_queries
-        per_query_rate = workload.arrival_rate / num_queries
-        arrival_index = 0
-        last_time = 0.0
-        for query_id in range(num_queries):
-            count = base + (1 if query_id < remainder else 0)
-            if count == 0:
-                continue
-            keys = build_key_stream(workload, workload_rngs[query_id])
-            gaps = schedule_rngs[query_id].exponential(
-                1.0 / per_query_rate, size=count
+        count = workload.total_tuples
+        keys = build_key_stream(workload, child(self._workload_rng))
+        schedule_rng = child(self._schedule_rng)
+        times = np.cumsum(
+            schedule_rng.exponential(1.0 / workload.arrival_rate, size=count)
+        )
+        key_batch = list(itertools.islice(keys, count))
+        nodes = self.partitioner.assign(key_batch)
+        streams = schedule_rng.random(count) < 0.5
+        for index in range(count):
+            origin = int(nodes[index])
+            item = StreamTuple(
+                stream=StreamId.R if streams[index] else StreamId.S,
+                key=int(key_batch[index]),
+                origin_node=origin,
+                arrival_index=index,
             )
-            times = np.cumsum(gaps)
-            key_batch = list(itertools.islice(keys, count))
-            nodes = self.partitioner.assign(key_batch)
-            streams = schedule_rngs[query_id].random(count) < 0.5
-            for index in range(count):
-                origin = int(nodes[index])
-                item = StreamTuple(
-                    stream=StreamId.R if streams[index] else StreamId.S,
-                    key=int(key_batch[index]),
-                    origin_node=origin,
-                    arrival_index=arrival_index,
-                    query_id=query_id,
-                )
-                arrival_index += 1
-                self.scheduler.schedule_at(
-                    float(times[index]),
-                    lambda n=self.nodes[origin], t=item: n.on_local_arrival(t),
-                )
-            last_time = max(last_time, float(times[-1]))
-        self._tuples_scheduled = workload.total_tuples
-        self._arrival_span = last_time
+            self.scheduler.schedule_at(
+                float(times[index]),
+                lambda n=self.nodes[origin], t=item: n.on_local_arrival(t),
+            )
+        self._tuples_scheduled = count
+        self._arrival_span = float(times[-1])
         self._schedule_heartbeats()
         self._schedule_checkpoints()
         self._schedule_telemetry_sampling()
@@ -473,7 +429,8 @@ class DistributedJoinSystem:
         return self._node_records
 
     def _replay_accounting(self) -> None:
-        """Apply the nodes' deferred accounting ops to oracles/collectors.
+        """Apply the nodes' deferred accounting ops to the oracle and
+        collector.
 
         Nodes log (rather than apply) every oracle/collector mutation so
         the accuracy numbers are a pure function of per-node histories --
@@ -483,7 +440,7 @@ class DistributedJoinSystem:
         for record in self._runtime_records():
             ops.extend(record["accounting_ops"])
             record["accounting_ops"] = []
-        replay_accounting(ops, self.oracles, self.collectors)
+        replay_accounting(ops, self.oracle, self.collector)
 
     def _collect(self) -> RunResult:
         if self.telemetry is not None:
@@ -500,33 +457,24 @@ class DistributedJoinSystem:
             return value
 
         self._replay_accounting()
+        oracle, collector = self.oracle, self.collector
         stats = self.network.stats
-        merged_series: Dict[int, int] = {}
-        for collector in self.collectors:
-            for second, count in collector.throughput.series():
-                merged_series[second] = merged_series.get(second, 0) + count
-        series = sorted(merged_series.items())
+        series = collector.throughput.series()
         counts = sorted((count for _, count in series), reverse=True)
         keep = max(1, len(counts) // 2)
         sustained = sum(counts[:keep]) / keep if counts else 0.0
+        # The multi-query breakdown's one entry: it is part of every
+        # result digest, so it stays until the next digest re-pin.
         per_query = [
             {
-                "query_id": float(query_id),
+                "query_id": 0.0,
                 "truth_pairs": float(oracle.total_result_pairs),
                 "reported_pairs": float(collector.reported_pairs),
                 "epsilon": epsilon_error(
                     oracle.total_result_pairs, collector.reported_pairs
                 ),
             }
-            for query_id, (oracle, collector) in enumerate(
-                zip(self.oracles, self.collectors)
-            )
         ]
-        from repro.metrics.latency import LatencyTracker
-
-        merged_latency = LatencyTracker()
-        for collector in self.collectors:
-            merged_latency.merge(collector.latency)
         reliability: Dict[str, float] = {}
         if self.config.reliability.enabled:
             for record in records:
@@ -600,11 +548,11 @@ class DistributedJoinSystem:
             }
         return RunResult(
             config=self.config.as_dict(),
-            truth_pairs=sum(o.total_result_pairs for o in self.oracles),
-            reported_pairs=sum(c.reported_pairs for c in self.collectors),
-            duplicate_reports=sum(c.duplicates for c in self.collectors),
-            spurious_reports=sum(c.spurious for c in self.collectors),
-            tuples_arrived=sum(o.tuples_observed for o in self.oracles),
+            truth_pairs=oracle.total_result_pairs,
+            reported_pairs=collector.reported_pairs,
+            duplicate_reports=collector.duplicates,
+            spurious_reports=collector.spurious,
+            tuples_arrived=oracle.tuples_observed,
             duration_seconds=self.scheduler.material_now,
             arrival_span_seconds=self._arrival_span,
             traffic=stats.as_dict(),
@@ -615,7 +563,7 @@ class DistributedJoinSystem:
             throughput_series=series,
             sustained_throughput=sustained,
             per_query=per_query,
-            latency=merged_latency.snapshot(),
+            latency=collector.latency.snapshot(),
             reliability=reliability,
             faults=faults,
             recovery=recovery,

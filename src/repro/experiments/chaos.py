@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -98,6 +99,11 @@ class ChaosLevel:
             raise ConfigurationError(
                 "chaos level name %r must be a bare word" % (self.name,)
             )
+        for knob in (self.loss_probability, self.partition_s, self.overload_factor):
+            if math.isnan(knob):
+                raise ConfigurationError(
+                    "chaos level %r has a NaN knob" % (self.name,)
+                )
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ConfigurationError("loss probability must lie in [0, 1]")
         if self.partition_s < 0:
@@ -916,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tolerance",
         type=float_not_nan,
-        default=0.15,
+        default=None,
         help="relative drift tolerance for --baseline (default: 0.15)",
     )
     return parser
@@ -934,6 +940,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigurationError("--checkpoint-interval must be non-negative")
         if args.checkpoint_interval and not args.recovery:
             raise ConfigurationError("--checkpoint-interval needs --recovery")
+        # The regression inputs are read before the first cell runs, so a
+        # bad baseline or tolerance costs no sweep.
+        if args.tolerance is not None and not args.baseline:
+            raise ConfigurationError("--tolerance needs --baseline")
+        tolerance = 0.15 if args.tolerance is None else args.tolerance
+        if tolerance < 0:
+            raise ConfigurationError("--tolerance must be non-negative")
+        reference_rows = load_chaos_rows(args.baseline) if args.baseline else None
         grid = parse_grid(args.fault_grid) if args.fault_grid else DEFAULT_GRID
         if args.algorithms:
             algorithms = tuple(
@@ -1011,10 +1025,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with open(args.figure, "w") as handle:
                 handle.write(chart + "\n")
             print("wrote figure to %s" % args.figure)
-        if args.baseline:
-            report = compare_chaos(
-                load_chaos_rows(args.baseline), rows, tolerance=args.tolerance
-            )
+        if reference_rows is not None:
+            report = compare_chaos(reference_rows, rows, tolerance=tolerance)
             print()
             print(report.format())
             if not report.passed:

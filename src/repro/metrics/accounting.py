@@ -72,15 +72,15 @@ class ResultCollector:
         return (r_tuple_id, s_tuple_id) in self._pairs
 
 
-def replay_accounting(ops, oracles, collectors) -> None:
+def replay_accounting(ops, oracle, collector) -> None:
     """Apply deferred accounting operations in canonical order.
 
     ``ops`` are the nodes' logged operations, tuples of ``(time, node,
-    seq, query_id, kind, payload)`` (see
+    seq, kind, payload)`` (see
     :meth:`repro.core.node.JoinProcessingNode._log_op`).  They are sorted
     by ``(time, node, seq)`` -- a total order, since ``seq`` is a
-    per-node monotone counter -- and applied to the per-query oracles and
-    collectors.  Replaying instead of mutating mid-run makes the accuracy
+    per-node monotone counter -- and applied to the run's one oracle and
+    collector.  Replaying instead of mutating mid-run makes the accuracy
     numbers a pure function of the op multiset: the same per-node
     histories give byte-identical accounting, however the nodes' events
     interleaved globally.
@@ -100,8 +100,7 @@ def replay_accounting(ops, oracles, collectors) -> None:
       it would have completed (honest accounting under degradation).
     """
     for op in sorted(ops, key=lambda op: (op[0], op[1], op[2])):
-        time, _node, _seq, query_id, kind, payload = op
-        oracle = oracles[query_id]
+        time, _node, _seq, kind, payload = op
         if kind == "arrival":
             item, evicted = payload
             oracle.observe_arrival(item, list(evicted))
@@ -112,7 +111,6 @@ def replay_accounting(ops, oracles, collectors) -> None:
             (item,) = payload
             oracle.observe_shed(item)
         elif kind == "report":
-            collector = collectors[query_id]
             for result in payload:
                 collector.record(result, time, is_true=oracle.validate(result))
         else:  # pragma: no cover - new op kinds must be handled explicitly

@@ -58,18 +58,6 @@ class LatencyTracker:
         index = min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1))))
         return ordered[index]
 
-    def merge(self, other: "LatencyTracker") -> None:
-        """Fold another tracker's statistics into this one."""
-        self.count += other.count
-        self.total += other.total
-        self.maximum = max(self.maximum, other.maximum)
-        for value in other._samples:
-            if len(self._samples) < self.capacity:
-                self._samples.append(value)
-            else:
-                slot = (self.count + len(self._samples)) % self.capacity
-                self._samples[slot] = value
-
     def snapshot(self) -> dict:
         """Flat summary for result reporting."""
         return {

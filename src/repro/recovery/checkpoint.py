@@ -38,7 +38,7 @@ from repro.streams.tuples import StreamId, StreamTuple
 CHECKPOINT_VERSION = 2
 """Bump on any change to the blob layout; restore refuses mismatches.
 
-Version 2 added the per-query ``remote`` section: the freshest remote
+Version 2 added the ``remote`` section: the freshest remote
 summaries known at checkpoint time, which the watermark-delta state
 transfer uses as the resync base (see :mod:`repro.recovery.delta`).
 """
@@ -80,7 +80,10 @@ def decode_array(payload: Dict[str, object]) -> np.ndarray:
 
 
 def encode_tuple(item: StreamTuple) -> List[object]:
-    """Positional, JSON-safe encoding of one stream tuple."""
+    """Positional, JSON-safe encoding of one stream tuple.
+
+    The trailing ``0`` is the query id of the multi-query layout: blob
+    bytes keep it until the checkpoint codec's re-pin drops it."""
     return [
         item.stream._value_,  # the attribute behind ``Enum.value``
         item.key,
@@ -89,7 +92,7 @@ def encode_tuple(item: StreamTuple) -> List[object]:
         item.payload,
         item.tuple_id,
         item.timestamp,
-        item.query_id,
+        0,
     ]
 
 
@@ -97,11 +100,13 @@ def decode_tuple(payload: List[object]) -> StreamTuple:
     """Inverse of :func:`encode_tuple` (preserves the tuple identity).
 
     Raises :class:`SimulationError` unless ``payload`` is a list of the
-    eight fields naming a known stream."""
+    eight fields naming a known stream and ending in the ``0`` echo."""
     try:
         if not isinstance(payload, list):
             raise TypeError("%s is not a list" % type(payload).__name__)
-        stream, key, origin, index, body, tuple_id, timestamp, query_id = payload
+        stream, key, origin, index, body, tuple_id, timestamp, echo = payload
+        if echo != 0:
+            raise ValueError("trailing field %r is not 0" % (echo,))
         return StreamTuple(
             stream=StreamId(stream),
             key=key,
@@ -110,7 +115,6 @@ def decode_tuple(payload: List[object]) -> StreamTuple:
             payload=body,
             tuple_id=tuple_id,
             timestamp=timestamp,
-            query_id=query_id,
         )
     except (TypeError, ValueError) as error:
         raise SimulationError("malformed encoded tuple: %s" % error)

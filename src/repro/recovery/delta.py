@@ -1,6 +1,6 @@
 """Watermark-delta codec for peer state transfer.
 
-An anti-entropy resync that ships *full* per-query summary snapshots to
+An anti-entropy resync that ships *full* summary snapshots to
 a rejoining node is dominated by the snapshots on large windows, yet the
 rejoining node restored most of that state from its checkpoint moments
 ago -- only the entries that changed since the checkpoint watermark

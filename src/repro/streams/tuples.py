@@ -61,9 +61,8 @@ class StreamTuple:
 
     ``tuple_id`` is globally unique and identifies the tuple across
     forwarding hops, which lets the metrics layer count each *result pair*
-    (r.tuple_id, s.tuple_id) exactly once.  ``query_id`` scopes the tuple
-    to one of the system's concurrent join queries (Section 3's
-    multi-query setting); queries never join across each other.
+    (r.tuple_id, s.tuple_id) exactly once.  Every tuple belongs to the
+    run's one join query, R |><| S.
     """
 
     stream: StreamId
@@ -73,7 +72,6 @@ class StreamTuple:
     payload: Any = None
     tuple_id: int = field(default_factory=lambda: next(_tuple_ids))
     timestamp: Optional[float] = None
-    query_id: int = 0
 
     def with_timestamp(self, timestamp: float) -> "StreamTuple":
         """Copy of this tuple stamped with its simulated arrival time."""
@@ -85,5 +83,4 @@ class StreamTuple:
             payload=self.payload,
             tuple_id=self.tuple_id,
             timestamp=timestamp,
-            query_id=self.query_id,
         )

@@ -7,10 +7,10 @@ splices it in) and with the re-encode-everything bodies of
 ``tests/reference_checkpoint.py`` patched back in.  The two
 :class:`~repro.core.results.RunResult` objects pickle to the same bytes
 and the checkpoint store is handed the same blobs in the same order --
-for all six algorithms, on count, time and landmark windows and with two
-queries.  The restart matters: it *reads* a blob assembled from
-remembered text (on the ledger's ``chaos-bloom-n20`` no node restarts, so
-that workload writes such blobs and never reads one).
+for all six algorithms, on count, time and landmark windows.  The
+restart matters: it *reads* a blob assembled from remembered text (on
+the ledger's ``chaos-bloom-n20`` no node restarts, so that workload
+writes such blobs and never reads one).
 """
 
 import dataclasses
@@ -35,7 +35,6 @@ SHAPES = {
     "count": {},
     "time": {"window_kind": WindowKind.TIME, "window_seconds": 0.8},
     "landmark": {"window_kind": WindowKind.LANDMARK, "landmark_key": 3},
-    "two-queries": {"num_queries": 2},
 }
 
 

@@ -58,14 +58,14 @@ def test_reference_patches_reach_the_kernels(monkeypatch):
     for node in build_on_reference_kernels(
         reference_config(Algorithm.DFTT), monkeypatch
     ).nodes:
-        managers = node.query().policy.managers
+        managers = node.policy.managers
         assert type(managers[StreamId.R].dft) is ReferenceSlidingDFT
     for node in build_on_reference_kernels(
         reference_config(Algorithm.SKCH), monkeypatch
     ).nodes:
-        assert node.query().policy.sketches[StreamId.R].hashes.cache_size == 0
+        assert node.policy.sketches[StreamId.R].hashes.cache_size == 0
     fast = DistributedJoinSystem(reference_config(Algorithm.DFTT)).nodes[0]
-    assert fast.query().policy.managers[StreamId.R].dft.mode == "table"
+    assert fast.policy.managers[StreamId.R].dft.mode == "table"
 
 
 @pytest.mark.parametrize(

@@ -137,6 +137,17 @@ class TestSystemAssembly:
         result = system.run()
         assert result.tuples_arrived == 1500
 
+    def test_per_query_is_one_entry_echoing_the_headline(self):
+        result = run_experiment(small_config(Algorithm.DFTT))
+        assert result.per_query == [
+            {
+                "query_id": 0.0,
+                "truth_pairs": float(result.truth_pairs),
+                "reported_pairs": float(result.reported_pairs),
+                "epsilon": result.epsilon,
+            }
+        ]
+
     def test_overloaded_base_queues_grow_and_drain(self):
         config = small_config(
             Algorithm.BASE,

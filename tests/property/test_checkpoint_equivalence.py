@@ -112,7 +112,6 @@ class TestWindows:
                         arrival_index=index,
                         payload=op[3],
                         timestamp=clock,
-                        query_id=index % 2,
                     )
                 )
             elif op[0] == "advance" and isinstance(window, TimeWindow):

@@ -22,10 +22,9 @@ from repro.config import (
 from repro.core.system import run_experiment
 
 configs = st.builds(
-    lambda algorithm, nodes, window, kind, seed, queries: SystemConfig(
+    lambda algorithm, nodes, window, kind, seed: SystemConfig(
         num_nodes=nodes,
         window_size=window,
-        num_queries=queries,
         policy=PolicyConfig(algorithm=algorithm, kappa=4.0),
         workload=WorkloadConfig(
             kind=kind, total_tuples=400, domain=256, arrival_rate=200.0
@@ -37,7 +36,6 @@ configs = st.builds(
     window=st.sampled_from([16, 48, 96]),
     kind=st.sampled_from(list(WorkloadKind)),
     seed=st.integers(min_value=0, max_value=10_000),
-    queries=st.integers(min_value=1, max_value=2),
 )
 
 

@@ -96,6 +96,8 @@ class TestChaosLevel:
             "storm@part=-1",  # negative duration
             "storm@crash=-1",  # negative count
             "bad name@loss=0.1",  # name must be a bare word
+            "x@part=nan",  # NaN duration would run with no partition
+            "x@over=nan",  # NaN factor would run with no surge
         ],
     )
     def test_invalid_levels_raise(self, spec):

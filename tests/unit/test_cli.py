@@ -249,14 +249,31 @@ class TestExperimentsDispatch:
                 ["--recovery", "--checkpoint-interval", "-1"],
                 "--checkpoint-interval must be non-negative",
             ),
+            (["--baseline", "/nonexistent.json"], "no chaos results file"),
+            (
+                ["--baseline", "/nonexistent.json", "--tolerance", "-0.1"],
+                "--tolerance must be non-negative",
+            ),
+            (["--tolerance", "0.3"], "--tolerance needs --baseline"),
         ],
         ids=[
             "negative-queue-bound",
             "checkpoint-interval-without-recovery",
             "negative-checkpoint-interval",
+            "missing-baseline",
+            "negative-tolerance",
+            "tolerance-without-baseline",
         ],
     )
-    def test_chaos_refuses_inputs_it_would_ignore(self, capsys, flags, message):
+    def test_chaos_refuses_inputs_it_would_ignore(
+        self, capsys, monkeypatch, flags, message
+    ):
+        import repro.experiments.chaos as chaos
+
+        def no_sweep(**_):
+            raise AssertionError("a refused input must not run a cell")
+
+        monkeypatch.setattr(chaos, "run", no_sweep)
         assert main(["experiments", "chaos", "smoke", "--no-cache"] + flags) == 2
         assert "error: %s" % message in capsys.readouterr().err
 

@@ -55,16 +55,6 @@ def test_bounded_memory_under_flood():
     assert 0.0 <= tracker.percentile(50) <= 9.0
 
 
-def test_merge_combines_aggregates():
-    left, right = LatencyTracker(), LatencyTracker()
-    left.record(1.0)
-    right.record(3.0)
-    left.merge(right)
-    assert left.count == 2
-    assert left.mean() == pytest.approx(2.0)
-    assert left.maximum == 3.0
-
-
 def test_snapshot_keys():
     tracker = LatencyTracker()
     tracker.record(0.5)

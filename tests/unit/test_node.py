@@ -68,7 +68,7 @@ def make_tuple(stream, key, origin, index=0):
 def settle(nodes, oracle, collector):
     """Replay the nodes' deferred accounting (what the system does at collect)."""
     replay_accounting(
-        [op for node in nodes for op in node.accounting_ops], [oracle], [collector]
+        [op for node in nodes for op in node.accounting_ops], oracle, collector
     )
 
 
@@ -97,6 +97,20 @@ def test_remote_join_via_forwarded_copy():
 
 
 @pytest.mark.usefixtures("zero_latency")
+def test_forwarded_copy_lands_in_the_receivers_shadow_window():
+    scheduler, _, oracle, collector, nodes = build_pair()
+    nodes[1].on_local_arrival(make_tuple(StreamId.S, 9, 1))
+    scheduler.run()
+    nodes[0].on_local_arrival(make_tuple(StreamId.R, 9, 0))
+    scheduler.run()
+    settle(nodes, oracle, collector)
+    assert collector.reported_pairs == 1
+    # The R copy sits in node 1's shadow window; node 0 keeps R locally.
+    assert nodes[1].shadow_windows[StreamId.R]
+    assert not nodes[0].shadow_windows[StreamId.R]
+
+
+@pytest.mark.usefixtures("zero_latency")
 def test_shadow_window_catches_late_arrivals():
     scheduler, _, oracle, collector, nodes = build_pair()
     # R arrives first and is copied to node 1's shadow window.
@@ -107,6 +121,33 @@ def test_shadow_window_catches_late_arrivals():
     scheduler.run()
     settle(nodes, oracle, collector)
     assert collector.reported_pairs == 1
+
+
+@pytest.mark.usefixtures("zero_latency")
+def test_result_messages_emitted_for_cross_node_pairs():
+    scheduler, network, oracle, collector, nodes = build_pair()
+    nodes[1].on_local_arrival(make_tuple(StreamId.S, 3, 1))
+    scheduler.run()
+    nodes[0].on_local_arrival(make_tuple(StreamId.R, 3, 0))
+    scheduler.run()
+    settle(nodes, oracle, collector)
+    assert collector.reported_pairs == 1
+    # Both nodes discover the pair (each holds the other's forwarded copy)
+    # and each reports its own discovery: deduplication happens at the
+    # query consumer (the collector), not by peeking at global state.
+    assert network.stats.messages(MessageKind.RESULT) == 2
+    assert collector.duplicates == 1
+
+
+@pytest.mark.usefixtures("zero_latency")
+def test_local_pairs_ship_no_result_message():
+    scheduler, network, oracle, collector, nodes = build_pair()
+    nodes[0].on_local_arrival(make_tuple(StreamId.R, 4, 0))
+    nodes[0].on_local_arrival(make_tuple(StreamId.S, 4, 0))
+    scheduler.run()
+    settle(nodes, oracle, collector)
+    assert collector.reported_pairs == 1
+    assert network.stats.messages(MessageKind.RESULT) == 0
 
 
 @pytest.mark.usefixtures("zero_latency")
@@ -141,15 +182,13 @@ def test_crash_wipes_queue_depth_and_congestion_soft_state():
     for index in range(5):
         node.on_local_arrival(make_tuple(StreamId.R, index + 1, 0, index))
     assert node.max_queue_depth >= 4
-    for runtime in node._queries.values():
-        # Stand in for an adaptive-flow observation under backlog.
-        runtime.policy.congestion_scale = 0.25
+    # Stand in for an adaptive-flow observation under backlog.
+    node.policy.congestion_scale = 0.25
     node.recovery.on_crash()
     # The dead process's peak depth and throttle observations die with it.
     assert node.max_queue_depth == 0
     assert node.queue_depth == 0
-    for runtime in node._queries.values():
-        assert runtime.policy.congestion_scale == 1.0
+    assert node.policy.congestion_scale == 1.0
 
 
 @pytest.mark.usefixtures("zero_latency")
@@ -199,6 +238,17 @@ def test_summary_piggybacking_for_dft_policy():
         nodes[0].on_local_arrival(make_tuple(stream, (index % 8) + 1, 0, index))
     scheduler.run()
     assert network.stats.summary_entries > 0
+
+
+@pytest.mark.usefixtures("zero_latency")
+def test_piggybacked_summary_reaches_the_peer_policy():
+    scheduler, _, _, _, nodes = build_pair(algorithm=Algorithm.DFT)
+    # Fill node 0's R summary past the refresh interval: the tuple sends
+    # carry its updates, and node 1's policy learns node 0's R summary.
+    for index in range(40):
+        nodes[0].on_local_arrival(make_tuple(StreamId.R, (index % 8) + 1, 0, index))
+    scheduler.run()
+    assert nodes[1].policy.remote.get(0, StreamId.R) is not None
 
 
 @pytest.mark.usefixtures("zero_latency")
@@ -307,16 +357,15 @@ class TestCheckpointWork:
         system.run()
         for node in system.nodes:
             node.recovery._checkpoint_state(0.0)
-            runtime = node.query()
-            windows = [runtime.join.window(stream) for stream in StreamId]
+            windows = [node.join.window(stream) for stream in StreamId]
             for stream in StreamId:
-                windows.extend(runtime.shadow_windows[stream].values())
+                windows.extend(node.shadow_windows[stream].values())
             assert len(windows) > 2
             for window in windows:
                 _, text, lengths = window.checkpoint_text
                 assert len(lengths) == len(window)
                 assert len(text) == sum(lengths) + max(0, len(window) - 1)
-            table = runtime.policy.remote
+            table = node.policy.remote
             assert table._rendered and set(table._rendered) <= set(table._state)
 
 
@@ -350,7 +399,7 @@ class TestMessagePathShape:
             kind=MessageKind.TUPLE,
             source=1,
             destination=0,
-            payload=(0, make_tuple(StreamId.R, 3, 1, 0), ()),
+            payload=(make_tuple(StreamId.R, 3, 1, 0), ()),
         )
         node.on_local_arrival(arrival)
         node.on_message(message)
@@ -366,11 +415,12 @@ class TestMessagePathShape:
     def test_a_base_tuple_message_carries_an_empty_tuple(self, monkeypatch):
         scheduler, network, _, _, nodes = build_pair()
         sent = capture_sends(monkeypatch, network)
-        nodes[0].on_local_arrival(make_tuple(StreamId.R, 1, 0))
+        item = make_tuple(StreamId.R, 1, 0)
+        nodes[0].on_local_arrival(item)
         scheduler.run()
         (message,) = [m for m in sent if m.kind is MessageKind.TUPLE]
-        assert type(message.payload[2]) is tuple
-        assert message.payload[2] == ()
+        assert message.payload == (item.with_timestamp(0.0), ())
+        assert type(message.payload[1]) is tuple
         assert message.summary_entries == 0
 
     @pytest.mark.usefixtures("zero_latency")
@@ -388,7 +438,7 @@ class TestMessagePathShape:
         node._send_tuple(item, 1, 0.0)
         node._send_tuple(item, 1, 0.0)
         first, second = sent
-        assert first.payload == (0, item, [(0, update)])
+        assert first.payload == (item, [update])
         assert first.summary_entries == 3
-        assert second.payload == (0, item, ())
+        assert second.payload == (item, ())
         assert second.summary_entries == 0

@@ -94,7 +94,7 @@ def test_settings_fields():
         "TelemetrySettings": 4,
         "FlowSettings": 4,
         "PolicyConfig": 5,
-        "SystemConfig": 15,
+        "SystemConfig": 14,
         "WorkloadConfig": 6,
         "LinkSpec": 2,
         "PartitionerConfig": 3,

@@ -40,7 +40,7 @@ def make_transport(scheduler, wire, seed=0, settings=SETTINGS, node_id=0):
 def control(source=0, destination=1):
     return Message(
         kind=MessageKind.CONTROL, source=source, destination=destination,
-        payload=(0, None, []),
+        payload=(None, []),
     )
 
 

@@ -39,7 +39,7 @@ def test_tuples_and_join_results_carry_no_instance_dict():
 
     item = StreamTuple(
         stream=StreamId.R, key=7, origin_node=1, arrival_index=3,
-        payload=("x", 1), timestamp=1.5, query_id=1,
+        payload=("x", 1), timestamp=1.5,
     )
     partner = StreamTuple(stream=StreamId.S, key=7, origin_node=0, arrival_index=4)
     result = JoinResult(item, partner, produced_at_node=0, produced_at_time=2.0)

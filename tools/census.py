@@ -176,7 +176,6 @@ INVOCATIONS: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = (
     ("example compression_tuning", "", ("examples/compression_tuning.py",)),
     ("example financial_arbitrage", "", ("examples/financial_arbitrage.py",)),
     ("example inspect_traffic", "", ("examples/inspect_traffic.py",)),
-    ("example multi_query", "", ("examples/multi_query.py",)),
     ("example network_monitoring", "", ("examples/network_monitoring.py",)),
     ("example quickstart", "", ("examples/quickstart.py",)),
     ("example telemetry_tour", "", ("examples/telemetry_tour.py", "{work}/tour")),
