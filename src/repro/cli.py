@@ -15,9 +15,9 @@ repro.experiments.chaos``) and through the ``experiments`` subcommand::
     python -m repro experiments report smoke --only fig9
     python -m repro experiments chaos smoke --fault-grid "clean; storm@loss=0.4"
 
-Both sweep CLIs accept ``--jobs N`` (or ``REPRO_JOBS``) to fan cells
-over pool workers and ``--no-cache`` / ``--cache-dir`` to control the
-run-result cache; output is byte-identical at any jobs/cache setting.
+Both sweep CLIs accept ``--jobs N`` to fan cells over pool workers and
+``--no-cache`` / ``--cache-dir`` to control the run-result cache;
+simulation output is byte-identical at any jobs/cache setting.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ def float_not_nan(text: str) -> float:
 
 def non_negative_int(text: str) -> int:
     """The ``type=`` of a count where a negative value means nothing (the
-    run parser's ``--profile``, chaos's ``--nodes``): a usage error (exit
-    2), rather than silently running unprofiled or at another size."""
+    run parser's ``--profile``, chaos's ``--nodes``, both sweeps' ``--jobs``):
+    a usage error (exit 2), rather than silently running unprofiled or at
+    another size, or failing after the sweep has started."""
     try:
         value = int(text)
     except ValueError:
@@ -358,7 +359,7 @@ def experiments_main(argv: Sequence[str]) -> int:
             "usage: repro experiments {%s} [args...]\n\n"
             "  chaos   accuracy-vs-failure-rate sweep under injected faults\n"
             "  report  every table/figure reproduction in one run\n\n"
-            "both accept --jobs N (parallel workers; REPRO_JOBS), --no-cache,\n"
+            "both accept --jobs N (parallel workers), --no-cache,\n"
             "and --cache-dir DIR (run-result cache; REPRO_CACHE_DIR)"
             % ",".join(EXPERIMENT_COMMANDS),
             file=sys.stdout if help_requested else sys.stderr,

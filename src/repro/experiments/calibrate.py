@@ -14,8 +14,8 @@ from typing import Callable, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.core.results import RunResult
-from repro.core.system import run_experiment
 from repro.errors import CalibrationError
+from repro.parallel import Cell, run_cells
 
 ConfigFactory = Callable[[float], SystemConfig]
 """Maps a budget T to the run configuration using it."""
@@ -36,26 +36,26 @@ class CalibrationResult:
         return abs(self.achieved_epsilon - self.target_epsilon) <= 0.05
 
 
-def calibrate_budget(
+def budget_search(
     make_config: ConfigFactory,
     target_epsilon: float = 0.15,
     budget_range: Tuple[float, float] = (0.25, 0.0),
     max_probes: int = 7,
     tolerance: float = 0.02,
-    runner: Optional[Callable[[SystemConfig], RunResult]] = None,
-) -> CalibrationResult:
+) -> Cell[CalibrationResult]:
     """Bisect the flow budget until the run's epsilon meets the target.
+
+    A :data:`~repro.parallel.Cell`: it yields each probe's configuration
+    and receives that probe's result, so a sweep can run the probes of
+    many searches side by side (:func:`repro.parallel.run_cells`).  The
+    search itself stays sequential -- each probe's budget depends on the
+    last epsilon.
 
     ``budget_range`` is (low, high); a high of 0 means "N - 1" (read from
     the first probe's configuration).  Returns the probe whose epsilon is
     closest to the target.  Raises :class:`CalibrationError` only for
     invalid inputs -- an unreachable target returns the best-effort
     endpoint, mirroring the paper's best-effort stance.
-
-    ``runner`` substitutes for :func:`run_experiment` per probe -- the
-    parallel layer passes a cache-aware runner so a repeated calibration
-    replays its bisection path from stored results.  The search itself
-    stays sequential (each probe's budget depends on the last epsilon).
     """
     if not 0.0 <= target_epsilon < 1.0:
         raise CalibrationError("target epsilon must lie in [0, 1)")
@@ -72,11 +72,9 @@ def calibrate_budget(
     best: Optional[CalibrationResult] = None
     probes = 0
 
-    execute = runner if runner is not None else run_experiment
-
-    def probe(budget: float) -> float:
+    def probe(budget: float) -> Cell[float]:
         nonlocal best, probes
-        result = execute(make_config(budget))
+        result = yield make_config(budget)
         probes += 1
         epsilon = result.epsilon
         candidate = CalibrationResult(
@@ -93,12 +91,12 @@ def calibrate_budget(
         return epsilon
 
     # Endpoint probes bound the search; epsilon decreases with budget.
-    eps_high = probe(high)
+    eps_high = yield from probe(high)
     if eps_high > target_epsilon:
         # Even the full budget misses the target: report that endpoint.
         best.probes = probes
         return best
-    eps_low = probe(low)
+    eps_low = yield from probe(low)
     if eps_low <= target_epsilon:
         best.probes = probes
         return best
@@ -106,7 +104,7 @@ def calibrate_budget(
     lo, hi = low, high
     while probes < max_probes:
         mid = (lo + hi) / 2.0
-        epsilon = probe(mid)
+        epsilon = yield from probe(mid)
         if abs(epsilon - target_epsilon) <= tolerance:
             break
         if epsilon > target_epsilon:
@@ -115,3 +113,17 @@ def calibrate_budget(
             hi = mid
     best.probes = probes
     return best
+
+
+def calibrate_budget(
+    make_config: ConfigFactory,
+    target_epsilon: float = 0.15,
+    budget_range: Tuple[float, float] = (0.25, 0.0),
+    max_probes: int = 7,
+    tolerance: float = 0.02,
+) -> CalibrationResult:
+    """Run one :func:`budget_search` serially, uncached."""
+    search = budget_search(
+        make_config, target_epsilon, budget_range, max_probes, tolerance
+    )
+    return run_cells([search])[0]

@@ -58,7 +58,7 @@ from repro.experiments.reporting import format_table
 from repro.net.faults import FaultEvent, FaultKind, FaultPlan
 from repro.net.reliable import ReliabilitySettings
 from repro.overload import OverloadSettings
-from repro.parallel import RunCache, RunRequest, run_many
+from repro.parallel import RunCache, RunRequest, resolve_cache, run_many
 from repro.recovery.settings import RecoverySettings
 
 CHAOS_FORMAT_VERSION = 4
@@ -73,6 +73,10 @@ WORST_CASE_EVENT = "policy.worst_case_mode"
 # ----------------------------------------------------------------------
 # the fault grid
 # ----------------------------------------------------------------------
+
+
+_KNOB_ALIASES = {"partition": "part", "crashes": "crash", "overload": "over"}
+"""Long spellings of the grid knobs, folded so a knob is given once."""
 
 
 @dataclass(frozen=True)
@@ -100,9 +104,9 @@ class ChaosLevel:
                 "chaos level name %r must be a bare word" % (self.name,)
             )
         for knob in (self.loss_probability, self.partition_s, self.overload_factor):
-            if math.isnan(knob):
+            if not math.isfinite(knob):
                 raise ConfigurationError(
-                    "chaos level %r has a NaN knob" % (self.name,)
+                    "chaos level %r has a non-finite knob" % (self.name,)
                 )
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ConfigurationError("loss probability must lie in [0, 1]")
@@ -158,6 +162,7 @@ class ChaosLevel:
         partition = 0.0
         crashes = 0
         overload = 0.0
+        seen = set()
         for pair in filter(None, (p.strip() for p in arg_text.split(","))):
             key, eq, value = pair.partition("=")
             if not eq:
@@ -166,6 +171,12 @@ class ChaosLevel:
                 )
             key = key.strip().lower()
             value = value.strip()
+            knob = _KNOB_ALIASES.get(key, key)
+            if knob in seen:
+                raise ConfigurationError(
+                    "chaos argument %r given twice in %r" % (knob, chunk)
+                )
+            seen.add(knob)
             try:
                 if key == "loss":
                     loss = float(value)
@@ -896,10 +907,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=non_negative_int,
         default=0,
         metavar="N",
-        help="pool workers for the sweep (default: REPRO_JOBS or 1; "
+        help="pool workers for the sweep (default: 1; "
         "results are byte-identical at any N)",
     )
     parser.add_argument(
@@ -958,7 +969,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             algorithms = COMPARED_ALGORITHMS
         progress = lambda text: print(text, file=sys.stderr)
-        cache = None if args.no_cache else RunCache(args.cache_dir or None)
+        cache = resolve_cache(args.no_cache, args.cache_dir)
         protection = None
         if args.overload or args.queue_bound > 0:
             protection = OverloadSettings.for_queue_bound(

@@ -21,10 +21,10 @@ from repro.config import Algorithm, WorkloadKind
 from repro.experiments.harness import (
     FILTERED_ALGORITHMS,
     get_scale,
-    run_grid,
     system_config,
 )
 from repro.experiments.reporting import format_table
+from repro.parallel import run_configs
 
 SWEEP_BUDGET = 2.0
 """Flow budget used for both panels: the same moderate T for every
@@ -77,7 +77,7 @@ def run_panel_a(
         )
         for kappa, algorithm in cells
     ]
-    results = run_grid(configs, jobs=jobs, cache=cache)
+    results = run_configs(configs, jobs=jobs, cache=cache)
     return [
         Fig10aRow(
             kappa=int(kappa),
@@ -116,7 +116,7 @@ def run_panel_b(
         )
         for index, num_nodes, algorithm in cells
     ]
-    results = run_grid(configs, jobs=jobs, cache=cache)
+    results = run_configs(configs, jobs=jobs, cache=cache)
     return [
         Fig10bRow(
             num_nodes=num_nodes,

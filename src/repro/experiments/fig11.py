@@ -15,13 +15,13 @@ report the sustained result rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.config import Algorithm, WorkloadKind
-from repro.experiments.calibrate import calibrate_budget
+from repro.experiments.calibrate import budget_search
 from repro.experiments.harness import FILTERED_ALGORITHMS, get_scale, system_config
 from repro.experiments.reporting import format_table
-from repro.parallel import RunCache, cached_run, map_tasks
+from repro.parallel import Cell, RunCache, run_cells
 
 TARGET_EPSILON = 0.15
 SATURATION_FACTOR = 6.0
@@ -40,58 +40,6 @@ class Fig11Row:
     calibrated_budget: float
 
 
-def _run_cell(payload: Dict[str, object]) -> Fig11Row:
-    """One (N, algorithm) cell: calibrate, then the saturating rerun.
-
-    Module-level with a plain-dict payload so spawn workers can run it;
-    the calibration bisection stays sequential inside the cell (each
-    probe depends on the last) and goes through the cache.
-    """
-    preset = get_scale(str(payload["scale"]))
-    workload = WorkloadKind(payload["workload"])
-    algorithm = Algorithm(payload["algorithm"])
-    num_nodes = int(payload["num_nodes"])  # type: ignore[arg-type]
-    index = int(payload["index"])  # type: ignore[arg-type]
-    cache = RunCache.from_spec(payload["cache"])  # type: ignore[arg-type]
-    if algorithm is Algorithm.BASE:
-        budget = float(num_nodes - 1)
-        epsilon = 0.0
-    else:
-        calibration = calibrate_budget(
-            lambda b: system_config(
-                preset,
-                algorithm,
-                num_nodes,
-                workload_kind=workload,
-                budget_override=b,
-                seed_offset=index,
-            ),
-            target_epsilon=float(payload["target_epsilon"]),  # type: ignore[arg-type]
-            max_probes=int(payload["max_probes"]),  # type: ignore[arg-type]
-            runner=lambda config: cached_run(config, cache),
-        )
-        budget = calibration.budget
-        epsilon = calibration.achieved_epsilon
-    saturated = system_config(
-        preset,
-        algorithm,
-        num_nodes,
-        workload_kind=workload,
-        budget_override=budget if algorithm is not Algorithm.BASE else 0.0,
-        arrival_rate=preset.arrival_rate * SATURATION_FACTOR,
-        seed_offset=index,
-    )
-    result = cached_run(saturated, cache)
-    return Fig11Row(
-        num_nodes=num_nodes,
-        algorithm=algorithm.value,
-        throughput=result.throughput,
-        sustained_throughput=result.sustained_throughput,
-        epsilon_at_calibration=epsilon,
-        calibrated_budget=budget,
-    )
-
-
 def run(
     scale: str = "default",
     workload: WorkloadKind = WorkloadKind.ZIPF,
@@ -102,22 +50,51 @@ def run(
 ) -> List[Fig11Row]:
     """Calibrated throughput comparison across the node grid."""
     preset = get_scale(scale)
-    spec = None if cache is None else cache.spec()
-    payloads = [
-        {
-            "scale": scale,
-            "workload": workload.value,
-            "num_nodes": num_nodes,
-            "index": index,
-            "algorithm": algorithm.value,
-            "target_epsilon": target_epsilon,
-            "max_probes": max_probes,
-            "cache": spec,
-        }
+
+    def cell(index: int, num_nodes: int, algorithm: Algorithm) -> Cell[Fig11Row]:
+        """One point: calibrate, then the saturating rerun as the last run."""
+        if algorithm is Algorithm.BASE:
+            budget = float(num_nodes - 1)
+            epsilon = 0.0
+        else:
+            calibration = yield from budget_search(
+                lambda b: system_config(
+                    preset,
+                    algorithm,
+                    num_nodes,
+                    workload_kind=workload,
+                    budget_override=b,
+                    seed_offset=index,
+                ),
+                target_epsilon=target_epsilon,
+                max_probes=max_probes,
+            )
+            budget = calibration.budget
+            epsilon = calibration.achieved_epsilon
+        result = yield system_config(
+            preset,
+            algorithm,
+            num_nodes,
+            workload_kind=workload,
+            budget_override=budget if algorithm is not Algorithm.BASE else 0.0,
+            arrival_rate=preset.arrival_rate * SATURATION_FACTOR,
+            seed_offset=index,
+        )
+        return Fig11Row(
+            num_nodes=num_nodes,
+            algorithm=algorithm.value,
+            throughput=result.throughput,
+            sustained_throughput=result.sustained_throughput,
+            epsilon_at_calibration=epsilon,
+            calibrated_budget=budget,
+        )
+
+    cells = [
+        cell(index, num_nodes, algorithm)
         for index, num_nodes in enumerate(preset.node_grid)
         for algorithm in (Algorithm.BASE,) + tuple(FILTERED_ALGORITHMS)
     ]
-    return list(map_tasks(_run_cell, payloads, jobs=jobs))
+    return run_cells(cells, jobs=jobs, cache=cache)
 
 
 def format_result(rows: Sequence[Fig11Row]) -> str:

@@ -15,13 +15,9 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.config import Algorithm, WorkloadKind
-from repro.experiments.harness import (
-    ExperimentScale,
-    get_scale,
-    run_grid,
-    system_config,
-)
+from repro.experiments.harness import get_scale, system_config
 from repro.experiments.reporting import format_table
+from repro.parallel import run_configs
 
 
 @dataclass(frozen=True)
@@ -62,7 +58,7 @@ def run(
         )
         for index, num_nodes in enumerate(preset.node_grid)
     ]
-    results = run_grid(configs, jobs=jobs, cache=cache)
+    results = run_configs(configs, jobs=jobs, cache=cache)
     return [
         Fig8Row(
             num_nodes=num_nodes,

@@ -17,15 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import Algorithm, WorkloadKind
-from repro.experiments.calibrate import calibrate_budget
+from repro.config import Algorithm, SystemConfig, WorkloadKind
+from repro.experiments.calibrate import budget_search
 from repro.experiments.harness import (
     FILTERED_ALGORITHMS,
     get_scale,
     system_config,
 )
 from repro.experiments.reporting import format_table
-from repro.parallel import RunCache, cached_run, map_tasks
+from repro.parallel import Cell, RunCache, run_cells
 
 TARGET_EPSILON = 0.15
 
@@ -43,64 +43,6 @@ class Fig9Cell:
     calibrated_budget: float
 
 
-def _run_cell(payload: Dict[str, object]) -> Fig9Cell:
-    """One (workload, N, algorithm) cell; module-level so pool workers
-    can import it, plain-dict payload so it pickles under spawn.
-
-    A calibrated cell is a whole bisection (each probe's budget depends
-    on the previous epsilon), so parallelism lives at the cell level and
-    the probes run sequentially inside -- through the cache, so a warm
-    rerun replays the identical search without simulating.
-    """
-    preset = get_scale(str(payload["scale"]))
-    workload = WorkloadKind(payload["workload"])
-    algorithm = Algorithm(payload["algorithm"])
-    num_nodes = int(payload["num_nodes"])  # type: ignore[arg-type]
-    index = int(payload["index"])  # type: ignore[arg-type]
-    cache = RunCache.from_spec(payload["cache"])  # type: ignore[arg-type]
-    if algorithm is Algorithm.BASE:
-        config = system_config(
-            preset,
-            Algorithm.BASE,
-            num_nodes,
-            workload_kind=workload,
-            seed_offset=index,
-        )
-        result = cached_run(config, cache)
-        return Fig9Cell(
-            workload=workload.value,
-            num_nodes=num_nodes,
-            algorithm=Algorithm.BASE.value,
-            messages_per_result_tuple=result.messages_per_result_tuple,
-            messages_per_arrival=result.messages_per_arrival,
-            achieved_epsilon=result.epsilon,
-            calibrated_budget=float(num_nodes - 1),
-        )
-    calibration = calibrate_budget(
-        lambda budget: system_config(
-            preset,
-            algorithm,
-            num_nodes,
-            workload_kind=workload,
-            budget_override=budget,
-            seed_offset=index,
-        ),
-        target_epsilon=float(payload["target_epsilon"]),  # type: ignore[arg-type]
-        max_probes=int(payload["max_probes"]),  # type: ignore[arg-type]
-        runner=lambda config: cached_run(config, cache),
-    )
-    result = calibration.result
-    return Fig9Cell(
-        workload=workload.value,
-        num_nodes=num_nodes,
-        algorithm=algorithm.value,
-        messages_per_result_tuple=result.messages_per_result_tuple,
-        messages_per_arrival=result.messages_per_arrival,
-        achieved_epsilon=calibration.achieved_epsilon,
-        calibrated_budget=calibration.budget,
-    )
-
-
 def run(
     scale: str = "default",
     workloads: Sequence[WorkloadKind] = (WorkloadKind.UNIFORM, WorkloadKind.ZIPF),
@@ -111,23 +53,48 @@ def run(
 ) -> List[Fig9Cell]:
     """Calibrated message-efficiency comparison."""
     preset = get_scale(scale)
-    spec = None if cache is None else cache.spec()
-    payloads = [
-        {
-            "scale": scale,
-            "workload": workload.value,
-            "num_nodes": num_nodes,
-            "index": index,
-            "algorithm": algorithm.value,
-            "target_epsilon": target_epsilon,
-            "max_probes": max_probes,
-            "cache": spec,
-        }
+
+    def cell(
+        workload: WorkloadKind, index: int, num_nodes: int, algorithm: Algorithm
+    ) -> Cell[Fig9Cell]:
+        """One bar: BASE runs once, every other algorithm is a budget
+        calibration (see :func:`budget_search`)."""
+
+        def make_config(budget: float) -> SystemConfig:
+            return system_config(
+                preset,
+                algorithm,
+                num_nodes,
+                workload_kind=workload,
+                budget_override=budget,
+                seed_offset=index,
+            )
+
+        if algorithm is Algorithm.BASE:
+            result = yield make_config(0.0)
+            budget = float(num_nodes - 1)
+        else:
+            calibration = yield from budget_search(
+                make_config, target_epsilon=target_epsilon, max_probes=max_probes
+            )
+            result, budget = calibration.result, calibration.budget
+        return Fig9Cell(
+            workload=workload.value,
+            num_nodes=num_nodes,
+            algorithm=algorithm.value,
+            messages_per_result_tuple=result.messages_per_result_tuple,
+            messages_per_arrival=result.messages_per_arrival,
+            achieved_epsilon=result.epsilon,
+            calibrated_budget=budget,
+        )
+
+    cells = [
+        cell(workload, index, num_nodes, algorithm)
         for workload in workloads
         for index, num_nodes in enumerate(preset.node_grid)
         for algorithm in (Algorithm.BASE,) + tuple(FILTERED_ALGORITHMS)
     ]
-    return list(map_tasks(_run_cell, payloads, jobs=jobs))
+    return run_cells(cells, jobs=jobs, cache=cache)
 
 
 def format_result(cells: Sequence[Fig9Cell]) -> str:

@@ -15,8 +15,8 @@ length, kappa grid relative to W) so the figure shapes are preserved.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.config import (
     Algorithm,
@@ -172,26 +172,6 @@ def system_config(
     if overload is not None:
         config = dataclasses.replace(config, overload=overload)
     return config
-
-
-def run_grid(
-    configs: Iterable[SystemConfig],
-    jobs: int = 0,
-    cache=None,
-    progress: Optional[Callable[[str], None]] = None,
-    labels: Optional[Sequence[str]] = None,
-) -> List:
-    """Run a grid of configurations through the parallel runner.
-
-    The shared sweep primitive: every figure builds its full config list
-    first, then runs it here -- ``jobs`` fans cells over processes,
-    ``cache`` (a :class:`repro.parallel.RunCache`) skips cells already
-    computed, and results always come back in config order, so serial,
-    parallel, and cached sweeps are byte-identical.
-    """
-    from repro.parallel import run_configs
-
-    return run_configs(configs, jobs=jobs, cache=cache, progress=progress, labels=labels)
 
 
 COMPARED_ALGORITHMS: Tuple[Algorithm, ...] = (

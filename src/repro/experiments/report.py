@@ -10,9 +10,10 @@ The analytic experiments (Table 1, Figures 3-6) ignore the scale's
 simulation parameters and use their own signal sizes.
 
 ``--jobs`` fans simulation cells over pool workers (byte-identical
-output at any N); the run-result cache is on by default, so a repeated
-report recomputes only the cells whose configuration or code changed --
-``--no-cache`` forces everything fresh.
+simulation output at any N; Table 1's timings always run serially); the
+run-result cache is on by default, so a repeated report recomputes only
+the cells whose configuration or code changed -- ``--no-cache`` forces
+everything fresh.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import sys
 import time
 
+from repro.cli import non_negative_int
 from repro.config import WorkloadKind
 from repro.experiments import (
     chaos,
@@ -64,7 +66,7 @@ def run_report(scale: str, only, jobs: int = 0, cache=None) -> None:
 
     if "table1" in selected:
         _banner("Table 1 -- CPU time: full DFT vs incremental DFT vs AGMS")
-        print(table1.format_result(table1.run(jobs=jobs)))
+        print(table1.format_result(table1.run()))
 
     if "fig3" in selected:
         _banner("Figure 3 -- uniform-data bounds (Theorems 1-2)")
@@ -160,9 +162,9 @@ def run_report(scale: str, only, jobs: int = 0, cache=None) -> None:
 
     print()
     print("report complete in %.1f s" % (time.time() - started))
-    # Cache provenance prints *after* the timing line: everything above
-    # it is byte-identical across jobs/cache settings, everything below
-    # is run provenance.
+    # Cache provenance prints *after* the timing line.  Everything above
+    # it except Table 1's wall-clock rows is byte-identical across jobs
+    # and cache settings; everything below is run provenance.
     if cache is not None:
         print(cache.stats_line())
         cache.write_manifest({"sweep": "report", "scale": scale})
@@ -178,10 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=non_negative_int,
         default=0,
         metavar="N",
-        help="pool workers for simulation sweeps (default: REPRO_JOBS or 1)",
+        help="pool workers for simulation sweeps (default: 1)",
     )
     parser.add_argument(
         "--no-cache",

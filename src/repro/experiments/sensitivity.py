@@ -17,12 +17,12 @@ to alpha than to skew.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.config import Algorithm, PolicyConfig, SystemConfig, WorkloadConfig
 from repro.core.flow import FlowSettings
-from repro.experiments.harness import run_grid
 from repro.experiments.reporting import format_table
+from repro.parallel import run_configs
 
 DEFAULT_SKEWS = (0.0, 0.3, 0.6, 0.85, 0.95)
 DEFAULT_ALPHAS = (0.0, 0.4, 0.8)
@@ -77,7 +77,7 @@ def sweep_skew(
         for skew in skews
         for algorithm in (Algorithm.DFTT, Algorithm.ROUND_ROBIN)
     ]
-    results = run_grid(configs, jobs=jobs, cache=cache)
+    results = run_configs(configs, jobs=jobs, cache=cache)
     return [
         SensitivityRow(
             parameter="skew",
@@ -102,7 +102,7 @@ def sweep_alpha(
         for alpha in alphas
         for algorithm in (Algorithm.DFTT, Algorithm.ROUND_ROBIN)
     ]
-    results = run_grid(configs, jobs=jobs, cache=cache)
+    results = run_configs(configs, jobs=jobs, cache=cache)
     return [
         SensitivityRow(
             parameter="alpha",

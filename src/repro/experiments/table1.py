@@ -20,7 +20,7 @@ maintenance steps at window size W --
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from repro._rng import ensure_rng, spawn
 from repro.dft.control import ControlVector
 from repro.dft.sliding import SlidingDFT, low_frequency_bins
 from repro.experiments.reporting import format_table
-from repro.parallel import map_tasks
 from repro.profiling import Stopwatch
 from repro.sketches.agms import AgmsSketch, SketchShape
 
@@ -99,15 +98,8 @@ def _time_agms(
     return watch
 
 
-def _measure_window(payload: Dict[str, int]) -> Table1Row:
-    """One window-size row.  Each cell derives its own child generator
-    (``spawn`` from the root seed, indexed by position), so cells are
-    independent of execution order and can run in pool workers."""
-    window = int(payload["window"])
-    updates = int(payload["updates"])
-    kappa = int(payload["kappa"])
-    children = spawn(ensure_rng(int(payload["seed"])), int(payload["count"]))
-    rng = children[int(payload["position"])]
+def _measure_window(window: int, updates: int, kappa: int, rng) -> Table1Row:
+    """One window-size row, measured on its own child generator."""
     signal = rng.integers(1, 2**19, size=window + updates).astype(np.float64)
     full = _time_full_dft(signal, window, updates)
     incremental = _time_incremental_dft(signal, window, updates, kappa)
@@ -128,28 +120,21 @@ def run(
     updates: int = 200,
     kappa: int = 256,
     seed: int = 2007,
-    jobs: int = 0,
 ) -> List[Table1Row]:
     """Measure the three maintenance strategies at each window size.
 
-    Rows are *timings* and therefore never cached; ``jobs > 1`` spreads
-    the windows over workers, which shortens the wall clock but -- on a
-    busy machine -- lets concurrent cells contend for cores, so keep
-    timing runs at ``jobs=1`` when the absolute numbers matter (the
-    shape, full DFT >> incremental, survives contention comfortably).
+    Rows are *timings*, so they are never cached and the windows run one
+    after another in this process: windows measured side by side would
+    contend for cores and skew each other's seconds.  Each window gets
+    its own child generator (``spawn`` from the root seed, indexed by
+    position).
     """
-    payloads = [
-        {
-            "window": window,
-            "updates": updates,
-            "kappa": kappa,
-            "seed": seed,
-            "count": len(list(windows)),
-            "position": position,
-        }
-        for position, window in enumerate(windows)
+    windows = list(windows)
+    children = spawn(ensure_rng(seed), len(windows))
+    return [
+        _measure_window(window, updates, kappa, rng)
+        for window, rng in zip(windows, children)
     ]
-    return list(map_tasks(_measure_window, payloads, jobs=jobs))
 
 
 def format_result(rows: Sequence[Table1Row]) -> str:

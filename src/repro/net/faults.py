@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -58,6 +59,15 @@ _FIELD_READERS: Dict[str, Tuple[FaultKind, ...]] = {
 }
 """The kinds that read each optional :class:`FaultEvent` field; any other
 kind must leave the field at its default."""
+
+_FINITE_FIELDS = (
+    "start_s",
+    "duration_s",
+    "loss_probability",
+    "extra_latency_s",
+    "downtime_s",
+    "slowdown_factor",
+)
 
 
 @dataclass(frozen=True)
@@ -98,6 +108,13 @@ class FaultEvent:
         return self.start_s + self.duration_s
 
     def validate(self, num_nodes: Optional[int] = None) -> None:
+        for name in _FINITE_FIELDS:
+            # inf overflows the scheduler's arithmetic and NaN compares
+            # false with every bound below, so neither reaches a run.
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    "fault %s must be finite, got %r" % (name, getattr(self, name))
+                )
         if self.start_s < 0:
             raise ConfigurationError("fault start_s must be non-negative")
         if self.duration_s <= 0:
@@ -316,6 +333,9 @@ _SPEC_KINDS = {
 
 _DEFAULT_DURATION_S = 5.0
 
+_SCALAR_KEYS = frozenset({"t", "d", "p", "extra", "downtime", "factor"})
+"""Spec keys that set one value; ``node`` / ``nodes`` / ``link`` repeat."""
+
 
 def _parse_seconds(value: str) -> float:
     text = value.strip().lower()
@@ -343,11 +363,18 @@ def _parse_event_spec(chunk: str, num_nodes: Optional[int]) -> FaultEvent:
     extra_latency = 0.0
     downtime = 0.0
     factor = 0.0
+    seen = set()
     for pair in filter(None, (p.strip() for p in arg_text.split(","))):
         key, eq, value = pair.partition("=")
         if not eq:
             raise ConfigurationError("malformed fault argument %r in %r" % (pair, chunk))
         key = key.strip().lower()
+        if key in _SCALAR_KEYS:
+            # Only the selectors accumulate; a repeated scalar would
+            # silently keep its last value.
+            if key in seen:
+                raise ConfigurationError("fault argument %r given twice in %r" % (key, chunk))
+            seen.add(key)
         if key == "t":
             start = _parse_seconds(value)
         elif key == "d":

@@ -4,11 +4,12 @@
 module                        provides
 ============================  =========================================
 :mod:`repro.parallel.pool`    ``run_many`` / ``run_configs`` /
-                              ``map_tasks`` -- spawn-context process
-                              pool with submission-order merge;
-                              ``resolve_jobs`` (``--jobs`` /
-                              ``REPRO_JOBS``); ``execute_cell`` with
-                              worker-side determinism guards
+                              ``run_cells`` -- spawn-context process
+                              pool with submission-order merge, every
+                              cache lookup in the parent;
+                              ``resolve_jobs`` (``--jobs``);
+                              ``execute_cell`` with worker-side
+                              determinism guards
 :mod:`repro.parallel.cache`   ``RunCache`` -- pickled ``RunResult``
                               entries under ``.repro-cache/`` keyed by
                               a canonical config fingerprint plus a
@@ -31,13 +32,13 @@ from repro.parallel.cache import (
     resolve_cache,
 )
 from repro.parallel.pool import (
+    Cell,
     RunOutcome,
     RunRequest,
-    cached_run,
     execute_cell,
-    map_tasks,
     reset_simulation_counter,
     resolve_jobs,
+    run_cells,
     run_configs,
     run_many,
     simulations_run,
@@ -45,19 +46,19 @@ from repro.parallel.pool import (
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
+    "Cell",
     "DEFAULT_CACHE_DIR",
     "RunCache",
     "RunOutcome",
     "RunRequest",
-    "cached_run",
     "canonical_config_dict",
     "code_version",
     "config_fingerprint",
     "execute_cell",
-    "map_tasks",
     "reset_simulation_counter",
     "resolve_cache",
     "resolve_jobs",
+    "run_cells",
     "run_configs",
     "run_many",
     "simulations_run",

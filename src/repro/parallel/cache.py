@@ -20,8 +20,7 @@ Two conventions keep the key honest:
   releases, so the salt instead hashes every ``.py`` source file in the
   package.  Any source edit therefore invalidates the whole cache --
   conservative by design: a stale hit would silently mask a regression
-  in the golden-pinned sweeps.  ``REPRO_CACHE_SALT`` appends an
-  operator-chosen token for manual invalidation.
+  in the golden-pinned sweeps.  ``--no-cache`` recomputes everything.
 
 Cache entries are written atomically (temp file + ``os.replace``) so
 concurrent workers and interrupted runs can never leave a torn entry.
@@ -41,7 +40,7 @@ import json
 import os
 import pickle
 import tempfile
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -128,7 +127,6 @@ def config_fingerprint(config, extractors: ExtractorSpec = ()) -> str:
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
         "code": code_version(),
-        "salt": os.environ.get("REPRO_CACHE_SALT", ""),
         "config": canonical_config_dict(config),
         "extractors": [[name, ref] for name, ref in extractors],
     }
@@ -139,9 +137,9 @@ def config_fingerprint(config, extractors: ExtractorSpec = ()) -> str:
 class RunCache:
     """Pickled ``(result, extras)`` entries keyed by config fingerprint.
 
-    Counters are per-instance and per-process: the experiment runner
-    checks the cache in the *parent* before dispatching work, so a
-    sweep's hit/miss tally is complete there regardless of ``--jobs``.
+    Counters are per-instance: every sweep looks entries up and stores
+    them in the *parent* before and after dispatching work, so a sweep's
+    hit/miss tally is complete regardless of ``--jobs``.
     """
 
     def __init__(self, directory: Optional[str] = None) -> None:
@@ -256,16 +254,6 @@ class RunCache:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         return path
-
-    # -- crossing process boundaries -----------------------------------
-
-    def spec(self) -> str:
-        """A plain-string handle workers rebuild the cache from."""
-        return self.directory
-
-    @classmethod
-    def from_spec(cls, spec: Optional[str]) -> Optional["RunCache"]:
-        return None if spec is None else cls(spec)
 
 
 def resolve_cache(

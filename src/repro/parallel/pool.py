@@ -2,11 +2,19 @@
 
 Experiment cells are independent, seed-deterministic simulations -- the
 shared-nothing shape that fans out perfectly.  :func:`run_many` takes a
-list of :class:`RunRequest` cells, dispatches the uncached ones over a
-``ProcessPoolExecutor`` (spawn context, ``REPRO_*`` environment
-propagated to every worker), and merges results back **in submission
-order**, so every downstream artifact -- figure rows, chaos tables,
-golden JSON, regression gates -- is byte-identical to the serial path.
+list of :class:`RunRequest` cells, serves what it can from the cache,
+dispatches the rest over a ``ProcessPoolExecutor`` (spawn context), and
+merges results back **in submission order**, so every downstream
+artifact -- figure rows, chaos tables, golden JSON, regression gates --
+is byte-identical to the serial path.  It is the only way a sweep runs a
+simulation: the cache is read and written in the parent, and a worker
+runs nothing but :func:`execute_cell`.
+
+A cell that is more than one simulation (a calibrated Figure 9 / 11
+point bisects its budget, each probe depending on the last) is a
+generator that yields each probe's config and receives its result;
+:func:`run_cells` drives such cells through the same runner, submitting
+a cell's next probe as soon as its last one is answered.
 
 Three invariants make parallel == serial == cached:
 
@@ -17,21 +25,20 @@ Three invariants make parallel == serial == cached:
   are fresh, extending the per-run reset to subprocess workers;
 * results are ordered by submission index, never completion order.
 
-``--jobs`` resolution: an explicit positive value wins, else the
-``REPRO_JOBS`` environment variable, else 1 (serial, the default --
-``jobs=1`` never touches multiprocessing at all, so existing callers
-are bit-for-bit unaffected).
+``jobs`` 0 or 1 is serial, the default: it never touches
+multiprocessing at all.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-from concurrent.futures import Future, ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from importlib import import_module
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, Iterable, List, Optional, Tuple, TypeVar
 
 from repro.config import SystemConfig
 from repro.core.results import RunResult
@@ -58,21 +65,10 @@ def reset_simulation_counter() -> None:
 
 
 def resolve_jobs(jobs: int = 0) -> int:
-    """Worker count: explicit ``jobs`` > ``REPRO_JOBS`` > 1 (serial)."""
+    """Worker count: an explicit positive ``jobs``, else 1 (serial)."""
     if jobs < 0:
         raise ConfigurationError("jobs must be positive, got %d" % jobs)
-    if jobs:
-        return jobs
-    raw = os.environ.get("REPRO_JOBS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError("REPRO_JOBS must be an integer, got %r" % raw)
-    if value < 1:
-        raise ConfigurationError("REPRO_JOBS must be >= 1, got %d" % value)
-    return value
+    return jobs or 1
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,6 @@ class RunOutcome:
 
     result: RunResult
     extras: Dict[str, object] = field(default_factory=dict)
-    cached: bool = False
 
 
 def _resolve_extractor(ref: str):
@@ -152,58 +147,13 @@ def execute_cell(
     return result, extras
 
 
-# -- worker environment ------------------------------------------------
-
-
-def _repro_env() -> Dict[str, str]:
-    return {
-        key: value
-        for key, value in os.environ.items()
-        if key.startswith("REPRO_")
-    }
-
-
-def _worker_init(env: Dict[str, str]) -> None:
-    """Mirror the parent's ``REPRO_*`` environment exactly.
-
-    Spawned workers inherit the environment at fork-server/spawn time,
-    which can predate parent-side changes (a harness exporting
-    ``REPRO_CACHE_SALT``, a test monkeypatching it); the initializer
-    re-synchronizes so worker cells resolve the same knobs the parent
-    would.
-    """
-    for key in [key for key in os.environ if key.startswith("REPRO_")]:
-        if key not in env:
-            del os.environ[key]
-    os.environ.update(env)
-
-
-def _pool(workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("spawn"),
-        initializer=_worker_init,
-        initargs=(_repro_env(),),
-    )
-
-
-def _result(future: Future, label: str):
-    """``future.result()``; a pool worker that died is a ``ReproError``.
-
-    A worker killed mid-cell (out of memory, a signal, an extractor
-    calling ``os._exit``) breaks the whole pool: every cell it had not
-    finished raises ``BrokenProcessPool``.  ``label`` is the first of
-    those in submission order.
-    """
-    try:
-        return future.result()
-    except BrokenProcessPool as error:
-        raise SimulationError(
-            "a pool worker process died before %s finished (%s)" % (label, error)
-        ) from error
-
-
 # -- the runner --------------------------------------------------------
+
+Output = TypeVar("Output")
+
+Cell = Generator[SystemConfig, RunResult, Output]
+"""A cell of several simulations: it yields the config of each run it
+needs, receives that run's result, and returns the cell's output."""
 
 
 def run_many(
@@ -214,139 +164,124 @@ def run_many(
 ) -> List[RunOutcome]:
     """Execute every request; outcomes come back in submission order.
 
-    The cache is consulted (and written) in the parent only: hit/miss
-    counters stay complete regardless of ``jobs``, workers never race on
-    entry files, and a fully warm sweep dispatches zero work -- it does
-    not even build a pool.
+    Every cache lookup and store happens here, in the parent (see
+    :func:`_drive`), so ``cache``'s counters are complete at any ``jobs``.
     """
-    jobs = resolve_jobs(jobs)
-    requests = list(requests)
-    outcomes: List[Optional[RunOutcome]] = [None] * len(requests)
-    pending: List[Tuple[int, RunRequest, Optional[str]]] = []
-    for index, request in enumerate(requests):
-        key = None
-        if cache is not None:
-            key = cache.key_for(request.config, request.extractors)
-            entry = cache.lookup(key)
-            if entry is not None:
-                outcomes[index] = RunOutcome(
-                    result=entry["result"],
-                    extras=dict(entry.get("extras", {})),
-                    cached=True,
-                )
-                if progress is not None:
-                    progress(
-                        (request.label or "cell %d" % index) + " [cached]"
-                    )
-                continue
-        pending.append((index, request, key))
-    if pending and (jobs == 1 or len(pending) == 1):
-        for index, request, key in pending:
-            if progress is not None:
-                progress(request.label or "cell %d" % index)
-            result, extras = execute_cell(request.config, request.extractors)
-            outcomes[index] = RunOutcome(result=result, extras=extras)
-            if cache is not None:
-                cache.store(key, result, extras)
-    elif pending:
-        with _pool(min(jobs, len(pending))) as pool:
-            futures = []
-            for index, request, key in pending:
-                label = request.label or "cell %d" % index
-                if progress is not None:
-                    progress(label)
-                future = pool.submit(
-                    execute_cell, request.config, request.extractors
-                )
-                futures.append((index, key, label, future))
-            for index, key, label, future in futures:
-                result, extras = _result(future, label)
-                outcomes[index] = RunOutcome(result=result, extras=extras)
-                if cache is not None:
-                    cache.store(key, result, extras)
-    return outcomes  # type: ignore[return-value]
+    return _drive([_once(request) for request in requests], jobs, cache, progress)
 
 
 def run_configs(
     configs: Iterable[SystemConfig],
     jobs: int = 0,
     cache: Optional[RunCache] = None,
-    progress: Optional[Progress] = None,
-    labels: Optional[Sequence[str]] = None,
 ) -> List[RunResult]:
     """Plain config grid -> results, in order (the figure-sweep shape)."""
-    configs = list(configs)
-    if labels is not None and len(labels) != len(configs):
-        raise ConfigurationError(
-            "got %d labels for %d configs" % (len(labels), len(configs))
-        )
-    requests = [
-        RunRequest(config=config, label=labels[index] if labels else "")
-        for index, config in enumerate(configs)
-    ]
-    return [
-        outcome.result
-        for outcome in run_many(requests, jobs=jobs, cache=cache, progress=progress)
-    ]
+    requests = [RunRequest(config=config) for config in configs]
+    return [outcome.result for outcome in run_many(requests, jobs=jobs, cache=cache)]
 
 
-def cached_run(
-    config: SystemConfig, cache: Optional[RunCache] = None
-) -> RunResult:
-    """One cell through the cache; the calibration probes' runner.
-
-    Keys match :func:`run_many`'s extractor-free requests, so a cell a
-    figure sweep computed is reusable by a calibration probe and vice
-    versa.
-    """
-    if cache is None:
-        result, _extras = execute_cell(config)
-        return result
-    key = cache.key_for(config)
-    entry = cache.lookup(key)
-    if entry is not None:
-        return entry["result"]
-    result, _extras = execute_cell(config)
-    cache.store(key, result, {})
-    return result
-
-
-def map_tasks(
-    fn: Callable,
-    payloads: Iterable[object],
+def run_cells(
+    cells: Iterable[Cell[Output]],
     jobs: int = 0,
-    progress: Optional[Progress] = None,
-    labels: Optional[Sequence[str]] = None,
-) -> List[object]:
-    """Fan a top-level function over payloads; results in order.
+    cache: Optional[RunCache] = None,
+) -> List[Output]:
+    """Drive every cell to completion; outputs come back in cell order."""
+    return _drive([_as_requests(cell) for cell in cells], jobs, cache, None)
 
-    For cells that are more than one simulation (the Figure 9/11
-    calibration bisections), ``fn`` must be module-level (spawn pickles
-    it by reference) and payloads/returns must be picklable.  ``jobs=1``
-    calls ``fn`` inline -- the exact serial code path.
+
+def _once(request: RunRequest):
+    return (yield request)
+
+
+def _as_requests(cell: Cell):
+    """A config -> result cell as a request -> outcome one."""
+    result = None
+    while True:
+        try:
+            config = cell.send(result)
+        except StopIteration as stop:
+            return stop.value
+        result = (yield RunRequest(config=config)).result
+
+
+def _drive(
+    cells: List[Generator[RunRequest, RunOutcome, object]],
+    jobs: int,
+    cache: Optional[RunCache],
+    progress: Optional[Progress],
+) -> list:
+    """The one runner: every sweep simulation is a request of some cell.
+
+    A cell yields a :class:`RunRequest` and receives its
+    :class:`RunOutcome`.  The cache is consulted (and written) in the
+    parent only: hit/miss counters stay complete regardless of ``jobs``,
+    workers never race on entry files and run nothing but
+    :func:`execute_cell`, and a fully warm sweep starts no worker.
+    Outcomes are collected (and stored) in submission order, and a
+    cell's next request is submitted as soon as its last one is
+    answered, so a calibration's probes queue behind the other cells'
+    instead of waiting for a whole round to finish.
     """
     jobs = resolve_jobs(jobs)
-    payloads = list(payloads)
-    if labels is not None and len(labels) != len(payloads):
-        raise ConfigurationError(
-            "got %d labels for %d payloads" % (len(labels), len(payloads))
+    outputs: list = [None] * len(cells)
+    running: deque = deque()  # (future, cell index, cache key, label)
+    pool = None
+    if jobs > 1:
+        # Spawn-context workers start on the first submit, not here.
+        pool = ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
         )
 
-    def note(index: int) -> str:
-        label = labels[index] if labels else "task %d" % index
-        if progress is not None:
-            progress(label)
-        return label
+    def finish(key: Optional[str], computed) -> RunOutcome:
+        result, extras = computed
+        if cache is not None:
+            cache.store(key, result, extras)
+        return RunOutcome(result=result, extras=extras)
 
-    if jobs == 1 or len(payloads) <= 1:
-        results = []
-        for index, payload in enumerate(payloads):
-            note(index)
-            results.append(fn(payload))
-        return results
-    with _pool(min(jobs, len(payloads))) as pool:
-        futures = []
-        for index, payload in enumerate(payloads):
-            label = note(index)
-            futures.append((label, pool.submit(fn, payload)))
-        return [_result(future, label) for label, future in futures]
+    def advance(index: int, outcome: Optional[RunOutcome]) -> None:
+        """Answer cell ``index``; serve its requests until one goes to a
+        worker or the cell returns."""
+        while True:
+            try:
+                request = cells[index].send(outcome)  # type: ignore[arg-type]
+            except StopIteration as stop:
+                outputs[index] = stop.value
+                return
+            label = request.label or "cell %d" % index
+            key = None
+            if cache is not None:
+                key = cache.key_for(request.config, request.extractors)
+                entry = cache.lookup(key)
+                if entry is not None:
+                    if progress is not None:
+                        progress(label + " [cached]")
+                    outcome = RunOutcome(
+                        result=entry["result"], extras=dict(entry.get("extras", {}))
+                    )
+                    continue
+            if progress is not None:
+                progress(label)
+            if pool is None:
+                outcome = finish(key, execute_cell(request.config, request.extractors))
+                continue
+            future = pool.submit(execute_cell, request.config, request.extractors)
+            running.append((future, index, key, label))
+            return
+
+    with pool if pool is not None else nullcontext():
+        for index in range(len(cells)):
+            advance(index, None)
+        while running:
+            future, index, key, label = running.popleft()
+            try:
+                computed = future.result()
+            except BrokenProcessPool as error:
+                # A worker killed mid-cell (out of memory, a signal, an
+                # extractor calling ``os._exit``) breaks the whole pool;
+                # ``label`` is the first request it left unanswered.
+                raise SimulationError(
+                    "a pool worker process died before %s finished (%s)"
+                    % (label, error)
+                ) from error
+            advance(index, finish(key, computed))
+    return outputs

@@ -17,27 +17,19 @@ from repro.config import (
 
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_parallel_env(tmp_path_factory):
-    """Keep the suite deterministic and side-effect free.
+    """Keep the suite side-effect free.
 
     The run-result cache defaults to ``.repro-cache/`` in the working
     directory; tests must never read a developer's warm cache or leave
     entries behind, so the default is redirected to a session temp dir.
-    ``REPRO_JOBS`` and ``REPRO_CACHE_SALT`` are cleared for the same
-    reason: an exported knob must not change what the suite asserts.
     """
-    saved = {
-        key: os.environ.get(key)
-        for key in ("REPRO_CACHE_DIR", "REPRO_JOBS", "REPRO_CACHE_SALT")
-    }
+    saved = os.environ.get("REPRO_CACHE_DIR")
     os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("repro-cache"))
-    os.environ.pop("REPRO_JOBS", None)
-    os.environ.pop("REPRO_CACHE_SALT", None)
     yield
-    for key, value in saved.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
+    if saved is None:
+        os.environ.pop("REPRO_CACHE_DIR", None)
+    else:
+        os.environ["REPRO_CACHE_DIR"] = saved
 
 
 @pytest.fixture

@@ -56,3 +56,29 @@ def test_within_tolerance_property():
     assert calibration.within_tolerance == (
         abs(calibration.achieved_epsilon - 0.25) <= 0.05
     )
+
+
+@pytest.mark.parametrize(
+    "target, max_probes, budgets, chosen",
+    [
+        (0.25, 6, [0.25, 3.0, 0.25, 1.625, 0.9375, 1.28125, 1.109375], 1.109375),
+        (0.0, 3, [0.25, 3.0, 0.25, 1.625], 3.0),
+        (0.95, 3, [0.25, 3.0, 0.25], 0.25),
+        (0.15, 5, [0.25, 3.0, 0.25, 1.625], 1.625),
+    ],
+    ids=["bisects", "met-at-full-budget", "met-at-low-budget", "within-tolerance"],
+)
+def test_probe_sequence_is_pinned(target, max_probes, budgets, chosen):
+    """The factory sees the range probe (the mesh size read off a config
+    at the low end), then high, low and the bisection midpoints."""
+    seen = []
+
+    def recording(budget):
+        seen.append(budget)
+        return factory(budget)
+
+    calibration = calibrate_budget(
+        recording, target_epsilon=target, max_probes=max_probes
+    )
+    assert seen == budgets
+    assert calibration.budget == chosen

@@ -98,6 +98,12 @@ class TestChaosLevel:
             "bad name@loss=0.1",  # name must be a bare word
             "x@part=nan",  # NaN duration would run with no partition
             "x@over=nan",  # NaN factor would run with no surge
+            "x@over=inf",  # ran the cell, then failed converting NaN
+            "x@part=inf",  # infinite partition
+            "x@loss=0.1,loss=0.2",  # kept the last value
+            "x@crash=1,crashes=2",  # an alias counts as the same knob
+            "x@part=1,partition=2",
+            "x@over=2,overload=3",
         ],
     )
     def test_invalid_levels_raise(self, spec):

@@ -128,12 +128,19 @@ class TestArgumentTranslation:
 
     @pytest.mark.parametrize(
         "argv, option",
-        [(FAST, "--profile"), (CHAOS_SMALL, "--nodes")],
-        ids=["run --profile", "chaos --nodes"],
+        [
+            (FAST, "--profile"),
+            (CHAOS_SMALL, "--nodes"),
+            (CHAOS_SMALL, "--jobs"),
+            (["experiments", "report", "smoke", "--only", "fig8", "--no-cache"],
+             "--jobs"),
+        ],
+        ids=["run --profile", "chaos --nodes", "chaos --jobs", "report --jobs"],
     )
     def test_negative_count_is_a_usage_error(self, capsys, argv, option):
         """A negative ``--profile`` used to run unprofiled and a negative
-        chaos ``--nodes`` the scale's largest mesh, both exiting 0."""
+        chaos ``--nodes`` the scale's largest mesh, both exiting 0; a
+        negative ``--jobs`` raised a traceback from the sweep."""
         with pytest.raises(SystemExit) as refusal:
             main(argv + [option, "-3"])
         assert refusal.value.code == 2

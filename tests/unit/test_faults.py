@@ -124,6 +124,53 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError):
             FaultPlan.parse("", num_nodes=4)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "overload@t=1,d=2,node=0,factor=inf",  # overflowed the run
+            "latency@t=1,d=2,extra=inf",  # overflowed the run
+            "loss@t=nan,d=2,p=0.3",  # lost messages from no start time
+            "latency@t=1,d=nan,extra=0.5",  # silently inert
+            "crash@t=1,d=inf,node=2",  # simulated time inf s
+            "crash@t=1,d=2,node=2,downtime=nan",
+            "loss@t=1,t=2,d=2,p=0.3",  # kept the last t
+            "loss@t=1,d=2,p=0.3,p=0.5",  # kept the last p
+            "latency@t=1,d=2,d=3,extra=0.5",
+            "crash@t=1,node=2,downtime=1,downtime=2",
+            "overload@t=1,d=2,node=0,factor=2,factor=3",
+            "latency@t=1,d=2,extra=0.5,extra=0.7",
+        ],
+    )
+    def test_invalid_specs_raise(self, spec):
+        with pytest.raises(ConfigurationError):
+            FaultPlan.parse(spec, num_nodes=4)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "loss_burst", "start_s": float("nan"), "duration_s": 2.0,
+             "loss_probability": 0.3},
+            {"kind": "node_crash", "start_s": 1.0, "duration_s": float("inf"),
+             "nodes": [1]},
+            {"kind": "latency_spike", "start_s": 1.0, "duration_s": 2.0,
+             "extra_latency_s": float("nan")},
+            {"kind": "node_crash", "start_s": 1.0, "duration_s": 2.0,
+             "nodes": [1], "downtime_s": float("nan")},
+        ],
+        ids=["start", "duration", "extra-latency", "downtime"],
+    )
+    def test_non_finite_json_fields_raise(self, payload):
+        """``json`` reads ``NaN`` / ``Infinity`` in a plan file as floats."""
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            FaultPlan.from_json(json.dumps([payload]))
+
+    def test_selectors_stay_repeatable(self):
+        plan = FaultPlan.parse(
+            "crash@t=1,d=2,node=1,node=2; outage@t=1,d=1,link=0-1,link=1-0", 4
+        )
+        assert plan.events[0].nodes == (1, 2)
+        assert plan.events[1].links == ((0, 1), (1, 0))
+
     def test_to_json_is_canonical_and_invertible(self):
         plan = FaultPlan.from_events(
             [outage(), FaultEvent(FaultKind.NODE_CRASH, 5.0, 1.0, nodes=(2,))]

@@ -69,9 +69,8 @@ def long_options(parser):
 
 
 def test_environment_variables_read_under_src():
-    # A bare ``REPRO_`` is the prefix the pool mirrors into its workers.
     names = source_matches(r"\bREPRO_[A-Z][A-Z_]*\b")
-    assert names == {"REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_CACHE_SALT"}
+    assert names == {"REPRO_CACHE_DIR"}
 
 
 def test_long_options_of_the_three_parsers():

@@ -36,32 +36,16 @@ def small_config(seed=7, kappa=4.0):
 
 
 class TestResolveJobs:
-    def test_explicit_value_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "8")
+    def test_explicit_value_wins(self):
         assert resolve_jobs(3) == 3
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        assert resolve_jobs() == 4
-
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
+    def test_default_is_serial(self):
         assert resolve_jobs() == 1
         assert resolve_jobs(0) == 1
 
     def test_rejects_negative_jobs(self):
         with pytest.raises(ConfigurationError):
             resolve_jobs(-2)
-
-    def test_rejects_non_integer_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "many")
-        with pytest.raises(ConfigurationError):
-            resolve_jobs()
-
-    def test_rejects_non_positive_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        with pytest.raises(ConfigurationError):
-            resolve_jobs()
 
 
 class TestCanonicalEncoding:
@@ -96,11 +80,6 @@ class TestFingerprint:
             small_config(), (("worst", "repro.experiments.chaos:worst_case_extractor"),)
         )
         assert with_extras != base
-
-    def test_sensitive_to_cache_salt(self, monkeypatch):
-        base = config_fingerprint(small_config())
-        monkeypatch.setenv("REPRO_CACHE_SALT", "invalidate-me")
-        assert config_fingerprint(small_config()) != base
 
     def test_code_version_is_memoized_and_hex(self):
         first = code_version()
@@ -220,12 +199,6 @@ class TestRunCache:
         assert cache._path(key) == os.path.join(
             str(tmp_path), key[:2], key + ".pkl"
         )
-
-    def test_spec_round_trip(self, tmp_path):
-        cache = RunCache(str(tmp_path))
-        rebuilt = RunCache.from_spec(cache.spec())
-        assert rebuilt.directory == cache.directory
-        assert RunCache.from_spec(None) is None
 
     def test_stats_line_is_greppable(self, tmp_path):
         cache = RunCache(str(tmp_path))
