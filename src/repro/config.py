@@ -102,6 +102,8 @@ class PolicyConfig:
     """Local arrivals between summary delta recomputations/broadcasts."""
 
     def validate(self) -> None:
+        if not math.isfinite(self.kappa):
+            raise ConfigurationError("kappa must be finite")
         if self.kappa < 1:
             raise ConfigurationError("kappa must be >= 1")
         if self.summary_refresh_interval < 1:
@@ -131,8 +133,12 @@ class WorkloadConfig:
             raise ConfigurationError("total_tuples must be >= 1")
         if self.domain < 2:
             raise ConfigurationError("domain must be >= 2")
+        if not math.isfinite(self.alpha):
+            raise ConfigurationError("alpha must be finite")
         if self.alpha < 0:
             raise ConfigurationError("alpha must be non-negative")
+        if not math.isfinite(self.arrival_rate):
+            raise ConfigurationError("arrival_rate must be finite")
         if self.arrival_rate <= 0:
             raise ConfigurationError("arrival_rate must be positive")
         if not 0.0 <= self.skew <= 1.0:

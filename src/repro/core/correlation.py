@@ -36,11 +36,15 @@ join", the form the flow controller consumes.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.dft.reconstruction import expand_spectrum, reconstruct_values
+from repro.dft.reconstruction import (
+    CoefficientMap,
+    expand_spectrum,
+    reconstruct_values,
+)
 from repro.errors import SummaryError
 
 
@@ -159,19 +163,6 @@ def histogram_edges(domain: int, num_bins: int = DISTRIBUTION_BINS) -> np.ndarra
     return np.linspace(1, domain + 1, num_bins + 1)
 
 
-def bucket_values(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Count reconstructed ``values`` per bin of :func:`histogram_edges`.
-
-    Values reconstructed outside ``[1, domain]`` (ringing) are clamped to
-    it; the outer edges carry the domain.  Bin ``i`` then holds
-    ``edges[i] <= v < edges[i + 1]``, which is what
-    ``np.histogram(clamped, bins, range=(1, domain + 1))`` resolves to.
-    """
-    clamped = np.clip(values, edges[0], edges[-1] - 1)
-    indices = np.searchsorted(edges, clamped, side="right") - 1
-    return np.bincount(indices, minlength=edges.size - 1).astype(np.float64)
-
-
 def histogram_cosines(histogram: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Cosine similarity of ``histogram`` to every row of ``stack``.
 
@@ -186,13 +177,44 @@ def histogram_cosines(histogram: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.clip(cosines, 0.0, 1.0)
 
 
-def window_histogram(
-    coefficient_map: Dict[int, complex], window_size: int, edges: np.ndarray
-) -> np.ndarray:
-    """Value histogram of the window rebuilt from ``coefficient_map`` with
-    the truncated inverse DFT (Section 5.3)."""
-    values = reconstruct_values(coefficient_map, window_size, round_to_int=False)
-    return bucket_values(values, edges)
+def histogram_search_edges(edges: np.ndarray) -> np.ndarray:
+    """The edges :func:`sorted_histograms` looks up in a sorted row.
+
+    A value is bucketed clamped into ``[edges[0], edges[-1] - 1]`` (the
+    outer edges carry the domain, so ringing outside ``[1, domain]``
+    counts in the outer bins).  A clamped value lies below an edge inside
+    that range exactly when the unclamped value does; it never lies below
+    an edge at or under the bottom of the range (searched as ``-inf``)
+    and always lies below an edge above its top (searched as ``+inf``).
+    """
+    search = edges.copy()
+    search[edges <= edges[0]] = -np.inf
+    search[edges > edges[-1] - 1] = np.inf
+    return search
+
+
+def sorted_histograms(rows: np.ndarray, search_edges: np.ndarray) -> np.ndarray:
+    """The value histogram of every ascending row of ``rows``, from one
+    ``searchsorted`` of the edges into each row.
+
+    Bin ``i`` holds the clamped values with ``edges[i] <= v <
+    edges[i + 1]``: those below edge ``i + 1`` less those below edge
+    ``i``.  That is the bin ``np.histogram(clamped, bins, range=(1,
+    domain + 1))`` resolves a value to, and the counts are the same
+    floats whatever order the values came in.
+    """
+    below = np.empty((rows.shape[0], search_edges.size), dtype=np.int64)
+    for row, values in zip(below, rows):
+        row[:] = np.searchsorted(values, search_edges)
+    return (below[:, 1:] - below[:, :-1]).astype(np.float64)
+
+
+def sorted_reconstructions(maps: List[CoefficientMap], window_size: int) -> np.ndarray:
+    """The windows rebuilt from ``maps`` (one row each, from one batched
+    truncated inverse DFT), every row sorted ascending."""
+    rows = reconstruct_values(maps, window_size, round_to_int=False)
+    rows.sort(axis=1)
+    return rows
 
 
 def distribution_similarity(
@@ -204,14 +226,15 @@ def distribution_similarity(
 ) -> float:
     """Cosine similarity of reconstructed attribute-value histograms.
 
-    Both windows are rebuilt and bucketed into ``num_bins`` equal-width
-    ranges over ``[1, domain]`` (:func:`window_histogram`), and the two
-    histograms compared by cosine similarity (:func:`histogram_cosines`).
-    Returns 0 when either reconstruction is empty.
+    Both windows are rebuilt with the truncated inverse DFT (Section
+    5.3), bucketed into ``num_bins`` equal-width ranges over ``[1,
+    domain]`` (:func:`sorted_histograms`), and the two histograms
+    compared by cosine similarity (:func:`histogram_cosines`).  Returns 0
+    when either reconstruction is empty.
     """
     edges = histogram_edges(domain, num_bins)
-    x_hist = window_histogram(x_map, window_size, edges)
-    y_hist = window_histogram(y_map, window_size, edges)
+    rows = sorted_reconstructions([x_map, y_map], window_size)
+    x_hist, y_hist = sorted_histograms(rows, histogram_search_edges(edges))
     return float(histogram_cosines(x_hist, y_hist[np.newaxis])[0])
 
 

@@ -16,18 +16,18 @@ Section 5.2.2 prescribes.
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.correlation import (
-    DISTRIBUTION_BINS,
     SimilarityMeasure,
     histogram_cosines,
     histogram_edges,
+    histogram_search_edges,
     similarity,
-    window_histogram,
+    sorted_histograms,
+    sorted_reconstructions,
 )
 from repro.core.flow import FlowController
 from repro.core.policies.base import ForwardingPolicy, PolicyContext
@@ -37,6 +37,7 @@ from repro.core.summaries import (
     RemoteSummaryTable,
     SummaryUpdate,
 )
+from repro.dft.reconstruction import CoefficientMap
 from repro.streams.tuples import StreamId, StreamTuple
 
 DELTA_TOLERANCE = 0.05
@@ -48,63 +49,103 @@ trusted nor written off, so early tuples still explore the mesh."""
 
 
 class SlotRows:
-    """One derived row per remote (peer, stream) slot, kept until the slot
-    changes.
+    """The reconstruction of every remote (peer, stream) slot, kept until
+    the slot changes.
 
     A summary is a synopsis the receiver keeps until the sender replaces
-    it, so whatever a policy derives from a slot's coefficient map is
-    derived once per change of that map: :meth:`mark` records a change,
-    :meth:`read` re-derives only the marked rows of one stream.  The rows
-    of a stream sit in one (peers x width) array, peers in ``peer_ids``
-    order, so a reader compares against every peer at once.  Nothing is
-    allocated before the first read.
+    it, so a slot is inverse-transformed once per change of its
+    coefficient map: :meth:`mark` records a change, and :meth:`read`
+    reconstructs the marked slots of one stream in one batched inverse
+    DFT.  Each reconstruction is sorted, and its value histogram (the
+    ``DISTRIBUTION`` similarity) is one search of the bin edges into the
+    sorted row; with ``keep_windows`` the sorted row itself is kept too
+    (DFTT's join estimates).  The rows of a stream sit in (peers x width)
+    arrays, peers in ``peer_ids`` order, so a reader compares against
+    every peer at once.
     """
 
-    def __init__(self, peer_ids: Sequence[int], width: int) -> None:
+    def __init__(
+        self,
+        peer_ids: Sequence[int],
+        window_size: int,
+        edges: np.ndarray,
+        keep_windows: bool,
+    ) -> None:
         self._positions = {peer: row for row, peer in enumerate(peer_ids)}
-        self._width = width
-        self._tables: Dict[StreamId, Tuple[np.ndarray, np.ndarray]] = {}
+        self._window_size = window_size
+        self._window_width = window_size if keep_windows else 0
+        self._search_edges = histogram_search_edges(edges)
+        self._tables: Dict[StreamId, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._changed: Dict[StreamId, Set[int]] = {}
+        self._arrived: Dict[StreamId, Set[int]] = {}
 
     def mark(self, peer: int, stream: StreamId) -> None:
-        """``peer``'s ``stream`` slot changed; its row is stale."""
+        """``peer``'s ``stream`` slot changed; its rows are stale."""
         if peer in self._positions:
             self._changed.setdefault(stream, set()).add(peer)
+            self._arrived.setdefault(stream, set()).add(peer)
+
+    def known(self, stream: StreamId) -> int:
+        """How many peers' ``stream`` slots have arrived."""
+        return len(self._arrived.get(stream, ()))
 
     def clear(self) -> None:
         """Forget every row (the remote table was cleared)."""
         self._tables.clear()
         self._changed.clear()
+        self._arrived.clear()
 
     def read(
-        self, stream: StreamId, derive: Callable[[int], np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Up-to-date ``(rows, present)`` of every peer's ``stream`` slot.
+        self,
+        stream: StreamId,
+        remote: RemoteSummaryTable,
+        local: Optional[CoefficientMap] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Up-to-date ``(windows, histograms, present, local histogram)``.
 
-        ``derive(peer)`` computes the row of a slot marked since the last
-        read.  ``present[row]`` is whether that peer has a summary at all;
-        rows of absent peers are zero.  Both arrays are overwritten by
-        later reads.
+        ``windows`` (zero-width without ``keep_windows``) and
+        ``histograms`` hold every peer's ``stream`` slot, re-derived from
+        ``remote`` for the slots marked since the last read;
+        ``present[row]`` is whether that peer has a summary at all
+        (rows of absent peers are zero).  ``local`` -- the node's own
+        kept coefficients -- joins the same batch, and its histogram is
+        the fourth item (``None`` without it).  The arrays are
+        overwritten by later reads.
         """
         table = self._tables.get(stream)
         if table is None:
             peers = len(self._positions)
             table = self._tables[stream] = (
-                np.zeros((peers, self._width)),
+                np.zeros((peers, self._window_width)),
+                np.zeros((peers, self._search_edges.size - 1)),
                 np.zeros(peers, dtype=bool),
             )
-        rows, present = table
-        for peer in self._changed.pop(stream, ()):
+        windows, histograms, present = table
+        peers = list(self._changed.pop(stream, ()))
+        maps = [remote.get(peer, stream) for peer in peers]
+        if local is not None:
+            maps.append(local)
+        if not maps:
+            return windows, histograms, present, None
+        rows = sorted_reconstructions(maps, self._window_size)
+        counts = sorted_histograms(rows, self._search_edges)
+        for index, peer in enumerate(peers):
             row = self._positions[peer]
-            rows[row] = derive(peer)
+            if self._window_width:
+                windows[row] = rows[index]
+            histograms[row] = counts[index]
             present[row] = True
-        return table
+        return windows, histograms, present, counts[-1] if local is not None else None
 
 
 class DftPolicy(ForwardingPolicy):
     """Correlation-filtered forwarding from exchanged DFT coefficients."""
 
     name = "DFT"
+
+    keeps_windows = False
+    """Whether the slot table keeps each reconstructed window, not only its
+    histogram (DFTT's join estimates read the windows)."""
 
     def __init__(self, context: PolicyContext) -> None:
         super().__init__(context)
@@ -122,7 +163,12 @@ class DftPolicy(ForwardingPolicy):
             for stream in (StreamId.R, StreamId.S)
         }
         self.remote = RemoteSummaryTable()
-        self._remote_histograms = SlotRows(context.peer_ids, DISTRIBUTION_BINS)
+        self._slots = SlotRows(
+            context.peer_ids,
+            context.window_size,
+            histogram_edges(context.domain),
+            self.keeps_windows,
+        )
         self.flow = FlowController(context.num_nodes, config.flow)
         self._round_robin = RoundRobinPolicy(context)
         self._cached_probabilities: Dict[StreamId, Dict[int, float]] = {}
@@ -155,7 +201,7 @@ class DftPolicy(ForwardingPolicy):
 
     def _on_slot_changed(self, peer: int, stream: StreamId) -> None:
         """``peer``'s ``stream`` coefficient map was replaced or merged into."""
-        self._remote_histograms.mark(peer, stream)
+        self._slots.mark(peer, stream)
 
     def _invalidate_probabilities(self) -> None:
         self._cached_probabilities.clear()
@@ -213,7 +259,7 @@ class DftPolicy(ForwardingPolicy):
         # Soft state: remote summaries and the decision caches derived
         # from them died with the process; the resync refills them.
         self.remote.clear()
-        self._remote_histograms.clear()
+        self._slots.clear()
         self._cached_probabilities.clear()
         self._cached_similarities.clear()
 
@@ -221,38 +267,29 @@ class DftPolicy(ForwardingPolicy):
     # similarity and probabilities
     # ------------------------------------------------------------------
 
-    @functools.cached_property
-    def _histogram_edges(self) -> np.ndarray:
-        return histogram_edges(self.context.domain)
-
-    def _histogram(self, coefficient_map: Dict[int, complex]) -> np.ndarray:
-        return window_histogram(
-            coefficient_map, self.context.window_size, self._histogram_edges
-        )
-
     def peer_similarities(self, stream: StreamId) -> Dict[int, float]:
         """Similarity of the local ``stream`` signal to each peer's
         opposite-stream signal (recomputed lazily at the refresh cadence)."""
         cached = self._cached_similarities.get(stream)
         if cached is not None:
             return cached
-        local_map = self.managers[stream].local_coefficients()
         other = stream.other
         if self.context.config.similarity is SimilarityMeasure.DISTRIBUTION:
-            # One local histogram against the stack of remote ones, whose
-            # rows are re-derived only for slots that changed since the
-            # last rebuild.
-            rows, present = self._remote_histograms.read(
-                other, lambda peer: self._histogram(self.remote.get(peer, other))
+            # One local histogram against the stack of remote ones; the
+            # local window joins the inverse DFT of the slots that changed
+            # since the last rebuild.
+            _, histograms, present, local = self._slots.read(
+                other, self.remote, self.managers[stream].dft.coefficient_view()
             )
-            cosines = histogram_cosines(self._histogram(local_map), rows)
-            similarities = {
-                peer: cosine if known else UNKNOWN_PEER_SIMILARITY
-                for peer, cosine, known in zip(
-                    self.peer_ids, cosines.tolist(), present.tolist()
+            cosines = histogram_cosines(local, histograms)
+            similarities = dict(
+                zip(
+                    self.peer_ids,
+                    np.where(present, cosines, UNKNOWN_PEER_SIMILARITY).tolist(),
                 )
-            }
+            )
         else:
+            local_map = self.managers[stream].local_coefficients()
             similarities = {}
             for peer in self.peer_ids:
                 remote_map = self.remote.get(peer, other)
@@ -275,16 +312,11 @@ class DftPolicy(ForwardingPolicy):
         if cached is not None:
             return cached
         similarities = self.peer_similarities(stream)
-        known = {
-            peer
-            for peer in self.peer_ids
-            if self.remote.get(peer, stream.other) is not None
-        }
         # Only judge the worst case on mature evidence: every peer's
         # summary present and a full window's worth of local arrivals
         # (during warm-up every window looks like every other).
         mature = (
-            len(known) == len(self.peer_ids)
+            self._slots.known(stream.other) == len(self.peer_ids)
             and self.tuples_seen >= self.context.window_size
         )
         worst_case = mature and self.flow.is_uniform_worst_case(similarities)

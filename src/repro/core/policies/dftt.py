@@ -25,13 +25,13 @@ geographic-skew structure the paper exploits.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.policies import base
 from repro.core.policies.base import PolicyContext
-from repro.core.policies.dft import DftPolicy, SlotRows
+from repro.core.policies.dft import DftPolicy
 from repro.dft.reconstruction import reconstruct_values
 from repro.streams.tuples import StreamId, StreamTuple
 
@@ -73,9 +73,14 @@ class DfttPolicy(DftPolicy):
 
     name = "DFTT"
 
+    keeps_windows = True
+
     def __init__(self, context: PolicyContext) -> None:
         super().__init__(context)
-        self._reconstructions = SlotRows(context.peer_ids, context.window_size)
+        self._unread: Dict[StreamId, Set[int]] = {}
+        """Per stream, the peers whose slot changed since the estimates
+        last read the table (what ``reconstruction_refreshes`` counts)."""
+        self._peer_order = np.asarray(context.peer_ids)
         self._tolerances: Dict[StreamId, float] = {}
         self.reconstruction_refreshes = 0
         self.estimate_hits = 0
@@ -100,7 +105,7 @@ class DfttPolicy(DftPolicy):
         if actual.size == 0:
             return MIN_TOLERANCE
         estimate = reconstruct_values(
-            manager.local_coefficients(),
+            manager.dft.coefficient_view(),
             self.context.window_size,
             round_to_int=False,
         )[: actual.size]
@@ -119,27 +124,22 @@ class DfttPolicy(DftPolicy):
 
     def _on_slot_changed(self, peer: int, stream: StreamId) -> None:
         super()._on_slot_changed(peer, stream)
-        self._reconstructions.mark(peer, stream)
+        if peer in self.peer_ids:
+            self._unread.setdefault(stream, set()).add(peer)
 
     def _reconstructed_windows(self, stream: StreamId) -> Tuple[np.ndarray, np.ndarray]:
         """Every peer's estimated ``stream`` window as one sorted row each,
         plus which peers have one.
 
-        A row is rebuilt lazily when that peer's coefficients changed
-        since the table was last read.
+        The rows are the shared slot table's: a slot changed since the
+        last similarity rebuild is reconstructed here, one already rebuilt
+        there is not reconstructed again.
         """
-
-        def rebuild(peer: int) -> np.ndarray:
-            self.reconstruction_refreshes += 1
-            return np.sort(
-                reconstruct_values(
-                    self.remote.get(peer, stream),
-                    self.context.window_size,
-                    round_to_int=False,
-                )
-            )
-
-        return self._reconstructions.read(stream, rebuild)
+        unread = self._unread.pop(stream, None)
+        if unread:
+            self.reconstruction_refreshes += len(unread)
+        windows, _, present, _ = self._slots.read(stream, self.remote)
+        return windows, present
 
     def reconstructed_window(
         self, peer: int, stream: StreamId
@@ -151,22 +151,31 @@ class DfttPolicy(DftPolicy):
         # A copy: the row itself is overwritten by the next rebuild.
         return rows[self.peer_ids.index(peer)].copy()
 
+    def _match_counts(self, item: StreamTuple) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """Estimated matches of ``item`` in each peer's opposite window, in
+        ``peer_ids`` order, and which peers have a summary; the counts are
+        ``None`` while no peer has one."""
+        opposite = item.stream.other
+        rows, present = self._reconstructed_windows(opposite)
+        if not self._slots.known(opposite):
+            return None, present
+        tolerance = self.match_tolerance(opposite)
+        matches = (rows >= item.key - tolerance) & (rows <= item.key + tolerance)
+        return matches.sum(axis=1), present
+
     def join_estimates(self, item: StreamTuple) -> Dict[int, Optional[int]]:
         """Estimated matches of ``item`` in each peer's opposite window.
 
         ``None`` means the peer's summary has not arrived yet (unknown,
         which is different from an estimated zero).
         """
-        opposite = item.stream.other
-        rows, present = self._reconstructed_windows(opposite)
-        if not present.any():
+        counts, present = self._match_counts(item)
+        if counts is None:
             return dict.fromkeys(self.peer_ids)
-        tolerance = self.match_tolerance(opposite)
-        matches = (rows >= item.key - tolerance) & (rows <= item.key + tolerance)
         return {
             peer: count if known else None
             for peer, count, known in zip(
-                self.peer_ids, matches.sum(axis=1).tolist(), present.tolist()
+                self.peer_ids, counts.tolist(), present.tolist()
             )
         }
 
@@ -187,36 +196,38 @@ class DfttPolicy(DftPolicy):
             )
             return self._round_robin.take_from_cycle(budget)
 
-        all_estimates = self.join_estimates(item)
-        unknown = None in all_estimates.values()
-        estimates = {
-            peer: estimate for peer, estimate in all_estimates.items() if estimate
-        }
+        counts, present = self._match_counts(item)
+        unknown = self._slots.known(item.stream.other) < len(self.peer_ids)
+        best = 0
+        if counts is not None:
+            if unknown:
+                counts[~present] = 0
+            estimates = counts.tolist()
+            best = max(estimates)
 
-        budget = self.flow.budget
-        rng = self.context.rng
-        if estimates:
+        if best:
             self.estimate_hits += 1
-            ranked = sorted(estimates, key=lambda p: (-estimates[p], p))
-            capacity = max(1, int(round(budget)))
+            # Largest estimate first, ties by peer id.
+            ranked = np.lexsort((self._peer_order, -counts))
+            capacity = max(1, int(round(self.flow.budget)))
             # Spend only as much of the budget as the estimated matches
             # require: peers whose estimate is small relative to the best
             # peer's are reconstruction noise, not result mass.  This is
             # DFTT's headline saving -- knowing *where* the joins are lets
             # it underspend T_i.
-            cutoff = RELATIVE_ESTIMATE_THRESHOLD * estimates[ranked[0]]
+            cutoff = RELATIVE_ESTIMATE_THRESHOLD * best
+            peer_ids = self.peer_ids
+            rng = self.context.rng
             destinations: List[int] = [
-                peer for peer in ranked[:capacity] if estimates[peer] >= cutoff
+                peer_ids[row]
+                for row in ranked[:capacity].tolist()
+                if estimates[row] >= cutoff
             ]
-            remaining = [
-                peer
-                for peer in self.peer_ids
-                if peer not in destinations
-            ]
-            if remaining and rng.random() < base.EXPLORE_PROBABILITY:
-                destinations.append(
-                    remaining[int(rng.integers(0, len(remaining)))]
-                )
+            if len(destinations) < len(peer_ids) and (
+                rng.random() < base.EXPLORE_PROBABILITY
+            ):
+                remaining = [peer for peer in peer_ids if peer not in destinations]
+                destinations.append(remaining[int(rng.integers(0, len(remaining)))])
             return destinations
 
         self.estimate_misses += 1
@@ -258,5 +269,5 @@ class DfttPolicy(DftPolicy):
         self.estimate_misses = int(state["estimate_misses"])
         # Reconstructions and tolerances derive from the remote table the
         # superclass just cleared; they rebuild lazily after the resync.
-        self._reconstructions.clear()
+        self._unread.clear()
         self._tolerances.clear()

@@ -162,9 +162,6 @@ class RemoteSummaryTable:
     def get(self, source: int, stream: StreamId) -> Optional[Any]:
         return self._state.get((source, stream))
 
-    def known_peers(self, stream: StreamId) -> List[int]:
-        return [peer for (peer, s) in self._state if s is stream]
-
     def checkpoint_state(self) -> "Rendered":
         """Canonical-JSON snapshot of the freshest remote summaries: a
         list of ``[peer, stream, version, encoded payload]`` entries.

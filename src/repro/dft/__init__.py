@@ -12,7 +12,7 @@
   estimation in O(W) from FFTs (Section 5.2.1).
 * :mod:`repro.dft.reconstruction` -- truncated-inverse-DFT reconstruction
   of remote attribute values from W/kappa coefficients (Section 5.3,
-  Equation 10), with integer round-off and membership-set extraction.
+  Equation 10), with integer round-off.
 """
 
 from repro.dft.control import ControlVector

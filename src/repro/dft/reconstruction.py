@@ -21,7 +21,7 @@ largest-magnitude retention mode is also provided for rougher signals.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, List, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -73,7 +73,31 @@ def compress_spectrum(
     return {int(k): complex(full[k]) for k in kept}
 
 
-def expand_spectrum(coefficients: Dict[int, complex], window_size: int) -> np.ndarray:
+CoefficientMap = Union[Mapping[int, complex], Tuple[np.ndarray, np.ndarray]]
+"""Kept coefficients: a ``{bin: value}`` mapping, or a ``(bins, values)``
+pair of arrays such as :meth:`repro.dft.sliding.SlidingDFT.coefficient_view`
+returns."""
+
+
+def _fill_spectrum(
+    spectrum: np.ndarray, coefficients: CoefficientMap, window_size: int
+) -> None:
+    """Write kept coefficients and their conjugate mirrors into a zeroed row."""
+    if isinstance(coefficients, tuple):
+        bins, values = coefficients
+        entries = zip(bins.tolist(), values.tolist())
+    else:
+        entries = coefficients.items()
+    for k, value in entries:
+        if not 0 <= k < window_size:
+            raise SummaryError("coefficient index %d outside [0, %d)" % (k, window_size))
+        spectrum[k] = value
+        mirror = (window_size - k) % window_size
+        if mirror != k:
+            spectrum[mirror] = value.conjugate()
+
+
+def expand_spectrum(coefficients: CoefficientMap, window_size: int) -> np.ndarray:
     """Rebuild a full conjugate-symmetric spectrum from kept coefficients.
 
     Missing bins are zero; every kept bin ``k`` in ``(0, W/2)`` also fills
@@ -83,18 +107,12 @@ def expand_spectrum(coefficients: Dict[int, complex], window_size: int) -> np.nd
     if window_size < 1:
         raise SummaryError("window_size must be >= 1")
     spectrum = np.zeros(window_size, dtype=np.complex128)
-    for k, value in coefficients.items():
-        if not 0 <= k < window_size:
-            raise SummaryError("coefficient index %d outside [0, %d)" % (k, window_size))
-        spectrum[k] = value
-        mirror = (window_size - k) % window_size
-        if mirror != k:
-            spectrum[mirror] = np.conj(value)
+    _fill_spectrum(spectrum, coefficients, window_size)
     return spectrum
 
 
 def reconstruct_values(
-    coefficients: Dict[int, complex],
+    coefficients: Union[CoefficientMap, List[CoefficientMap]],
     window_size: int,
     round_to_int: bool = True,
 ) -> np.ndarray:
@@ -102,19 +120,25 @@ def reconstruct_values(
 
     Returns an int64 array when ``round_to_int`` (the membership-test path)
     and the raw float estimates otherwise (the error-analysis path).
+
+    ``coefficients`` is one map (a length-W result) or a list of them: the
+    list is inverted as one ``(len, W)`` batch, which pays ``np.fft.ifft``'s
+    per-call cost once, and row ``i`` is bit for bit what
+    ``coefficients[i]`` alone returns (the transform runs row by row on the
+    same plan).
     """
-    spectrum = expand_spectrum(coefficients, window_size)
+    if isinstance(coefficients, list):
+        if window_size < 1:
+            raise SummaryError("window_size must be >= 1")
+        spectrum = np.zeros((len(coefficients), window_size), dtype=np.complex128)
+        for row, one in zip(spectrum, coefficients):
+            _fill_spectrum(row, one, window_size)
+    else:
+        spectrum = expand_spectrum(coefficients, window_size)
     estimate = np.fft.ifft(spectrum).real
     if round_to_int:
         return np.rint(estimate).astype(np.int64)
     return estimate
-
-
-def reconstructed_key_set(
-    coefficients: Dict[int, complex], window_size: int
-) -> Set[int]:
-    """The membership set a receiver tests arriving tuples against."""
-    return set(int(v) for v in reconstruct_values(coefficients, window_size))
 
 
 def reconstruction_squared_errors(

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from repro.config import Algorithm, PolicyConfig
 from repro.core.correlation import (
-    bucket_values,
     distribution_similarity,
     histogram_cosines,
     histogram_edges,
+    histogram_search_edges,
+    sorted_histograms,
 )
 from repro.core.policies import DfttPolicy, PolicyContext
 from repro.core.policies.dft import UNKNOWN_PEER_SIMILARITY
@@ -25,8 +26,11 @@ from repro.dft.reconstruction import reconstruct_values
 from repro.dft.sliding import low_frequency_bins
 from repro.streams.tuples import StreamId, StreamTuple
 from tests.reference_decision import (
+    reference_bucket_values,
+    reference_choose_destinations,
     reference_distribution_similarity,
     reference_join_estimate,
+    reference_reconstruct_values,
 )
 
 STREAMS = (StreamId.R, StreamId.S)
@@ -202,7 +206,7 @@ def test_bucketing_is_np_histogram(case):
     expected, _ = np.histogram(
         np.clip(values, 1, domain), bins=num_bins, range=(1, domain + 1)
     )
-    bucketed = bucket_values(values, histogram_edges(domain, num_bins))
+    bucketed = reference_bucket_values(values, histogram_edges(domain, num_bins))
     assert bucketed.dtype == np.float64
     assert np.array_equal(bucketed, expected)
 
@@ -253,3 +257,168 @@ def test_public_pairwise_function_is_unchanged(window, domain, shapes, seed):
     assert distribution_similarity(
         x_map, y_map, window, domain
     ) == reference_distribution_similarity(x_map, y_map, window, domain)
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@st.composite
+def coefficient_batches(draw):
+    """1-8 kept-coefficient maps of one window size, odd or even, each a
+    dict or the sliding DFT's ``(bins, values)`` arrays.  Bin 0 and bin
+    ``W // 2`` (its own mirror for even W) are drawn often; a map may be
+    empty."""
+    window = draw(st.integers(8, 256))
+    half = window // 2
+    maps = []
+    for _ in range(draw(st.integers(1, 8))):
+        bins = draw(
+            st.lists(
+                st.one_of(st.sampled_from([0, half]), st.integers(0, half)),
+                unique=True,
+                max_size=min(half + 1, 12),
+            )
+        )
+        values = [complex(draw(finite), draw(finite)) for _ in bins]
+        if draw(st.booleans()):
+            maps.append(dict(zip(bins, values)))
+        else:
+            maps.append(
+                (np.asarray(bins, dtype=np.int64), np.asarray(values, dtype=np.complex128))
+            )
+    return window, maps
+
+
+def as_dict(coefficients):
+    if isinstance(coefficients, dict):
+        return coefficients
+    bins, values = coefficients
+    return dict(zip(bins.tolist(), values.tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=coefficient_batches())
+def test_batched_rows_equal_one_map_reconstructions(batch):
+    """One ``(k, W)`` inverse DFT returns, row for row, the floats of k
+    single-map calls and of the one-map-per-call body it replaced."""
+    window, maps = batch
+    rows = reconstruct_values(maps, window, round_to_int=False)
+    assert rows.dtype == np.float64
+    assert rows.shape == (len(maps), window)
+    for row, coefficients in zip(rows, maps):
+        alone = reconstruct_values(coefficients, window, round_to_int=False)
+        assert alone.dtype == np.float64
+        assert row.tolist() == alone.tolist()
+        assert row.tolist() == reference_reconstruct_values(
+            as_dict(coefficients), window
+        ).tolist()
+    rounded = reconstruct_values(maps, window)
+    assert rounded.dtype == np.int64
+    assert rounded.tolist() == np.rint(rows).astype(np.int64).tolist()
+
+
+@st.composite
+def histogram_rows(draw):
+    """Rows of equal length around the bin edges of one domain: on an edge,
+    one float beside it, or anywhere from well below 1 to well above the
+    domain (the ringing of a truncated reconstruction)."""
+    domain = draw(st.integers(1, 5000))
+    num_bins = draw(st.integers(1, 100))
+    edges = histogram_edges(domain, num_bins)
+    on_edge = st.sampled_from(edges.tolist())
+    beside_edge = st.builds(
+        lambda edge, up: float(np.nextafter(edge, np.inf if up else -np.inf)),
+        on_edge,
+        st.booleans(),
+    )
+    anywhere = st.floats(min_value=-2.0 * domain, max_value=3.0 * domain)
+    width = draw(st.integers(0, 64))
+    value = st.one_of(on_edge, beside_edge, anywhere)
+    rows = [
+        draw(st.lists(value, min_size=width, max_size=width))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return edges, np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=histogram_rows())
+def test_sorted_row_histogram_is_bucket_values(case):
+    edges, rows = case
+    counts = sorted_histograms(np.sort(rows, axis=1), histogram_search_edges(edges))
+    assert counts.dtype == np.float64
+    assert counts.shape == (rows.shape[0], edges.size - 1)
+    for row, values in zip(counts, rows):
+        assert row.tolist() == reference_bucket_values(values, edges).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=scenarios())
+def test_ranking_on_arrays_equals_the_dict_ranking(scenario):
+    """Two policies fed the same script, one deciding through
+    ``choose_destinations`` and one through the moved-out dict body: every
+    destination list, counter and generator draw agrees."""
+    window, kappa, domain, num_peers, script, seed = scenario
+    rng = np.random.default_rng(seed)
+    config = PolicyConfig(
+        algorithm=Algorithm.DFTT, kappa=kappa, summary_refresh_interval=1
+    )
+    peer_ids = tuple(range(1, num_peers + 1))
+    policies = [
+        DfttPolicy(
+            PolicyContext(
+                node_id=0,
+                peer_ids=peer_ids,
+                window_size=window,
+                domain=domain,
+                config=config,
+                rng=np.random.default_rng(seed),
+            )
+        )
+        for _ in range(2)
+    ]
+    budget = config.summary_budget(window)
+    versions = {}
+    arrival = 0
+    for local, remote in script:
+        probes = [1, domain]
+        updates = []
+        for (peer, stream), plan in remote.items():
+            if plan is None:
+                continue
+            (shape, fill), mode = plan
+            keys = make_keys(shape, fill, window, domain, rng)
+            probes.extend(keys[:3])
+            payload = coefficient_map(keys, window, budget)
+            if mode == "delta":
+                payload = {k: v for k, v in payload.items() if rng.random() < 0.6 or k == 0}
+            version = versions[(peer, stream)] = versions.get((peer, stream), 0) + 1
+            updates.append(
+                (
+                    peer,
+                    SummaryUpdate(
+                        "dft", stream, version, window, len(payload), payload, mode == "full"
+                    ),
+                )
+            )
+        inserts = []
+        for stream, (shape, fill) in local.items():
+            keys = make_keys(shape, fill, window, domain, rng)
+            probes.extend(keys[:3])
+            for key in keys:
+                inserts.append(StreamTuple(stream, key, 0, arrival))
+                arrival += 1
+        for policy in policies:
+            for peer, update in updates:
+                policy.on_remote_summary(peer, update)
+            for item in inserts:
+                policy.on_local_insert(item, [])
+        for key in probes:
+            for stream in STREAMS:
+                item = StreamTuple(stream, key, 0, arrival)
+                assert policies[0].choose_destinations(item) == (
+                    reference_choose_destinations(policies[1], item)
+                )
+                assert policies[0].diagnostics() == policies[1].diagnostics()
+                states = [p.context.rng.bit_generator.state for p in policies]
+                assert states[0] == states[1]

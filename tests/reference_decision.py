@@ -1,18 +1,29 @@
-"""The pre-PR-19 pairwise forwarding decision, kept as the tests' oracle.
+"""Earlier forms of the forwarding decision, kept as the tests' oracle.
 
-Until PR 19 ``DftPolicy.peer_similarities`` called
-``distribution_similarity`` once per peer per rebuild, and
-``DfttPolicy.join_estimate`` did two scalar ``searchsorted`` calls per
-peer per tuple; both re-derived everything from the coefficient maps on
-every call.  The bodies below are those functions moved here verbatim
-(only ``self``/table plumbing removed), so the batched, per-slot-cached
-path under ``src/`` can be held to them float for float.
+Three generations of the DFT/DFTT decision are kept here:
+
+* the pairwise one: ``DftPolicy.peer_similarities`` called
+  ``distribution_similarity`` once per peer per rebuild, and
+  ``DfttPolicy.join_estimate`` did two scalar ``searchsorted`` calls per
+  peer per tuple, both re-deriving everything from the coefficient maps;
+* one inverse DFT per map per call, mirrors written with ``np.conj``,
+  and each window bucketed on its own (clamp, ``searchsorted`` of the
+  values, ``bincount``);
+* DFTT's per-tuple ranking through a per-peer dict, a filtered dict, a
+  sort and a remaining-peers list.
+
+The bodies below are those functions moved here verbatim (only
+``self``/table plumbing removed, ``self`` renamed ``policy``), so the
+batched, shared-reconstruction path under ``src/`` can be held to them
+float for float.
 """
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.policies import base
+from repro.core.policies.dftt import RELATIVE_ESTIMATE_THRESHOLD
 from repro.dft.reconstruction import reconstruct_values
 from repro.errors import SummaryError
 
@@ -24,7 +35,7 @@ def reference_distribution_similarity(
     domain: int,
     num_bins: int = 64,
 ) -> float:
-    """``core.correlation.distribution_similarity`` as of PR 17."""
+    """``core.correlation.distribution_similarity``, pairwise."""
     if domain < 1:
         raise SummaryError("domain must be >= 1")
     if num_bins < 1:
@@ -43,13 +54,28 @@ def reference_distribution_similarity(
     return float(np.clip(np.dot(x_hist, y_hist) / (x_norm * y_norm), 0.0, 1.0))
 
 
+def reference_bucket_values(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``core.correlation.bucket_values``, the policies' bucketing before
+    histograms came from sorted rows: count reconstructed ``values`` per
+    bin of ``histogram_edges``.
+
+    Values reconstructed outside ``[1, domain]`` (ringing) are clamped to
+    it; the outer edges carry the domain.  Bin ``i`` then holds
+    ``edges[i] <= v < edges[i + 1]``, which is what
+    ``np.histogram(clamped, bins, range=(1, domain + 1))`` resolves to.
+    """
+    clamped = np.clip(values, edges[0], edges[-1] - 1)
+    indices = np.searchsorted(edges, clamped, side="right") - 1
+    return np.bincount(indices, minlength=edges.size - 1).astype(np.float64)
+
+
 def reference_join_estimate(
     coefficient_map: Optional[Dict[int, complex]],
     window_size: int,
     key: int,
     tolerance: float,
 ) -> Optional[int]:
-    """``DfttPolicy.reconstructed_window`` + ``join_estimate`` as of PR 17."""
+    """``DfttPolicy.reconstructed_window`` + ``join_estimate``, pairwise."""
     if coefficient_map is None:
         return None
     values = reconstruct_values(coefficient_map, window_size, round_to_int=False)
@@ -57,3 +83,93 @@ def reference_join_estimate(
     low = np.searchsorted(window, key - tolerance, side="left")
     high = np.searchsorted(window, key + tolerance, side="right")
     return int(high - low)
+
+
+def reference_reconstruct_values(
+    coefficients: Dict[int, complex], window_size: int
+) -> np.ndarray:
+    """``expand_spectrum`` + ``reconstruct_values(..., round_to_int=False)``
+    before batching: one map per call, mirrors written with ``np.conj``."""
+    spectrum = np.zeros(window_size, dtype=np.complex128)
+    for k, value in coefficients.items():
+        spectrum[k] = value
+        mirror = (window_size - k) % window_size
+        if mirror != k:
+            spectrum[mirror] = np.conj(value)
+    return np.fft.ifft(spectrum).real
+
+
+def reference_join_estimates(policy, item) -> Dict[int, Optional[int]]:
+    """``DfttPolicy.join_estimates`` before the ranking moved onto arrays:
+    a per-peer dict, ``None`` for a peer whose summary has not arrived."""
+    opposite = item.stream.other
+    rows, present = policy._reconstructed_windows(opposite)
+    if not present.any():
+        return dict.fromkeys(policy.peer_ids)
+    tolerance = policy.match_tolerance(opposite)
+    matches = (rows >= item.key - tolerance) & (rows <= item.key + tolerance)
+    return {
+        peer: count if known else None
+        for peer, count, known in zip(
+            policy.peer_ids, matches.sum(axis=1).tolist(), present.tolist()
+        )
+    }
+
+
+def reference_choose_destinations(policy, item) -> List[int]:
+    """``DfttPolicy.choose_destinations`` before the ranking moved onto
+    arrays: a filtered dict, a sort and a remaining-peers list around
+    :func:`reference_join_estimates`."""
+    probabilities = policy.peer_probabilities(item.stream)
+    if policy.worst_case_mode:
+        policy.fallback_decisions += 1
+        budget = policy.context.config.flow.budget(
+            policy.context.num_nodes, policy.congestion_scale
+        )
+        return policy._round_robin.take_from_cycle(budget)
+
+    all_estimates = reference_join_estimates(policy, item)
+    unknown = None in all_estimates.values()
+    estimates = {
+        peer: estimate for peer, estimate in all_estimates.items() if estimate
+    }
+
+    budget = policy.flow.budget
+    rng = policy.context.rng
+    if estimates:
+        policy.estimate_hits += 1
+        ranked = sorted(estimates, key=lambda p: (-estimates[p], p))
+        capacity = max(1, int(round(budget)))
+        # Spend only as much of the budget as the estimated matches
+        # require: peers whose estimate is small relative to the best
+        # peer's are reconstruction noise, not result mass.  This is
+        # DFTT's headline saving -- knowing *where* the joins are lets
+        # it underspend T_i.
+        cutoff = RELATIVE_ESTIMATE_THRESHOLD * estimates[ranked[0]]
+        destinations: List[int] = [
+            peer for peer in ranked[:capacity] if estimates[peer] >= cutoff
+        ]
+        remaining = [
+            peer
+            for peer in policy.peer_ids
+            if peer not in destinations
+        ]
+        if remaining and rng.random() < base.EXPLORE_PROBABILITY:
+            destinations.append(
+                remaining[int(rng.integers(0, len(remaining)))]
+            )
+        return destinations
+
+    policy.estimate_misses += 1
+    if unknown:
+        # No evidence yet about some peers: behave like plain DFT so
+        # the system bootstraps before summaries have circulated.
+        return policy._bernoulli_destinations(probabilities)
+    # Every peer is estimated to hold zero matches.  The reconstruction
+    # is approximate, so spend a *reduced* probabilistic budget rather
+    # than going silent -- this is DFTT's message saving in action.
+    reduced = {
+        peer: probability * base.EXPLORE_PROBABILITY
+        for peer, probability in probabilities.items()
+    }
+    return policy._bernoulli_destinations(reduced)

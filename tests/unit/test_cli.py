@@ -168,6 +168,17 @@ class TestArgumentTranslation:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("option", ["--rate", "--kappa", "--alpha"])
+    def test_infinite_workload_or_policy_float_is_a_config_error(self, capsys, option):
+        """``--rate inf`` used to print a normal-looking report with every
+        arrival at t = 0, and ``--kappa inf`` ran a one-coefficient
+        budget.  Options where ``inf`` means something keep it."""
+        assert main(FAST + ["--json", option, "inf"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "must be finite" in captured.err
+        assert captured.out == ""
+
+
 class TestMain:
     def test_text_output(self, capsys):
         assert main(FAST + ["--seed", "3"]) == 0

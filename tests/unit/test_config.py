@@ -30,6 +30,13 @@ class TestPolicyConfig:
         with pytest.raises(ConfigurationError):
             PolicyConfig(summary_refresh_interval=0).validate()
 
+    @pytest.mark.parametrize("kappa", [math.inf, -math.inf, math.nan])
+    def test_non_finite_kappa_is_rejected(self, kappa):
+        """``inf`` used to run a one-coefficient budget (``W / inf`` floors
+        to 0, clamped to 1) and NaN slipped past ``kappa < 1``."""
+        with pytest.raises(ConfigurationError, match="kappa must be finite"):
+            PolicyConfig(kappa=kappa).validate()
+
     def test_removed_sketch_variant_is_type_error(self):
         # Fast-AGMS is gone; SKCH always runs the paper's AGMS sketch.
         with pytest.raises(TypeError):
@@ -55,6 +62,21 @@ class TestWorkloadConfig:
             WorkloadConfig(arrival_rate=0).validate()
         with pytest.raises(ConfigurationError):
             WorkloadConfig(skew=-0.1).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("arrival_rate", math.inf),
+            ("arrival_rate", math.nan),
+            ("alpha", math.inf),
+            ("alpha", math.nan),
+        ],
+    )
+    def test_non_finite_rate_and_alpha_are_rejected(self, field, value):
+        """An infinite rate used to schedule every arrival at t = 0 and
+        report a normal-looking run; NaN passed both sign checks."""
+        with pytest.raises(ConfigurationError, match="%s must be finite" % field):
+            WorkloadConfig(**{field: value}).validate()
 
 
 class TestSystemConfig:

@@ -242,6 +242,12 @@ class TestDfttPolicy:
         assert policy.match_tolerance(StreamId.R) >= 0.5
 
 
+def reconstructed_rows(calls):
+    """Rows of the recorded ``reconstruct_values`` inputs: a list is one
+    batch of maps, anything else one map."""
+    return sum(len(inputs) if isinstance(inputs, list) else 1 for inputs in calls)
+
+
 def count_calls(monkeypatch, module):
     """Record the inputs of ``reconstruct_values`` calls made through
     ``module``'s global (the name ``benchmarks/e2e`` patches too)."""
@@ -299,14 +305,21 @@ class TestDerivedRowsFollowTheirSlot:
         assert after[2] != before[2]
         assert after[2] == self._expected_similarity(policy, 2)
         assert after[3] == UNKNOWN_PEER_SIMILARITY
-        # The local window and peer 2's: peer 1's histogram was not rebuilt.
-        assert len(histogram_inputs) == 2
-        assert policy.remote.get(1, StreamId.S) not in histogram_inputs
+        # One inverse DFT of peer 2's slot and the local window: peer 1's
+        # row was not rebuilt.
+        assert len(histogram_inputs) == 1
+        *slots, local = histogram_inputs[0]
+        assert slots == [policy.remote.get(2, StreamId.S)]
+        bins, coefficients = policy.managers[StreamId.R].dft.coefficient_view()
+        assert np.array_equal(local[0], bins)
+        assert np.array_equal(local[1], coefficients)
         assert np.array_equal(policy.reconstructed_window(1, StreamId.S), window_1)
         changed = policy.reconstructed_window(2, StreamId.S)
         assert not np.array_equal(changed, window_2)
         assert np.array_equal(changed, self._expected_window(policy, 2))
-        assert window_inputs == [policy.remote.get(2, StreamId.S)]
+        # DFTT's sorted row is the same reconstruction, not a second one;
+        # the counter still counts it as the old lazy table did.
+        assert window_inputs == []
         assert policy.reconstruction_refreshes == 3
 
     def test_older_version_is_dropped_and_invalidates_nothing(self, monkeypatch):
@@ -432,10 +445,12 @@ class TestDecisionCost:
         assert diagnostics["uniform_detections"] == 64
 
     def test_inverse_dfts_scale_with_changes_not_with_peers(self, monkeypatch):
-        """A gate in counts: one histogram + one sorted window per applied
-        remote update, one local histogram + one tolerance calibration per
-        similarity rebuild.  Per-peer recomputation (2 x peers x rebuilds:
-        767 calls on this script before PR 19) trips it on any machine."""
+        """A gate in counts: one batched call per similarity rebuild (the
+        slots that changed, each applied update at most once, plus the
+        local window) and one per tolerance calibration.  Per-peer
+        recomputation (2 x peers x rebuilds: 767 calls on this script
+        before the per-slot rows) trips it on any machine, and so does a
+        second row per applied update (196 rows here, 168 with one)."""
         calls = count_calls(monkeypatch, correlation)
         calls_dftt = count_calls(monkeypatch, dftt)
         rebuilds = []
@@ -448,7 +463,71 @@ class TestDecisionCost:
         monkeypatch.setattr(FlowController, "probabilities", counting)
         run_dftt_script(6, 200, 40)
         assert len(rebuilds) > 40
-        assert len(calls) + len(calls_dftt) <= 40 * 2 + len(rebuilds) * 2
+        assert len(calls) <= len(rebuilds)
+        assert len(calls_dftt) <= len(rebuilds)
+        assert reconstructed_rows(calls) <= 40 + len(calls)
+        assert reconstructed_rows(calls_dftt) == len(calls_dftt)
+
+    def _all_slots(self):
+        """Node 0's DFTT policy with both slots of every peer applied and
+        both local windows full, after one decision per stream."""
+        policy = DfttPolicy(make_context(Algorithm.DFTT, num_nodes=4))
+        feed(policy, [100 + (i % 5) for i in range(WINDOW)], stream=StreamId.R)
+        feed(policy, [300 + (i % 7) for i in range(WINDOW)], stream=StreamId.S)
+        for peer in policy.peer_ids:
+            for stream in (StreamId.R, StreamId.S):
+                policy.on_remote_summary(
+                    peer, dft_update(window_map(100 * peer, peer), 1, stream)
+                )
+        for stream in (StreamId.R, StreamId.S):
+            policy.choose_destinations(make_tuple(100, stream))
+        return policy
+
+    def test_an_applied_update_is_reconstructed_once(self, monkeypatch):
+        """The histogram and DFTT's sorted window of the changed slot come
+        from one reconstructed row (two independent tables made two)."""
+        policy = self._all_slots()
+        refreshes = policy.reconstruction_refreshes
+        calls = count_calls(monkeypatch, correlation)
+        calls_dftt = count_calls(monkeypatch, dftt)
+
+        policy.on_remote_summary(2, dft_update(window_map(700, 9), version=2))
+        policy.choose_destinations(make_tuple(100, StreamId.R))
+        policy.choose_destinations(make_tuple(101, StreamId.R))
+
+        remote_rows = [
+            coefficients
+            for inputs in calls + calls_dftt
+            for coefficients in (inputs if isinstance(inputs, list) else [inputs])
+            if isinstance(coefficients, dict)
+        ]
+        assert remote_rows == [policy.remote.get(2, StreamId.S)]
+        # DFTT's table still counts the row it now shares.
+        assert policy.reconstruction_refreshes == refreshes + 1
+
+    def test_each_rebuild_is_one_call(self, monkeypatch):
+        """Three changed slots and the local window are one inverse DFT; the
+        tolerance calibration after it is one more."""
+        policy = self._all_slots()
+        for peer in policy.peer_ids:
+            policy.on_remote_summary(
+                peer, dft_update(window_map(50 * peer, peer + 10), 2)
+            )
+        calls = count_calls(monkeypatch, correlation)
+        calls_dftt = count_calls(monkeypatch, dftt)
+
+        policy.peer_similarities(StreamId.R)
+        assert len(calls) == 1
+        *slots, local = calls[0]
+        assert sorted(map(id, slots)) == sorted(
+            id(policy.remote.get(peer, StreamId.S)) for peer in policy.peer_ids
+        )
+        assert isinstance(local, tuple)  # the sliding DFT's own arrays
+        assert calls_dftt == []
+
+        policy.match_tolerance(StreamId.S)
+        assert len(calls) == 1
+        assert len(calls_dftt) == 1
 
 
 class TestBloomPolicy:

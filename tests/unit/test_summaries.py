@@ -97,8 +97,10 @@ class TestRemoteSummaryTable:
         table = RemoteSummaryTable()
         table.apply(1, make_update(stream=StreamId.R))
         table.apply(2, make_update(stream=StreamId.S))
-        assert table.known_peers(StreamId.R) == [1]
-        assert table.known_peers(StreamId.S) == [2]
+        assert table.get(1, StreamId.R) is not None
+        assert table.get(1, StreamId.S) is None
+        assert table.get(2, StreamId.S) is not None
+        assert table.get(2, StreamId.R) is None
 
 
 class TestDftSummaryManager:
