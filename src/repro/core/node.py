@@ -29,9 +29,7 @@ from repro.config import SystemConfig, WindowKind
 from repro.core.health import PeerHealthMonitor
 from repro.core.policies.base import ForwardingPolicy
 from repro.core.summaries import SummaryUpdate
-from repro.join.ground_truth import GroundTruthOracle
 from repro.join.hash_join import JoinResult, SymmetricHashJoin
-from repro.metrics.accounting import ResultCollector
 from repro.net.message import Message, MessageKind
 from repro.net.reliable import ReliableTransport
 from repro.net.simulator import EventKeySource, EventScheduler
@@ -75,8 +73,6 @@ class JoinProcessingNode:
         scheduler: EventScheduler,
         network: Network,
         policy: ForwardingPolicy,
-        oracle: GroundTruthOracle,
-        collector: ResultCollector,
         transport: Optional[ReliableTransport] = None,
         fault_injector=None,
         profiler=None,
@@ -140,8 +136,6 @@ class JoinProcessingNode:
             node_id, r_window=self._make_window(), s_window=self._make_window()
         )
         self.policy = policy
-        self.oracle = oracle
-        self.collector = collector
         self.shadow_windows: Dict[StreamId, Dict[int, SlidingWindow]] = {
             StreamId.R: {},
             StreamId.S: {},

@@ -203,8 +203,6 @@ class DistributedJoinSystem:
                 scheduler=self.scheduler,
                 network=self.network,
                 policy=policy,
-                oracle=self.oracle,
-                collector=self.collector,
                 transport=transport,
                 fault_injector=self.fault_injector,
                 profiler=profiler,

@@ -27,7 +27,6 @@ module                reproduces
 from repro.experiments.ascii_plot import bar_chart, line_chart
 from repro.experiments.calibrate import calibrate_budget
 from repro.experiments.harness import ExperimentScale, get_scale
-from repro.experiments.regression import compare_chaos
 from repro.experiments.reporting import format_series, format_table
 
 __all__ = [
@@ -38,6 +37,5 @@ __all__ = [
     "format_series",
     "bar_chart",
     "line_chart",
-    "compare_chaos",
 ]
 

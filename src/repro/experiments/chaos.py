@@ -42,10 +42,22 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.cli import float_not_nan, non_negative_int
-from repro.config import Algorithm
+from repro.config import Algorithm, SystemConfig
+from repro.core.results import RunResult
 from repro.errors import ConfigurationError
 from repro.experiments.ascii_plot import bar_chart, line_chart
 from repro.experiments.harness import (
@@ -77,6 +89,18 @@ WORST_CASE_EVENT = "policy.worst_case_mode"
 
 _KNOB_ALIASES = {"partition": "part", "crashes": "crash", "overload": "over"}
 """Long spellings of the grid knobs, folded so a knob is given once."""
+
+_KNOBS: Dict[str, Tuple[str, Callable[[str], object]]] = {
+    "loss": ("loss_probability", float),
+    "part": (
+        "partition_s",
+        lambda text: float(text[:-1] if text.lower().endswith("s") else text),
+    ),
+    "crash": ("crash_count", int),
+    "over": ("overload_factor", float),
+}
+"""Each folded knob: the :class:`ChaosLevel` field it sets and how its
+value is read (``part`` takes seconds with an optional ``s`` suffix)."""
 
 
 @dataclass(frozen=True)
@@ -119,50 +143,11 @@ class ChaosLevel:
                 "overload factor must exceed 1 (it multiplies service times)"
             )
 
-    @property
-    def clean(self) -> bool:
-        return (
-            self.loss_probability == 0.0
-            and self.partition_s == 0.0
-            and self.crash_count == 0
-            and self.overload_factor == 0.0
-        )
-
-    @property
-    def intensity(self) -> float:
-        """A scalar ordering of the grid (the figure's x-axis)."""
-        return (
-            self.loss_probability
-            + self.partition_s / 10.0
-            + float(self.crash_count)
-            + self.overload_factor / 10.0
-        )
-
-    def to_spec(self) -> str:
-        """Render in the grammar :func:`parse_grid` reads; round trip exact."""
-        parts = []
-        if self.loss_probability:
-            parts.append("loss=%r" % self.loss_probability)
-        if self.partition_s:
-            parts.append("part=%r" % self.partition_s)
-        if self.crash_count:
-            parts.append("crash=%d" % self.crash_count)
-        if self.overload_factor:
-            parts.append("over=%r" % self.overload_factor)
-        if not parts:
-            return self.name
-        return "%s@%s" % (self.name, ",".join(parts))
-
     @classmethod
     def parse(cls, chunk: str) -> "ChaosLevel":
         """One level: ``name`` (clean) or ``name@loss=P,part=Ds,crash=K``."""
         name, _, arg_text = chunk.strip().partition("@")
-        name = name.strip()
-        loss = 0.0
-        partition = 0.0
-        crashes = 0
-        overload = 0.0
-        seen = set()
+        knobs: Dict[str, object] = {}
         for pair in filter(None, (p.strip() for p in arg_text.split(","))):
             key, eq, value = pair.partition("=")
             if not eq:
@@ -170,39 +155,23 @@ class ChaosLevel:
                     "malformed chaos argument %r in %r" % (pair, chunk)
                 )
             key = key.strip().lower()
-            value = value.strip()
             knob = _KNOB_ALIASES.get(key, key)
-            if knob in seen:
+            if knob not in _KNOBS:
+                raise ConfigurationError(
+                    "unknown chaos argument %r in %r" % (key, chunk)
+                )
+            field, read = _KNOBS[knob]
+            if field in knobs:
                 raise ConfigurationError(
                     "chaos argument %r given twice in %r" % (knob, chunk)
                 )
-            seen.add(knob)
             try:
-                if key == "loss":
-                    loss = float(value)
-                elif key in ("part", "partition"):
-                    if value.lower().endswith("s"):
-                        value = value[:-1]
-                    partition = float(value)
-                elif key in ("crash", "crashes"):
-                    crashes = int(value)
-                elif key in ("over", "overload"):
-                    overload = float(value)
-                else:
-                    raise ConfigurationError(
-                        "unknown chaos argument %r in %r" % (key, chunk)
-                    )
+                knobs[field] = read(value.strip())
             except ValueError:
                 raise ConfigurationError(
                     "cannot parse chaos argument %r in %r" % (pair, chunk)
                 )
-        level = cls(
-            name=name,
-            loss_probability=loss,
-            partition_s=partition,
-            crash_count=crashes,
-            overload_factor=overload,
-        )
+        level = cls(name=name.strip(), **knobs)
         level.validate()
         return level
 
@@ -225,13 +194,6 @@ def parse_grid(spec: str) -> Tuple[ChaosLevel, ...]:
     if len(set(names)) != len(names):
         raise ConfigurationError("fault grid has duplicate level names %r" % names)
     return tuple(levels)
-
-
-def grid_to_spec(grid: Sequence[ChaosLevel]) -> str:
-    """Inverse of :func:`parse_grid`."""
-    if not grid:
-        raise ConfigurationError("an empty fault grid has no spec form")
-    return "; ".join(level.to_spec() for level in grid)
 
 
 def build_fault_plan(
@@ -317,96 +279,198 @@ def build_fault_plan(
 # ----------------------------------------------------------------------
 
 
+class _Cell(NamedTuple):
+    """One finished sweep cell: what a :class:`Column` reads its value from."""
+
+    preset: ExperimentScale
+    level: ChaosLevel
+    plan: FaultPlan
+    config: SystemConfig
+    result: RunResult
+    extras: Dict[str, object]
+
+
+_KIND_NAMES = {
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "true or false",
+}
+
+
 @dataclass(frozen=True)
-class ChaosRow:
-    """One cell of the chaos figure: (algorithm, fault level) at a scale."""
+class Column:
+    """One stored field of a :class:`ChaosRow`, declared once.
 
-    scale: str
-    algorithm: str
-    num_nodes: int
-    seed: int
-    level: str
-    loss_probability: float
-    partition_s: float
-    crash_count: int
-    fault_events: int
-    epsilon: float
-    truth_pairs: int
-    reported_pairs: int
-    total_bytes: float
-    bytes_lost: float
-    data_messages: int
-    messages_blocked: float
-    local_arrivals_dropped: float
-    failures_detected: float
-    recoveries: float
-    recovery_latency_mean_s: float
-    recovery_latency_max_s: float
-    resyncs: float
-    worst_case_s: float
-    duration_seconds: float
-    recovery_enabled: bool
-    restarts: float
-    tuples_replayed: float
-    rejoin_latency_s: float
-    """Mean seconds from restart to LIVE across the cell's rejoins."""
+    ``kind`` is the field's JSON type: ``str``, ``int``, ``float`` or
+    ``bool``.  ``source`` is where :func:`run` reads the value off a
+    finished :class:`_Cell`: a dotted attribute path (``"level.name"``),
+    a ``(section, key)`` pair naming one of the :class:`RunResult`'s
+    counter dicts and a key (read as a float, ``0.0`` when the run never
+    counted it), or a callable of the cell.  ``key`` marks the fields
+    that identify "the same cell" across code versions; ``compared`` the
+    metrics the baseline gate diffs.
+    """
 
-    dead_letters: float
-    """Reliable-channel sends whose retries were exhausted (the messages
-    the ARQ gave up on; surfaced per-event as ``transport.dead_letter``)."""
+    name: str
+    kind: type
+    source: Union[str, Tuple[str, str], Callable[[_Cell], object]]
+    key: bool = False
+    compared: bool = False
 
-    state_transfer_bytes: float = 0.0
-    """Bytes of recovery anti-entropy traffic (requests + responses)."""
+    def read(self, cell: _Cell) -> object:
+        if callable(self.source):
+            return self.source(cell)
+        if isinstance(self.source, tuple):
+            section, key = self.source
+            return float(getattr(cell.result, section).get(key, 0.0))
+        return attrgetter(self.source)(cell)
 
-    transfer_bytes_saved: float = 0.0
-    """Bytes the watermark-delta resync kept off the wire relative to
-    shipping full snapshots."""
+    def decode(self, value: object, index: int) -> object:
+        """``value`` from row ``index`` of a results file, type-checked.
 
-    transfer_fallbacks: float = 0.0
-    """Delta resync responses downgraded to full snapshots because the
-    serving peer's history no longer covered the claimed watermark."""
+        An integer in a float column (``0`` for ``0.0``) is widened; any
+        other mismatch -- ``null``, a string, ``true`` for a number -- is
+        a :class:`ConfigurationError`, so the baseline gate never meets it.
+        """
+        if type(value) is self.kind:
+            return value
+        if (
+            self.kind is float
+            and type(value) is int
+            and abs(value) <= sys.float_info.max
+        ):
+            return float(value)
+        raise ConfigurationError(
+            "chaos row %d field %r must be %s, not %s"
+            % (index, self.name, _KIND_NAMES[self.kind], json.dumps(value))
+        )
 
-    overload_factor: float = 0.0
-    """The level's service-time multiplier (0 = no overload fault)."""
 
-    overload_enabled: bool = False
-    """Whether the cell ran with overload protection armed."""
+COLUMNS: Tuple[Column, ...] = (
+    Column("scale", str, "preset.name", key=True),
+    Column("algorithm", str, "config.policy.algorithm.value", key=True),
+    Column("num_nodes", int, "config.num_nodes", key=True),
+    Column("level", str, "level.name", key=True),
+    Column("seed", int, "config.seed", key=True),
+    Column("loss_probability", float, "level.loss_probability"),
+    Column("partition_s", float, "level.partition_s"),
+    Column("crash_count", int, "level.crash_count"),
+    # The level's service-time multiplier (0 = no overload fault).
+    Column("overload_factor", float, "level.overload_factor"),
+    Column("fault_events", int, lambda cell: len(cell.plan.events)),
+    Column("epsilon", float, "result.epsilon", compared=True),
+    Column("truth_pairs", int, "result.truth_pairs"),
+    Column("reported_pairs", int, "result.reported_pairs"),
+    Column("total_bytes", float, ("traffic", "total_bytes"), compared=True),
+    Column("bytes_lost", float, ("traffic", "bytes_lost"), compared=True),
+    Column("data_messages", int, "result.data_messages"),
+    Column("messages_blocked", float, ("faults", "messages_blocked"), compared=True),
+    Column("local_arrivals_dropped", float, ("faults", "local_arrivals_dropped")),
+    Column("failures_detected", float, ("reliability", "failures_detected")),
+    Column("recoveries", float, ("reliability", "recoveries")),
+    Column(
+        "recovery_latency_mean_s",
+        float,
+        ("reliability", "recovery_latency_mean_s"),
+        compared=True,
+    ),
+    Column("recovery_latency_max_s", float, ("reliability", "recovery_latency_max_s")),
+    Column("resyncs", float, ("reliability", "resyncs")),
+    # Simulated seconds the policies spent in worst-case fallback mode.
+    Column(
+        "worst_case_s",
+        float,
+        lambda cell: float(cell.extras["worst_case_s"]),
+        compared=True,
+    ),
+    Column("duration_seconds", float, "result.duration_seconds"),
+    Column("recovery_enabled", bool, "config.recovery.enabled", key=True),
+    Column("restarts", float, ("recovery", "restarts")),
+    # Reliable-channel sends whose retries were exhausted (the messages
+    # the ARQ gave up on; surfaced per-event as ``transport.dead_letter``).
+    Column("dead_letters", float, ("reliability", "delivery_failures"), compared=True),
+    Column("tuples_replayed", float, ("recovery", "tuples_replayed"), compared=True),
+    # Mean seconds from restart to LIVE across the cell's rejoins.
+    Column(
+        "rejoin_latency_s", float, ("recovery", "rejoin_latency_mean_s"), compared=True
+    ),
+    # Bytes of recovery anti-entropy traffic (requests + responses).
+    Column("state_transfer_bytes", float, ("recovery", "state_transfer_bytes")),
+    # Bytes the watermark-delta resync kept off the wire relative to
+    # shipping full snapshots.
+    Column("transfer_bytes_saved", float, ("recovery", "state_transfer_bytes_saved")),
+    # Delta resync responses downgraded to full snapshots because the
+    # serving peer's history no longer covered the claimed watermark.
+    Column("transfer_fallbacks", float, ("recovery", "state_transfer_fallbacks")),
+    # Whether the cell ran with overload protection armed.
+    Column("overload_enabled", bool, "config.overload.enabled"),
+    # Local arrivals dropped by node-level load shedding (still charged
+    # against the ground truth -- shedding shows up as lost recall).
+    Column("shed_tuples", float, ("overload", "shed_tuples")),
+    # Queued remote messages dropped by node-level shedding plus
+    # messages shed at bounded link send backlogs.
+    Column(
+        "shed_messages",
+        float,
+        lambda cell: float(
+            cell.result.overload.get("shed_messages", 0.0)
+            + cell.result.overload.get("link_messages_shed", 0.0)
+        ),
+    ),
+    # Total node-seconds spent in THROTTLED / SHEDDING across the mesh.
+    Column("throttled_seconds", float, ("overload", "throttled_seconds")),
+    Column("shedding_seconds", float, ("overload", "shedding_seconds")),
+)
+"""Every stored chaos field, declared once: :func:`run` fills a row from
+it, :meth:`ChaosRow.from_dict` type-checks a file against it, and
+:func:`compare_chaos` takes its cell key and its metrics from it, each in
+table order (the gate report's metric order is pinned by a golden).
+Adding a column is one entry here and a ``CHAOS_FORMAT_VERSION`` bump."""
 
-    shed_tuples: float = 0.0
-    """Local arrivals dropped by node-level load shedding (still charged
-    against the ground truth -- shedding shows up as lost recall)."""
 
-    shed_messages: float = 0.0
-    """Queued remote messages dropped by node-level shedding plus
-    messages shed at bounded link send backlogs."""
-
-    throttled_seconds: float = 0.0
-    """Total node-seconds spent in THROTTLED across the mesh."""
-
-    shedding_seconds: float = 0.0
-    """Total node-seconds spent in SHEDDING across the mesh."""
+class _RowCodec:
+    """The dict form of a :class:`ChaosRow`; JSON is :func:`rows_to_json`."""
 
     def as_dict(self) -> Dict[str, object]:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ChaosRow":
-        names = {field.name for field in dataclasses.fields(cls)}
+    def from_dict(cls, payload: Dict[str, object], index: int) -> "ChaosRow":
+        """Row ``index`` of a results file; every field present, known and
+        of its column's type, or :class:`ConfigurationError`."""
+        names = {column.name for column in COLUMNS}
         unknown = set(payload) - names
         if unknown:
             raise ConfigurationError(
-                "chaos row has unknown fields %s (stale file format?)"
-                % ", ".join(sorted(unknown))
+                "chaos row %d has unknown fields %s (stale file format?)"
+                % (index, ", ".join(sorted(unknown)))
             )
         missing = names - set(payload)
         if missing:
             raise ConfigurationError(
-                "chaos row is missing fields %s" % ", ".join(sorted(missing))
+                "chaos row %d is missing fields %s"
+                % (index, ", ".join(sorted(missing)))
             )
-        try:
-            return cls(**payload)  # type: ignore[arg-type]
-        except TypeError as error:
-            raise ConfigurationError("malformed chaos row: %s" % error)
+        return cls(
+            **{
+                column.name: column.decode(payload[column.name], index)
+                for column in COLUMNS
+            }
+        )
+
+
+ChaosRow = dataclasses.make_dataclass(
+    "ChaosRow",
+    [(column.name, column.kind) for column in COLUMNS],
+    bases=(_RowCodec,),
+    namespace={
+        "__module__": __name__,
+        "__doc__": "One cell of the chaos figure: (algorithm, fault level) "
+        "at a scale; one field per :data:`COLUMNS` entry.",
+    },
+    frozen=True,
+)
 
 
 def worst_case_seconds(events: Iterable, end_time: float) -> float:
@@ -507,7 +571,7 @@ def run(
     rejoin = recovery if recovery is not None and recovery.enabled else None
     protection = overload if overload is not None and overload.enabled else None
     requests: List[RunRequest] = []
-    cells: List[Tuple[Algorithm, ChaosLevel, FaultPlan]] = []
+    cells: List[Tuple[ChaosLevel, FaultPlan]] = []
     for algorithm in algorithms:
         for level in levels:
             plan = build_fault_plan(
@@ -531,88 +595,14 @@ def run(
                     label="chaos %s %s/%s" % (scale, algorithm.value, level.name),
                 )
             )
-            cells.append((algorithm, level, plan))
+            cells.append((level, plan))
     outcomes = run_many(requests, jobs=jobs, cache=cache, progress=progress)
     rows: List[ChaosRow] = []
-    for (algorithm, level, plan), request, outcome in zip(
-        cells, requests, outcomes
-    ):
-        config = request.config
-        result = outcome.result
-        worst = float(outcome.extras["worst_case_s"])
-        reliability_counters = result.reliability
-        faults = result.faults
-        recovery_counters = result.recovery
-        overload_counters = result.overload
-        rows.append(
-            ChaosRow(
-                scale=preset.name,
-                algorithm=algorithm.value,
-                num_nodes=mesh,
-                seed=config.seed,
-                level=level.name,
-                loss_probability=level.loss_probability,
-                partition_s=level.partition_s,
-                crash_count=level.crash_count,
-                fault_events=len(plan.events),
-                epsilon=result.epsilon,
-                truth_pairs=result.truth_pairs,
-                reported_pairs=result.reported_pairs,
-                total_bytes=float(result.traffic.get("total_bytes", 0.0)),
-                bytes_lost=float(result.traffic.get("bytes_lost", 0.0)),
-                data_messages=result.data_messages,
-                messages_blocked=float(faults.get("messages_blocked", 0.0)),
-                local_arrivals_dropped=float(
-                    faults.get("local_arrivals_dropped", 0.0)
-                ),
-                failures_detected=float(
-                    reliability_counters.get("failures_detected", 0.0)
-                ),
-                recoveries=float(reliability_counters.get("recoveries", 0.0)),
-                recovery_latency_mean_s=float(
-                    reliability_counters.get("recovery_latency_mean_s", 0.0)
-                ),
-                recovery_latency_max_s=float(
-                    reliability_counters.get("recovery_latency_max_s", 0.0)
-                ),
-                resyncs=float(reliability_counters.get("resyncs", 0.0)),
-                worst_case_s=worst,
-                duration_seconds=result.duration_seconds,
-                recovery_enabled=rejoin is not None,
-                restarts=float(recovery_counters.get("restarts", 0.0)),
-                tuples_replayed=float(
-                    recovery_counters.get("tuples_replayed", 0.0)
-                ),
-                rejoin_latency_s=float(
-                    recovery_counters.get("rejoin_latency_mean_s", 0.0)
-                ),
-                dead_letters=float(
-                    reliability_counters.get("delivery_failures", 0.0)
-                ),
-                state_transfer_bytes=float(
-                    recovery_counters.get("state_transfer_bytes", 0.0)
-                ),
-                transfer_bytes_saved=float(
-                    recovery_counters.get("state_transfer_bytes_saved", 0.0)
-                ),
-                transfer_fallbacks=float(
-                    recovery_counters.get("state_transfer_fallbacks", 0.0)
-                ),
-                overload_factor=level.overload_factor,
-                overload_enabled=protection is not None,
-                shed_tuples=float(overload_counters.get("shed_tuples", 0.0)),
-                shed_messages=float(
-                    overload_counters.get("shed_messages", 0.0)
-                    + overload_counters.get("link_messages_shed", 0.0)
-                ),
-                throttled_seconds=float(
-                    overload_counters.get("throttled_seconds", 0.0)
-                ),
-                shedding_seconds=float(
-                    overload_counters.get("shedding_seconds", 0.0)
-                ),
-            )
+    for (level, plan), request, outcome in zip(cells, requests, outcomes):
+        cell = _Cell(
+            preset, level, plan, request.config, outcome.result, outcome.extras
         )
+        rows.append(ChaosRow(**{column.name: column.read(cell) for column in COLUMNS}))
     return rows
 
 
@@ -644,7 +634,7 @@ def rows_from_payload(payload: Dict[str, object]) -> List[ChaosRow]:
     rows = payload.get("rows", [])
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ConfigurationError("chaos payload 'rows' must be a list of objects")
-    return [ChaosRow.from_dict(row) for row in rows]
+    return [ChaosRow.from_dict(row, index) for index, row in enumerate(rows)]
 
 
 def rows_to_json(rows: Sequence[ChaosRow]) -> str:
@@ -684,57 +674,38 @@ def load_chaos_rows(path: str | Path) -> List[ChaosRow]:
 # ----------------------------------------------------------------------
 
 
+TABLE: Tuple[Tuple[str, Callable[[ChaosRow], object]], ...] = (
+    ("algo", attrgetter("algorithm")),
+    ("level", attrgetter("level")),
+    ("rejoin", lambda row: "on" if row.recovery_enabled else "off"),
+    ("eps", attrgetter("epsilon")),
+    ("kB sent", lambda row: row.total_bytes / 1000.0),
+    ("kB lost", lambda row: row.bytes_lost / 1000.0),
+    ("blocked", attrgetter("messages_blocked")),
+    ("detects", attrgetter("failures_detected")),
+    ("recov", attrgetter("recoveries")),
+    ("rec mean s", attrgetter("recovery_latency_mean_s")),
+    ("worst-case s", attrgetter("worst_case_s")),
+    ("resyncs", attrgetter("resyncs")),
+    ("restarts", attrgetter("restarts")),
+    ("replayed", attrgetter("tuples_replayed")),
+    ("rejoin s", attrgetter("rejoin_latency_s")),
+    ("dead ltrs", attrgetter("dead_letters")),
+    ("xfer kB", lambda row: row.state_transfer_bytes / 1000.0),
+    ("saved kB", lambda row: row.transfer_bytes_saved / 1000.0),
+    ("fallbk", attrgetter("transfer_fallbacks")),
+    ("shed", lambda row: row.shed_tuples + row.shed_messages),
+    ("degr s", lambda row: row.throttled_seconds + row.shedding_seconds),
+)
+"""The printed sweep table: ``(header, value of a row)`` per column.  Kept
+apart from :data:`COLUMNS` because it shows derived values (kB, on/off,
+summed shed counts and degraded seconds), not the stored fields."""
+
+
 def format_result(rows: Sequence[ChaosRow]) -> str:
     return format_table(
-        [
-            "algo",
-            "level",
-            "rejoin",
-            "eps",
-            "kB sent",
-            "kB lost",
-            "blocked",
-            "detects",
-            "recov",
-            "rec mean s",
-            "worst-case s",
-            "resyncs",
-            "restarts",
-            "replayed",
-            "rejoin s",
-            "dead ltrs",
-            "xfer kB",
-            "saved kB",
-            "fallbk",
-            "shed",
-            "degr s",
-        ],
-        [
-            (
-                row.algorithm,
-                row.level,
-                "on" if row.recovery_enabled else "off",
-                row.epsilon,
-                row.total_bytes / 1000.0,
-                row.bytes_lost / 1000.0,
-                row.messages_blocked,
-                row.failures_detected,
-                row.recoveries,
-                row.recovery_latency_mean_s,
-                row.worst_case_s,
-                row.resyncs,
-                row.restarts,
-                row.tuples_replayed,
-                row.rejoin_latency_s,
-                row.dead_letters,
-                row.state_transfer_bytes / 1000.0,
-                row.transfer_bytes_saved / 1000.0,
-                row.transfer_fallbacks,
-                row.shed_tuples + row.shed_messages,
-                row.throttled_seconds + row.shedding_seconds,
-            )
-            for row in rows
-        ],
+        [header for header, _ in TABLE],
+        [[value(row) for _, value in TABLE] for row in rows],
     )
 
 
@@ -834,6 +805,122 @@ def figure(rows: Sequence[ChaosRow]) -> str:
         bar_chart(levels, lost_series, y_label="kB lost"),
     ]
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# the baseline gate
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MetricDrift:
+    """One metric's change between baseline and candidate."""
+
+    key: Tuple
+    metric: str
+    baseline: float
+    candidate: float
+    tolerance: float
+
+    @property
+    def relative_change(self) -> float:
+        scale = max(abs(self.baseline), 1e-12)
+        return (self.candidate - self.baseline) / scale
+
+    @property
+    def within_tolerance(self) -> bool:
+        return abs(self.relative_change) <= self.tolerance
+
+
+@dataclass
+class RegressionReport:
+    """Outcome of comparing two result sets."""
+
+    drifts: List[MetricDrift]
+    unmatched_baseline: List[Tuple]
+    unmatched_candidate: List[Tuple]
+
+    @property
+    def regressions(self) -> List[MetricDrift]:
+        return [drift for drift in self.drifts if not drift.within_tolerance]
+
+    @property
+    def passed(self) -> bool:
+        return not self.regressions and not self.unmatched_baseline
+
+    def format(self) -> str:
+        rows = [
+            (
+                "/".join(str(part) for part in drift.key[:2]),
+                drift.metric,
+                drift.baseline,
+                drift.candidate,
+                100 * drift.relative_change,
+                drift.within_tolerance,
+            )
+            for drift in self.drifts
+        ]
+        table = format_table(
+            ["run", "metric", "baseline", "candidate", "drift %", "ok"], rows
+        )
+        footer = "\n%d regression(s); %d unmatched baseline run(s)" % (
+            len(self.regressions),
+            len(self.unmatched_baseline),
+        )
+        return table + footer
+
+
+def compare_chaos(
+    baseline: Sequence[ChaosRow],
+    candidate: Sequence[ChaosRow],
+    tolerance: float = 0.15,
+) -> RegressionReport:
+    """Match rows on their key columns and diff their compared columns.
+
+    Workflow: save a sweep's rows with ``--out`` as the baseline; after
+    changing the code, rerun the sweep with ``--baseline``.  Because chaos
+    runs are byte-deterministic per seed + plan, a same-code comparison
+    shows exactly zero drift; any nonzero drift is a real behavioural
+    change.  A baseline cell the candidate lacks fails the gate; a
+    candidate cell the baseline lacks is only reported.
+    """
+    if tolerance < 0:
+        raise ConfigurationError("tolerance must be non-negative")
+    key_of = attrgetter(*(column.name for column in COLUMNS if column.key))
+    metrics = [column.name for column in COLUMNS if column.compared]
+    baseline_by_key: Dict[Tuple, ChaosRow] = {}
+    for row in baseline:
+        key = key_of(row)
+        if key in baseline_by_key:
+            raise ConfigurationError("duplicate baseline chaos cell %r" % (key,))
+        baseline_by_key[key] = row
+
+    drifts: List[MetricDrift] = []
+    matched = set()
+    unmatched_candidate = []
+    for row in candidate:
+        key = key_of(row)
+        reference = baseline_by_key.get(key)
+        if reference is None:
+            unmatched_candidate.append(key)
+            continue
+        matched.add(key)
+        for metric in metrics:
+            drifts.append(
+                MetricDrift(
+                    key=key,
+                    metric=metric,
+                    baseline=float(getattr(reference, metric)),
+                    candidate=float(getattr(row, metric)),
+                    tolerance=tolerance,
+                )
+            )
+    unmatched_baseline = [key for key in baseline_by_key if key not in matched]
+    return RegressionReport(
+        drifts=drifts,
+        unmatched_baseline=unmatched_baseline,
+        unmatched_candidate=unmatched_candidate,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -941,7 +1028,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.errors import ReproError
-    from repro.experiments.regression import compare_chaos
 
     args = build_parser().parse_args(argv)
     try:

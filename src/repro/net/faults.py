@@ -178,44 +178,6 @@ class FaultEvent:
             return True
         return (source, destination) in self.links
 
-    def to_spec(self) -> str:
-        """Render this event in the compact grammar :meth:`FaultPlan.parse`
-        reads (``kind@t=...,d=...,...``); the round trip is exact."""
-        parts = ["t=%r" % self.start_s, "d=%r" % self.duration_s]
-        if self.downtime_s:
-            parts.append("downtime=%r" % self.downtime_s)
-        if self.nodes:
-            parts.append("nodes=%s" % "+".join(str(n) for n in self.nodes))
-        for source, destination in self.links:
-            parts.append("link=%d-%d" % (source, destination))
-        if self.loss_probability:
-            parts.append("p=%r" % self.loss_probability)
-        if self.extra_latency_s:
-            parts.append("extra=%r" % self.extra_latency_s)
-        if self.slowdown_factor:
-            parts.append("factor=%r" % self.slowdown_factor)
-        return "%s@%s" % (self.kind.value, ",".join(parts))
-
-    def as_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "kind": self.kind.value,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-        }
-        if self.nodes:
-            payload["nodes"] = list(self.nodes)
-        if self.links:
-            payload["links"] = [list(pair) for pair in self.links]
-        if self.loss_probability:
-            payload["loss_probability"] = self.loss_probability
-        if self.extra_latency_s:
-            payload["extra_latency_s"] = self.extra_latency_s
-        if self.downtime_s:
-            payload["downtime_s"] = self.downtime_s
-        if self.slowdown_factor:
-            payload["slowdown_factor"] = self.slowdown_factor
-        return payload
-
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "FaultEvent":
         try:
@@ -256,30 +218,18 @@ class FaultPlan:
         for event in self.events:
             event.validate(num_nodes)
 
-    def as_dicts(self) -> List[Dict[str, object]]:
-        return [event.as_dict() for event in self.events]
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Serialize to the JSON array :meth:`from_json` reads back."""
-        return json.dumps(self.as_dicts(), indent=indent, sort_keys=True)
-
-    def to_spec(self) -> str:
-        """Render the whole plan in the compact :meth:`parse` grammar.
-
-        Only defined for non-empty plans (the grammar has no spelling for
-        "no faults"; an empty plan is just the absence of a spec).
-        """
-        if not self.events:
-            raise ConfigurationError("an empty fault plan has no spec form")
-        return "; ".join(event.to_spec() for event in self.events)
-
     @classmethod
     def from_events(cls, events: Sequence[FaultEvent]) -> "FaultPlan":
         return cls(events=tuple(events))
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
-        """Parse a JSON array of event objects (the :meth:`as_dicts` shape)."""
+        """Parse a JSON array of event objects.
+
+        Each object names the :class:`FaultEvent` fields it sets, with the
+        kind by value: ``{"kind": "node_crash", "start_s": 3,
+        "duration_s": 2, "nodes": [1]}``; an absent field keeps its default.
+        """
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as error:

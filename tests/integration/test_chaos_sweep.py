@@ -3,18 +3,23 @@
 Mirrors ``test_fastpath_determinism.py`` at the experiment layer: the
 smoke-scale sweep at the preset seed (2007) must produce *byte-identical*
 canonical ChaosRow JSON across two in-process runs -- fault injection,
-reliable transport, telemetry read-out and all.  On top of the pin, the
-rows must tell the chaos story: faulted cells lose messages, the failure
-detector fires and recovers, and the persisted form round-trips exactly.
+reliable transport, telemetry read-out and all -- and the rows, the
+printed table and figure, and the gate's report must equal the goldens
+under ``data/`` byte for byte, so the pin holds across commits too.  On
+top of the pin, the rows must tell the chaos story: faulted cells lose
+messages, the failure detector fires and recovers, and the persisted
+form round-trips exactly.
 """
+
+from pathlib import Path
 
 import pytest
 
 from repro.config import Algorithm
 from repro.experiments import chaos
-from repro.experiments.chaos import load_chaos_rows, save_chaos_rows
-from repro.experiments.regression import compare_chaos
+from repro.experiments.chaos import compare_chaos, load_chaos_rows, save_chaos_rows
 
+DATA = Path(__file__).parent / "data"
 GRID = chaos.parse_grid("clean; squall@loss=0.25; storm@loss=0.5,part=2s,crash=1")
 ALGORITHMS = (Algorithm.BASE, Algorithm.DFTT, Algorithm.SKCH)
 
@@ -78,4 +83,36 @@ def test_persisted_rows_round_trip_exactly(sweep, tmp_path):
 def test_sweep_gates_cleanly_against_itself(sweep):
     report = compare_chaos(sweep, chaos.run("smoke", algorithms=ALGORITHMS, grid=GRID))
     assert report.passed
+    assert all(drift.relative_change == 0.0 for drift in report.drifts)
+
+
+def table_and_figure(rows):
+    """What the sweep prints for ``rows`` without ``--recovery``."""
+    return chaos.format_result(rows) + "\n\n" + chaos.figure(rows) + "\n"
+
+
+def gate_report(rows):
+    """The ``--baseline`` report of the sweep against itself."""
+    return compare_chaos(rows, rows).format() + "\n"
+
+
+@pytest.mark.parametrize(
+    "golden, render",
+    [
+        ("chaos_sweep_rows.json", chaos.rows_to_json),
+        ("chaos_sweep_table.txt", table_and_figure),
+        ("chaos_sweep_gate.txt", gate_report),
+    ],
+    ids=["rows", "table-and-figure", "gate-report"],
+)
+def test_output_matches_the_committed_golden(sweep, golden, render):
+    assert render(sweep) == (DATA / golden).read_text()
+
+
+def test_committed_rows_gate_the_sweep_with_zero_drift(sweep):
+    """A results file written before the column table still loads and
+    gates: every cell matched, every metric's drift exactly zero."""
+    report = compare_chaos(load_chaos_rows(DATA / "chaos_sweep_rows.json"), sweep)
+    assert report.passed and not report.unmatched_candidate
+    assert len(report.drifts) == 9 * len(sweep)
     assert all(drift.relative_change == 0.0 for drift in report.drifts)

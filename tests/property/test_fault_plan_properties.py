@@ -1,14 +1,13 @@
-"""Property tests: FaultPlan serialization round trips exactly.
+"""Property tests: the two fault-plan readers recover every plan exactly.
 
-Seeded random plans must satisfy two contracts the chaos tooling leans
-on: ``FaultPlan.from_json(plan.to_json()) == plan`` (results files echo
-plans verbatim) and ``FaultPlan.parse`` accepting every compact spec the
-plan prints (the CLI grammar is a faithful inverse).  Invalid input of
-either shape raises :class:`~repro.errors.ConfigurationError` -- never a
-bare ``ValueError`` -- so CLI callers surface a clean exit 2.
+``--fault-plan`` takes a JSON file or a compact spec.  Seeded random
+plans, written in each form by the test-side writers in
+``tests/fault_specs.py``, must read back equal: ``FaultPlan.from_json``
+inverts the JSON array of event objects and ``FaultPlan.parse`` the
+spec, so neither reader drops or bends a field.  Invalid input of either
+shape raises :class:`~repro.errors.ConfigurationError` -- never a bare
+``ValueError`` -- so CLI callers surface a clean exit 2.
 """
-
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ReproError
 from repro.net.faults import FaultEvent, FaultKind, FaultPlan
+from tests.fault_specs import event_dict, event_spec, plan_json, plan_spec
 
 NUM_NODES = 6
 
@@ -135,41 +135,30 @@ class TestJsonRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(plan=fault_plans)
     def test_from_json_inverts_to_json(self, plan):
-        assert FaultPlan.from_json(plan.to_json()) == plan
+        assert FaultPlan.from_json(plan_json(plan)) == plan
 
     @settings(max_examples=50, deadline=None)
     @given(plan=fault_plans)
     def test_round_trip_survives_indentation(self, plan):
-        assert FaultPlan.from_json(plan.to_json(indent=2)) == plan
+        assert FaultPlan.from_json(plan_json(plan, indent=2)) == plan
 
     @settings(max_examples=50, deadline=None)
     @given(event=fault_events())
     def test_event_dict_round_trip(self, event):
-        assert FaultEvent.from_dict(event.as_dict()) == event
-
-    @settings(max_examples=50, deadline=None)
-    @given(plan=fault_plans)
-    def test_json_is_plain_list_of_objects(self, plan):
-        payload = json.loads(plan.to_json())
-        assert isinstance(payload, list)
-        assert all(isinstance(entry, dict) for entry in payload)
+        assert FaultEvent.from_dict(event_dict(event)) == event
 
 
 class TestSpecRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(plan=fault_plans)
     def test_parse_accepts_every_spec_it_prints(self, plan):
-        assert FaultPlan.parse(plan.to_spec(), num_nodes=NUM_NODES) == plan
+        assert FaultPlan.parse(plan_spec(plan), num_nodes=NUM_NODES) == plan
 
     @settings(max_examples=50, deadline=None)
     @given(event=fault_events())
     def test_event_spec_round_trip(self, event):
-        plan = FaultPlan.parse(event.to_spec(), num_nodes=NUM_NODES)
+        plan = FaultPlan.parse(event_spec(event), num_nodes=NUM_NODES)
         assert plan.events == (event,)
-
-    def test_empty_plan_has_no_spec(self):
-        with pytest.raises(ConfigurationError):
-            FaultPlan().to_spec()
 
 
 INVALID_SPECS = [

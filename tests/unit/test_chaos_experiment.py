@@ -12,8 +12,8 @@ from repro.experiments.chaos import (
     DEFAULT_GRID,
     build_fault_plan,
     figure,
+    compare_chaos,
     format_result,
-    grid_to_spec,
     level_order,
     parse_grid,
     rows_from_json,
@@ -23,9 +23,9 @@ from repro.experiments.chaos import (
     worst_case_seconds,
 )
 from repro.experiments.harness import get_scale
-from repro.experiments.regression import compare_chaos
 from repro.net.faults import FaultKind
 from repro.telemetry.events import TelemetryEvent
+from tests.fault_specs import grid_spec, level_spec
 
 
 def make_row(**overrides):
@@ -59,6 +59,15 @@ def make_row(**overrides):
         tuples_replayed=0.0,
         rejoin_latency_s=0.0,
         dead_letters=0.0,
+        state_transfer_bytes=0.0,
+        transfer_bytes_saved=0.0,
+        transfer_fallbacks=0.0,
+        overload_factor=0.0,
+        overload_enabled=False,
+        shed_tuples=0.0,
+        shed_messages=0.0,
+        throttled_seconds=0.0,
+        shedding_seconds=0.0,
     )
     base.update(overrides)
     return ChaosRow(**base)
@@ -66,24 +75,23 @@ def make_row(**overrides):
 
 class TestChaosLevel:
     def test_parse_bare_name_is_clean(self):
-        level = ChaosLevel.parse("clean")
-        assert level.clean
-        assert level.name == "clean"
+        assert ChaosLevel.parse("clean") == ChaosLevel("clean")
 
     def test_parse_full_spec(self):
         level = ChaosLevel.parse("storm@loss=0.4,part=2s,crash=1")
         assert level == ChaosLevel("storm", 0.4, 2.0, 1)
 
+    def test_long_spellings_parse_like_short_ones(self):
+        assert ChaosLevel.parse("x@partition=2S,crashes=1,overload=3") == ChaosLevel(
+            "x", partition_s=2.0, crash_count=1, overload_factor=3.0
+        )
+
     def test_spec_round_trip(self):
         for level in DEFAULT_GRID + (ChaosLevel("x", 0.125, 3.75, 2),):
-            assert ChaosLevel.parse(level.to_spec()) == level
+            assert ChaosLevel.parse(level_spec(level)) == level
 
     def test_grid_round_trip(self):
-        assert parse_grid(grid_to_spec(DEFAULT_GRID)) == DEFAULT_GRID
-
-    def test_intensity_orders_default_grid(self):
-        intensities = [level.intensity for level in DEFAULT_GRID]
-        assert intensities == sorted(intensities)
+        assert parse_grid(grid_spec(DEFAULT_GRID)) == DEFAULT_GRID
 
     @pytest.mark.parametrize(
         "spec",
@@ -118,14 +126,13 @@ class TestChaosLevel:
 
     def test_parse_overload_knob(self):
         level = ChaosLevel.parse("surge@over=8")
-        assert level.overload_factor == 8.0
-        assert not level.clean
-        assert ChaosLevel.parse(level.to_spec()) == level
+        assert level == ChaosLevel("surge", overload_factor=8.0)
+        assert ChaosLevel.parse(level_spec(level)) == level
 
     def test_overload_knob_composes_with_others(self):
         level = ChaosLevel.parse("storm@loss=0.2,over=4,crash=1")
         assert level == ChaosLevel("storm", 0.2, 0.0, 1, overload_factor=4.0)
-        assert ChaosLevel.parse(level.to_spec()) == level
+        assert ChaosLevel.parse(level_spec(level)) == level
 
     @pytest.mark.parametrize(
         "spec",
@@ -139,12 +146,6 @@ class TestChaosLevel:
     def test_invalid_overload_factor_raises(self, spec):
         with pytest.raises(ConfigurationError):
             ChaosLevel.parse(spec)
-
-    def test_overload_raises_intensity(self):
-        assert (
-            ChaosLevel.parse("surge@over=8").intensity
-            > ChaosLevel.parse("clean").intensity
-        )
 
 
 class TestFaultPlanBuilder:

@@ -295,6 +295,31 @@ class TestExperimentsDispatch:
         assert main(["experiments", "chaos", "smoke", "--no-cache"] + flags) == 2
         assert "error: %s" % message in capsys.readouterr().err
 
+    def test_chaos_refuses_a_mistyped_baseline(self, capsys, monkeypatch, tmp_path):
+        """A baseline value of the wrong type is a usage error found before
+        the first cell runs; a ``null`` epsilon used to pass the load, run
+        the sweep and crash the gate with a ``TypeError`` (exit 1, the
+        code for "regression found")."""
+        import repro.experiments.chaos as chaos
+        from tests.unit.test_chaos_experiment import make_row
+
+        payload = chaos.rows_to_payload([make_row(), make_row(level="clean")])
+        payload["rows"][1]["epsilon"] = None
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(payload))
+
+        def no_sweep(**_):
+            raise AssertionError("a refused baseline must not run a cell")
+
+        monkeypatch.setattr(chaos, "run", no_sweep)
+        argv = ["experiments", "chaos", "smoke", "--algorithms", "BASE",
+                "--fault-grid", "clean", "--no-cache", "--baseline", str(path)]
+        assert main(argv) == 2
+        assert (
+            "error: chaos row 1 field 'epsilon' must be a number, not null"
+            in capsys.readouterr().err
+        )
+
     def test_removed_shards_parameter_is_type_error(self):
         with pytest.raises(TypeError):
             run_experiment(config_from_args(parse(FAST)), shards=2)

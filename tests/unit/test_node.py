@@ -52,8 +52,6 @@ def build_pair(algorithm=Algorithm.BASE, window=8, recovery=None):
             scheduler=scheduler,
             network=network,
             policy=make_policy(context, {}),
-            oracle=oracle,
-            collector=collector,
             recovery=recovery,
         )
         network.register(node_id, node)

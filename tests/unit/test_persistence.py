@@ -109,6 +109,47 @@ def test_rows_must_be_a_list_of_objects(rows):
         rows_from_json(text)
 
 
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("epsilon", None, "a number"),
+        ("epsilon", "0.21", "a number"),
+        ("epsilon", True, "a number"),
+        ("total_bytes", 10**400, "a number"),
+        ("truth_pairs", 1000.0, "an integer"),
+        ("truth_pairs", False, "an integer"),
+        ("recovery_enabled", 0, "true or false"),
+        ("algorithm", 7, "a string"),
+    ],
+    ids=[
+        "null-number",
+        "string-number",
+        "bool-number",
+        "unrepresentable-number",
+        "float-integer",
+        "bool-integer",
+        "integer-bool",
+        "number-string",
+    ],
+)
+def test_mistyped_values_are_rejected(field, value, kind):
+    """Each value must have its column's JSON type; ``null`` used to load
+    and then crash the baseline gate with a ``TypeError``."""
+    payload = rows_to_payload([make_row(), make_row(level="clean")])
+    payload["rows"][1][field] = value
+    with pytest.raises(
+        ConfigurationError, match="chaos row 1 field %r must be %s" % (field, kind)
+    ):
+        rows_from_json(json.dumps(payload))
+
+
+def test_an_integer_is_widened_in_a_float_column():
+    payload = rows_to_payload([make_row()])
+    payload["rows"][0]["epsilon"] = 0
+    (row,) = rows_from_json(json.dumps(payload))
+    assert type(row.epsilon) is float and row.epsilon == 0.0
+
+
 # ----------------------------------------------------------------------
 # damaged files
 # ----------------------------------------------------------------------

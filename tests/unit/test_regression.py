@@ -1,25 +1,32 @@
-"""Unit tests for the regression comparator (matching, drift, report).
+"""Unit tests for the chaos baseline gate (matching, drift, report).
 
-The comparator's one entry point is :func:`compare_chaos`; the generic
-behaviours -- tolerance, unmatched and duplicate entries, the rendered
-table -- are checked through it with hand-built chaos rows.
+The gate's one entry point is :func:`compare_chaos`; its behaviours --
+the cell key and the compared metrics it reads off ``COLUMNS``,
+tolerance, unmatched and duplicate cells, the rendered table -- are
+checked with hand-built chaos rows.
 """
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.regression import (
-    CHAOS_COMPARED_METRICS,
-    chaos_key,
-    compare_chaos,
-)
+from repro.experiments.chaos import compare_chaos
 from tests.unit.test_chaos_experiment import make_row
 
 
 def test_identical_results_pass():
     report = compare_chaos([make_row()], [make_row()])
     assert report.passed
-    assert [drift.metric for drift in report.drifts] == list(CHAOS_COMPARED_METRICS)
+    assert [drift.metric for drift in report.drifts] == [
+        "epsilon",
+        "total_bytes",
+        "bytes_lost",
+        "messages_blocked",
+        "recovery_latency_mean_s",
+        "worst_case_s",
+        "dead_letters",
+        "tuples_replayed",
+        "rejoin_latency_s",
+    ]
     assert all(drift.within_tolerance for drift in report.drifts)
 
 
@@ -65,11 +72,20 @@ def test_negative_tolerance_rejected():
 
 
 def test_chaos_key_uses_identifying_fields():
-    a, b = make_row(seed=1), make_row(seed=1, algorithm="BLOOM")
-    assert chaos_key(a) != chaos_key(b)
-    assert chaos_key(a) == chaos_key(make_row(seed=1, epsilon=0.9))
-    # ``--recovery`` emits each cell twice; the pair must not collide.
-    assert chaos_key(a) != chaos_key(make_row(seed=1, recovery_enabled=True))
+    a = make_row(seed=1)
+    same_cell = compare_chaos([a], [make_row(seed=1, epsilon=0.9)])
+    assert same_cell.drifts[0].key == ("smoke", "DFTT", 4, "storm", 1, False)
+    for other in (
+        make_row(scale="bench", seed=1),
+        make_row(seed=1, algorithm="BLOOM"),
+        make_row(seed=1, num_nodes=8),
+        make_row(seed=1, level="clean"),
+        make_row(seed=2),
+        # ``--recovery`` emits each cell twice; the pair must not collide.
+        make_row(seed=1, recovery_enabled=True),
+    ):
+        report = compare_chaos([a], [other])
+        assert not report.drifts and len(report.unmatched_candidate) == 1
 
 
 def test_format_renders_table():

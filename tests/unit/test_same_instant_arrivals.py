@@ -54,7 +54,7 @@ def test_same_instant_arrivals_are_ingested_and_serviced():
     assert sorted(t.key for t in window) == [3, 3, 7, 7, 11]
     assert [t.arrival_index for t in window] == [0, 1, 2, 3, 4]
     system._replay_accounting()
-    assert node.oracle.tuples_observed == len(items)
+    assert system.oracle.tuples_observed == len(items)
 
 
 def test_same_instant_service_time_is_per_tuple():
@@ -79,7 +79,7 @@ def test_same_instant_matches_produce_results():
     s = make_tuples(0, [42], stream=StreamId.S, start_index=1)
     deliver_at_one_instant(system, node, r + s)
     system._replay_accounting()
-    assert node.collector.reported_pairs == 1
+    assert system.collector.reported_pairs == 1
 
 
 def test_schedule_workload_enqueues_one_event_per_tuple():
