@@ -22,6 +22,7 @@ replay log, checkpoints, rejoin timers and state transfer.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import Deque, Dict, List, Optional, Sequence, Union
 
 from repro import config as testbed
@@ -32,7 +33,7 @@ from repro.core.summaries import SummaryUpdate
 from repro.join.hash_join import JoinResult, SymmetricHashJoin
 from repro.net.message import Message, MessageKind
 from repro.net.reliable import ReliableTransport
-from repro.net.simulator import EventKeySource, EventScheduler
+from repro.net.simulator import EventKey, EventKeySource, EventScheduler
 from repro.net.topology import Network
 from repro.overload import DegradationLadder, DegradationMode, OverloadDetector
 from repro.recovery.coordinator import RecoveryCoordinator
@@ -96,6 +97,17 @@ class JoinProcessingNode:
         self._acct_seq = 0
         self._queue: Deque[WorkItem] = deque()
         self._busy = False
+        self._held: List[list] = []
+        """Held deliveries, a heap of ``[arrival, 1, rank, seq, message]``
+        (see :meth:`hold`)."""
+        self.hold_until = 0.0
+        """A lower bound on the end of the current busy period; at or
+        below the clock while idle.  A link holds a delivery arriving
+        before it."""
+        self._hold_step = 0.999 * min(
+            testbed.CPU_SECONDS_PER_TUPLE, testbed.CPU_SECONDS_PER_PROBE
+        )
+        self.held_deliveries = 0
         self._last_contact: Dict[int, float] = {}
         self._mean_interarrival = 0.0
         self._last_arrival_time: Optional[float] = None
@@ -156,6 +168,15 @@ class JoinProcessingNode:
         self.shed_tuples = 0
         self.shed_messages = 0
         self.suppressed_flushes = 0
+        self.takes_held_deliveries = (
+            transport is None
+            and self.recovery is None
+            and self.overload_settings is None
+        )
+        """Whether a delivery's only effect here is the queue append (no
+        ARQ demux, liveness, restore parking or admission bound), so
+        links may hold deliveries for this node; the Network also
+        requires a run without telemetry or faults."""
         self.telemetry = telemetry
         """Optional :class:`~repro.telemetry.TelemetryHub`; every service
         becomes a span and fan-out decisions feed a histogram.  Handles
@@ -218,7 +239,53 @@ class JoinProcessingNode:
                 return
         self._enqueue(message)
 
+    def hold(self, arrival: float, key: EventKey, message: Message) -> None:
+        """Take a delivery that lands inside this node's busy period.
+
+        The link calls this instead of scheduling an arrival event when
+        ``arrival < hold_until``.  Such an event would only have appended
+        ``message`` to the busy node's queue, so the message waits here
+        under its arrival key ``(arrival, 1, rank, seq)`` and
+        :meth:`_admit_held` appends it once the event being executed sorts
+        after that key: before any other append and at each service
+        finish.  The queue then sees the event path's appends in the
+        event path's order, and ``max_queue_depth`` the same peak.
+
+        Why ``hold_until`` is a lower bound on the busy period's end.
+        :meth:`_start_next` sets it to ``F + step * len(queue)``, with
+        ``F`` the finish time of the service it starts.  Every item
+        queued then is served after ``F``, back to back, each for at
+        least ``c = min(CPU_SECONDS_PER_TUPLE, CPU_SECONDS_PER_PROBE)``
+        (no fault stretches or shrinks service on a holding node); later
+        appends and holds only lengthen the busy period.  At ``arrival ==
+        F`` with nothing queued the finish key (rank = node id) sorts
+        first and the node goes idle, so the strict ``<`` does not hold
+        that delivery.
+
+        The float margin: ``step = 0.999 * c``.  Each finish time is one
+        rounded addition, so per queued item the true busy end drifts by
+        at most half an ulp of the clock below ``F + k * c``, and the
+        bound's own product and sum round by about one more; the bound
+        leaves ``0.001 * c`` (50 ns at the testbed's 50 us probe) per
+        item, which covers those half-ulps for any clock under about
+        10^8 simulated seconds.
+        """
+        heappush(self._held, [arrival, 1, key[0], key[1], message])
+        self.held_deliveries += 1
+
+    def _admit_held(self) -> None:
+        """Append the held deliveries whose arrival keys sort before the
+        event being executed, in key order."""
+        held = self._held
+        queue = self._queue
+        current = self.scheduler.current
+        while held and held[0] < current:
+            queue.append(heappop(held)[4])
+        self.max_queue_depth = max(self.max_queue_depth, len(queue))
+
     def _enqueue(self, work: WorkItem) -> None:
+        if self._held:
+            self._admit_held()
         if (
             work_kind(work) == "message"
             and work.kind is MessageKind.STATE_TRANSFER
@@ -376,11 +443,12 @@ class JoinProcessingNode:
                 dur_s=service_time,
                 kind=kind,
             )
-        self.scheduler.schedule_in(
+        finish = self.scheduler.schedule_in(
             service_time,
             self._finish_service,
             key=self._event_keys.next_key(),
         )
+        self.hold_until = finish.time + self._hold_step * len(self._queue)
 
     def _dispatch(self, kind: str, work: WorkItem) -> float:
         if kind == "local":
@@ -389,6 +457,8 @@ class JoinProcessingNode:
 
     def _finish_service(self) -> None:
         self._busy = False
+        if self._held:
+            self._admit_held()
         if self._overload_detector is not None:
             # The drain side of the hysteresis loop: arrivals can only
             # escalate, so recovery has to be observed here, where the
@@ -398,6 +468,8 @@ class JoinProcessingNode:
 
     @property
     def queue_depth(self) -> int:
+        """Queued work; a held delivery counts from the next event that
+        merges it (see :meth:`hold`), not from its arrival time."""
         return len(self._queue)
 
     # ------------------------------------------------------------------

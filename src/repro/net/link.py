@@ -54,7 +54,9 @@ class LinkSpec:
     pays the serialization cost -- the loss happens in transit."""
 
     def validate(self) -> None:
-        if self.bandwidth_bps <= 0:
+        if not self.bandwidth_bps > 0:
+            # ``not >`` also rejects NaN, which would put every arrival
+            # and the clock at NaN; ``math.inf`` stays legal.
             raise ConfigurationError("bandwidth must be positive")
         if not 0.0 <= self.loss_probability < 1.0:
             raise ConfigurationError("loss_probability must lie in [0, 1)")
@@ -107,6 +109,13 @@ class Link:
         """Optional :class:`~repro.net.simulator.EventKeySource` minting
         deterministic arrival-event keys (the Network assigns one per
         link; bare test links fall back to insertion-order keys)."""
+        self.holder = None
+        """The destination node when it takes held deliveries (see
+        :meth:`repro.core.node.JoinProcessingNode.hold`): a delivery
+        arriving before ``holder.hold_until`` is handed to it instead of
+        becoming an arrival event.  The Network sets it on a keyed link
+        whose arrival would only append to the node's queue; ``None``
+        schedules every delivery."""
 
     @property
     def spec(self) -> LinkSpec:
@@ -202,6 +211,10 @@ class Link:
             self._drop(message)
             return arrival
         key = self.key_source.next_key() if self.key_source is not None else None
+        holder = self.holder
+        if holder is not None and arrival < holder.hold_until:
+            holder.hold(arrival, key, message)
+            return arrival
         self._scheduler.schedule_at(arrival, partial(self._arrive, message), key=key)
         return arrival
 

@@ -25,6 +25,16 @@ same instant fire in ``(rank, seq)`` order however the rest of the run
 was scheduled.  Every golden and ``result_digest`` is pinned to that
 order.
 
+Held deliveries.  A delivery that provably lands while its destination
+is busy is not an event at all: the link hands it to the node, which
+keeps it under the arrival key ``(time, 1, rank, seq)`` it would have had
+and moves it into its service queue once the event being executed
+(:attr:`EventScheduler.current`) sorts after that key.  Such a delivery
+enters the queue in the same key order as the event path, so a clean run
+serves the same sequence while :attr:`~EventScheduler.events_processed`
+and :attr:`~EventScheduler.pending` count fewer events (see
+:meth:`repro.core.node.JoinProcessingNode.hold`).
+
 The design intentionally avoids coroutine-style processes: the node logic in
 :mod:`repro.core.node` is reactive (it only acts when a tuple or message
 arrives), so plain callbacks keep the control flow explicit and easy to
@@ -133,6 +143,11 @@ class EventScheduler:
         """Every event's ``tie`` (see :class:`Event`)."""
         self._now = 0.0
         self._material_now = 0.0
+        self.current: Optional[Event] = None
+        """The event being executed (the last one, between runs).  An
+        event is a list whose first four fields are its sort key, so a
+        held delivery's ``[time, 1, rank, seq, ...]`` compares with it
+        directly."""
         self._running = False
         self._events_processed = 0
         self._cancelled_pending = 0
@@ -206,7 +221,9 @@ class EventScheduler:
         :class:`EventKeySource` (phase 1); without one the event is
         phase 0 and ties break by insertion order.
         """
-        if time < self._now:
+        if not time >= self._now:
+            # ``not >=`` also rejects NaN, which would fire out of order
+            # and leave the clock at NaN.
             raise SimulationError(
                 "cannot schedule at t=%g; clock is already at t=%g" % (time, self._now)
             )
@@ -230,12 +247,13 @@ class EventScheduler:
         key: Optional[EventKey] = None,
     ) -> Event:
         """Schedule ``callback`` after ``delay`` seconds of simulated time."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError("delay must be non-negative, got %g" % delay)
         return self.schedule_at(self._now + delay, callback, material, key)
 
     def _execute(self, event: Event) -> None:
         time, _, _, _, _, callback, material, _, _ = event
+        self.current = event
         self._now = time
         if material:
             self._material_now = time
@@ -307,17 +325,3 @@ class EventScheduler:
         finally:
             self._running = False
         return executed
-
-    def step(self) -> bool:
-        """Execute the single next non-cancelled event.
-
-        Returns ``True`` if an event ran, ``False`` if the queue was empty.
-        """
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            self._execute(event)
-            return True
-        return False

@@ -132,6 +132,15 @@ class Network:
                 link.key_source = EventKeySource(
                     self._num_nodes + source * self._num_nodes + destination
                 )
+                if (
+                    self.telemetry is None
+                    and self.fault_injector is None
+                    and getattr(endpoint, "takes_held_deliveries", False)
+                ):
+                    # Nothing observes this link's arrivals but the queue
+                    # append, and its ranks (>= num_nodes) sort after every
+                    # node's, so a busy destination may hold its deliveries.
+                    link.holder = endpoint
             self._links[key] = link
         return link
 

@@ -40,6 +40,13 @@ def test_invalid_specs_rejected():
         LinkSpec(bandwidth_bps=0).validate()
 
 
+def test_nan_bandwidth_is_rejected_and_infinity_is_not():
+    """A NaN bandwidth would put every arrival, and the clock, at NaN."""
+    with pytest.raises(ConfigurationError):
+        LinkSpec(bandwidth_bps=float("nan")).validate()
+    LinkSpec(bandwidth_bps=math.inf).validate()
+
+
 def test_delivery_includes_transmission_and_latency(monkeypatch):
     delivered = []
     _latency(monkeypatch, 0.05, 0.05)

@@ -54,6 +54,31 @@ def test_negative_delay_raises():
         scheduler.schedule_in(-1.0, lambda: None)
 
 
+def test_nan_times_and_delays_raise():
+    """A NaN time sorts nowhere: it would fire out of order and leave the
+    clock at NaN, so scheduling one is an error."""
+    scheduler = EventScheduler()
+    with pytest.raises(SimulationError):
+        scheduler.schedule_at(float("nan"), lambda: None)
+    with pytest.raises(SimulationError):
+        scheduler.schedule_in(float("nan"), lambda: None)
+    assert scheduler.pending == 0
+
+
+def test_current_is_the_event_being_executed():
+    scheduler = EventScheduler()
+    seen = []
+    first = scheduler.schedule_at(1.0, lambda: seen.append(scheduler.current))
+    second = scheduler.schedule_at(
+        1.0, lambda: seen.append(scheduler.current), key=(3, 0)
+    )
+    assert scheduler.current is None
+    scheduler.run()
+    assert seen[0] is first and seen[1] is second
+    # A held delivery's [time, 1, rank, seq, ...] compares with it directly.
+    assert [1.0, 1, 2, 9, None] < second < [1.0, 1, 3, 1, None]
+
+
 def test_run_until_stops_before_later_events():
     scheduler = EventScheduler()
     fired = []
@@ -91,17 +116,6 @@ def test_cancelled_events_do_not_fire():
     scheduler.run()
     assert fired == ["kept"]
     assert scheduler.events_processed == 1
-
-
-def test_step_executes_single_event():
-    scheduler = EventScheduler()
-    fired = []
-    scheduler.schedule_at(1.0, lambda: fired.append(1))
-    scheduler.schedule_at(2.0, lambda: fired.append(2))
-    assert scheduler.step() is True
-    assert fired == [1]
-    assert scheduler.step() is True
-    assert scheduler.step() is False
 
 
 def test_events_scheduled_during_run_are_processed():
