@@ -9,19 +9,10 @@ about its peers (similarity matrices).
 
 from repro.analysis.load_balance import LoadBalanceReport, load_balance_report
 from repro.analysis.similarity_matrix import similarity_matrix
-from repro.analysis.traffic_matrix import (
-    byte_matrix,
-    loss_matrix,
-    lost_byte_matrix,
-    message_matrix,
-    top_talkers,
-)
+from repro.analysis.traffic_matrix import message_matrix, top_talkers
 
 __all__ = [
     "message_matrix",
-    "byte_matrix",
-    "loss_matrix",
-    "lost_byte_matrix",
     "top_talkers",
     "LoadBalanceReport",
     "load_balance_report",

@@ -27,13 +27,6 @@ class LoadBalanceReport:
     """Jain's fairness index: 1.0 = perfectly even, 1/N = one node does
     everything."""
 
-    @property
-    def imbalance(self) -> float:
-        """max/mean -- how much hotter the hottest node runs."""
-        if self.mean == 0:
-            return 0.0
-        return self.maximum / self.mean
-
 
 def load_balance_report(result: RunResult, metric: str = "busy_seconds") -> LoadBalanceReport:
     """Summarize how evenly ``metric`` spreads over the nodes."""

@@ -32,26 +32,6 @@ def message_matrix(network: Network) -> np.ndarray:
     return _matrix(network, 0)
 
 
-def byte_matrix(network: Network) -> np.ndarray:
-    """N x N matrix of byte counts (row = sender, column = receiver)."""
-    return _matrix(network, 1)
-
-
-def loss_matrix(network: Network) -> np.ndarray:
-    """N x N matrix of in-transit message losses (row = sender).
-
-    Lost messages *are* counted in :func:`message_matrix` (they were sent
-    and serialized); this matrix shows how many of them never arrived --
-    the footprint of lossy links and injected faults.
-    """
-    return _matrix(network, 2)
-
-
-def lost_byte_matrix(network: Network) -> np.ndarray:
-    """N x N matrix of bytes that were serialized but never delivered."""
-    return _matrix(network, 3)
-
-
 def top_talkers(
     network: Network, count: int = 5
 ) -> List[Tuple[int, int, int, int]]:

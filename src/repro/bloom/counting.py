@@ -18,10 +18,9 @@ own, whatever hash family it was handed.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from operator import itemgetter
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -129,10 +128,6 @@ class CountingBloomFilter:
         self._counters[positions[decrementable]] -= 1
         self.items -= 1
 
-    def update(self, keys: Iterable[int]) -> None:
-        for key in keys:
-            self.add(key)
-
     def __contains__(self, key: int) -> bool:
         return bool((self._counters[self._positions(key)] > 0).all())
 
@@ -153,10 +148,6 @@ class CountingBloomFilter:
     def fill_ratio(self) -> float:
         """Fraction of non-zero counters."""
         return float((self._counters > 0).mean())
-
-    def false_positive_rate(self) -> float:
-        """Estimated FP probability from the current fill ratio."""
-        return self.fill_ratio() ** self.num_hashes
 
     def snapshot(self) -> np.ndarray:
         """Copy of the counter array (what gets shipped to remote sites)."""
@@ -196,7 +187,3 @@ class CountingBloomFilter:
         self._counter_bytes = None
         self.items = int(state["items"])
         self.saturations = int(state["saturations"])
-
-    def serialized_entries(self, counters_per_entry: int = 40) -> int:
-        """Summary entries on the wire (4-bit counters, 20-byte entries)."""
-        return max(1, math.ceil(self.num_counters / counters_per_entry))

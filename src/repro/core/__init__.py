@@ -29,12 +29,10 @@ from repro.core.bounds import (
 )
 from repro.core.compression import (
     choose_compression_factor,
-    mse_for_budget,
     mse_statistics,
 )
 from repro.core.correlation import (
     SimilarityMeasure,
-    distribution_similarity,
     max_lag_correlation,
     spectral_correlation_coefficient,
 )
@@ -44,11 +42,9 @@ __all__ = [
     "SimilarityMeasure",
     "spectral_correlation_coefficient",
     "max_lag_correlation",
-    "distribution_similarity",
     "FlowController",
     "FlowSettings",
     "choose_compression_factor",
-    "mse_for_budget",
     "mse_statistics",
     "uniform_error_bound",
     "uniform_message_complexity",

@@ -6,14 +6,8 @@ within +-0.5 so that integer round-off is lossless.  The paper's criterion
 is ``E[MSE] < 0.25`` (Figure 6 draws the line; kappa = 256 is the knee for
 the stock stream).
 
-Two evaluation paths are provided and property-tested against each other:
-
-* the *empirical* path reconstructs the signal and averages the squared
-  errors (Equation 11 with the empirical distribution P);
-* the *spectral* path uses Parseval -- the reconstruction residual is
-  exactly the dropped coefficients, so
-  ``MSE = sum_{dropped k} |X(k)|^2 / W^2``
-  without ever inverting the transform (Equation 12 collapsed).
+The MSE is evaluated empirically: reconstruct the signal and average the
+squared errors (Equation 11 with the empirical distribution P).
 """
 
 from __future__ import annotations
@@ -26,7 +20,6 @@ import numpy as np
 from repro.dft.reconstruction import (
     TruncationMode,
     coefficient_budget,
-    compress_spectrum,
     reconstruction_squared_errors,
 )
 from repro.errors import SummaryError
@@ -36,41 +29,6 @@ LOSSLESS_MSE_THRESHOLD = 0.25
 
 DEFAULT_KAPPA_GRID = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 """The compression factors swept by Figures 6 and 10(a)."""
-
-
-def mse_for_budget(
-    signal,
-    budget: int,
-    mode: TruncationMode = TruncationMode.LOW_FREQUENCY,
-) -> float:
-    """Empirical mean squared reconstruction error for a coefficient budget."""
-    return float(np.mean(reconstruction_squared_errors(signal, budget, mode)))
-
-
-def spectral_mse_for_budget(
-    signal,
-    budget: int,
-    mode: TruncationMode = TruncationMode.LOW_FREQUENCY,
-) -> float:
-    """Parseval evaluation of the same MSE, straight from the spectrum.
-
-    The residual signal ``x - x_hat`` has exactly the dropped coefficients
-    as its spectrum (kept bins and their mirrors cancel), so its energy is
-    ``sum_dropped |X(k)|^2 / W`` and the mean squared error divides by W
-    once more.
-    """
-    values = np.asarray(signal, dtype=np.float64)
-    if values.ndim != 1 or values.size == 0:
-        raise SummaryError("signal must be a non-empty 1-D array")
-    spectrum = np.fft.fft(values)
-    kept = compress_spectrum(spectrum, budget, mode)
-    kept_bins = set(kept)
-    for k in list(kept_bins):
-        kept_bins.add((values.size - k) % values.size)
-    mask = np.ones(values.size, dtype=bool)
-    mask[list(kept_bins)] = False
-    dropped_energy = float(np.sum(np.abs(spectrum[mask]) ** 2))
-    return dropped_energy / values.size**2
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ same W/kappa exchanged coefficients:
     all lags, not just zero).  Robust to arbitrary alignment offsets
     between the two windows.
 
-``distribution_similarity``
+``DISTRIBUTION`` (:func:`sorted_histograms`, :func:`histogram_cosines`)
     Cosine similarity of coarse value histograms built from the
     *reconstructed* windows (Section 5.3 reconstruction).  This tracks
     join selectivity directly -- two segments join a lot iff their
@@ -36,7 +36,7 @@ join", the form the flow controller consumes.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -217,39 +217,18 @@ def sorted_reconstructions(maps: List[CoefficientMap], window_size: int) -> np.n
     return rows
 
 
-def distribution_similarity(
-    x_map: Dict[int, complex],
-    y_map: Dict[int, complex],
-    window_size: int,
-    domain: int,
-    num_bins: int = DISTRIBUTION_BINS,
-) -> float:
-    """Cosine similarity of reconstructed attribute-value histograms.
-
-    Both windows are rebuilt with the truncated inverse DFT (Section
-    5.3), bucketed into ``num_bins`` equal-width ranges over ``[1,
-    domain]`` (:func:`sorted_histograms`), and the two histograms
-    compared by cosine similarity (:func:`histogram_cosines`).  Returns 0
-    when either reconstruction is empty.
-    """
-    edges = histogram_edges(domain, num_bins)
-    rows = sorted_reconstructions([x_map, y_map], window_size)
-    x_hist, y_hist = sorted_histograms(rows, histogram_search_edges(edges))
-    return float(histogram_cosines(x_hist, y_hist[np.newaxis])[0])
-
-
 def similarity(
     measure: SimilarityMeasure,
     x_map: Dict[int, complex],
     y_map: Dict[int, complex],
     window_size: int,
-    domain: Optional[int] = None,
 ) -> float:
-    """Dispatch on :class:`SimilarityMeasure` (policy entry point)."""
+    """Dispatch on a lag-based :class:`SimilarityMeasure` (policy entry
+    point).  ``DISTRIBUTION`` is not taken here: the DFT policy reads it
+    for every peer at once from its slot table (:func:`sorted_histograms`,
+    :func:`histogram_cosines`)."""
     if measure is SimilarityMeasure.SPECTRAL:
         return spectral_correlation_coefficient(x_map, y_map, window_size)
     if measure is SimilarityMeasure.MAX_LAG:
         return max_lag_correlation(x_map, y_map, window_size)
-    if domain is None:
-        raise SummaryError("distribution similarity requires the key domain")
-    return distribution_similarity(x_map, y_map, window_size, domain)
+    raise SummaryError("%s similarity is read from the slot table" % measure.value)

@@ -299,10 +299,6 @@ class FlowController:
         self.uniform_detections = int(state["uniform_detections"])
         self.congestion_scale = float(state["congestion_scale"])
 
-    def expected_transmissions(self, probabilities: Mapping[int, float]) -> float:
-        """T_i implied by a probability assignment."""
-        return float(sum(probabilities.values()))
-
     def is_uniform_worst_case(self, similarities: Mapping[int, float]) -> bool:
         """Detect Section 5.2.2's worst case: all peers equally similar.
 

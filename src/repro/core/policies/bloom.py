@@ -139,12 +139,6 @@ class BloomPolicy(ForwardingPolicy):
                 row[slot] = self.filters[update.stream].spawn_compatible()
             row[slot].load_snapshot(update.payload)
 
-    def remote_filter(
-        self, peer: int, stream: StreamId
-    ) -> Optional[CountingBloomFilter]:
-        slot = self._peer_slots.get(peer)
-        return None if slot is None else self._remote_filters[stream][slot]
-
     def resync_peer(self, peer: int) -> None:
         """Queue fresh filter snapshots for a recovering peer (snapshots
         already replace remote state wholesale, so recovery is just an

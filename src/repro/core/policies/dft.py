@@ -301,7 +301,6 @@ class DftPolicy(ForwardingPolicy):
                     local_map,
                     remote_map,
                     self.context.window_size,
-                    domain=self.context.domain,
                 )
         self._cached_similarities[stream] = similarities
         return similarities

@@ -141,16 +141,6 @@ class DfttPolicy(DftPolicy):
         windows, _, present, _ = self._slots.read(stream, self.remote)
         return windows, present
 
-    def reconstructed_window(
-        self, peer: int, stream: StreamId
-    ) -> Optional[np.ndarray]:
-        """Estimated (sorted) attribute values of ``peer``'s ``stream`` window."""
-        if peer not in self.peer_ids or self.remote.get(peer, stream) is None:
-            return None
-        rows, _ = self._reconstructed_windows(stream)
-        # A copy: the row itself is overwritten by the next rebuild.
-        return rows[self.peer_ids.index(peer)].copy()
-
     def _match_counts(self, item: StreamTuple) -> Tuple[Optional[np.ndarray], np.ndarray]:
         """Estimated matches of ``item`` in each peer's opposite window, in
         ``peer_ids`` order, and which peers have a summary; the counts are
@@ -162,26 +152,6 @@ class DfttPolicy(DftPolicy):
         tolerance = self.match_tolerance(opposite)
         matches = (rows >= item.key - tolerance) & (rows <= item.key + tolerance)
         return matches.sum(axis=1), present
-
-    def join_estimates(self, item: StreamTuple) -> Dict[int, Optional[int]]:
-        """Estimated matches of ``item`` in each peer's opposite window.
-
-        ``None`` means the peer's summary has not arrived yet (unknown,
-        which is different from an estimated zero).
-        """
-        counts, present = self._match_counts(item)
-        if counts is None:
-            return dict.fromkeys(self.peer_ids)
-        return {
-            peer: count if known else None
-            for peer, count, known in zip(
-                self.peer_ids, counts.tolist(), present.tolist()
-            )
-        }
-
-    def join_estimate(self, item: StreamTuple, peer: int) -> Optional[int]:
-        """:meth:`join_estimates` for one peer."""
-        return self.join_estimates(item).get(peer)
 
     # ------------------------------------------------------------------
     # forwarding decision (Figure 7, lines 6-10)

@@ -75,10 +75,6 @@ class SummaryOutbox:
     def has_pending(self, peer: int) -> bool:
         return bool(self._pending[peer])
 
-    def pending_entries(self, peer: int) -> int:
-        """Wire size (summary entries) of everything queued for ``peer``."""
-        return sum(u.entries for u in self._pending[peer].values())
-
     def take(self, peer: int) -> List[SummaryUpdate]:
         """Pop and return everything queued for ``peer``."""
         updates = list(self._pending[peer].values())

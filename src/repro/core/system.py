@@ -145,14 +145,11 @@ class DistributedJoinSystem:
             self.checkpoint_store = CheckpointStore()
         self.network = Network(
             self.scheduler,
+            config.num_nodes,
             spec=config.link,
             rng=self._network_rng,
             fault_injector=self.fault_injector,
         )
-        # Keyed per-link RNG streams + entity-ranked arrival keys: a
-        # link's randomness and event ordering become pure functions of
-        # its endpoints, independent of first-use order.
-        self.network.prepare(config.num_nodes)
         if config.overload.enabled and config.overload.link_backlog_bound_s > 0.0:
             # Wired before any link exists, so every lazily-created link
             # picks the bound up; overload-off runs never touch it and
@@ -458,9 +455,7 @@ class DistributedJoinSystem:
         oracle, collector = self.oracle, self.collector
         stats = self.network.stats
         series = collector.throughput.series()
-        counts = sorted((count for _, count in series), reverse=True)
-        keep = max(1, len(counts) // 2)
-        sustained = sum(counts[:keep]) / keep if counts else 0.0
+        sustained = collector.throughput.sustained_rate()
         # The multi-query breakdown's one entry: it is part of every
         # result digest, so it stays until the next digest re-pin.
         per_query = [

@@ -86,19 +86,3 @@ class ControlVector:
         return updates_since_recompute >= min(
             self.recompute_interval, self.drift_safe_interval()
         )
-
-    def expected_drift(self, updates_since_recompute: int) -> float:
-        """RMS drift estimate after the given number of updates.
-
-        Independent zero-mean per-update perturbations accumulate in RMS as
-        sqrt(m) * unit_roundoff; this is the quantity compared against the
-        drift bound to certify ``completion_probability`` (a one-sided
-        Chebyshev bound at p = 0.95 inflates the RMS by sqrt(1/(1-p))).
-        """
-        rms = math.sqrt(max(updates_since_recompute, 0)) * self.unit_roundoff
-        inflation = math.sqrt(1.0 / (1.0 - self.completion_probability))
-        return rms * inflation
-
-    def meets_completion_probability(self, updates_since_recompute: int) -> bool:
-        """Whether the drift bound holds with the required probability."""
-        return self.expected_drift(updates_since_recompute) <= self.drift_bound

@@ -158,15 +158,3 @@ def reconstruction_squared_errors(
     kept = compress_spectrum(spectrum, budget, mode)
     estimate = reconstruct_values(kept, values.size, round_to_int=False)
     return (values - estimate) ** 2
-
-
-def lossless_fraction(signal, budget: int,
-                      mode: TruncationMode = TruncationMode.LOW_FREQUENCY) -> float:
-    """Fraction of positions recovered exactly after integer round-off.
-
-    A position is recovered when its reconstruction error is below 0.5
-    (equivalently its squared error below 0.25 -- the paper's E[MSE] < 0.25
-    lossless criterion).
-    """
-    errors = reconstruction_squared_errors(signal, budget, mode)
-    return float(np.mean(errors < 0.25))

@@ -154,18 +154,6 @@ class SlidingDFT:
         self.total_updates = 0
         self.full_recomputes = 0
 
-    @property
-    def bins(self) -> np.ndarray:
-        """Tracked bin indices (ascending)."""
-        return self._bins
-
-    @property
-    def is_full(self) -> bool:
-        return self._filled == self.window_size
-
-    def __len__(self) -> int:
-        return self._filled
-
     # ------------------------------------------------------------------
     # phase rows
     # ------------------------------------------------------------------
@@ -337,10 +325,6 @@ class SlidingDFT:
         self.updates_since_recompute = 0
         self.full_recomputes += 1
 
-    def coefficients(self) -> np.ndarray:
-        """Current tracked coefficients (copy), aligned with :attr:`bins`."""
-        return self._coefficients.copy()
-
     def coefficient_view(self) -> Tuple[np.ndarray, np.ndarray]:
         """Zero-copy ``(bins, coefficients)`` view for internal callers.
 
@@ -354,15 +338,6 @@ class SlidingDFT:
         """``{bin_index: coefficient}`` for the tracked bins."""
         return {int(k): complex(c) for k, c in zip(self._bins, self._coefficients)}
 
-    def exact_coefficients(self) -> np.ndarray:
-        """Drift-free reference values of the tracked bins (for testing)."""
-        return np.fft.fft(self._buffer)[self._bins]
-
-    def drift(self) -> float:
-        """Max absolute deviation of tracked bins from their exact values."""
-        exact = self.exact_coefficients()
-        return float(np.max(np.abs(self._coefficients - exact))) if exact.size else 0.0
-
     def buffer_values(self) -> np.ndarray:
         """The raw sample buffer in *slot* order (copy).
 
@@ -374,11 +349,3 @@ class SlidingDFT:
         if self._filled < self.window_size:
             return self._buffer[: self._filled].copy()
         return self._buffer.copy()
-
-    def window_values(self) -> np.ndarray:
-        """The samples in chronological order, oldest first (copy)."""
-        if self._filled < self.window_size:
-            return self._buffer[: self._filled].copy()
-        return np.concatenate(
-            [self._buffer[self._position :], self._buffer[: self._position]]
-        )

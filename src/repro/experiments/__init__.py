@@ -27,15 +27,13 @@ module                reproduces
 from repro.experiments.ascii_plot import bar_chart, line_chart
 from repro.experiments.calibrate import calibrate_budget
 from repro.experiments.harness import ExperimentScale, get_scale
-from repro.experiments.reporting import format_series, format_table
+from repro.experiments.reporting import format_table
 
 __all__ = [
     "ExperimentScale",
     "get_scale",
     "calibrate_budget",
     "format_table",
-    "format_series",
     "bar_chart",
     "line_chart",
 ]
-

@@ -563,6 +563,8 @@ def run(
     for level in levels:
         level.validate()
     mesh = num_nodes if num_nodes > 0 else preset.node_grid[-1]
+    if mesh < 2:
+        raise ConfigurationError("chaos sweep needs at least 2 nodes, got %d" % mesh)
     settings = (
         reliability
         if reliability is not None

@@ -15,7 +15,7 @@ BASE needs no calibration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.config import Algorithm, SystemConfig, WorkloadKind
 from repro.experiments.calibrate import budget_search
@@ -113,17 +113,3 @@ def format_result(cells: Sequence[Fig9Cell]) -> str:
             for c in cells
         ],
     )
-
-
-def by_algorithm(
-    cells: Sequence[Fig9Cell], workload: str
-) -> Dict[str, List[Tuple[int, float]]]:
-    """Figure series: algorithm -> [(N, messages per result tuple)]."""
-    series: Dict[str, List[Tuple[int, float]]] = {}
-    for cell in cells:
-        if cell.workload != workload:
-            continue
-        series.setdefault(cell.algorithm, []).append(
-            (cell.num_nodes, cell.messages_per_result_tuple)
-        )
-    return series

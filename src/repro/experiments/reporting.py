@@ -42,11 +42,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[Cell]]) -> str:
             "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)).rstrip()
         )
     return "\n".join(lines)
-
-
-def format_series(name: str, points: Iterable[Sequence[Cell]]) -> str:
-    """One figure series as ``name: (x, y) (x, y) ...``."""
-    body = " ".join(
-        "(%s)" % ", ".join(_format_cell(c) for c in point) for point in points
-    )
-    return "%s: %s" % (name, body)

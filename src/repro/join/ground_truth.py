@@ -50,10 +50,6 @@ class GroundTruthOracle:
         """|Psi|: size of the exact materialized result set."""
         return len(self._pairs)
 
-    def count_matches(self, item: StreamTuple) -> int:
-        """True matches for ``item`` at its arrival instant (before insert)."""
-        return len(self._live_ids[item.stream.other].get(item.key, ()))
-
     def observe_arrival(self, item: StreamTuple, evicted: Iterable[StreamTuple]) -> int:
         """Record a local arrival and its evictions; returns the pair charge.
 
@@ -61,13 +57,9 @@ class GroundTruthOracle:
         node inserted it into its window (``evicted`` is what the insert
         pushed out) and *before* any results involving it are validated.
         """
-        other_ids = self._live_ids[item.stream.other].get(item.key, ())
-        for other_id in other_ids:
-            self._pairs.add(self._ordered_pair(item.stream, item.tuple_id, other_id))
-        charge = len(other_ids)
-        self.tuples_observed += 1
-        self.per_node_contribution[item.origin_node] += charge
-
+        # The pairs it completes are charged as for a shed arrival; only
+        # entering the live view differs.
+        charge = self.observe_shed(item)
         live = self._live_ids[item.stream]
         live.setdefault(item.key, []).append(item.tuple_id)
         self.observe_evictions(item.stream, evicted)
@@ -132,11 +124,3 @@ class GroundTruthOracle:
     def validate(self, result: JoinResult) -> bool:
         """Convenience wrapper over :meth:`is_true_pair` for a result."""
         return self.is_true_pair(result.r_tuple.tuple_id, result.s_tuple.tuple_id)
-
-    def global_count(self, stream: StreamId, key: int) -> int:
-        """Current global multiplicity of ``key`` across all windows."""
-        return len(self._live_ids[stream].get(key, ()))
-
-    def window_population(self, stream: StreamId) -> int:
-        """Total tuples currently windowed for ``stream`` across all nodes."""
-        return sum(len(ids) for ids in self._live_ids[stream].values())

@@ -13,7 +13,7 @@ belongs to lives at its origin node (Section 2's partitioned-window model).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import WindowError
@@ -89,7 +89,3 @@ class SymmetricHashJoin:
                 result = JoinResult(match, item, self.node_id, now)
             results.append(result)
         return results
-
-    def match_count(self, item: StreamTuple) -> int:
-        """Number of matches ``item`` would find here, without emitting."""
-        return self._windows[item.stream.other].count(item.key)

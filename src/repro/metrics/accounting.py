@@ -68,9 +68,6 @@ class ResultCollector:
         """|Psi_hat|: distinct result pairs reported."""
         return len(self._pairs)
 
-    def contains(self, r_tuple_id: int, s_tuple_id: int) -> bool:
-        return (r_tuple_id, s_tuple_id) in self._pairs
-
 
 def replay_accounting(ops, oracle, collector) -> None:
     """Apply deferred accounting operations in canonical order.

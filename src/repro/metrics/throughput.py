@@ -31,18 +31,8 @@ class ThroughputSeries:
         """Sorted ``(second, results)`` pairs (empty seconds omitted)."""
         return sorted(self._buckets.items())
 
-    def mean_rate(self, duration: float) -> float:
-        """Results per second over ``duration`` seconds of simulated time."""
-        if duration <= 0:
-            return 0.0
-        return self.total / duration
-
-    def peak_rate(self) -> int:
-        """Busiest single second."""
-        return max(self._buckets.values()) if self._buckets else 0
-
-    def sustained_rate(self, top_fraction: float = 0.5) -> float:
-        """Mean over the busiest ``top_fraction`` of active seconds.
+    def sustained_rate(self) -> float:
+        """Mean over the busiest half of active seconds (at least one).
 
         A saturation-oriented statistic: start-up and drain-down seconds
         do not dilute it.
@@ -50,5 +40,5 @@ class ThroughputSeries:
         if not self._buckets:
             return 0.0
         counts = sorted(self._buckets.values(), reverse=True)
-        keep = max(1, int(len(counts) * top_fraction))
+        keep = max(1, len(counts) // 2)
         return sum(counts[:keep]) / keep

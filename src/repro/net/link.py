@@ -35,7 +35,7 @@ from typing import Callable, Iterator, Optional, Tuple
 from repro._rng import ensure_rng
 from repro.errors import ConfigurationError
 from repro.net.message import Message
-from repro.net.simulator import EventScheduler
+from repro.net.simulator import EventKeySource, EventScheduler
 
 
 LATENCY_MIN_S = 0.020
@@ -75,6 +75,7 @@ class Link:
         scheduler: EventScheduler,
         spec: LinkSpec,
         deliver: Callable[[Message], None],
+        key_source: EventKeySource,
         rng=None,
         endpoints: Optional[Tuple[int, int]] = None,
         fault_injector=None,
@@ -105,10 +106,10 @@ class Link:
         ``_free_at`` does not advance).  0 (the default) is unbounded,
         the legacy semantics.  Set by the system from
         :class:`~repro.overload.OverloadSettings`."""
-        self.key_source = None
-        """Optional :class:`~repro.net.simulator.EventKeySource` minting
-        deterministic arrival-event keys (the Network assigns one per
-        link; bare test links fall back to insertion-order keys)."""
+        self.key_source = key_source
+        """The :class:`~repro.net.simulator.EventKeySource` minting this
+        link's deterministic arrival-event keys (the Network gives each
+        link the rank ``num_nodes + source * num_nodes + destination``)."""
         self.holder = None
         """The destination node when it takes held deliveries (see
         :meth:`repro.core.node.JoinProcessingNode.hold`): a delivery
@@ -116,15 +117,6 @@ class Link:
         becoming an arrival event.  The Network sets it on a keyed link
         whose arrival would only append to the node's queue; ``None``
         schedules every delivery."""
-
-    @property
-    def spec(self) -> LinkSpec:
-        return self._spec
-
-    @property
-    def free_at(self) -> float:
-        """Simulated time at which the link finishes its current backlog."""
-        return self._free_at
 
     def queue_depth_seconds(self) -> float:
         """Seconds of serialization backlog currently ahead of a new message."""
@@ -210,7 +202,7 @@ class Link:
         if spec.loss_probability > 0.0 and self._next_double() < spec.loss_probability:
             self._drop(message)
             return arrival
-        key = self.key_source.next_key() if self.key_source is not None else None
+        key = self.key_source.next_key()
         holder = self.holder
         if holder is not None and arrival < holder.hold_until:
             holder.hold(arrival, key, message)

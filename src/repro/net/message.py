@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 HEADER_BYTES = 24
 """Fixed per-message framing: ids, kind, sequence number, send timestamp."""
@@ -119,10 +119,6 @@ class Message:
             + _BODY_BYTES.get(name, 0)
             + self.summary_entries * SUMMARY_COEFFICIENT_BYTES
         )
-
-    def tuple_bytes(self) -> int:
-        """Bytes attributable to the tuple/result/control body."""
-        return _BODY_BYTES.get(self.kind_name, 0)
 
     def summary_bytes(self) -> int:
         """Bytes attributable to summary content (piggy-backed or standalone)."""

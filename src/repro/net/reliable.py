@@ -28,7 +28,7 @@ ACK messages are header-only (24 bytes) and themselves best-effort.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List
 
 from repro._rng import ensure_rng
 from repro.errors import ConfigurationError
@@ -214,10 +214,6 @@ class ReliableTransport:
         state = channel.in_flight.pop(ack.seq, None)
         if state is not None:
             state.timer.cancel()
-
-    def unacked(self, peer: int) -> int:
-        """Messages still awaiting an ack from ``peer``."""
-        return len(self._channel(peer).in_flight)
 
     # ------------------------------------------------------------------
     # receiver side

@@ -102,23 +102,12 @@ class Event(list):
     material = property(itemgetter(_MATERIAL))
     cancelled = property(itemgetter(_CANCELLED))
 
-    @property
-    def sort_key(self) -> Tuple[float, int, int, int]:
-        return tuple(self[:_TIE])
-
     def cancel(self) -> None:
         """Mark the event so the scheduler skips it when its time comes."""
         if self[_CANCELLED]:
             return
         self[_CANCELLED] = True
         self[_OWNER]._note_cancelled()
-
-    def __repr__(self) -> str:
-        return (
-            "Event(time=%r, phase=%r, rank=%r, seq=%r, callback=%r, "
-            "cancelled=%r, material=%r)"
-            % (*self.sort_key, self.callback, self.cancelled, self.material)
-        )
 
 
 class EventScheduler:
@@ -137,10 +126,9 @@ class EventScheduler:
 
     def __init__(self) -> None:
         self._queue: list[Event] = []
-        self._sequence = itertools.count()
-        """Phase-0 ``seq`` values: counts unkeyed events only."""
         self._insertions = itertools.count()
-        """Every event's ``tie`` (see :class:`Event`)."""
+        """Every event's ``tie`` (see :class:`Event`), and a phase-0
+        event's ``seq``."""
         self._now = 0.0
         self._material_now = 0.0
         self.current: Optional[Event] = None
@@ -227,14 +215,14 @@ class EventScheduler:
             raise SimulationError(
                 "cannot schedule at t=%g; clock is already at t=%g" % (time, self._now)
             )
+        tie = next(self._insertions)
         if key is None:
-            phase, rank, seq = 0, 0, next(self._sequence)
+            phase, rank, seq = 0, 0, tie
         else:
             phase = 1
             rank, seq = key
         event = Event(
-            (time, phase, rank, seq, next(self._insertions),
-             callback, material, False, self)
+            (time, phase, rank, seq, tie, callback, material, False, self)
         )
         heapq.heappush(self._queue, event)
         return event

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Tuple
 
-from repro.net.message import Message, MessageKind
+from repro.net.message import Message
 
 
 @dataclass
@@ -58,16 +58,6 @@ class TrafficStats:
     @property
     def total_bytes(self) -> int:
         return sum(self.bytes_by_kind.values())
-
-    def messages(self, kind: MessageKind) -> int:
-        return self.messages_by_kind[kind.value]
-
-    def data_messages(self) -> int:
-        """Messages that move data between nodes (tuples + standalone summaries)."""
-        return (
-            self.messages_by_kind[MessageKind.TUPLE.value]
-            + self.messages_by_kind[MessageKind.SUMMARY.value]
-        )
 
     def summary_overhead_fraction(self) -> float:
         """Summary bytes as a fraction of net-data bytes (Figure 8's y-axis).

@@ -34,13 +34,13 @@ class Network:
     def __init__(
         self,
         scheduler: EventScheduler,
+        num_nodes: int,
         spec: Optional[LinkSpec] = None,
         rng=None,
         fault_injector=None,
     ) -> None:
         self._scheduler = scheduler
         self._spec = spec if spec is not None else LinkSpec()
-        self._rng = ensure_rng(rng)
         self._endpoints: Dict[int, Endpoint] = {}
         self._links: Dict[Tuple[int, int], Link] = {}
         self.fault_injector = fault_injector
@@ -53,41 +53,22 @@ class Network:
         """Optional :class:`repro.telemetry.TelemetryHub`; assign to enable
         per-message metrics and send/deliver/drop events."""
 
-        self._num_nodes: Optional[int] = None
-        self._link_rngs: Dict[Tuple[int, int], np.random.Generator] = {}
+        # Every directed link's RNG is spawned up front and keyed by
+        # ``(source, destination)``, so a link's jitter/loss stream is a
+        # pure function of its endpoints and of the messages it carried,
+        # whatever order the links first carried traffic in.
+        self._num_nodes = num_nodes
+        children = spawn(ensure_rng(rng), num_nodes * num_nodes)
+        self._link_rngs: Dict[Tuple[int, int], np.random.Generator] = {
+            (source, destination): children[source * num_nodes + destination]
+            for source in range(num_nodes)
+            for destination in range(num_nodes)
+        }
 
         self.link_backlog_bound_s = 0.0
         """Per-link send-backlog cap applied to every link created after
         assignment (the system wires it before any link exists); 0 keeps
         backlogs unbounded.  See :class:`~repro.overload.OverloadSettings`."""
-
-    def prepare(self, num_nodes: int) -> None:
-        """Pre-spawn every directed link's RNG and fix the key-rank space.
-
-        Without this, each lazily-created link spawned the *next* child of
-        the network generator, so a link's jitter/loss stream depended on
-        the global order in which links first carried traffic.  Keying the
-        children by ``(source, destination)`` up front makes every link's
-        stream a pure function of its endpoints and of the messages it
-        carried, whatever the other links did.  The system calls this
-        once at construction; bare test networks keep the legacy lazy
-        spawn.
-        """
-        self._num_nodes = num_nodes
-        children = spawn(self._rng, num_nodes * num_nodes)
-        for source in range(num_nodes):
-            for destination in range(num_nodes):
-                self._link_rngs[(source, destination)] = children[
-                    source * num_nodes + destination
-                ]
-
-    @property
-    def scheduler(self) -> EventScheduler:
-        return self._scheduler
-
-    @property
-    def spec(self) -> LinkSpec:
-        return self._spec
 
     def register(self, node_id: int, endpoint: Endpoint) -> None:
         """Attach an endpoint; links to existing endpoints are created lazily."""
@@ -111,16 +92,17 @@ class Network:
             endpoint = self._endpoints[destination]
             rng = self._link_rngs.pop(key, None)
             if rng is None:
-                if self._num_nodes is not None:
-                    raise SimulationError(
-                        "link %d->%d outside the prepared %d-node mesh"
-                        % (source, destination, self._num_nodes)
-                    )
-                rng = spawn(self._rng, 1)[0]
+                raise SimulationError(
+                    "link %d->%d outside the %d-node mesh"
+                    % (source, destination, self._num_nodes)
+                )
             link = Link(
                 self._scheduler,
                 self._spec,
                 deliver=endpoint.on_message,
+                key_source=EventKeySource(
+                    self._num_nodes + source * self._num_nodes + destination
+                ),
                 rng=rng,
                 endpoints=key,
                 fault_injector=self.fault_injector,
@@ -128,19 +110,15 @@ class Network:
                 on_deliver=self._record_delivery,
             )
             link.backlog_bound_s = self.link_backlog_bound_s
-            if self._num_nodes is not None:
-                link.key_source = EventKeySource(
-                    self._num_nodes + source * self._num_nodes + destination
-                )
-                if (
-                    self.telemetry is None
-                    and self.fault_injector is None
-                    and getattr(endpoint, "takes_held_deliveries", False)
-                ):
-                    # Nothing observes this link's arrivals but the queue
-                    # append, and its ranks (>= num_nodes) sort after every
-                    # node's, so a busy destination may hold its deliveries.
-                    link.holder = endpoint
+            if (
+                self.telemetry is None
+                and self.fault_injector is None
+                and getattr(endpoint, "takes_held_deliveries", False)
+            ):
+                # Nothing observes this link's arrivals but the queue
+                # append, and its ranks (>= num_nodes) sort after every
+                # node's, so a busy destination may hold its deliveries.
+                link.holder = endpoint
             self._links[key] = link
         return link
 
@@ -195,14 +173,3 @@ class Network:
     def total_messages_shed(self) -> int:
         """Messages shed at bounded send backlogs, across all links."""
         return sum(link.messages_shed for link in self._links.values())
-
-    def backlog_seconds(self, source: int, destination: int) -> float:
-        """Current serialization backlog on the given directed link."""
-        key = (source, destination)
-        if key not in self._links:
-            return 0.0
-        return self._links[key].queue_depth_seconds()
-
-    def total_backlog_seconds(self) -> float:
-        """Sum of serialization backlogs across all links (congestion gauge)."""
-        return sum(link.queue_depth_seconds() for link in self._links.values())

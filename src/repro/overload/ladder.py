@@ -56,10 +56,6 @@ class DegradationLadder:
             mode: 0.0 for mode in DegradationMode
         }
 
-    def can_apply(self, trigger: str) -> bool:
-        """Whether ``trigger`` is legal in the current mode."""
-        return (self.mode, trigger) in _TRANSITIONS
-
     def apply(self, trigger: str, now: float) -> DegradationMode:
         """Fire one transition; raises on anything the table forbids."""
         from repro.errors import SimulationError
@@ -79,10 +75,6 @@ class DegradationLadder:
     @property
     def is_degraded(self) -> bool:
         return self.mode is not DegradationMode.NORMAL
-
-    @property
-    def is_shedding(self) -> bool:
-        return self.mode is DegradationMode.SHEDDING
 
     def mode_entered_at(self) -> float:
         """Simulated time the current mode was entered (dwell anchor)."""

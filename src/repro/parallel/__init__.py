@@ -36,12 +36,10 @@ from repro.parallel.pool import (
     RunOutcome,
     RunRequest,
     execute_cell,
-    reset_simulation_counter,
     resolve_jobs,
     run_cells,
     run_configs,
     run_many,
-    simulations_run,
 )
 
 __all__ = [
@@ -55,11 +53,9 @@ __all__ = [
     "code_version",
     "config_fingerprint",
     "execute_cell",
-    "reset_simulation_counter",
     "resolve_cache",
     "resolve_jobs",
     "run_cells",
     "run_configs",
     "run_many",
-    "simulations_run",
 ]

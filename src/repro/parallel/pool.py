@@ -47,22 +47,6 @@ from repro.parallel.cache import ExtractorSpec, RunCache
 
 Progress = Callable[[str], None]
 
-_simulations = 0
-
-
-def simulations_run() -> int:
-    """Simulations executed *in this process* since the last reset.
-
-    The cache-hit tests pin this: a warm sweep at ``jobs=1`` must leave
-    the counter untouched.  Worker processes keep their own counts.
-    """
-    return _simulations
-
-
-def reset_simulation_counter() -> None:
-    global _simulations
-    _simulations = 0
-
 
 def resolve_jobs(jobs: int = 0) -> int:
     """Worker count: an explicit positive ``jobs``, else 1 (serial)."""
@@ -124,7 +108,6 @@ def execute_cell(
     from repro.core.system import DistributedJoinSystem
     from repro.streams.tuples import peek_next_tuple_ids, reset_tuple_ids
 
-    global _simulations
     reset_tuple_ids()
     if peek_next_tuple_ids() != 0:
         raise SimulationError(
@@ -139,7 +122,6 @@ def execute_cell(
         )
     system = DistributedJoinSystem(config)
     result = system.run()
-    _simulations += 1
     extras = {
         name: _resolve_extractor(ref)(system, result)
         for name, ref in extractors

@@ -245,10 +245,6 @@ class Checkpoint:
     taken_at: float
     blob: bytes
 
-    @property
-    def size_bytes(self) -> int:
-        return len(self.blob)
-
     def state(self) -> Dict[str, object]:
         return decode_blob(self.blob)
 

@@ -95,10 +95,6 @@ class RecoveryMachine:
         return self.phase
 
     @property
-    def is_live(self) -> bool:
-        return self.phase is RecoveryPhase.LIVE
-
-    @property
     def is_serving(self) -> bool:
         """Whether the node processes work (LIVE or CATCHING_UP)."""
         return self.phase in (RecoveryPhase.LIVE, RecoveryPhase.CATCHING_UP)

@@ -123,10 +123,6 @@ class AgmsSketch:
             self._counters += net @ signs
         self.updates += int(np.count_nonzero(live))
 
-    def counters(self) -> np.ndarray:
-        """Counter array, grouped as (s1, s0) (copy)."""
-        return self._counters.reshape(self.shape.s1, self.shape.s0).copy()
-
     def snapshot_counters(self) -> np.ndarray:
         """Flat counter copy -- the wire representation."""
         return self._counters.copy()
@@ -172,7 +168,3 @@ class AgmsSketch:
             raise SummaryError("sketch shapes differ: %s vs %s" % (self.shape, other.shape))
         if self.hashes is not other.hashes:
             raise SummaryError("sketches must share one hash bank to be joined")
-
-    def serialized_entries(self) -> int:
-        """Summary entries this sketch occupies on the wire."""
-        return self.shape.total

@@ -145,15 +145,3 @@ class FourWiseHashFamily:
             while len(self._sign_cache) > self.cache_size:
                 self._sign_cache.popitem(last=False)
         return out
-
-    def buckets(self, key: int, num_buckets: int) -> np.ndarray:
-        """Row-wise bucket index in ``[0, num_buckets)`` (for hash sketches)."""
-        if num_buckets < 1:
-            raise SummaryError("num_buckets must be >= 1")
-        return self.raw(key) % num_buckets
-
-    def buckets_matrix(self, keys, num_buckets: int) -> np.ndarray:
-        """Bucket indices for a key vector: shape ``(len(keys), rows)``."""
-        if num_buckets < 1:
-            raise SummaryError("num_buckets must be >= 1")
-        return self.raw_matrix(keys) % num_buckets

@@ -19,12 +19,7 @@ This package provides:
 """
 
 from repro.streams.financial import FinancialStreamConfig, financial_stream
-from repro.streams.generators import (
-    StreamConfig,
-    uniform_stream,
-    zipf_stream,
-    zipf_weights,
-)
+from repro.streams.generators import uniform_stream, zipf_stream, zipf_weights
 from repro.streams.network import NetworkTraceConfig, network_trace_stream
 from repro.streams.partitioner import GeographicPartitioner, PartitionerConfig
 from repro.streams.tuples import StreamId, StreamTuple
@@ -42,7 +37,6 @@ __all__ = [
     "CountWindow",
     "TimeWindow",
     "LandmarkWindow",
-    "StreamConfig",
     "uniform_stream",
     "zipf_stream",
     "zipf_weights",

@@ -20,7 +20,7 @@ the tails, giving a heavy-tailed marginal distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 import numpy as np
 
@@ -108,23 +108,3 @@ def smooth_price_signal(
         kernel = np.ones(smoothing) / smoothing
         path = np.convolve(path, kernel, mode="valid")
     return np.rint(path[:length])
-
-
-def financial_trades(
-    config: FinancialStreamConfig = FinancialStreamConfig(),
-    rng=None,
-) -> Iterator[Tuple[int, int, str]]:
-    """Endless stream of ``(price, size, side)`` trade records.
-
-    Sizes are log-normal (many small trades, few blocks); sides alternate
-    with slight momentum, as in real tape data.
-    """
-    config.validate()
-    generator = ensure_rng(rng)
-    prices = financial_stream(config, rng=generator)
-    side = "B"
-    for price in prices:
-        size = int(np.ceil(generator.lognormal(mean=4.0, sigma=1.0)))
-        if generator.random() < 0.35:
-            side = "S" if side == "B" else "B"
-        yield price, size, side

@@ -12,8 +12,7 @@ defined over a finite domain, which is what the paper samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -22,23 +21,6 @@ from repro.errors import ConfigurationError
 
 DEFAULT_DOMAIN = 2**19
 """Key domain of the paper's synthetic workloads."""
-
-
-@dataclass(frozen=True)
-class StreamConfig:
-    """Parameters shared by the synthetic generators."""
-
-    domain: int = DEFAULT_DOMAIN
-    alpha: float = 0.4
-    chunk: int = 8192
-
-    def validate(self) -> None:
-        if self.domain < 1:
-            raise ConfigurationError("domain must be >= 1")
-        if self.alpha < 0:
-            raise ConfigurationError("alpha must be non-negative")
-        if self.chunk < 1:
-            raise ConfigurationError("chunk must be >= 1")
 
 
 def zipf_weights(domain: int, alpha: float) -> np.ndarray:
@@ -90,10 +72,3 @@ def zipf_stream(
         block = generator.choice(keys, size=chunk, p=weights)
         for value in block:
             yield int(value)
-
-
-def take(stream: Iterator[int], count: int) -> np.ndarray:
-    """Materialize the next ``count`` keys of a stream as an int64 array."""
-    if count < 0:
-        raise ConfigurationError("count must be non-negative")
-    return np.fromiter(stream, dtype=np.int64, count=count)

@@ -12,7 +12,7 @@ shines (malicious-packet tracking is the Section 1 motivating example).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 import numpy as np
 
@@ -66,17 +66,3 @@ def network_trace_stream(
             yield current_flow
         else:
             yield int(generator.integers(1, config.domain + 1))
-
-
-def network_packets(
-    config: NetworkTraceConfig = NetworkTraceConfig(),
-    rng=None,
-) -> Iterator[Tuple[int, int, int]]:
-    """Endless stream of ``(flow_id, packet_bytes, flags)`` records."""
-    config.validate()
-    generator = ensure_rng(rng)
-    flows = network_trace_stream(config, rng=generator)
-    for flow_id in flows:
-        packet_bytes = int(generator.choice((40, 576, 1500), p=(0.5, 0.2, 0.3)))
-        flags = int(generator.integers(0, 64))
-        yield flow_id, packet_bytes, flags

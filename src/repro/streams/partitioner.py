@@ -22,7 +22,7 @@ paper's worst case, where all pairwise correlations coincide), while
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,27 +75,6 @@ class GeographicPartitioner:
             matrix[home] /= matrix[home].sum()
         return matrix
 
-    @property
-    def placement_matrix(self) -> np.ndarray:
-        """Copy of the (home node -> arrival node) probability matrix."""
-        return self._placement.copy()
-
-    def home_node(self, key: int) -> int:
-        """The node owning the contiguous key range containing ``key``."""
-        if not 1 <= key <= self.config.domain:
-            raise ConfigurationError(
-                "key %d outside domain [1, %d]" % (key, self.config.domain)
-            )
-        return min(
-            (key - 1) * self.config.num_nodes // self.config.domain,
-            self.config.num_nodes - 1,
-        )
-
-    def node_for_key(self, key: int) -> int:
-        """Sample the arrival node for a single key."""
-        home = self.home_node(key)
-        return int(self._rng.choice(self.config.num_nodes, p=self._placement[home]))
-
     def assign(self, keys: Sequence[int]) -> np.ndarray:
         """Vectorized arrival-node assignment for a batch of keys."""
         keys_arr = np.asarray(keys, dtype=np.int64)
@@ -116,8 +95,3 @@ class GeographicPartitioner:
                 continue
             nodes[mask] = np.searchsorted(cumulative[home], uniforms[mask], side="right")
         return np.clip(nodes, 0, self.config.num_nodes - 1)
-
-    def route(self, keys: Iterator[int]) -> Iterator[tuple]:
-        """Lazily pair each key of a stream with its sampled arrival node."""
-        for key in keys:
-            yield key, self.node_for_key(key)

@@ -45,22 +45,6 @@ class SlidingWindow(abc.ABC):
     def __iter__(self) -> Iterator[StreamTuple]:
         return iter(self._tuples)
 
-    def __contains__(self, key: int) -> bool:
-        return self._key_counts.get(key, 0) > 0
-
-    @property
-    def key_counts(self) -> Counter:
-        """Multiset of keys currently in the window (do not mutate)."""
-        return self._key_counts
-
-    def count(self, key: int) -> int:
-        """Number of tuples in the window with the given joining attribute."""
-        return self._key_counts.get(key, 0)
-
-    def keys(self) -> Iterator[int]:
-        """Key sequence in arrival order (the signal the DFT summarizes)."""
-        return iter(self._keys)
-
     def matches(self, key: int) -> List[StreamTuple]:
         """All window tuples whose key equals ``key`` (join probe), in
         arrival order.
@@ -140,10 +124,6 @@ class CountWindow(SlidingWindow):
     def _enforce(self, newest: StreamTuple) -> None:
         while len(self._tuples) > self.capacity:
             self._evict_oldest()
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._tuples) == self.capacity
 
 
 class TimeWindow(SlidingWindow):

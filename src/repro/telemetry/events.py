@@ -136,12 +136,6 @@ class TelemetryHub:
             lambda kind: counter("repro_net_lost_total", kind=kind)
         )
 
-    # -- clock ---------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self._clock()
-
     # -- events --------------------------------------------------------
 
     def emit(
@@ -189,9 +183,6 @@ class TelemetryHub:
     def events(self) -> Iterator[TelemetryEvent]:
         """Retained events in emission order."""
         return iter(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
 
     @property
     def events_dropped(self) -> int:

@@ -113,12 +113,6 @@ class JsonlStreamWriter:
             self._handle.close()
         return self.path
 
-    def __enter__(self) -> "JsonlStreamWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 # ----------------------------------------------------------------------
 # Chrome trace (Trace Event Format)

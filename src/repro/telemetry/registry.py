@@ -60,14 +60,6 @@ class TimeSeries:
     def __iter__(self) -> Iterator[Tuple[float, float]]:
         return iter(self._samples)
 
-    @property
-    def dropped(self) -> int:
-        """Samples that fell off the ring."""
-        return self.total_samples - len(self._samples)
-
-    def last(self) -> Optional[Tuple[float, float]]:
-        return self._samples[-1] if self._samples else None
-
 
 class Instrument:
     """Common identity of every registry instrument."""

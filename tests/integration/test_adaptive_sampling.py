@@ -69,7 +69,7 @@ class TestLongRuns:
         for instrument in registry.instruments():
             if instrument.series is None:
                 continue
-            assert instrument.series.dropped == 0
+            assert instrument.series.total_samples == len(instrument.series)
             first_ticks.append(next(iter(instrument.series))[0])
         # Coverage starts at the first stretched tick, not at the tail
         # of an overflowed ring.  (Lazily created instruments join the

@@ -91,8 +91,6 @@ class TestFig9:
         assert algorithms == {"BASE", "DFT", "DFTT", "BLOOM", "SKCH"}
         base = [c for c in cells if c.algorithm == "BASE"]
         assert all(c.achieved_epsilon < 0.05 for c in base)
-        series = fig9.by_algorithm(cells, "ZIPF")
-        assert set(series) == algorithms
         assert "msgs/result" in fig9.format_result(cells)
 
 

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.analysis import loss_matrix, lost_byte_matrix
 from repro.config import Algorithm
 from repro.core.system import DistributedJoinSystem, run_experiment
 from repro.errors import ConfigurationError
 from repro.net.faults import FaultPlan
 from repro.net.link import Link, LinkSpec
 from repro.net.message import Message, MessageKind
-from repro.net.simulator import EventScheduler
+from repro.net.simulator import EventKeySource, EventScheduler
 
 
 class TestLinkLoss:
@@ -23,7 +22,13 @@ class TestLinkLoss:
     def test_lossless_by_default(self):
         delivered = []
         scheduler = EventScheduler()
-        link = Link(scheduler, LinkSpec(), delivered.append, rng=np.random.default_rng(0))
+        link = Link(
+            scheduler,
+            LinkSpec(),
+            delivered.append,
+            EventKeySource(0),
+            rng=np.random.default_rng(0),
+        )
         for _ in range(50):
             link.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))
         scheduler.run()
@@ -38,6 +43,7 @@ class TestLinkLoss:
             scheduler,
             LinkSpec(loss_probability=0.3),
             delivered.append,
+            EventKeySource(0),
             rng=np.random.default_rng(1),
         )
         for _ in range(1000):
@@ -53,11 +59,12 @@ class TestLinkLoss:
             scheduler,
             LinkSpec(loss_probability=0.5),
             lambda m: None,
+            EventKeySource(0),
             rng=np.random.default_rng(2),
         )
         for _ in range(20):
             link.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))
-        assert link.free_at == pytest.approx(20 * 72 * 8 / 90_000)
+        assert link.queue_depth_seconds() == pytest.approx(20 * 72 * 8 / 90_000)
         assert link.bytes_sent == 20 * 72
 
 
@@ -101,13 +108,14 @@ class TestLossAccounting:
         assert result.traffic["bytes_lost"] == 0
 
     def test_loss_matrices(self, lossy_config):
+        """The per-link loss table (``link_stats`` columns 2 and 3: the
+        sender x receiver loss matrices) adds up to the network totals."""
         system = DistributedJoinSystem(lossy_config(Algorithm.BASE, 0.3))
         system.run()
-        losses = loss_matrix(system.network)
-        lost_bytes = lost_byte_matrix(system.network)
-        assert losses.sum() == system.network.stats.messages_lost
-        assert lost_bytes.sum() == system.network.stats.bytes_lost
-        assert np.all(np.diag(losses) == 0)
+        links = system.network.link_stats()
+        assert sum(row[2] for row in links.values()) == system.network.stats.messages_lost
+        assert sum(row[3] for row in links.values()) == system.network.stats.bytes_lost
+        assert all(source != destination for source, destination in links)
 
     def test_fault_blocked_messages_are_accounted_as_lost(self, lossy_config):
         plan = FaultPlan.parse("outage@t=1,d=2,link=0-1,link=0-2,link=0-3", num_nodes=4)

@@ -29,14 +29,23 @@ from repro.parallel import (
     RunCache,
     RunRequest,
     execute_cell,
-    reset_simulation_counter,
+    pool,
     run_configs,
     run_many,
-    simulations_run,
 )
 from repro.streams.tuples import StreamId, StreamTuple
 
 SMALL_GRID = chaos.parse_grid("clean; squall@loss=0.25")
+
+
+def forbid_simulations(monkeypatch):
+    """Make any in-process simulation fail the test (a warm ``jobs=1``
+    sweep must serve every cell from the cache)."""
+
+    def simulated(*_args):
+        raise AssertionError("a warm sweep ran a simulation")
+
+    monkeypatch.setattr(pool, "execute_cell", simulated)
 
 
 class TestSerialParallelIdentity:
@@ -81,7 +90,7 @@ class TestSerialParallelIdentity:
 
 
 class TestRunCacheEndToEnd:
-    def test_warm_sweep_runs_zero_simulations(self, tmp_path):
+    def test_warm_sweep_runs_zero_simulations(self, tmp_path, monkeypatch):
         cache = RunCache(str(tmp_path))
         cold = chaos.run(
             "smoke",
@@ -92,14 +101,13 @@ class TestRunCacheEndToEnd:
         assert cache.stats()["stores"] == len(cold)
 
         warm_cache = RunCache(str(tmp_path))
-        reset_simulation_counter()
+        forbid_simulations(monkeypatch)
         warm = chaos.run(
             "smoke",
             algorithms=(Algorithm.DFTT,),
             grid=SMALL_GRID,
             cache=warm_cache,
         )
-        assert simulations_run() == 0
         assert warm_cache.stats() == {"hits": len(cold), "misses": 0, "stores": 0}
         assert pickle.dumps(cold) == pickle.dumps(warm)
 
@@ -121,7 +129,7 @@ class TestRunCacheEndToEnd:
             ), field.name
         assert cache.stats() == {"hits": 1, "misses": 1, "stores": 1}
 
-    def test_warm_calibrated_report_serves_every_probe(self, tmp_path):
+    def test_warm_calibrated_report_serves_every_probe(self, tmp_path, monkeypatch):
         """Figures 9 and 11 look up every probe in the parent's cache.
 
         Figure 11's calibration probes are Figure 9's ZIPF probes, so the
@@ -146,9 +154,8 @@ class TestRunCacheEndToEnd:
             if name.endswith(".pkl")
         ]
         assert cold.stores == cold.misses == len(entries) > 0
-        reset_simulation_counter()
+        forbid_simulations(monkeypatch)
         warm, warm_text = sweep()
-        assert simulations_run() == 0
         assert warm.stats() == {
             "hits": cold.hits + cold.misses,
             "misses": 0,
@@ -179,13 +186,6 @@ class TestWorkerStateReset:
             StreamTuple(stream=StreamId.R, key=1, origin_node=0, arrival_index=0)
         dirty, _ = execute_cell(config)
         assert pickle.dumps(clean) == pickle.dumps(dirty)
-
-    def test_simulation_counter_tracks_executions(self):
-        config = system_config(get_scale("smoke"), Algorithm.DFTT, 3)
-        reset_simulation_counter()
-        execute_cell(config)
-        execute_cell(config)
-        assert simulations_run() == 2
 
 
 def _kill_worker(*_args):

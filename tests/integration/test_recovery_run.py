@@ -138,9 +138,12 @@ class TestStreamedTelemetry:
         system = DistributedJoinSystem(config)
         manifest = build_manifest(config)
         streamed = tmp_path / "streamed.jsonl"
-        with JsonlStreamWriter(streamed, manifest=manifest) as writer:
+        writer = JsonlStreamWriter(streamed, manifest=manifest)
+        try:
             system.telemetry.add_event_sink(writer.on_event)
             system.run()
+        finally:
+            writer.close()
         buffered = export_jsonl(system.telemetry, tmp_path / "buffered.jsonl", manifest)
         assert streamed.read_bytes() == buffered.read_bytes()
         assert writer.events_written == len(list(system.telemetry.events()))

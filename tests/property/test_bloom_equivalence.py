@@ -167,7 +167,8 @@ def test_a_loaded_snapshot_answers_the_min_over_its_probed_counters(seed, counte
         NUM_COUNTERS, NUM_HASHES, max_count=MAX_COUNT, rng=np.random.default_rng(seed)
     )
     donor = bloom.spawn_compatible()
-    donor.update(range(6))
+    for key in range(6):
+        donor.add(key)
     bloom.load_snapshot(np.array(counters, dtype=np.int32))
 
     def check():

@@ -13,7 +13,8 @@ key_lists = st.lists(st.integers(min_value=0, max_value=10_000), min_size=0, max
 @settings(max_examples=60)
 def test_counting_filter_never_false_negative(keys):
     bloom = CountingBloomFilter(2048, 4, max_count=255, rng=np.random.default_rng(2))
-    bloom.update(keys)
+    for key in keys:
+        bloom.add(key)
     assert all(key in bloom for key in keys)
 
 
@@ -21,7 +22,8 @@ def test_counting_filter_never_false_negative(keys):
 @settings(max_examples=60)
 def test_counting_filter_full_deletion_empties(keys):
     bloom = CountingBloomFilter(4096, 4, max_count=10**6, rng=np.random.default_rng(3))
-    bloom.update(keys)
+    for key in keys:
+        bloom.add(key)
     for key in keys:
         bloom.remove(key)
     assert bloom.items == 0
@@ -45,7 +47,8 @@ def test_sliding_window_maintenance_preserves_membership(keys, window_size):
 @settings(max_examples=40)
 def test_count_estimate_upper_bounds_true_count(keys):
     bloom = CountingBloomFilter(2048, 4, max_count=10**6, rng=np.random.default_rng(5))
-    bloom.update(keys)
+    for key in keys:
+        bloom.add(key)
     from collections import Counter
 
     counts = Counter(keys)

@@ -73,7 +73,7 @@ def contents(window):
         list(window),
         window.total_appended,
         getattr(window, "resets", None),
-        dict(window.key_counts),
+        dict(window._key_counts),
     )
 
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.config import Algorithm, PolicyConfig
 from repro.core.correlation import (
-    distribution_similarity,
     histogram_cosines,
     histogram_edges,
     histogram_search_edges,
@@ -26,6 +25,10 @@ from repro.dft.reconstruction import reconstruct_values
 from repro.dft.sliding import low_frequency_bins
 from repro.streams.tuples import StreamId, StreamTuple
 from tests.reference_decision import (
+    distribution_similarity,
+    join_estimate,
+    join_estimates,
+    reconstructed_window,
     reference_bucket_values,
     reference_choose_destinations,
     reference_distribution_similarity,
@@ -158,7 +161,7 @@ def test_policy_decision_equals_pairwise_reference(scenario):
             assert policy.peer_similarities(stream) == expected
             for key in probes:
                 item = StreamTuple(stream, key, 0, arrival)
-                estimates = policy.join_estimates(item)
+                estimates = join_estimates(policy, item)
                 tolerance = policy.match_tolerance(other)
                 assert estimates == {
                     peer: reference_join_estimate(
@@ -167,7 +170,7 @@ def test_policy_decision_equals_pairwise_reference(scenario):
                     for peer in peer_ids
                 }
                 assert all(
-                    policy.join_estimate(item, peer) == estimates[peer]
+                    join_estimate(policy, item, peer) == estimates[peer]
                     for peer in peer_ids
                 )
 
@@ -177,10 +180,10 @@ def test_policy_decision_equals_pairwise_reference(scenario):
         expected = np.sort(
             reconstruct_values(policy.remote.get(peer, stream), window, round_to_int=False)
         )
-        handed_out = policy.reconstructed_window(peer, stream)
+        handed_out = reconstructed_window(policy, peer, stream)
         assert np.array_equal(handed_out, expected)
         handed_out[:] = -1.0
-        assert np.array_equal(policy.reconstructed_window(peer, stream), expected)
+        assert np.array_equal(reconstructed_window(policy, peer, stream), expected)
 
 
 @st.composite

@@ -24,7 +24,7 @@ def test_probabilities_are_valid_and_meet_budget(similarities, budget)  :
     probabilities = controller.probabilities(similarities)
     assert set(probabilities) == set(similarities)
     assert all(0.0 <= p <= 1.0 for p in probabilities.values())
-    achieved = controller.expected_transmissions(probabilities)
+    achieved = sum(probabilities.values())
     scale = max(similarities.values())
     # Mirror the controller's numeric-zero cutoff: peers vanishingly small
     # relative to the best (or denormal) would need an unrepresentable weight.

@@ -16,7 +16,7 @@ from repro.net import link as link_module
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.link import DRAW_BLOCK, Link, LinkSpec
 from repro.net.message import Message, MessageKind
-from repro.net.simulator import EventScheduler
+from repro.net.simulator import EventKeySource, EventScheduler
 from tests.reference_link import ReferenceLink
 
 KINDS = list(MessageKind)
@@ -59,6 +59,7 @@ def drive(link_class, spec, seed, faults, backlog_bound_s, script):
         scheduler,
         spec,
         deliver=lambda message: delivered.append((index_of[id(message)], scheduler.now)),
+        key_source=EventKeySource(3),
         rng=np.random.default_rng(seed),
         endpoints=(0, 1),
         fault_injector=injector,
@@ -82,7 +83,7 @@ def drive(link_class, spec, seed, faults, backlog_bound_s, script):
         link.messages_lost,
         link.bytes_lost,
         link.messages_shed,
-        link.free_at,
+        link._free_at,
     )
     return returned, delivered, dropped, counters
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.net import link as link_module
 from repro.net.link import Link, LinkSpec
 from repro.net.message import Message, MessageKind
-from repro.net.simulator import EventScheduler
+from repro.net.simulator import EventKeySource, EventScheduler
 
 link_specs = st.builds(LinkSpec, bandwidth_bps=st.floats(min_value=1e3, max_value=1e9))
 latency_floors = st.floats(min_value=1e-4, max_value=0.5)
@@ -51,6 +51,7 @@ def test_arrival_is_never_sooner_than_the_latency_floor(spec, plan, seed, low, h
         scheduler,
         spec,
         deliver=lambda message: None,
+        key_source=EventKeySource(0),
         rng=np.random.default_rng(seed),
     )
     with mock.patch.multiple(link_module, LATENCY_MIN_S=low, LATENCY_MAX_S=high):

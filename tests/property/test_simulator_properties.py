@@ -151,7 +151,7 @@ def test_firing_order_is_the_key_order_with_insertion_order_between_equals(scrip
     # Events scheduled before the run started fire in plain sorted order.
     roots = [label for label in log if len(label) == 1]
     assert roots == sorted(
-        roots, key=lambda label: (handles[label].sort_key, label)
+        roots, key=lambda label: (tuple(handles[label][:4]), label)
     )
     assert scheduler.pending == 0
     assert scheduler.events_processed == len(log)

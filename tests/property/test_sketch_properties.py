@@ -25,7 +25,7 @@ def test_insert_then_delete_everything_returns_to_zero(keys):
         sketch.update(key, +1)
     for key in keys:
         sketch.update(key, -1)
-    assert np.allclose(sketch.counters(), 0.0)
+    assert np.allclose(sketch.snapshot_counters(), 0.0)
 
 
 @given(key_lists)
@@ -37,7 +37,7 @@ def test_update_order_does_not_matter(keys):
         a.update(key, +1)
     for key in reversed(keys):
         b.update(key, +1)
-    assert np.allclose(a.counters(), b.counters())
+    assert np.allclose(a.snapshot_counters(), b.snapshot_counters())
 
 
 @given(key_lists, key_lists)

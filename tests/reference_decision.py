@@ -16,16 +16,86 @@ The bodies below are those functions moved here verbatim (only
 ``self``/table plumbing removed, ``self`` renamed ``policy``), so the
 batched, shared-reconstruction path under ``src/`` can be held to them
 float for float.
+
+The current pairwise entry points, which no run calls (the policies
+read every peer at once from their slot tables), are kept here too, moved
+verbatim from ``src/`` with ``self`` renamed ``policy``:
+:func:`distribution_similarity` (``core.correlation``) and
+:func:`reconstructed_window`, :func:`join_estimates` and
+:func:`join_estimate` (``DfttPolicy`` methods).
 """
 
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.correlation import (
+    DISTRIBUTION_BINS,
+    histogram_cosines,
+    histogram_edges,
+    histogram_search_edges,
+    sorted_histograms,
+    sorted_reconstructions,
+)
 from repro.core.policies import base
 from repro.core.policies.dftt import RELATIVE_ESTIMATE_THRESHOLD
 from repro.dft.reconstruction import reconstruct_values
 from repro.errors import SummaryError
+from repro.streams.tuples import StreamId, StreamTuple
+
+
+def distribution_similarity(
+    x_map: Dict[int, complex],
+    y_map: Dict[int, complex],
+    window_size: int,
+    domain: int,
+    num_bins: int = DISTRIBUTION_BINS,
+) -> float:
+    """Cosine similarity of reconstructed attribute-value histograms.
+
+    Both windows are rebuilt with the truncated inverse DFT (Section
+    5.3), bucketed into ``num_bins`` equal-width ranges over ``[1,
+    domain]`` (:func:`sorted_histograms`), and the two histograms
+    compared by cosine similarity (:func:`histogram_cosines`).  Returns 0
+    when either reconstruction is empty.
+    """
+    edges = histogram_edges(domain, num_bins)
+    rows = sorted_reconstructions([x_map, y_map], window_size)
+    x_hist, y_hist = sorted_histograms(rows, histogram_search_edges(edges))
+    return float(histogram_cosines(x_hist, y_hist[np.newaxis])[0])
+
+
+def reconstructed_window(
+    policy, peer: int, stream: StreamId
+) -> Optional[np.ndarray]:
+    """Estimated (sorted) attribute values of ``peer``'s ``stream`` window."""
+    if peer not in policy.peer_ids or policy.remote.get(peer, stream) is None:
+        return None
+    rows, _ = policy._reconstructed_windows(stream)
+    # A copy: the row itself is overwritten by the next rebuild.
+    return rows[policy.peer_ids.index(peer)].copy()
+
+
+def join_estimates(policy, item: StreamTuple) -> Dict[int, Optional[int]]:
+    """Estimated matches of ``item`` in each peer's opposite window.
+
+    ``None`` means the peer's summary has not arrived yet (unknown,
+    which is different from an estimated zero).
+    """
+    counts, present = policy._match_counts(item)
+    if counts is None:
+        return dict.fromkeys(policy.peer_ids)
+    return {
+        peer: count if known else None
+        for peer, count, known in zip(
+            policy.peer_ids, counts.tolist(), present.tolist()
+        )
+    }
+
+
+def join_estimate(policy, item: StreamTuple, peer: int) -> Optional[int]:
+    """:func:`join_estimates` for one peer."""
+    return join_estimates(policy, item).get(peer)
 
 
 def reference_distribution_similarity(

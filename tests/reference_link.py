@@ -20,7 +20,7 @@ from repro._rng import ensure_rng
 from repro.net import link
 from repro.net.link import LinkSpec
 from repro.net.message import Message
-from repro.net.simulator import EventScheduler
+from repro.net.simulator import EventKeySource, EventScheduler
 
 
 def reference_sample_latency(rng: np.random.Generator) -> float:
@@ -38,6 +38,7 @@ class ReferenceLink:
         scheduler: EventScheduler,
         spec: LinkSpec,
         deliver: Callable[[Message], None],
+        key_source: Optional[EventKeySource] = None,
         rng=None,
         endpoints: Optional[Tuple[int, int]] = None,
         fault_injector=None,
@@ -67,7 +68,7 @@ class ReferenceLink:
         ``_free_at`` does not advance).  0 (the default) is unbounded,
         the legacy semantics.  Set by the system from
         :class:`~repro.overload.OverloadSettings`."""
-        self.key_source = None
+        self.key_source = key_source
         """Optional :class:`~repro.net.simulator.EventKeySource` minting
         deterministic arrival-event keys (the Network assigns one per
         link; bare test links fall back to insertion-order keys)."""

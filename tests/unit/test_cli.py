@@ -320,6 +320,23 @@ class TestExperimentsDispatch:
             in capsys.readouterr().err
         )
 
+    def test_chaos_refuses_a_one_node_mesh(self, capsys, monkeypatch):
+        """``--nodes 1`` is a usage error found before the first cell; it
+        used to print the first cell's banner and then fail inside the
+        system."""
+        import repro.experiments.chaos as chaos
+
+        def no_cells(*_, **__):
+            raise AssertionError("a refused mesh must not run a cell")
+
+        monkeypatch.setattr(chaos, "run_many", no_cells)
+        argv = ["experiments", "chaos", "smoke", "--algorithms", "BASE",
+                "--fault-grid", "clean", "--no-cache", "--nodes", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: chaos sweep needs at least 2 nodes, got 1" in err
+        assert "chaos smoke" not in err
+
     def test_removed_shards_parameter_is_type_error(self):
         with pytest.raises(TypeError):
             run_experiment(config_from_args(parse(FAST)), shards=2)

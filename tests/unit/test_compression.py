@@ -7,10 +7,9 @@ from repro.core.compression import (
     DEFAULT_KAPPA_GRID,
     LOSSLESS_MSE_THRESHOLD,
     choose_compression_factor,
-    mse_for_budget,
     mse_statistics,
-    spectral_mse_for_budget,
 )
+from repro.dft.reconstruction import compress_spectrum
 from repro.errors import SummaryError
 
 
@@ -24,17 +23,33 @@ def noisy_signal(length=512, seed=1):
     return rng.integers(0, 10_000, size=length).astype(float)
 
 
+def spectral_mse(signal, budget):
+    """Parseval evaluation of the reconstruction MSE, straight from the
+    spectrum: the residual ``x - x_hat`` has exactly the dropped
+    coefficients as its spectrum (kept bins and their mirrors cancel), so
+    its energy is ``sum_dropped |X(k)|^2 / W`` and the mean squared error
+    divides by W once more."""
+    values = np.asarray(signal, dtype=np.float64)
+    spectrum = np.fft.fft(values)
+    kept_bins = set(compress_spectrum(spectrum, budget))
+    for k in list(kept_bins):
+        kept_bins.add((values.size - k) % values.size)
+    mask = np.ones(values.size, dtype=bool)
+    mask[list(kept_bins)] = False
+    return float(np.sum(np.abs(spectrum[mask]) ** 2)) / values.size**2
+
+
 def test_empirical_matches_spectral_mse():
     signal = smooth_signal()
-    for budget in (4, 16, 64):
-        empirical = mse_for_budget(signal, budget)
-        spectral = spectral_mse_for_budget(signal, budget)
-        assert empirical == pytest.approx(spectral, rel=1e-9)
+    for point in mse_statistics(signal, (128, 32, 8)):  # budgets 4, 16, 64
+        spectral = spectral_mse(signal, point.budget)
+        assert point.mean_mse == pytest.approx(spectral, rel=1e-9)
 
 
 def test_mse_decreases_with_budget():
     signal = smooth_signal()
-    values = [mse_for_budget(signal, b) for b in (2, 8, 32, 128)]
+    points = mse_statistics(signal, (256, 64, 16, 4))  # budgets 2, 8, 32, 128
+    values = [point.mean_mse for point in points]
     assert values == sorted(values, reverse=True)
 
 
@@ -78,5 +93,3 @@ def test_invalid_inputs():
         mse_statistics([], (2,))
     with pytest.raises(SummaryError):
         mse_statistics(smooth_signal(), (0,))
-    with pytest.raises(SummaryError):
-        spectral_mse_for_budget([], 2)

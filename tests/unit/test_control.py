@@ -50,16 +50,3 @@ def test_drift_safe_interval_binds():
     assert vector.drift_safe_interval() == 100
     assert vector.should_recompute(100)
     assert not vector.should_recompute(99)
-
-
-def test_expected_drift_grows_with_updates():
-    vector = ControlVector(recompute_interval=100)
-    assert vector.expected_drift(0) == 0.0
-    assert vector.expected_drift(100) > vector.expected_drift(10)
-
-
-def test_meets_completion_probability():
-    vector = ControlVector(recompute_interval=100, drift_bound=1e-9)
-    assert vector.meets_completion_probability(100)
-    # Astronomical update counts eventually violate the bound.
-    assert not vector.meets_completion_probability(10**16)

@@ -9,7 +9,6 @@ from repro.errors import ConfigurationError
 from repro.streams.financial import (
     FinancialStreamConfig,
     financial_stream,
-    financial_trades,
 )
 
 
@@ -58,14 +57,6 @@ def test_config_validation():
         FinancialStreamConfig(mean_reversion=2.0).validate()
     with pytest.raises(ConfigurationError):
         FinancialStreamConfig(burst_probability=1.5).validate()
-
-
-def test_trades_structure():
-    trades = financial_trades(rng=np.random.default_rng(5))
-    for price, size, side in itertools.islice(trades, 50):
-        assert price >= 1
-        assert size >= 1
-        assert side in ("B", "S")
 
 
 def test_determinism():

@@ -40,7 +40,7 @@ class TestFlowController:
         controller = FlowController(9, FlowSettings(budget_override=2.0))
         similarities = {j: 0.1 + 0.1 * j for j in range(8)}
         probabilities = controller.probabilities(similarities)
-        assert controller.expected_transmissions(probabilities) == pytest.approx(2.0, abs=1e-6)
+        assert sum(probabilities.values()) == pytest.approx(2.0, abs=1e-6)
         assert all(0.0 <= p <= 1.0 for p in probabilities.values())
 
     def test_probabilities_proportional_below_cap(self):
@@ -54,7 +54,7 @@ class TestFlowController:
         probabilities = controller.probabilities({1: 1.0, 2: 0.01, 3: 0.01})
         assert probabilities[1] == 1.0
         assert probabilities[2] == pytest.approx(0.75, abs=1e-6)
-        assert controller.expected_transmissions(probabilities) == pytest.approx(2.5, abs=1e-6)
+        assert sum(probabilities.values()) == pytest.approx(2.5, abs=1e-6)
 
     def test_all_zero_similarities_spread_uniformly(self):
         controller = FlowController(5, FlowSettings(budget_override=2.0))

@@ -89,8 +89,8 @@ def test_match_count():
     join = make_join()
     for _ in range(3):
         join.insert_local(make_tuple(StreamId.S, 2))
-    assert join.match_count(make_tuple(StreamId.R, 2)) == 3
-    assert join.match_count(make_tuple(StreamId.R, 5)) == 0
+    assert len(join.window(StreamId.S).matches(2)) == 3
+    assert join.window(StreamId.S).matches(5) == []
 
 
 def test_result_counters():

@@ -48,14 +48,6 @@ def test_pairwise_sign_products_are_unbiased():
     assert abs(np.mean(a * b)) < 0.25
 
 
-def test_buckets_in_range():
-    family = FourWiseHashFamily(8, rng=np.random.default_rng(5))
-    buckets = family.buckets(99, 10)
-    assert (buckets >= 0).all() and (buckets < 10).all()
-    with pytest.raises(SummaryError):
-        family.buckets(99, 0)
-
-
 def test_different_rows_disagree():
     family = FourWiseHashFamily(64, rng=np.random.default_rng(6))
     raw = family.raw(5)

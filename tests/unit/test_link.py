@@ -9,7 +9,7 @@ from repro.errors import ConfigurationError
 from repro.net import link as link_module
 from repro.net.link import Link, LinkSpec
 from repro.net.message import Message, MessageKind
-from repro.net.simulator import EventScheduler
+from repro.net.simulator import EventKeySource, EventScheduler
 
 
 def _tuple_message():
@@ -18,7 +18,13 @@ def _tuple_message():
 
 def _make_link(spec, delivered):
     scheduler = EventScheduler()
-    link = Link(scheduler, spec, deliver=delivered.append, rng=np.random.default_rng(7))
+    link = Link(
+        scheduler,
+        spec,
+        deliver=delivered.append,
+        key_source=EventKeySource(0),
+        rng=np.random.default_rng(7),
+    )
     return scheduler, link
 
 
@@ -84,6 +90,7 @@ def test_backlog_bound_sheds_at_the_send_buffer(zero_latency):
         scheduler,
         LinkSpec(),
         deliver=delivered.append,
+        key_source=EventKeySource(0),
         rng=np.random.default_rng(7),
         on_drop=dropped.append,
     )
@@ -125,7 +132,11 @@ def test_shedding_does_not_perturb_the_latency_stream(monkeypatch):
         delivered = []
         scheduler = EventScheduler()
         link = Link(
-            scheduler, spec, deliver=delivered.append, rng=np.random.default_rng(7)
+            scheduler,
+            spec,
+            deliver=delivered.append,
+            key_source=EventKeySource(0),
+            rng=np.random.default_rng(7),
         )
         first = _tuple_message()
         link.backlog_bound_s = 1.5 * link.transmission_time(first)
@@ -186,7 +197,7 @@ def test_counters_accumulate():
         link.send(message)
     assert link.messages_sent == 4
     assert link.bytes_sent == total
-    assert link.free_at == pytest.approx(total * 8.0 / 90_000.0)
+    assert link.queue_depth_seconds() == pytest.approx(total * 8.0 / 90_000.0)
 
 
 QUERIES = (
@@ -217,9 +228,10 @@ def test_a_send_on_a_faulted_link_asks_the_injector_nothing(monkeypatch):
     scheduler.run(until=1.0)
     delivered = []
     links = [
-        Link(scheduler, LinkSpec(), delivered.append, rng=np.random.default_rng(seed),
-             endpoints=endpoints, fault_injector=injector)
-        for seed, endpoints in ((3, (0, 1)), (4, (1, 0)))
+        Link(scheduler, LinkSpec(), delivered.append, EventKeySource(rank),
+             rng=np.random.default_rng(seed), endpoints=endpoints,
+             fault_injector=injector)
+        for seed, rank, endpoints in ((3, 3, (0, 1)), (4, 4, (1, 0)))
     ]
     calls = []
 

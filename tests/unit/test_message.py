@@ -11,6 +11,12 @@ from repro.net.message import (
 from repro.net.stats import TrafficStats
 
 
+def body_bytes(message):
+    """Bytes of the tuple/result/control body: the size less the header and
+    the summary entries."""
+    return message.size_bytes() - HEADER_BYTES - message.summary_bytes()
+
+
 def _msg(kind, entries=0):
     return Message(kind=kind, source=0, destination=1, summary_entries=entries)
 
@@ -25,17 +31,17 @@ def test_piggybacked_summary_adds_entry_bytes():
     loaded = _msg(MessageKind.TUPLE, entries=3)
     assert loaded.size_bytes() == bare.size_bytes() + 3 * SUMMARY_COEFFICIENT_BYTES
     assert loaded.summary_bytes() == 3 * SUMMARY_COEFFICIENT_BYTES
-    assert loaded.tuple_bytes() == bare.tuple_bytes()
+    assert body_bytes(loaded) == body_bytes(bare)
 
 
 def test_standalone_summary_has_no_tuple_body():
     message = _msg(MessageKind.SUMMARY, entries=5)
-    assert message.tuple_bytes() == 0
+    assert body_bytes(message) == 0
     assert message.size_bytes() == HEADER_BYTES + 5 * SUMMARY_COEFFICIENT_BYTES
 
 
 def test_result_message_carries_tuple_body():
-    assert _msg(MessageKind.RESULT).tuple_bytes() == TUPLE_KEY_BYTES + TUPLE_PAYLOAD_BYTES
+    assert body_bytes(_msg(MessageKind.RESULT)) == TUPLE_KEY_BYTES + TUPLE_PAYLOAD_BYTES
 
 
 def test_control_message_is_small():
@@ -64,7 +70,7 @@ def test_size_table_for_every_kind_and_entry_count():
     for kind, body in BODY_BYTES.items():
         for entries in (0, 1, 8):
             message = _msg(kind, entries)
-            assert message.tuple_bytes() == body
+            assert body_bytes(message) == body
             assert message.summary_bytes() == entries * SUMMARY_COEFFICIENT_BYTES
             assert message.size_bytes() == (
                 HEADER_BYTES + body + entries * SUMMARY_COEFFICIENT_BYTES

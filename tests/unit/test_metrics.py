@@ -42,21 +42,17 @@ class TestThroughputSeries:
         assert series.series() == [(0, 2), (1, 1)]
         assert series.total == 3
 
-    def test_mean_rate(self):
+    def test_sustained_rate_is_the_busiest_half(self):
         series = ThroughputSeries()
-        for t in (0.5, 1.5, 2.5, 3.5):
-            series.record(t)
-        assert series.mean_rate(4.0) == pytest.approx(1.0)
-        assert series.mean_rate(0.0) == 0.0
-
-    def test_peak_and_sustained(self):
-        series = ThroughputSeries()
+        assert series.sustained_rate() == 0.0
         for _ in range(10):
             series.record(0.5)
         series.record(1.5)
-        assert series.peak_rate() == 10
-        assert series.sustained_rate(0.5) == 10.0
-        assert series.sustained_rate(1.0) == pytest.approx(5.5)
+        assert series.sustained_rate() == 10.0
+        series.record(2.5, count=4)
+        assert series.sustained_rate() == 10.0  # one of three seconds
+        series.record(3.5, count=2)
+        assert series.sustained_rate() == 7.0  # two of four
 
     def test_nonpositive_counts_ignored(self):
         series = ThroughputSeries()
@@ -85,13 +81,6 @@ class TestResultCollector:
         collector.record(make_result(), 0.0)
         collector.record(make_result(), 0.0)  # different tuple ids
         assert collector.reported_pairs == 2
-
-    def test_contains(self):
-        collector = ResultCollector()
-        result = make_result()
-        collector.record(result, 0.0)
-        assert collector.contains(result.r_tuple.tuple_id, result.s_tuple.tuple_id)
-        assert not collector.contains(-1, -2)
 
     def test_throughput_recorded_for_new_pairs_only(self):
         collector = ResultCollector()

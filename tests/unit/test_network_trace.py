@@ -9,7 +9,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.streams.network import (
     NetworkTraceConfig,
-    network_packets,
     network_trace_stream,
 )
 
@@ -56,14 +55,6 @@ def test_config_validation():
         NetworkTraceConfig(heavy_fraction=1.5).validate()
     with pytest.raises(ConfigurationError):
         NetworkTraceConfig(burst_length_mean=0.5).validate()
-
-
-def test_packet_records():
-    packets = network_packets(rng=np.random.default_rng(2))
-    for flow_id, size, flags in itertools.islice(packets, 50):
-        assert flow_id >= 1
-        assert size in (40, 576, 1500)
-        assert 0 <= flags < 64
 
 
 def test_determinism():

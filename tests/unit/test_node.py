@@ -15,6 +15,7 @@ from repro.net.link import LinkSpec
 from repro.net.message import Message, MessageKind
 from repro.net.simulator import EventScheduler
 from repro.net.topology import Network
+from repro.recovery import RecoveryPhase
 from repro.streams.tuples import StreamId, StreamTuple
 
 import numpy as np
@@ -33,7 +34,7 @@ def build_pair(algorithm=Algorithm.BASE, window=8, recovery=None):
     if recovery is not None:
         config = dataclasses.replace(config, recovery=recovery)
     scheduler = EventScheduler()
-    network = Network(scheduler, spec=config.link, rng=np.random.default_rng(0))
+    network = Network(scheduler, 2, spec=config.link, rng=np.random.default_rng(0))
     oracle = GroundTruthOracle()
     collector = ResultCollector()
     nodes = []
@@ -133,7 +134,7 @@ def test_result_messages_emitted_for_cross_node_pairs():
     # Both nodes discover the pair (each holds the other's forwarded copy)
     # and each reports its own discovery: deduplication happens at the
     # query consumer (the collector), not by peeking at global state.
-    assert network.stats.messages(MessageKind.RESULT) == 2
+    assert network.stats.messages_by_kind[MessageKind.RESULT.value] == 2
     assert collector.duplicates == 1
 
 
@@ -145,7 +146,7 @@ def test_local_pairs_ship_no_result_message():
     scheduler.run()
     settle(nodes, oracle, collector)
     assert collector.reported_pairs == 1
-    assert network.stats.messages(MessageKind.RESULT) == 0
+    assert network.stats.messages_by_kind[MessageKind.RESULT.value] == 0
 
 
 @pytest.mark.usefixtures("zero_latency")
@@ -207,7 +208,7 @@ def test_full_replay_log_drops_the_incoming_arrival(monkeypatch):
     assert (recovery.tuples_logged, recovery.replay_dropped) == (2, 3)
     assert recovery.tuples_replayed == 2
     assert [item.key for item in node.join.window(StreamId.R)] == [1, 2]
-    assert recovery.machine.is_live
+    assert recovery.machine.phase is RecoveryPhase.LIVE
 
 
 @pytest.mark.usefixtures("zero_latency")

@@ -26,26 +26,25 @@ def test_config_validation():
 
 def test_placement_matrix_rows_are_distributions():
     partitioner = _partitioner()
-    matrix = partitioner.placement_matrix
+    matrix = partitioner._placement
     assert matrix.shape == (4, 4)
     assert np.allclose(matrix.sum(axis=1), 1.0)
     assert (matrix >= 0).all()
 
 
-def test_home_node_partitions_domain_contiguously():
-    partitioner = _partitioner(num_nodes=4, domain=1000)
-    assert partitioner.home_node(1) == 0
-    assert partitioner.home_node(250) == 0
-    assert partitioner.home_node(251) == 1
-    assert partitioner.home_node(1000) == 3
+def test_home_node_partitions_domain_contiguously(monkeypatch):
+    # Full skew with no spread: every key lands on its home node.
+    monkeypatch.setattr(partitioner_module, "SPREAD", 0.0)
+    partitioner = _partitioner(num_nodes=4, domain=1000, skew=1.0)
+    assert partitioner.assign([1, 250, 251, 1000]).tolist() == [0, 0, 1, 3]
 
 
 def test_home_node_rejects_out_of_domain():
     partitioner = _partitioner()
     with pytest.raises(ConfigurationError):
-        partitioner.home_node(0)
+        partitioner.assign([0])
     with pytest.raises(ConfigurationError):
-        partitioner.home_node(1001)
+        partitioner.assign([1001])
 
 
 def test_high_skew_concentrates_on_home_node(monkeypatch):
@@ -58,7 +57,7 @@ def test_high_skew_concentrates_on_home_node(monkeypatch):
 
 def test_zero_skew_is_uniform_placement():
     partitioner = _partitioner(skew=0.0)
-    matrix = partitioner.placement_matrix
+    matrix = partitioner._placement
     assert np.allclose(matrix, 1.0 / 4)
 
 
@@ -66,7 +65,7 @@ def test_assign_matches_per_key_distribution():
     partitioner = _partitioner(seed=8)
     keys = np.full(5000, 600)  # home node 2 of 4
     nodes = partitioner.assign(keys)
-    expected = partitioner.placement_matrix[2]
+    expected = partitioner._placement[2]
     observed = np.bincount(nodes, minlength=4) / len(nodes)
     assert np.abs(observed - expected).max() < 0.03
 
@@ -82,17 +81,10 @@ def test_assign_rejects_out_of_domain_keys():
         partitioner.assign([0, 5])
 
 
-def test_route_pairs_keys_with_nodes():
-    partitioner = _partitioner()
-    routed = list(partitioner.route(iter([1, 500, 999])))
-    assert [key for key, _ in routed] == [1, 500, 999]
-    assert all(0 <= node < 4 for _, node in routed)
-
-
 def test_neighbor_affinity_decays_with_distance(monkeypatch):
     monkeypatch.setattr(partitioner_module, "SPREAD", 0.3)
     partitioner = _partitioner(num_nodes=8)
-    row = partitioner.placement_matrix[0]
+    row = partitioner._placement[0]
     assert row[0] > row[1] > row[2]
     # Ring distance: node 7 is adjacent to node 0.
     assert row[7] == pytest.approx(row[1])

@@ -26,7 +26,12 @@ from repro.dft.reconstruction import reconstruct_values
 from repro.errors import ConfigurationError
 from repro.sketches.hashing import FourWiseHashFamily
 from repro.streams.tuples import StreamId, StreamTuple
-from tests.reference_decision import reference_distribution_similarity
+from tests.reference_decision import (
+    join_estimate,
+    join_estimates,
+    reconstructed_window,
+    reference_distribution_similarity,
+)
 
 WINDOW = 32
 DOMAIN = 1024
@@ -217,20 +222,20 @@ class TestDfttPolicy:
 
     def test_reconstruction_lazy_and_cached(self):
         policy = self._policy_with_remote()
-        window = policy.reconstructed_window(1, StreamId.S)
+        window = reconstructed_window(policy, 1, StreamId.S)
         assert window is not None
         assert policy.reconstruction_refreshes == 1
-        policy.reconstructed_window(1, StreamId.S)
+        reconstructed_window(policy, 1, StreamId.S)
         assert policy.reconstruction_refreshes == 1  # cached
 
     def test_join_estimate_hits_constant_window(self):
         policy = self._policy_with_remote(center=100)
-        estimate = policy.join_estimate(make_tuple(100, StreamId.R), 1)
+        estimate = join_estimate(policy, make_tuple(100, StreamId.R), 1)
         assert estimate is not None and estimate > WINDOW // 2
 
     def test_join_estimate_unknown_peer_is_none(self):
         policy = self._policy_with_remote()
-        assert policy.join_estimate(make_tuple(100, StreamId.R), 2) is None
+        assert join_estimate(policy, make_tuple(100, StreamId.R), 2) is None
 
     def test_destinations_prefer_estimated_matches(self):
         policy = self._policy_with_remote(center=100)
@@ -292,8 +297,8 @@ class TestDerivedRowsFollowTheirSlot:
     def test_delta_rederives_only_the_slot_it_changed(self, monkeypatch):
         policy = self._policy()
         before = dict(policy.peer_similarities(StreamId.R))
-        window_1 = policy.reconstructed_window(1, StreamId.S)
-        window_2 = policy.reconstructed_window(2, StreamId.S)
+        window_1 = reconstructed_window(policy, 1, StreamId.S)
+        window_2 = reconstructed_window(policy, 2, StreamId.S)
         assert policy.reconstruction_refreshes == 2
         histogram_inputs = count_calls(monkeypatch, correlation)
         window_inputs = count_calls(monkeypatch, dftt)
@@ -313,8 +318,8 @@ class TestDerivedRowsFollowTheirSlot:
         bins, coefficients = policy.managers[StreamId.R].dft.coefficient_view()
         assert np.array_equal(local[0], bins)
         assert np.array_equal(local[1], coefficients)
-        assert np.array_equal(policy.reconstructed_window(1, StreamId.S), window_1)
-        changed = policy.reconstructed_window(2, StreamId.S)
+        assert np.array_equal(reconstructed_window(policy, 1, StreamId.S), window_1)
+        changed = reconstructed_window(policy, 2, StreamId.S)
         assert not np.array_equal(changed, window_2)
         assert np.array_equal(changed, self._expected_window(policy, 2))
         # DFTT's sorted row is the same reconstruction, not a second one;
@@ -326,7 +331,7 @@ class TestDerivedRowsFollowTheirSlot:
         policy = self._policy()
         policy.on_remote_summary(1, dft_update(window_map(100, 1), version=5))
         similarities = policy.peer_similarities(StreamId.R)
-        window = policy.reconstructed_window(1, StreamId.S)
+        window = reconstructed_window(policy, 1, StreamId.S)
         refreshes = policy.reconstruction_refreshes
         histogram_inputs = count_calls(monkeypatch, correlation)
         window_inputs = count_calls(monkeypatch, dftt)
@@ -337,14 +342,14 @@ class TestDerivedRowsFollowTheirSlot:
             )
 
         assert policy.peer_similarities(StreamId.R) is similarities
-        assert np.array_equal(policy.reconstructed_window(1, StreamId.S), window)
+        assert np.array_equal(reconstructed_window(policy, 1, StreamId.S), window)
         assert policy.reconstruction_refreshes == refreshes
         assert histogram_inputs == [] and window_inputs == []
 
     def test_full_state_resync_replaces_the_row(self):
         policy = self._policy()
         policy.peer_similarities(StreamId.R)
-        policy.reconstructed_window(1, StreamId.S)
+        reconstructed_window(policy, 1, StreamId.S)
         snapshot = {0: 900.0 * WINDOW + 0j}
 
         policy.on_remote_summary(1, dft_update(snapshot, version=2, full=True))
@@ -355,13 +360,13 @@ class TestDerivedRowsFollowTheirSlot:
             policy, 1
         )
         assert np.array_equal(
-            policy.reconstructed_window(1, StreamId.S), np.full(WINDOW, 900.0)
+            reconstructed_window(policy, 1, StreamId.S), np.full(WINDOW, 900.0)
         )
 
     def test_restore_forgets_every_derived_row(self):
         policy = self._policy()
         item = make_tuple(100, StreamId.R)
-        assert policy.join_estimate(item, 1) > 0
+        assert join_estimate(policy, item, 1) > 0
         assert policy.peer_similarities(StreamId.R)[1] > 0.5
         state = policy.checkpoint_state()
 
@@ -370,8 +375,8 @@ class TestDerivedRowsFollowTheirSlot:
         assert set(policy.peer_similarities(StreamId.R).values()) == {
             UNKNOWN_PEER_SIMILARITY
         }
-        assert policy.join_estimates(item) == {1: None, 2: None, 3: None}
-        assert policy.reconstructed_window(1, StreamId.S) is None
+        assert join_estimates(policy, item) == {1: None, 2: None, 3: None}
+        assert reconstructed_window(policy, 1, StreamId.S) is None
 
         # The rolled-back sender: peer 1 re-uses version 1 for different
         # coefficients.  A row remembered by version alone would survive.
@@ -381,9 +386,9 @@ class TestDerivedRowsFollowTheirSlot:
         assert similarities[1] == self._expected_similarity(policy, 1)
         assert similarities[1] < 0.5
         assert similarities[2] == similarities[3] == UNKNOWN_PEER_SIMILARITY
-        assert policy.join_estimates(item) == {1: 0, 2: None, 3: None}
+        assert join_estimates(policy, item) == {1: 0, 2: None, 3: None}
         assert np.array_equal(
-            policy.reconstructed_window(1, StreamId.S),
+            reconstructed_window(policy, 1, StreamId.S),
             self._expected_window(policy, 1),
         )
 
@@ -530,6 +535,13 @@ class TestDecisionCost:
         assert len(calls_dftt) == 1
 
 
+def remote_filter(policy, peer, stream):
+    """The filter a BLOOM ``policy`` holds for ``peer``'s ``stream``;
+    ``None`` until one arrives (or for a non-peer)."""
+    slot = policy._peer_slots.get(peer)
+    return None if slot is None else policy._remote_filters[stream][slot]
+
+
 class TestBloomPolicy:
     def _pair(self, num_nodes=3, seed=2):
         config = PolicyConfig(
@@ -555,7 +567,7 @@ class TestBloomPolicy:
         update = b.outbox.take(0)
         for u in update:
             a.on_remote_summary(1, u)
-        remote = a.remote_filter(1, StreamId.S)
+        remote = remote_filter(a, 1, StreamId.S)
         assert remote is not None
         assert 500 in remote
 
@@ -600,10 +612,10 @@ class TestBloomPolicy:
         for index, key in enumerate((500, 700, 900, 4)):
             probed.clear()
             a.choose_destinations(make_tuple(key, StreamId.R, index))
-            assert probed == [a.remote_filter(1, StreamId.S), a.remote_filter(3, StreamId.S)]
-        assert a.remote_filter(2, StreamId.S) is None
-        assert a.remote_filter(2, StreamId.R) is not None
-        assert a.remote_filter(0, StreamId.S) is None  # not a peer of node 0
+            assert probed == [remote_filter(a, 1, StreamId.S), remote_filter(a, 3, StreamId.S)]
+        assert remote_filter(a, 2, StreamId.S) is None
+        assert remote_filter(a, 2, StreamId.R) is not None
+        assert remote_filter(a, 0, StreamId.S) is None  # not a peer of node 0
 
     def test_a_key_is_hashed_once_per_filter_family(self, monkeypatch, bloom_telemetry_config):
         """A gate in counts, on a whole scripted run: every filter of a

@@ -84,15 +84,15 @@ class TestTransitions:
 class TestFlagsAndCounters:
     def test_is_live_and_is_serving(self):
         machine = RecoveryMachine(node_id=0)
-        assert machine.is_live and machine.is_serving
+        assert machine.phase is RecoveryPhase.LIVE and machine.is_serving
         machine.apply("crash", 1.0)
-        assert not machine.is_live and not machine.is_serving
+        assert not machine.phase is RecoveryPhase.LIVE and not machine.is_serving
         machine.apply("restart", 2.0)
         assert not machine.is_serving
         machine.apply("restored", 2.1)
-        assert machine.is_serving and not machine.is_live
+        assert machine.is_serving and not machine.phase is RecoveryPhase.LIVE
         machine.apply("synced", 2.2)
-        assert machine.is_live and machine.is_serving
+        assert machine.phase is RecoveryPhase.LIVE and machine.is_serving
 
     def test_history_records_every_transition(self):
         machine = RecoveryMachine(node_id=0)

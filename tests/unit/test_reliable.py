@@ -79,7 +79,7 @@ class TestRetransmission:
         sender.on_ack(ack)
         scheduler.run()
         assert sender.retransmits == 0
-        assert sender.unacked(1) == 0
+        assert not sender._channel(1).in_flight
         assert len(wire.sent) == 1
 
     def test_delivery_failure_after_max_retries(self):

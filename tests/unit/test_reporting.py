@@ -1,6 +1,6 @@
 """Unit tests for ASCII result rendering."""
 
-from repro.experiments.reporting import format_series, format_table
+from repro.experiments.reporting import format_table
 
 
 def test_table_alignment_and_header_rule():
@@ -28,11 +28,6 @@ def test_bool_formatting():
 
 def test_tiny_floats_use_scientific():
     assert "e-05" in format_table(["x"], [(1.5e-5,)])
-
-
-def test_series_rendering():
-    text = format_series("DFTT", [(2, 0.1), (4, 0.2)])
-    assert text == "DFTT: (2, 0.1) (4, 0.2)"
 
 
 def test_empty_rows():

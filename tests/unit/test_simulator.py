@@ -252,9 +252,7 @@ def test_event_handle_reads_by_name():
     scheduler = EventScheduler()
     event = scheduler.schedule_at(1.5, print, key=(2, 5))
     assert (event.time, event.phase, event.rank, event.seq) == (1.5, 1, 2, 5)
-    assert event.sort_key == (1.5, 1, 2, 5)
     assert event.callback is print
     assert (event.material, event.cancelled) == (True, False)
     event.cancel()
     assert event.cancelled
-    assert "time=1.5" in repr(event) and "cancelled=True" in repr(event)

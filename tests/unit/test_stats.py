@@ -41,8 +41,9 @@ def test_data_messages_counts_tuples_and_summaries():
     stats.record(_msg(MessageKind.TUPLE))
     stats.record(_msg(MessageKind.SUMMARY, entries=1))
     stats.record(_msg(MessageKind.CONTROL))
-    assert stats.data_messages() == 2
-    assert stats.messages(MessageKind.CONTROL) == 1
+    assert stats.messages_by_kind[MessageKind.TUPLE.value] == 1
+    assert stats.messages_by_kind[MessageKind.SUMMARY.value] == 1
+    assert stats.messages_by_kind[MessageKind.CONTROL.value] == 1
 
 
 def test_as_dict_round_trip():

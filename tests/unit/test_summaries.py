@@ -59,7 +59,7 @@ class TestSummaryOutbox:
         outbox = SummaryOutbox([1])
         outbox.broadcast(make_update(payload={0: 1j, 1: 2j}))
         outbox.broadcast(make_update(stream=StreamId.S, payload={0: 1j}))
-        assert outbox.pending_entries(1) == 3
+        assert sum(update.entries for update in outbox.take(1)) == 3
 
     def test_peers_with_pending(self):
         outbox = SummaryOutbox([1, 2])
@@ -150,7 +150,7 @@ class TestDftSummaryManager:
         for value in range(10):
             manager.observe(float(value))
         mapping = manager.local_coefficients()
-        assert set(mapping) == set(int(b) for b in manager.dft.bins)
+        assert set(mapping) == set(int(b) for b in manager.dft.coefficient_view()[0])
 
     def test_validation(self):
         outbox = SummaryOutbox([1])

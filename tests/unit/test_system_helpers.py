@@ -60,12 +60,12 @@ class TestQueryDissemination:
     def test_control_messages_reach_all_peers(self):
         system = self._system()
         system.disseminate_query()
-        assert system.network.stats.messages(MessageKind.CONTROL) == 3
+        assert system.network.stats.messages_by_kind[MessageKind.CONTROL.value] == 3
 
     def test_schedule_workload_disseminates_once(self):
         system = self._system()
         system.schedule_workload()
-        assert system.network.stats.messages(MessageKind.CONTROL) == 3
+        assert system.network.stats.messages_by_kind[MessageKind.CONTROL.value] == 3
 
     def test_control_traffic_not_in_data_plane(self):
         system = self._system()
@@ -102,7 +102,7 @@ class TestArrivalSchedule:
         result = system.run()
         from repro.streams.tuples import StreamId
 
-        r_pop = system.oracle.window_population(StreamId.R)
-        s_pop = system.oracle.window_population(StreamId.S)
+        r_pop = sum(len(node.join.window(StreamId.R)) for node in system.nodes)
+        s_pop = sum(len(node.join.window(StreamId.S)) for node in system.nodes)
         # Windows full on both sides at run end (3 nodes x 64 capacity).
         assert r_pop + s_pop == 2 * 3 * 64 or abs(r_pop - s_pop) < 100

