@@ -1,39 +1,31 @@
-"""Microbenchmarks for the vectorized hot-path kernels.
+"""Microbenchmarks for the hot-path summary kernels.
 
 Every benchmark times a fast kernel against the pre-optimization
-reference (the per-update ``np.exp`` sliding DFT of
-``tests/reference_kernels.py``, uncached scalar sketch updates) over the
-same work, then asserts the contracted speedup floors:
-
-* ``sliding_dft_extend``  -- >= 5x over the scalar update loop;
-* ``agms_windowed_update`` -- >= 3x over per-tuple update/evict pairs;
-
-and writes every measurement to ``benchmarks/BENCH_kernels.json`` (a
-generated, gitignored report).  The final test gates against the
-committed ``benchmarks/BENCH_kernels_baseline.json``:
-a kernel whose measured speedup fell to less than half its committed
-baseline fails the run (the CI bench smoke job's regression tripwire).
+reference of ``tests/reference_kernels.py`` (the per-update ``np.exp``
+sliding DFT, the uncached hash family) over the same work, then asserts
+a speedup floor, and writes every measurement to
+``benchmarks/BENCH_kernels.json`` (a generated, gitignored report).  The
+final test gates against the committed
+``benchmarks/BENCH_kernels_baseline.json``: a kernel whose measured
+speedup fell to less than half its committed baseline fails the run (the
+CI bench smoke job's regression tripwire).
 
 Scale with ``REPRO_BENCH_SCALE``: ``bench`` (default) finishes in
 seconds; ``default``/``full`` use larger windows and streams.  Run as
-``python -m pytest`` from the repository root (the reference is imported
-as ``tests.reference_kernels``).
+``python -m pytest`` from the repository root (the references are
+imported as ``tests.reference_kernels``).
 """
 
 import json
 import os
 from pathlib import Path
 
-import numpy as np
-import pytest
-
 from repro._rng import ensure_rng
 from repro.dft.control import ControlVector
 from repro.dft.sliding import SlidingDFT, low_frequency_bins
 from repro.profiling import Stopwatch
-from repro.sketches.agms import AgmsSketch, SketchShape
 from repro.sketches.hashing import FourWiseHashFamily
-from tests.reference_kernels import ReferenceSlidingDFT
+from tests.reference_kernels import ReferenceHashFamily, ReferenceSlidingDFT
 
 REPORT_PATH = Path(__file__).resolve().parent / "BENCH_kernels.json"
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_kernels_baseline.json"
@@ -86,33 +78,6 @@ def _no_recompute_control():
     return ControlVector(recompute_interval=10**9, drift_bound=1.0)
 
 
-def test_sliding_dft_extend_speedup():
-    """Batched extend vs the pre-optimization scalar update loop (>= 5x)."""
-    scale = _scale()
-    rng = ensure_rng(2007)
-    stream = rng.normal(scale=100.0, size=scale["stream"])
-    bins = low_frequency_bins(scale["window"], scale["bins"])
-
-    naive_dft = ReferenceSlidingDFT(
-        scale["window"], tracked_bins=bins, control=_no_recompute_control()
-    )
-    fast_dft = SlidingDFT(
-        scale["window"], tracked_bins=bins, control=_no_recompute_control()
-    )
-    assert fast_dft.mode in ("table", "rotation")
-
-    def run_naive():
-        naive_dft.extend(stream)  # the historical per-update loop
-
-    def run_fast():
-        fast_dft.extend(stream)
-
-    speedup = _record(
-        "sliding_dft_extend", _best_of(run_naive), _best_of(run_fast), stream.size
-    )
-    assert speedup >= 5.0, "extend speedup %.1fx below the 5x floor" % speedup
-
-
 def test_sliding_dft_scalar_update_speedup():
     """Satellite: cached per-slot phase rows beat per-update np.exp."""
     scale = _scale()
@@ -144,53 +109,14 @@ def _windowed_keys(count, rng):
     return rng.zipf(1.3, size=count) % 1024
 
 
-def test_agms_windowed_update_speedup():
-    """Batched windowed update/evict vs scalar pairs (>= 3x)."""
-    scale = _scale()
-    rng = ensure_rng(3)
-    arrivals = _windowed_keys(scale["updates"], rng)
-    evictions = _windowed_keys(scale["updates"], rng)
-    shape = SketchShape.from_total(scale["counters"])
-
-    naive_sketch = AgmsSketch(
-        shape, hashes=FourWiseHashFamily(shape.total, rng=ensure_rng(7), cache_size=0)
-    )
-    fast_sketch = AgmsSketch(
-        shape, hashes=FourWiseHashFamily(shape.total, rng=ensure_rng(7))
-    )
-
-    def run_naive():
-        for arrival, eviction in zip(arrivals, evictions):
-            naive_sketch.update(int(arrival), +1)
-            naive_sketch.update(int(eviction), -1)
-
-    keys = np.concatenate([arrivals, evictions])
-    deltas = np.concatenate(
-        [np.ones(arrivals.size), -np.ones(evictions.size)]
-    )
-
-    def run_fast():
-        fast_sketch.update_batch(keys, deltas)
-
-    speedup = _record(
-        "agms_windowed_update",
-        _best_of(run_naive),
-        _best_of(run_fast),
-        keys.size,
-    )
-    assert speedup >= 3.0, "AGMS batch speedup %.1fx below the 3x floor" % speedup
-
-
 def test_sign_cache_speedup():
     """Satellite: the LRU sign cache beats re-hashing a skewed stream."""
     scale = _scale()
     rng = ensure_rng(13)
     keys = _windowed_keys(scale["updates"], rng)
 
-    def run(cache_size):
-        family = FourWiseHashFamily(
-            scale["counters"], rng=ensure_rng(17), cache_size=cache_size
-        )
+    def run(kernel):
+        family = kernel(scale["counters"], rng=ensure_rng(17))
 
         def body():
             for key in keys:
@@ -198,7 +124,10 @@ def test_sign_cache_speedup():
         return body
 
     speedup = _record(
-        "sign_cache_lookup", _best_of(run(0)), _best_of(run(4096)), keys.size
+        "sign_cache_lookup",
+        _best_of(run(ReferenceHashFamily)),
+        _best_of(run(FourWiseHashFamily)),
+        keys.size,
     )
     assert speedup >= 1.5, "sign cache speedup %.2fx regressed" % speedup
 

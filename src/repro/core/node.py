@@ -477,8 +477,11 @@ class JoinProcessingNode:
     # ------------------------------------------------------------------
 
     def _make_window(self) -> SlidingWindow:
-        """A local or shadow window: a shadow copy lives as long as it
-        would in its origin's window of the same size."""
+        """A local or shadow window of the configured kind and size.
+
+        A time-window copy expires by its timestamp, as its original
+        does.  A count shadow holds the last W copies *forwarded* from
+        one origin, so a copy can outlive its original."""
         if self.config.window_kind is WindowKind.TIME:
             return TimeWindow(self.config.window_seconds)
         if self.config.window_kind is WindowKind.LANDMARK:
@@ -846,27 +849,3 @@ class JoinProcessingNode:
         if self.recovery is not None:
             counters.update(self.recovery.counters())
         return counters
-
-    def runtime_record(self) -> Dict[str, object]:
-        """Everything the collection pass needs from this node, as data.
-
-        ``DistributedJoinSystem._collect`` reads nodes only through
-        these records.  Consuming the record drains the accounting log
-        (replay happens exactly once per run).
-        """
-        record: Dict[str, object] = {
-            "node_id": self.node_id,
-            "diagnostics": self.diagnostics(),
-            "accounting_ops": self.accounting_ops,
-            "transport": (
-                self.transport.counters() if self.transport is not None else None
-            ),
-            "health": (
-                self.health.counters() if self.health is not None else None
-            ),
-            "rejoin": (
-                self.recovery.rejoin_record() if self.recovery is not None else None
-            ),
-        }
-        self.accounting_ops = []
-        return record

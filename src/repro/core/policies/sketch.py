@@ -120,9 +120,6 @@ class SketchPolicy(ForwardingPolicy):
 
     def on_evictions(self, stream: StreamId, evicted: Sequence[StreamTuple]) -> None:
         sketch = self.sketches[stream]
-        if len(evicted) > 1:
-            sketch.update_batch([old.key for old in evicted], [-1] * len(evicted))
-            return
         for old in evicted:
             sketch.update(old.key, -1)
 

@@ -89,10 +89,6 @@ class DistributedJoinSystem:
         section and the run in ``system.run``; the snapshot becomes
         ``RunResult.profile``.  ``benchmarks/e2e`` passes its span
         recorder here."""
-        self._node_records = None
-        """Per-node collection records (see
-        :meth:`~repro.core.node.JoinProcessingNode.runtime_record`);
-        ``None`` until collection snapshots the live nodes."""
         root_rng = ensure_rng(config.seed)
         (
             self._workload_rng,
@@ -416,13 +412,6 @@ class DistributedJoinSystem:
             self.scheduler.run()
         return self._collect()
 
-    def _runtime_records(self) -> List[Dict[str, object]]:
-        """The per-node collection records, in node order, built once
-        from the live nodes."""
-        if self._node_records is None:
-            self._node_records = [node.runtime_record() for node in self.nodes]
-        return self._node_records
-
     def _replay_accounting(self) -> None:
         """Apply the nodes' deferred accounting ops to the oracle and
         collector.
@@ -430,25 +419,25 @@ class DistributedJoinSystem:
         Nodes log (rather than apply) every oracle/collector mutation so
         the accuracy numbers are a pure function of per-node histories --
         see :func:`repro.metrics.accounting.replay_accounting`.  Replay is
-        idempotent per run because each record's log is consumed once."""
+        idempotent per run because each node's log is drained once."""
         ops = []
-        for record in self._runtime_records():
-            ops.extend(record["accounting_ops"])
-            record["accounting_ops"] = []
+        for node in self.nodes:
+            ops.extend(node.accounting_ops)
+            node.accounting_ops = []
         replay_accounting(ops, self.oracle, self.collector)
 
     def _collect(self) -> RunResult:
         if self.telemetry is not None:
             # One final tick so the series capture the drained end state.
             self.telemetry.sample_tick()
-        records = self._runtime_records()
+        diagnostics = [node.diagnostics() for node in self.nodes]
 
         def total(key: str) -> float:
             """One per-node diagnostics counter summed in node order (plain
             ``+=``: the builtin ``sum`` compensates floats on newer Pythons)."""
             value = 0.0
-            for record in records:
-                value += record["diagnostics"][key]
+            for counters in diagnostics:
+                value += counters[key]
             return value
 
         self._replay_accounting()
@@ -470,10 +459,10 @@ class DistributedJoinSystem:
         ]
         reliability: Dict[str, float] = {}
         if self.config.reliability.enabled:
-            for record in records:
-                for key, value in record["transport"].items():
+            for node, counters in zip(self.nodes, diagnostics):
+                for key, value in node.transport.counters().items():
                     reliability[key] = reliability.get(key, 0.0) + value
-                for key, value in record["health"].items():
+                for key, value in node.health.counters().items():
                     if key.endswith("_max_s"):
                         reliability[key] = max(reliability.get(key, 0.0), value)
                     elif key.endswith("_mean_s"):
@@ -484,9 +473,7 @@ class DistributedJoinSystem:
                     else:
                         reliability[key] = reliability.get(key, 0.0) + value
                 for key in ("forced_broadcast_sends", "suppressed_sends", "resyncs"):
-                    reliability[key] = (
-                        reliability.get(key, 0.0) + record["diagnostics"][key]
-                    )
+                    reliability[key] = reliability.get(key, 0.0) + counters[key]
             samples = reliability.pop("_mean_samples", 0.0)
             if samples and "recovery_latency_mean_s" in reliability:
                 reliability["recovery_latency_mean_s"] /= samples
@@ -512,8 +499,8 @@ class DistributedJoinSystem:
                 recovery[key] = total(key)
             rejoin_latencies: List[float] = []
             clean = degraded = 0
-            for record in records:
-                rejoin = record["rejoin"]
+            for node in self.nodes:
+                rejoin = node.recovery.rejoin_record()
                 rejoin_latencies.extend(rejoin["latencies"])
                 for trigger in rejoin["triggers"]:
                     if trigger == "synced":
@@ -551,7 +538,8 @@ class DistributedJoinSystem:
             traffic=stats.as_dict(),
             messages_by_kind=dict(stats.messages_by_kind),
             node_diagnostics={
-                record["node_id"]: record["diagnostics"] for record in records
+                node.node_id: counters
+                for node, counters in zip(self.nodes, diagnostics)
             },
             throughput_series=series,
             sustained_throughput=sustained,

@@ -50,14 +50,6 @@ evaluation modes, worked out from ``W x K`` at construction:
     rotation ``exp(-2j*pi*k/W)``, resetting exactly to ones at slot-0
     wraparound so accumulated phase error never exceeds one window's
     worth (well under the control vector's drift budget).
-
-:meth:`SlidingDFT.extend` is a true batched path: a block of samples is
-applied as one vectorized outer-product update whose reduction is
-strictly in arrival order, so it is bit-identical to the equivalent
-:meth:`SlidingDFT.update` loop while performing O(1) numpy dispatches
-per block instead of ~6 per sample.  Drift control is checked once per
-block boundary, with blocks split so recomputation fires after exactly
-the same update as in the scalar path.
 """
 
 from __future__ import annotations
@@ -72,11 +64,6 @@ from repro.errors import SummaryError
 TWIDDLE_TABLE_MAX_ENTRIES = 1 << 21
 """Twiddle tables above this many complex entries (32 MiB) fall back to
 the constant-rotation mode."""
-
-EXTEND_BLOCK_ROWS = 1024
-"""Row cap on the per-block scratch of :meth:`SlidingDFT.extend`, so a
-huge batch never materializes more than ``EXTEND_BLOCK_ROWS x K``
-temporaries at once."""
 
 
 def low_frequency_bins(window_size: int, count: int) -> np.ndarray:
@@ -193,79 +180,9 @@ class SlidingDFT:
             self.recompute()
 
     def extend(self, values) -> None:
-        """Apply a batch of samples as vectorized block updates.
-
-        Bit-identical to ``for v in values: self.update(v)``: blocks are
-        split at slot-0 wraparound and at the drift-control boundary (so
-        full recomputations fire after exactly the same update they would
-        in the scalar loop), and each block's coefficient contributions
-        are reduced strictly in arrival order via ``np.add.accumulate``.
-        """
-        if isinstance(values, np.ndarray):
-            samples = values.astype(np.float64, copy=False).reshape(-1)
-        else:
-            # Accept any iterable (lists, tuples, generators) like the
-            # scalar loop would.
-            samples = np.fromiter(values, dtype=np.float64)
-        threshold = min(
-            self.control.recompute_interval, self.control.drift_safe_interval()
-        )
-        start = 0
-        total = samples.size
-        while start < total:
-            take = min(
-                total - start,
-                self.window_size - self._position,
-                # The scalar loop recomputes right after the update that
-                # reaches the threshold; max(1, ...) keeps that semantics
-                # even if a caller swapped in a tighter control mid-stream.
-                max(1, threshold - self.updates_since_recompute),
-                EXTEND_BLOCK_ROWS,
-            )
-            self._apply_block(samples[start : start + take])
-            start += take
-            if self.control.should_recompute(self.updates_since_recompute):
-                self.recompute()
-
-    def _apply_block(self, block: np.ndarray) -> None:
-        """One vectorized outer-product update over ``block.size`` slots.
-
-        The caller guarantees the block neither wraps past slot W-1 nor
-        crosses a drift-control boundary, so slot indices are distinct
-        and consecutive.
-        """
-        n = block.size
-        positions = np.arange(self._position, self._position + n)
-        if self.mode == "table":
-            phases = self._twiddles[positions]
-        else:
-            # Rotation mode: derive each row with the same single multiply
-            # the scalar path performs, so the chain stays bit-identical.
-            phases = np.empty((n, self._bins.size), dtype=np.complex128)
-            row = self._phase
-            for index in range(n):
-                phases[index] = row
-                row = row * self._rotation
-        deltas = block - self._buffer[positions]
-        # Strictly-ordered reduction: seed row 0 with the current
-        # coefficients and let add.accumulate fold the per-sample
-        # contributions left to right, exactly like the scalar loop's
-        # sequence of += operations (ufunc.accumulate never reassociates).
-        scratch = np.empty((n + 1, self._bins.size), dtype=np.complex128)
-        scratch[0] = self._coefficients
-        np.multiply(deltas[:, None], phases, out=scratch[1:])
-        np.add.accumulate(scratch, axis=0, out=scratch)
-        self._coefficients = scratch[-1].copy()
-        self._buffer[positions] = block
-        self._position = (self._position + n) % self.window_size
-        if self.mode == "rotation":
-            if self._position == 0:
-                self._phase = np.ones(self._bins.size, dtype=np.complex128)
-            else:
-                self._phase = phases[-1] * self._rotation
-        self._filled = min(self.window_size, self._filled + n)
-        self.total_updates += n
-        self.updates_since_recompute += n
+        """Apply a batch of samples, one :meth:`update` each."""
+        for value in values:
+            self.update(value)
 
     # ------------------------------------------------------------------
     # checkpoint / restore
@@ -329,8 +246,8 @@ class SlidingDFT:
         """Zero-copy ``(bins, coefficients)`` view for internal callers.
 
         Both arrays are the live state: treat them as read-only and do
-        not hold them across further updates (the coefficient array is
-        replaced, not mutated, by batch updates and recomputation).
+        not hold them across further updates (updates mutate the
+        coefficient array; recomputation replaces it).
         """
         return self._bins, self._coefficients
 

@@ -96,33 +96,6 @@ class AgmsSketch:
         self._counters += delta * self.hashes.signs(key)
         self.updates += 1
 
-    def update_batch(self, keys, deltas=None) -> None:
-        """Apply a block of frequency changes in one vectorized pass.
-
-        Duplicate keys are grouped (their deltas summed) before any
-        counter is touched, so a window turnover batch of B tuples costs
-        one hash evaluation per *distinct* key plus a single
-        matrix-vector product.  Counters hold exact integers well inside
-        float64's 2**53 range, so the result is bit-identical to the
-        equivalent sequence of :meth:`update` calls in any order.
-        """
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
-        if keys.size == 0:
-            return
-        if deltas is None:
-            deltas = np.ones(keys.size, dtype=np.float64)
-        else:
-            deltas = np.asarray(deltas, dtype=np.float64).reshape(-1)
-            if deltas.shape != keys.shape:
-                raise SummaryError("keys and deltas must have equal length")
-        live = deltas != 0
-        unique, inverse = np.unique(keys[live], return_inverse=True)
-        if unique.size:
-            net = np.bincount(inverse, weights=deltas[live], minlength=unique.size)
-            signs = self.hashes.signs_matrix(unique)
-            self._counters += net @ signs
-        self.updates += int(np.count_nonzero(live))
-
     def snapshot_counters(self) -> np.ndarray:
         """Flat counter copy -- the wire representation."""
         return self._counters.copy()

@@ -16,17 +16,15 @@ Because sliding windows evict exactly the keys they inserted, the same
 key is hashed at least twice (arrival and eviction) and usually many more
 times under skew, so the family keeps a small LRU cache of sign vectors:
 a hit replaces the three modular Horner steps with one dict lookup.  The
-cache is capacity-bounded (:data:`DEFAULT_SIGN_CACHE_SIZE` entries) and
-can be disabled with ``cache_size=0`` (the reference configuration the
-equivalence tests and microbenchmarks compare against).  Cached vectors
-are produced by the identical arithmetic, so hits and misses are
-bit-indistinguishable.
+cache is capacity-bounded (:data:`DEFAULT_SIGN_CACHE_SIZE` entries).
+Cached vectors are produced by the identical arithmetic, so hits and
+misses are bit-indistinguishable; the uncached family the tests compare
+against is ``tests/reference_kernels.py``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
 
 import numpy as np
 
@@ -49,7 +47,6 @@ class FourWiseHashFamily:
         rows: int,
         rng=None,
         prime: int = MERSENNE_PRIME_31,
-        cache_size: Optional[int] = None,
     ) -> None:
         if rows < 1:
             raise SummaryError("need at least one hash row")
@@ -60,11 +57,6 @@ class FourWiseHashFamily:
         generator = ensure_rng(rng)
         # Shape (rows, 4): highest-degree coefficient first (Horner order).
         self._coefficients = generator.integers(0, prime, size=(rows, 4), dtype=np.int64)
-        if cache_size is None:
-            cache_size = DEFAULT_SIGN_CACHE_SIZE
-        if cache_size < 0:
-            raise SummaryError("cache_size must be non-negative")
-        self.cache_size = cache_size
         self._sign_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
@@ -77,71 +69,22 @@ class FourWiseHashFamily:
             acc = (acc * x + self._coefficients[:, degree]) % self.prime
         return acc
 
-    def raw_matrix(self, keys) -> np.ndarray:
-        """Polynomial values for a key vector: shape ``(len(keys), rows)``.
-
-        Same Horner recurrence as :meth:`raw`, broadcast over keys; all
-        intermediates stay below ``p**2 < 2**62`` so int64 never wraps.
-        """
-        x = np.asarray(keys, dtype=np.int64).reshape(-1) % self.prime
-        acc = np.broadcast_to(self._coefficients[:, 0], (x.size, self.rows)).copy()
-        for degree in range(1, 4):
-            acc = (acc * x[:, None] + self._coefficients[:, degree]) % self.prime
-        return acc
-
     def signs(self, key: int) -> np.ndarray:
         """The +/-1 variable xi(key) per row (int8 array of +-1).
 
-        The returned array is read-only when it came from (or entered)
-        the LRU cache; copy before mutating.
+        The returned array is read-only (it is the LRU cache's entry);
+        copy before mutating.
         """
         key = int(key)
-        if self.cache_size:
-            cached = self._sign_cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                self._sign_cache.move_to_end(key)
-                return cached
+        cached = self._sign_cache.get(key)
+        if cached is not None:
+            self.cache_hits += 1
+            self._sign_cache.move_to_end(key)
+            return cached
         vector = np.where(self.raw(key) & 1, 1, -1).astype(np.int8)
-        if self.cache_size:
-            self.cache_misses += 1
-            vector.flags.writeable = False
-            self._sign_cache[key] = vector
-            if len(self._sign_cache) > self.cache_size:
-                self._sign_cache.popitem(last=False)
+        self.cache_misses += 1
+        vector.flags.writeable = False
+        self._sign_cache[key] = vector
+        if len(self._sign_cache) > DEFAULT_SIGN_CACHE_SIZE:
+            self._sign_cache.popitem(last=False)
         return vector
-
-    def signs_matrix(self, keys) -> np.ndarray:
-        """Sign vectors for a key vector: int8 of shape ``(len(keys), rows)``.
-
-        Serves each row from the LRU cache when present; misses are
-        evaluated in one vectorized Horner pass and inserted.
-        """
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
-        out = np.empty((keys.size, self.rows), dtype=np.int8)
-        if not self.cache_size:
-            np.subtract(
-                (self.raw_matrix(keys) & 1) << 1, 1, out=out, casting="unsafe"
-            )
-            return out
-        miss_indices = []
-        for index, key in enumerate(keys):
-            cached = self._sign_cache.get(int(key))
-            if cached is not None:
-                self.cache_hits += 1
-                self._sign_cache.move_to_end(int(key))
-                out[index] = cached
-            else:
-                miss_indices.append(index)
-        if miss_indices:
-            missed = keys[miss_indices]
-            fresh = np.where(self.raw_matrix(missed) & 1, 1, -1).astype(np.int8)
-            for slot, index in enumerate(miss_indices):
-                vector = fresh[slot].copy()
-                vector.flags.writeable = False
-                self.cache_misses += 1
-                self._sign_cache[int(keys[index])] = vector
-                out[index] = vector
-            while len(self._sign_cache) > self.cache_size:
-                self._sign_cache.popitem(last=False)
-        return out

@@ -1,12 +1,15 @@
 """End-to-end determinism: the fast kernels change nothing observable.
 
-A chaos-free reference run executed with the vectorized fast paths
-(twiddle tables, batched sketch updates, sign caches) must produce a
-:class:`~repro.core.results.RunResult` that is byte-identical to the same
-run on the historical scalar kernels: the per-update ``np.exp`` sliding
-DFT of ``tests/reference_kernels.py`` patched in where the summary
-manager builds its DFT, and the sign cache sized 0.  This is the
-system-level counterpart of the bit-level kernel equivalence suite.
+A chaos-free reference run executed with the fast paths (twiddle tables,
+the sign cache, the Bloom filters' shared probe-position table) must
+produce a :class:`~repro.core.results.RunResult` that is byte-identical
+to the same run on the historical scalar kernels patched in where a
+system takes its kernels from: the per-update ``np.exp`` sliding DFT and
+the uncached hash family of ``tests/reference_kernels.py``, and the
+table-free filter of ``tests/reference_bloom.py``.  SKCH and BLOOM also
+run on TIME windows, whose expirations evict several tuples at once.
+This is the system-level counterpart of the bit-level kernel
+equivalence suite.
 """
 
 import dataclasses
@@ -18,18 +21,26 @@ from repro.config import (
     Algorithm,
     PolicyConfig,
     SystemConfig,
+    WindowKind,
     WorkloadConfig,
     WorkloadKind,
 )
 from repro.core.system import DistributedJoinSystem, run_experiment
 from repro.streams.tuples import StreamId
-from tests.reference_kernels import ReferenceSlidingDFT
+from tests.reference_bloom import ReferenceCountingBloomFilter
+from tests.reference_kernels import ReferenceHashFamily, ReferenceSlidingDFT
+
+TIME_WINDOW_SECONDS = 1.0
+"""At 150 tuples/s over four nodes, an arrival often expires several
+tuples at once."""
 
 
-def reference_config(algorithm):
+def reference_config(algorithm, window_kind=WindowKind.COUNT):
     return SystemConfig(
         num_nodes=4,
         window_size=96,
+        window_kind=window_kind,
+        window_seconds=TIME_WINDOW_SECONDS if window_kind is WindowKind.TIME else 0.0,
         policy=PolicyConfig(algorithm=algorithm, kappa=4.0),
         workload=WorkloadConfig(
             kind=WorkloadKind.ZIPF,
@@ -44,7 +55,11 @@ def reference_config(algorithm):
 def build_on_reference_kernels(config, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr("repro.core.summaries.SlidingDFT", ReferenceSlidingDFT)
-        patch.setattr("repro.sketches.hashing.DEFAULT_SIGN_CACHE_SIZE", 0)
+        patch.setattr("repro.sketches.agms.FourWiseHashFamily", ReferenceHashFamily)
+        patch.setattr(
+            "repro.core.policies.bloom.CountingBloomFilter",
+            ReferenceCountingBloomFilter,
+        )
         return DistributedJoinSystem(config)
 
 
@@ -52,28 +67,9 @@ def run_on_reference_kernels(config, monkeypatch):
     return build_on_reference_kernels(config, monkeypatch).run()
 
 
-def test_reference_patches_reach_the_kernels(monkeypatch):
-    """The comparisons below mean something only while the two patched
-    names are where a system takes its kernels from."""
-    for node in build_on_reference_kernels(
-        reference_config(Algorithm.DFTT), monkeypatch
-    ).nodes:
-        managers = node.policy.managers
-        assert type(managers[StreamId.R].dft) is ReferenceSlidingDFT
-    for node in build_on_reference_kernels(
-        reference_config(Algorithm.SKCH), monkeypatch
-    ).nodes:
-        assert node.policy.sketches[StreamId.R].hashes.cache_size == 0
-    fast = DistributedJoinSystem(reference_config(Algorithm.DFTT)).nodes[0]
-    assert fast.policy.managers[StreamId.R].dft.mode == "table"
-
-
-@pytest.mark.parametrize(
-    "algorithm", [Algorithm.DFTT, Algorithm.SKCH, Algorithm.BLOOM]
-)
-def test_fast_kernels_reproduce_naive_run_exactly(algorithm, monkeypatch):
-    fast = run_experiment(reference_config(algorithm))
-    naive = run_on_reference_kernels(reference_config(algorithm), monkeypatch)
+def assert_reproduces_naive_run(config, monkeypatch):
+    fast = run_experiment(config)
+    naive = run_on_reference_kernels(config, monkeypatch)
 
     assert fast.summary() == naive.summary()
     assert fast.messages_by_kind == naive.messages_by_kind
@@ -83,6 +79,42 @@ def test_fast_kernels_reproduce_naive_run_exactly(algorithm, monkeypatch):
     # The whole result object, manifest included, is byte-identical.
     assert fast.manifest == naive.manifest
     assert pickle.dumps(fast) == pickle.dumps(naive)
+
+
+def test_reference_patches_reach_the_kernels(monkeypatch):
+    """The comparisons below mean something only while the three patched
+    names are where a system takes its kernels from."""
+    for node in build_on_reference_kernels(
+        reference_config(Algorithm.DFTT), monkeypatch
+    ).nodes:
+        managers = node.policy.managers
+        assert type(managers[StreamId.R].dft) is ReferenceSlidingDFT
+    for node in build_on_reference_kernels(
+        reference_config(Algorithm.SKCH, WindowKind.TIME), monkeypatch
+    ).nodes:
+        for stream in (StreamId.R, StreamId.S):
+            assert type(node.policy.sketches[stream].hashes) is ReferenceHashFamily
+    for node in build_on_reference_kernels(
+        reference_config(Algorithm.BLOOM, WindowKind.TIME), monkeypatch
+    ).nodes:
+        for stream in (StreamId.R, StreamId.S):
+            assert type(node.policy.filters[stream]) is ReferenceCountingBloomFilter
+    fast = DistributedJoinSystem(reference_config(Algorithm.DFTT)).nodes[0]
+    assert fast.policy.managers[StreamId.R].dft.mode == "table"
+
+
+@pytest.mark.parametrize(
+    "algorithm", [Algorithm.DFTT, Algorithm.SKCH, Algorithm.BLOOM]
+)
+def test_fast_kernels_reproduce_naive_run_exactly(algorithm, monkeypatch):
+    assert_reproduces_naive_run(reference_config(algorithm), monkeypatch)
+
+
+@pytest.mark.parametrize("algorithm", [Algorithm.SKCH, Algorithm.BLOOM])
+def test_fast_kernels_reproduce_naive_run_on_time_windows(algorithm, monkeypatch):
+    assert_reproduces_naive_run(
+        reference_config(algorithm, WindowKind.TIME), monkeypatch
+    )
 
 
 def test_fast_kernels_reproduce_naive_run_with_reliability(monkeypatch):

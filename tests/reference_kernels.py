@@ -1,19 +1,18 @@
-"""The pre-optimization sliding DFT, kept as the tests' oracle.
+"""The pre-optimization summary kernels, kept as the tests' oracles.
 
-The phase row ``exp(-2j*pi*k*p/W)`` is evaluated fresh with ``np.exp`` on
-every :meth:`update`, and :meth:`extend` is a scalar loop over
-``update``.  The table and rotation paths under ``src/`` are held to it
+``ReferenceSlidingDFT`` evaluates the phase row ``exp(-2j*pi*k*p/W)``
+fresh with ``np.exp`` on every :meth:`update`; ``ReferenceHashFamily``
+evaluates every sign vector afresh, with no cache.  The table and
+rotation paths and the LRU sign cache under ``src/`` are held to them
 with ``==`` (``tests/property/test_kernel_equivalence.py``, system-level
 in ``tests/integration/test_fastpath_determinism.py``) and timed against
-it (``benchmarks/test_bench_kernels.py``).
-
-The sketch kernels need no class: their reference is
-``FourWiseHashFamily(..., cache_size=0)``.
+them (``benchmarks/test_bench_kernels.py``).
 """
 
 import numpy as np
 
 from repro.dft.sliding import SlidingDFT
+from repro.sketches.hashing import FourWiseHashFamily
 
 
 class ReferenceSlidingDFT(SlidingDFT):
@@ -27,6 +26,9 @@ class ReferenceSlidingDFT(SlidingDFT):
     def _current_phase_row(self) -> np.ndarray:
         return np.exp(self._base_angle * self._position)
 
-    def extend(self, values) -> None:
-        for value in values:
-            self.update(value)
+
+class ReferenceHashFamily(FourWiseHashFamily):
+    """A ``FourWiseHashFamily`` that hashes every key on every call."""
+
+    def signs(self, key: int) -> np.ndarray:
+        return np.where(self.raw(key) & 1, 1, -1).astype(np.int8)
