@@ -21,16 +21,20 @@ replay log, checkpoints, rejoin timers and state transfer.
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from functools import partial
 from heapq import heappop, heappush
-from typing import Deque, Dict, List, Optional, Sequence, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
 
 from repro import config as testbed
 from repro.config import SystemConfig, WindowKind
 from repro.core.health import PeerHealthMonitor
 from repro.core.policies.base import ForwardingPolicy
 from repro.core.summaries import SummaryUpdate
+from repro.errors import SimulationError
 from repro.join.hash_join import JoinResult, SymmetricHashJoin
+from repro.net import link as wan
 from repro.net.message import Message, MessageKind
 from repro.net.reliable import ReliableTransport
 from repro.net.simulator import EventKey, EventKeySource, EventScheduler
@@ -108,6 +112,21 @@ class JoinProcessingNode:
             testbed.CPU_SECONDS_PER_TUPLE, testbed.CPU_SECONDS_PER_PROBE
         )
         self.held_deliveries = 0
+        self.runs_ahead = False
+        """Whether this node serves its backlog inline up to the run-ahead
+        horizon (see :meth:`_run_ahead_horizon`).  The system sets it when
+        it hands the node its local arrivals, on the runs whose links hold
+        and register deliveries (:meth:`~repro.net.topology.Network.holds_for`)."""
+        self._local_arrivals: Deque[tuple] = deque()
+        """``(time, item)`` of each local arrival scheduled through
+        :meth:`schedule_local_arrival` that has not fired yet, in time
+        order, which is the order their events fire in."""
+        self._expected: List[float] = []
+        """A heap of the arrival times of deliveries to this node that a
+        link scheduled as events (see :meth:`expect`)."""
+        self._ahead: Optional[list] = None
+        """The key ``[time, 1, node id, seq]`` of the latest finish served
+        inline; an input whose event does not sort after it raises."""
         self._last_contact: Dict[int, float] = {}
         self._mean_interarrival = 0.0
         self._last_arrival_time: Optional[float] = None
@@ -175,8 +194,9 @@ class JoinProcessingNode:
         )
         """Whether a delivery's only effect here is the queue append (no
         ARQ demux, liveness, restore parking or admission bound), so
-        links may hold deliveries for this node; the Network also
-        requires a run without telemetry or faults."""
+        links may hold deliveries for this node and it may serve ahead
+        (:attr:`runs_ahead`); the Network also requires a run without
+        telemetry or faults."""
         self.telemetry = telemetry
         """Optional :class:`~repro.telemetry.TelemetryHub`; every service
         becomes a span and fan-out decisions feed a histogram.  Handles
@@ -198,6 +218,22 @@ class JoinProcessingNode:
     # ------------------------------------------------------------------
     # ingress
     # ------------------------------------------------------------------
+
+    def schedule_local_arrival(self, time: float, item: StreamTuple) -> None:
+        """Schedule ``item`` to arrive here at ``time`` (a phase-0 event),
+        and keep it as a pending input of the run-ahead horizon.  A node's
+        arrivals are scheduled in time order."""
+        arrivals = self._local_arrivals
+        if arrivals and time < arrivals[-1][0]:
+            raise SimulationError(
+                "node %d: local arrival at t=%r scheduled after one at t=%r"
+                % (self.node_id, time, arrivals[-1][0])
+            )
+        arrivals.append((time, item))
+        self.scheduler.schedule_at(time, self._local_arrival_due)
+
+    def _local_arrival_due(self) -> None:
+        self.on_local_arrival(self._local_arrivals.popleft()[1])
 
     def on_local_arrival(self, item: StreamTuple) -> None:
         """A tuple of this node's own stream segment arrived."""
@@ -273,6 +309,17 @@ class JoinProcessingNode:
         heappush(self._held, [arrival, 1, key[0], key[1], message])
         self.held_deliveries += 1
 
+    def expect(self, arrival: float, message: Message) -> Callable[[], None]:
+        """Register a delivery that a link schedules as an arrival event at
+        ``arrival``; returns the event's callback.  The time stays a
+        pending input of the run-ahead horizon until the event fires."""
+        heappush(self._expected, arrival)
+        return partial(self._expected_delivery, message)
+
+    def _expected_delivery(self, message: Message) -> None:
+        heappop(self._expected)
+        self.on_message(message)
+
     def _admit_held(self) -> None:
         """Append the held deliveries whose arrival keys sort before the
         event being executed, in key order."""
@@ -284,6 +331,14 @@ class JoinProcessingNode:
         self.max_queue_depth = max(self.max_queue_depth, len(queue))
 
     def _enqueue(self, work: WorkItem) -> None:
+        ahead = self._ahead
+        if ahead is not None and not self.scheduler.current > ahead:
+            # Also an input from the very event that served ahead: it
+            # belongs before the finishes that event served inline.
+            raise SimulationError(
+                "node %d received input at t=%r after serving ahead to t=%r"
+                % (self.node_id, self.scheduler.now, ahead[0])
+            )
         if self._held:
             self._admit_held()
         if (
@@ -414,41 +469,111 @@ class JoinProcessingNode:
             )
 
     def _start_next(self) -> None:
+        """Serve the queue from here: a finish before the run-ahead
+        horizon is executed inline and starts the next service, the first
+        one at or past it is scheduled as an event."""
         if self._busy or not self._queue:
             return
         self._busy = True
-        work = self._queue.popleft()
-        kind = work_kind(work)
-        if self.profiler is None:
-            service_time = self._dispatch(kind, work)
-        else:
-            with self.profiler.section("node.%s" % kind):
-                service_time = self._dispatch(kind, work)
-        if self.fault_injector is not None:
-            # An active OVERLOAD fault stretches this node's service times
-            # (CPU contention / a slow collocated tenant); factor 1.0 --
-            # no fault covering this node -- is a bit-exact no-op.
-            factor = self.fault_injector.service_factor(self.node_id)
-            if factor != 1.0:
-                service_time *= factor
-        self.busy_seconds += service_time
-        if self.telemetry is not None:
-            # The service time is known synchronously, so one complete
-            # span per service -- no begin/end pairing to reconcile.
-            self.telemetry.emit(
-                "node.service",
-                category="node",
-                node=self.node_id,
-                time=self.scheduler.now,
-                dur_s=service_time,
-                kind=kind,
-            )
-        finish = self.scheduler.schedule_in(
-            service_time,
-            self._finish_service,
-            key=self._event_keys.next_key(),
+        scheduler = self.scheduler
+        queue = self._queue
+        horizon = (
+            self._run_ahead_horizon(scheduler.now) if self.runs_ahead else -math.inf
         )
-        self.hold_until = finish.time + self._hold_step * len(self._queue)
+        while True:
+            work = queue.popleft()
+            kind = work_kind(work)
+            if self.profiler is None:
+                service_time = self._dispatch(kind, work)
+            else:
+                with self.profiler.section("node.%s" % kind):
+                    service_time = self._dispatch(kind, work)
+            if self.fault_injector is not None:
+                # An active OVERLOAD fault stretches this node's service
+                # times (CPU contention / a slow collocated tenant); factor
+                # 1.0 -- no fault covering this node -- is a bit-exact no-op.
+                factor = self.fault_injector.service_factor(self.node_id)
+                if factor != 1.0:
+                    service_time *= factor
+            self.busy_seconds += service_time
+            if self.telemetry is not None:
+                # The service time is known synchronously, so one complete
+                # span per service -- no begin/end pairing to reconcile.
+                self.telemetry.emit(
+                    "node.service",
+                    category="node",
+                    node=self.node_id,
+                    time=scheduler.now,
+                    dur_s=service_time,
+                    kind=kind,
+                )
+            finish = scheduler.now + service_time
+            key = self._event_keys.next_key()
+            if finish < horizon:
+                # What _finish_service does, at the finish's own instant.
+                self._ahead = scheduler.execute_inline(finish, key)
+                if self._held:
+                    self._admit_held()
+                if queue:
+                    continue
+                self._busy = False
+                return
+            scheduler.schedule_at(finish, self._finish_service, key=key)
+            self.hold_until = finish + self._hold_step * len(queue)
+            return
+
+    def _run_ahead_horizon(self, now: float) -> float:
+        """The earliest finish time that must be a scheduled event, for
+        services started by the event at ``now``; a finish before it is
+        served inline by :meth:`_start_next`.
+
+        The horizon is the least of ``now + L``, with ``L =
+        min(LATENCY_MIN_S, LATENCY_MAX_S)`` read from :mod:`repro.net.link`
+        here; the next local arrival; and just past the earliest delivery
+        registered by :meth:`expect`.  An inline finish ``F`` then serves
+        the event path's sequence at the event path's instants:
+
+        * An input that does not exist yet is sent later, at some
+          simulated ``t >= now``: by an event that sorts after this one,
+          or by a finish such an event serves inline.  It arrives at
+          ``depart + latency`` with ``depart >= t`` and ``latency >= L``,
+          and float rounding is monotone, so it arrives at or after
+          ``fl(now + L)``, strictly after every ``F``.
+        * Inputs that already exist are the held heap, the registered
+          deliveries and the local-arrival times.  A held delivery keyed
+          before ``F`` is merged into the queue at ``F``, as
+          :meth:`_admit_held` merges it at a scheduled finish.  A local
+          arrival at a time ``<= F`` stops the loop, because phase 0 sorts
+          first.  A registered delivery at a time ``>= F`` does not,
+          because a node's rank sorts below every link rank.
+        * On a run where this node runs ahead (no telemetry, faults,
+          reliable transport, recovery or overload), nothing else reads or
+          writes a node between its events: policy RNGs are per node,
+          tuple ids are minted at scheduling time, traffic statistics
+          count integers and accounting ops are keyed per node.  So queue
+          contents, ``observe_congestion`` inputs, ``max_queue_depth``,
+          link RNG draws, link keys and every byte sent are the event
+          path's; only :attr:`~repro.net.simulator.EventScheduler.inlined`
+          finishes are not events.
+
+        An input that nevertheless lands in the served-ahead past (say a
+        hand-scheduled :meth:`on_local_arrival`) raises
+        :class:`~repro.errors.SimulationError` in :meth:`_enqueue`; it is
+        never reordered silently.  ``hold_until`` keeps its meaning: a
+        scheduled finish sets it as the event path does, and an inline one
+        leaves the last value, still a lower bound on the end of the same
+        busy period, while no other node can send.
+        """
+        low, high = wan.LATENCY_MIN_S, wan.LATENCY_MAX_S
+        horizon = now + (low if low < high else high)
+        arrivals = self._local_arrivals
+        if arrivals and arrivals[0][0] < horizon:
+            horizon = arrivals[0][0]
+        expected = self._expected
+        if expected and expected[0] < horizon:
+            # A finish at the delivery's own time still sorts first.
+            horizon = math.nextafter(expected[0], math.inf)
+        return horizon
 
     def _dispatch(self, kind: str, work: WorkItem) -> float:
         if kind == "local":

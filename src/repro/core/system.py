@@ -245,7 +245,14 @@ class DistributedJoinSystem:
 
     def schedule_workload(self) -> None:
         """Create every arrival event up front (Poisson arrivals, fair
-        R/S interleave, geographically-skewed node placement)."""
+        R/S interleave, geographically-skewed node placement).
+
+        Each arrival is scheduled through its node, which then knows its
+        next one; a node whose links hold and register its deliveries
+        also serves its backlog ahead of the clock (see
+        :meth:`JoinProcessingNode._run_ahead_horizon`)."""
+        for node in self.nodes:
+            node.runs_ahead = self.network.holds_for(node)
         self.disseminate_query()
         workload = self.config.workload
         count = workload.total_tuples
@@ -265,10 +272,7 @@ class DistributedJoinSystem:
                 origin_node=origin,
                 arrival_index=index,
             )
-            self.scheduler.schedule_at(
-                float(times[index]),
-                lambda n=self.nodes[origin], t=item: n.on_local_arrival(t),
-            )
+            self.nodes[origin].schedule_local_arrival(float(times[index]), item)
         self._tuples_scheduled = count
         self._arrival_span = float(times[-1])
         self._schedule_heartbeats()

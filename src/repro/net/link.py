@@ -114,9 +114,10 @@ class Link:
         """The destination node when it takes held deliveries (see
         :meth:`repro.core.node.JoinProcessingNode.hold`): a delivery
         arriving before ``holder.hold_until`` is handed to it instead of
-        becoming an arrival event.  The Network sets it on a keyed link
-        whose arrival would only append to the node's queue; ``None``
-        schedules every delivery."""
+        becoming an arrival event, and any other is scheduled through
+        ``holder.expect``, which registers its arrival time with the node.
+        The Network sets it on a keyed link whose arrival would only
+        append to the node's queue; ``None`` schedules every delivery."""
 
     def queue_depth_seconds(self) -> float:
         """Seconds of serialization backlog currently ahead of a new message."""
@@ -204,10 +205,14 @@ class Link:
             return arrival
         key = self.key_source.next_key()
         holder = self.holder
-        if holder is not None and arrival < holder.hold_until:
+        if holder is None:
+            callback = partial(self._arrive, message)
+        elif arrival < holder.hold_until:
             holder.hold(arrival, key, message)
             return arrival
-        self._scheduler.schedule_at(arrival, partial(self._arrive, message), key=key)
+        else:
+            callback = holder.expect(arrival, message)
+        self._scheduler.schedule_at(arrival, callback, key=key)
         return arrival
 
     def _arrive(self, message: Message) -> None:

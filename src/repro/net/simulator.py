@@ -35,6 +35,23 @@ serves the same sequence while :attr:`~EventScheduler.events_processed`
 and :attr:`~EventScheduler.pending` count fewer events (see
 :meth:`repro.core.node.JoinProcessingNode.hold`).
 
+Inline finishes.  Every message spends at least the links' minimum
+latency ``L`` in flight, so nothing an event at time ``T`` or later
+creates can reach a node before ``T + L``.  On the same clean runs a
+node that finishes a service before that bound, and before each input
+it already knows is pending (its next local arrival, the deliveries to
+it scheduled as arrival events), serves its next queued item inside the
+event being executed instead of scheduling the finish: it calls
+:meth:`EventScheduler.execute_inline`, which moves :attr:`~EventScheduler.now`
+and :attr:`~EventScheduler.current` to the finish's time and key
+``(time, 1, node id, seq)``, so every reader sees the service's own
+instant.  :attr:`~EventScheduler.now` may therefore run up to ``L`` ahead
+of the heap's next event, and goes back to that event's time when it
+fires.  A run serves the same sequence at the same instants while
+:attr:`~EventScheduler.events_processed` counts
+:attr:`~EventScheduler.inlined` fewer events (see
+:meth:`repro.core.node.JoinProcessingNode._run_ahead_horizon`).
+
 The design intentionally avoids coroutine-style processes: the node logic in
 :mod:`repro.core.node` is reactive (it only acts when a tuple or message
 arrives), so plain callbacks keep the control flow explicit and easy to
@@ -131,14 +148,19 @@ class EventScheduler:
         event's ``seq``."""
         self._now = 0.0
         self._material_now = 0.0
+        self._latest_inline = 0.0
         self.current: Optional[Event] = None
-        """The event being executed (the last one, between runs).  An
-        event is a list whose first four fields are its sort key, so a
-        held delivery's ``[time, 1, rank, seq, ...]`` compares with it
-        directly."""
+        """The event being executed (the last one, between runs), or the
+        key ``[time, 1, rank, seq]`` of the finish last executed inline
+        (see :meth:`execute_inline`).  An event is a list whose first four
+        fields are its sort key, so a held delivery's ``[time, 1, rank,
+        seq, ...]`` compares with either directly."""
         self._running = False
         self._events_processed = 0
         self._cancelled_pending = 0
+        self.inlined = 0
+        """Service finishes executed inline (see :meth:`execute_inline`),
+        not counted in :attr:`events_processed`."""
         self.compactions = 0
         self.telemetry = None
         """Optional :class:`repro.telemetry.TelemetryHub`; when set,
@@ -151,12 +173,17 @@ class EventScheduler:
 
     @property
     def material_now(self) -> float:
-        """Simulated time of the last *material* event processed.
+        """Simulated time of the latest *material* event executed,
+        inline finishes included.
 
         Observation-only events (telemetry sampling ticks, scheduled with
         ``material=False``) advance :attr:`now` but not this clock, so a
         run's reported duration is identical with telemetry on or off.
+        An inline finish may lie later than every event executed after
+        it, so this is the latest time, not the last one's.
         """
+        if self._latest_inline > self._material_now:
+            return self._latest_inline
         return self._material_now
 
     @property
@@ -238,6 +265,24 @@ class EventScheduler:
         if not delay >= 0:
             raise SimulationError("delay must be non-negative, got %g" % delay)
         return self.schedule_at(self._now + delay, callback, material, key)
+
+    def execute_inline(self, time: float, key: EventKey) -> list:
+        """Run a node's service finish at ``time`` inside the event being
+        executed, as the phase-1 event ``(time, 1, *key)`` it replaces.
+
+        Sets :attr:`now` and :attr:`current` to that finish and returns
+        the new :attr:`current`, ``[time, 1, rank, seq]``, which compares
+        with events and held deliveries as the event would.  The caller
+        proves that no pending or future event sorts before it (see the
+        module docstring); :attr:`now` goes back to the next event's time
+        when that event fires.
+        """
+        current = self.current = [time, 1, key[0], key[1]]
+        self._now = time
+        if time > self._latest_inline:
+            self._latest_inline = time
+        self.inlined += 1
+        return current
 
     def _execute(self, event: Event) -> None:
         time, _, _, _, _, callback, material, _, _ = event

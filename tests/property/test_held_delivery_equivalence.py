@@ -1,13 +1,16 @@
-"""Held deliveries change the event count and nothing else.
+"""Held deliveries and inline finishes change the event count and
+nothing else.
 
 A link hands a delivery that lands inside its destination's busy period
 to the node instead of scheduling an arrival event
-(:meth:`repro.core.node.JoinProcessingNode.hold`).  Each clean
-configuration below runs twice: as is, and with holding switched off
-here by clearing every node's ``takes_held_deliveries`` before any link
-exists.  The two runs must give equal results, serve the same work in the
-same order at the same instants, and differ in events processed by
-exactly the deliveries held.
+(:meth:`repro.core.node.JoinProcessingNode.hold`), and a node serves a
+finish that lies before its run-ahead horizon inside the event being
+executed (:meth:`repro.core.node.JoinProcessingNode._run_ahead_horizon`).
+Each clean configuration below runs twice: as is, and with both switched
+off here by clearing every node's ``takes_held_deliveries`` before any
+link exists.  The two runs must give equal results, serve the same work
+in the same order at the same instants, and differ in events processed by
+exactly the deliveries held plus the finishes inlined.
 """
 
 from hypothesis import given, settings
@@ -82,10 +85,12 @@ def assert_equivalent(config):
     on, result_on, served_on = run(config, hold=True)
     off, result_off, served_off = run(config, hold=False)
     assert held(off) == 0
+    assert off.scheduler.inlined == 0
     assert result_on == result_off
     assert served_on == served_off
     assert (
-        on.scheduler.events_processed + held(on) == off.scheduler.events_processed
+        on.scheduler.events_processed + held(on) + on.scheduler.inlined
+        == off.scheduler.events_processed
     )
     assert all(not node._held for node in on.nodes)
     return on, result_on
@@ -109,9 +114,11 @@ def test_holding_changes_only_the_event_count(config):
 
 def test_a_backlogged_base_cell_holds_at_depth():
     """BASE on N = 8 at 250 tuples/s backs every node up (queues reach
-    hundreds), and about a fifth of the deliveries land provably inside a
-    busy period (2,643 of 11,843 at this seed)."""
+    hundreds): about a fifth of the deliveries land provably inside a
+    busy period, and most service finishes lie inside the links' minimum
+    latency of the event that starts them."""
     config = make_config(Algorithm.BASE, 8, "count", 250.0, seed=7, tuples=1000)
     system, result = assert_equivalent(config)
     assert held(system) > 2000
+    assert system.scheduler.inlined > 8000
     assert max(node.max_queue_depth for node in system.nodes) > 500

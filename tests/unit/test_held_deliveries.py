@@ -1,5 +1,6 @@
-"""Held deliveries: the horizon bound, the idle invariant, and the runs
-that must never hold (see ``JoinProcessingNode.hold``)."""
+"""Held deliveries and inline finishes: their horizons, the idle
+invariant, and the runs that must never hold (see
+``JoinProcessingNode.hold`` and ``JoinProcessingNode._run_ahead_horizon``)."""
 
 import math
 
@@ -14,6 +15,8 @@ from repro.config import (
     WorkloadConfig,
 )
 from repro.core.system import DistributedJoinSystem
+from repro.errors import SimulationError
+from repro.net import link as wan
 from repro.net.faults import FaultPlan
 from repro.net.message import Message, MessageKind
 from repro.net.reliable import ReliabilitySettings
@@ -135,11 +138,23 @@ def test_an_arrival_at_the_end_of_the_busy_period_is_not_held():
 
 
 def test_an_idle_node_holds_nothing():
+    """An idle node's ``hold_until`` is at or below its own last finish,
+    which an inline finish may put ahead of the scheduler's clock."""
     config = base_config(
         num_nodes=8,
         workload=WorkloadConfig(total_tuples=500, domain=64, arrival_rate=250.0),
     )
     system = DistributedJoinSystem(config)
+    last_finish = {}
+    for node in system.nodes:
+        last_finish[node.node_id] = 0.0
+
+        def dispatch(kind, work, node=node, original=node._dispatch):
+            service_time = original(kind, work)
+            last_finish[node.node_id] = node.scheduler.now + service_time
+            return service_time
+
+        node._dispatch = dispatch
     system.schedule_workload()
     scheduler = system.scheduler
     while scheduler.pending:
@@ -147,9 +162,10 @@ def test_an_idle_node_holds_nothing():
         for node in system.nodes:
             if not node._busy:
                 assert not node._held
-                assert node.hold_until <= scheduler.now
+                assert node.hold_until <= last_finish[node.node_id]
     system.run()
     assert sum(node.held_deliveries for node in system.nodes) > 0
+    assert scheduler.inlined > 0
     assert all(not node._held for node in system.nodes)
 
 
@@ -174,11 +190,14 @@ def run_without_holders(config):
 
 @pytest.mark.parametrize("subsystem", sorted(OPTIONAL_SUBSYSTEMS))
 def test_a_run_with_an_optional_subsystem_holds_nothing(subsystem, tmp_path):
+    """Nor does it serve ahead: both paths need the same predicate."""
     config = base_config(**OPTIONAL_SUBSYSTEMS[subsystem])
     system = DistributedJoinSystem(config)
     result = system.run()
     assert all(link.holder is None for _, link in system.network.iter_links())
     assert sum(node.held_deliveries for node in system.nodes) == 0
+    assert not any(node.runs_ahead for node in system.nodes)
+    assert system.scheduler.inlined == 0
     reference, reference_result = run_without_holders(config)
     assert result == reference_result
     assert system.scheduler.events_processed == reference.scheduler.events_processed
@@ -186,3 +205,140 @@ def test_a_run_with_an_optional_subsystem_holds_nothing(subsystem, tmp_path):
         exported = export_prometheus(system.telemetry, tmp_path / "held.prom")
         expected = export_prometheus(reference.telemetry, tmp_path / "event.prom")
         assert exported.read_bytes() == expected.read_bytes()
+
+
+# --- inline finishes ---------------------------------------------------------
+
+
+def latency(monkeypatch, seconds):
+    """Every link delivers after exactly ``seconds`` of propagation."""
+    monkeypatch.setattr(wan, "LATENCY_MIN_S", seconds)
+    monkeypatch.setattr(wan, "LATENCY_MAX_S", seconds)
+
+
+def local_service_seconds():
+    """How long node 0 of a 3-node BASE system serves ``local(0)``."""
+    system = DistributedJoinSystem(base_config(num_nodes=3))
+    node = system.nodes[0]
+    node.on_local_arrival(local(0))
+    return node.busy_seconds
+
+
+def running_ahead(num_nodes=3):
+    """A BASE system whose node 0 serves ahead, with no workload of its own."""
+    system = DistributedJoinSystem(base_config(num_nodes=num_nodes))
+    node = system.nodes[0]
+    node.runs_ahead = system.network.holds_for(node)
+    assert node.runs_ahead
+    return system, node
+
+
+def finish_is_an_event(system, node):
+    """Run the first event; report whether the service it started left a
+    scheduled finish (``False``: the finish was served inline)."""
+    system.scheduler.run(max_events=1)
+    assert node.tuples_processed == 1
+    scheduled = [
+        event
+        for event in system.scheduler._queue
+        if event.phase == 1 and event.rank == node.node_id
+    ]
+    assert len(scheduled) + system.scheduler.inlined == 1
+    return bool(scheduled)
+
+
+@pytest.mark.parametrize("factor, event", [(1.0, True), (2.0, False)])
+def test_a_finish_at_exactly_the_latency_horizon_is_an_event(
+    monkeypatch, factor, event
+):
+    service = local_service_seconds()
+    # At factor 1, T + L and T + service are the same rounded sum.
+    latency(monkeypatch, service * factor)
+    system, node = running_ahead()
+    node.schedule_local_arrival(0.5, local(0))
+    assert finish_is_an_event(system, node) is event
+
+
+@pytest.mark.parametrize("exactly, event", [(True, True), (False, False)])
+def test_a_local_arrival_at_exactly_the_finish_stops_the_loop(
+    monkeypatch, exactly, event
+):
+    service = local_service_seconds()
+    latency(monkeypatch, 0.5)
+    system, node = running_ahead()
+    start = 0.75
+    finish = start + service
+    node.schedule_local_arrival(start, local(0))
+    node.schedule_local_arrival(
+        finish if exactly else math.nextafter(finish, math.inf), local(1)
+    )
+    assert finish_is_an_event(system, node) is event
+
+
+@pytest.mark.parametrize("exactly, event", [(True, False), (False, True)])
+def test_a_delivery_at_exactly_the_finish_does_not_stop_the_loop(
+    monkeypatch, exactly, event
+):
+    service = local_service_seconds()
+    latency(monkeypatch, 0.5)
+    system, node = running_ahead()
+    start = 0.75
+    finish = start + service
+    node.schedule_local_arrival(start, local(0))
+    arrival = finish if exactly else math.nextafter(finish, 0.0)
+    # free + 0.5 == arrival exactly: both differences are Sterbenz-exact.
+    link = system.network.link(1, 0)
+    link._free_at = arrival - 0.5
+    message = Message(
+        kind=MessageKind.SUMMARY, source=1, destination=0, payload=(None, ())
+    )
+    assert system.network.send(message) == arrival
+    assert node._expected == [arrival]
+    assert finish_is_an_event(system, node) is event
+    system.scheduler.run()
+    assert node._expected == []
+
+
+def test_a_node_takes_its_local_arrivals_in_time_order():
+    """The deque's head is the next arrival only if the times ascend."""
+    system, node = running_ahead()
+    node.schedule_local_arrival(0.5, local(0))
+    node.schedule_local_arrival(0.5, local(1))
+    with pytest.raises(SimulationError, match="scheduled after"):
+        node.schedule_local_arrival(0.25, local(2))
+
+
+@pytest.mark.usefixtures("zero_latency")
+def test_zero_latency_inlines_nothing():
+    system = DistributedJoinSystem(base_config())
+    system.run()
+    assert all(node.runs_ahead for node in system.nodes)
+    assert sum(node.held_deliveries for node in system.nodes) > 0
+    assert system.scheduler.inlined == 0
+
+
+def test_a_hand_scheduled_arrival_in_the_served_ahead_past_raises(monkeypatch):
+    """The nodes know the arrivals ``schedule_workload`` handed them, not
+    the extra ones scheduled here just after the first: the first
+    arrival's node serves that tuple ahead past its extra arrival, which
+    must not then be served late."""
+    latency(monkeypatch, 1.0)
+    system = DistributedJoinSystem(
+        base_config(
+            num_nodes=2,
+            workload=WorkloadConfig(total_tuples=4, domain=64, arrival_rate=1.0),
+        )
+    )
+    system.schedule_workload()
+    scheduler = system.scheduler
+    first = min(event.time for event in scheduler._queue if event.phase == 0)
+    for node in system.nodes:
+        extra = StreamTuple(
+            stream=StreamId.S, key=1, origin_node=node.node_id, arrival_index=99
+        )
+        scheduler.schedule_at(
+            math.nextafter(first, math.inf),
+            lambda node=node, extra=extra: node.on_local_arrival(extra),
+        )
+    with pytest.raises(SimulationError, match="serving ahead"):
+        scheduler.run()
