@@ -25,7 +25,7 @@ import math
 from collections import deque
 from functools import partial
 from heapq import heappop, heappush
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
+from typing import Deque, Dict, List, Optional, Sequence, Union
 
 from repro import config as testbed
 from repro.config import SystemConfig, WindowKind
@@ -37,7 +37,7 @@ from repro.join.hash_join import JoinResult, SymmetricHashJoin
 from repro.net import link as wan
 from repro.net.message import Message, MessageKind
 from repro.net.reliable import ReliableTransport
-from repro.net.simulator import EventKey, EventKeySource, EventScheduler
+from repro.net.simulator import Event, EventKeySource, EventScheduler
 from repro.net.topology import Network
 from repro.overload import DegradationLadder, DegradationMode, OverloadDetector
 from repro.recovery.coordinator import RecoveryCoordinator
@@ -101,29 +101,23 @@ class JoinProcessingNode:
         self._acct_seq = 0
         self._queue: Deque[WorkItem] = deque()
         self._busy = False
-        self._held: List[list] = []
-        """Held deliveries, a heap of ``[arrival, 1, rank, seq, message]``
-        (see :meth:`hold`)."""
-        self.hold_until = 0.0
-        """A lower bound on the end of the current busy period; at or
-        below the clock while idle.  A link holds a delivery arriving
-        before it."""
-        self._hold_step = 0.999 * min(
-            testbed.CPU_SECONDS_PER_TUPLE, testbed.CPU_SECONDS_PER_PROBE
-        )
-        self.held_deliveries = 0
+        self._inbox: List[list] = []
+        """Inputs not yet in the service queue: a heap of ``[time, phase,
+        rank, seq, work]`` entries, each under the key its arrival event
+        would have had (see :meth:`take`)."""
+        self._wake: Optional[Event] = None
+        """The one event that serves an idle node's inbox head; ``None``
+        while busy or with an empty inbox."""
+        self.inputs_merged = 0
+        """Inbox entries merged into the queue without an event of their
+        own (see :meth:`_merge_inbox`), each an arrival event the event
+        path would have executed."""
         self.runs_ahead = False
-        """Whether this node serves its backlog inline up to the run-ahead
-        horizon (see :meth:`_run_ahead_horizon`).  The system sets it when
-        it hands the node its local arrivals, on the runs whose links hold
-        and register deliveries (:meth:`~repro.net.topology.Network.holds_for`)."""
-        self._local_arrivals: Deque[tuple] = deque()
-        """``(time, item)`` of each local arrival scheduled through
-        :meth:`schedule_local_arrival` that has not fired yet, in time
-        order, which is the order their events fire in."""
-        self._expected: List[float] = []
-        """A heap of the arrival times of deliveries to this node that a
-        link scheduled as events (see :meth:`expect`)."""
+        """Whether this node serves its backlog inline, up to the links'
+        minimum latency past the event that starts it (see :meth:`take`).
+        The system copies :attr:`uses_inbox` into it when it hands the
+        node its local arrivals; a node driven by hand does not run
+        ahead."""
         self._ahead: Optional[list] = None
         """The key ``[time, 1, node id, seq]`` of the latest finish served
         inline; an input whose event does not sort after it raises."""
@@ -187,16 +181,6 @@ class JoinProcessingNode:
         self.shed_tuples = 0
         self.shed_messages = 0
         self.suppressed_flushes = 0
-        self.takes_held_deliveries = (
-            transport is None
-            and self.recovery is None
-            and self.overload_settings is None
-        )
-        """Whether a delivery's only effect here is the queue append (no
-        ARQ demux, liveness, restore parking or admission bound), so
-        links may hold deliveries for this node and it may serve ahead
-        (:attr:`runs_ahead`); the Network also requires a run without
-        telemetry or faults."""
         self.telemetry = telemetry
         """Optional :class:`~repro.telemetry.TelemetryHub`; every service
         becomes a span and fan-out decisions feed a histogram.  Handles
@@ -214,26 +198,33 @@ class JoinProcessingNode:
                 edges=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
                 node=node_id,
             )
+        self.uses_inbox = (
+            transport is None
+            and self.recovery is None
+            and self.overload_settings is None
+            and telemetry is None
+            and fault_injector is None
+        )
+        """Whether every input of this node waits in its inbox (see
+        :meth:`take`): true when an input's only effect here is the queue
+        append -- no telemetry, faults, ARQ demux, liveness, restore
+        parking or admission bound.  The Network hands deliveries into
+        such a node to it, and the system lets it run ahead
+        (:attr:`runs_ahead`); clearing it before the first send runs every
+        input as an event."""
 
     # ------------------------------------------------------------------
     # ingress
     # ------------------------------------------------------------------
 
     def schedule_local_arrival(self, time: float, item: StreamTuple) -> None:
-        """Schedule ``item`` to arrive here at ``time`` (a phase-0 event),
-        and keep it as a pending input of the run-ahead horizon.  A node's
-        arrivals are scheduled in time order."""
-        arrivals = self._local_arrivals
-        if arrivals and time < arrivals[-1][0]:
-            raise SimulationError(
-                "node %d: local arrival at t=%r scheduled after one at t=%r"
-                % (self.node_id, time, arrivals[-1][0])
-            )
-        arrivals.append((time, item))
-        self.scheduler.schedule_at(time, self._local_arrival_due)
-
-    def _local_arrival_due(self) -> None:
-        self.on_local_arrival(self._local_arrivals.popleft()[1])
+        """Have ``item`` arrive here at ``time``: an inbox entry keyed by
+        its ``arrival_index`` on a node that :attr:`uses_inbox`, a phase-0
+        event on any other."""
+        if self.uses_inbox:
+            self.take([time, 0, 0, item.arrival_index, item])
+        else:
+            self.scheduler.schedule_at(time, partial(self.on_local_arrival, item))
 
     def on_local_arrival(self, item: StreamTuple) -> None:
         """A tuple of this node's own stream segment arrived."""
@@ -275,59 +266,86 @@ class JoinProcessingNode:
                 return
         self._enqueue(message)
 
-    def hold(self, arrival: float, key: EventKey, message: Message) -> None:
-        """Take a delivery that lands inside this node's busy period.
+    def take(self, entry: list) -> None:
+        """Put one input in the inbox: ``entry`` is ``[time, phase, rank,
+        seq, work]``, the key its arrival event would have had and what
+        it brings -- ``[arrival, 1, link rank, link seq, message]`` from a
+        link, ``[time, 0, 0, arrival_index, item]`` from
+        :meth:`schedule_local_arrival`.
 
-        The link calls this instead of scheduling an arrival event when
-        ``arrival < hold_until``.  Such an event would only have appended
-        ``message`` to the busy node's queue, so the message waits here
-        under its arrival key ``(arrival, 1, rank, seq)`` and
-        :meth:`_admit_held` appends it once the event being executed sorts
-        after that key: before any other append and at each service
-        finish.  The queue then sees the event path's appends in the
-        event path's order, and ``max_queue_depth`` the same peak.
+        Why the inbox serves the event path's sequence at the event path's
+        instants, on a run where an input's only effect is the queue
+        append (:attr:`uses_inbox`):
 
-        Why ``hold_until`` is a lower bound on the busy period's end.
-        :meth:`_start_next` sets it to ``F + step * len(queue)``, with
-        ``F`` the finish time of the service it starts.  Every item
-        queued then is served after ``F``, back to back, each for at
-        least ``c = min(CPU_SECONDS_PER_TUPLE, CPU_SECONDS_PER_PROBE)``
-        (no fault stretches or shrinks service on a holding node); later
-        appends and holds only lengthen the busy period.  At ``arrival ==
-        F`` with nothing queued the finish key (rank = node id) sorts
-        first and the node goes idle, so the strict ``<`` does not hold
-        that delivery.
+        * A busy node.  A finish at key ``F``, scheduled or inline, merges
+          every entry keyed before ``F``, in key order
+          (:meth:`_merge_inbox`).  Each entry's own event would already
+          have fired there and appended it, because the node was busy; so
+          queue contents, ``observe_congestion`` inputs and
+          ``max_queue_depth`` are the event path's.
+        * An idle node.  Its inbox head is the earliest input it has, and
+          its one wake fires at the head's time and key and does exactly
+          what the head's event did: it calls :meth:`on_message` or
+          :meth:`on_local_arrival`, which append (depth 1) and start.
+          An input that becomes the head of an idle node cancels the
+          pending wake and schedules its own; a busy node keeps no wake;
+          a finish that leaves the queue empty and the inbox not schedules
+          one.
+        * Inputs that do not exist yet.  Such an input is sent at some
+          simulated ``t >= now``, by an event that sorts after the current
+          one or by a finish such an event serves inline, and spends at
+          least ``L = min(LATENCY_MIN_S, LATENCY_MAX_S)`` in flight; float
+          rounding is monotone, so it arrives at or after ``fl(now + L)``,
+          after every finish :meth:`_start_next` serves inline.  Inputs
+          that already exist are all in the inbox and are merged at each
+          inline finish, so no input cuts the run-ahead horizon.  Nothing
+          else reads or writes a node between its events on such a run:
+          policy RNGs are per node, tuple ids are minted at scheduling
+          time, traffic statistics count integers and accounting ops are
+          keyed per node.  So link RNG draws, link keys and every byte
+          sent are the event path's too.
+        * Phase-0 wakes.  A wake for a local arrival is a phase-0 event
+          with a fresh scheduler tie.  On such a run the only phase-0
+          events are these wakes, and wakes of different nodes touch
+          disjoint state, so their order at one instant is immaterial.
+          Within one node the inbox orders same-instant arrivals by
+          ``arrival_index``, which is the order they were scheduled in.
 
-        The float margin: ``step = 0.999 * c``.  Each finish time is one
-        rounded addition, so per queued item the true busy end drifts by
-        at most half an ulp of the clock below ``F + k * c``, and the
-        bound's own product and sum round by about one more; the bound
-        leaves ``0.001 * c`` (50 ns at the testbed's 50 us probe) per
-        item, which covers those half-ulps for any clock under about
-        10^8 simulated seconds.
+        An input that lands in a node's served-ahead past anyway (a
+        hand-scheduled :meth:`on_local_arrival`) raises
+        :class:`~repro.errors.SimulationError` in :meth:`_enqueue`; it is
+        never reordered silently.
         """
-        heappush(self._held, [arrival, 1, key[0], key[1], message])
-        self.held_deliveries += 1
+        inbox = self._inbox
+        heappush(inbox, entry)
+        if inbox[0] is entry and not self._busy:
+            if self._wake is not None:
+                self._wake.cancel()
+            self._schedule_wake()
 
-    def expect(self, arrival: float, message: Message) -> Callable[[], None]:
-        """Register a delivery that a link schedules as an arrival event at
-        ``arrival``; returns the event's callback.  The time stays a
-        pending input of the run-ahead horizon until the event fires."""
-        heappush(self._expected, arrival)
-        return partial(self._expected_delivery, message)
+    def _schedule_wake(self) -> None:
+        time, phase, rank, seq, _ = self._inbox[0]
+        self._wake = self.scheduler.schedule_at(
+            time, self._wake_up, key=(rank, seq) if phase else None
+        )
 
-    def _expected_delivery(self, message: Message) -> None:
-        heappop(self._expected)
-        self.on_message(message)
+    def _wake_up(self) -> None:
+        self._wake = None
+        _, phase, _, _, work = heappop(self._inbox)
+        if phase:
+            self.on_message(work)
+        else:
+            self.on_local_arrival(work)
 
-    def _admit_held(self) -> None:
-        """Append the held deliveries whose arrival keys sort before the
-        event being executed, in key order."""
-        held = self._held
+    def _merge_inbox(self) -> None:
+        """Append the inbox entries keyed before the event being executed,
+        in key order."""
+        inbox = self._inbox
         queue = self._queue
         current = self.scheduler.current
-        while held and held[0] < current:
-            queue.append(heappop(held)[4])
+        while inbox and inbox[0] < current:
+            queue.append(heappop(inbox)[4])
+            self.inputs_merged += 1
         self.max_queue_depth = max(self.max_queue_depth, len(queue))
 
     def _enqueue(self, work: WorkItem) -> None:
@@ -339,8 +357,13 @@ class JoinProcessingNode:
                 "node %d received input at t=%r after serving ahead to t=%r"
                 % (self.node_id, self.scheduler.now, ahead[0])
             )
-        if self._held:
-            self._admit_held()
+        if self._busy:
+            if self._inbox:
+                self._merge_inbox()
+        elif self._wake is not None:
+            # A hand-driven input reached an idle node before its wake.
+            self._wake.cancel()
+            self._wake = None
         if (
             work_kind(work) == "message"
             and work.kind is MessageKind.STATE_TRANSFER
@@ -469,16 +492,19 @@ class JoinProcessingNode:
             )
 
     def _start_next(self) -> None:
-        """Serve the queue from here: a finish before the run-ahead
-        horizon is executed inline and starts the next service, the first
-        one at or past it is scheduled as an event."""
+        """Serve the queue from here.  On a node that runs ahead, a finish
+        before ``now + L`` (see :meth:`take`) is executed inline and starts
+        the next service; the first one at or past it is scheduled as an
+        event."""
         if self._busy or not self._queue:
             return
         self._busy = True
         scheduler = self.scheduler
         queue = self._queue
         horizon = (
-            self._run_ahead_horizon(scheduler.now) if self.runs_ahead else -math.inf
+            scheduler.now + min(wan.LATENCY_MIN_S, wan.LATENCY_MAX_S)
+            if self.runs_ahead
+            else -math.inf
         )
         while True:
             work = queue.popleft()
@@ -512,68 +538,16 @@ class JoinProcessingNode:
             if finish < horizon:
                 # What _finish_service does, at the finish's own instant.
                 self._ahead = scheduler.execute_inline(finish, key)
-                if self._held:
-                    self._admit_held()
+                if self._inbox:
+                    self._merge_inbox()
                 if queue:
                     continue
                 self._busy = False
+                if self._inbox:
+                    self._schedule_wake()
                 return
             scheduler.schedule_at(finish, self._finish_service, key=key)
-            self.hold_until = finish + self._hold_step * len(queue)
             return
-
-    def _run_ahead_horizon(self, now: float) -> float:
-        """The earliest finish time that must be a scheduled event, for
-        services started by the event at ``now``; a finish before it is
-        served inline by :meth:`_start_next`.
-
-        The horizon is the least of ``now + L``, with ``L =
-        min(LATENCY_MIN_S, LATENCY_MAX_S)`` read from :mod:`repro.net.link`
-        here; the next local arrival; and just past the earliest delivery
-        registered by :meth:`expect`.  An inline finish ``F`` then serves
-        the event path's sequence at the event path's instants:
-
-        * An input that does not exist yet is sent later, at some
-          simulated ``t >= now``: by an event that sorts after this one,
-          or by a finish such an event serves inline.  It arrives at
-          ``depart + latency`` with ``depart >= t`` and ``latency >= L``,
-          and float rounding is monotone, so it arrives at or after
-          ``fl(now + L)``, strictly after every ``F``.
-        * Inputs that already exist are the held heap, the registered
-          deliveries and the local-arrival times.  A held delivery keyed
-          before ``F`` is merged into the queue at ``F``, as
-          :meth:`_admit_held` merges it at a scheduled finish.  A local
-          arrival at a time ``<= F`` stops the loop, because phase 0 sorts
-          first.  A registered delivery at a time ``>= F`` does not,
-          because a node's rank sorts below every link rank.
-        * On a run where this node runs ahead (no telemetry, faults,
-          reliable transport, recovery or overload), nothing else reads or
-          writes a node between its events: policy RNGs are per node,
-          tuple ids are minted at scheduling time, traffic statistics
-          count integers and accounting ops are keyed per node.  So queue
-          contents, ``observe_congestion`` inputs, ``max_queue_depth``,
-          link RNG draws, link keys and every byte sent are the event
-          path's; only :attr:`~repro.net.simulator.EventScheduler.inlined`
-          finishes are not events.
-
-        An input that nevertheless lands in the served-ahead past (say a
-        hand-scheduled :meth:`on_local_arrival`) raises
-        :class:`~repro.errors.SimulationError` in :meth:`_enqueue`; it is
-        never reordered silently.  ``hold_until`` keeps its meaning: a
-        scheduled finish sets it as the event path does, and an inline one
-        leaves the last value, still a lower bound on the end of the same
-        busy period, while no other node can send.
-        """
-        low, high = wan.LATENCY_MIN_S, wan.LATENCY_MAX_S
-        horizon = now + (low if low < high else high)
-        arrivals = self._local_arrivals
-        if arrivals and arrivals[0][0] < horizon:
-            horizon = arrivals[0][0]
-        expected = self._expected
-        if expected and expected[0] < horizon:
-            # A finish at the delivery's own time still sorts first.
-            horizon = math.nextafter(expected[0], math.inf)
-        return horizon
 
     def _dispatch(self, kind: str, work: WorkItem) -> float:
         if kind == "local":
@@ -582,19 +556,22 @@ class JoinProcessingNode:
 
     def _finish_service(self) -> None:
         self._busy = False
-        if self._held:
-            self._admit_held()
+        if self._inbox:
+            self._merge_inbox()
         if self._overload_detector is not None:
             # The drain side of the hysteresis loop: arrivals can only
             # escalate, so recovery has to be observed here, where the
             # queue actually shrinks.
             self._observe_overload(len(self._queue))
-        self._start_next()
+        if self._queue:
+            self._start_next()
+        elif self._inbox:
+            self._schedule_wake()
 
     @property
     def queue_depth(self) -> int:
-        """Queued work; a held delivery counts from the next event that
-        merges it (see :meth:`hold`), not from its arrival time."""
+        """Queued work; an inbox entry counts from the finish that merges
+        it (see :meth:`take`), not from its arrival time."""
         return len(self._queue)
 
     # ------------------------------------------------------------------

@@ -244,15 +244,15 @@ class DistributedJoinSystem:
                 self.network.send(message)
 
     def schedule_workload(self) -> None:
-        """Create every arrival event up front (Poisson arrivals, fair
+        """Hand every arrival to its node up front (Poisson arrivals, fair
         R/S interleave, geographically-skewed node placement).
 
-        Each arrival is scheduled through its node, which then knows its
-        next one; a node whose links hold and register its deliveries
-        also serves its backlog ahead of the clock (see
-        :meth:`JoinProcessingNode._run_ahead_horizon`)."""
+        A node keeps them in its inbox, or schedules one event each when
+        it has none; a node whose every input waits in its inbox also
+        serves its backlog ahead of the clock (see
+        :meth:`JoinProcessingNode.take`)."""
         for node in self.nodes:
-            node.runs_ahead = self.network.holds_for(node)
+            node.runs_ahead = node.uses_inbox
         self.disseminate_query()
         workload = self.config.workload
         count = workload.total_tuples

@@ -110,14 +110,12 @@ class Link:
         """The :class:`~repro.net.simulator.EventKeySource` minting this
         link's deterministic arrival-event keys (the Network gives each
         link the rank ``num_nodes + source * num_nodes + destination``)."""
-        self.holder = None
-        """The destination node when it takes held deliveries (see
-        :meth:`repro.core.node.JoinProcessingNode.hold`): a delivery
-        arriving before ``holder.hold_until`` is handed to it instead of
-        becoming an arrival event, and any other is scheduled through
-        ``holder.expect``, which registers its arrival time with the node.
-        The Network sets it on a keyed link whose arrival would only
-        append to the node's queue; ``None`` schedules every delivery."""
+        self.receiver = None
+        """The destination node when every input of it waits in its inbox
+        (see :meth:`repro.core.node.JoinProcessingNode.take`): each
+        delivery is handed to it under its arrival key instead of becoming
+        an arrival event.  The Network sets it on a link into a node that
+        ``uses_inbox``; ``None`` schedules every delivery."""
 
     def queue_depth_seconds(self) -> float:
         """Seconds of serialization backlog currently ahead of a new message."""
@@ -204,15 +202,13 @@ class Link:
             self._drop(message)
             return arrival
         key = self.key_source.next_key()
-        holder = self.holder
-        if holder is None:
-            callback = partial(self._arrive, message)
-        elif arrival < holder.hold_until:
-            holder.hold(arrival, key, message)
-            return arrival
+        receiver = self.receiver
+        if receiver is None:
+            self._scheduler.schedule_at(
+                arrival, partial(self._arrive, message), key=key
+            )
         else:
-            callback = holder.expect(arrival, message)
-        self._scheduler.schedule_at(arrival, callback, key=key)
+            receiver.take([arrival, 1, key[0], key[1], message])
         return arrival
 
     def _arrive(self, message: Message) -> None:

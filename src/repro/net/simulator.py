@@ -25,32 +25,25 @@ same instant fire in ``(rank, seq)`` order however the rest of the run
 was scheduled.  Every golden and ``result_digest`` is pinned to that
 order.
 
-Held deliveries.  A delivery that provably lands while its destination
-is busy is not an event at all: the link hands it to the node, which
-keeps it under the arrival key ``(time, 1, rank, seq)`` it would have had
-and moves it into its service queue once the event being executed
-(:attr:`EventScheduler.current`) sorts after that key.  Such a delivery
-enters the queue in the same key order as the event path, so a clean run
-serves the same sequence while :attr:`~EventScheduler.events_processed`
-and :attr:`~EventScheduler.pending` count fewer events (see
-:meth:`repro.core.node.JoinProcessingNode.hold`).
-
-Inline finishes.  Every message spends at least the links' minimum
-latency ``L`` in flight, so nothing an event at time ``T`` or later
-creates can reach a node before ``T + L``.  On the same clean runs a
-node that finishes a service before that bound, and before each input
-it already knows is pending (its next local arrival, the deliveries to
-it scheduled as arrival events), serves its next queued item inside the
-event being executed instead of scheduling the finish: it calls
+The inbox.  On a clean run (no telemetry, faults, reliable transport,
+recovery or overload) an input's only effect is the append to its node's
+service queue, so it is not an event: each node keeps its inputs in one
+heap under the keys ``(time, phase, rank, seq)`` their arrival events
+would have had, a service finish merges the entries keyed before it, and
+an idle node has one *wake* event at its inbox head's time and key.
+Every message also spends at least the links' minimum latency ``L`` in
+flight, so nothing an event at time ``T`` or later creates can reach a
+node before ``T + L``; a busy node therefore serves a finish before that
+bound inside the event being executed: it calls
 :meth:`EventScheduler.execute_inline`, which moves :attr:`~EventScheduler.now`
 and :attr:`~EventScheduler.current` to the finish's time and key
 ``(time, 1, node id, seq)``, so every reader sees the service's own
-instant.  :attr:`~EventScheduler.now` may therefore run up to ``L`` ahead
-of the heap's next event, and goes back to that event's time when it
-fires.  A run serves the same sequence at the same instants while
-:attr:`~EventScheduler.events_processed` counts
-:attr:`~EventScheduler.inlined` fewer events (see
-:meth:`repro.core.node.JoinProcessingNode._run_ahead_horizon`).
+instant.  :attr:`~EventScheduler.now` may run up to ``L`` ahead of the
+heap's next event, and goes back to that event's time when it fires.  A
+run serves the same sequence at the same instants while
+:attr:`~EventScheduler.events_processed` and
+:attr:`~EventScheduler.pending` count fewer events (see
+:meth:`repro.core.node.JoinProcessingNode.take`).
 
 The design intentionally avoids coroutine-style processes: the node logic in
 :mod:`repro.core.node` is reactive (it only acts when a tuple or message
@@ -153,8 +146,8 @@ class EventScheduler:
         """The event being executed (the last one, between runs), or the
         key ``[time, 1, rank, seq]`` of the finish last executed inline
         (see :meth:`execute_inline`).  An event is a list whose first four
-        fields are its sort key, so a held delivery's ``[time, 1, rank,
-        seq, ...]`` compares with either directly."""
+        fields are its sort key, so a node's inbox entry ``[time, phase,
+        rank, seq, work]`` compares with either directly."""
         self._running = False
         self._events_processed = 0
         self._cancelled_pending = 0
@@ -272,7 +265,7 @@ class EventScheduler:
 
         Sets :attr:`now` and :attr:`current` to that finish and returns
         the new :attr:`current`, ``[time, 1, rank, seq]``, which compares
-        with events and held deliveries as the event would.  The caller
+        with events and inbox entries as the event would.  The caller
         proves that no pending or future event sorts before it (see the
         module docstring); :attr:`now` goes back to the next event's time
         when that event fires.

@@ -110,26 +110,10 @@ class Network:
                 on_deliver=self._record_delivery,
             )
             link.backlog_bound_s = self.link_backlog_bound_s
-            if self.holds_for(endpoint):
-                link.holder = endpoint
+            if getattr(endpoint, "uses_inbox", False):
+                link.receiver = endpoint
             self._links[key] = link
         return link
-
-    def holds_for(self, endpoint: Endpoint) -> bool:
-        """Whether links into ``endpoint`` hand it their deliveries.
-
-        True on a run without telemetry or faults for an endpoint that
-        ``takes_held_deliveries``: nothing then observes an arrival but
-        the queue append, and link ranks (>= num_nodes) sort after every
-        node's, so a busy destination may hold its deliveries and the
-        rest are registered with it as they are scheduled (see
-        :attr:`repro.net.link.Link.holder`).
-        """
-        return (
-            self.telemetry is None
-            and self.fault_injector is None
-            and getattr(endpoint, "takes_held_deliveries", False)
-        )
 
     def _record_loss(self, message: Message) -> None:
         self.stats.record_loss(message)

@@ -131,11 +131,29 @@ class TestSystemAssembly:
         assert system.network.node_ids == (0, 1, 2, 3)
 
     def test_schedule_then_run_explicitly(self):
+        """A clean run keeps each scheduled arrival in its node's inbox,
+        not as an event, and serves each once, in index order."""
         system = DistributedJoinSystem(small_config(Algorithm.BASE))
+        served = {node.node_id: [] for node in system.nodes}
+        for node in system.nodes:
+
+            def dispatch(kind, work, log=served[node.node_id], original=node._dispatch):
+                if kind == "local":
+                    log.append(work.arrival_index)
+                return original(kind, work)
+
+            node._dispatch = dispatch
         system.schedule_workload()
-        assert system.scheduler.pending >= 1500
+        local_entries = [
+            entry for node in system.nodes for entry in node._inbox if entry[1] == 0
+        ]
+        assert len(local_entries) == 1500
+        # At most one wake per node.
+        assert system.scheduler.pending <= len(system.nodes)
         result = system.run()
         assert result.tuples_arrived == 1500
+        assert all(log == sorted(log) for log in served.values())
+        assert sorted(sum(served.values(), [])) == list(range(1500))
 
     def test_per_query_is_one_entry_echoing_the_headline(self):
         result = run_experiment(small_config(Algorithm.DFTT))

@@ -1,16 +1,16 @@
-"""Held deliveries and inline finishes change the event count and
-nothing else.
+"""The inbox and inline finishes change the event count and nothing
+else.
 
-A link hands a delivery that lands inside its destination's busy period
-to the node instead of scheduling an arrival event
-(:meth:`repro.core.node.JoinProcessingNode.hold`), and a node serves a
-finish that lies before its run-ahead horizon inside the event being
-executed (:meth:`repro.core.node.JoinProcessingNode._run_ahead_horizon`).
-Each clean configuration below runs twice: as is, and with both switched
-off here by clearing every node's ``takes_held_deliveries`` before any
-link exists.  The two runs must give equal results, serve the same work
-in the same order at the same instants, and differ in events processed by
-exactly the deliveries held plus the finishes inlined.
+On a clean run every input of a node waits in one keyed heap, merged
+into the service queue at the node's finishes or served by one wake
+while it is idle, and a busy node serves a finish before the links'
+minimum latency inside the event being executed (see
+:meth:`repro.core.node.JoinProcessingNode.take`).  Each clean
+configuration below runs twice: as is, and with both switched off here
+by clearing every node's ``uses_inbox`` before any link exists.  The two
+runs must give equal results, serve the same work in the same order at
+the same instants, and differ in events processed by exactly the inputs
+merged plus the finishes inlined.
 """
 
 from hypothesis import given, settings
@@ -58,14 +58,14 @@ def signature(work):
     )
 
 
-def run(config, hold):
+def run(config, inbox):
     """Run ``config``; return the system, its result and, per node, the
     ``(time, work)`` sequence it served."""
     system = DistributedJoinSystem(config)
     served = {}
     for node in system.nodes:
-        if not hold:
-            node.takes_held_deliveries = False
+        if not inbox:
+            node.uses_inbox = False
         log = served[node.node_id] = []
 
         def dispatch(kind, work, node=node, log=log, original=node._dispatch):
@@ -77,22 +77,22 @@ def run(config, hold):
     return system, result, served
 
 
-def held(system):
-    return sum(node.held_deliveries for node in system.nodes)
+def merged(system):
+    return sum(node.inputs_merged for node in system.nodes)
 
 
 def assert_equivalent(config):
-    on, result_on, served_on = run(config, hold=True)
-    off, result_off, served_off = run(config, hold=False)
-    assert held(off) == 0
+    on, result_on, served_on = run(config, inbox=True)
+    off, result_off, served_off = run(config, inbox=False)
+    assert merged(off) == 0
     assert off.scheduler.inlined == 0
     assert result_on == result_off
     assert served_on == served_off
     assert (
-        on.scheduler.events_processed + held(on) + on.scheduler.inlined
+        on.scheduler.events_processed + merged(on) + on.scheduler.inlined
         == off.scheduler.events_processed
     )
-    assert all(not node._held for node in on.nodes)
+    assert all(not node._inbox for node in on.nodes)
     return on, result_on
 
 
@@ -114,11 +114,13 @@ def test_holding_changes_only_the_event_count(config):
 
 def test_a_backlogged_base_cell_holds_at_depth():
     """BASE on N = 8 at 250 tuples/s backs every node up (queues reach
-    hundreds): about a fifth of the deliveries land provably inside a
-    busy period, and most service finishes lie inside the links' minimum
-    latency of the event that starts them."""
+    hundreds): most inputs are merged at a finish of their busy node, and
+    most service finishes lie inside the links' minimum latency of the
+    event that starts them, so fewer than a tenth of the 25,686
+    all-events path's events remain."""
     config = make_config(Algorithm.BASE, 8, "count", 250.0, seed=7, tuples=1000)
     system, result = assert_equivalent(config)
-    assert held(system) > 2000
-    assert system.scheduler.inlined > 8000
+    assert system.scheduler.events_processed < 2500
+    assert merged(system) > 12000
+    assert system.scheduler.inlined > 11000
     assert max(node.max_queue_depth for node in system.nodes) > 500

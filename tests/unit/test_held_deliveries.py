@@ -1,12 +1,11 @@
-"""Held deliveries and inline finishes: their horizons, the idle
-invariant, and the runs that must never hold (see
-``JoinProcessingNode.hold`` and ``JoinProcessingNode._run_ahead_horizon``)."""
+"""The inbox and inline finishes: the wake invariant, the edges of the
+run-ahead horizon, and the runs that must never use either (see
+``JoinProcessingNode.take``)."""
 
 import math
 
 import pytest
 
-from repro import config as testbed
 from repro.config import (
     Algorithm,
     PolicyConfig,
@@ -14,6 +13,7 @@ from repro.config import (
     TelemetrySettings,
     WorkloadConfig,
 )
+from repro.core.node import JoinProcessingNode
 from repro.core.system import DistributedJoinSystem
 from repro.errors import SimulationError
 from repro.net import link as wan
@@ -54,119 +54,106 @@ def deliver_at(system, source, destination, arrival):
     assert system.network.send(message) == arrival
 
 
-def pending_finish(system, node):
-    """The node's scheduled service finish."""
-    (finish,) = [
-        event
-        for event in system.scheduler._queue
-        if event.phase == 1 and event.rank == node.node_id
-    ]
-    return finish
-
-
 def local(index):
     return StreamTuple(
         stream=StreamId.R, key=index + 1, origin_node=0, arrival_index=index
     )
 
 
-@pytest.mark.usefixtures("zero_latency")
-def test_a_delivery_just_below_the_horizon_is_held_and_one_at_it_is_not():
-    system = DistributedJoinSystem(base_config(num_nodes=3))
-    node = system.nodes[0]
-    node.on_local_arrival(local(0))  # in service, nothing queued
-    horizon = node.hold_until
-    assert horizon == pending_finish(system, node).time
-    # At the finish instant the finish fires first (node ranks sort before
-    # link ranks) and leaves the node idle, so that arrival is an event.
-    deliver_at(system, 2, 0, horizon)
-    assert node.held_deliveries == 0
-    deliver_at(system, 1, 0, math.nextafter(horizon, 0.0))
-    assert node.held_deliveries == 1
-    system.scheduler.run()
-    assert not node._held
-    assert node.tuples_processed == 1
+def count_wakes(node):
+    """Count the wakes ``node`` runs from here on."""
+    wakes = []
+
+    def wake_up(original=node._wake_up):
+        wakes.append(node.scheduler.now)
+        original()
+
+    node._wake_up = wake_up
+    return wakes
 
 
-@pytest.mark.usefixtures("zero_latency")
-def test_the_horizon_counts_the_queue_at_service_start():
-    system = DistributedJoinSystem(base_config(num_nodes=3))
-    node = system.nodes[0]
-    for index in range(3):
-        node.on_local_arrival(local(index))
-    first = pending_finish(system, node)
-    assert node.hold_until == first.time  # queued after the start
-    system.scheduler.run(until=first.time)
-    second = pending_finish(system, node)
-    assert node.queue_depth == 1
-    assert node.hold_until == second.time + node._hold_step
-    # The queued tuple is served for at least the step, so an arrival past
-    # the current finish but before the bound still lands busy.
-    deliver_at(system, 1, 0, second.time + node._hold_step / 2)
-    assert node.held_deliveries == 1
-    system.scheduler.run()
-    assert not node._held
-    assert node.tuples_processed == 3
+def served_log(node):
+    """Record ``(time, work)`` for every service ``node`` starts: the
+    ``arrival_index`` of a local tuple, the kind name of a delivery."""
+    log = []
+
+    def dispatch(kind, work, original=node._dispatch):
+        label = work.arrival_index if kind == "local" else work.kind.name
+        log.append((node.scheduler.now, label))
+        return original(kind, work)
+
+    node._dispatch = dispatch
+    return log
 
 
-@pytest.mark.usefixtures("zero_latency")
-def test_an_arrival_at_the_end_of_the_busy_period_is_not_held():
-    """Queued summaries are served for exactly ``CPU_SECONDS_PER_PROBE``
-    each, so with k of them queued at a service start finishing at ``F``
-    the busy period ends at ``F + k * probe``; a delivery arriving then
-    finds the node idle, and holding it would strand it."""
-    system = DistributedJoinSystem(base_config(num_nodes=3))
-    node = system.nodes[0]
-    node.on_local_arrival(local(0))
-    for _ in range(21):
-        node.on_message(
-            Message(
-                kind=MessageKind.SUMMARY, source=1, destination=0, payload=(None, ())
-            )
-        )
-    system.scheduler.run(until=pending_finish(system, node).time)
-    assert node.queue_depth == 20
-    busy_end = pending_finish(system, node).time + 20 * testbed.CPU_SECONDS_PER_PROBE
-    assert node.hold_until < busy_end
-    deliver_at(system, 2, 0, busy_end)
-    assert node.held_deliveries == 0
-    system.scheduler.run()
-    assert not node._held
-    assert node.busy_seconds == pytest.approx(
-        busy_end + testbed.CPU_SECONDS_PER_PROBE
-    )
+def live_wakes(system):
+    """Each node's live wake events in the scheduler's heap."""
+    wakes = {node.node_id: [] for node in system.nodes}
+    for event in system.scheduler._queue:
+        callback = event.callback
+        if (
+            not event.cancelled
+            and getattr(callback, "__func__", None) is JoinProcessingNode._wake_up
+        ):
+            wakes[callback.__self__.node_id].append(event)
+    return wakes
 
 
-def test_an_idle_node_holds_nothing():
-    """An idle node's ``hold_until`` is at or below its own last finish,
-    which an inline finish may put ahead of the scheduler's clock."""
+def test_an_idle_node_has_one_wake_at_its_inbox_head():
+    """After every event of a clean run: an idle node with inputs waiting
+    has exactly one live wake, at its inbox head's time and key; a busy
+    node has none; and every inbox is empty once the run drains."""
     config = base_config(
         num_nodes=8,
         workload=WorkloadConfig(total_tuples=500, domain=64, arrival_rate=250.0),
     )
     system = DistributedJoinSystem(config)
-    last_finish = {}
-    for node in system.nodes:
-        last_finish[node.node_id] = 0.0
-
-        def dispatch(kind, work, node=node, original=node._dispatch):
-            service_time = original(kind, work)
-            last_finish[node.node_id] = node.scheduler.now + service_time
-            return service_time
-
-        node._dispatch = dispatch
     system.schedule_workload()
     scheduler = system.scheduler
+    idle_waiting = 0
     while scheduler.pending:
         scheduler.run(max_events=1)
+        wakes = live_wakes(system)
         for node in system.nodes:
-            if not node._busy:
-                assert not node._held
-                assert node.hold_until <= last_finish[node.node_id]
-    system.run()
-    assert sum(node.held_deliveries for node in system.nodes) > 0
+            if node._busy or not node._inbox:
+                assert wakes[node.node_id] == []
+                continue
+            (wake,) = wakes[node.node_id]
+            assert wake is node._wake
+            time, phase, rank, seq, _ = node._inbox[0]
+            assert (wake.time, wake.phase) == (time, phase)
+            if phase:
+                assert (wake.rank, wake.seq) == (rank, seq)
+            idle_waiting += 1
+    assert idle_waiting > 0
+    assert all(not node._inbox and node._wake is None for node in system.nodes)
+    assert sum(node.inputs_merged for node in system.nodes) > 0
     assert scheduler.inlined > 0
-    assert all(not node._held for node in system.nodes)
+
+
+@pytest.mark.usefixtures("zero_latency")
+@pytest.mark.parametrize("handed", ["delivery", "direct"])
+def test_a_new_head_cancels_the_pending_wake(handed):
+    """An earlier delivery, or a tuple handed straight to the idle node,
+    takes over from the pending wake.  The stale wake would otherwise
+    fire beside the one the node schedules when it goes idle again, for
+    an input already served."""
+    system = DistributedJoinSystem(base_config(num_nodes=3))
+    node = system.nodes[0]
+    log = served_log(node)
+    deliver_at(system, 1, 0, 0.5)
+    first = node._wake
+    assert first.time == 0.5
+    if handed == "delivery":
+        deliver_at(system, 2, 0, 0.25)
+        assert node._wake.time == 0.25
+    else:
+        node.on_local_arrival(local(0))
+        assert node._wake is None
+    assert first.cancelled
+    system.scheduler.run()
+    assert [time for time, _ in log] == [0.0 if handed == "direct" else 0.25, 0.5]
+    assert node._wake is None and not node._inbox
 
 
 OPTIONAL_SUBSYSTEMS = {
@@ -181,28 +168,30 @@ OPTIONAL_SUBSYSTEMS = {
 }
 
 
-def run_without_holders(config):
+def run_without_inbox(config):
     system = DistributedJoinSystem(config)
     for node in system.nodes:
-        node.takes_held_deliveries = False
+        node.uses_inbox = False
     return system, system.run()
 
 
 @pytest.mark.parametrize("subsystem", sorted(OPTIONAL_SUBSYSTEMS))
 def test_a_run_with_an_optional_subsystem_holds_nothing(subsystem, tmp_path):
-    """Nor does it serve ahead: both paths need the same predicate."""
+    """No inbox and no serving ahead: both paths need the same predicate."""
     config = base_config(**OPTIONAL_SUBSYSTEMS[subsystem])
     system = DistributedJoinSystem(config)
-    result = system.run()
-    assert all(link.holder is None for _, link in system.network.iter_links())
-    assert sum(node.held_deliveries for node in system.nodes) == 0
+    system.schedule_workload()
+    assert not any(node._inbox for node in system.nodes)
     assert not any(node.runs_ahead for node in system.nodes)
+    result = system.run()
+    assert all(link.receiver is None for _, link in system.network.iter_links())
+    assert sum(node.inputs_merged for node in system.nodes) == 0
     assert system.scheduler.inlined == 0
-    reference, reference_result = run_without_holders(config)
+    reference, reference_result = run_without_inbox(config)
     assert result == reference_result
     assert system.scheduler.events_processed == reference.scheduler.events_processed
     if system.telemetry is not None:
-        exported = export_prometheus(system.telemetry, tmp_path / "held.prom")
+        exported = export_prometheus(system.telemetry, tmp_path / "inbox.prom")
         expected = export_prometheus(reference.telemetry, tmp_path / "event.prom")
         assert exported.read_bytes() == expected.read_bytes()
 
@@ -228,7 +217,7 @@ def running_ahead(num_nodes=3):
     """A BASE system whose node 0 serves ahead, with no workload of its own."""
     system = DistributedJoinSystem(base_config(num_nodes=num_nodes))
     node = system.nodes[0]
-    node.runs_ahead = system.network.holds_for(node)
+    node.runs_ahead = node.uses_inbox
     assert node.runs_ahead
     return system, node
 
@@ -259,53 +248,88 @@ def test_a_finish_at_exactly_the_latency_horizon_is_an_event(
     assert finish_is_an_event(system, node) is event
 
 
-@pytest.mark.parametrize("exactly, event", [(True, True), (False, False)])
-def test_a_local_arrival_at_exactly_the_finish_stops_the_loop(
-    monkeypatch, exactly, event
+def deliver_exactly(system, source, arrival):
+    """Send node 0 a summary-only message arriving at exactly ``arrival``
+    over links of exactly 0.5 s: ``free + 0.5 == arrival``, both
+    differences Sterbenz-exact."""
+    link = system.network.link(source, 0)
+    link._free_at = arrival - 0.5
+    message = Message(
+        kind=MessageKind.SUMMARY, source=source, destination=0, payload=(None, ())
+    )
+    assert system.network.send(message) == arrival
+
+
+@pytest.mark.parametrize("exactly", [True, False])
+def test_a_local_arrival_at_exactly_the_finish_is_merged_at_it(
+    monkeypatch, exactly
 ):
+    """Phase 0 sorts first: a local arrival at exactly a finish enters the
+    queue at that finish, ahead of a delivery at the same instant, and
+    the node serves on inline.  One just after the finish waits for the
+    delivery's wake and is merged at that delivery's finish."""
     service = local_service_seconds()
     latency(monkeypatch, 0.5)
     system, node = running_ahead()
+    wakes = count_wakes(node)
     start = 0.75
     finish = start + service
     node.schedule_local_arrival(start, local(0))
     node.schedule_local_arrival(
         finish if exactly else math.nextafter(finish, math.inf), local(1)
     )
-    assert finish_is_an_event(system, node) is event
+    deliver_exactly(system, 1, finish)
+    log = served_log(node)
+    system.scheduler.run()
+    assert log[1][0] == finish
+    if exactly:
+        assert [label for _, label in log] == [0, 1, "SUMMARY"]
+        assert wakes == [start]
+        assert node.inputs_merged == 2
+    else:
+        assert [label for _, label in log] == [0, "SUMMARY", 1]
+        assert wakes == [start, finish]
+        assert node.inputs_merged == 1
+    # Only node 0 runs ahead: these are its three finishes.
+    assert system.scheduler.inlined == 3
 
 
-@pytest.mark.parametrize("exactly, event", [(True, False), (False, True)])
+@pytest.mark.parametrize("exactly, merged", [(True, False), (False, True)])
 def test_a_delivery_at_exactly_the_finish_does_not_stop_the_loop(
-    monkeypatch, exactly, event
+    monkeypatch, exactly, merged
 ):
+    """A delivery at exactly a finish sorts after it (node ranks sort
+    below link ranks): the finish is inline, the node goes idle and a
+    wake serves the delivery.  One just before the finish is merged at
+    it.  Either way the delivery is served at the finish's instant."""
     service = local_service_seconds()
     latency(monkeypatch, 0.5)
     system, node = running_ahead()
+    wakes = count_wakes(node)
     start = 0.75
     finish = start + service
     node.schedule_local_arrival(start, local(0))
-    arrival = finish if exactly else math.nextafter(finish, 0.0)
-    # free + 0.5 == arrival exactly: both differences are Sterbenz-exact.
-    link = system.network.link(1, 0)
-    link._free_at = arrival - 0.5
-    message = Message(
-        kind=MessageKind.SUMMARY, source=1, destination=0, payload=(None, ())
-    )
-    assert system.network.send(message) == arrival
-    assert node._expected == [arrival]
-    assert finish_is_an_event(system, node) is event
+    deliver_exactly(system, 1, finish if exactly else math.nextafter(finish, 0.0))
+    log = served_log(node)
     system.scheduler.run()
-    assert node._expected == []
+    assert log == [(start, 0), (finish, "SUMMARY")]
+    assert node.inputs_merged == int(merged)
+    assert wakes == ([start] if merged else [start, finish])
+    assert system.scheduler.inlined == 2
 
 
 def test_a_node_takes_its_local_arrivals_in_time_order():
-    """The deque's head is the next arrival only if the times ascend."""
+    """Arrivals handed over out of time order are served in key order
+    ``(time, arrival_index)``; each new head cancels the pending wake."""
     system, node = running_ahead()
-    node.schedule_local_arrival(0.5, local(0))
+    node.schedule_local_arrival(0.5, local(2))
+    node.schedule_local_arrival(0.25, local(0))
     node.schedule_local_arrival(0.5, local(1))
-    with pytest.raises(SimulationError, match="scheduled after"):
-        node.schedule_local_arrival(0.25, local(2))
+    log = served_log(node)
+    system.scheduler.run()
+    assert log[0] == (0.25, 0)
+    assert [label for _, label in log] == [0, 1, 2]
+    assert log[1][0] == 0.5
 
 
 @pytest.mark.usefixtures("zero_latency")
@@ -313,7 +337,7 @@ def test_zero_latency_inlines_nothing():
     system = DistributedJoinSystem(base_config())
     system.run()
     assert all(node.runs_ahead for node in system.nodes)
-    assert sum(node.held_deliveries for node in system.nodes) > 0
+    assert sum(node.inputs_merged for node in system.nodes) > 0
     assert system.scheduler.inlined == 0
 
 

@@ -1,11 +1,18 @@
 """Unit tests for local arrivals that share one simulated instant.
 
-Nothing coalesces them: each is its own ``on_local_arrival`` delivery and
-the node services them one after the other, in delivery order.
+Nothing coalesces them: the node services them one after the other, in
+the order they reach it -- hand-delivered here through
+``on_local_arrival``, or scheduled in index order by ``schedule_workload``.
 """
 
 from repro import config as testbed
-from repro.config import Algorithm, PolicyConfig, SystemConfig, WorkloadConfig
+from repro.config import (
+    Algorithm,
+    PolicyConfig,
+    SystemConfig,
+    TelemetrySettings,
+    WorkloadConfig,
+)
 from repro.core.system import DistributedJoinSystem
 from repro.streams.tuples import StreamId, StreamTuple
 
@@ -82,17 +89,45 @@ def test_same_instant_matches_produce_results():
     assert system.collector.reported_pairs == 1
 
 
-def test_schedule_workload_enqueues_one_event_per_tuple():
-    config = small_config(algorithm=Algorithm.BASE)
-    total = config.workload.total_tuples
-    system = DistributedJoinSystem(config)
-    # Arrivals are then the only events this plain BASE run schedules.
-    system.disseminate_query = lambda: None
-    delivered = []
+def served_local_indices(system):
+    """Per node, the ``arrival_index`` of every local tuple it serves."""
+    served = {node.node_id: [] for node in system.nodes}
     for node in system.nodes:
-        node.on_local_arrival = delivered.append
-    before = system.scheduler.pending
-    system.schedule_workload()
-    assert system.scheduler.pending - before == total
-    system.scheduler.run()
-    assert sorted(t.arrival_index for t in delivered) == list(range(total))
+
+        def dispatch(kind, work, log=served[node.node_id], original=node._dispatch):
+            if kind == "local":
+                log.append(work.arrival_index)
+            return original(kind, work)
+
+        node._dispatch = dispatch
+    return served
+
+
+def test_schedule_workload_enqueues_one_event_per_tuple():
+    """A clean run keeps each arrival as an inbox entry, not an event;
+    with telemetry on, each is its own phase-0 event.  Either way every
+    tuple reaches its node once, in index order."""
+    for telemetry in (False, True):
+        config = small_config(
+            algorithm=Algorithm.BASE,
+            telemetry=TelemetrySettings(enabled=telemetry),
+        )
+        total = config.workload.total_tuples
+        system = DistributedJoinSystem(config)
+        # Arrivals are then the only inputs this plain BASE run schedules.
+        system.disseminate_query = lambda: None
+        system._schedule_telemetry_sampling = lambda: None
+        served = served_local_indices(system)
+        before = system.scheduler.pending
+        system.schedule_workload()
+        entries = sum(len(node._inbox) for node in system.nodes)
+        if telemetry:
+            assert entries == 0
+            assert system.scheduler.pending - before == total
+        else:
+            assert entries == total
+            # One wake per node.
+            assert system.scheduler.pending - before == len(system.nodes)
+        system.scheduler.run()
+        assert all(log == sorted(log) for log in served.values())
+        assert sorted(sum(served.values(), [])) == list(range(total))
