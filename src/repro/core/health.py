@@ -3,7 +3,7 @@
 The filtering policies are only as good as the summaries they filter on.
 :class:`PeerHealthMonitor` gives each node two independent, per-peer
 signals the runtime uses to degrade gracefully (see
-:meth:`repro.core.node.JoinProcessingNode._apply_degradation`):
+:meth:`PeerHealthMonitor.degrade`):
 
 * **liveness** -- a heartbeat-fed, timeout-based failure detector in the
   style of eventually-perfect detectors: silence beyond
@@ -62,6 +62,8 @@ class PeerHealthMonitor:
         self.recoveries = 0
         self.recovery_latencies: List[float] = []
         self.staleness_histogram: List[int] = [0] * (len(STALENESS_BUCKETS_S) + 1)
+        self.forced_broadcast_sends = 0
+        self.suppressed_sends = 0
         self.telemetry = None
         """Optional :class:`repro.telemetry.TelemetryHub`; suspicion and
         recovery transitions are emitted as health events when set."""
@@ -155,6 +157,38 @@ class PeerHealthMonitor:
                 self.staleness_histogram[index] += 1
                 return
         self.staleness_histogram[-1] += 1
+
+    def degrade(
+        self, destinations: List[int], peer_ids: Tuple[int, ...], now: float
+    ) -> List[int]:
+        """Adjust a forwarding decision for peers that cannot be trusted.
+
+        Peers whose summaries aged past the staleness budget are handled
+        per ``degradation_mode``: "broadcast" forces a copy to them
+        (BASE-style -- their summary can no longer rule matches out, so
+        recall is preserved at message cost), "suppress" drops the flow
+        toward them.  Suspected-dead peers are always suppressed: their
+        copies would be dropped at delivery anyway, and the uplink pause
+        they cost is real.
+        """
+        chosen = set(destinations)
+        for peer in peer_ids:
+            self.observe_staleness(peer, now)
+            if self.is_suspected(peer, now):
+                if peer in chosen:
+                    chosen.discard(peer)
+                    self.suppressed_sends += 1
+                continue
+            if not self.is_stale(peer, now):
+                continue
+            if self.settings.degradation_mode == "broadcast":
+                if peer not in chosen:
+                    chosen.add(peer)
+                    self.forced_broadcast_sends += 1
+            elif peer in chosen:
+                chosen.discard(peer)
+                self.suppressed_sends += 1
+        return sorted(chosen)
 
     # ------------------------------------------------------------------
     # reporting

@@ -7,11 +7,11 @@ Each node owns, for the run's one join query R |><| S:
   materialization of the cross-partition joins R_i |><| S_j at this node;
 * a forwarding policy (summaries + destination choice).
 
-The service model mirrors the paper's WAN emulation: the testbed *pauses
-the sender* one second per 90 kilobits, so transmission cost is charged to
-the sending node's service time (links then add propagation latency only).
-A node saturated by (N-1)-way broadcast therefore processes fewer tuples
-per second -- which is exactly the effect Figure 11 measures.
+The testbed *pauses the sender* one second per 90 kilobits, so a
+service's time includes the pauses of what it sends: a node saturated by
+(N-1)-way broadcast processes fewer tuples per second, the effect Figure 11
+measures.  Queueing and service are the node's
+:class:`~repro.core.service.ServiceProcess`.
 
 Restartable crashes are this repo's extension, not the paper's: with
 recovery enabled the node composes a
@@ -21,23 +21,18 @@ replay log, checkpoints, rejoin timers and state transfer.
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from functools import partial
-from heapq import heappop, heappush
-from typing import Deque, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro import config as testbed
 from repro.config import SystemConfig, WindowKind
 from repro.core.health import PeerHealthMonitor
 from repro.core.policies.base import ForwardingPolicy
+from repro.core.service import ServiceProcess, WorkItem, work_kind
 from repro.core.summaries import SummaryUpdate
-from repro.errors import SimulationError
 from repro.join.hash_join import JoinResult, SymmetricHashJoin
-from repro.net import link as wan
 from repro.net.message import Message, MessageKind
 from repro.net.reliable import ReliableTransport
-from repro.net.simulator import Event, EventKeySource, EventScheduler
+from repro.net.simulator import EventKeySource, EventScheduler
 from repro.net.topology import Network
 from repro.overload import DegradationLadder, DegradationMode, OverloadDetector
 from repro.recovery.coordinator import RecoveryCoordinator
@@ -55,17 +50,6 @@ THROTTLE_REFRESH_STRETCH = 4
 (THROTTLED or SHEDDING): summaries recompute and broadcast this many
 times less often, shrinking the control-plane share of a saturated
 uplink."""
-
-WorkItem = Union[StreamTuple, Message]
-"""One entry of a node's service queue: the :class:`StreamTuple` of a
-local arrival or the delivered :class:`Message` itself."""
-
-
-def work_kind(work: WorkItem) -> str:
-    """``"local"`` for a local arrival, ``"message"`` for a delivery: the
-    kind that dispatch, shedding, the ``node.service`` event and the
-    ``node.<kind>`` profiler sections name."""
-    return "local" if type(work) is StreamTuple else "message"
 
 
 class JoinProcessingNode:
@@ -99,35 +83,12 @@ class JoinProcessingNode:
         order and replayed in canonical ``(time, node, seq)`` order at
         collect time (see repro.metrics.accounting.replay_accounting)."""
         self._acct_seq = 0
-        self._queue: Deque[WorkItem] = deque()
-        self._busy = False
-        self._inbox: List[list] = []
-        """Inputs not yet in the service queue: a heap of ``[time, phase,
-        rank, seq, work]`` entries, each under the key its arrival event
-        would have had (see :meth:`take`)."""
-        self._wake: Optional[Event] = None
-        """The one event that serves an idle node's inbox head; ``None``
-        while busy or with an empty inbox."""
-        self.inputs_merged = 0
-        """Inbox entries merged into the queue without an event of their
-        own (see :meth:`_merge_inbox`), each an arrival event the event
-        path would have executed."""
-        self.runs_ahead = False
-        """Whether this node serves its backlog inline, up to the links'
-        minimum latency past the event that starts it (see :meth:`take`).
-        The system copies :attr:`uses_inbox` into it when it hands the
-        node its local arrivals; a node driven by hand does not run
-        ahead."""
-        self._ahead: Optional[list] = None
-        """The key ``[time, 1, node id, seq]`` of the latest finish served
-        inline; an input whose event does not sort after it raises."""
         self._last_contact: Dict[int, float] = {}
         self._mean_interarrival = 0.0
         self._last_arrival_time: Optional[float] = None
         self.tuples_processed = 0
         self.remote_tuples_processed = 0
         self.standalone_summaries_sent = 0
-        self.max_queue_depth = 0
         self.busy_seconds = 0.0
         self.transport = transport
         """Reliable control-plane endpoint; ``None`` runs the paper's
@@ -140,16 +101,11 @@ class JoinProcessingNode:
         self.fault_injector = fault_injector
         self.health: Optional[PeerHealthMonitor] = None
         self.local_arrivals_dropped = 0
-        self.forced_broadcast_sends = 0
-        self.suppressed_sends = 0
         self.resyncs = 0
         self._peer_ids = tuple(p for p in range(config.num_nodes) if p != node_id)
         if transport is not None:
             self.health = PeerHealthMonitor(
-                node_id,
-                self._peer_ids,
-                transport.settings,
-                on_recovery=self.resync_peer,
+                node_id, self._peer_ids, transport.settings, self.resync_peer
             )
         self.recovery: Optional[RecoveryCoordinator] = None
         """Checkpoint/restart recovery (:mod:`repro.recovery`), built only
@@ -162,22 +118,19 @@ class JoinProcessingNode:
         )
         self.policy = policy
         self.shadow_windows: Dict[StreamId, Dict[int, SlidingWindow]] = {
-            StreamId.R: {},
-            StreamId.S: {},
+            StreamId.R: {}, StreamId.S: {}
         }
         self.seen_pairs: set = set()
         """Result pairs this node already shipped (node-local RESULT dedup)."""
         if self.recovery is not None:
             self.recovery.install_history(policy)
         # --- overload protection (repro.overload) -----------------------
-        self.overload_settings = config.overload if config.overload.enabled else None
+        overload = config.overload if config.overload.enabled else None
         self.degradation_ladder: Optional[DegradationLadder] = None
-        self._overload_detector: Optional[OverloadDetector] = None
-        if self.overload_settings is not None:
+        detector: Optional[OverloadDetector] = None
+        if overload is not None:
             self.degradation_ladder = DegradationLadder(node_id)
-            self._overload_detector = OverloadDetector(
-                self.overload_settings, self.degradation_ladder
-            )
+            detector = OverloadDetector(overload, self.degradation_ladder)
         self.shed_tuples = 0
         self.shed_messages = 0
         self.suppressed_flushes = 0
@@ -193,38 +146,34 @@ class JoinProcessingNode:
             if transport is not None:
                 transport.telemetry = telemetry
                 transport.telemetry_node = node_id
+            edges = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
             self._fanout_histogram = telemetry.registry.histogram(
-                "repro_node_fanout",
-                edges=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
-                node=node_id,
+                "repro_node_fanout", edges=edges, node=node_id
             )
-        self.uses_inbox = (
-            transport is None
-            and self.recovery is None
-            and self.overload_settings is None
-            and telemetry is None
-            and fault_injector is None
+        # An input's only effect here is the queue append when there is no
+        # telemetry, fault, ARQ demux, liveness, restore parking or bound.
+        subsystems = (transport, self.recovery, detector, telemetry, fault_injector)
+        self.service = ServiceProcess(
+            scheduler,
+            self._event_keys,
+            self.serve,
+            uses_inbox=all(part is None for part in subsystems),
+            detector=detector,
+            shed=self._shed,
+            mode_change=self._on_mode_change,
         )
-        """Whether every input of this node waits in its inbox (see
-        :meth:`take`): true when an input's only effect here is the queue
-        append -- no telemetry, faults, ARQ demux, liveness, restore
-        parking or admission bound.  The Network hands deliveries into
-        such a node to it, and the system lets it run ahead
-        (:attr:`runs_ahead`); clearing it before the first send runs every
-        input as an event."""
+        """This node's queue and service loop (:mod:`repro.core.service`)."""
+        self.take = self.service.take
+        """The ingress the Network hands each delivery to."""
 
     # ------------------------------------------------------------------
     # ingress
     # ------------------------------------------------------------------
 
     def schedule_local_arrival(self, time: float, item: StreamTuple) -> None:
-        """Have ``item`` arrive here at ``time``: an inbox entry keyed by
-        its ``arrival_index`` on a node that :attr:`uses_inbox`, a phase-0
-        event on any other."""
-        if self.uses_inbox:
-            self.take([time, 0, 0, item.arrival_index, item])
-        else:
-            self.scheduler.schedule_at(time, partial(self.on_local_arrival, item))
+        """Have ``item`` arrive here at ``time``, keyed by its
+        ``arrival_index`` (see :mod:`repro.core.service`)."""
+        self.service.take([time, 0, 0, item.arrival_index, item, self.on_local_arrival])
 
     def on_local_arrival(self, item: StreamTuple) -> None:
         """A tuple of this node's own stream segment arrived."""
@@ -239,7 +188,7 @@ class JoinProcessingNode:
             # comparable -- the crash costs coverage, not correctness.
             self.local_arrivals_dropped += 1
             return
-        self._enqueue(item)
+        self.service.enqueue(item)
 
     def on_message(self, message: Message) -> None:
         """Network delivery callback.
@@ -262,328 +211,86 @@ class JoinProcessingNode:
                 return
             if message.seq is not None:
                 for released in self.transport.on_receive(message):
-                    self._enqueue(released)
+                    self.service.enqueue(released)
                 return
-        self._enqueue(message)
+        self.service.enqueue(message)
 
-    def take(self, entry: list) -> None:
-        """Put one input in the inbox: ``entry`` is ``[time, phase, rank,
-        seq, work]``, the key its arrival event would have had and what
-        it brings -- ``[arrival, 1, link rank, link seq, message]`` from a
-        link, ``[time, 0, 0, arrival_index, item]`` from
-        :meth:`schedule_local_arrival`.
+    # ------------------------------------------------------------------
+    # service (the callbacks of self.service)
+    # ------------------------------------------------------------------
 
-        Why the inbox serves the event path's sequence at the event path's
-        instants, on a run where an input's only effect is the queue
-        append (:attr:`uses_inbox`):
-
-        * A busy node.  A finish at key ``F``, scheduled or inline, merges
-          every entry keyed before ``F``, in key order
-          (:meth:`_merge_inbox`).  Each entry's own event would already
-          have fired there and appended it, because the node was busy; so
-          queue contents, ``observe_congestion`` inputs and
-          ``max_queue_depth`` are the event path's.
-        * An idle node.  Its inbox head is the earliest input it has, and
-          its one wake fires at the head's time and key and does exactly
-          what the head's event did: it calls :meth:`on_message` or
-          :meth:`on_local_arrival`, which append (depth 1) and start.
-          An input that becomes the head of an idle node cancels the
-          pending wake and schedules its own; a busy node keeps no wake;
-          a finish that leaves the queue empty and the inbox not schedules
-          one.
-        * Inputs that do not exist yet.  Such an input is sent at some
-          simulated ``t >= now``, by an event that sorts after the current
-          one or by a finish such an event serves inline, and spends at
-          least ``L = min(LATENCY_MIN_S, LATENCY_MAX_S)`` in flight; float
-          rounding is monotone, so it arrives at or after ``fl(now + L)``,
-          after every finish :meth:`_start_next` serves inline.  Inputs
-          that already exist are all in the inbox and are merged at each
-          inline finish, so no input cuts the run-ahead horizon.  Nothing
-          else reads or writes a node between its events on such a run:
-          policy RNGs are per node, tuple ids are minted at scheduling
-          time, traffic statistics count integers and accounting ops are
-          keyed per node.  So link RNG draws, link keys and every byte
-          sent are the event path's too.
-        * Phase-0 wakes.  A wake for a local arrival is a phase-0 event
-          with a fresh scheduler tie.  On such a run the only phase-0
-          events are these wakes, and wakes of different nodes touch
-          disjoint state, so their order at one instant is immaterial.
-          Within one node the inbox orders same-instant arrivals by
-          ``arrival_index``, which is the order they were scheduled in.
-
-        An input that lands in a node's served-ahead past anyway (a
-        hand-scheduled :meth:`on_local_arrival`) raises
-        :class:`~repro.errors.SimulationError` in :meth:`_enqueue`; it is
-        never reordered silently.
-        """
-        inbox = self._inbox
-        heappush(inbox, entry)
-        if inbox[0] is entry and not self._busy:
-            if self._wake is not None:
-                self._wake.cancel()
-            self._schedule_wake()
-
-    def _schedule_wake(self) -> None:
-        time, phase, rank, seq, _ = self._inbox[0]
-        self._wake = self.scheduler.schedule_at(
-            time, self._wake_up, key=(rank, seq) if phase else None
-        )
-
-    def _wake_up(self) -> None:
-        self._wake = None
-        _, phase, _, _, work = heappop(self._inbox)
-        if phase:
-            self.on_message(work)
+    def serve(self, work: WorkItem) -> float:
+        """Serve one unit of work now; return its service time."""
+        kind = work_kind(work)
+        process = self._process_local if kind == "local" else self._process_message
+        if self.profiler is None:
+            seconds = process(work)
         else:
-            self.on_local_arrival(work)
-
-    def _merge_inbox(self) -> None:
-        """Append the inbox entries keyed before the event being executed,
-        in key order."""
-        inbox = self._inbox
-        queue = self._queue
-        current = self.scheduler.current
-        while inbox and inbox[0] < current:
-            queue.append(heappop(inbox)[4])
-            self.inputs_merged += 1
-        self.max_queue_depth = max(self.max_queue_depth, len(queue))
-
-    def _enqueue(self, work: WorkItem) -> None:
-        ahead = self._ahead
-        if ahead is not None and not self.scheduler.current > ahead:
-            # Also an input from the very event that served ahead: it
-            # belongs before the finishes that event served inline.
-            raise SimulationError(
-                "node %d received input at t=%r after serving ahead to t=%r"
-                % (self.node_id, self.scheduler.now, ahead[0])
+            with self.profiler.section("node.%s" % kind):
+                seconds = process(work)
+        if self.fault_injector is not None:
+            # An active OVERLOAD fault stretches this node's service times
+            # (CPU contention / a slow collocated tenant); factor 1.0 -- no
+            # fault covering this node -- is a bit-exact no-op.
+            factor = self.fault_injector.service_factor(self.node_id)
+            if factor != 1.0:
+                seconds *= factor
+        self.busy_seconds += seconds
+        if self.telemetry is not None:
+            # The service time is known synchronously, so one complete
+            # span per service -- no begin/end pairing to reconcile.
+            self.telemetry.emit(
+                "node.service",
+                category="node",
+                node=self.node_id,
+                time=self.scheduler.now,
+                dur_s=seconds,
+                kind=kind,
             )
-        if self._busy:
-            if self._inbox:
-                self._merge_inbox()
-        elif self._wake is not None:
-            # A hand-driven input reached an idle node before its wake.
-            self._wake.cancel()
-            self._wake = None
-        if (
-            work_kind(work) == "message"
-            and work.kind is MessageKind.STATE_TRANSFER
-        ):
-            # Recovery anti-entropy jumps the service queue: a rejoining
-            # node must not wait behind the replay backlog it is working
-            # through, and a serving peer answers resync requests ahead of
-            # its data plane -- otherwise on a saturated mesh the catch-up
-            # window is bounded by queue depth instead of the WAN.
-            # It also bypasses the overload bound: shedding the recovery
-            # handshake would deadlock a rejoining node behind the very
-            # congestion it is trying to rejoin through.
-            self._queue.appendleft(work)
-        elif (
-            self.overload_settings is not None
-            and len(self._queue) >= self.overload_settings.queue_bound
-        ):
-            self._admit_over_bound(work)
-        else:
-            self._queue.append(work)
-        self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
-        if self._overload_detector is not None:
-            self._observe_overload(len(self._queue))
-        self._start_next()
-
-    # Shedding priority classes, highest kept longest.  Remote tuple
-    # copies go first: the origin node already counted them toward its
-    # own report, so dropping a copy costs recall on cross-partition
-    # pairs only.  Local arrivals are this node's sole chance to observe
-    # its own stream segment.  Summary/control/result messages keep the
-    # mesh's metadata coherent, and STATE_TRANSFER (priority 3, never a
-    # victim) is the recovery path itself.
-    _SHED_PRIORITY_REMOTE_TUPLE = 0
-    _SHED_PRIORITY_LOCAL = 1
-    _SHED_PRIORITY_CONTROL = 2
-    _SHED_PRIORITY_TRANSFER = 3
-
-    @classmethod
-    def _work_priority(cls, work: WorkItem) -> int:
-        if work_kind(work) != "message":
-            return cls._SHED_PRIORITY_LOCAL
-        if work.kind is MessageKind.STATE_TRANSFER:
-            return cls._SHED_PRIORITY_TRANSFER
-        if work.kind is MessageKind.TUPLE:
-            return cls._SHED_PRIORITY_REMOTE_TUPLE
-        return cls._SHED_PRIORITY_CONTROL
-
-    def _admit_over_bound(self, work: WorkItem) -> None:
-        """The queue is at its bound: shed deterministically by priority.
-
-        The victim is the strictly lowest-priority queued entry, tail-most
-        among equals (the youngest low-value work loses first).  Incoming
-        work that does not outrank the victim is shed itself, so the queue
-        never exceeds ``queue_bound`` and admission is a pure function of
-        queue contents -- no RNG, no wall clock.
-        """
-        queue = self._queue
-        incoming = self._work_priority(work)
-        victim_index = 0
-        victim_priority: Optional[int] = None
-        for index in range(len(queue) - 1, -1, -1):
-            priority = self._work_priority(queue[index])
-            if victim_priority is None or priority < victim_priority:
-                victim_index = index
-                victim_priority = priority
-        if victim_priority is None or incoming <= victim_priority:
-            self._shed(work)
-        else:
-            victim = queue[victim_index]
-            del queue[victim_index]
-            self._shed(victim)
-            queue.append(work)
+        return seconds
 
     def _shed(self, work: WorkItem) -> None:
-        """Drop one unit of queued work, with honest accounting.
-
-        Shed local tuples are logged as ``shed`` accounting ops: the
-        ground-truth oracle still charges every result pair they would
-        have completed against live windows, so shedding degrades the
-        measured recall instead of quietly shrinking the denominator.
-        Shed remote work is already counted at its origin and only
-        decrements this node's side of the ledger.
-        """
+        """Account for one unit of work the service queue shed.  A shed
+        local tuple is logged as a ``shed`` op, so the oracle still charges
+        the pairs it would have completed and recall drops instead of the
+        denominator; shed remote work was counted at its origin."""
         kind = work_kind(work)
         now = self.scheduler.now
         if kind == "local":
-            item = work.with_timestamp(now)
             self.shed_tuples += 1
-            self._log_op(now, "shed", (item,))
+            self._log_op(now, "shed", (work.with_timestamp(now),))
         else:
             self.shed_messages += 1
         if self.telemetry is not None:
             self.telemetry.emit(
-                "overload.shed",
-                category="overload",
-                node=self.node_id,
-                time=now,
-                kind=kind,
-                count=1,
+                "overload.shed", category="overload", node=self.node_id,
+                time=now, kind=kind, count=1,
             )
-
-    def _observe_overload(self, queue_depth: int) -> None:
-        now = self.scheduler.now
-        for trigger, mode in self._overload_detector.observe(now, queue_depth):
-            self._on_mode_change(trigger, mode, queue_depth, now)
 
     def _on_mode_change(
         self, trigger: str, mode: DegradationMode, queue_depth: int, now: float
     ) -> None:
         """One degradation-ladder transition landed: apply its mechanics."""
-        stretch = (
-            1
-            if mode is DegradationMode.NORMAL
-            else THROTTLE_REFRESH_STRETCH
-        )
-        self.policy.set_refresh_stretch(stretch)
+        normal = mode is DegradationMode.NORMAL
+        self.policy.set_refresh_stretch(1 if normal else THROTTLE_REFRESH_STRETCH)
         if self.telemetry is not None:
             self.telemetry.emit(
-                "overload.mode",
-                category="overload",
-                node=self.node_id,
-                time=now,
-                trigger=trigger,
-                mode=mode.value,
-                queue_depth=queue_depth,
+                "overload.mode", category="overload", node=self.node_id,
+                time=now, trigger=trigger, mode=mode.value, queue_depth=queue_depth,
             )
 
-    def _start_next(self) -> None:
-        """Serve the queue from here.  On a node that runs ahead, a finish
-        before ``now + L`` (see :meth:`take`) is executed inline and starts
-        the next service; the first one at or past it is scheduled as an
-        event."""
-        if self._busy or not self._queue:
-            return
-        self._busy = True
-        scheduler = self.scheduler
-        queue = self._queue
-        horizon = (
-            scheduler.now + min(wan.LATENCY_MIN_S, wan.LATENCY_MAX_S)
-            if self.runs_ahead
-            else -math.inf
-        )
-        while True:
-            work = queue.popleft()
-            kind = work_kind(work)
-            if self.profiler is None:
-                service_time = self._dispatch(kind, work)
-            else:
-                with self.profiler.section("node.%s" % kind):
-                    service_time = self._dispatch(kind, work)
-            if self.fault_injector is not None:
-                # An active OVERLOAD fault stretches this node's service
-                # times (CPU contention / a slow collocated tenant); factor
-                # 1.0 -- no fault covering this node -- is a bit-exact no-op.
-                factor = self.fault_injector.service_factor(self.node_id)
-                if factor != 1.0:
-                    service_time *= factor
-            self.busy_seconds += service_time
-            if self.telemetry is not None:
-                # The service time is known synchronously, so one complete
-                # span per service -- no begin/end pairing to reconcile.
-                self.telemetry.emit(
-                    "node.service",
-                    category="node",
-                    node=self.node_id,
-                    time=scheduler.now,
-                    dur_s=service_time,
-                    kind=kind,
-                )
-            finish = scheduler.now + service_time
-            key = self._event_keys.next_key()
-            if finish < horizon:
-                # What _finish_service does, at the finish's own instant.
-                self._ahead = scheduler.execute_inline(finish, key)
-                if self._inbox:
-                    self._merge_inbox()
-                if queue:
-                    continue
-                self._busy = False
-                if self._inbox:
-                    self._schedule_wake()
-                return
-            scheduler.schedule_at(finish, self._finish_service, key=key)
-            return
-
-    def _dispatch(self, kind: str, work: WorkItem) -> float:
-        if kind == "local":
-            return self._process_local(work)
-        return self._process_message(work)
-
-    def _finish_service(self) -> None:
-        self._busy = False
-        if self._inbox:
-            self._merge_inbox()
-        if self._overload_detector is not None:
-            # The drain side of the hysteresis loop: arrivals can only
-            # escalate, so recovery has to be observed here, where the
-            # queue actually shrinks.
-            self._observe_overload(len(self._queue))
-        if self._queue:
-            self._start_next()
-        elif self._inbox:
-            self._schedule_wake()
-
     @property
-    def queue_depth(self) -> int:
-        """Queued work; an inbox entry counts from the finish that merges
-        it (see :meth:`take`), not from its arrival time."""
-        return len(self._queue)
+    def max_queue_depth(self) -> int:
+        return self.service.max_queue_depth
 
     # ------------------------------------------------------------------
     # window construction
     # ------------------------------------------------------------------
 
     def _make_window(self) -> SlidingWindow:
-        """A local or shadow window of the configured kind and size.
-
-        A time-window copy expires by its timestamp, as its original
-        does.  A count shadow holds the last W copies *forwarded* from
-        one origin, so a copy can outlive its original."""
+        """A local or shadow window of the configured kind and size.  A
+        time-window copy expires by its timestamp, as its original does; a
+        count shadow holds the last W copies *forwarded* from one origin."""
         if self.config.window_kind is WindowKind.TIME:
             return TimeWindow(self.config.window_seconds)
         if self.config.window_kind is WindowKind.LANDMARK:
@@ -601,13 +308,9 @@ class JoinProcessingNode:
         return windows[origin]
 
     def _refresh_time_windows(self, now: float) -> None:
-        """Expire time-window tuples between arrivals (probe freshness).
-
-        Count windows evict only on insert; time windows must not let a
-        probe match a tuple whose span already lapsed, so both the local
-        and the shadow windows are advanced to ``now`` first.  Local
-        expirations propagate to the oracle and the deletable summaries.
-        """
+        """Expire time-window tuples before a probe: a probe must not match
+        a tuple whose span lapsed, so local and shadow windows advance to
+        ``now``; local expirations reach the oracle and the summaries."""
         if self.config.window_kind is not WindowKind.TIME:
             return
         for stream in (StreamId.R, StreamId.S):
@@ -637,9 +340,10 @@ class JoinProcessingNode:
 
         # Summaries update before the forwarding decision (Figure 7 order).
         self.policy.on_local_insert(item, evicted)
-        self.policy.observe_congestion(len(self._queue))
+        self.policy.observe_congestion(self.service.queue_depth)
         destinations = self.policy.choose_destinations(item)
-        destinations = self._apply_degradation(destinations, now)
+        if self.health is not None:
+            destinations = self.health.degrade(destinations, self.policy.peer_ids, now)
         if self._fanout_histogram is not None:
             self._fanout_histogram.observe(float(len(destinations)))
 
@@ -650,38 +354,6 @@ class JoinProcessingNode:
 
         self.tuples_processed += 1
         return testbed.CPU_SECONDS_PER_TUPLE + transmission_seconds
-
-    def _apply_degradation(self, destinations: List[int], now: float) -> List[int]:
-        """Adjust a forwarding decision for peers that cannot be trusted.
-
-        Peers whose summaries aged past the staleness budget are handled
-        per ``degradation_mode``: "broadcast" forces a copy to them
-        (BASE-style -- their summary can no longer rule matches out, so
-        recall is preserved at message cost), "suppress" drops the flow
-        toward them.  Suspected-dead peers are always suppressed: their
-        copies would be dropped at delivery anyway, and the uplink pause
-        they cost is real.
-        """
-        if self.health is None:
-            return destinations
-        chosen = set(destinations)
-        for peer in self.policy.peer_ids:
-            self.health.observe_staleness(peer, now)
-            if self.health.is_suspected(peer, now):
-                if peer in chosen:
-                    chosen.discard(peer)
-                    self.suppressed_sends += 1
-                continue
-            if not self.health.is_stale(peer, now):
-                continue
-            if self.health.settings.degradation_mode == "broadcast":
-                if peer not in chosen:
-                    chosen.add(peer)
-                    self.forced_broadcast_sends += 1
-            elif peer in chosen:
-                chosen.discard(peer)
-                self.suppressed_sends += 1
-        return sorted(chosen)
 
     def resync_peer(self, peer: int) -> None:
         """Queue ``peer`` full-state summaries: it spoke again after
@@ -703,13 +375,8 @@ class JoinProcessingNode:
         ):
             return
         for peer in self.health.peer_ids:
-            self.network.send(
-                Message(
-                    kind=MessageKind.HEARTBEAT,
-                    source=self.node_id,
-                    destination=peer,
-                )
-            )
+            message = Message(MessageKind.HEARTBEAT, self.node_id, peer)
+            self.network.send(message)
 
     # ------------------------------------------------------------------
     # checkpoint / restart recovery (repro.recovery)
@@ -719,14 +386,6 @@ class JoinProcessingNode:
         """The system's checkpoint tick, delegated to the coordinator."""
         if self.recovery is not None:
             self.recovery.take_checkpoint()
-
-    def drop_service_state(self) -> None:
-        """The process died: its queued work goes, and so do the peak
-        depth and congestion throttle it measured -- a restarted node's
-        reflect only what the new incarnation observes."""
-        self._queue.clear()
-        self.max_queue_depth = 0
-        self.policy.reset_congestion()
 
     @property
     def checkpoint_bytes(self) -> int:
@@ -754,35 +413,24 @@ class JoinProcessingNode:
     def _log_op(self, now: float, kind: str, payload: tuple) -> None:
         """Defer one oracle/collector operation to collect-time replay.
 
-        The ground-truth oracle and result collector are the only pieces
-        of *global* mutable state in the data plane; touching them from
-        inside the event loop would make the accuracy numbers depend on
-        the exact global interleaving of node events.  Logging the
-        operations instead -- keyed ``(time, node, per-node seq)`` --
-        and replaying them in that one canonical order makes accuracy
-        accounting a function of the per-node histories alone.
+        The oracle and collector are the data plane's only *global*
+        mutable state; logging their operations keyed ``(time, node,
+        per-node seq)`` and replaying them in that order makes accuracy a
+        function of the per-node histories, not of the event interleaving.
         """
-        self.accounting_ops.append(
-            (now, self.node_id, self._acct_seq, kind, payload)
-        )
+        self.accounting_ops.append((now, self.node_id, self._acct_seq, kind, payload))
         self._acct_seq += 1
 
     def _report_results(self, results: List[JoinResult], now: float) -> float:
         """Record results; ship each cross-node result to its remote owner.
 
         "Matching tuples must still be transmitted over the network in
-        order to provide the complete result" (Section 5.3) -- a result
-        pair discovered here whose other member originated elsewhere costs
-        one RESULT message to that origin.  Purely local pairs are
-        consumed in place.
-
-        Deduplication is strictly node-local: a real site cannot know
-        what its peers already reported (or what the ground truth is), so
-        it suppresses only pairs *it* shipped before and pays the wire
-        cost for cross-site duplicates and spurious matches -- the query
-        consumer deduplicates, as the paper's result-collection model
-        assumes.  Accuracy classification happens at collect-time replay
-        against the oracle, never here.
+        order to provide the complete result" (Section 5.3): a pair found
+        here whose other member originated elsewhere costs one RESULT
+        message to that origin.  Deduplication is node-local -- a real site
+        cannot know what its peers reported -- so cross-site duplicates
+        and spurious matches pay the wire; the consumer deduplicates, and
+        accuracy is classified at collect-time replay, never here.
         """
         if results:
             self._log_op(now, "report", tuple(results))
@@ -801,10 +449,8 @@ class JoinProcessingNode:
             if remote_origin is None:
                 continue
             message = Message(
-                kind=MessageKind.RESULT,
-                source=self.node_id,
-                destination=remote_origin,
-                payload=(None, ()),
+                kind=MessageKind.RESULT, source=self.node_id,
+                destination=remote_origin, payload=(None, ()),
             )
             self.network.send(message)
             pause += self._pause_seconds(message)
@@ -936,10 +582,10 @@ class JoinProcessingNode:
             for key, value in self.transport.counters().items():
                 counters["reliable_" + key] = value
         if self.health is not None:
-            for key, value in self.health.counters().items():
-                counters[key] = value
-            counters["forced_broadcast_sends"] = float(self.forced_broadcast_sends)
-            counters["suppressed_sends"] = float(self.suppressed_sends)
+            health = self.health
+            counters.update(health.counters())
+            counters["forced_broadcast_sends"] = float(health.forced_broadcast_sends)
+            counters["suppressed_sends"] = float(health.suppressed_sends)
             counters["resyncs"] = float(self.resyncs)
         if self.degradation_ladder is not None:
             counters["shed_tuples"] = float(self.shed_tuples)

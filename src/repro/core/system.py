@@ -247,12 +247,10 @@ class DistributedJoinSystem:
         """Hand every arrival to its node up front (Poisson arrivals, fair
         R/S interleave, geographically-skewed node placement).
 
-        A node keeps them in its inbox, or schedules one event each when
-        it has none; a node whose every input waits in its inbox also
-        serves its backlog ahead of the clock (see
-        :meth:`JoinProcessingNode.take`)."""
+        A node whose every input waits in its inbox also serves its
+        backlog ahead of the clock (see :mod:`repro.core.service`)."""
         for node in self.nodes:
-            node.runs_ahead = node.uses_inbox
+            node.service.runs_ahead = node.service.uses_inbox
         self.disseminate_query()
         workload = self.config.workload
         count = workload.total_tuples
@@ -376,7 +374,7 @@ class DistributedJoinSystem:
         gauges["repro_sched_pending_events"].set(self.scheduler.pending)
         for node in self.nodes:
             node_id = node.node_id
-            node_gauges["repro_node_queue_depth", node_id].set(node.queue_depth)
+            node_gauges["repro_node_queue_depth", node_id].set(node.service.queue_depth)
             node_gauges["repro_node_tuples_processed", node_id].set(
                 node.tuples_processed
             )

@@ -29,7 +29,6 @@ The sender always pays the serialization cost: losses happen in transit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, Optional, Tuple
 
 from repro._rng import ensure_rng
@@ -75,6 +74,7 @@ class Link:
         scheduler: EventScheduler,
         spec: LinkSpec,
         deliver: Callable[[Message], None],
+        take: Callable[[list], None],
         key_source: EventKeySource,
         rng=None,
         endpoints: Optional[Tuple[int, int]] = None,
@@ -86,6 +86,8 @@ class Link:
         self._scheduler = scheduler
         self._spec = spec
         self._deliver = deliver
+        self._take = take
+        """The receiver's ingress (``ServiceProcess.take``)."""
         self._rng = ensure_rng(rng)
         self._doubles: Iterator[float] = iter(())
         self._endpoints = endpoints
@@ -110,12 +112,6 @@ class Link:
         """The :class:`~repro.net.simulator.EventKeySource` minting this
         link's deterministic arrival-event keys (the Network gives each
         link the rank ``num_nodes + source * num_nodes + destination``)."""
-        self.receiver = None
-        """The destination node when every input of it waits in its inbox
-        (see :meth:`repro.core.node.JoinProcessingNode.take`): each
-        delivery is handed to it under its arrival key instead of becoming
-        an arrival event.  The Network sets it on a link into a node that
-        ``uses_inbox``; ``None`` schedules every delivery."""
 
     def queue_depth_seconds(self) -> float:
         """Seconds of serialization backlog currently ahead of a new message."""
@@ -201,14 +197,8 @@ class Link:
         if spec.loss_probability > 0.0 and self._next_double() < spec.loss_probability:
             self._drop(message)
             return arrival
-        key = self.key_source.next_key()
-        receiver = self.receiver
-        if receiver is None:
-            self._scheduler.schedule_at(
-                arrival, partial(self._arrive, message), key=key
-            )
-        else:
-            receiver.take([arrival, 1, key[0], key[1], message])
+        rank, seq = self.key_source.next_key()
+        self._take([arrival, 1, rank, seq, message, self._arrive])
         return arrival
 
     def _arrive(self, message: Message) -> None:

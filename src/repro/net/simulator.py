@@ -25,25 +25,16 @@ same instant fire in ``(rank, seq)`` order however the rest of the run
 was scheduled.  Every golden and ``result_digest`` is pinned to that
 order.
 
-The inbox.  On a clean run (no telemetry, faults, reliable transport,
-recovery or overload) an input's only effect is the append to its node's
-service queue, so it is not an event: each node keeps its inputs in one
-heap under the keys ``(time, phase, rank, seq)`` their arrival events
-would have had, a service finish merges the entries keyed before it, and
-an idle node has one *wake* event at its inbox head's time and key.
-Every message also spends at least the links' minimum latency ``L`` in
-flight, so nothing an event at time ``T`` or later creates can reach a
-node before ``T + L``; a busy node therefore serves a finish before that
-bound inside the event being executed: it calls
-:meth:`EventScheduler.execute_inline`, which moves :attr:`~EventScheduler.now`
-and :attr:`~EventScheduler.current` to the finish's time and key
-``(time, 1, node id, seq)``, so every reader sees the service's own
-instant.  :attr:`~EventScheduler.now` may run up to ``L`` ahead of the
-heap's next event, and goes back to that event's time when it fires.  A
-run serves the same sequence at the same instants while
-:attr:`~EventScheduler.events_processed` and
-:attr:`~EventScheduler.pending` count fewer events (see
-:meth:`repro.core.node.JoinProcessingNode.take`).
+The inbox.  On a clean run a node's inputs wait in its inbox instead of
+being events, and a busy node serves a finish that lies before the
+links' minimum latency ``L`` past the event being executed inside that
+event; :mod:`repro.core.service` says why both are exact.  The scheduler's
+part is :meth:`EventScheduler.execute_inline`: it moves
+:attr:`~EventScheduler.now` and :attr:`~EventScheduler.current` to the
+finish's time and key ``(time, 1, node id, seq)``, so every reader sees
+the service's own instant.  :attr:`~EventScheduler.now` may therefore
+lead the heap's next event by up to ``L``, and goes back to that event's
+time when it fires.
 
 The design intentionally avoids coroutine-style processes: the node logic in
 :mod:`repro.core.node` is reactive (it only acts when a tuple or message
@@ -147,7 +138,7 @@ class EventScheduler:
         key ``[time, 1, rank, seq]`` of the finish last executed inline
         (see :meth:`execute_inline`).  An event is a list whose first four
         fields are its sort key, so a node's inbox entry ``[time, phase,
-        rank, seq, work]`` compares with either directly."""
+        rank, seq, work, arrive]`` compares with either directly."""
         self._running = False
         self._events_processed = 0
         self._cancelled_pending = 0

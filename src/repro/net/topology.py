@@ -9,7 +9,7 @@ traffic accounting.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol, Tuple
+from typing import Callable, Dict, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -22,7 +22,10 @@ from repro.net.stats import TrafficStats
 
 
 class Endpoint(Protocol):
-    """Anything that can receive messages from the network."""
+    """Anything that can receive messages from the network.  Its ``take``
+    attribute is its ingress (:meth:`repro.core.service.ServiceProcess.take`)."""
+
+    take: Callable[[list], None]
 
     def on_message(self, message: Message) -> None:  # pragma: no cover - protocol
         ...
@@ -100,6 +103,7 @@ class Network:
                 self._scheduler,
                 self._spec,
                 deliver=endpoint.on_message,
+                take=endpoint.take,
                 key_source=EventKeySource(
                     self._num_nodes + source * self._num_nodes + destination
                 ),
@@ -110,8 +114,6 @@ class Network:
                 on_deliver=self._record_delivery,
             )
             link.backlog_bound_s = self.link_backlog_bound_s
-            if getattr(endpoint, "uses_inbox", False):
-                link.receiver = endpoint
             self._links[key] = link
         return link
 

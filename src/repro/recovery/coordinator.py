@@ -295,9 +295,12 @@ class RecoveryCoordinator:
         node = self.node
         now = node.scheduler.now
         self.machine.apply("crash", now)
-        # Everything in flight inside the process is lost; timers from an
-        # earlier recovery incarnation must not fire into this one.
-        node.drop_service_state()
+        # Everything in flight inside the process is lost, and so are the
+        # peak depth and congestion throttle it measured: a restarted
+        # node's reflect only what the new incarnation observes.  Timers
+        # from an earlier recovery incarnation must not fire into this one.
+        node.service.drop_queue()
+        node.policy.reset_congestion()
         self._pending_messages.clear()
         self._replay_log.clear()
         self.claims = {}
@@ -361,7 +364,7 @@ class RecoveryCoordinator:
         # deliveries that piled up while mid-restore.
         self.tuples_replayed += len(replay)
         for item in replay:
-            node._enqueue(item)
+            node.service.enqueue(item)
         pending = list(self._pending_messages)
         self._pending_messages.clear()
         for message in pending:

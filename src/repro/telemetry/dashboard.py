@@ -119,7 +119,7 @@ class AsciiDashboard:
                 node.node_id,
                 node.tuples_processed,
                 rate if self.frames_rendered else 0.0,
-                node.queue_depth,
+                node.service.queue_depth,
                 node.busy_seconds,
             )
             if show_modes:

@@ -108,7 +108,7 @@ class TestChaos:
         system, result = run_chaos(lossy_config, algorithm, spec)
 
         # Completion: the scheduler drained, nothing is stuck in a queue.
-        assert all(node.queue_depth == 0 for node in system.nodes)
+        assert all(node.service.queue_depth == 0 for node in system.nodes)
         assert result.truth_pairs > 0
         assert result.reported_pairs > 0
 

@@ -10,6 +10,7 @@ from repro.net.faults import FaultPlan
 from repro.net.link import Link, LinkSpec
 from repro.net.message import Message, MessageKind
 from repro.net.simulator import EventKeySource, EventScheduler
+from tests.ingress import event_ingress
 
 
 class TestLinkLoss:
@@ -26,6 +27,7 @@ class TestLinkLoss:
             scheduler,
             LinkSpec(),
             delivered.append,
+            event_ingress(scheduler),
             EventKeySource(0),
             rng=np.random.default_rng(0),
         )
@@ -43,6 +45,7 @@ class TestLinkLoss:
             scheduler,
             LinkSpec(loss_probability=0.3),
             delivered.append,
+            event_ingress(scheduler),
             EventKeySource(0),
             rng=np.random.default_rng(1),
         )
@@ -59,6 +62,7 @@ class TestLinkLoss:
             scheduler,
             LinkSpec(loss_probability=0.5),
             lambda m: None,
+            event_ingress(scheduler),
             EventKeySource(0),
             rng=np.random.default_rng(2),
         )

@@ -12,6 +12,7 @@ from repro.config import (
     WorkloadKind,
 )
 from repro.core.flow import FlowSettings
+from repro.core.service import work_kind
 from repro.core.system import DistributedJoinSystem, run_experiment
 
 
@@ -136,16 +137,20 @@ class TestSystemAssembly:
         system = DistributedJoinSystem(small_config(Algorithm.BASE))
         served = {node.node_id: [] for node in system.nodes}
         for node in system.nodes:
+            process = node.service
 
-            def dispatch(kind, work, log=served[node.node_id], original=node._dispatch):
-                if kind == "local":
+            def serve(work, log=served[node.node_id], original=process.serve):
+                if work_kind(work) == "local":
                     log.append(work.arrival_index)
-                return original(kind, work)
+                return original(work)
 
-            node._dispatch = dispatch
+            process.serve = serve
         system.schedule_workload()
         local_entries = [
-            entry for node in system.nodes for entry in node._inbox if entry[1] == 0
+            entry
+            for node in system.nodes
+            for entry in node.service.inbox
+            if entry[1] == 0
         ]
         assert len(local_entries) == 1500
         # At most one wake per node.

@@ -5,9 +5,9 @@ On a clean run every input of a node waits in one keyed heap, merged
 into the service queue at the node's finishes or served by one wake
 while it is idle, and a busy node serves a finish before the links'
 minimum latency inside the event being executed (see
-:meth:`repro.core.node.JoinProcessingNode.take`).  Each clean
-configuration below runs twice: as is, and with both switched off here
-by clearing every node's ``uses_inbox`` before any link exists.  The two
+:mod:`repro.core.service`).  Each clean configuration below runs twice:
+as is, and with both switched off here by clearing every node's
+``service.uses_inbox`` before any input.  The two
 runs must give equal results, serve the same work in the same order at
 the same instants, and differ in events processed by exactly the inputs
 merged plus the finishes inlined.
@@ -23,7 +23,7 @@ from repro.config import (
     WindowKind,
     WorkloadConfig,
 )
-from repro.core.node import work_kind
+from repro.core.service import work_kind
 from repro.core.system import DistributedJoinSystem
 
 WINDOWS = {
@@ -64,21 +64,22 @@ def run(config, inbox):
     system = DistributedJoinSystem(config)
     served = {}
     for node in system.nodes:
+        process = node.service
         if not inbox:
-            node.uses_inbox = False
+            process.uses_inbox = False
         log = served[node.node_id] = []
 
-        def dispatch(kind, work, node=node, log=log, original=node._dispatch):
+        def serve(work, node=node, log=log, original=process.serve):
             log.append((node.scheduler.now, signature(work)))
-            return original(kind, work)
+            return original(work)
 
-        node._dispatch = dispatch
+        process.serve = serve
     result = system.run()
     return system, result, served
 
 
 def merged(system):
-    return sum(node.inputs_merged for node in system.nodes)
+    return sum(node.service.inputs_merged for node in system.nodes)
 
 
 def assert_equivalent(config):
@@ -92,7 +93,7 @@ def assert_equivalent(config):
         on.scheduler.events_processed + merged(on) + on.scheduler.inlined
         == off.scheduler.events_processed
     )
-    assert all(not node._inbox for node in on.nodes)
+    assert all(not node.service.inbox for node in on.nodes)
     return on, result_on
 
 

@@ -17,6 +17,7 @@ from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.link import DRAW_BLOCK, Link, LinkSpec
 from repro.net.message import Message, MessageKind
 from repro.net.simulator import EventKeySource, EventScheduler
+from tests.ingress import event_ingress
 from tests.reference_link import ReferenceLink
 
 KINDS = list(MessageKind)
@@ -55,10 +56,13 @@ def drive(link_class, spec, seed, faults, backlog_bound_s, script):
         injector.install(scheduler)
     delivered, dropped = [], []
     index_of = {}
+    # The reference predates the receiver's ingress.
+    ingress = {"take": event_ingress(scheduler)} if link_class is Link else {}
     link = link_class(
         scheduler,
         spec,
         deliver=lambda message: delivered.append((index_of[id(message)], scheduler.now)),
+        **ingress,
         key_source=EventKeySource(3),
         rng=np.random.default_rng(seed),
         endpoints=(0, 1),

@@ -15,6 +15,7 @@ from repro.net import link as link_module
 from repro.net.link import Link, LinkSpec
 from repro.net.message import Message, MessageKind
 from repro.net.simulator import EventKeySource, EventScheduler
+from tests.ingress import event_ingress
 
 link_specs = st.builds(LinkSpec, bandwidth_bps=st.floats(min_value=1e3, max_value=1e9))
 latency_floors = st.floats(min_value=1e-4, max_value=0.5)
@@ -51,6 +52,7 @@ def test_arrival_is_never_sooner_than_the_latency_floor(spec, plan, seed, low, h
         scheduler,
         spec,
         deliver=lambda message: None,
+        take=event_ingress(scheduler),
         key_source=EventKeySource(0),
         rng=np.random.default_rng(seed),
     )

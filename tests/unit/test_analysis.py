@@ -17,11 +17,7 @@ from repro.net.message import Message, MessageKind
 from repro.net.simulator import EventScheduler
 from repro.net.topology import Network
 from repro.streams.tuples import StreamId
-
-
-class Sink:
-    def on_message(self, message):
-        pass
+from tests.ingress import Sink
 
 
 def small_system(algorithm=Algorithm.DFTT):
@@ -42,7 +38,7 @@ class TestTrafficMatrix:
         scheduler = EventScheduler()
         network = Network(scheduler, 3, spec=LinkSpec(), rng=np.random.default_rng(3))
         for node_id in (0, 1, 2):
-            network.register(node_id, Sink())
+            network.register(node_id, Sink(scheduler))
         return network
 
     def test_matrices_reflect_sends(self):

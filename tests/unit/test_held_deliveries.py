@@ -1,6 +1,6 @@
-"""The inbox and inline finishes: the wake invariant, the edges of the
-run-ahead horizon, and the runs that must never use either (see
-``JoinProcessingNode.take``)."""
+"""The inbox and inline finishes in whole systems: the wake invariant, the
+edges of the run-ahead horizon, and the runs that must never use either
+(see :mod:`repro.core.service`)."""
 
 import math
 
@@ -13,7 +13,7 @@ from repro.config import (
     TelemetrySettings,
     WorkloadConfig,
 )
-from repro.core.node import JoinProcessingNode
+from repro.core.service import ServiceProcess, work_kind
 from repro.core.system import DistributedJoinSystem
 from repro.errors import SimulationError
 from repro.net import link as wan
@@ -61,14 +61,18 @@ def local(index):
 
 
 def count_wakes(node):
-    """Count the wakes ``node`` runs from here on."""
+    """Record the time of every wake ``node``'s process runs from here on:
+    on a clean run a wake is the only caller of an input's arrival
+    callback, so this wraps the two callbacks before any input or link
+    binds them."""
     wakes = []
+    for name in ("on_local_arrival", "on_message"):
 
-    def wake_up(original=node._wake_up):
-        wakes.append(node.scheduler.now)
-        original()
+        def arrive(work, original=getattr(node, name)):
+            wakes.append(node.scheduler.now)
+            original(work)
 
-    node._wake_up = wake_up
+        setattr(node, name, arrive)
     return wakes
 
 
@@ -76,26 +80,28 @@ def served_log(node):
     """Record ``(time, work)`` for every service ``node`` starts: the
     ``arrival_index`` of a local tuple, the kind name of a delivery."""
     log = []
+    process = node.service
 
-    def dispatch(kind, work, original=node._dispatch):
-        label = work.arrival_index if kind == "local" else work.kind.name
+    def serve(work, original=process.serve):
+        label = work.arrival_index if work_kind(work) == "local" else work.kind.name
         log.append((node.scheduler.now, label))
-        return original(kind, work)
+        return original(work)
 
-    node._dispatch = dispatch
+    process.serve = serve
     return log
 
 
 def live_wakes(system):
     """Each node's live wake events in the scheduler's heap."""
+    node_of = {id(node.service): node.node_id for node in system.nodes}
     wakes = {node.node_id: [] for node in system.nodes}
     for event in system.scheduler._queue:
         callback = event.callback
         if (
             not event.cancelled
-            and getattr(callback, "__func__", None) is JoinProcessingNode._wake_up
+            and getattr(callback, "__func__", None) is ServiceProcess._wake_up
         ):
-            wakes[callback.__self__.node_id].append(event)
+            wakes[node_of[id(callback.__self__)]].append(event)
     return wakes
 
 
@@ -115,19 +121,22 @@ def test_an_idle_node_has_one_wake_at_its_inbox_head():
         scheduler.run(max_events=1)
         wakes = live_wakes(system)
         for node in system.nodes:
-            if node._busy or not node._inbox:
+            process = node.service
+            if process.busy or not process.inbox:
                 assert wakes[node.node_id] == []
                 continue
             (wake,) = wakes[node.node_id]
-            assert wake is node._wake
-            time, phase, rank, seq, _ = node._inbox[0]
+            assert wake is process.wake
+            time, phase, rank, seq, _, _ = process.inbox[0]
             assert (wake.time, wake.phase) == (time, phase)
             if phase:
                 assert (wake.rank, wake.seq) == (rank, seq)
             idle_waiting += 1
     assert idle_waiting > 0
-    assert all(not node._inbox and node._wake is None for node in system.nodes)
-    assert sum(node.inputs_merged for node in system.nodes) > 0
+    assert all(
+        not node.service.inbox and node.service.wake is None for node in system.nodes
+    )
+    assert sum(node.service.inputs_merged for node in system.nodes) > 0
     assert scheduler.inlined > 0
 
 
@@ -142,18 +151,19 @@ def test_a_new_head_cancels_the_pending_wake(handed):
     node = system.nodes[0]
     log = served_log(node)
     deliver_at(system, 1, 0, 0.5)
-    first = node._wake
+    process = node.service
+    first = process.wake
     assert first.time == 0.5
     if handed == "delivery":
         deliver_at(system, 2, 0, 0.25)
-        assert node._wake.time == 0.25
+        assert process.wake.time == 0.25
     else:
         node.on_local_arrival(local(0))
-        assert node._wake is None
+        assert process.wake is None
     assert first.cancelled
     system.scheduler.run()
     assert [time for time, _ in log] == [0.0 if handed == "direct" else 0.25, 0.5]
-    assert node._wake is None and not node._inbox
+    assert process.wake is None and not process.inbox
 
 
 OPTIONAL_SUBSYSTEMS = {
@@ -171,7 +181,7 @@ OPTIONAL_SUBSYSTEMS = {
 def run_without_inbox(config):
     system = DistributedJoinSystem(config)
     for node in system.nodes:
-        node.uses_inbox = False
+        node.service.uses_inbox = False
     return system, system.run()
 
 
@@ -181,11 +191,10 @@ def test_a_run_with_an_optional_subsystem_holds_nothing(subsystem, tmp_path):
     config = base_config(**OPTIONAL_SUBSYSTEMS[subsystem])
     system = DistributedJoinSystem(config)
     system.schedule_workload()
-    assert not any(node._inbox for node in system.nodes)
-    assert not any(node.runs_ahead for node in system.nodes)
+    assert not any(node.service.inbox for node in system.nodes)
+    assert not any(node.service.runs_ahead for node in system.nodes)
     result = system.run()
-    assert all(link.receiver is None for _, link in system.network.iter_links())
-    assert sum(node.inputs_merged for node in system.nodes) == 0
+    assert sum(node.service.inputs_merged for node in system.nodes) == 0
     assert system.scheduler.inlined == 0
     reference, reference_result = run_without_inbox(config)
     assert result == reference_result
@@ -217,8 +226,8 @@ def running_ahead(num_nodes=3):
     """A BASE system whose node 0 serves ahead, with no workload of its own."""
     system = DistributedJoinSystem(base_config(num_nodes=num_nodes))
     node = system.nodes[0]
-    node.runs_ahead = node.uses_inbox
-    assert node.runs_ahead
+    node.service.runs_ahead = node.service.uses_inbox
+    assert node.service.runs_ahead
     return system, node
 
 
@@ -285,11 +294,11 @@ def test_a_local_arrival_at_exactly_the_finish_is_merged_at_it(
     if exactly:
         assert [label for _, label in log] == [0, 1, "SUMMARY"]
         assert wakes == [start]
-        assert node.inputs_merged == 2
+        assert node.service.inputs_merged == 2
     else:
         assert [label for _, label in log] == [0, "SUMMARY", 1]
         assert wakes == [start, finish]
-        assert node.inputs_merged == 1
+        assert node.service.inputs_merged == 1
     # Only node 0 runs ahead: these are its three finishes.
     assert system.scheduler.inlined == 3
 
@@ -313,7 +322,7 @@ def test_a_delivery_at_exactly_the_finish_does_not_stop_the_loop(
     log = served_log(node)
     system.scheduler.run()
     assert log == [(start, 0), (finish, "SUMMARY")]
-    assert node.inputs_merged == int(merged)
+    assert node.service.inputs_merged == int(merged)
     assert wakes == ([start] if merged else [start, finish])
     assert system.scheduler.inlined == 2
 
@@ -336,8 +345,8 @@ def test_a_node_takes_its_local_arrivals_in_time_order():
 def test_zero_latency_inlines_nothing():
     system = DistributedJoinSystem(base_config())
     system.run()
-    assert all(node.runs_ahead for node in system.nodes)
-    assert sum(node.inputs_merged for node in system.nodes) > 0
+    assert all(node.service.runs_ahead for node in system.nodes)
+    assert sum(node.service.inputs_merged for node in system.nodes) > 0
     assert system.scheduler.inlined == 0
 
 

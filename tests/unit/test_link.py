@@ -10,6 +10,7 @@ from repro.net import link as link_module
 from repro.net.link import Link, LinkSpec
 from repro.net.message import Message, MessageKind
 from repro.net.simulator import EventKeySource, EventScheduler
+from tests.ingress import event_ingress
 
 
 def _tuple_message():
@@ -22,6 +23,7 @@ def _make_link(spec, delivered):
         scheduler,
         spec,
         deliver=delivered.append,
+        take=event_ingress(scheduler),
         key_source=EventKeySource(0),
         rng=np.random.default_rng(7),
     )
@@ -90,6 +92,7 @@ def test_backlog_bound_sheds_at_the_send_buffer(zero_latency):
         scheduler,
         LinkSpec(),
         deliver=delivered.append,
+        take=event_ingress(scheduler),
         key_source=EventKeySource(0),
         rng=np.random.default_rng(7),
         on_drop=dropped.append,
@@ -135,6 +138,7 @@ def test_shedding_does_not_perturb_the_latency_stream(monkeypatch):
             scheduler,
             spec,
             deliver=delivered.append,
+            take=event_ingress(scheduler),
             key_source=EventKeySource(0),
             rng=np.random.default_rng(7),
         )
@@ -228,7 +232,8 @@ def test_a_send_on_a_faulted_link_asks_the_injector_nothing(monkeypatch):
     scheduler.run(until=1.0)
     delivered = []
     links = [
-        Link(scheduler, LinkSpec(), delivered.append, EventKeySource(rank),
+        Link(scheduler, LinkSpec(), delivered.append, event_ingress(scheduler),
+             EventKeySource(rank),
              rng=np.random.default_rng(seed), endpoints=endpoints,
              fault_injector=injector)
         for seed, rank, endpoints in ((3, 3, (0, 1)), (4, 4, (1, 0)))

@@ -164,7 +164,7 @@ def test_queue_serializes_processing():
     scheduler, _, _, _, nodes = build_pair()
     for index in range(5):
         nodes[0].on_local_arrival(make_tuple(StreamId.R, index + 1, 0, index))
-    assert nodes[0].queue_depth >= 4  # only one started
+    assert nodes[0].service.queue_depth >= 4  # only one started
     scheduler.run()
     assert nodes[0].tuples_processed == 5
     assert nodes[0].max_queue_depth >= 4
@@ -186,7 +186,7 @@ def test_crash_wipes_queue_depth_and_congestion_soft_state():
     node.recovery.on_crash()
     # The dead process's peak depth and throttle observations die with it.
     assert node.max_queue_depth == 0
-    assert node.queue_depth == 0
+    assert node.service.queue_depth == 0
     assert node.policy.congestion_scale == 1.0
 
 
@@ -387,12 +387,12 @@ class TestMessagePathShape:
 
     @pytest.mark.usefixtures("zero_latency")
     def test_the_queue_holds_the_arrival_and_the_message_themselves(self):
-        from repro.core.node import work_kind
+        from repro.core.service import work_kind
 
         scheduler, _, _, _, nodes = build_pair()
         node = nodes[0]
         node.on_local_arrival(make_tuple(StreamId.R, 1, 0, 0))
-        assert node.queue_depth == 0  # in service: the node is busy
+        assert node.service.queue_depth == 0  # in service: the node is busy
         arrival = make_tuple(StreamId.S, 2, 0, 1)
         message = Message(
             kind=MessageKind.TUPLE,
@@ -402,10 +402,11 @@ class TestMessagePathShape:
         )
         node.on_local_arrival(arrival)
         node.on_message(message)
-        assert len(node._queue) == 2
-        assert node._queue[0] is arrival
-        assert node._queue[1] is message
-        assert [work_kind(work) for work in node._queue] == ["local", "message"]
+        queue = node.service.queue
+        assert len(queue) == 2
+        assert queue[0] is arrival
+        assert queue[1] is message
+        assert [work_kind(work) for work in queue] == ["local", "message"]
         scheduler.run()
         assert node.tuples_processed == 2
         assert node.remote_tuples_processed == 1

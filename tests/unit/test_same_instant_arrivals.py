@@ -13,6 +13,7 @@ from repro.config import (
     TelemetrySettings,
     WorkloadConfig,
 )
+from repro.core.service import work_kind
 from repro.core.system import DistributedJoinSystem
 from repro.streams.tuples import StreamId, StreamTuple
 
@@ -93,13 +94,14 @@ def served_local_indices(system):
     """Per node, the ``arrival_index`` of every local tuple it serves."""
     served = {node.node_id: [] for node in system.nodes}
     for node in system.nodes:
+        process = node.service
 
-        def dispatch(kind, work, log=served[node.node_id], original=node._dispatch):
-            if kind == "local":
+        def serve(work, log=served[node.node_id], original=process.serve):
+            if work_kind(work) == "local":
                 log.append(work.arrival_index)
-            return original(kind, work)
+            return original(work)
 
-        node._dispatch = dispatch
+        process.serve = serve
     return served
 
 
@@ -120,7 +122,7 @@ def test_schedule_workload_enqueues_one_event_per_tuple():
         served = served_local_indices(system)
         before = system.scheduler.pending
         system.schedule_workload()
-        entries = sum(len(node._inbox) for node in system.nodes)
+        entries = sum(len(node.service.inbox) for node in system.nodes)
         if telemetry:
             assert entries == 0
             assert system.scheduler.pending - before == total

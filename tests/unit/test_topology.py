@@ -8,14 +8,7 @@ from repro.net.link import LinkSpec
 from repro.net.message import Message, MessageKind
 from repro.net.simulator import EventScheduler
 from repro.net.topology import Network
-
-
-class Recorder:
-    def __init__(self):
-        self.received = []
-
-    def on_message(self, message):
-        self.received.append(message)
+from tests.ingress import Sink
 
 
 def per_sender(network):
@@ -31,16 +24,16 @@ def _network(n=3, spec=None):
     network = Network(
         scheduler, n, spec=spec or LinkSpec(), rng=np.random.default_rng(5)
     )
-    endpoints = [Recorder() for _ in range(n)]
+    endpoints = [Sink(scheduler) for _ in range(n)]
     for node_id, endpoint in enumerate(endpoints):
         network.register(node_id, endpoint)
     return scheduler, network, endpoints
 
 
 def test_register_rejects_duplicates():
-    _, network, _ = _network(2)
+    scheduler, network, _ = _network(2)
     with pytest.raises(ConfigurationError):
-        network.register(0, Recorder())
+        network.register(0, Sink(scheduler))
 
 
 def test_send_delivers_to_destination_only():
@@ -115,7 +108,7 @@ def test_send_accounting_matches_the_recorded_script():
         spec=LinkSpec(loss_probability=0.25),
         rng=np.random.default_rng(11),
     )
-    endpoints = [Recorder() for _ in range(3)]
+    endpoints = [Sink(scheduler) for _ in range(3)]
     for node_id, endpoint in enumerate(endpoints):
         network.register(node_id, endpoint)
     kinds = list(MessageKind)

@@ -11,18 +11,14 @@ from repro.net.simulator import EventScheduler
 from repro.net.topology import Network
 from repro.telemetry import TelemetryHub
 from repro.telemetry import events as telemetry_events
-
-
-class Sink:
-    def on_message(self, message):
-        pass
+from tests.ingress import Sink
 
 
 def traced_network():
     scheduler = EventScheduler()
     network = Network(scheduler, 3, spec=LinkSpec(), rng=np.random.default_rng(1))
     for node_id in (0, 1, 2):
-        network.register(node_id, Sink())
+        network.register(node_id, Sink(scheduler))
     network.telemetry = TelemetryHub(
         TelemetrySettings(enabled=True, trace_messages=True),
         clock=lambda: scheduler.now,
@@ -94,8 +90,8 @@ def test_counts_by_kind_and_tail():
 def test_untraced_network_has_no_overhead_path():
     scheduler = EventScheduler()
     network = Network(scheduler, 2, rng=np.random.default_rng(2))
-    network.register(0, Sink())
-    network.register(1, Sink())
+    network.register(0, Sink(scheduler))
+    network.register(1, Sink(scheduler))
     network.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))
     assert network.telemetry is None
     assert network.stats.total_messages == 1
