@@ -21,14 +21,13 @@ replay log, checkpoints, rejoin timers and state transfer.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro import config as testbed
 from repro.config import SystemConfig, WindowKind
 from repro.core.health import PeerHealthMonitor
 from repro.core.policies.base import ForwardingPolicy
 from repro.core.service import ServiceProcess, WorkItem, work_kind
-from repro.core.summaries import SummaryUpdate
 from repro.join.hash_join import JoinResult, SymmetricHashJoin
 from repro.net.message import Message, MessageKind
 from repro.net.reliable import ReliableTransport
@@ -113,6 +112,8 @@ class JoinProcessingNode:
         without recovery pays one attribute check there."""
         if recovery is not None and recovery.enabled:
             self.recovery = RecoveryCoordinator(self, checkpoint_store)
+        self.time_windows = config.window_kind is WindowKind.TIME
+        """Whether windows expire by time, so a probe first advances them."""
         self.join = SymmetricHashJoin(
             node_id, r_window=self._make_window(), s_window=self._make_window()
         )
@@ -221,12 +222,13 @@ class JoinProcessingNode:
 
     def serve(self, work: WorkItem) -> float:
         """Serve one unit of work now; return its service time."""
-        kind = work_kind(work)
-        process = self._process_local if kind == "local" else self._process_message
+        process = (
+            self._process_local if type(work) is StreamTuple else self._process_message
+        )
         if self.profiler is None:
             seconds = process(work)
         else:
-            with self.profiler.section("node.%s" % kind):
+            with self.profiler.section("node.%s" % work_kind(work)):
                 seconds = process(work)
         if self.fault_injector is not None:
             # An active OVERLOAD fault stretches this node's service times
@@ -245,7 +247,7 @@ class JoinProcessingNode:
                 node=self.node_id,
                 time=self.scheduler.now,
                 dur_s=seconds,
-                kind=kind,
+                kind=work_kind(work),
             )
         return seconds
 
@@ -301,18 +303,11 @@ class JoinProcessingNode:
             )
         return CountWindow(self.config.window_size)
 
-    def _shadow_window(self, stream: StreamId, origin: int) -> SlidingWindow:
-        windows = self.shadow_windows[stream]
-        if origin not in windows:
-            windows[origin] = self._make_window()
-        return windows[origin]
-
     def _refresh_time_windows(self, now: float) -> None:
-        """Expire time-window tuples before a probe: a probe must not match
-        a tuple whose span lapsed, so local and shadow windows advance to
-        ``now``; local expirations reach the oracle and the summaries."""
-        if self.config.window_kind is not WindowKind.TIME:
-            return
+        """Expire time-window tuples before a probe (callers check
+        :attr:`time_windows`): a probe must not match a tuple whose span
+        lapsed, so local and shadow windows advance to ``now``; local
+        expirations reach the oracle and the summaries."""
         for stream in (StreamId.R, StreamId.S):
             window = self.join.window(stream)
             expired = window.advance_to(now)
@@ -330,7 +325,8 @@ class JoinProcessingNode:
         now = self.scheduler.now
         item = raw_item.with_timestamp(now)
         self._note_arrival(now)
-        self._refresh_time_windows(now)
+        if self.time_windows:
+            self._refresh_time_windows(now)
 
         # Probe + insert against the local windows, probe the shadow copies.
         results, evicted = self.join.insert_local(item, now)
@@ -453,23 +449,17 @@ class JoinProcessingNode:
                 destination=remote_origin, payload=(None, ()),
             )
             self.network.send(message)
-            pause += self._pause_seconds(message)
+            pause += message.wire_bytes * 8.0 / testbed.SENDER_PACED_BPS
         return pause
 
-    def _take_pending_updates(self, destination: int) -> Sequence[SummaryUpdate]:
-        """Drain the policy's outbox for ``destination``.
-
-        With nothing pending -- every BASE message, and most under a slow
-        refresh cadence -- this is the shared empty tuple, so a queued
-        message holds no list of its own."""
-        outbox = self.policy.outbox
-        if outbox.has_pending(destination):
-            return outbox.take(destination)
-        return ()
-
     def _send_tuple(self, item: StreamTuple, destination: int, now: float) -> float:
-        """Transmit a tuple with piggy-backed summary deltas; returns pause."""
-        updates = self._take_pending_updates(destination)
+        """Transmit a tuple with the summary deltas pending for
+        ``destination`` aboard; returns the sender pause.  With nothing
+        pending -- every BASE message, and most under a slow refresh
+        cadence -- they are the shared empty tuple, so a queued message
+        holds no list of its own."""
+        outbox = self.policy.outbox
+        updates = outbox.take(destination) if outbox.has_pending(destination) else ()
         message = Message(
             kind=MessageKind.TUPLE,
             source=self.node_id,
@@ -481,7 +471,7 @@ class JoinProcessingNode:
         )
         self.network.send(message)
         self._last_contact[destination] = now
-        return self._pause_seconds(message)
+        return message.wire_bytes * 8.0 / testbed.SENDER_PACED_BPS
 
     def _flush_stale_summaries(self, now: float) -> float:
         """Figure 7's standalone path: peers starved of tuples still get
@@ -519,12 +509,8 @@ class JoinProcessingNode:
                 self.network.send(message)
             self._last_contact[peer] = now
             self.standalone_summaries_sent += 1
-            pause += self._pause_seconds(message)
+            pause += message.wire_bytes * 8.0 / testbed.SENDER_PACED_BPS
         return pause
-
-    def _pause_seconds(self, message: Message) -> float:
-        """Sender-side serialization pause (the 90 kbps emulation)."""
-        return message.size_bytes() * 8.0 / testbed.SENDER_PACED_BPS
 
     def _note_arrival(self, now: float) -> None:
         if self._last_arrival_time is not None:
@@ -553,10 +539,15 @@ class JoinProcessingNode:
             self.health.summary_received(message.source, now)
         if item is None:
             return testbed.CPU_SECONDS_PER_PROBE
-        self._refresh_time_windows(now)
+        if self.time_windows:
+            self._refresh_time_windows(now)
         results = self.join.probe_remote(item, now)
-        result_pause = self._report_results(results, now)
-        self._shadow_window(item.stream, item.origin_node).append(item)
+        result_pause = self._report_results(results, now) if results else 0.0
+        shadows = self.shadow_windows[item.stream]
+        shadow = shadows.get(item.origin_node)
+        if shadow is None:
+            shadow = shadows[item.origin_node] = self._make_window()
+        shadow.append(item)
         self.remote_tuples_processed += 1
         return testbed.CPU_SECONDS_PER_PROBE + result_pause
 

@@ -233,7 +233,7 @@ class ServiceProcess:
             self.wake.cancel()
             self.wake = None
         queue = self.queue
-        if work_kind(work) == "message" and work.kind is MessageKind.STATE_TRANSFER:
+        if type(work) is Message and work.kind is MessageKind.STATE_TRANSFER:
             # Recovery anti-entropy jumps the queue, so a saturated mesh's
             # catch-up window is bounded by the WAN, not by queue depth,
             # and bypasses the bound: shedding the handshake would deadlock

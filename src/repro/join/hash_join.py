@@ -14,7 +14,7 @@ belongs to lives at its origin node (Section 2's partitioned-window model).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import WindowError
 from repro.streams.tuples import StreamId, StreamTuple
@@ -46,15 +46,13 @@ class SymmetricHashJoin:
         s_window: SlidingWindow,
     ) -> None:
         self.node_id = node_id
-        self._windows: Dict[StreamId, SlidingWindow] = {
-            StreamId.R: r_window,
-            StreamId.S: s_window,
-        }
+        self._r_window = r_window
+        self._s_window = s_window
         self.local_results = 0
         self.probe_results = 0
 
     def window(self, stream: StreamId) -> SlidingWindow:
-        return self._windows[stream]
+        return self._r_window if stream is StreamId.R else self._s_window
 
     def insert_local(
         self, item: StreamTuple, now: float = 0.0
@@ -66,7 +64,7 @@ class SymmetricHashJoin:
         """
         results = self._probe(item, now)
         self.local_results += len(results)
-        evicted = self._windows[item.stream].append(item)
+        evicted = self.window(item.stream).append(item)
         return results, evicted
 
     def probe_remote(self, item: StreamTuple, now: float = 0.0) -> List[JoinResult]:
@@ -80,12 +78,15 @@ class SymmetricHashJoin:
         return results
 
     def _probe(self, item: StreamTuple, now: float) -> List[JoinResult]:
-        other = self._windows[item.stream.other]
-        results = []
-        for match in other.matches(item.key):
-            if item.stream is StreamId.R:
-                result = JoinResult(item, match, self.node_id, now)
-            else:
-                result = JoinResult(match, item, self.node_id, now)
-            results.append(result)
-        return results
+        # Identity tests pick the opposite window: ``StreamId.other`` is a
+        # property and an enum's ``__hash__`` a Python call.
+        node_id = self.node_id
+        if item.stream is StreamId.R:
+            return [
+                JoinResult(item, match, node_id, now)
+                for match in self._s_window.matches(item.key)
+            ]
+        return [
+            JoinResult(match, item, node_id, now)
+            for match in self._r_window.matches(item.key)
+        ]

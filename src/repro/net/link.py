@@ -117,20 +117,16 @@ class Link:
         """Seconds of serialization backlog currently ahead of a new message."""
         return max(0.0, self._free_at - self._scheduler.now)
 
-    def transmission_time(self, message: Message) -> float:
-        """Serialization delay for ``message`` at the link bandwidth."""
-        return message.size_bytes() * 8.0 / self._spec.bandwidth_bps
-
     def _next_double(self) -> float:
         """The next double in ``[0, 1)`` of this link's generator.
 
-        Jitter and both loss tests draw here, in send order.  The doubles
-        come ``DRAW_BLOCK`` at a time: ``rng.random(k)`` is the k values
-        that k scalar ``rng.random()`` calls return, and
-        ``rng.uniform(lo, hi)`` is ``lo + (hi - lo) * rng.random()``, so
-        every draw is bit for bit what one scalar call per draw gave
-        (``tests/reference_link.py`` is that link).  Nothing else may
-        read ``self._rng``.
+        Jitter (drawn inline in :meth:`send`, the same way) and both loss
+        tests draw here, in send order.  The doubles come ``DRAW_BLOCK``
+        at a time: ``rng.random(k)`` is the k values that k scalar
+        ``rng.random()`` calls return, and ``rng.uniform(lo, hi)`` is
+        ``lo + (hi - lo) * rng.random()``, so every draw is bit for bit
+        what one scalar call per draw gave (``tests/reference_link.py`` is
+        that link).  Nothing else may read ``self._rng``.
         """
         for value in self._doubles:
             return value
@@ -139,7 +135,7 @@ class Link:
 
     def _drop(self, message: Message) -> None:
         self.messages_lost += 1
-        self.bytes_lost += message.size_bytes()
+        self.bytes_lost += message.wire_bytes
         if self._on_drop is not None:
             self._on_drop(message)
 
@@ -163,11 +159,16 @@ class Link:
             self._drop(message)
             return now
         spec = self._spec
-        depart = max(now, self._free_at) + self.transmission_time(message)
+        size = message.wire_bytes
+        depart = max(now, self._free_at) + size * 8.0 / spec.bandwidth_bps
         self._free_at = depart
         latency = LATENCY_MIN_S
         if LATENCY_MAX_S != latency:
-            latency += (LATENCY_MAX_S - latency) * self._next_double()
+            double = next(self._doubles, None)
+            if double is None:
+                self._doubles = iter(self._rng.random(DRAW_BLOCK).tolist())
+                double = next(self._doubles)
+            latency += (LATENCY_MAX_S - latency) * double
         # The injector rewrites its per-link table at each fault edge; an
         # absent entry (or no injector) is the idle verdict, which adds 0.
         verdict = (
@@ -183,7 +184,7 @@ class Link:
         self._last_arrival = arrival
         message.created_at = now
         self.messages_sent += 1
-        self.bytes_sent += message.size_bytes()
+        self.bytes_sent += size
         if verdict is not None:
             _, blocked, burst = verdict
             if blocked:
@@ -197,8 +198,10 @@ class Link:
         if spec.loss_probability > 0.0 and self._next_double() < spec.loss_probability:
             self._drop(message)
             return arrival
-        rank, seq = self.key_source.next_key()
-        self._take([arrival, 1, rank, seq, message, self._arrive])
+        keys = self.key_source
+        seq = keys.seq
+        keys.seq = seq + 1
+        self._take([arrival, 1, keys.rank, seq, message, self._arrive])
         return arrival
 
     def _arrive(self, message: Message) -> None:

@@ -17,7 +17,6 @@ first principles, mirroring what the C++ prototype would put on the wire:
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -38,8 +37,6 @@ summary-size axis of Figure 10(a) is comparable across algorithms, exactly
 as Section 6 prescribes ("we adjust the size of the Bloom filters, sketches
 and DFT coefficients to be the same").
 """
-
-_message_ids = itertools.count()
 
 class MessageKind(enum.Enum):
     """Wire-level message categories, used for traffic accounting."""
@@ -92,7 +89,7 @@ class Message:
 
     ``kind`` and ``summary_entries`` are fixed at construction: the wire
     size and the kind's accounting label are worked out once, there, and
-    every send, statistics record and sender pause reads them back.
+    every send, traffic tally and sender pause reads them back.
     """
 
     kind: MessageKind
@@ -100,7 +97,6 @@ class Message:
     destination: int
     payload: Any = None
     summary_entries: int = 0
-    message_id: int = field(default_factory=_message_ids.__next__)
     created_at: Optional[float] = None
     seq: Optional[int] = None
     """Reliable-channel sequence number (None for best-effort traffic);
@@ -108,22 +104,15 @@ class Message:
     fixed header, so it adds no modeled bytes."""
     kind_name: str = field(init=False, repr=False, compare=False)
     """``kind.value``, the label traffic accounting keys by."""
-    _size_bytes: int = field(init=False, repr=False, compare=False)
+    wire_bytes: int = field(init=False, repr=False, compare=False)
+    """Total on-the-wire size: header, body by kind, summary entries."""
 
     def __post_init__(self) -> None:
         # ``_value_`` is the plain attribute behind ``Enum.value``, whose
         # descriptor costs a Python call per read.
         self.kind_name = name = self.kind._value_
-        self._size_bytes = (
+        self.wire_bytes = (
             HEADER_BYTES
             + _BODY_BYTES.get(name, 0)
             + self.summary_entries * SUMMARY_COEFFICIENT_BYTES
         )
-
-    def summary_bytes(self) -> int:
-        """Bytes attributable to summary content (piggy-backed or standalone)."""
-        return self.summary_entries * SUMMARY_COEFFICIENT_BYTES
-
-    def size_bytes(self) -> int:
-        """Total on-the-wire size."""
-        return self._size_bytes

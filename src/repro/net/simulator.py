@@ -64,15 +64,16 @@ class EventKeySource:
     history, never on global insertion order.
     """
 
-    __slots__ = ("rank", "_next")
+    __slots__ = ("rank", "seq")
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
-        self._next = 0
+        self.seq = 0
+        """The next key's seq; a hot caller mints ``(rank, seq)`` itself."""
 
     def next_key(self) -> EventKey:
-        key = (self.rank, self._next)
-        self._next += 1
+        key = (self.rank, self.seq)
+        self.seq += 1
         return key
 
 
@@ -130,7 +131,9 @@ class EventScheduler:
         self._insertions = itertools.count()
         """Every event's ``tie`` (see :class:`Event`), and a phase-0
         event's ``seq``."""
-        self._now = 0.0
+        self.now = 0.0
+        """Current simulated time in seconds: a plain attribute, read on
+        every send and service, that only the scheduler writes."""
         self._material_now = 0.0
         self._latest_inline = 0.0
         self.current: Optional[Event] = None
@@ -149,11 +152,6 @@ class EventScheduler:
         self.telemetry = None
         """Optional :class:`repro.telemetry.TelemetryHub`; when set,
         heap compactions are emitted as scheduler events."""
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def material_now(self) -> float:
@@ -199,7 +197,7 @@ class EventScheduler:
             self.telemetry.emit(
                 "sched.compaction",
                 category="scheduler",
-                time=self._now,
+                time=self.now,
                 dropped=before - len(self._queue),
                 remaining=len(self._queue),
             )
@@ -220,11 +218,11 @@ class EventScheduler:
         :class:`EventKeySource` (phase 1); without one the event is
         phase 0 and ties break by insertion order.
         """
-        if not time >= self._now:
+        if not time >= self.now:
             # ``not >=`` also rejects NaN, which would fire out of order
             # and leave the clock at NaN.
             raise SimulationError(
-                "cannot schedule at t=%g; clock is already at t=%g" % (time, self._now)
+                "cannot schedule at t=%g; clock is already at t=%g" % (time, self.now)
             )
         tie = next(self._insertions)
         if key is None:
@@ -248,7 +246,7 @@ class EventScheduler:
         """Schedule ``callback`` after ``delay`` seconds of simulated time."""
         if not delay >= 0:
             raise SimulationError("delay must be non-negative, got %g" % delay)
-        return self.schedule_at(self._now + delay, callback, material, key)
+        return self.schedule_at(self.now + delay, callback, material, key)
 
     def execute_inline(self, time: float, key: EventKey) -> list:
         """Run a node's service finish at ``time`` inside the event being
@@ -262,7 +260,7 @@ class EventScheduler:
         when that event fires.
         """
         current = self.current = [time, 1, key[0], key[1]]
-        self._now = time
+        self.now = time
         if time > self._latest_inline:
             self._latest_inline = time
         self.inlined += 1
@@ -271,7 +269,7 @@ class EventScheduler:
     def _execute(self, event: Event) -> None:
         time, _, _, _, _, callback, material, _, _ = event
         self.current = event
-        self._now = time
+        self.now = time
         if material:
             self._material_now = time
         callback()
@@ -297,8 +295,8 @@ class EventScheduler:
                 # A callback may compact the heap, which rebinds the list.
                 queue = self._queue
                 if not queue or queue[0][_TIME] > horizon:
-                    if until is not None and self._now < until:
-                        self._now = until
+                    if until is not None and self.now < until:
+                        self.now = until
                         self._material_now = until
                     break
                 if executed >= budget:
@@ -311,7 +309,7 @@ class EventScheduler:
                 executed += 1
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def run_window(self, until: float) -> int:
         """Execute every event with ``time < until``; return the count.

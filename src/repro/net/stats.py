@@ -1,6 +1,7 @@
 """Traffic accounting.
 
-:class:`TrafficStats` tallies messages and bytes by category.  The split
+:class:`TrafficStats` tallies messages and bytes by category; a send is
+tallied inline by :meth:`repro.net.topology.Network.send`.  The split
 between *net data* bytes (tuple bodies, headers) and *summary* bytes
 (DFT coefficients, Bloom fragments, sketch fragments -- whether piggy-backed
 or standalone) is what Figure 8 reports as the coefficient-update overhead
@@ -29,26 +30,16 @@ class TrafficStats:
     bytes_lost: int = 0
     lost_by_kind: Counter = field(default_factory=Counter)
 
-    def record(self, message: Message) -> None:
-        """Account one sent message."""
-        kind = message.kind_name
-        size = message.size_bytes()
-        summary = message.summary_bytes()
-        self.messages_by_kind[kind] += 1
-        self.bytes_by_kind[kind] += size
-        self.summary_bytes += summary
-        self.net_data_bytes += size - summary
-        self.summary_entries += message.summary_entries
-
     def record_loss(self, message: Message) -> None:
         """Account one message dropped in transit.
 
-        Lost messages were already :meth:`record`-ed when sent (their bytes
-        occupied the link); these counters make the loss itself visible
+        Lost messages were already counted as sent by
+        :meth:`repro.net.topology.Network.send` (their bytes occupied the
+        link); these counters make the loss itself visible
         instead of leaving it implied by missing deliveries.
         """
         self.messages_lost += 1
-        self.bytes_lost += message.size_bytes()
+        self.bytes_lost += message.wire_bytes
         self.lost_by_kind[message.kind_name] += 1
 
     @property

@@ -16,7 +16,7 @@ import numpy as np
 from repro._rng import ensure_rng, spawn
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.link import Link, LinkSpec
-from repro.net.message import Message
+from repro.net.message import SUMMARY_COEFFICIENT_BYTES, Message
 from repro.net.simulator import EventKeySource, EventScheduler
 from repro.net.stats import TrafficStats
 
@@ -88,6 +88,8 @@ class Network:
         key = (source, destination)
         link = self._links.get(key)
         if link is None:
+            if source == destination:
+                raise SimulationError("a node does not message itself")
             if source not in self._endpoints or destination not in self._endpoints:
                 raise SimulationError(
                     "link %d->%d references unregistered endpoint" % key
@@ -127,12 +129,19 @@ class Network:
             self.telemetry.on_message_deliver(self._scheduler.now, message)
 
     def send(self, message: Message) -> float:
-        """Transmit ``message`` over the mesh; returns its delivery time."""
-        if message.source == message.destination:
-            raise SimulationError("a node does not message itself")
-        link = self.link(message.source, message.destination)
+        """Transmit ``message`` over the mesh and tally it in :attr:`stats`;
+        returns its delivery time."""
+        link = self._links.get((message.source, message.destination))
+        if link is None:
+            link = self.link(message.source, message.destination)
         arrival = link.send(message)
-        self.stats.record(message)
+        stats, kind, size = self.stats, message.kind_name, message.wire_bytes
+        summary = message.summary_entries * SUMMARY_COEFFICIENT_BYTES
+        stats.messages_by_kind[kind] += 1
+        stats.bytes_by_kind[kind] += size
+        stats.summary_bytes += summary
+        stats.net_data_bytes += size - summary
+        stats.summary_entries += message.summary_entries
         if self.telemetry is not None:
             self.telemetry.on_message_send(self._scheduler.now, message)
         return arrival

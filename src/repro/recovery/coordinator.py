@@ -404,7 +404,7 @@ class RecoveryCoordinator:
         # receipt, so a sequenced request would be suppressed as a
         # duplicate.  Loss is covered by the bounded backoff retries.
         node.network.send(request)
-        self.state_transfer_bytes += request.size_bytes()
+        self.state_transfer_bytes += request.wire_bytes
         if attempts < MAX_TRANSFER_RETRIES:
             delay = TRANSFER_TIMEOUT_S * (TRANSFER_BACKOFF ** attempts)
             self._transfer_timers[peer] = node.scheduler.schedule_in(
@@ -478,7 +478,7 @@ class RecoveryCoordinator:
         now = node.scheduler.now
         if message.payload[0] == "request":
             return self._serve(message, now)
-        self.state_transfer_bytes += message.size_bytes()
+        self.state_transfer_bytes += message.wire_bytes
         _, _, slots = message.payload
         for slot in slots:
             self._absorb(message.source, slot)
@@ -500,7 +500,8 @@ class RecoveryCoordinator:
         if node.transport is not None:
             node.transport.reset_peer(peer)
         node.resync_peer(peer)
-        updates = node._take_pending_updates(peer)
+        outbox = node.policy.outbox
+        updates = outbox.take(peer) if outbox.has_pending(peer) else ()
         full_entries = sum(update.entries for update in updates)
         full_size = HEADER_BYTES + full_entries * SUMMARY_COEFFICIENT_BYTES
         response = self._build_response(
@@ -510,7 +511,7 @@ class RecoveryCoordinator:
             node.transport.send(response)
         else:
             node.network.send(response)
-        self.state_transfer_bytes += response.size_bytes()
+        self.state_transfer_bytes += response.wire_bytes
         node._last_contact[peer] = now
         # The sender pause is charged at the full-snapshot size: assembling
         # a delta still walks the complete summary state, and a delta
@@ -580,7 +581,7 @@ class RecoveryCoordinator:
             payload=("delta_response", fallback, slots),
             summary_entries=sum(wire for _, wire in prepared),
         )
-        size = response.size_bytes()
+        size = response.wire_bytes
         if any_delta:
             self.state_transfer_delta_bytes += size
             self.state_transfer_bytes_saved += full_size - size

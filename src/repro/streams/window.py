@@ -14,7 +14,6 @@ the tuples' keys in the same order, so a probe finds its matches with
 
 from __future__ import annotations
 
-import abc
 from collections import Counter, deque
 from typing import Deque, Iterable, Iterator, List, Optional
 
@@ -22,7 +21,7 @@ from repro.errors import WindowError
 from repro.streams.tuples import StreamTuple
 
 
-class SlidingWindow(abc.ABC):
+class SlidingWindow:
     """Common behaviour: append, evict, key-multiset bookkeeping."""
 
     checkpoint_text = None
@@ -107,13 +106,15 @@ class SlidingWindow(abc.ABC):
         self._evicted.append(oldest)
         return oldest
 
-    @abc.abstractmethod
     def _enforce(self, newest: StreamTuple) -> None:
-        """Evict tuples so the window invariant holds after ``newest``."""
+        """Evict tuples so the window invariant holds after ``newest``
+        (a :class:`CountWindow` evicts inside its own ``append``)."""
+        raise NotImplementedError
 
 
 class CountWindow(SlidingWindow):
-    """Window holding the most recent ``capacity`` tuples."""
+    """Window holding the most recent ``capacity`` tuples.  Its append
+    evicts inline (``tests/reference_window.py`` holds the generic path)."""
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
@@ -121,9 +122,23 @@ class CountWindow(SlidingWindow):
         super().__init__()
         self.capacity = capacity
 
-    def _enforce(self, newest: StreamTuple) -> None:
-        while len(self._tuples) > self.capacity:
-            self._evict_oldest()
+    def append(self, item: StreamTuple) -> List[StreamTuple]:
+        key = item.key
+        tuples, keys, counts = self._tuples, self._keys, self._key_counts
+        tuples.append(item)
+        keys.append(key)
+        counts[key] = counts.get(key, 0) + 1
+        self.total_appended += 1
+        evicted = []
+        while len(tuples) > self.capacity:
+            evicted.append(tuples.popleft())
+            key = keys.popleft()
+            left = counts[key] - 1
+            if left:
+                counts[key] = left
+            else:
+                del counts[key]
+        return evicted
 
 
 class TimeWindow(SlidingWindow):

@@ -195,7 +195,7 @@ class TelemetryHub:
         """Account one transmitted message; called by ``Network.send``."""
         kind = message.kind_name
         self._message_counters[kind].inc()
-        self._byte_counters[kind].inc(message.size_bytes())
+        self._byte_counters[kind].inc(message.wire_bytes)
         self._link_counters[message.source, message.destination].inc()
         if self.settings.trace_messages:
             self.emit(
@@ -205,7 +205,7 @@ class TelemetryHub:
                 time=now,
                 dst=message.destination,
                 kind=kind,
-                bytes=message.size_bytes(),
+                bytes=message.wire_bytes,
                 entries=message.summary_entries,
             )
 

@@ -23,6 +23,7 @@ from repro.net.faults import FaultPlan
 from repro.net.link import LinkSpec
 from repro.net.reliable import ReliabilitySettings
 from repro.net.stats import TrafficStats
+from repro.net.topology import Network
 from repro.overload import OverloadSettings
 from repro.recovery import RecoverySettings
 
@@ -51,20 +52,25 @@ def config():
 
 @pytest.fixture(scope="module")
 def run():
-    """The run, with every ``TrafficStats`` tally call counted."""
+    """The run, with every ``Network.send`` and every loss tally counted:
+    calls, and per kind the messages, bytes and summary entries sent."""
     calls = Counter()
+    sent = {"messages": Counter(), "bytes": Counter(), "entries": 0}
+    send, record_loss = Network.send, TrafficStats.record_loss
 
-    def counted(name):
-        original = getattr(TrafficStats, name)
+    def counted_send(self, message):
+        calls["send"] += 1
+        sent["messages"][message.kind.value] += 1
+        sent["bytes"][message.kind.value] += message.wire_bytes
+        sent["entries"] += message.summary_entries
+        return send(self, message)
 
-        def tally(self, message):
-            calls[name] += 1
-            return original(self, message)
+    def counted_loss(self, message):
+        calls["record_loss"] += 1
+        return record_loss(self, message)
 
-        return tally
-
-    with mock.patch.multiple(
-        TrafficStats, record=counted("record"), record_loss=counted("record_loss")
+    with mock.patch.object(Network, "send", counted_send), mock.patch.object(
+        TrafficStats, "record_loss", counted_loss
     ):
         system = DistributedJoinSystem(config())
         result = system.run()
@@ -74,7 +80,7 @@ def run():
             outcomes[event.name][event.attrs["src"], event.node, event.attrs["kind"]] += 1
         elif event.name in outcomes:
             outcomes[event.name][event.node, event.attrs["dst"], event.attrs["kind"]] += 1
-    return system, result, calls, outcomes
+    return system, result, calls, sent, outcomes
 
 
 def by(outcome, key):
@@ -86,7 +92,7 @@ def by(outcome, key):
 
 
 def test_the_run_crossed_every_way_a_message_dies(run):
-    _, result, _, outcomes = run
+    _, result, _, _, outcomes = run
     assert result.telemetry["events_dropped"] == 0  # the trace is complete
     assert result.faults["messages_blocked"] > 0  # burst and partition
     assert result.overload["link_messages_shed"] > 0  # backlog bound
@@ -96,12 +102,12 @@ def test_the_run_crossed_every_way_a_message_dies(run):
 
 
 def test_every_send_is_delivered_or_dropped_per_kind_and_link(run):
-    _, _, _, outcomes = run
+    _, _, _, _, outcomes = run
     assert outcomes["net.send"] == outcomes["net.deliver"] + outcomes["net.drop"]
 
 
 def test_events_equal_the_traffic_tallies(run):
-    system, result, _, outcomes = run
+    system, result, _, _, outcomes = run
     kind = lambda triple: triple[2]
     link = lambda triple: triple[:2]
     assert by(outcomes["net.send"], kind) == result.messages_by_kind
@@ -117,8 +123,15 @@ def test_events_equal_the_traffic_tallies(run):
 
 def test_one_traffic_tally_per_message(run):
     """Count gate: the network tallies each sent and each lost message
-    once, in ``Network.stats``, and nowhere else."""
-    system, _, calls, outcomes = run
-    assert calls["record"] == sum(outcomes["net.send"].values())
-    assert calls["record_loss"] == sum(outcomes["net.drop"].values())
-    assert calls["record"] == system.network.stats.total_messages
+    once, in ``Network.stats``, and nowhere else.  ``Network.send`` tallies
+    inline, so the stats must equal what its calls carried: a second tally
+    doubles them, a send that skips the tally falls short."""
+    system, _, calls, sent, outcomes = run
+    stats = system.network.stats
+    assert calls["send"] == sum(outcomes["net.send"].values()) > 0
+    assert stats.messages_by_kind == sent["messages"]
+    assert stats.bytes_by_kind == sent["bytes"]
+    assert stats.summary_entries == sent["entries"] > 0
+    assert stats.summary_bytes + stats.net_data_bytes == stats.total_bytes
+    assert calls["record_loss"] == sum(outcomes["net.drop"].values()) > 0
+    assert calls["record_loss"] == stats.messages_lost

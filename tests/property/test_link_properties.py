@@ -58,7 +58,7 @@ def test_arrival_is_never_sooner_than_the_latency_floor(spec, plan, seed, low, h
     )
     with mock.patch.multiple(link_module, LATENCY_MIN_S=low, LATENCY_MAX_S=high):
         for send_time, entries in sorted(plan):
-            scheduler._now = send_time
+            scheduler.now = send_time
             message = Message(
                 kind=MessageKind.TUPLE,
                 source=0,

@@ -8,6 +8,14 @@ and landmark windows -- each probe key, present or absent, gets the same
 tuples, the same objects in the same order, as ``tests/reference_window.py``
 (the list scan), and the key deque matches the tuples position by
 position.
+
+A count window's ``append`` evicts inline.  Over random histories of
+appends and restores (some restoring more tuples than the capacity, so
+the next append evicts several), at capacities from 1, it returns the
+same evicted tuples, the same objects in the same order, and leaves the
+same tuples, key deque, key multiset (in insertion order) and append
+count as ``ReferenceCountWindow``, the generic ``SlidingWindow.append``
+path it replaced.
 """
 
 from collections import Counter
@@ -17,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.streams.tuples import StreamId, StreamTuple
 from repro.streams.window import CountWindow, LandmarkWindow, TimeWindow
-from tests.reference_window import reference_matches
+from tests.reference_window import ReferenceCountWindow, reference_matches
 
 KEYS = st.integers(min_value=0, max_value=5)
 PROBE_KEYS = range(-1, 8)  # 6 and 7 are never appended, -1 neither
@@ -95,3 +103,67 @@ def test_probe_matches_the_list_scan(window, history):
             _, start, length, total = operation
             window.restore(appended[start : start + length], total)
         assert_same_answers(window)
+
+
+def state(window):
+    return (
+        list(window),
+        list(window._keys),
+        list(window._key_counts.items()),
+        window.total_appended,
+    )
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("append"), KEYS),
+            st.tuples(
+                st.just("restore"),
+                st.integers(min_value=0, max_value=12),
+                st.integers(min_value=0, max_value=12),
+                st.integers(min_value=0, max_value=50),
+            ),
+        ),
+        max_size=60,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_inline_count_append_equals_the_generic_path(capacity, history):
+    ours, reference = CountWindow(capacity), ReferenceCountWindow(capacity)
+    appended = []
+    for operation in history:
+        if operation[0] == "append":
+            item = StreamTuple(
+                stream=StreamId.S, key=operation[1], origin_node=1,
+                arrival_index=len(appended),
+            )
+            appended.append(item)
+            evicted, expected = ours.append(item), reference.append(item)
+            assert type(evicted) is list
+            assert evicted == expected
+            assert all(a is b for a, b in zip(evicted, expected))
+        else:
+            _, start, length, total = operation
+            for window in (ours, reference):
+                window.restore(appended[start : start + length], total)
+        assert state(ours) == state(reference)
+        assert all(a is b for a, b in zip(ours, reference))
+        assert_same_answers(ours)
+
+
+def test_an_oversized_restore_evicts_down_to_capacity_on_the_next_append():
+    """The fixed case behind the property: capacity 1, and a restore of
+    four tuples that the next append brings back to one."""
+    items = [
+        StreamTuple(stream=StreamId.R, key=k, origin_node=0, arrival_index=i)
+        for i, k in enumerate([3, 1, 3, 2, 5])
+    ]
+    ours, reference = CountWindow(1), ReferenceCountWindow(1)
+    for window in (ours, reference):
+        assert window.append(items[0]) == []
+        window.restore(items[:4], 4)
+    evicted = ours.append(items[4])
+    assert evicted == items[:4] == reference.append(items[4])
+    assert state(ours) == state(reference) == ([items[4]], [5], [(5, 1)], 5)

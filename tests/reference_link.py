@@ -88,11 +88,11 @@ class ReferenceLink:
 
     def transmission_time(self, message: Message) -> float:
         """Serialization delay for ``message`` at the link bandwidth."""
-        return message.size_bytes() * 8.0 / self._spec.bandwidth_bps
+        return message.wire_bytes * 8.0 / self._spec.bandwidth_bps
 
     def _drop(self, message: Message) -> None:
         self.messages_lost += 1
-        self.bytes_lost += message.size_bytes()
+        self.bytes_lost += message.wire_bytes
         if self._on_drop is not None:
             self._on_drop(message)
 
@@ -126,7 +126,7 @@ class ReferenceLink:
         self._last_arrival = arrival
         message.created_at = now
         self.messages_sent += 1
-        self.bytes_sent += message.size_bytes()
+        self.bytes_sent += message.wire_bytes
         if self._injector is not None and self._endpoints is not None:
             if self._injector.link_blocked(*self._endpoints):
                 self._injector.note_blocked()

@@ -87,7 +87,7 @@ class ReferenceTelemetryHub(TelemetryHub):
         kind = message.kind.value
         self.registry.counter("repro_net_messages_total", kind=kind).inc()
         self.registry.counter("repro_net_bytes_total", kind=kind).inc(
-            message.size_bytes()
+            message.wire_bytes
         )
         self.registry.counter(
             "repro_link_messages_total",
@@ -102,7 +102,7 @@ class ReferenceTelemetryHub(TelemetryHub):
                 time=now,
                 dst=message.destination,
                 kind=kind,
-                bytes=message.size_bytes(),
+                bytes=message.wire_bytes,
                 entries=message.summary_entries,
             )
 

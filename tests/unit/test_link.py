@@ -17,6 +17,11 @@ def _tuple_message():
     return Message(kind=MessageKind.TUPLE, source=0, destination=1)
 
 
+def transmission_time(spec, message):
+    """Serialization delay for ``message`` at the link bandwidth."""
+    return message.wire_bytes * 8.0 / spec.bandwidth_bps
+
+
 def _make_link(spec, delivered):
     scheduler = EventScheduler()
     link = Link(
@@ -61,7 +66,7 @@ def test_delivery_includes_transmission_and_latency(monkeypatch):
     spec = LinkSpec()
     scheduler, link = _make_link(spec, delivered)
     message = _tuple_message()
-    expected_tx = message.size_bytes() * 8.0 / spec.bandwidth_bps
+    expected_tx = message.wire_bytes * 8.0 / spec.bandwidth_bps
     arrival = link.send(message)
     assert arrival == pytest.approx(expected_tx + 0.05)
     scheduler.run()
@@ -76,7 +81,7 @@ def test_fifo_serialization_backlog(zero_latency):
     second = _tuple_message()
     t1 = link.send(first)
     t2 = link.send(second)
-    tx = link.transmission_time(first)
+    tx = transmission_time(LinkSpec(), first)
     assert t1 == pytest.approx(tx)
     assert t2 == pytest.approx(2 * tx)
     assert link.queue_depth_seconds() == pytest.approx(2 * tx)
@@ -98,7 +103,7 @@ def test_backlog_bound_sheds_at_the_send_buffer(zero_latency):
         on_drop=dropped.append,
     )
     first = _tuple_message()
-    tx = link.transmission_time(first)
+    tx = transmission_time(LinkSpec(), first)
     link.backlog_bound_s = 1.5 * tx
     link.send(first)
     second = _tuple_message()
@@ -111,7 +116,7 @@ def test_backlog_bound_sheds_at_the_send_buffer(zero_latency):
     assert delivered == [first, second]
     # Shed messages count as losses with byte accounting.
     assert link.messages_lost == 1
-    assert link.bytes_lost == third.size_bytes()
+    assert link.bytes_lost == third.wire_bytes
 
 
 def test_backlog_bound_zero_keeps_unbounded_legacy_backlog(zero_latency):
@@ -143,7 +148,7 @@ def test_shedding_does_not_perturb_the_latency_stream(monkeypatch):
             rng=np.random.default_rng(7),
         )
         first = _tuple_message()
-        link.backlog_bound_s = 1.5 * link.transmission_time(first)
+        link.backlog_bound_s = 1.5 * transmission_time(LinkSpec(), first)
         times = [link.send(first), link.send(_tuple_message())]
         if extra_burst:
             for _ in range(5):
@@ -159,7 +164,7 @@ def test_shedding_does_not_perturb_the_latency_stream(monkeypatch):
 def test_latency_sampled_within_range():
     delivered = []
     scheduler, link = _make_link(LinkSpec(), delivered)
-    tx = link.transmission_time(_tuple_message())
+    tx = transmission_time(LinkSpec(), _tuple_message())
     free_at = 0.0
     for _ in range(50):
         message = _tuple_message()
@@ -197,7 +202,7 @@ def test_counters_accumulate():
     total = 0
     for _ in range(4):
         message = _tuple_message()
-        total += message.size_bytes()
+        total += message.wire_bytes
         link.send(message)
     assert link.messages_sent == 4
     assert link.bytes_sent == total

@@ -9,12 +9,13 @@ from repro.net.message import (
     MessageKind,
 )
 from repro.net.stats import TrafficStats
+from tests.reference_traffic import record, summary_bytes
 
 
 def body_bytes(message):
     """Bytes of the tuple/result/control body: the size less the header and
     the summary entries."""
-    return message.size_bytes() - HEADER_BYTES - message.summary_bytes()
+    return message.wire_bytes - HEADER_BYTES - summary_bytes(message)
 
 
 def _msg(kind, entries=0):
@@ -23,21 +24,21 @@ def _msg(kind, entries=0):
 
 def test_tuple_message_size():
     message = _msg(MessageKind.TUPLE)
-    assert message.size_bytes() == HEADER_BYTES + TUPLE_KEY_BYTES + TUPLE_PAYLOAD_BYTES
+    assert message.wire_bytes == HEADER_BYTES + TUPLE_KEY_BYTES + TUPLE_PAYLOAD_BYTES
 
 
 def test_piggybacked_summary_adds_entry_bytes():
     bare = _msg(MessageKind.TUPLE)
     loaded = _msg(MessageKind.TUPLE, entries=3)
-    assert loaded.size_bytes() == bare.size_bytes() + 3 * SUMMARY_COEFFICIENT_BYTES
-    assert loaded.summary_bytes() == 3 * SUMMARY_COEFFICIENT_BYTES
+    assert loaded.wire_bytes == bare.wire_bytes + 3 * SUMMARY_COEFFICIENT_BYTES
+    assert summary_bytes(loaded) == 3 * SUMMARY_COEFFICIENT_BYTES
     assert body_bytes(loaded) == body_bytes(bare)
 
 
 def test_standalone_summary_has_no_tuple_body():
     message = _msg(MessageKind.SUMMARY, entries=5)
     assert body_bytes(message) == 0
-    assert message.size_bytes() == HEADER_BYTES + 5 * SUMMARY_COEFFICIENT_BYTES
+    assert message.wire_bytes == HEADER_BYTES + 5 * SUMMARY_COEFFICIENT_BYTES
 
 
 def test_result_message_carries_tuple_body():
@@ -45,12 +46,7 @@ def test_result_message_carries_tuple_body():
 
 
 def test_control_message_is_small():
-    assert _msg(MessageKind.CONTROL).size_bytes() == HEADER_BYTES + TUPLE_KEY_BYTES
-
-
-def test_message_ids_are_unique():
-    ids = {_msg(MessageKind.TUPLE).message_id for _ in range(100)}
-    assert len(ids) == 100
+    assert _msg(MessageKind.CONTROL).wire_bytes == HEADER_BYTES + TUPLE_KEY_BYTES
 
 
 # The size model from first principles: header + body (by kind) + entries.
@@ -71,8 +67,8 @@ def test_size_table_for_every_kind_and_entry_count():
         for entries in (0, 1, 8):
             message = _msg(kind, entries)
             assert body_bytes(message) == body
-            assert message.summary_bytes() == entries * SUMMARY_COEFFICIENT_BYTES
-            assert message.size_bytes() == (
+            assert summary_bytes(message) == entries * SUMMARY_COEFFICIENT_BYTES
+            assert message.wire_bytes == (
                 HEADER_BYTES + body + entries * SUMMARY_COEFFICIENT_BYTES
             )
 
@@ -84,7 +80,7 @@ def test_traffic_stats_totals_equal_the_table_sum():
     ] + [(MessageKind.TUPLE, 8), (MessageKind.SUMMARY, 1)]
     lost = sequence[::4]
     for kind, entries in sequence:
-        stats.record(_msg(kind, entries))
+        record(stats, _msg(kind, entries))
     for kind, entries in lost:
         stats.record_loss(_msg(kind, entries))
 
@@ -109,13 +105,13 @@ def test_traffic_stats_totals_equal_the_table_sum():
 def test_dataclass_surface_survives_the_slots():
     """``==``, ``repr`` and keyword construction as the plain dataclass
     gave them; the two derived fields stay out of all three."""
-    first = Message(kind=MessageKind.TUPLE, source=0, destination=1, message_id=5)
-    second = Message(kind=MessageKind.TUPLE, source=0, destination=1, message_id=5)
+    first = Message(kind=MessageKind.TUPLE, source=0, destination=1, created_at=5.0)
+    second = Message(kind=MessageKind.TUPLE, source=0, destination=1, created_at=5.0)
     assert first == second
     second.seq = 3
     assert first != second
     assert repr(first) == (
         "Message(kind=<MessageKind.TUPLE: 'tuple'>, source=0, destination=1, "
-        "payload=None, summary_entries=0, message_id=5, created_at=None, seq=None)"
+        "payload=None, summary_entries=0, created_at=5.0, seq=None)"
     )
     assert not hasattr(first, "__dict__")

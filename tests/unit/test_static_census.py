@@ -13,6 +13,7 @@ protocol, not by name.
 """
 
 import ast
+import importlib.util
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -90,3 +91,69 @@ def test_every_definition_is_named_outside_the_tests():
         "benchmark or tool: delete it, call it, or move it to tests/ as an "
         "oracle:\n  " + "\n  ".join(unnamed)
     )
+
+
+def load_census():
+    """``tools/census.py`` as a module (``tools`` is not a package)."""
+    spec = importlib.util.spec_from_file_location("census", ROOT / "tools" / "census.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+STUBS_AND_BODIES = '''
+import abc
+from typing import Protocol
+
+
+class Endpoint(Protocol):
+    def on_message(self, message) -> None:
+        ...
+
+
+class Base(abc.ABC):
+    @abc.abstractmethod
+    def choose(self, item):
+        """Peers that should receive a copy of ``item``."""
+
+    @abc.abstractmethod
+    def counted(self, item):
+        """An abstract method with a body a subclass may reach."""
+        return [item]
+
+    def sample_value(self):
+        raise NotImplementedError
+
+    def _enforce(self, newest):
+        """Evict tuples."""
+        raise NotImplementedError("subclass")
+
+    def on_remote_summary(self, source, update):
+        """A peer's summary update arrived (default: ignored)."""
+
+    def default(self):
+        return 1
+
+
+def helper():
+    def inner():
+        pass
+
+    return inner
+'''
+
+
+def test_census_counts_bodies_and_skips_stubs():
+    """Protocol members, bodiless abstract methods and bodies that only
+    raise ``NotImplementedError`` cannot be entered by any call, so they
+    use no slot of the census ratchet; every def with a body, including a
+    docstring-only default and an abstract method with a body, is kept."""
+    found = load_census().functions(ROOT / "stubs.py", STUBS_AND_BODIES)
+    assert [name for _, name, _ in found] == [
+        "Base.counted",
+        "Base.on_remote_summary",
+        "Base.default",
+        "helper",
+        "helper.<locals>.inner",
+    ]
+    assert found[2] == (31, "Base.default", 2)

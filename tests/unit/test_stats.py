@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.message import Message, MessageKind
 from repro.net.stats import TrafficStats
+from tests.reference_traffic import record, summary_bytes
 
 
 def _msg(kind, entries=0):
@@ -20,17 +21,17 @@ def test_empty_stats():
 def test_record_splits_summary_and_net_bytes():
     stats = TrafficStats()
     message = _msg(MessageKind.TUPLE, entries=2)
-    stats.record(message)
-    assert stats.summary_bytes == message.summary_bytes()
-    assert stats.net_data_bytes == message.size_bytes() - message.summary_bytes()
+    record(stats, message)
+    assert stats.summary_bytes == summary_bytes(message)
+    assert stats.net_data_bytes == message.wire_bytes - summary_bytes(message)
     assert stats.summary_entries == 2
 
 
 def test_overhead_fraction():
     stats = TrafficStats()
     for _ in range(10):
-        stats.record(_msg(MessageKind.TUPLE))
-    stats.record(_msg(MessageKind.SUMMARY, entries=1))
+        record(stats, _msg(MessageKind.TUPLE))
+    record(stats, _msg(MessageKind.SUMMARY, entries=1))
     expected = stats.summary_bytes / stats.net_data_bytes
     assert stats.summary_overhead_fraction() == pytest.approx(expected)
     assert 0 < stats.summary_overhead_fraction() < 1
@@ -38,9 +39,9 @@ def test_overhead_fraction():
 
 def test_data_messages_counts_tuples_and_summaries():
     stats = TrafficStats()
-    stats.record(_msg(MessageKind.TUPLE))
-    stats.record(_msg(MessageKind.SUMMARY, entries=1))
-    stats.record(_msg(MessageKind.CONTROL))
+    record(stats, _msg(MessageKind.TUPLE))
+    record(stats, _msg(MessageKind.SUMMARY, entries=1))
+    record(stats, _msg(MessageKind.CONTROL))
     assert stats.messages_by_kind[MessageKind.TUPLE.value] == 1
     assert stats.messages_by_kind[MessageKind.SUMMARY.value] == 1
     assert stats.messages_by_kind[MessageKind.CONTROL.value] == 1
@@ -48,7 +49,7 @@ def test_data_messages_counts_tuples_and_summaries():
 
 def test_as_dict_round_trip():
     stats = TrafficStats()
-    stats.record(_msg(MessageKind.TUPLE, entries=1))
+    record(stats, _msg(MessageKind.TUPLE, entries=1))
     snapshot = stats.as_dict()
     assert snapshot["total_messages"] == 1
     assert snapshot["summary_entries"] == 1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._rng import ensure_rng, spawn
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.link import LinkSpec
 from repro.net.message import Message, MessageKind
@@ -49,6 +50,24 @@ def test_self_send_rejected():
     _, network, _ = _network(2)
     with pytest.raises(SimulationError):
         network.send(Message(kind=MessageKind.TUPLE, source=1, destination=1))
+
+
+def test_self_link_is_refused_and_the_mesh_keeps_its_streams():
+    """No link ``i -> i`` exists, and refusing it takes no generator from
+    the grid: link ``s -> d`` still draws from child ``s * n + d`` of the
+    ``n * n`` spawned from the network's seed."""
+    _, network, _ = _network(3)
+    for node in range(3):
+        with pytest.raises(SimulationError):
+            network.link(node, node)
+    with pytest.raises(SimulationError):
+        network.send(Message(kind=MessageKind.TUPLE, source=2, destination=2))
+    assert network.stats.total_messages == 0
+    assert list(network.iter_links()) == []
+    children = spawn(ensure_rng(np.random.default_rng(5)), 9)
+    for source, destination in ((0, 1), (1, 2), (2, 0)):
+        drawn = network.link(source, destination)._rng.random(4)
+        assert drawn.tolist() == children[source * 3 + destination].random(4).tolist()
 
 
 def test_send_to_unregistered_endpoint_rejected():
@@ -112,20 +131,26 @@ def test_send_accounting_matches_the_recorded_script():
     for node_id, endpoint in enumerate(endpoints):
         network.register(node_id, endpoint)
     kinds = list(MessageKind)
-    first = Message(kind=MessageKind.CONTROL, source=0, destination=1)
-    network.send(first)
+    order = {}  # id(message) -> its index in the send order
+
+    def send(message):
+        order[id(message)] = len(order)
+        network.send(message)
+        return message
+
+    sent = [send(Message(kind=MessageKind.CONTROL, source=0, destination=1))]
 
     def burst(step):
         for index in range(6):
             source = (step + index) % 3
-            network.send(
+            sent.append(send(
                 Message(
                     kind=kinds[(step * 6 + index) % len(kinds)],
                     source=source,
                     destination=(source + 1 + index % 2) % 3,
                     summary_entries=(step + index) % 4,
                 )
-            )
+            ))
 
     for step in range(10):
         scheduler.schedule_at(0.5 * step, lambda s=step: burst(s), key=(step % 3, step))
@@ -167,9 +192,9 @@ def test_send_accounting_matches_the_recorded_script():
         (1, 0): (10, 740, 2, 116, 0),
         (2, 1): (10, 652, 4, 164, 0),
     }
-    # Which messages arrived where, in what order (ids relative to the first).
+    # Which messages arrived where, in what order (by index in the send order).
     assert [
-        [message.message_id - first.message_id for message in endpoint.received]
+        [order[id(message)] for message in endpoint.received]
         for endpoint in endpoints
     ] == [
         [3, 18, 13, 20, 28, 31, 36, 38, 39, 46, 47, 54, 49, 57, 56],

@@ -14,7 +14,8 @@ it prints
   passed a value other than the field's default -- read from the
   arguments of the generated ``__init__``;
 * every function under ``src/repro`` that no process entered, per
-  module, with line counts.
+  module, with line counts; stubs no call can enter (protocol members,
+  bodiless abstract methods) are not counted.
 
 Every process gets the hook from a ``sitecustomize`` module in a
 temporary directory placed first on ``PYTHONPATH``, so the processes an
@@ -70,7 +71,7 @@ NEVER_SET = {"repro.config:SystemConfig": {"landmark_key"}}
 """Fields no entry point sets, on purpose: LANDMARK windows are the
 paper's (Section 2), held by the tests, but no entry point builds one."""
 
-MAX_UNREACHED = 21
+MAX_UNREACHED = 16
 """The most functions under ``src/repro`` that may go unentered: a
 ratchet, lowered whenever a change leaves fewer, so code that only the
 tests reach cannot grow back unnoticed."""
@@ -310,26 +311,51 @@ def unexercised_options() -> Dict[str, List[str]]:
     return missing
 
 
-def functions(path: Path) -> List[Tuple[int, str, int]]:
-    """``(first line, qualified name, lines)`` of every def in a module.
+def _named(node: ast.AST, name: str) -> bool:
+    """Whether ``node`` is ``name`` or ``something.name``."""
+    return getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+
+
+def is_stub(function: ast.AST, in_protocol: bool) -> bool:
+    """A def no call can enter for its body: a ``Protocol`` member, an
+    ``@abstractmethod`` without a body, or a body that only raises
+    ``NotImplementedError``.  A docstring does not count as a body; a
+    default method that does something (even ``return``) is not a stub."""
+    body = list(function.body)
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]  # the docstring, or a bare ``...``
+    raises = len(body) == 1 and isinstance(body[0], ast.Raise) and _named(
+        getattr(body[0].exc, "func", body[0].exc), "NotImplementedError"
+    )
+    abstract = any(_named(d, "abstractmethod") for d in function.decorator_list)
+    return in_protocol or raises or (abstract and not body)
+
+
+def functions(path: Path, source: str = "") -> List[Tuple[int, str, int]]:
+    """``(first line, qualified name, lines)`` of every def in a module
+    (``source``, when given, instead of the file), stubs left out
+    (:func:`is_stub`).
 
     The first line is the first decorator's, as in ``co_firstlineno``.
     """
     found = []
 
-    def visit(node: ast.AST, prefix: str) -> None:
+    def visit(node: ast.AST, prefix: str, in_protocol: bool) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if is_stub(child, in_protocol):
+                    continue
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])
                 name = prefix + child.name
                 found.append((first, name, child.end_lineno - first + 1))
-                visit(child, name + ".<locals>.")
+                visit(child, name + ".<locals>.", False)
             elif isinstance(child, ast.ClassDef):
-                visit(child, prefix + child.name + ".")
+                protocol = any(_named(base, "Protocol") for base in child.bases)
+                visit(child, prefix + child.name + ".", protocol)
             else:
-                visit(child, prefix)
+                visit(child, prefix, in_protocol)
 
-    visit(ast.parse(path.read_text(), str(path)), "")
+    visit(ast.parse(source or path.read_text(), str(path)), "", False)
     return sorted(found)
 
 
