@@ -32,7 +32,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -208,9 +208,18 @@ class FlowController:
         """Update the resource-aware budget scale from the service queue."""
         self.congestion_scale = self.settings.congestion_scale(queue_depth)
 
-    def probabilities(self, similarities: Mapping[int, float]) -> Dict[int, float]:
+    def target(self, peers: int) -> float:
+        """The expected transmissions T a fill over ``peers`` peers spends:
+        the budget, capped at one per peer."""
+        return min(self.budget, float(peers))
+
+    def probabilities(
+        self, similarities: Mapping[int, float], target: Optional[float] = None
+    ) -> Dict[int, float]:
         """Water-fill the budget over peers proportionally to similarity.
 
+        ``target`` is :meth:`target` by default; a caller that solves a
+        fill later than it read the budget passes the value it read.
         Degenerate similarities (all ~zero) spread the budget uniformly --
         the tuple must still reach *somewhere* for any result to exist.
         """
@@ -220,7 +229,8 @@ class FlowController:
             peer: max(float(value), MINIMUM_SIMILARITY)
             for peer, value in similarities.items()
         }
-        target = min(self.budget, float(len(floored)))
+        if target is None:
+            target = self.target(len(floored))
         scale = max(floored.values())
         if scale <= 0.0:
             uniform = target / len(floored)

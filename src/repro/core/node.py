@@ -121,6 +121,11 @@ class JoinProcessingNode:
         self.shadow_windows: Dict[StreamId, Dict[int, SlidingWindow]] = {
             StreamId.R: {}, StreamId.S: {}
         }
+        # The two dicts themselves, which a restore refills in place: the
+        # per-delivery paths pick one by identity instead of hashing a
+        # StreamId.
+        self._r_shadows = self.shadow_windows[StreamId.R]
+        self._s_shadows = self.shadow_windows[StreamId.S]
         self.seen_pairs: set = set()
         """Result pairs this node already shipped (node-local RESULT dedup)."""
         if self.recovery is not None:
@@ -398,11 +403,13 @@ class JoinProcessingNode:
     def _probe_shadow(self, item: StreamTuple, now: float) -> List[JoinResult]:
         """Join a local arrival against forwarded copies of the other stream."""
         results = []
-        for shadow in self.shadow_windows[item.stream.other].values():
-            for match in shadow.matches(item.key):
-                if item.stream is StreamId.R:
+        if item.stream is StreamId.R:
+            for shadow in self._s_shadows.values():
+                for match in shadow.matches(item.key):
                     results.append(JoinResult(item, match, self.node_id, now))
-                else:
+        else:
+            for shadow in self._r_shadows.values():
+                for match in shadow.matches(item.key):
                     results.append(JoinResult(match, item, self.node_id, now))
         return results
 
@@ -543,7 +550,7 @@ class JoinProcessingNode:
             self._refresh_time_windows(now)
         results = self.join.probe_remote(item, now)
         result_pause = self._report_results(results, now) if results else 0.0
-        shadows = self.shadow_windows[item.stream]
+        shadows = self._r_shadows if item.stream is StreamId.R else self._s_shadows
         shadow = shadows.get(item.origin_node)
         if shadow is None:
             shadow = shadows[item.origin_node] = self._make_window()

@@ -199,12 +199,19 @@ class ForwardingPolicy(abc.ABC):
     def _bernoulli_destinations(
         self, probabilities: Dict[int, float]
     ) -> List[int]:
-        """Independent coin per peer -- the paper's probabilistic transmit."""
-        rng = self.context.rng
+        """Independent coin per peer -- the paper's probabilistic transmit.
+
+        A peer with p > 0 gets one coin; the k coins are one
+        ``rng.random(k)`` draw, the same doubles as k scalar draws.
+        """
+        live = [item for item in probabilities.items() if item[1] > 0]
+        if not live:
+            return []
+        coins = self.context.rng.random(len(live)).tolist()
         return [
             peer
-            for peer, probability in probabilities.items()
-            if probability > 0 and rng.random() < probability
+            for (peer, probability), coin in zip(live, coins)
+            if coin < probability
         ]
 
 

@@ -7,7 +7,9 @@ and each peer j's *S* signal (that is where the tuple would join), and
 symmetrically for S tuples.  Similarities feed the
 :class:`~repro.core.flow.FlowController`, which water-fills the
 T_i in [1, log N] budget into per-peer probabilities; the tuple is then
-forwarded with an independent coin per peer (Figure 2).
+forwarded with an independent coin per peer (Figure 2).  A rebuild
+records the fill's inputs and the fill is solved when a decision first
+spends it (DFTT's estimates mostly never do).
 
 When the controller detects the uniform worst case (negligible variance
 across peers), the policy falls back to budgeted round-robin, as
@@ -138,6 +140,23 @@ class SlotRows:
         return windows, histograms, present, counts[-1] if local is not None else None
 
 
+class WaterFill:
+    """One rebuild's water-fill inputs, solved on the first read.
+
+    ``target`` is the flow controller's T at the rebuild, so a budget that
+    moves before the first read does not reach the solve: the probabilities
+    and ``weight`` are the ones an immediate solve would have produced.
+    """
+
+    __slots__ = ("similarities", "target", "probabilities", "weight")
+
+    def __init__(self, similarities: Dict[int, float], target: float) -> None:
+        self.similarities = similarities
+        self.target = target
+        self.probabilities: Optional[Dict[int, float]] = None
+        self.weight = 0.0
+
+
 class DftPolicy(ForwardingPolicy):
     """Correlation-filtered forwarding from exchanged DFT coefficients."""
 
@@ -171,7 +190,10 @@ class DftPolicy(ForwardingPolicy):
         )
         self.flow = FlowController(context.num_nodes, config.flow)
         self._round_robin = RoundRobinPolicy(context)
-        self._cached_probabilities: Dict[StreamId, Dict[int, float]] = {}
+        self._fills: Dict[StreamId, WaterFill] = {}
+        self._latest_fill: Optional[WaterFill] = None
+        """The fill of the latest rebuild, whose weight a checkpoint
+        records as ``flow.last_weight``; kept across invalidations."""
         self._cached_similarities: Dict[StreamId, Dict[int, float]] = {}
         self._arrivals_since_probability_refresh = 0
         self.worst_case_mode = False
@@ -204,7 +226,7 @@ class DftPolicy(ForwardingPolicy):
         self._slots.mark(peer, stream)
 
     def _invalidate_probabilities(self) -> None:
-        self._cached_probabilities.clear()
+        self._fills.clear()
         self._cached_similarities.clear()
         self._arrivals_since_probability_refresh = 0
 
@@ -223,10 +245,10 @@ class DftPolicy(ForwardingPolicy):
     def observe_congestion(self, queue_depth: int) -> None:
         previous = self.congestion_scale
         super().observe_congestion(queue_depth)
-        # Cached probabilities embed the budget; refresh them when the
-        # resource-aware scale moved materially.
+        # A fill embeds the budget; rebuild it when the resource-aware
+        # scale moved materially.
         if abs(self.congestion_scale - previous) > 0.1:
-            self._cached_probabilities.clear()
+            self._fills.clear()
 
     # ------------------------------------------------------------------
     # checkpoint / restore
@@ -238,6 +260,12 @@ class DftPolicy(ForwardingPolicy):
             stream.value: self.managers[stream].checkpoint_state()
             for stream in (StreamId.R, StreamId.S)
         }
+        latest = self._latest_fill
+        if latest is not None:
+            # The recorded weight is the latest rebuild's, as if every
+            # rebuild had solved its fill on the spot.
+            self._solve(latest)
+            self.flow.last_weight = latest.weight
         state["flow"] = self.flow.checkpoint_state()
         state["round_robin_cursor"] = self._round_robin._cursor
         state["arrivals_since_probability_refresh"] = (
@@ -260,7 +288,8 @@ class DftPolicy(ForwardingPolicy):
         # from them died with the process; the resync refills them.
         self.remote.clear()
         self._slots.clear()
-        self._cached_probabilities.clear()
+        self._fills.clear()
+        self._latest_fill = None
         self._cached_similarities.clear()
 
     # ------------------------------------------------------------------
@@ -305,11 +334,12 @@ class DftPolicy(ForwardingPolicy):
         self._cached_similarities[stream] = similarities
         return similarities
 
-    def peer_probabilities(self, stream: StreamId) -> Dict[int, float]:
-        """Water-filled forwarding probabilities for ``stream`` tuples."""
-        cached = self._cached_probabilities.get(stream)
-        if cached is not None:
-            return cached
+    def _rebuild(self, stream: StreamId) -> WaterFill:
+        """The decision state for ``stream`` tuples: the similarities, the
+        worst-case verdict and the fill's inputs, kept until invalidated."""
+        fill = self._fills.get(stream)
+        if fill is not None:
+            return fill
         similarities = self.peer_similarities(stream)
         # Only judge the worst case on mature evidence: every peer's
         # summary present and a full window's worth of local arrivals
@@ -328,23 +358,33 @@ class DftPolicy(ForwardingPolicy):
                 active=worst_case,
             )
         self.worst_case_mode = worst_case
-        probabilities = self.flow.probabilities(similarities)
-        self._cached_probabilities[stream] = probabilities
-        return probabilities
+        fill = WaterFill(similarities, self.flow.target(len(similarities)))
+        self._fills[stream] = self._latest_fill = fill
+        return fill
+
+    def _solve(self, fill: WaterFill) -> Dict[int, float]:
+        """``fill``'s water-filled forwarding probabilities, solved on the
+        first call."""
+        if fill.probabilities is None:
+            fill.probabilities = self.flow.probabilities(
+                fill.similarities, fill.target
+            )
+            fill.weight = self.flow.last_weight
+        return fill.probabilities
 
     # ------------------------------------------------------------------
     # forwarding decision
     # ------------------------------------------------------------------
 
     def choose_destinations(self, item: StreamTuple) -> List[int]:
-        probabilities = self.peer_probabilities(item.stream)
+        fill = self._rebuild(item.stream)
         if self.worst_case_mode:
             self.fallback_decisions += 1
             budget = self.context.config.flow.budget(
                 self.context.num_nodes, self.congestion_scale
             )
             return self._round_robin.take_from_cycle(budget)
-        return self._bernoulli_destinations(probabilities)
+        return self._bernoulli_destinations(self._solve(fill))
 
     def diagnostics(self) -> Dict[str, float]:
         counters = super().diagnostics()

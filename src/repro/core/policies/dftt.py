@@ -158,7 +158,7 @@ class DfttPolicy(DftPolicy):
     # ------------------------------------------------------------------
 
     def choose_destinations(self, item: StreamTuple) -> List[int]:
-        probabilities = self.peer_probabilities(item.stream)
+        fill = self._rebuild(item.stream)
         if self.worst_case_mode:
             self.fallback_decisions += 1
             budget = self.context.config.flow.budget(
@@ -201,6 +201,7 @@ class DfttPolicy(DftPolicy):
             return destinations
 
         self.estimate_misses += 1
+        probabilities = self._solve(fill)
         if unknown:
             # No evidence yet about some peers: behave like plain DFT so
             # the system bootstraps before summaries have circulated.

@@ -234,12 +234,13 @@ class RecoveryCoordinator:
         node.policy.restore_state(saved["policy"])
         for stream in (StreamId.R, StreamId.S):
             restore_window(node.join.window(stream), saved["windows"][stream.value])
-            shadows = {}
+            # Refilled in place: the node holds these two dicts directly.
+            shadows = node.shadow_windows[stream]
+            shadows.clear()
             for origin_key, shadow_state in saved["shadows"][stream.value].items():
                 window = node._make_window()
                 restore_window(window, shadow_state)
                 shadows[int(origin_key)] = window
-            node.shadow_windows[stream] = shadows
         node.join.local_results = int(saved["join"]["local_results"])
         node.join.probe_results = int(saved["join"]["probe_results"])
         self._restore_remote_summaries(saved.get("remote", []))

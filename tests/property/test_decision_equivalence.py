@@ -7,30 +7,34 @@ every assertion here is ``==`` against ``tests/reference_decision.py``
 (the pre-change pairwise code), never ``approx``.
 """
 
+import copy
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import Algorithm, PolicyConfig
+from repro.core.flow import FlowSettings
 from repro.core.correlation import (
     histogram_cosines,
     histogram_edges,
     histogram_search_edges,
     sorted_histograms,
 )
-from repro.core.policies import DfttPolicy, PolicyContext
+from repro.core.policies import DftPolicy, DfttPolicy, PolicyContext
 from repro.core.policies.dft import UNKNOWN_PEER_SIMILARITY
 from repro.core.summaries import SummaryUpdate
 from repro.dft.reconstruction import reconstruct_values
 from repro.dft.sliding import low_frequency_bins
 from repro.streams.tuples import StreamId, StreamTuple
 from tests.reference_decision import (
+    EagerDft,
+    EagerDftt,
     distribution_similarity,
     join_estimate,
     join_estimates,
     reconstructed_window,
     reference_bucket_values,
-    reference_choose_destinations,
     reference_distribution_similarity,
     reference_join_estimate,
     reference_reconstruct_values,
@@ -359,8 +363,9 @@ def test_sorted_row_histogram_is_bucket_values(case):
 @given(scenario=scenarios())
 def test_ranking_on_arrays_equals_the_dict_ranking(scenario):
     """Two policies fed the same script, one deciding through
-    ``choose_destinations`` and one through the moved-out dict body: every
-    destination list, counter and generator draw agrees."""
+    ``choose_destinations`` and one through the moved-out bodies (the dict
+    ranking on the eager fill and scalar coins): every destination list,
+    counter and generator draw agrees."""
     window, kappa, domain, num_peers, script, seed = scenario
     rng = np.random.default_rng(seed)
     config = PolicyConfig(
@@ -368,7 +373,7 @@ def test_ranking_on_arrays_equals_the_dict_ranking(scenario):
     )
     peer_ids = tuple(range(1, num_peers + 1))
     policies = [
-        DfttPolicy(
+        cls(
             PolicyContext(
                 node_id=0,
                 peer_ids=peer_ids,
@@ -378,7 +383,7 @@ def test_ranking_on_arrays_equals_the_dict_ranking(scenario):
                 rng=np.random.default_rng(seed),
             )
         )
-        for _ in range(2)
+        for cls in (DfttPolicy, EagerDftt)
     ]
     budget = config.summary_budget(window)
     versions = {}
@@ -420,8 +425,153 @@ def test_ranking_on_arrays_equals_the_dict_ranking(scenario):
             for stream in STREAMS:
                 item = StreamTuple(stream, key, 0, arrival)
                 assert policies[0].choose_destinations(item) == (
-                    reference_choose_destinations(policies[1], item)
+                    policies[1].choose_destinations(item)
                 )
                 assert policies[0].diagnostics() == policies[1].diagnostics()
                 states = [p.context.rng.bit_generator.state for p in policies]
                 assert states[0] == states[1]
+
+
+LOCAL_SHAPES = ("uniform", "constant", "narrow")
+
+
+@st.composite
+def interleavings(draw):
+    """A random script for one node: local arrivals of either stream (each
+    decided after a queue-depth step, so the adaptive budget moves between
+    a rebuild and its first read), peer summaries, larger depth steps,
+    every peer's slot of one stream told the same window (that stream's
+    worst case, once mature) or told apart, checkpoints and restores."""
+    window = draw(st.sampled_from([8, 16, 32]))
+    num_peers = draw(st.integers(1, 6))
+    peer = st.integers(1, num_peers)
+    stream = st.sampled_from(STREAMS)
+    op = st.one_of(
+        st.tuples(
+            st.just("arrive"),
+            st.sampled_from(LOCAL_SHAPES),
+            st.integers(1, 2 * window),
+        ),
+        st.tuples(
+            st.just("summary"),
+            peer,
+            stream,
+            st.sampled_from(SHAPES),
+            st.sampled_from(["delta", "full"]),
+        ),
+        st.tuples(st.just("depth"), st.one_of(st.integers(-3, 3), st.integers(-40, 40))),
+        st.tuples(st.just("flip"), stream, st.booleans()),
+        st.tuples(st.just("checkpoint")),
+        st.tuples(st.just("restore")),
+    )
+    script = draw(st.lists(op, min_size=10, max_size=30))
+    return (
+        draw(st.sampled_from([Algorithm.DFT, Algorithm.DFTT])),
+        window,
+        draw(st.integers(64, 3000)),
+        num_peers,
+        draw(st.sampled_from([1, 4, 8, 16])),
+        draw(st.integers(0, 40)),
+        script,
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=interleavings())
+def test_deferred_fill_and_block_coins_equal_the_eager_decision(case):
+    """The deferred fill and the one-draw coins against the eager bodies
+    they replaced: ``==`` on every destination list, the generator state,
+    ``diagnostics()``, every checkpoint dict and ``flow.last_weight``."""
+    algorithm, window, domain, num_peers, refresh, depth, script, seed = case
+    config = PolicyConfig(
+        algorithm=algorithm,
+        kappa=4.0,
+        summary_refresh_interval=refresh,
+        flow=FlowSettings(adaptive=True),
+    )
+    peer_ids = tuple(range(1, num_peers + 1))
+    classes = (
+        (DftPolicy, EagerDft) if algorithm is Algorithm.DFT else (DfttPolicy, EagerDftt)
+    )
+    policies = [
+        cls(
+            PolicyContext(
+                node_id=0,
+                peer_ids=peer_ids,
+                window_size=window,
+                domain=domain,
+                config=config,
+                rng=np.random.default_rng(seed),
+            )
+        )
+        for cls in classes
+    ]
+    rng = np.random.default_rng(seed + 1)
+    budget = config.summary_budget(window)
+    versions = {}
+    saved = None
+    arrival = 0
+    for policy in policies:
+        policy.observe_congestion(depth)
+
+    def summary(peer, stream, keys, full):
+        payload = coefficient_map(keys, window, budget)
+        if not full:
+            payload = {k: v for k, v in payload.items() if rng.random() < 0.6 or k == 0}
+        version = versions[(peer, stream)] = versions.get((peer, stream), 0) + 1
+        update = SummaryUpdate("dft", stream, version, window, len(payload), payload, full)
+        for policy in policies:
+            policy.on_remote_summary(peer, update)
+
+    def same_checkpoints():
+        states = [policy.checkpoint_state() for policy in policies]
+        assert states[0] == states[1]
+        assert policies[0].flow.last_weight == policies[1].flow.last_weight
+        return states[0]
+
+    def agree():
+        assert policies[0].diagnostics() == policies[1].diagnostics()
+        states = [p.context.rng.bit_generator.state for p in policies]
+        assert states[0] == states[1]
+
+    for step in script:
+        kind = step[0]
+        if kind == "arrive":
+            _, shape, count = step
+            for key in make_keys(shape, "full", count, domain, rng):
+                item = StreamTuple(STREAMS[int(rng.integers(0, 2))], key, 0, arrival)
+                arrival += 1
+                # The node's order: insert, queue depth, decision.  The
+                # depth walks, so most steps keep the fills while the
+                # budget moves under them.
+                depth = min(40, max(0, depth + int(rng.integers(-2, 3))))
+                for policy in policies:
+                    policy.on_local_insert(item, [])
+                    policy.observe_congestion(depth)
+                chosen = [policy.choose_destinations(item) for policy in policies]
+                assert chosen[0] == chosen[1]
+                if rng.random() < 0.05:
+                    saved = same_checkpoints()
+        elif kind == "summary":
+            _, peer, stream, shape, mode = step
+            summary(peer, stream, make_keys(shape, "full", window, domain, rng), mode == "full")
+        elif kind == "depth":
+            depth = min(40, max(0, depth + step[1]))
+            for policy in policies:
+                policy.observe_congestion(depth)
+        elif kind == "flip":
+            # Every peer's ``stream`` slot told one window (similarities
+            # collapse: the worst case once mature), or each its own band.
+            _, stream, uniform = step
+            shared = make_keys("uniform", "full", window, domain, rng)
+            for peer in peer_ids:
+                keys = shared if uniform else make_keys("narrow", "full", window, domain, rng)
+                summary(peer, stream, keys, True)
+        elif kind == "checkpoint":
+            saved = same_checkpoints()
+        elif saved is not None:
+            for policy in policies:
+                policy.restore_state(copy.deepcopy(saved))
+        agree()
+    same_checkpoints()

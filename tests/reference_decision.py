@@ -23,6 +23,16 @@ verbatim from ``src/`` with ``self`` renamed ``policy``:
 :func:`distribution_similarity` (``core.correlation``) and
 :func:`reconstructed_window`, :func:`join_estimates` and
 :func:`join_estimate` (``DfttPolicy`` methods).
+
+So is the eager decision, before a rebuild deferred its water-fill to the
+first read and the coins came in one draw: ``DftPolicy.peer_probabilities``
+(:func:`reference_peer_probabilities`) solved the fill at every rebuild,
+:func:`reference_dft_choose_destinations` read it at once, and
+:func:`reference_bernoulli_destinations` drew one scalar coin per peer.
+Moved verbatim with ``self`` renamed ``policy``; the per-stream cache is
+the policy's ``_fills``, so the policy's own invalidation points clear
+it.  :class:`EagerDft` and :class:`EagerDftt` decide through these
+bodies (and DFTT through :func:`reference_choose_destinations`).
 """
 
 from typing import Dict, List, Optional
@@ -37,7 +47,7 @@ from repro.core.correlation import (
     sorted_histograms,
     sorted_reconstructions,
 )
-from repro.core.policies import base
+from repro.core.policies import DftPolicy, DfttPolicy, base
 from repro.core.policies.dftt import RELATIVE_ESTIMATE_THRESHOLD
 from repro.dft.reconstruction import reconstruct_values
 from repro.errors import SummaryError
@@ -243,3 +253,71 @@ def reference_choose_destinations(policy, item) -> List[int]:
         for peer, probability in probabilities.items()
     }
     return policy._bernoulli_destinations(reduced)
+
+
+def reference_peer_probabilities(policy, stream: StreamId) -> Dict[int, float]:
+    """Water-filled forwarding probabilities for ``stream`` tuples."""
+    cached = policy._fills.get(stream)
+    if cached is not None:
+        return cached
+    similarities = policy.peer_similarities(stream)
+    # Only judge the worst case on mature evidence: every peer's
+    # summary present and a full window's worth of local arrivals
+    # (during warm-up every window looks like every other).
+    mature = (
+        policy._slots.known(stream.other) == len(policy.peer_ids)
+        and policy.tuples_seen >= policy.context.window_size
+    )
+    worst_case = mature and policy.flow.is_uniform_worst_case(similarities)
+    if worst_case != policy.worst_case_mode and policy.telemetry is not None:
+        policy.telemetry.emit(
+            "policy.worst_case_mode",
+            category="policy",
+            node=policy.node_id,
+            stream=stream.value,
+            active=worst_case,
+        )
+    policy.worst_case_mode = worst_case
+    probabilities = policy.flow.probabilities(similarities)
+    policy._fills[stream] = probabilities
+    return probabilities
+
+
+def reference_dft_choose_destinations(policy, item: StreamTuple) -> List[int]:
+    """``DftPolicy.choose_destinations`` on the eager fill."""
+    probabilities = policy.peer_probabilities(item.stream)
+    if policy.worst_case_mode:
+        policy.fallback_decisions += 1
+        budget = policy.context.config.flow.budget(
+            policy.context.num_nodes, policy.congestion_scale
+        )
+        return policy._round_robin.take_from_cycle(budget)
+    return policy._bernoulli_destinations(probabilities)
+
+
+def reference_bernoulli_destinations(
+    policy, probabilities: Dict[int, float]
+) -> List[int]:
+    """Independent coin per peer -- the paper's probabilistic transmit."""
+    rng = policy.context.rng
+    return [
+        peer
+        for peer, probability in probabilities.items()
+        if probability > 0 and rng.random() < probability
+    ]
+
+
+class EagerDft(DftPolicy):
+    """DFT deciding as before the deferred fill: every rebuild solves."""
+
+    peer_probabilities = reference_peer_probabilities
+    choose_destinations = reference_dft_choose_destinations
+    _bernoulli_destinations = reference_bernoulli_destinations
+
+
+class EagerDftt(DfttPolicy):
+    """DFTT deciding as before the deferred fill, with the dict ranking."""
+
+    peer_probabilities = reference_peer_probabilities
+    choose_destinations = reference_choose_destinations
+    _bernoulli_destinations = reference_bernoulli_destinations

@@ -19,7 +19,7 @@ from repro.core.policies import (
     make_policy,
     make_shared_state,
 )
-from repro.core.policies.dft import UNKNOWN_PEER_SIMILARITY
+from repro.core.policies.dft import UNKNOWN_PEER_SIMILARITY, WaterFill
 from repro.core.summaries import DftSummaryManager, SummaryOutbox, SummaryUpdate
 from repro.core.system import DistributedJoinSystem
 from repro.dft.reconstruction import reconstruct_values
@@ -30,6 +30,7 @@ from tests.reference_decision import (
     join_estimate,
     join_estimates,
     reconstructed_window,
+    reference_bernoulli_destinations,
     reference_distribution_similarity,
 )
 
@@ -196,16 +197,74 @@ class TestDftPolicy:
             "peer_similarities",
             lambda stream: flat if stream is StreamId.R else varied,
         )
-        policy.peer_probabilities(StreamId.R)  # every peer known: worst case
-        policy.peer_probabilities(StreamId.S)  # varied: not the worst case
+        policy._rebuild(StreamId.R)  # every peer known: worst case
+        policy._rebuild(StreamId.S)  # varied: not the worst case
         policy.choose_destinations(make_tuple(7, StreamId.R))
         assert policy.fallback_decisions == 1  # R still takes round-robin
+
+    def test_checkpoint_records_the_latest_rebuilds_weight(self, monkeypatch):
+        """An older rebuild's fill read after a newer one was solved leaves
+        the checkpoint with the newer weight, as when every rebuild solved
+        on the spot."""
+        policy = DftPolicy(make_context(Algorithm.DFT))
+        older = {1: 0.9, 2: 0.1, 3: 0.5}
+        newer = {1: 0.2, 2: 0.8, 3: 0.3}
+        monkeypatch.setattr(
+            policy,
+            "peer_similarities",
+            lambda stream: older if stream is StreamId.R else newer,
+        )
+        older_fill = policy._rebuild(StreamId.R)
+        policy._solve(policy._rebuild(StreamId.S))
+        policy._solve(older_fill)  # the older fill is read last
+        weights = {}
+        for name, similarities in (("older", older), ("newer", newer)):
+            controller = FlowController(4)
+            controller.probabilities(similarities)
+            weights[name] = controller.last_weight
+        assert weights["older"] != weights["newer"]
+        assert policy.checkpoint_state()["flow"]["last_weight"] == weights["newer"]
+
+    def test_a_fill_spends_the_budget_read_at_its_rebuild(self, monkeypatch):
+        """A queue-depth step too small to drop the fill moves the budget
+        before the fill's first read; the solve keeps the rebuild's T."""
+        policy = DftPolicy(
+            make_context(Algorithm.DFT, flow=FlowSettings(adaptive=True))
+        )
+        similarities = {1: 0.9, 2: 0.1, 3: 0.5}
+        monkeypatch.setattr(policy, "peer_similarities", lambda stream: similarities)
+        fill = policy._rebuild(StreamId.R)
+        rebuilt_at = policy.flow.budget
+        policy.observe_congestion(6)  # scale 1 -> 0.93: the fill stays
+        assert policy.flow.budget < rebuilt_at
+        expected = FlowController(4, FlowSettings(adaptive=True))
+        assert policy._rebuild(StreamId.R) is fill
+        assert policy._solve(fill) == expected.probabilities(similarities)
 
     def test_diagnostics_keys(self):
         policy = DftPolicy(make_context(Algorithm.DFT))
         diagnostics = policy.diagnostics()
         assert "uniform_detections" in diagnostics
         assert "dft_broadcasts" in diagnostics
+
+
+class TestBernoulliCoins:
+    def test_zero_probabilities_draw_no_coin(self):
+        policy = DftPolicy(make_context(Algorithm.DFT))
+        before = policy.context.rng.bit_generator.state
+        assert policy._bernoulli_destinations({1: 0.0, 2: 0.0, 3: 0.0}) == []
+        assert policy._bernoulli_destinations({}) == []
+        assert policy.context.rng.bit_generator.state == before
+
+    def test_one_draw_is_one_scalar_coin_per_live_peer(self):
+        probabilities = {1: 0.3, 2: 0.0, 3: 1.0, 4: 0.7, 5: 0.0, 6: 0.5}
+        policies = [DftPolicy(make_context(Algorithm.DFT, seed=11)) for _ in range(2)]
+        for _ in range(50):
+            assert policies[0]._bernoulli_destinations(
+                probabilities
+            ) == reference_bernoulli_destinations(policies[1], probabilities)
+        states = [policy.context.rng.bit_generator.state for policy in policies]
+        assert states[0] == states[1]
 
 
 class TestDfttPolicy:
@@ -241,6 +300,22 @@ class TestDfttPolicy:
         policy = self._policy_with_remote(center=100)
         destinations = policy.choose_destinations(make_tuple(100, StreamId.R))
         assert 1 in destinations
+
+    def test_an_estimate_hit_solves_no_fill(self, monkeypatch):
+        policy = self._policy_with_remote(center=100)
+        solves = []
+        original = FlowController.probabilities
+
+        def counting(controller, *args):
+            solves.append(1)
+            return original(controller, *args)
+
+        monkeypatch.setattr(FlowController, "probabilities", counting)
+        policy.choose_destinations(make_tuple(100, StreamId.R))
+        assert (policy.estimate_hits, solves) == (1, [])
+        # A key no window holds misses, and the miss spends the fill.
+        policy.choose_destinations(make_tuple(900, StreamId.R))
+        assert (policy.estimate_misses, solves) == (1, [1])
 
     def test_match_tolerance_floor(self):
         policy = self._policy_with_remote()
@@ -459,13 +534,13 @@ class TestDecisionCost:
         calls = count_calls(monkeypatch, correlation)
         calls_dftt = count_calls(monkeypatch, dftt)
         rebuilds = []
-        original = FlowController.probabilities
+        original = WaterFill.__init__
 
-        def counting(controller, similarities):
+        def counting(fill, similarities, target):  # one fill per rebuild
             rebuilds.append(1)
-            return original(controller, similarities)
+            original(fill, similarities, target)
 
-        monkeypatch.setattr(FlowController, "probabilities", counting)
+        monkeypatch.setattr(WaterFill, "__init__", counting)
         run_dftt_script(6, 200, 40)
         assert len(rebuilds) > 40
         assert len(calls) <= len(rebuilds)
