@@ -4,6 +4,8 @@ A small reliable run with a loss burst, a partition, a restartable crash
 and a bounded link backlog.  At drain every message the network sent was
 either delivered or dropped, per kind and per link, and the telemetry
 events that say so agree with the traffic tallies the result reports.
+Its twin without message events holds the hub's counters -- read from
+those tallies at the sampling ticks -- to the same books.
 """
 
 from collections import Counter
@@ -34,7 +36,7 @@ FAULTS = (
 )
 
 
-def config():
+def config(trace_messages=True):
     return SystemConfig(
         num_nodes=NUM_NODES,
         window_size=64,
@@ -45,7 +47,7 @@ def config():
         reliability=ReliabilitySettings(enabled=True),
         recovery=RecoverySettings(enabled=True),
         overload=OverloadSettings.for_queue_bound(64, link_backlog_bound_s=0.01),
-        telemetry=TelemetrySettings(enabled=True, trace_messages=True),
+        telemetry=TelemetrySettings(enabled=True, trace_messages=trace_messages),
         seed=3,
     )
 
@@ -135,3 +137,66 @@ def test_one_traffic_tally_per_message(run):
     assert stats.summary_bytes + stats.net_data_bytes == stats.total_bytes
     assert calls["record_loss"] == sum(outcomes["net.drop"].values()) > 0
     assert calls["record_loss"] == stats.messages_lost
+
+
+@pytest.fixture(scope="module")
+def untraced():
+    """The same run without message events, with every delivery the
+    network hands to its observer counted per kind."""
+    delivered = Counter()
+    record_delivery = Network._record_delivery
+
+    def counted_delivery(self, message):
+        delivered[message.kind_name] += 1
+        return record_delivery(self, message)
+
+    with mock.patch.object(Network, "_record_delivery", counted_delivery):
+        system = DistributedJoinSystem(config(trace_messages=False))
+        result = system.run()
+    return system, result, delivered
+
+
+def family(registry, name):
+    """One counter family as ``{label values: count}``."""
+    return Counter(
+        {
+            tuple(value for _, value in instrument.labels): int(instrument.value)
+            for instrument in registry.instruments()
+            if instrument.name == name
+        }
+    )
+
+
+def test_untraced_counters_equal_the_tallies_at_drain(untraced, run):
+    """Sends, bytes and losses per kind and sends per link are read from
+    the network's tallies at the ticks, deliveries counted as they
+    happen; at drain each equals the books it mirrors, and the books
+    balance."""
+    system, result, delivered = untraced
+    traced_system, _, _, _, outcomes = run
+    registry, stats = system.telemetry.registry, system.network.stats
+    per_kind = lambda name: Counter(
+        {labels[0]: count for labels, count in family(registry, name).items()}
+    )
+    assert result.telemetry.get("events_net", 0) == 0
+    assert per_kind("repro_net_messages_total") == stats.messages_by_kind
+    assert per_kind("repro_net_bytes_total") == stats.bytes_by_kind
+    assert per_kind("repro_net_lost_total") == stats.lost_by_kind
+    assert per_kind("repro_net_delivered_total") == delivered
+    links = {
+        (int(source), int(destination)): count
+        for (destination, source), count in family(
+            registry, "repro_link_messages_total"
+        ).items()
+    }
+    assert links == {
+        pair: sent + shed
+        for pair, (sent, _, _, _, shed) in system.network.link_stats().items()
+        if sent + shed
+    }
+    assert stats.messages_by_kind == delivered + stats.lost_by_kind
+    assert sum(stats.bytes_by_kind.values()) == result.traffic["total_bytes"] > 0
+    # Message events change no traffic: the twin's books are the traced
+    # run's, and its delivered counters are the traced deliveries.
+    assert stats == traced_system.network.stats
+    assert delivered == by(outcomes["net.deliver"], lambda triple: triple[2])
