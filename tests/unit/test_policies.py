@@ -241,6 +241,17 @@ class TestDftPolicy:
         assert policy._rebuild(StreamId.R) is fill
         assert policy._solve(fill) == expected.probabilities(similarities)
 
+    def test_a_congestion_reset_restores_the_kept_budget(self):
+        """A crash's soft-state wipe puts the flow controller's scale and
+        its kept budget back to the uncongested ones."""
+        settings = FlowSettings(adaptive=True)
+        policy = DftPolicy(make_context(Algorithm.DFT, flow=settings))
+        policy.observe_congestion(40)
+        assert policy.flow.budget == settings.budget(4, 0.0) < settings.budget(4)
+        policy.reset_congestion()
+        assert policy.flow.congestion_scale == 1.0
+        assert policy.flow.budget == settings.budget(4)
+
     def test_diagnostics_keys(self):
         policy = DftPolicy(make_context(Algorithm.DFT))
         diagnostics = policy.diagnostics()
