@@ -150,7 +150,8 @@ INVOCATIONS: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = (
     ("validate trace", "",
      ("-m", "repro.telemetry.validate", "{work}/telemetry/trace.json")),
     ("run BLOOM dashboard", "run",
-     ("-m", "repro", "--algorithm", "BLOOM", "--dashboard") + SMALL),
+     ("-m", "repro", "--algorithm", "BLOOM", "--dashboard", "--loss", "0.05")
+     + SMALL),
     ("run SKCH profile", "run",
      ("-m", "repro", "--algorithm", "SKCH", "--telemetry", "--profile", "5")
      + SMALL),
