@@ -113,8 +113,10 @@ def test_probabilities_and_last_weight_are_the_bisections(values, nodes, overrid
     similarities = dict(enumerate(values))
 
     def solve():
-        controller = FlowController(nodes, FlowSettings(budget_override=override))
+        flow = FlowSettings(budget_override=override)
+        controller = FlowController(nodes, flow)
         controller.congestion_scale = scale
+        assert controller.budget == flow.budget(nodes, scale)
         return controller.probabilities(similarities), controller.last_weight
 
     actual, weight = solve()
