@@ -19,9 +19,11 @@ def traced_network():
     network = Network(scheduler, 3, spec=LinkSpec(), rng=np.random.default_rng(1))
     for node_id in (0, 1, 2):
         network.register(node_id, Sink(scheduler))
-    network.telemetry = TelemetryHub(
-        TelemetrySettings(enabled=True, trace_messages=True),
-        clock=lambda: scheduler.now,
+    network.attach_telemetry(
+        TelemetryHub(
+            TelemetrySettings(enabled=True, trace_messages=True),
+            clock=lambda: scheduler.now,
+        )
     )
     return scheduler, network
 
