@@ -160,11 +160,7 @@ class DfttPolicy(DftPolicy):
     def choose_destinations(self, item: StreamTuple) -> List[int]:
         fill = self._rebuild(item.stream)
         if self.worst_case_mode:
-            self.fallback_decisions += 1
-            budget = self.context.config.flow.budget(
-                self.context.num_nodes, self.congestion_scale
-            )
-            return self._round_robin.take_from_cycle(budget)
+            return self._fallback_destinations()
 
         counts, present = self._match_counts(item)
         unknown = self._slots.known(item.stream.other) < len(self.peer_ids)

@@ -22,13 +22,8 @@ import numpy as np
 
 from repro._rng import spawn
 from repro.config import PolicyConfig
-from repro.core.flow import FlowController
-from repro.core.policies.base import ForwardingPolicy, PolicyContext
-from repro.core.summaries import (
-    RemoteSummaryTable,
-    SnapshotSummaryManager,
-    SummaryUpdate,
-)
+from repro.core.policies.base import STREAMS, PolicyContext, SummaryPolicy
+from repro.core.summaries import SnapshotSummaryManager, SummaryUpdate
 from repro.errors import ConfigurationError
 from repro.sketches.agms import AgmsSketch, SketchShape
 from repro.streams.tuples import StreamId, StreamTuple
@@ -65,40 +60,32 @@ def make_sketch_shared_state(
     }
 
 
-class SketchPolicy(ForwardingPolicy):
+class SketchPolicy(SummaryPolicy):
     """AGMS join-size-weighted probabilistic forwarding."""
 
     name = "SKCH"
 
     def __init__(self, context: PolicyContext, shared: Dict[str, object]) -> None:
-        super().__init__(context)
         templates = shared.get("sketch_templates")
         if templates is None:
             raise ConfigurationError(
                 "SketchPolicy requires shared state from make_sketch_shared_state"
             )
-        entries = int(shared["sketch_entries"])
+        self._entries = int(shared["sketch_entries"])
         self.sketches: Dict[StreamId, AgmsSketch] = {
             stream: template.spawn_compatible()
             for stream, template in templates.items()
         }
-        self.managers: Dict[StreamId, SnapshotSummaryManager] = {
-            stream: SnapshotSummaryManager(
-                algorithm=ALGORITHM,
-                stream=stream,
-                window_size=context.window_size,
-                entries=entries,
-                refresh_interval=context.config.summary_refresh_interval,
-                outbox=self.outbox,
-                snapshot_fn=lambda s=stream: self.sketches[s].snapshot_counters(),
-            )
-            for stream in (StreamId.R, StreamId.S)
-        }
-        self.remote = RemoteSummaryTable()
+        super().__init__(context)
         self._remote_sketches: Dict[Tuple[int, StreamId], AgmsSketch] = {}
-        self.flow = FlowController(context.num_nodes, context.config.flow)
         self._cached_probabilities: Dict[StreamId, Dict[int, float]] = {}
+        self._budget_caches = (self._cached_probabilities,)
         self._arrivals_since_refresh = 0
+
+    def _make_manager(self, stream: StreamId) -> SnapshotSummaryManager:
+        return self._snapshot_manager(
+            stream, ALGORITHM, self._entries, self.sketches[stream].snapshot_counters
+        )
 
     # ------------------------------------------------------------------
     # summary maintenance
@@ -123,12 +110,6 @@ class SketchPolicy(ForwardingPolicy):
         for old in evicted:
             sketch.update(old.key, -1)
 
-    def observe_congestion(self, queue_depth: int) -> None:
-        previous = self.congestion_scale
-        super().observe_congestion(queue_depth)
-        if abs(self.congestion_scale - previous) > 0.1:
-            self._cached_probabilities.clear()
-
     def on_remote_summary(self, source: int, update: SummaryUpdate) -> None:
         if update.algorithm != ALGORITHM:
             return
@@ -141,11 +122,6 @@ class SketchPolicy(ForwardingPolicy):
 
     def remote_sketch(self, peer: int, stream: StreamId) -> Optional[AgmsSketch]:
         return self._remote_sketches.get((peer, stream))
-
-    def resync_peer(self, peer: int) -> None:
-        """Queue fresh counter snapshots for a recovering peer."""
-        for stream in (StreamId.R, StreamId.S):
-            self.outbox.queue_for(peer, self.managers[stream].snapshot_update())
 
     # ------------------------------------------------------------------
     # join-size-weighted flow factors
@@ -198,24 +174,16 @@ class SketchPolicy(ForwardingPolicy):
         state = super().checkpoint_state()
         state["sketches"] = {
             stream.value: self.sketches[stream].checkpoint_state()
-            for stream in (StreamId.R, StreamId.S)
+            for stream in STREAMS
         }
-        state["managers"] = {
-            stream.value: self.managers[stream].checkpoint_state()
-            for stream in (StreamId.R, StreamId.S)
-        }
-        state["flow"] = self.flow.checkpoint_state()
         state["arrivals_since_refresh"] = self._arrivals_since_refresh
         return state
 
     def restore_state(self, state: Dict[str, object]) -> None:
         super().restore_state(state)
-        for stream in (StreamId.R, StreamId.S):
+        for stream in STREAMS:
             self.sketches[stream].restore_state(state["sketches"][stream.value])
-            self.managers[stream].restore_state(state["managers"][stream.value])
-        self.flow.restore_state(state["flow"])
         self._arrivals_since_refresh = int(state["arrivals_since_refresh"])
         # Peer sketches and derived probabilities are soft state.
-        self.remote.clear()
         self._remote_sketches.clear()
         self._cached_probabilities.clear()

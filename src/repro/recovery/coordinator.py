@@ -196,15 +196,9 @@ class RecoveryCoordinator:
                 "probe_results": node.join.probe_results,
             },
             # The freshest remote summaries known now: restore replays
-            # them through on_remote_summary, and the state transfer
-            # claims them as its resync base (the blob's taken_at is the
-            # watermark).  Policies without remote state (BASE,
-            # round-robin) checkpoint an empty list.
-            "remote": (
-                policy.remote.checkpoint_state()
-                if getattr(policy, "remote", None) is not None
-                else []
-            ),
+            # them through the policy, and the state transfer claims them
+            # as its resync base (the blob's taken_at is the watermark).
+            "remote": policy.remote_state(),
         }
         return {
             "version": CHECKPOINT_VERSION,
@@ -248,42 +242,21 @@ class RecoveryCoordinator:
     def _restore_remote_summaries(self, entries: List[List[object]]) -> None:
         """Replay checkpointed remote summaries through the policy.
 
-        Replaying through ``on_remote_summary`` (rather than poking the
-        table directly) rebuilds every derived cache -- remote Bloom
-        filters, sketch copies -- exactly as a live broadcast would.  The
-        replayed snapshot slots double as the bases the state transfer
-        claims toward each peer."""
-        policy = self.node.policy
-        managers = getattr(policy, "managers", None)
-        if not entries or managers is None:
-            return
-        for peer, stream_value, version, encoded in entries:
-            peer = int(peer)
-            stream = StreamId(stream_value)
-            payload = decode_payload(encoded)
-            manager = managers[stream]
-            algorithm = getattr(manager, "algorithm", None)
-            if algorithm is None:
-                algorithm = manager.ALGORITHM
-            update = SummaryUpdate(
-                algorithm=algorithm,
-                stream=stream,
-                version=int(version),
-                window_size=manager.window_size,
-                entries=(
-                    getattr(manager, "entries", None) or len(payload)
-                ),
-                payload=payload,
-                full_state=True,
-            )
-            policy.on_remote_summary(peer, update)
-            if isinstance(payload, np.ndarray):
-                slot = (algorithm, stream_value)
+        The policy applies them as live full-state broadcasts, so every
+        derived cache rebuilds; the replayed snapshot slots double as the
+        bases the state transfer claims toward each peer."""
+        decoded = [
+            (int(peer), StreamId(stream), int(version), decode_payload(encoded))
+            for peer, stream, version, encoded in entries
+        ]
+        for peer, update in self.node.policy.replay_remote(decoded):
+            if isinstance(update.payload, np.ndarray):
+                slot = (update.algorithm, update.stream.value)
                 self.claims.setdefault(peer, {})[slot] = (
-                    int(version),
-                    payload_digest(payload),
+                    update.version,
+                    payload_digest(update.payload),
                 )
-                self._bases.setdefault(peer, {})[slot] = payload
+                self._bases.setdefault(peer, {})[slot] = update.payload
 
     # ------------------------------------------------------------------
     # crash, restart, restore, catch-up

@@ -49,6 +49,7 @@ from repro.core.correlation import (
 )
 from repro.core.policies import DftPolicy, DfttPolicy, base
 from repro.core.policies.dftt import RELATIVE_ESTIMATE_THRESHOLD
+from repro.core.policies.round_robin import take_from_cycle
 from repro.dft.reconstruction import reconstruct_values
 from repro.errors import SummaryError
 from repro.streams.tuples import StreamId, StreamTuple
@@ -206,7 +207,10 @@ def reference_choose_destinations(policy, item) -> List[int]:
         budget = policy.context.config.flow.budget(
             policy.context.num_nodes, policy.congestion_scale
         )
-        return policy._round_robin.take_from_cycle(budget)
+        destinations, policy._round_robin_cursor = take_from_cycle(
+            policy.peer_ids, policy._round_robin_cursor, budget, policy.context.rng
+        )
+        return destinations
 
     all_estimates = reference_join_estimates(policy, item)
     unknown = None in all_estimates.values()
@@ -291,7 +295,10 @@ def reference_dft_choose_destinations(policy, item: StreamTuple) -> List[int]:
         budget = policy.context.config.flow.budget(
             policy.context.num_nodes, policy.congestion_scale
         )
-        return policy._round_robin.take_from_cycle(budget)
+        destinations, policy._round_robin_cursor = take_from_cycle(
+            policy.peer_ids, policy._round_robin_cursor, budget, policy.context.rng
+        )
+        return destinations
     return policy._bernoulli_destinations(probabilities)
 
 
