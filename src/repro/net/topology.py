@@ -9,7 +9,8 @@ traffic accounting.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Protocol, Tuple
+from bisect import insort
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -46,6 +47,8 @@ class Network:
         self._spec = spec if spec is not None else LinkSpec()
         self._endpoints: Dict[int, Endpoint] = {}
         self._links: Dict[Tuple[int, int], Link] = {}
+        self._sorted_links: List[Tuple[Tuple[int, int], Link]] = []
+        """``_links``' items by endpoint pair, kept in step by :meth:`link`."""
         self.fault_injector = fault_injector
         """Optional :class:`repro.net.faults.FaultInjector`; every link
         created after assignment consults it (the system wires it before
@@ -117,6 +120,7 @@ class Network:
             )
             link.backlog_bound_s = self.link_backlog_bound_s
             self._links[key] = link
+            insort(self._sorted_links, (key, link))
         return link
 
     def _record_loss(self, message: Message) -> None:
@@ -163,7 +167,7 @@ class Network:
         Ordered by endpoint pair for deterministic consumers (samplers,
         the dashboard's busiest-links table).
         """
-        return iter(sorted(self._links.items()))
+        return iter(self._sorted_links)
 
     def link_stats(self) -> Dict[Tuple[int, int], Tuple[int, int, int, int, int]]:
         """Per-directed-link ``(messages, bytes, messages_lost, bytes_lost,
