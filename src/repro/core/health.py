@@ -25,6 +25,7 @@ control loop kept up.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.reliable import ReliabilitySettings
@@ -138,26 +139,6 @@ class PeerHealthMonitor:
             return True
         return False
 
-    def staleness(self, peer: int, now: float) -> float:
-        """Age of the freshest summary applied from ``peer``."""
-        return now - self._last_summary[peer]
-
-    def is_stale(self, peer: int, now: float) -> bool:
-        """Whether ``peer``'s summary is older than the staleness budget."""
-        budget = self.settings.staleness_budget_s
-        if budget <= 0:
-            return False
-        return self.staleness(peer, now) > budget
-
-    def observe_staleness(self, peer: int, now: float) -> None:
-        """Record one forwarding decision's view of ``peer``'s staleness."""
-        age = self.staleness(peer, now)
-        for index, edge in enumerate(STALENESS_BUCKETS_S):
-            if age <= edge:
-                self.staleness_histogram[index] += 1
-                return
-        self.staleness_histogram[-1] += 1
-
     def degrade(
         self, destinations: List[int], peer_ids: Tuple[int, ...], now: float
     ) -> List[int]:
@@ -170,18 +151,32 @@ class PeerHealthMonitor:
         toward them.  Suspected-dead peers are always suppressed: their
         copies would be dropped at delivery anyway, and the uplink pause
         they cost is real.
+
+        Each peer's summary age also lands in the staleness histogram
+        (the first bucket whose upper edge it does not exceed).  One
+        pass over the peers; ``tests/reference_health.py`` holds the
+        per-question body it replaced.
         """
         chosen = set(destinations)
+        histogram = self.staleness_histogram
+        last_heard, last_summary = self._last_heard, self._last_summary
+        suspected = self._suspected_at
+        budget = self.settings.staleness_budget_s
+        broadcast = self.settings.degradation_mode == "broadcast"
         for peer in peer_ids:
-            self.observe_staleness(peer, now)
-            if self.is_suspected(peer, now):
+            age = now - last_summary[peer]
+            histogram[bisect_left(STALENESS_BUCKETS_S, age)] += 1
+            silent = peer in suspected
+            if not silent and now - last_heard[peer] > SUSPECT_TIMEOUT_S:
+                silent = self.is_suspected(peer, now)  # records the suspicion
+            if silent:
                 if peer in chosen:
                     chosen.discard(peer)
                     self.suppressed_sends += 1
                 continue
-            if not self.is_stale(peer, now):
+            if budget <= 0 or age <= budget:
                 continue
-            if self.settings.degradation_mode == "broadcast":
+            if broadcast:
                 if peer not in chosen:
                     chosen.add(peer)
                     self.forced_broadcast_sends += 1

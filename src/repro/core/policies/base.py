@@ -149,9 +149,10 @@ class ForwardingPolicy(abc.ABC):
         nothing.
         """
 
-    def remote_state(self) -> object:
-        """The remote summaries a checkpoint keeps (BASE and RR: none)."""
-        return []
+    def remote_text(self) -> str:
+        """The remote summaries a checkpoint keeps, as canonical JSON
+        text (BASE and RR: none)."""
+        return "[]"
 
     def replay_remote(self, entries: Sequence[tuple]) -> List[Tuple[int, SummaryUpdate]]:
         """Apply restored remote summaries, returned (BASE and RR: none)."""
@@ -284,9 +285,9 @@ class SummaryPolicy(ForwardingPolicy):
             if update is not None:
                 self.outbox.queue_for(peer, update)
 
-    def remote_state(self) -> object:
-        """The freshest remote summaries, as rendered checkpoint text."""
-        return self.remote.checkpoint_state()
+    def remote_text(self) -> str:
+        """The freshest remote summaries, as canonical JSON text."""
+        return self.remote.checkpoint_text()
 
     def replay_remote(self, entries: Sequence[tuple]) -> List[Tuple[int, SummaryUpdate]]:
         """Apply restored ``(peer, stream, version, payload)`` entries as

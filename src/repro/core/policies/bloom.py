@@ -134,6 +134,8 @@ class BloomPolicy(SummaryPolicy):
         unknown: List[int] = []
         rates = self._hit_rates[item.stream]
         remotes = self._remote_filters[item.stream.other]
+        decay = self._hit_rate_decay
+        gain = 1.0 - decay
         for peer, remote in zip(self.peer_ids, remotes):
             if remote is None:
                 unknown.append(peer)
@@ -142,9 +144,7 @@ class BloomPolicy(SummaryPolicy):
             # exactly when ``item.key in remote``.
             estimate = remote.count_estimate(key)
             hit = estimate > 0
-            rates[peer] = self._hit_rate_decay * rates[peer] + (
-                1.0 - self._hit_rate_decay
-            ) * (1.0 if hit else 0.0)
+            rates[peer] = decay * rates[peer] + gain * (1.0 if hit else 0.0)
             if hit:
                 hits[peer] = estimate
 

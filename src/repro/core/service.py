@@ -79,7 +79,7 @@ from repro.errors import SimulationError
 from repro.net import link as wan
 from repro.net.message import Message, MessageKind
 from repro.net.simulator import Event, EventKeySource, EventScheduler
-from repro.overload import OverloadDetector
+from repro.overload import DegradationMode, OverloadDetector
 from repro.streams.tuples import StreamTuple
 
 WorkItem = Union[StreamTuple, Message]
@@ -270,8 +270,14 @@ class ServiceProcess:
             queue.append(work)
 
     def _observe_overload(self, queue_depth: int) -> None:
+        detector = self._detector
+        if (
+            detector.ladder.mode is DegradationMode.NORMAL
+            and queue_depth < detector.settings.throttle_watermark
+        ):
+            return  # below the first watermark a NORMAL ladder stays put
         now = self.scheduler.now
-        for trigger, mode in self._detector.observe(now, queue_depth):
+        for trigger, mode in detector.observe(now, queue_depth):
             self._mode_change(trigger, mode, queue_depth, now)
 
     def drop_queue(self) -> None:

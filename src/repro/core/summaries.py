@@ -127,10 +127,15 @@ def _payload_text(payload: Any) -> str:
 class RemoteSummaryTable:
     """Receiver-side freshest-known summaries, keyed by (peer, stream)."""
 
-    _rendered: Optional[Dict[Tuple[int, StreamId], Tuple[Any, int, str, str]]] = None
-    """Per slot, the payload object and version :meth:`checkpoint_state`
-    last rendered and the entry's text; made at the first checkpoint, so
-    a table that is never checkpointed pays nothing for it."""
+    _rendered: Optional[List[Optional[Tuple[Any, int, str, str]]]] = None
+    """Per slot, in the order slots were first stored: the payload object
+    and version :meth:`checkpoint_text` last rendered, the entry's head
+    and the payload's text; made at the first checkpoint, so a table
+    that is never checkpointed pays nothing for it."""
+
+    _order: Tuple[int, ...] = ()
+    """Indices into :attr:`_rendered` in ``(peer, stream value)`` order,
+    recomputed when a slot is added."""
 
     def __init__(self) -> None:
         self._state: Dict[Tuple[int, StreamId], Any] = {}
@@ -162,11 +167,12 @@ class RemoteSummaryTable:
     def get(self, source: int, stream: StreamId) -> Optional[Any]:
         return self._state.get((source, stream))
 
-    def checkpoint_state(self) -> "Rendered":
-        """Canonical-JSON snapshot of the freshest remote summaries: a
-        list of ``[peer, stream, version, encoded payload]`` entries.
+    def checkpoint_text(self) -> str:
+        """Canonical JSON text of the freshest remote summaries: a list
+        of ``[peer, stream, version, encoded payload]`` entries in
+        ``(peer, stream)`` order.
 
-        Unlike the policies' own :meth:`checkpoint_state`, this is *not*
+        Unlike the policies' own ``checkpoint_state``, this is *not*
         restored through an inverse method here: the node replays the
         entries through ``policy.on_remote_summary`` so derived caches
         (remote Bloom filters, sketch copies, reconstructions) rebuild
@@ -176,22 +182,32 @@ class RemoteSummaryTable:
         A slot's text is kept for as long as the slot holds the same
         payload object at the same version: ``apply`` stores a new
         object per change and nothing mutates a stored one, while a
-        version alone can come round again after a restore.
+        version alone can come round again after a restore.  Slots are
+        read in the order they were first stored -- ``apply`` adds a key
+        to both dicts in one call and only :meth:`clear` removes one --
+        so no key is hashed here.
         """
-        from repro.recovery.checkpoint import Rendered, canonical_json
-
         rendered = self._rendered
         if rendered is None:
-            rendered = self._rendered = {}
-        entries = []
-        for key in sorted(self._state, key=lambda key: (key[0], key[1].value)):
-            payload, version = self._state[key], self._versions[key]
-            slot = rendered.get(key)
+            rendered = self._rendered = []
+        state = self._state
+        keys = list(state)
+        if len(rendered) != len(keys):
+            rendered.extend([None] * (len(keys) - len(rendered)))
+            self._order = tuple(
+                sorted(
+                    range(len(keys)),
+                    key=lambda index: (keys[index][0], keys[index][1]._value_),
+                )
+            )
+        slots = enumerate(zip(state.values(), self._versions.values()))
+        for index, (payload, version) in slots:
+            slot = rendered[index]
             if slot is None or slot[0] is not payload or slot[1] != version:
-                head = "[%d,%s,%d," % (key[0], canonical_json(key[1].value), version)
-                slot = rendered[key] = (payload, version, head, _payload_text(payload))
-            entries.append("%s%s]" % slot[2:])
-        return Rendered("[%s]" % ",".join(entries))
+                peer, stream = keys[index]
+                head = '[%d,"%s",%d,' % (peer, stream._value_, version)
+                rendered[index] = (payload, version, head, _payload_text(payload))
+        return "[%s]" % ",".join(["%s%s]" % rendered[index][2:] for index in self._order])
 
     def clear(self) -> None:
         """Forget every remote summary (checkpoint restore: remote state
@@ -200,6 +216,7 @@ class RemoteSummaryTable:
         self._state.clear()
         self._versions.clear()
         self._rendered = None
+        self._order = ()
 
 
 class DftSummaryManager:

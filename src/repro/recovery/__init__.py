@@ -25,9 +25,8 @@ from repro.recovery.checkpoint import (
     decode_blob,
     decode_tuple,
     encode_array,
-    encode_blob,
-    encode_tuple,
     restore_window,
+    tuple_text,
     window_state,
 )
 from repro.recovery.delta import (
@@ -60,11 +59,10 @@ __all__ = [
     "decode_tuple",
     "delta_wire_entries",
     "encode_array",
-    "encode_blob",
     "encode_delta",
     "encode_payload",
-    "encode_tuple",
     "payload_digest",
     "restore_window",
+    "tuple_text",
     "window_state",
 ]

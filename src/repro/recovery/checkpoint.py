@@ -7,17 +7,15 @@ round trip through decimal).  The blob is the canonical sorted-keys JSON
 encoding of that dictionary -- the same state always produces the same
 bytes, which is what the rerun-identity tests pin.
 
-A subtree may arrive as :class:`Rendered`: its canonical text, kept by a
-producer whose state changes at the edges only (a window between two
-ticks, a remote summary between two versions).  :func:`encode_blob`
-splices such text verbatim, so the bytes do not depend on which parts
-were rendered when.
-
-The codec knows nothing about policies or nodes; components expose
-``checkpoint_state()`` / ``restore_state()`` pairs that speak plain
-dictionaries, and
+The sections that change at the edges only between two ticks (a window,
+a remote summary table) are written as canonical text their producers
+keep: :func:`window_state` here and
+:meth:`repro.core.summaries.RemoteSummaryTable.checkpoint_text`.
 :meth:`repro.recovery.coordinator.RecoveryCoordinator.take_checkpoint`
-assembles them into one blob per node.
+writes the blob's fixed layout around them; every other section goes
+through :data:`canonical_json`.  Components expose
+``checkpoint_state()`` / ``restore_state()`` pairs that speak plain
+dictionaries.
 """
 
 from __future__ import annotations
@@ -79,25 +77,9 @@ def decode_array(payload: Dict[str, object]) -> np.ndarray:
         raise SimulationError("malformed encoded array: %s" % error)
 
 
-def encode_tuple(item: StreamTuple) -> List[object]:
-    """Positional, JSON-safe encoding of one stream tuple.
-
-    The trailing ``0`` is the query id of the multi-query layout: blob
-    bytes keep it until the checkpoint codec's re-pin drops it."""
-    return [
-        item.stream._value_,  # the attribute behind ``Enum.value``
-        item.key,
-        item.origin_node,
-        item.arrival_index,
-        item.payload,
-        item.tuple_id,
-        item.timestamp,
-        0,
-    ]
-
-
 def decode_tuple(payload: List[object]) -> StreamTuple:
-    """Inverse of :func:`encode_tuple` (preserves the tuple identity).
+    """Inverse of :func:`tuple_text`, after JSON decoding (preserves the
+    tuple identity).
 
     Raises :class:`SimulationError` unless ``payload`` is a list of the
     eight fields naming a known stream and ending in the ``0`` echo."""
@@ -120,51 +102,79 @@ def decode_tuple(payload: List[object]) -> StreamTuple:
         raise SimulationError("malformed encoded tuple: %s" % error)
 
 
-class Rendered:
-    """Canonical JSON text standing in for the subtree it encodes."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-
-
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 """The one encoder every blob byte comes from (compact, sorted keys)."""
 
 
-def window_state(window) -> Rendered:
-    """Checkpoint one :class:`~repro.streams.window.SlidingWindow`.
+def tuple_text(item: StreamTuple) -> str:
+    """Canonical JSON text of one stream tuple, positionally:
+    ``[stream, key, origin, arrival index, payload, tuple id, timestamp, 0]``.
+
+    The trailing ``0`` is the query id of the multi-query layout: blob
+    bytes keep it until the checkpoint codec's re-pin drops it.  A plain
+    tuple -- no payload, int fields and a finite float timestamp, as
+    every arrival of a run is -- is formatted directly: ``%d`` of an int
+    and ``repr`` of a finite float are the JSON encoder's own spellings,
+    and a stream's value is ``"R"`` or ``"S"``.  Anything else goes
+    through :data:`canonical_json`.
+    """
+    key, origin, index = item.key, item.origin_node, item.arrival_index
+    tuple_id, timestamp = item.tuple_id, item.timestamp
+    if (
+        item.payload is None
+        and type(timestamp) is float
+        and math.isfinite(timestamp)
+        and type(key) is int
+        and type(origin) is int
+        and type(index) is int
+        and type(tuple_id) is int
+    ):
+        return '["%s",%d,%d,%d,null,%d,%r,0]' % (
+            item.stream._value_, key, origin, index, tuple_id, timestamp
+        )
+    # ``_value_`` is the attribute behind ``Enum.value``.
+    return canonical_json(
+        [item.stream._value_, key, origin, index, item.payload, tuple_id, timestamp, 0]
+    )
+
+
+def window_state(window) -> str:
+    """Canonical JSON text of one :class:`~repro.streams.window.SlidingWindow`.
 
     A window is a FIFO, so between two calls it changes at its ends
-    only: the text of the tuples still in it is kept on the window
-    (``checkpoint_text``, which :meth:`SlidingWindow.restore` drops) as
-    one string plus the length of each tuple's share of it, and only
-    tuples appended since the last call are encoded.
+    only.  The last text is kept on the window (``rendered``, which
+    :meth:`SlidingWindow.restore` drops) with the length of each tuple's
+    share of it: a window with no append and no change of length since
+    returns that text, and any other drops from the left what left and
+    encodes only the tuples appended since.
     """
     size, appended = len(window), window.total_appended
-    seen, text, lengths = window.checkpoint_text or (appended, "", deque())
+    remembered = window.rendered
+    if remembered is None:
+        seen, text, start, lengths = appended, "", 0, deque()
+    else:
+        seen, text, start, lengths = remembered
+        if appended == seen and size == len(lengths):
+            return text
     # What survives is the old text's tail: every append since pushed
     # older tuples out first, by count, expiry or landmark reset alike.
     kept = size - (appended - seen)
     if not 0 <= kept <= len(lengths):
         kept = 0
-    fresh = [
-        canonical_json(encode_tuple(item))
-        for item in itertools.islice(window, kept, None)
-    ]
+    fresh = [tuple_text(item) for item in itertools.islice(window, kept, None)]
     gone = len(lengths) - kept
-    cut = gone  # one separator per departed tuple
+    cut = start + gone  # past the head, and one separator per departed tuple
     for _ in range(gone):
         cut += lengths.popleft()
     lengths.extend(map(len, fresh))
     if kept:
-        fresh.insert(0, text[cut:])
-    text = ",".join(fresh)
-    window.checkpoint_text = (appended, text, lengths)
+        fresh.insert(0, text[cut:-2])
     resets = getattr(window, "resets", None)
     head = "{" if resets is None else '{"resets":%d,' % resets
-    return Rendered('%s"total_appended":%d,"tuples":[%s]}' % (head, appended, text))
+    head += '"total_appended":%d,"tuples":[' % appended
+    text = "%s%s]}" % (head, ",".join(fresh))
+    window.rendered = (appended, text, len(head), lengths)
+    return text
 
 
 def restore_window(window, state: Dict[str, object]) -> None:
@@ -185,43 +195,8 @@ def restore_window(window, state: Dict[str, object]) -> None:
         window.resets = resets
 
 
-def _splice(node: object) -> Optional[str]:
-    """Text of a subtree holding :class:`Rendered` parts; ``None`` for a
-    plain one, which the caller hands to the encoder whole."""
-    if type(node) is Rendered:
-        return node.text
-    if isinstance(node, dict):
-        keys = sorted(node)
-        children = [node[key] for key in keys]
-    elif isinstance(node, (list, tuple)):
-        keys, children = None, node
-    else:
-        return None
-    texts = [_splice(child) for child in children]
-    if all(text is None for text in texts):
-        return None
-    texts = [
-        canonical_json(child) if text is None else text
-        for child, text in zip(children, texts)
-    ]
-    if keys is None:
-        return "[%s]" % ",".join(texts)
-    if not all(type(key) is str for key in keys):
-        raise TypeError("keys beside rendered text must be strings")
-    return "{%s}" % ",".join(
-        "%s:%s" % (canonical_json(key), text) for key, text in zip(keys, texts)
-    )
-
-
-def encode_blob(state: Dict[str, object]) -> bytes:
-    """The canonical byte encoding: compact sorted-keys JSON, the same
-    bytes whether a subtree comes as values or as :class:`Rendered`."""
-    text = _splice(state)
-    return (canonical_json(state) if text is None else text).encode("ascii")
-
-
 def decode_blob(blob: bytes) -> Dict[str, object]:
-    """Inverse of :func:`encode_blob`, checking the format version."""
+    """Parse a blob, checking the format version."""
     try:
         state = json.loads(blob.decode("ascii"))
     except ValueError as error:  # not ASCII, or not JSON

@@ -15,7 +15,7 @@ the protocol.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.net.simulator import Event
 from repro.recovery.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointStore,
-    encode_blob,
+    canonical_json,
     restore_window,
     window_state,
 )
@@ -73,6 +73,12 @@ older than the ring gets the full-snapshot fallback."""
 
 Slot = Tuple[str, str]
 """One summary slot of a resync: ``(algorithm, stream value)``."""
+
+
+def _object_text(entries: Iterable[Tuple[str, str]]) -> str:
+    """The JSON object of ``(key, value text)`` entries, keys sorted as
+    strings (``"10"`` before ``"2"``); the keys need no escaping."""
+    return "{%s}" % ",".join('"%s":%s' % entry for entry in sorted(entries))
 
 
 class RecoveryCoordinator:
@@ -162,7 +168,7 @@ class RecoveryCoordinator:
         if not self.machine.is_serving:
             return
         now = node.scheduler.now
-        blob = encode_blob(self._checkpoint_state(now))
+        blob = self._checkpoint_blob(now)
         self.checkpoint_store.save(node.node_id, now, blob)
         self.checkpoints_taken += 1
         self.checkpoint_bytes += len(blob)
@@ -175,44 +181,63 @@ class RecoveryCoordinator:
                 size_bytes=len(blob),
             )
 
-    def _checkpoint_state(self, now: float) -> Dict[str, object]:
+    def _checkpoint_blob(self, now: float) -> bytes:
+        """The node's checkpoint: the canonical JSON of the version-2
+        layout, written section by section in sorted-key order.
+
+        The windows and the remote table come as the text their
+        producers keep between ticks (:func:`window_state`,
+        ``policy.remote_text``); the policy and the scalars go through
+        :data:`canonical_json`.  Shadow windows are keyed by origin as a
+        string.  ``tests/reference_checkpoint.py`` holds the
+        re-encode-everything writer every blob equals byte for byte.
+        """
         node = self.node
-        policy = node.policy
-        state = {
-            "policy": policy.checkpoint_state(),
-            "windows": {
-                stream.value: window_state(node.join.window(stream))
-                for stream in (StreamId.R, StreamId.S)
-            },
-            "shadows": {
-                stream.value: {
-                    str(origin): window_state(window)
-                    for origin, window in sorted(node.shadow_windows[stream].items())
-                }
-                for stream in (StreamId.R, StreamId.S)
-            },
-            "join": {
-                "local_results": node.join.local_results,
-                "probe_results": node.join.probe_results,
-            },
-            # The freshest remote summaries known now: restore replays
-            # them through the policy, and the state transfer claims them
-            # as its resync base (the blob's taken_at is the watermark).
-            "remote": policy.remote_state(),
-        }
-        return {
-            "version": CHECKPOINT_VERSION,
-            "node": node.node_id,
-            "taken_at": now,
-            "interarrival": {
-                "mean": node._mean_interarrival,
-                "last": node._last_arrival_time,
-            },
-            # The one-entry wrapper of the multi-query layout: blob bytes
-            # (and recovery.checkpoint_bytes in every digest) keep it until
-            # the checkpoint codec re-pin drops it with CHECKPOINT_VERSION 3.
-            "queries": {"0": state},
-        }
+        join = node.join
+        streams = (StreamId.R, StreamId.S)
+        windows = _object_text(
+            (stream._value_, window_state(join.window(stream))) for stream in streams
+        )
+        shadows = _object_text(
+            (
+                stream._value_,
+                _object_text(
+                    (str(origin), window_state(window))
+                    for origin, window in node.shadow_windows[stream].items()
+                ),
+            )
+            for stream in streams
+        )
+        # The freshest remote summaries known now: restore replays them
+        # through the policy, and the state transfer claims them as its
+        # resync base (the blob's taken_at is the watermark).  The
+        # one-entry "queries" wrapper of the multi-query layout stays in
+        # the bytes (and recovery.checkpoint_bytes in every digest) until
+        # the checkpoint codec re-pin drops it with CHECKPOINT_VERSION 3.
+        text = (
+            '{"interarrival":%s,"node":%d,"queries":{"0":{"join":%s,'
+            '"policy":%s,"remote":%s,"shadows":%s,"windows":%s}},'
+            '"taken_at":%s,"version":%d}'
+            % (
+                canonical_json(
+                    {"last": node._last_arrival_time, "mean": node._mean_interarrival}
+                ),
+                node.node_id,
+                canonical_json(
+                    {
+                        "local_results": join.local_results,
+                        "probe_results": join.probe_results,
+                    }
+                ),
+                canonical_json(node.policy.checkpoint_state()),
+                node.policy.remote_text(),
+                shadows,
+                windows,
+                canonical_json(now),
+                CHECKPOINT_VERSION,
+            )
+        )
+        return text.encode("ascii")
 
     def _restore_state(self, state: Dict[str, object]) -> None:
         node = self.node

@@ -24,7 +24,7 @@ from repro.streams.tuples import StreamTuple
 class SlidingWindow:
     """Common behaviour: append, evict, key-multiset bookkeeping."""
 
-    checkpoint_text = None
+    rendered = None
     """What :func:`repro.recovery.checkpoint.window_state` remembers of
     its last rendering of this window, valid while the window only
     appends and evicts; a class-level default so a window that is never
@@ -90,7 +90,7 @@ class SlidingWindow:
         self.total_appended = int(total_appended)
         # The counter may roll back here and climb to a remembered value
         # again over other tuples, so the remembered text goes.
-        self.checkpoint_text = None
+        self.rendered = None
 
     def _evict_oldest(self) -> StreamTuple:
         if not self._tuples:

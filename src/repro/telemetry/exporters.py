@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.telemetry.events import TelemetryEvent, TelemetryHub
@@ -59,9 +59,15 @@ def _event_payload(event: TelemetryEvent) -> Dict[str, object]:
 
 
 def export_jsonl(
-    hub: TelemetryHub, path: Path, manifest: Optional[Dict[str, object]] = None
+    hub: TelemetryHub,
+    path: Path,
+    manifest: Optional[Dict[str, object]] = None,
+    events: Optional[Sequence[TelemetryEvent]] = None,
 ) -> Path:
-    """Write the event log, manifest first, one JSON object per line."""
+    """Write the event log, manifest first, one JSON object per line.
+
+    ``events`` are the hub's events when the caller already read them
+    (:func:`export_all` reads them once for two formats)."""
     path = Path(path)
     with path.open("w") as handle:
         if manifest is not None:
@@ -69,7 +75,7 @@ def export_jsonl(
                 json.dumps({"type": "manifest", "manifest": manifest}, sort_keys=True)
             )
             handle.write("\n")
-        for event in hub.events():
+        for event in hub.events() if events is None else events:
             handle.write(json.dumps(_event_payload(event), sort_keys=True))
             handle.write("\n")
     return path
@@ -119,8 +125,11 @@ class JsonlStreamWriter:
 # ----------------------------------------------------------------------
 
 
-def chrome_trace_events(hub: TelemetryHub) -> List[Dict[str, object]]:
-    """Map hub events onto Trace Event Format records.
+def chrome_trace_events(
+    hub: TelemetryHub, events: Optional[Sequence[TelemetryEvent]] = None
+) -> List[Dict[str, object]]:
+    """Map hub events (``events`` when already read) onto Trace Event
+    Format records.
 
     One process (pid 0), one thread per node; events without a node land
     on a dedicated ``run`` track (tid -1).  Events with a duration become
@@ -143,7 +152,7 @@ def chrome_trace_events(hub: TelemetryHub) -> List[Dict[str, object]]:
         },
     ]
     named_nodes = set()
-    for event in hub.events():
+    for event in hub.events() if events is None else events:
         tid = -1 if event.node is None else int(event.node)
         if tid >= 0 and tid not in named_nodes:
             named_nodes.add(tid)
@@ -176,12 +185,16 @@ def chrome_trace_events(hub: TelemetryHub) -> List[Dict[str, object]]:
 
 
 def export_chrome_trace(
-    hub: TelemetryHub, path: Path, manifest: Optional[Dict[str, object]] = None
+    hub: TelemetryHub,
+    path: Path,
+    manifest: Optional[Dict[str, object]] = None,
+    events: Optional[Sequence[TelemetryEvent]] = None,
 ) -> Path:
-    """Write a ``chrome://tracing`` / Perfetto loadable timeline."""
+    """Write a ``chrome://tracing`` / Perfetto loadable timeline (of
+    ``events`` when already read)."""
     path = Path(path)
     document: Dict[str, object] = {
-        "traceEvents": chrome_trace_events(hub),
+        "traceEvents": chrome_trace_events(hub, events),
         "displayTimeUnit": "ms",
     }
     if manifest is not None:
@@ -348,18 +361,20 @@ def export_all(
     ``skip`` names formats already produced elsewhere -- the CLI streams
     the JSONL log during the run via :class:`JsonlStreamWriter` and
     passes ``skip=("jsonl",)`` so the buffered exporter does not clobber
-    the (possibly more complete) streamed file.
+    the (possibly more complete) streamed file.  The hub's events are
+    read once for the two formats that list them.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths: Dict[str, Path] = {}
+    events = list(hub.events())
     if "jsonl" not in skip:
         paths["jsonl"] = export_jsonl(
-            hub, directory / EXPORT_FILENAMES["jsonl"], manifest=manifest
+            hub, directory / EXPORT_FILENAMES["jsonl"], manifest, events
         )
     if "chrome_trace" not in skip:
         paths["chrome_trace"] = export_chrome_trace(
-            hub, directory / EXPORT_FILENAMES["chrome_trace"], manifest=manifest
+            hub, directory / EXPORT_FILENAMES["chrome_trace"], manifest, events
         )
     if "prometheus" not in skip:
         paths["prometheus"] = export_prometheus(

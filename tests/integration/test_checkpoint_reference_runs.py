@@ -1,14 +1,14 @@
-"""Whole runs: checkpoints assembled from remembered text change nothing.
+"""Whole runs: checkpoints written from kept text change nothing.
 
 A recovery-enabled run that crashes and restarts a node is executed
 twice: as ``src/`` has it (``window_state`` and the remote summary table
-return canonical JSON text they keep between ticks, ``encode_blob``
-splices it in) and with the re-encode-everything bodies of
-``tests/reference_checkpoint.py`` patched back in.  The two
+return canonical JSON text they keep between ticks, and the coordinator
+writes the blob's layout around it) and with the re-encode-everything
+writer of ``tests/reference_checkpoint.py`` patched back in.  The two
 :class:`~repro.core.results.RunResult` objects pickle to the same bytes
 and the checkpoint store is handed the same blobs in the same order --
 for all six algorithms, on count, time and landmark windows.  The
-restart matters: it *reads* a blob assembled from remembered text (on
+restart matters: it *reads* a blob written from kept text (on
 the ledger's ``chaos-bloom-n20`` no node restarts, so that workload
 writes such blobs and never reads one).
 """
@@ -24,7 +24,8 @@ from repro.experiments.harness import get_scale, system_config
 from repro.net.faults import FaultPlan
 from repro.net.reliable import ReliabilitySettings
 from repro.recovery import RecoverySettings
-from repro.recovery.checkpoint import Checkpoint, CheckpointStore, Rendered
+from repro.core.summaries import RemoteSummaryTable
+from repro.recovery.checkpoint import Checkpoint, CheckpointStore
 from tests import reference_checkpoint
 
 NUM_NODES = 3
@@ -94,12 +95,18 @@ def test_remembered_text_reproduces_the_reference_run(algorithm, shape, monkeypa
 
 
 def test_reference_patches_reach_the_checkpoint_path(monkeypatch):
-    """The comparison above means something only while the patched names
-    are where a node takes its producers and encoder from: with the
-    reference in, a run checkpoints without rendering anything."""
+    """The comparison above means something only while the patched name
+    is where a node takes its writer from: with the reference in, a run
+    checkpoints without rendering a window, a tuple or a remote table."""
     rendered = []
+
+    def refuse(name):
+        return lambda *args: rendered.append(name)
+
     reference_checkpoint.patch_in(monkeypatch)
-    monkeypatch.setattr(Rendered, "__init__", lambda self, text: rendered.append(text))
+    monkeypatch.setattr("repro.recovery.coordinator.window_state", refuse("window"))
+    monkeypatch.setattr("repro.recovery.checkpoint.tuple_text", refuse("tuple"))
+    monkeypatch.setattr(RemoteSummaryTable, "checkpoint_text", refuse("remote"))
     result = run_experiment(make_config(Algorithm.BLOOM, "count"))
     assert result.recovery["checkpoints_taken"] > 0
     assert not rendered

@@ -1,19 +1,21 @@
-"""Blobs assembled from remembered text equal the re-encoded ones, byte for byte.
+"""Blobs written from kept text equal the re-encoded ones, byte for byte.
 
-``window_state`` and ``RemoteSummaryTable.checkpoint_state`` keep the
-canonical JSON text of what did not change since their last call and
-``encode_blob`` splices it in (PR 24).  ``tests/reference_checkpoint.py``
-holds the bodies they replaced, which re-encode everything on every call.
-Here random histories run against both, checkpoints interleaved at random
-points, and every blob must be ``==`` the reference's bytes -- through
-the events that can make remembered text stale: a window restored to an
-earlier state and refilled to a count it was already rendered at, a time
-window expiring tuples without an append, a landmark reset, a remote
-table cleared and refilled at version numbers it has used before, one
-payload object stored at a new version.
+``window_state`` and ``RemoteSummaryTable.checkpoint_text`` keep the
+canonical JSON text of what did not change since their last call, and
+``RecoveryCoordinator._checkpoint_blob`` writes the blob's fixed layout
+around it.  ``tests/reference_checkpoint.py`` holds the bodies they
+replaced, which re-encode everything on every call.  Here random
+histories run against both, checkpoints interleaved at random points,
+and every section and blob must be ``==`` the reference's bytes --
+through the events that can make kept text stale: a window restored to
+an earlier state and refilled to a count it was already rendered at, a
+time window expiring tuples without an append, a landmark reset, a
+remote table cleared and refilled at version numbers it has used
+before, one payload object stored at a new version.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -23,17 +25,18 @@ from repro.core import summaries
 from repro.core.summaries import RemoteSummaryTable, SummaryUpdate
 from repro.recovery import delta
 from repro.recovery.checkpoint import (
-    CHECKPOINT_VERSION,
-    Rendered,
-    decode_blob,
-    encode_blob,
+    canonical_json,
     restore_window,
+    tuple_text,
     window_state,
 )
+from repro.recovery.coordinator import RecoveryCoordinator
 from repro.streams.tuples import StreamId, StreamTuple
 from repro.streams.window import CountWindow, LandmarkWindow, TimeWindow
 from tests.reference_checkpoint import (
+    reference_checkpoint_blob,
     reference_encode_blob,
+    reference_encode_tuple,
     reference_remote_state,
     reference_window_state,
 )
@@ -78,19 +81,20 @@ def contents(window):
 
 
 def checkpoint(window, make):
-    """One tick: the blob, checked against the reference and read back."""
-    blob = encode_blob({"version": CHECKPOINT_VERSION, "window": window_state(window)})
-    assert blob == reference_encode_blob(
-        {"version": CHECKPOINT_VERSION, "window": reference_window_state(window)}
-    )
-    state = decode_blob(blob)["window"]
+    """One tick: the section, checked against the reference and read back."""
+    text = window_state(window)
+    assert text.encode("ascii") == reference_encode_blob(reference_window_state(window))
+    # Nothing changed since: the kept text itself comes back.
+    assert window_state(window) is text
+    state = json.loads(text)
     twin = make()
     restore_window(twin, state)
     assert contents(twin) == contents(window)
-    # The remembered text describes exactly the tuples in the window.
-    _, text, lengths = window.checkpoint_text
+    # The kept text describes exactly the tuples in the window.
+    _, kept, start, lengths = window.rendered
+    assert kept is text
     assert len(lengths) == len(window)
-    assert sum(lengths) + max(0, len(lengths) - 1) == len(text)
+    assert sum(lengths) + max(0, len(lengths) - 1) == len(text[start:-2])
     return state
 
 
@@ -198,13 +202,11 @@ table_ops = st.lists(
 
 
 def remote_checkpoint(table):
-    blob = encode_blob({"version": CHECKPOINT_VERSION, "remote": table.checkpoint_state()})
-    assert blob == reference_encode_blob(
-        {"version": CHECKPOINT_VERSION, "remote": reference_remote_state(table)}
-    )
+    text = table.checkpoint_text()
+    assert text.encode("ascii") == reference_encode_blob(reference_remote_state(table))
     # Bounded by what it mirrors: no text for a slot the table dropped.
-    assert set(table._rendered) == set(table._state)
-    return decode_blob(blob)["remote"]
+    assert len(table._rendered) == len(table._state)
+    return json.loads(text)
 
 
 def snapshot(seed):
@@ -285,7 +287,7 @@ class TestRemoteTable:
         tables = [RemoteSummaryTable() for _ in range(5)]
         for table in tables:
             table.apply(0, update)
-        blobs = {encode_blob({"remote": table.checkpoint_state()}) for table in tables}
+        blobs = {table.checkpoint_text() for table in tables}
         assert len(blobs) == 1 and encoded == [shared]
         # The shared text lives exactly as long as the array does.
         assert shared in summaries._snapshot_texts
@@ -308,11 +310,16 @@ def make_update(stream, version, payload, full_state):
 
 
 # ----------------------------------------------------------------------
-# the encoder
+# the tuple formatter and the blob writer
 # ----------------------------------------------------------------------
 
+big_ints = st.integers(-(2**70), 2**70)
+odd_timestamps = st.none() | st.integers(-3, 3) | st.sampled_from(
+    [float("inf"), -float("inf"), float("nan")]
+)
+
 keys = st.sampled_from(["2", "10", "a", "B", "", "tuples", "é", '"']) | st.text(max_size=3)
-leaves = st.none() | st.booleans() | st.integers(-(2**70), 2**70) | floats | st.text(max_size=5)
+leaves = st.none() | st.booleans() | big_ints | floats | st.text(max_size=5)
 trees = st.recursive(
     leaves,
     lambda children: st.lists(children, max_size=4)
@@ -321,40 +328,139 @@ trees = st.recursive(
 )
 
 
-def canonical(node):
-    return reference_encode_blob(node).decode("ascii")
+@st.composite
+def stream_tuples(draw, plain=False):
+    """A plain tuple, or (``plain`` false) one with at most one field the
+    formatter must leave to the encoder: a bool for an int, a payload, an
+    int or missing or non-finite timestamp."""
+    fields = {
+        "stream": draw(st.sampled_from(list(StreamId))),
+        "key": draw(big_ints),
+        "origin_node": draw(big_ints),
+        "arrival_index": draw(big_ints),
+        "payload": None,
+        "tuple_id": draw(big_ints),
+        "timestamp": draw(floats),
+    }
+    odd = None if plain else draw(st.sampled_from([None] + sorted(fields)))
+    if odd == "payload":
+        fields["payload"] = draw(payloads | trees)
+    elif odd == "timestamp":
+        fields["timestamp"] = draw(odd_timestamps)
+    elif odd in ("key", "origin_node", "arrival_index", "tuple_id"):
+        fields[odd] = draw(st.booleans())
+    return StreamTuple(**fields)
 
 
-def with_rendered_parts(node, random):
-    """``node`` with some subtrees swapped for their canonical text."""
-    if random.random() < 0.3:
-        return Rendered(canonical(node))
-    if isinstance(node, dict):
-        return {key: with_rendered_parts(value, random) for key, value in node.items()}
-    if isinstance(node, list):
-        return [with_rendered_parts(value, random) for value in node]
-    return node
+writer_ops = st.lists(
+    st.one_of(
+        # (op, window: -1 local R, -2 local S, else a shadow origin, tuple)
+        st.tuples(st.just("append"), st.integers(-2, 12), stream_tuples(plain=True)),
+        st.tuples(st.just("append"), st.integers(-2, 12), stream_tuples()),
+        st.tuples(
+            st.just("remote"),
+            st.integers(0, 12),
+            st.sampled_from(list(StreamId)),
+            st.integers(0, 3),
+        ),
+        st.tuples(st.just("clear")),
+        st.tuples(st.just("checkpoint"), floats, st.none() | floats, floats, big_ints),
+    ),
+    max_size=30,
+)
 
 
-def loaded_back(node):
-    if isinstance(node, Rendered):
-        return json.loads(node.text)
-    if isinstance(node, dict):
-        return {key: loaded_back(value) for key, value in node.items()}
-    if isinstance(node, list):
-        return [loaded_back(value) for value in node]
-    return node
+class FakePolicy:
+    """What the writer reads of a policy: its state tree and remote text."""
+
+    def __init__(self, state, remote):
+        self.state = state
+        self.remote = remote
+
+    def checkpoint_state(self):
+        return self.state
+
+    def remote_text(self):
+        return "[]" if self.remote is None else self.remote.checkpoint_text()
+
+
+def make_coordinator(policy_state, remote):
+    windows = {StreamId.R: CountWindow(3), StreamId.S: CountWindow(3)}
+    node = SimpleNamespace(
+        node_id=3,
+        join=SimpleNamespace(
+            window=windows.__getitem__, local_results=0, probe_results=0
+        ),
+        shadow_windows={StreamId.R: {}, StreamId.S: {}},
+        policy=FakePolicy(policy_state, remote),
+        _last_arrival_time=None,
+        _mean_interarrival=0.0,
+    )
+    return RecoveryCoordinator(node, None)
+
+
+def tick(coordinator, now):
+    blob = coordinator._checkpoint_blob(now)
+    assert blob == reference_checkpoint_blob(coordinator, now)
+    return blob
 
 
 class TestEncoder:
-    @settings(max_examples=500, deadline=None)
-    @given(tree=st.dictionaries(keys, trees, max_size=5), random=st.randoms())
-    def test_rendered_parts_do_not_change_the_bytes(self, tree, random):
-        marked = with_rendered_parts(tree, random)
-        assert encode_blob(marked) == reference_encode_blob(tree)
-        assert encode_blob(marked) == encode_blob(loaded_back(marked))
-        assert encode_blob(tree) == reference_encode_blob(tree)
+    @settings(max_examples=300, deadline=None)
+    @given(item=stream_tuples())
+    def test_tuple_text_equals_the_encoder(self, item):
+        """Plain or not: -0.0, 5e-324, 1e16, ints past 64 bits, a bool
+        for an int, payloads, an int or missing or non-finite timestamp."""
+        assert tuple_text(item) == canonical_json(reference_encode_tuple(item))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        policy_state=st.dictionaries(keys, trees, max_size=5),
+        tables=st.booleans(),
+        ops=writer_ops,
+    )
+    def test_written_layout_equals_the_reference(self, policy_state, tables, ops):
+        """The whole blob, as windows, shadow windows, the remote table,
+        the counters and the interarrival clock move between ticks."""
+        remote = RemoteSummaryTable() if tables else None
+        coordinator = make_coordinator(policy_state, remote)
+        node = coordinator.node
+        versions = {}
+        for op in ops:
+            if op[0] == "append":
+                _, target, item = op
+                if target < 0:
+                    node.join.window(StreamId.R if target == -1 else StreamId.S).append(item)
+                else:
+                    shadows = node.shadow_windows[item.stream]
+                    shadows.setdefault(target, CountWindow(2)).append(item)
+            elif op[0] == "remote" and remote is not None:
+                _, peer, stream, seed = op
+                version = versions[(peer, stream)] = versions.get((peer, stream), 0) + 1
+                remote.apply(peer, make_update(stream, version, snapshot(seed), True))
+            elif op[0] == "clear" and remote is not None:
+                remote.clear()
+                versions = {}
+            elif op[0] == "checkpoint":
+                _, now, last, mean, results = op
+                node._last_arrival_time, node._mean_interarrival = last, mean
+                node.join.local_results = node.join.probe_results = results
+                tick(coordinator, now)
+        blob = tick(coordinator, 1.5)
+        assert json.loads(blob)["queries"]["0"]["policy"] == json.loads(
+            canonical_json(policy_state)
+        )
 
     def test_keys_sort_as_the_strings_json_sees(self):
-        shadows = {str(origin): Rendered("[%d]" % origin) for origin in (2, 10, 1)}
-        assert encode_blob({"shadows": shadows}) == b'{"shadows":{"1":[1],"10":[10],"2":[2]}}'
+        coordinator = make_coordinator({}, None)
+        for origin in (2, 10, 1):
+            window = coordinator.node.shadow_windows[StreamId.R][origin] = CountWindow(2)
+            window.append(
+                StreamTuple(
+                    stream=StreamId.R, key=origin, origin_node=origin,
+                    arrival_index=0, tuple_id=origin, timestamp=0.5,
+                )
+            )
+        blob = tick(coordinator, 2.0)
+        shadows = blob[blob.index(b'"shadows":') :]
+        assert shadows.index(b'"1":') < shadows.index(b'"10":') < shadows.index(b'"2":')

@@ -6,8 +6,8 @@ subsystem: the low-level codec is a bit-exact inverse pair
 approximation), and every forwarding policy's
 ``checkpoint_state -> restore_state -> checkpoint_state`` loop lands on
 the *same canonical bytes* when restored onto a freshly built twin.
-Byte equality of :func:`~repro.recovery.checkpoint.encode_blob` is the
-strongest form of the property -- it is exactly what the seed-pinned
+Equality of the :data:`~repro.recovery.checkpoint.canonical_json` text
+is the strongest form of the property -- it is exactly what the seed-pinned
 integration reruns compare.
 
 The decoders owe one more thing: damaged input (a truncated blob, a
@@ -31,15 +31,16 @@ from repro.recovery.checkpoint import (
     decode_array,
     decode_blob,
     decode_tuple,
+    canonical_json,
     encode_array,
-    encode_blob,
-    encode_tuple,
     restore_window,
+    tuple_text,
     window_state,
 )
 from repro.streams.tuples import StreamId, StreamTuple
 from repro.streams.window import CountWindow
 from tests.damage import bit_flips, damaged, truncations
+from tests.reference_checkpoint import reference_encode_tuple
 
 WINDOW = 32
 DOMAIN = 256
@@ -100,7 +101,7 @@ class TestCodec:
     @settings(max_examples=100, deadline=None)
     @given(item=stream_tuples())
     def test_tuple_round_trip_preserves_identity(self, item):
-        encoded = encode_tuple(item)
+        encoded = json.loads(tuple_text(item))
         assert encoded[0] == item.stream.value
         restored = decode_tuple(encoded)
         assert restored == item
@@ -109,7 +110,7 @@ class TestCodec:
     @settings(max_examples=50, deadline=None)
     @given(item=stream_tuples())
     def test_tuple_encoding_is_json_safe(self, item):
-        assert encode_blob({"version": 1, "t": encode_tuple(item)})
+        assert json.loads('{"version":1,"t":%s}' % tuple_text(item))["t"][-1] == 0
 
 
 class TestDamagedInput:
@@ -226,7 +227,7 @@ class TestDamagedInput:
         source = CountWindow(4)
         for item in items:
             source.append(item)
-        text = window_state(source).text
+        text = window_state(source)
         if data.draw(st.booleans()):
             try:
                 state = json.loads(data.draw(damaged(text)))
@@ -246,7 +247,7 @@ class TestDamagedInput:
             restore_window(window, state)
         except ReproError:
             return
-        assert [encode_tuple(item) for item in window] == state["tuples"]
+        assert [reference_encode_tuple(item) for item in window] == state["tuples"]
         assert window.total_appended == int(state["total_appended"])
 
     @settings(max_examples=300, deadline=None)
@@ -281,9 +282,9 @@ class TestDamagedInput:
         state = {
             "version": CHECKPOINT_VERSION,
             "array": encode_array(array),
-            "tuples": [encode_tuple(item)],
+            "tuples": [reference_encode_tuple(item)],
         }
-        blob = encode_blob(state)
+        blob = canonical_json(state).encode("ascii")
         # Every proper prefix of a JSON object is malformed.
         with pytest.raises(SimulationError):
             decode_blob(data.draw(truncations(blob)))
@@ -294,7 +295,7 @@ class TestDamagedInput:
             return
         assert isinstance(decoded, dict)
         assert decoded["version"] == CHECKPOINT_VERSION
-        assert encode_blob(decoded) == encode_blob(json.loads(flipped))
+        assert canonical_json(decoded) == canonical_json(json.loads(flipped))
 
 
 def build_policy(algorithm, seed):
@@ -333,11 +334,11 @@ class TestPolicySnapshots:
         source = build_policy(algorithm, seed)
         feed(source, keys)
         state = source.checkpoint_state()
-        blob = encode_blob(state)
+        text = canonical_json(state)
 
         twin = build_policy(algorithm, seed)
         twin.restore_state(state)
-        assert encode_blob(twin.checkpoint_state()) == blob
+        assert canonical_json(twin.checkpoint_state()) == text
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -349,6 +350,6 @@ class TestPolicySnapshots:
     def test_checkpoint_does_not_mutate_policy(self, algorithm, keys):
         policy = build_policy(algorithm, seed=7)
         feed(policy, keys)
-        first = encode_blob(policy.checkpoint_state())
-        second = encode_blob(policy.checkpoint_state())
+        first = canonical_json(policy.checkpoint_state())
+        second = canonical_json(policy.checkpoint_state())
         assert first == second

@@ -50,7 +50,7 @@ from repro.net.reliable import ReliabilitySettings
 from repro.net.topology import Network
 from repro.overload import OverloadSettings
 from repro.recovery import RecoverySettings
-from repro.recovery.checkpoint import encode_blob
+from repro.recovery.checkpoint import canonical_json
 
 configs = st.builds(
     lambda algorithm, nodes, window, kind, seed: SystemConfig(
@@ -166,9 +166,9 @@ def test_invariants_hold_through_every_optional_path(config):
 
     twins = DistributedJoinSystem(config)
     for node, twin in zip(system.nodes, twins.nodes):
-        blob = encode_blob(node.policy.checkpoint_state())
-        twin.policy.restore_state(json.loads(blob))
-        assert encode_blob(twin.policy.checkpoint_state()) == blob
+        text = canonical_json(node.policy.checkpoint_state())
+        twin.policy.restore_state(json.loads(text))
+        assert canonical_json(twin.policy.checkpoint_state()) == text
 
 
 @given(st.integers(min_value=0, max_value=1000))

@@ -287,7 +287,7 @@ class TestCheckpointWork:
         )
 
     def test_a_tuple_is_rendered_once_a_snapshot_once(self, monkeypatch, recovery_config):
-        """``encode_tuple`` calls are bounded by the tuples that entered
+        """``tuple_text`` calls are bounded by the tuples that entered
         a window or shadow window plus those a restore put back (before
         PR 24: every tuple of every window at every tick, 16,049 calls
         for the 1,984 here), payload encodes by the distinct payload
@@ -296,7 +296,7 @@ class TestCheckpointWork:
         from repro.core.system import DistributedJoinSystem
         from repro.streams.window import SlidingWindow
 
-        counts = {"encode_tuple": 0, "entered": 0, "payload": 0}
+        counts = {"tuple_text": 0, "entered": 0, "payload": 0}
         stored = {}
         in_table = []
         appending = []
@@ -305,8 +305,8 @@ class TestCheckpointWork:
             original = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args: wrapper(original, *args))
 
-        def encode_tuple(original, item):
-            counts["encode_tuple"] += 1
+        def tuple_text(original, item):
+            counts["tuple_text"] += 1
             return original(item)
 
         def append(original, window, item):
@@ -329,7 +329,7 @@ class TestCheckpointWork:
             stored[id(payload)] = payload  # held, so ids stay distinct
             return changed
 
-        def checkpoint_state(original, table):
+        def checkpoint_text(original, table):
             in_table.append(table)
             try:
                 return original(table)
@@ -343,7 +343,7 @@ class TestCheckpointWork:
         import repro.recovery.checkpoint as checkpoint
         import repro.recovery.delta as delta
 
-        wrap(checkpoint, "encode_tuple", encode_tuple)
+        wrap(checkpoint, "tuple_text", tuple_text)
         # Every window class with an ``append`` of its own: a count window
         # appends inline, the others through ``SlidingWindow.append``.
         classes = [SlidingWindow]
@@ -354,12 +354,12 @@ class TestCheckpointWork:
                 wrap(owner, "append", append)
         wrap(SlidingWindow, "restore", restore)
         wrap(RemoteSummaryTable, "apply", apply)
-        wrap(RemoteSummaryTable, "checkpoint_state", checkpoint_state)
+        wrap(RemoteSummaryTable, "checkpoint_text", checkpoint_text)
         wrap(delta, "encode_payload", encode_payload)
         result = DistributedJoinSystem(recovery_config).run()
         assert result.recovery["restarts"] == 1.0
         assert result.recovery["checkpoints_taken"] > 50
-        assert 0 < counts["encode_tuple"] <= counts["entered"]
+        assert 0 < counts["tuple_text"] <= counts["entered"]
         assert 0 < counts["payload"] <= len(stored)
 
     def test_remembered_text_is_bounded_by_what_it_mirrors(self, recovery_config):
@@ -368,17 +368,17 @@ class TestCheckpointWork:
         system = DistributedJoinSystem(recovery_config)
         system.run()
         for node in system.nodes:
-            node.recovery._checkpoint_state(0.0)
+            node.recovery._checkpoint_blob(0.0)
             windows = [node.join.window(stream) for stream in StreamId]
             for stream in StreamId:
                 windows.extend(node.shadow_windows[stream].values())
             assert len(windows) > 2
             for window in windows:
-                _, text, lengths = window.checkpoint_text
+                _, text, start, lengths = window.rendered
                 assert len(lengths) == len(window)
-                assert len(text) == sum(lengths) + max(0, len(window) - 1)
+                assert len(text[start:-2]) == sum(lengths) + max(0, len(window) - 1)
             table = node.policy.remote
-            assert table._rendered and set(table._rendered) <= set(table._state)
+            assert table._rendered and len(table._rendered) == len(table._state)
 
 
 def capture_sends(monkeypatch, network):
