@@ -348,9 +348,7 @@ class JoinProcessingNode:
         if self._fanout_histogram is not None:
             self._fanout_histogram.observe(float(len(destinations)))
 
-        transmission_seconds = result_pause
-        for destination in destinations:
-            transmission_seconds += self._send_tuple(item, destination, now)
+        transmission_seconds = self._forward(item, destinations, now, result_pause)
         transmission_seconds += self._flush_stale_summaries(now)
 
         self.tuples_processed += 1
@@ -367,7 +365,8 @@ class JoinProcessingNode:
 
         Scheduled by the system at the configured interval; header-only
         messages that bypass the service queue (out-of-band liveness
-        probes, not workload).  A crashed node stays silent.
+        probes, not workload).  One message per tick, sent to each peer.
+        A crashed node stays silent.
         """
         if self.health is None:
             return
@@ -375,9 +374,9 @@ class JoinProcessingNode:
             self.node_id
         ):
             return
+        message = Message(MessageKind.HEARTBEAT, self.node_id)
         for peer in self.health.peer_ids:
-            message = Message(MessageKind.HEARTBEAT, self.node_id, peer)
-            self.network.send(message)
+            self.network.send(message, peer)
 
     # ------------------------------------------------------------------
     # checkpoint / restart recovery (repro.recovery)
@@ -452,33 +451,47 @@ class JoinProcessingNode:
             if remote_origin is None:
                 continue
             message = Message(
-                kind=MessageKind.RESULT, source=self.node_id,
-                destination=remote_origin, payload=(None, ()),
+                kind=MessageKind.RESULT, source=self.node_id, payload=(None, ()),
             )
-            self.network.send(message)
+            self.network.send(message, remote_origin)
             pause += message.wire_bytes * 8.0 / testbed.SENDER_PACED_BPS
         return pause
 
-    def _send_tuple(self, item: StreamTuple, destination: int, now: float) -> float:
-        """Transmit a tuple with the summary deltas pending for
-        ``destination`` aboard; returns the sender pause.  With nothing
-        pending -- every BASE message, and most under a slow refresh
-        cadence -- they are the shared empty tuple, so a queued message
-        holds no list of its own."""
+    def _forward(
+        self, item: StreamTuple, destinations: List[int], now: float, seconds: float
+    ) -> float:
+        """Transmit ``item`` to each of ``destinations``, in order, and
+        return ``seconds`` plus each copy's sender pause, added one term
+        at a time.
+
+        A destination with summary deltas pending gets its own message
+        with them aboard.  Every other one -- every BASE copy, and most
+        under a slow refresh cadence -- shares one message carrying the
+        shared empty tuple, built at the first such copy.  Only the
+        object is shared: each copy is one ``Network.send`` with its own
+        link, wire bytes, draws, event key and tally."""
         outbox = self.policy.outbox
-        updates = outbox.take(destination) if outbox.has_pending(destination) else ()
-        message = Message(
-            kind=MessageKind.TUPLE,
-            source=self.node_id,
-            destination=destination,
-            payload=(item, updates),
-            summary_entries=(
-                sum(update.entries for update in updates) if updates else 0
-            ),
-        )
-        self.network.send(message)
-        self._last_contact[destination] = now
-        return message.wire_bytes * 8.0 / testbed.SENDER_PACED_BPS
+        last_contact = self._last_contact
+        shared = None
+        for destination in destinations:
+            if outbox.has_pending(destination):
+                updates = outbox.take(destination)
+                message = Message(
+                    MessageKind.TUPLE,
+                    self.node_id,
+                    payload=(item, updates),
+                    summary_entries=sum(update.entries for update in updates),
+                )
+            elif shared is None:
+                message = shared = Message(
+                    MessageKind.TUPLE, self.node_id, payload=(item, ())
+                )
+            else:
+                message = shared
+            self.network.send(message, destination)
+            last_contact[destination] = now
+            seconds += message.wire_bytes * 8.0 / testbed.SENDER_PACED_BPS
+        return seconds
 
     def _flush_stale_summaries(self, now: float) -> float:
         """Figure 7's standalone path: peers starved of tuples still get
@@ -502,7 +515,6 @@ class JoinProcessingNode:
             message = Message(
                 kind=MessageKind.SUMMARY,
                 source=self.node_id,
-                destination=peer,
                 payload=(None, updates),
                 summary_entries=sum(update.entries for update in updates),
             )
@@ -511,9 +523,9 @@ class JoinProcessingNode:
                 # starves the peer until the next flush, so they ride the
                 # reliable channel.  (Piggy-backed copies stay best-effort;
                 # version guards already handle their loss.)
-                self.transport.send(message)
+                self.transport.send(message, peer)
             else:
-                self.network.send(message)
+                self.network.send(message, peer)
             self._last_contact[peer] = now
             self.standalone_summaries_sent += 1
             pause += message.wire_bytes * 8.0 / testbed.SENDER_PACED_BPS

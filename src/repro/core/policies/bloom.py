@@ -196,12 +196,11 @@ class BloomPolicy(SummaryPolicy):
             stream.value: self.filters[stream].checkpoint_state()
             for stream in STREAMS
         }
+        # Each stream's row is read once, not once per peer: a StreamId
+        # key hashes through a Python-level ``Enum.__hash__``.
         state["hit_rates"] = {
-            stream.value: {
-                str(peer): self._hit_rates[stream][peer]
-                for peer in self.peer_ids
-            }
-            for stream in STREAMS
+            stream.value: {str(peer): rates[peer] for peer in self.peer_ids}
+            for stream, rates in self._hit_rates.items()
         }
         return state
 

@@ -235,13 +235,12 @@ class DistributedJoinSystem:
             message = Message(
                 kind=MessageKind.CONTROL,
                 source=0,
-                destination=destination,
                 payload=(None, ()),
             )
             if origin.transport is not None:
-                origin.transport.send(message)
+                origin.transport.send(message, destination)
             else:
-                self.network.send(message)
+                self.network.send(message, destination)
 
     def schedule_workload(self) -> None:
         """Hand every arrival to its node up front (Poisson arrivals, fair

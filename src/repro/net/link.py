@@ -24,6 +24,13 @@ message -- whatever killed it -- is counted in ``messages_lost`` and
 ``bytes_lost`` and reported to the optional ``on_drop`` observer, so the
 loss is visible in traffic accounting instead of silently vanishing.
 The sender always pays the serialization cost: losses happen in transit.
+
+Destination.  A :class:`~repro.net.message.Message` names no
+destination: the link is where a copy goes, so the link passes its own
+endpoint to ``on_drop`` / ``on_deliver`` with the message.  One message
+object may therefore travel several links at once (a broadcast), each
+copy with its own wire bytes, jitter draw, event key, loss test and
+tally.
 """
 
 from __future__ import annotations
@@ -79,8 +86,8 @@ class Link:
         rng=None,
         endpoints: Optional[Tuple[int, int]] = None,
         fault_injector=None,
-        on_drop: Optional[Callable[[Message], None]] = None,
-        on_deliver: Optional[Callable[[Message], None]] = None,
+        on_drop: Optional[Callable[[Message, Optional[int]], None]] = None,
+        on_deliver: Optional[Callable[[Message, Optional[int]], None]] = None,
     ) -> None:
         spec.validate()
         self._scheduler = scheduler
@@ -91,6 +98,9 @@ class Link:
         self._rng = ensure_rng(rng)
         self._doubles: Iterator[float] = iter(())
         self._endpoints = endpoints
+        self.destination = None if endpoints is None else endpoints[1]
+        """The receiving endpoint, passed with each copy to ``on_drop``
+        and ``on_deliver`` (None on a link built without endpoints)."""
         self._injector = fault_injector
         self._on_drop = on_drop
         self._on_deliver = on_deliver
@@ -137,7 +147,7 @@ class Link:
         self.messages_lost += 1
         self.bytes_lost += message.wire_bytes
         if self._on_drop is not None:
-            self._on_drop(message)
+            self._on_drop(message, self.destination)
 
     def send(self, message: Message) -> float:
         """Enqueue ``message``; returns its (nominal) delivery time.
@@ -209,12 +219,12 @@ class Link:
         swallows the message (its process is not there to receive it)."""
         if (
             self._injector is not None
-            and self._endpoints is not None
-            and self._injector.node_down(self._endpoints[1])
+            and self.destination is not None
+            and self._injector.node_down(self.destination)
         ):
             self._injector.note_blocked()
             self._drop(message)
             return
         if self._on_deliver is not None:
-            self._on_deliver(message)
+            self._on_deliver(message, self.destination)
         self._deliver(message)

@@ -6,7 +6,9 @@ links (throughput, Figure 11) and the coefficient-overhead percentage
 first principles, mirroring what the C++ prototype would put on the wire:
 
 * every message carries a fixed header (source, destination, kind,
-  sequence number, timestamps);
+  sequence number, timestamps) -- a :class:`Message` object holds no
+  destination (the link it leaves on does), but the modelled header
+  still counts one per copy;
 * a forwarded tuple carries its key and payload;
 * a summary update carries one complex coefficient (two IEEE-754 doubles)
   plus a coefficient index per entry, or the equivalently-sized Bloom /
@@ -17,7 +19,7 @@ first principles, mirroring what the C++ prototype would put on the wire:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Any, Optional
 
 HEADER_BYTES = 24
@@ -80,7 +82,15 @@ header-only apart from its summary entries."""
 
 @dataclass(slots=True)
 class Message:
-    """A simulated network message.
+    """A simulated network message: what is sent, not where it goes.
+
+    The destination belongs to the send (``Network.send(message,
+    destination)``) and, in transit, to the link that carries the copy,
+    so one message may leave on many links: a broadcast builds one
+    object and every link it leaves on delivers that object.  Every
+    field after ``source`` is keyword-only.  ``created_at`` is the
+    instant of the message's sends (every copy of a broadcast leaves at
+    the same instant; a retransmit restamps it).
 
     ``summary_entries`` counts piggy-backed summary coefficients (or filter
     fragments); their bytes are accounted to the *summary* category even when
@@ -94,7 +104,7 @@ class Message:
 
     kind: MessageKind
     source: int
-    destination: int
+    _: KW_ONLY
     payload: Any = None
     summary_entries: int = 0
     created_at: Optional[float] = None

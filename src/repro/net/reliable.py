@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from repro._rng import ensure_rng
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.net.message import Message, MessageKind
 from repro.net.simulator import Event, EventScheduler
 
@@ -95,9 +95,11 @@ class _InFlight:
 
 
 class ReliableChannel:
-    """ARQ state toward one destination (sender) / from one source (receiver)."""
+    """ARQ state toward one peer (sender) / from one peer (receiver)."""
 
-    def __init__(self) -> None:
+    def __init__(self, peer: int) -> None:
+        self.peer = peer
+        """The other end: where this channel's sends and retransmits go."""
         self.next_seq = 0
         self.in_flight: Dict[int, _InFlight] = {}
         self.next_expected = 0
@@ -107,8 +109,9 @@ class ReliableChannel:
 class ReliableTransport:
     """One node's reliable-control-channel endpoint.
 
-    ``send_fn`` is the raw network transmit (``Network.send`` in the real
-    system; anything message-shaped in tests).  The transport never blocks:
+    ``send_fn(message, destination)`` is the raw network transmit
+    (``Network.send`` in the real system; anything of that shape in
+    tests).  The transport never blocks:
     all waiting happens through scheduler timers.
     """
 
@@ -116,7 +119,7 @@ class ReliableTransport:
         self,
         node_id: int,
         scheduler: EventScheduler,
-        send_fn: Callable[[Message], object],
+        send_fn: Callable[[Message, int], object],
         settings: ReliabilitySettings,
         rng=None,
     ) -> None:
@@ -146,16 +149,24 @@ class ReliableTransport:
 
     def _channel(self, peer: int) -> ReliableChannel:
         if peer not in self._channels:
-            self._channels[peer] = ReliableChannel()
+            self._channels[peer] = ReliableChannel(peer)
         return self._channels[peer]
 
     # ------------------------------------------------------------------
     # sender side
     # ------------------------------------------------------------------
 
-    def send(self, message: Message) -> None:
-        """Transmit ``message`` reliably (stamps the channel sequence number)."""
-        channel = self._channel(message.destination)
+    def send(self, message: Message, destination: int) -> None:
+        """Transmit ``message`` reliably to ``destination`` (stamps the
+        channel sequence number).  A message already sequenced is refused:
+        one object carries one ``seq``, so it may be sent reliably once
+        (retransmits go through :meth:`_transmit`)."""
+        if message.seq is not None:
+            raise SimulationError(
+                "message already sequenced (seq=%d); a reliable send "
+                "needs a fresh message" % message.seq
+            )
+        channel = self._channel(destination)
         message.seq = channel.next_seq
         channel.next_seq += 1
         self._transmit(channel, message, attempts=0,
@@ -167,7 +178,7 @@ class ReliableTransport:
         deadline = timeout_s * (1.0 + JITTER_FRACTION * float(self.rng.random()))
         timer = self.scheduler.schedule_in(
             deadline,
-            lambda m=message: self._on_timeout(m),
+            lambda p=channel.peer, m=message: self._on_timeout(p, m),
             key=(
                 self.key_source.next_key() if self.key_source is not None else None
             ),
@@ -177,10 +188,10 @@ class ReliableTransport:
         channel.in_flight[message.seq] = _InFlight(
             message=message, timer=timer, attempts=attempts, timeout_s=timeout_s
         )
-        self.send_fn(message)
+        self.send_fn(message, channel.peer)
 
-    def _on_timeout(self, message: Message) -> None:
-        channel = self._channel(message.destination)
+    def _on_timeout(self, peer: int, message: Message) -> None:
+        channel = self._channel(peer)
         state = channel.in_flight.pop(message.seq, None)
         if state is None:  # acked between scheduling and firing
             return
@@ -194,7 +205,7 @@ class ReliableTransport:
                     "transport.dead_letter",
                     category="transport",
                     node=self.telemetry_node,
-                    peer=message.destination,
+                    peer=peer,
                     kind=message.kind.value,
                     attempts=state.attempts + 1,
                 )
@@ -245,14 +256,9 @@ class ReliableTransport:
         return released
 
     def _send_ack(self, message: Message) -> None:
-        ack = Message(
-            kind=MessageKind.ACK,
-            source=self.node_id,
-            destination=message.source,
-            seq=message.seq,
-        )
+        ack = Message(kind=MessageKind.ACK, source=self.node_id, seq=message.seq)
         self.acks_sent += 1
-        self.send_fn(ack)
+        self.send_fn(ack, message.source)
 
     # ------------------------------------------------------------------
     # channel resets (crash recovery)

@@ -4,7 +4,10 @@ Section 3: "the communications architecture is such that every node is able
 to converse with every other node" -- there is no central coordinator.
 :class:`Network` wires one :class:`~repro.net.link.Link` per ordered
 endpoint pair and exposes a simple ``send`` facade that also performs
-traffic accounting.
+traffic accounting.  ``send(message, destination)`` is one call per
+copy; the destination picks the link, and the link reports it back with
+each delivery and loss, so one :class:`~repro.net.message.Message` can
+be sent to many peers.
 """
 
 from __future__ import annotations
@@ -123,22 +126,25 @@ class Network:
             insort(self._sorted_links, (key, link))
         return link
 
-    def _record_loss(self, message: Message) -> None:
+    def _record_loss(self, message: Message, destination: int) -> None:
         self.stats.record_loss(message)
         telemetry = self.telemetry
         if telemetry is not None and telemetry.trace_messages:
-            telemetry.on_message_drop(self._scheduler.now, message)
+            telemetry.on_message_drop(self._scheduler.now, message, destination)
 
-    def _record_delivery(self, message: Message) -> None:
+    def _record_delivery(self, message: Message, destination: int) -> None:
         if self.telemetry is not None:
-            self.telemetry.on_message_deliver(self._scheduler.now, message)
+            self.telemetry.on_message_deliver(
+                self._scheduler.now, message, destination
+            )
 
-    def send(self, message: Message) -> float:
-        """Transmit ``message`` over the mesh and tally it in :attr:`stats`;
-        returns its delivery time."""
-        link = self._links.get((message.source, message.destination))
+    def send(self, message: Message, destination: int) -> float:
+        """Transmit one copy of ``message`` to ``destination`` and tally
+        it in :attr:`stats`; returns its delivery time.  A broadcast calls
+        this once per destination with the same message."""
+        link = self._links.get((message.source, destination))
         if link is None:
-            link = self.link(message.source, message.destination)
+            link = self.link(message.source, destination)
         arrival = link.send(message)
         stats, kind, size = self.stats, message.kind_name, message.wire_bytes
         summary = message.summary_entries * SUMMARY_COEFFICIENT_BYTES
@@ -149,7 +155,7 @@ class Network:
         stats.summary_entries += message.summary_entries
         telemetry = self.telemetry
         if telemetry is not None and telemetry.trace_messages:
-            telemetry.on_message_send(self._scheduler.now, message)
+            telemetry.on_message_send(self._scheduler.now, message, destination)
         return arrival
 
     def attach_telemetry(self, hub) -> None:

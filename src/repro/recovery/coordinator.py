@@ -395,14 +395,13 @@ class RecoveryCoordinator:
         request = Message(
             kind=MessageKind.STATE_TRANSFER,
             source=node.node_id,
-            destination=peer,
             payload=("request", {"watermark": self._watermark, "slots": slots}),
         )
         # Deliberately best-effort: the peer's ARQ receive channel for us
         # still expects the pre-crash sequence numbers until it resets on
         # receipt, so a sequenced request would be suppressed as a
         # duplicate.  Loss is covered by the bounded backoff retries.
-        node.network.send(request)
+        node.network.send(request, peer)
         self.state_transfer_bytes += request.wire_bytes
         if attempts < MAX_TRANSFER_RETRIES:
             delay = TRANSFER_TIMEOUT_S * (TRANSFER_BACKOFF ** attempts)
@@ -507,9 +506,9 @@ class RecoveryCoordinator:
             peer, message.payload[1], updates, full_size, now
         )
         if node.transport is not None:
-            node.transport.send(response)
+            node.transport.send(response, peer)
         else:
-            node.network.send(response)
+            node.network.send(response, peer)
         self.state_transfer_bytes += response.wire_bytes
         node._last_contact[peer] = now
         # The sender pause is charged at the full-snapshot size: assembling
@@ -576,7 +575,6 @@ class RecoveryCoordinator:
         response = Message(
             kind=MessageKind.STATE_TRANSFER,
             source=node.node_id,
-            destination=peer,
             payload=("delta_response", fallback, slots),
             summary_entries=sum(wire for _, wire in prepared),
         )

@@ -255,22 +255,23 @@ class TelemetryHub:
     # registry at each tick (:meth:`_read_traffic`); the network calls
     # ``on_message_send`` / ``on_message_drop`` only to trace.
 
-    def on_message_send(self, now: float, message) -> None:
-        """Trace one transmitted message; called by ``Network.send`` when
+    def on_message_send(self, now: float, message, destination: int) -> None:
+        """Trace one transmitted copy; called by ``Network.send`` when
         :attr:`trace_messages` is set."""
         self.emit(
             "net.send",
             category="net",
             node=message.source,
             time=now,
-            dst=message.destination,
+            dst=destination,
             kind=message.kind_name,
             bytes=message.wire_bytes,
             entries=message.summary_entries,
         )
 
-    def on_message_deliver(self, now: float, message) -> None:
-        """Account one delivered message; called at link arrival time."""
+    def on_message_deliver(self, now: float, message, destination: int) -> None:
+        """Account one delivered copy; called at link arrival time with
+        the link's endpoint."""
         kind = message.kind_name
         self._delivered_counters[kind].inc()
         if message.created_at is not None:
@@ -279,21 +280,21 @@ class TelemetryHub:
             self.emit(
                 "net.deliver",
                 category="net",
-                node=message.destination,
+                node=destination,
                 time=now,
                 src=message.source,
                 kind=kind,
             )
 
-    def on_message_drop(self, now: float, message) -> None:
-        """Trace one message lost in transit; called by the network's loss
+    def on_message_drop(self, now: float, message, destination: int) -> None:
+        """Trace one copy lost in transit; called by the network's loss
         path when :attr:`trace_messages` is set."""
         self.emit(
             "net.drop",
             category="net",
             node=message.source,
             time=now,
-            dst=message.destination,
+            dst=destination,
             kind=message.kind_name,
         )
 

@@ -32,7 +32,7 @@ class TestLinkLoss:
             rng=np.random.default_rng(0),
         )
         for _ in range(50):
-            link.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))
+            link.send(Message(kind=MessageKind.TUPLE, source=0))
         scheduler.run()
         assert len(delivered) == 50
         assert link.messages_lost == 0
@@ -50,7 +50,7 @@ class TestLinkLoss:
             rng=np.random.default_rng(1),
         )
         for _ in range(1000):
-            link.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))
+            link.send(Message(kind=MessageKind.TUPLE, source=0))
         scheduler.run()
         assert link.messages_lost + len(delivered) == 1000
         assert 0.25 < link.messages_lost / 1000 < 0.35
@@ -67,7 +67,7 @@ class TestLinkLoss:
             rng=np.random.default_rng(2),
         )
         for _ in range(20):
-            link.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))
+            link.send(Message(kind=MessageKind.TUPLE, source=0))
         assert link.queue_depth_seconds() == pytest.approx(20 * 72 * 8 / 90_000)
         assert link.bytes_sent == 20 * 72
 

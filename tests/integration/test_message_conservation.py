@@ -60,12 +60,12 @@ def run():
     sent = {"messages": Counter(), "bytes": Counter(), "entries": 0}
     send, record_loss = Network.send, TrafficStats.record_loss
 
-    def counted_send(self, message):
+    def counted_send(self, message, destination):
         calls["send"] += 1
         sent["messages"][message.kind.value] += 1
         sent["bytes"][message.kind.value] += message.wire_bytes
         sent["entries"] += message.summary_entries
-        return send(self, message)
+        return send(self, message, destination)
 
     def counted_loss(self, message):
         calls["record_loss"] += 1
@@ -146,9 +146,9 @@ def untraced():
     delivered = Counter()
     record_delivery = Network._record_delivery
 
-    def counted_delivery(self, message):
+    def counted_delivery(self, message, destination):
         delivered[message.kind_name] += 1
-        return record_delivery(self, message)
+        return record_delivery(self, message, destination)
 
     with mock.patch.object(Network, "_record_delivery", counted_delivery):
         system = DistributedJoinSystem(config(trace_messages=False))

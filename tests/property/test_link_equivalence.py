@@ -67,16 +67,15 @@ def drive(link_class, spec, seed, faults, backlog_bound_s, script):
         rng=np.random.default_rng(seed),
         endpoints=(0, 1),
         fault_injector=injector,
-        on_drop=lambda message: dropped.append(index_of[id(message)]),
+        # ``Link`` also passes its endpoint; the reference predates that.
+        on_drop=lambda message, *_: dropped.append(index_of[id(message)]),
     )
     link.backlog_bound_s = backlog_bound_s
     messages = []  # kept alive so ids stay unique
     returned = []
     for index, (gap, kind, entries) in enumerate(script):
         scheduler.run(until=scheduler.now + gap)
-        message = Message(
-            kind=KINDS[kind], source=0, destination=1, summary_entries=entries
-        )
+        message = Message(kind=KINDS[kind], source=0, summary_entries=entries)
         messages.append(message)
         index_of[id(message)] = index
         returned.append(link.send(message))

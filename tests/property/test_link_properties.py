@@ -62,7 +62,6 @@ def test_arrival_is_never_sooner_than_the_latency_floor(spec, plan, seed, low, h
             message = Message(
                 kind=MessageKind.TUPLE,
                 source=0,
-                destination=1,
                 summary_entries=entries,
             )
             arrival = link.send(message)

@@ -137,9 +137,9 @@ def counted_run(config):
     delivered = Counter()
     record_delivery = Network._record_delivery
 
-    def counted_delivery(self, message):
+    def counted_delivery(self, message, destination):
         delivered[message.kind_name] += 1
-        return record_delivery(self, message)
+        return record_delivery(self, message, destination)
 
     with mock.patch.object(Network, "_record_delivery", counted_delivery):
         system = DistributedJoinSystem(config)

@@ -87,13 +87,13 @@ class Ours:
         self.hub = TelemetryHub(telemetry, clock=lambda: self.scheduler.now)
         self.network.attach_telemetry(self.hub)
 
-    def send(self, now, message):
+    def send(self, now, message, destination):
         self.scheduler.now = now
-        self.network.send(message)
+        self.network.send(message, destination)
 
-    def drop(self, now, message):
+    def drop(self, now, message, destination):
         self.scheduler.now = now
-        self.network.link(message.source, message.destination)._drop(message)
+        self.network.link(message.source, destination)._drop(message)
 
 
 class Reference:
@@ -102,11 +102,11 @@ class Reference:
     def __init__(self, cls, telemetry, clock):
         self.hub = cls(telemetry, clock=clock)
 
-    def send(self, now, message):
-        self.hub.on_message_send(now, message)
+    def send(self, now, message, destination):
+        self.hub.on_message_send(now, message, destination)
 
-    def drop(self, now, message):
-        self.hub.on_message_drop(now, message)
+    def drop(self, now, message, destination):
+        self.hub.on_message_drop(now, message, destination)
 
 
 def apply(side, step):
@@ -121,14 +121,13 @@ def apply(side, step):
         message = Message(
             kind=kind,
             source=source,
-            destination=destination,
             summary_entries=entries,
             created_at=created_at,
         )
         if action == "deliver":
-            hub.on_message_deliver(now, message)
+            hub.on_message_deliver(now, message, destination)
         else:
-            getattr(side, action)(now, message)
+            getattr(side, action)(now, message, destination)
 
 
 def observed(hub, directory, name):

@@ -10,7 +10,9 @@ and the loss path make no hub call without message tracing, the
 ``repro_net_*`` and ``repro_link_messages_total`` counters are set at each
 tick from the network's tallies, the ring keeps its events' fields in
 one flat deque, and a series keeps its points in two rings of floats.  The
-bodies below are the old ones moved here verbatim, so the hub under
+bodies below are the old ones moved here verbatim (but for the copy's
+destination, an argument of the three message calls since a message
+stopped naming one), so the hub under
 ``src/`` can be held to them with ``==`` on everything a run exports
 (``tests/property/test_telemetry_equivalence.py``).
 
@@ -155,25 +157,25 @@ class PerSendHub:
 
     # -- message accounting (the network's fast path) ------------------
 
-    def on_message_send(self, now: float, message) -> None:
+    def on_message_send(self, now: float, message, destination) -> None:
         """Account one transmitted message; called by ``Network.send``."""
         kind = message.kind_name
         self._message_counters[kind].inc()
         self._byte_counters[kind].inc(message.wire_bytes)
-        self._link_counters[message.source, message.destination].inc()
+        self._link_counters[message.source, destination].inc()
         if self.settings.trace_messages:
             self.emit(
                 "net.send",
                 category="net",
                 node=message.source,
                 time=now,
-                dst=message.destination,
+                dst=destination,
                 kind=kind,
                 bytes=message.wire_bytes,
                 entries=message.summary_entries,
             )
 
-    def on_message_deliver(self, now: float, message) -> None:
+    def on_message_deliver(self, now: float, message, destination) -> None:
         """Account one delivered message; called at link arrival time."""
         kind = message.kind_name
         self._delivered_counters[kind].inc()
@@ -183,13 +185,13 @@ class PerSendHub:
             self.emit(
                 "net.deliver",
                 category="net",
-                node=message.destination,
+                node=destination,
                 time=now,
                 src=message.source,
                 kind=kind,
             )
 
-    def on_message_drop(self, now: float, message) -> None:
+    def on_message_drop(self, now: float, message, destination) -> None:
         """Account one message lost in transit."""
         kind = message.kind_name
         self._lost_counters[kind].inc()
@@ -199,7 +201,7 @@ class PerSendHub:
                 category="net",
                 node=message.source,
                 time=now,
-                dst=message.destination,
+                dst=destination,
                 kind=kind,
             )
 
@@ -306,7 +308,7 @@ class ReferenceTelemetryHub(PerSendHub):
             sink(event)
         self.registry.counter("repro_events_total", category=category).inc()
 
-    def on_message_send(self, now: float, message) -> None:
+    def on_message_send(self, now: float, message, destination) -> None:
         kind = message.kind.value
         self.registry.counter("repro_net_messages_total", kind=kind).inc()
         self.registry.counter("repro_net_bytes_total", kind=kind).inc(
@@ -315,7 +317,7 @@ class ReferenceTelemetryHub(PerSendHub):
         self.registry.counter(
             "repro_link_messages_total",
             src=message.source,
-            dst=message.destination,
+            dst=destination,
         ).inc()
         if self.settings.trace_messages:
             self.emit(
@@ -323,13 +325,13 @@ class ReferenceTelemetryHub(PerSendHub):
                 category="net",
                 node=message.source,
                 time=now,
-                dst=message.destination,
+                dst=destination,
                 kind=kind,
                 bytes=message.wire_bytes,
                 entries=message.summary_entries,
             )
 
-    def on_message_deliver(self, now: float, message) -> None:
+    def on_message_deliver(self, now: float, message, destination) -> None:
         kind = message.kind.value
         self.registry.counter("repro_net_delivered_total", kind=kind).inc()
         if message.created_at is not None:
@@ -340,13 +342,13 @@ class ReferenceTelemetryHub(PerSendHub):
             self.emit(
                 "net.deliver",
                 category="net",
-                node=message.destination,
+                node=destination,
                 time=now,
                 src=message.source,
                 kind=kind,
             )
 
-    def on_message_drop(self, now: float, message) -> None:
+    def on_message_drop(self, now: float, message, destination) -> None:
         kind = message.kind.value
         self.registry.counter("repro_net_lost_total", kind=kind).inc()
         if self.settings.trace_messages:
@@ -355,6 +357,6 @@ class ReferenceTelemetryHub(PerSendHub):
                 category="net",
                 node=message.source,
                 time=now,
-                dst=message.destination,
+                dst=destination,
                 kind=kind,
             )

@@ -44,8 +44,8 @@ class TestTrafficMatrix:
     def test_matrices_reflect_sends(self):
         network = self._network()
         for _ in range(3):
-            network.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))
-        network.send(Message(kind=MessageKind.TUPLE, source=2, destination=0))
+            network.send(Message(kind=MessageKind.TUPLE, source=0), 1)
+        network.send(Message(kind=MessageKind.TUPLE, source=2), 0)
         messages = message_matrix(network)
         assert messages[0, 1] == 3
         assert messages[2, 0] == 1
@@ -59,8 +59,8 @@ class TestTrafficMatrix:
     def test_top_talkers_ordering(self):
         network = self._network()
         for _ in range(5):
-            network.send(Message(kind=MessageKind.TUPLE, source=1, destination=2))
-        network.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))
+            network.send(Message(kind=MessageKind.TUPLE, source=1), 2)
+        network.send(Message(kind=MessageKind.TUPLE, source=0), 1)
         talkers = top_talkers(network, count=2)
         assert talkers[0][:2] == (1, 2)
         assert talkers[0][2] == 5

@@ -45,13 +45,8 @@ def deliver_at(system, source, destination, arrival):
     arrives when its link is free, so the link's free time sets it."""
     link = system.network.link(source, destination)
     link._free_at = arrival
-    message = Message(
-        kind=MessageKind.SUMMARY,
-        source=source,
-        destination=destination,
-        payload=(None, ()),
-    )
-    assert system.network.send(message) == arrival
+    message = Message(kind=MessageKind.SUMMARY, source=source, payload=(None, ()))
+    assert system.network.send(message, destination) == arrival
 
 
 def local(index):
@@ -263,10 +258,8 @@ def deliver_exactly(system, source, arrival):
     differences Sterbenz-exact."""
     link = system.network.link(source, 0)
     link._free_at = arrival - 0.5
-    message = Message(
-        kind=MessageKind.SUMMARY, source=source, destination=0, payload=(None, ())
-    )
-    assert system.network.send(message) == arrival
+    message = Message(kind=MessageKind.SUMMARY, source=source, payload=(None, ()))
+    assert system.network.send(message, 0) == arrival
 
 
 @pytest.mark.parametrize("exactly", [True, False])

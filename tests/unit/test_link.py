@@ -14,7 +14,7 @@ from tests.ingress import event_ingress
 
 
 def _tuple_message():
-    return Message(kind=MessageKind.TUPLE, source=0, destination=1)
+    return Message(kind=MessageKind.TUPLE, source=0)
 
 
 def transmission_time(spec, message):
@@ -100,7 +100,8 @@ def test_backlog_bound_sheds_at_the_send_buffer(zero_latency):
         take=event_ingress(scheduler),
         key_source=EventKeySource(0),
         rng=np.random.default_rng(7),
-        on_drop=dropped.append,
+        endpoints=(0, 1),
+        on_drop=lambda message, destination: dropped.append((message, destination)),
     )
     first = _tuple_message()
     tx = transmission_time(LinkSpec(), first)
@@ -111,7 +112,7 @@ def test_backlog_bound_sheds_at_the_send_buffer(zero_latency):
     third = _tuple_message()
     link.send(third)  # backlog == 2*tx >= bound: shed
     assert link.messages_shed == 1
-    assert dropped == [third]
+    assert dropped == [(third, 1)]  # the link names the copy's destination
     scheduler.run()
     assert delivered == [first, second]
     # Shed messages count as losses with byte accounting.

@@ -1,5 +1,7 @@
 """Unit tests for the message size model."""
 
+import pytest
+
 from repro.net.message import (
     HEADER_BYTES,
     SUMMARY_COEFFICIENT_BYTES,
@@ -19,7 +21,7 @@ def body_bytes(message):
 
 
 def _msg(kind, entries=0):
-    return Message(kind=kind, source=0, destination=1, summary_entries=entries)
+    return Message(kind=kind, source=0, summary_entries=entries)
 
 
 def test_tuple_message_size():
@@ -105,13 +107,25 @@ def test_traffic_stats_totals_equal_the_table_sum():
 def test_dataclass_surface_survives_the_slots():
     """``==``, ``repr`` and keyword construction as the plain dataclass
     gave them; the two derived fields stay out of all three."""
-    first = Message(kind=MessageKind.TUPLE, source=0, destination=1, created_at=5.0)
-    second = Message(kind=MessageKind.TUPLE, source=0, destination=1, created_at=5.0)
+    first = Message(kind=MessageKind.TUPLE, source=0, created_at=5.0)
+    second = Message(kind=MessageKind.TUPLE, source=0, created_at=5.0)
     assert first == second
     second.seq = 3
     assert first != second
     assert repr(first) == (
-        "Message(kind=<MessageKind.TUPLE: 'tuple'>, source=0, destination=1, "
+        "Message(kind=<MessageKind.TUPLE: 'tuple'>, source=0, "
         "payload=None, summary_entries=0, created_at=5.0, seq=None)"
     )
     assert not hasattr(first, "__dict__")
+
+
+def test_a_message_names_no_destination():
+    """The link a copy leaves on is its destination, so a message holds
+    none; every field after ``source`` is keyword-only, so a destination
+    passed by position raises instead of landing in ``payload``."""
+    message = Message(MessageKind.TUPLE, 0, payload=("item", ()))
+    assert not hasattr(message, "destination")
+    with pytest.raises(TypeError):
+        Message(MessageKind.TUPLE, 0, 1)
+    with pytest.raises(TypeError):
+        Message(kind=MessageKind.TUPLE, source=0, destination=1)

@@ -21,11 +21,12 @@ from repro.streams.tuples import StreamId, StreamTuple
 import numpy as np
 
 
-def build_pair(algorithm=Algorithm.BASE, window=8, recovery=None):
-    """Two nodes wired through a latency-only network (zero latency under
-    the ``zero_latency`` fixture, which every caller below uses)."""
+def build_pair(algorithm=Algorithm.BASE, window=8, recovery=None, num_nodes=2):
+    """Two nodes (or ``num_nodes``) wired through a latency-only network
+    (zero latency under the ``zero_latency`` fixture, which every caller
+    below uses)."""
     config = SystemConfig(
-        num_nodes=2,
+        num_nodes=num_nodes,
         window_size=window,
         policy=PolicyConfig(algorithm=algorithm, kappa=2.0),
         workload=WorkloadConfig(domain=64),
@@ -34,14 +35,16 @@ def build_pair(algorithm=Algorithm.BASE, window=8, recovery=None):
     if recovery is not None:
         config = dataclasses.replace(config, recovery=recovery)
     scheduler = EventScheduler()
-    network = Network(scheduler, 2, spec=config.link, rng=np.random.default_rng(0))
+    network = Network(
+        scheduler, num_nodes, spec=config.link, rng=np.random.default_rng(0)
+    )
     oracle = GroundTruthOracle()
     collector = ResultCollector()
     nodes = []
-    for node_id in (0, 1):
+    for node_id in range(num_nodes):
         context = PolicyContext(
             node_id=node_id,
-            peer_ids=(1 - node_id,),
+            peer_ids=tuple(peer for peer in range(num_nodes) if peer != node_id),
             window_size=window,
             domain=64,
             config=config.policy,
@@ -382,13 +385,14 @@ class TestCheckpointWork:
 
 
 def capture_sends(monkeypatch, network):
-    """Record every message handed to ``network.send``, then send it."""
+    """Record every ``(message, destination)`` handed to
+    ``network.send``, then send it."""
     sent = []
     send = network.send
 
-    def recording(message):
-        sent.append(message)
-        return send(message)
+    def recording(message, destination):
+        sent.append((message, destination))
+        return send(message, destination)
 
     monkeypatch.setattr(network, "send", recording)
     return sent
@@ -410,7 +414,6 @@ class TestMessagePathShape:
         message = Message(
             kind=MessageKind.TUPLE,
             source=1,
-            destination=0,
             payload=(make_tuple(StreamId.R, 3, 1, 0), ()),
         )
         node.on_local_arrival(arrival)
@@ -431,7 +434,10 @@ class TestMessagePathShape:
         item = make_tuple(StreamId.R, 1, 0)
         nodes[0].on_local_arrival(item)
         scheduler.run()
-        (message,) = [m for m in sent if m.kind is MessageKind.TUPLE]
+        ((message, destination),) = [
+            (m, d) for m, d in sent if m.kind is MessageKind.TUPLE
+        ]
+        assert destination == 1
         assert message.payload == (item.with_timestamp(0.0), ())
         assert type(message.payload[1]) is tuple
         assert message.summary_entries == 0
@@ -448,10 +454,39 @@ class TestMessagePathShape:
         )
         node.policy.outbox.queue_for(1, update)
         item = make_tuple(StreamId.R, 1, 0)
-        node._send_tuple(item, 1, 0.0)
-        node._send_tuple(item, 1, 0.0)
-        first, second = sent
+        node._forward(item, [1, 1], 0.0, 0.0)
+        (first, _), (second, _) = sent
         assert first.payload == (item, [update])
         assert first.summary_entries == 3
         assert second.payload == (item, ())
         assert second.summary_entries == 0
+
+    @pytest.mark.usefixtures("zero_latency")
+    def test_a_base_broadcast_is_one_message_object(self, monkeypatch):
+        """One BASE arrival builds exactly one TUPLE message: it is sent
+        once per peer, and each of the N - 1 deliveries is that object."""
+        built = []
+        post_init = Message.__post_init__
+
+        def counted(message):
+            post_init(message)
+            built.append(message)
+
+        monkeypatch.setattr(Message, "__post_init__", counted)
+        delivered = []
+        record_delivery = Network._record_delivery
+
+        def recording(self, message, destination):
+            delivered.append((destination, message))
+            record_delivery(self, message, destination)
+
+        monkeypatch.setattr(Network, "_record_delivery", recording)
+        scheduler, network, _, _, nodes = build_pair(num_nodes=4)
+        sent = capture_sends(monkeypatch, network)
+        nodes[0].on_local_arrival(make_tuple(StreamId.R, 1, 0))
+        scheduler.run()
+        (message,) = [m for m in built if m.kind is MessageKind.TUPLE]
+        assert sent == [(message, 1), (message, 2), (message, 3)]
+        assert sorted(destination for destination, _ in delivered) == [1, 2, 3]
+        assert all(copy is message for _, copy in delivered)
+        assert [node.remote_tuples_processed for node in nodes] == [0, 1, 1, 1]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.net import reliable
 from repro.net.message import Message, MessageKind
 from repro.net.reliable import ReliabilitySettings, ReliableTransport
@@ -18,10 +18,12 @@ class LossyWire:
 
     def __init__(self, drop_first=0):
         self.sent = []
+        self.destinations = []
         self.drop_first = drop_first
 
-    def __call__(self, message):
+    def __call__(self, message, destination):
         self.sent.append(message)
+        self.destinations.append(destination)
         if len(self.sent) <= self.drop_first:
             return None  # dropped: never delivered
         return message
@@ -37,11 +39,8 @@ def make_transport(scheduler, wire, seed=0, settings=SETTINGS, node_id=0):
     )
 
 
-def control(source=0, destination=1):
-    return Message(
-        kind=MessageKind.CONTROL, source=source, destination=destination,
-        payload=(None, []),
-    )
+def control(source=0):
+    return Message(kind=MessageKind.CONTROL, source=source, payload=(None, []))
 
 
 class TestSettings:
@@ -61,21 +60,23 @@ class TestRetransmission:
         scheduler = EventScheduler()
         wire = LossyWire(drop_first=3)
         sender = make_transport(scheduler, wire)
-        sender.send(control())
+        sender.send(control(), 1)
         # Simulate: first 3 transmissions die, the 4th is delivered and acked.
         scheduler.run()  # drains all retransmit timers
         assert sender.retransmits >= 3
         survivors = wire.sent[3:]
         assert survivors, "a retransmission should eventually get through"
         assert all(m.seq == 0 for m in wire.sent)
+        # Every retransmit goes to the channel's peer.
+        assert wire.destinations == [1] * len(wire.sent)
 
     def test_ack_stops_retransmission(self):
         scheduler = EventScheduler()
         wire = LossyWire()
         sender = make_transport(scheduler, wire)
         message = control()
-        sender.send(message)
-        ack = Message(kind=MessageKind.ACK, source=1, destination=0, seq=message.seq)
+        sender.send(message, 1)
+        ack = Message(kind=MessageKind.ACK, source=1, seq=message.seq)
         sender.on_ack(ack)
         scheduler.run()
         assert sender.retransmits == 0
@@ -86,7 +87,7 @@ class TestRetransmission:
         scheduler = EventScheduler()
         wire = LossyWire(drop_first=10**9)  # nothing ever arrives
         sender = make_transport(scheduler, wire)
-        sender.send(control())
+        sender.send(control(), 1)
         scheduler.run()
         assert sender.retransmits == reliable.MAX_RETRIES
         assert sender.delivery_failures == 1
@@ -99,12 +100,12 @@ class TestRetransmission:
         times = []
         wire = LossyWire(drop_first=10**9)
 
-        def recording_wire(message):
+        def recording_wire(message, destination):
             times.append(scheduler.now)
-            return wire(message)
+            return wire(message, destination)
 
         sender = make_transport(scheduler, recording_wire)
-        sender.send(control())
+        sender.send(control(), 1)
         scheduler.run()
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert gaps == pytest.approx([0.1, 0.2, 0.4])
@@ -114,16 +115,51 @@ class TestRetransmission:
             scheduler = EventScheduler()
             times = []
 
-            def wire(message):
+            def wire(message, destination):
                 times.append(scheduler.now)
 
             sender = make_transport(scheduler, wire, seed=seed)
-            sender.send(control())
+            sender.send(control(), 1)
             scheduler.run()
             return times
 
         assert timeline(42) == timeline(42)
         assert timeline(42) != timeline(43)  # the jitter does something
+
+
+class TestSequencing:
+    def test_a_sequenced_message_is_refused(self):
+        """One object carries one ``seq``: a message already sent reliably
+        (or stamped by hand) cannot be sequenced again, so a shared or
+        reused message never goes out under two sequence numbers."""
+        scheduler = EventScheduler()
+        wire = LossyWire()
+        sender = make_transport(scheduler, wire)
+        message = control()
+        sender.send(message, 1)
+        with pytest.raises(SimulationError):
+            sender.send(message, 2)
+        with pytest.raises(SimulationError):
+            sender.send(message, 1)
+        stamped = control()
+        stamped.seq = 7
+        with pytest.raises(SimulationError):
+            sender.send(stamped, 1)
+        assert wire.sent == [message]
+        assert message.seq == 0
+        assert sender._channel(1).next_seq == 1
+        assert 2 not in sender._channels
+
+    def test_retransmits_still_resend_the_sequenced_message(self):
+        scheduler = EventScheduler()
+        wire = LossyWire(drop_first=2)
+        sender = make_transport(scheduler, wire)
+        message = control()
+        sender.send(message, 1)
+        scheduler.run(until=1.0)
+        assert sender.retransmits >= 2
+        assert all(sent is message for sent in wire.sent)
+        assert message.seq == 0
 
 
 class TestReceiver:
@@ -142,9 +178,14 @@ class TestReceiver:
         assert receiver.duplicates_suppressed == 1
         # Every arrival is acked -- the retransmission's ack replaces the
         # lost one, or the sender would retry forever.
-        acks = [m for m in wire.sent if m.kind is MessageKind.ACK]
+        acks = [
+            (m, destination)
+            for m, destination in zip(wire.sent, wire.destinations)
+            if m.kind is MessageKind.ACK
+        ]
         assert len(acks) == 2
-        assert all(a.seq == 0 and a.destination == 0 for a in acks)
+        # An ACK goes back to the acknowledged message's source.
+        assert all(a.seq == 0 and destination == 0 for a, destination in acks)
 
     def test_in_order_release_across_retransmits(self):
         scheduler = EventScheduler()
@@ -186,19 +227,19 @@ class TestEndToEnd:
         scheduler = EventScheduler()
         inboxes = {0: [], 1: []}
 
-        def wire(message):
+        def wire(message, destination):
             # Deliver instantly to the destination transport.
-            target = transports[message.destination]
+            target = transports[destination]
             if message.kind is MessageKind.ACK:
                 target.on_ack(message)
             else:
-                inboxes[message.destination].extend(target.on_receive(message))
+                inboxes[destination].extend(target.on_receive(message))
 
         transports = {
             node: make_transport(scheduler, wire, node_id=node) for node in (0, 1)
         }
         for _ in range(5):
-            transports[0].send(control())
+            transports[0].send(control(), 1)
         scheduler.run()
         assert [m.seq for m in inboxes[1]] == [0, 1, 2, 3, 4]
         assert transports[0].retransmits == 0

@@ -173,7 +173,7 @@ def test_at_the_bound_the_lowest_priority_work_is_shed():
     scheduler, process, _ = build(detector=detector, shed=shed.append)
 
     def message(kind):
-        return Message(kind=kind, source=1, destination=0)
+        return Message(kind=kind, source=1)
 
     copy, second_copy = message(MessageKind.TUPLE), message(MessageKind.TUPLE)
     transfer = message(MessageKind.STATE_TRANSFER)

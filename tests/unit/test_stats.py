@@ -8,7 +8,7 @@ from tests.reference_traffic import record, summary_bytes
 
 
 def _msg(kind, entries=0):
-    return Message(kind=kind, source=0, destination=1, summary_entries=entries)
+    return Message(kind=kind, source=0, summary_entries=entries)
 
 
 def test_empty_stats():

@@ -152,7 +152,6 @@ def _message(kind=MessageKind.TUPLE, entries=0, created_at=None):
     return Message(
         kind=kind,
         source=0,
-        destination=1,
         summary_entries=entries,
         created_at=created_at,
     )
@@ -201,8 +200,8 @@ class TestTelemetryHub:
         """Deliveries are counted as they happen; sends, bytes, losses and
         link sends are read from the network's tallies at a tick."""
         scheduler, network, hub = _wired(TelemetrySettings(enabled=True))
-        arrival = network.send(_message(entries=3))
-        network.send(_message(kind=MessageKind.SUMMARY))  # shed: backlog full
+        arrival = network.send(_message(entries=3), 1)
+        network.send(_message(kind=MessageKind.SUMMARY), 1)  # shed: backlog full
         scheduler.run()
         registry = hub.registry
         assert registry.get("repro_net_delivered_total", kind="tuple").value == 1
@@ -229,8 +228,8 @@ class TestTelemetryHub:
         calls = []
         for name in ("on_message_send", "on_message_drop"):
             monkeypatch.setattr(hub, name, lambda *args: calls.append(args))
-        network.send(_message())
-        network.send(_message())  # shed
+        network.send(_message(), 1)
+        network.send(_message(), 1)  # shed
         scheduler.run()
         hub.sample_tick()
         assert calls == []  # the network made no per-message hub call
@@ -244,7 +243,7 @@ class TestTelemetryHub:
         settings = TelemetrySettings(enabled=True, trace_messages=False)
         _, network, hub = _wired(settings)
         hub.sample_tick(1.0)
-        network.send(_message())
+        network.send(_message(), 1)
         hub.sample_tick(1.0)
         counter = hub.registry.get("repro_net_messages_total", kind="tuple")
         assert counter.value == 1

@@ -39,8 +39,8 @@ def test_register_rejects_duplicates():
 
 def test_send_delivers_to_destination_only():
     scheduler, network, endpoints = _network(3)
-    message = Message(kind=MessageKind.TUPLE, source=0, destination=2)
-    network.send(message)
+    message = Message(kind=MessageKind.TUPLE, source=0)
+    network.send(message, 2)
     scheduler.run()
     assert endpoints[2].received == [message]
     assert endpoints[1].received == []
@@ -49,7 +49,7 @@ def test_send_delivers_to_destination_only():
 def test_self_send_rejected():
     _, network, _ = _network(2)
     with pytest.raises(SimulationError):
-        network.send(Message(kind=MessageKind.TUPLE, source=1, destination=1))
+        network.send(Message(kind=MessageKind.TUPLE, source=1), 1)
 
 
 def test_self_link_is_refused_and_the_mesh_keeps_its_streams():
@@ -61,7 +61,7 @@ def test_self_link_is_refused_and_the_mesh_keeps_its_streams():
         with pytest.raises(SimulationError):
             network.link(node, node)
     with pytest.raises(SimulationError):
-        network.send(Message(kind=MessageKind.TUPLE, source=2, destination=2))
+        network.send(Message(kind=MessageKind.TUPLE, source=2), 2)
     assert network.stats.total_messages == 0
     assert list(network.iter_links()) == []
     children = spawn(ensure_rng(np.random.default_rng(5)), 9)
@@ -73,7 +73,7 @@ def test_self_link_is_refused_and_the_mesh_keeps_its_streams():
 def test_send_to_unregistered_endpoint_rejected():
     _, network, _ = _network(2)
     with pytest.raises(SimulationError):
-        network.send(Message(kind=MessageKind.TUPLE, source=0, destination=9))
+        network.send(Message(kind=MessageKind.TUPLE, source=0), 9)
 
 
 def test_links_are_per_direction():
@@ -87,8 +87,8 @@ def test_links_are_per_direction():
 def test_stats_accumulate_globally_and_per_sender():
     scheduler, network, _ = _network(3)
     for destination in (1, 2):
-        network.send(Message(kind=MessageKind.TUPLE, source=0, destination=destination))
-    network.send(Message(kind=MessageKind.SUMMARY, source=1, destination=0, summary_entries=4))
+        network.send(Message(kind=MessageKind.TUPLE, source=0), destination)
+    network.send(Message(kind=MessageKind.SUMMARY, source=1, summary_entries=4), 0)
     scheduler.run()
     assert network.stats.total_messages == 3
     assert per_sender(network) == {0: (2, 144, 0, 0, 0), 1: (1, 104, 0, 0, 0)}
@@ -108,7 +108,7 @@ def test_backlog_reporting(zero_latency):
 
     assert total_backlog() == 0.0
     for _ in range(3):
-        network.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))
+        network.send(Message(kind=MessageKind.TUPLE, source=0), 1)
     assert network.link(0, 1).queue_depth_seconds() > 0.0
     assert total_backlog() == pytest.approx(network.link(0, 1).queue_depth_seconds())
     scheduler.run()
@@ -133,12 +133,12 @@ def test_send_accounting_matches_the_recorded_script():
     kinds = list(MessageKind)
     order = {}  # id(message) -> its index in the send order
 
-    def send(message):
+    def send(message, destination):
         order[id(message)] = len(order)
-        network.send(message)
+        network.send(message, destination)
         return message
 
-    sent = [send(Message(kind=MessageKind.CONTROL, source=0, destination=1))]
+    sent = [send(Message(kind=MessageKind.CONTROL, source=0), 1)]
 
     def burst(step):
         for index in range(6):
@@ -147,9 +147,9 @@ def test_send_accounting_matches_the_recorded_script():
                 Message(
                     kind=kinds[(step * 6 + index) % len(kinds)],
                     source=source,
-                    destination=(source + 1 + index % 2) % 3,
                     summary_entries=(step + index) % 4,
-                )
+                ),
+                (source + 1 + index % 2) % 3,
             ))
 
     for step in range(10):

@@ -35,7 +35,7 @@ def sends(network):
 def test_records_every_send():
     _, network = traced_network()
     for destination in (1, 2, 1):
-        network.send(Message(kind=MessageKind.TUPLE, source=0, destination=destination))
+        network.send(Message(kind=MessageKind.TUPLE, source=0), destination)
     records = sends(network)
     assert len(records) == 3
     assert [r.attrs["dst"] for r in records] == [1, 2, 1]
@@ -47,7 +47,7 @@ def test_ring_buffer_drops_oldest(monkeypatch):
     monkeypatch.setattr(telemetry_events, "EVENT_CAPACITY", 2)
     _, network = traced_network()
     for destination in (1, 2, 1, 2, 1):
-        network.send(Message(kind=MessageKind.TUPLE, source=0, destination=destination))
+        network.send(Message(kind=MessageKind.TUPLE, source=0), destination)
     hub = network.telemetry
     assert len(list(hub.events())) == 2
     assert hub.events_dropped == 3
@@ -57,9 +57,9 @@ def test_ring_buffer_drops_oldest(monkeypatch):
 
 def test_filtering():
     _, network = traced_network()
-    network.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))
-    network.send(Message(kind=MessageKind.SUMMARY, source=1, destination=2, summary_entries=3))
-    network.send(Message(kind=MessageKind.TUPLE, source=2, destination=0))
+    network.send(Message(kind=MessageKind.TUPLE, source=0), 1)
+    network.send(Message(kind=MessageKind.SUMMARY, source=1, summary_entries=3), 2)
+    network.send(Message(kind=MessageKind.TUPLE, source=2), 0)
     records = sends(network)
     assert len([r for r in records if r.node == 0]) == 1
     assert len([r for r in records if r.attrs["kind"] == "tuple"]) == 2
@@ -74,8 +74,8 @@ def test_filtering():
 def test_counts_by_kind_and_tail():
     scheduler, network = traced_network()
     for _ in range(4):
-        network.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))
-    network.send(Message(kind=MessageKind.RESULT, source=1, destination=0))
+        network.send(Message(kind=MessageKind.TUPLE, source=0), 1)
+    network.send(Message(kind=MessageKind.RESULT, source=1), 0)
     counts = Counter(r.attrs["kind"] for r in sends(network))
     assert counts == {"tuple": 4, "result": 1}
     assert counts == network.stats.messages_by_kind
@@ -94,6 +94,6 @@ def test_untraced_network_has_no_overhead_path():
     network = Network(scheduler, 2, rng=np.random.default_rng(2))
     network.register(0, Sink(scheduler))
     network.register(1, Sink(scheduler))
-    network.send(Message(kind=MessageKind.TUPLE, source=0, destination=1))
+    network.send(Message(kind=MessageKind.TUPLE, source=0), 1)
     assert network.telemetry is None
     assert network.stats.total_messages == 1
